@@ -19,7 +19,7 @@ from .accountant import (
 )
 from .data import BinaryDataset, Batch, load_records, make_dataset, sample_batch, write_records
 from .dpnorm import dp_norm, norm_histogram
-from .dpsgd import SgdConfig, clip_gradient, dp_sgd_step
+from .dpsgd import SgdConfig, dp_sgd_step
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .evaluation import (
     EvalReport,
@@ -60,7 +60,6 @@ __all__ = [
     "alpha_sgd",
     "alpha_subsampled_gaussian",
     "clip_features",
-    "clip_gradient",
     "clustering_accuracy",
     "counting_query",
     "dp_kernel_kmeans",

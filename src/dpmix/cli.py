@@ -463,7 +463,6 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
 
 def cmd_train(opts: dict, out: _Outputs) -> int:
     _check_sigmas(opts, ("sigma_c", "sigma_k", "sigma_g"))
-    dataset = _load_dataset(opts)
     init = None
     if opts["init_centers"]:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
@@ -489,6 +488,7 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
         lambda_max=opts["lambda_max"],
         init_centers=init,
     )
+    dataset = _load_dataset(opts)
     result = train(dataset, cfg, opts["seed"])
     echo = _echo(opts)
     echo["delta"] = (

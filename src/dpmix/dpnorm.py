@@ -5,6 +5,8 @@ The L2 norms of the input vectors are binned into w buckets
 standard deviation sqrt(2) * sigma_c is added to every count, and the
 upper edge of the noisiest bucket is returned.  One record moves at most
 one unit of count between two buckets, hence the sqrt(2) L2 sensitivity.
+A 1-D input is taken as the norms themselves, so callers that know the
+norms in closed form never build the vectors.
 """
 from __future__ import annotations
 
@@ -39,6 +41,13 @@ def _norms(vectors) -> np.ndarray:
     if not np.isfinite(norms).all():
         raise ValueError("non-finite norm encountered")
     return norms
+
+
+def clip_scales(norms, c_s: float) -> np.ndarray:
+    """Factors 1 / max(1, ||v|| / c_s) that move each vector onto the c_s ball."""
+    if c_s <= 0:
+        raise ValueError(f"clip bound must be positive, got {c_s}")
+    return 1.0 / np.maximum(1.0, np.asarray(norms, dtype=np.float64) / c_s)
 
 
 def norm_histogram(vectors, c_max: float = 10.0, bins: int = 100) -> NormHistogram:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Batch, BinaryDataset, sample_batch
-from .dpnorm import dp_norm
+from .dpnorm import clip_scales, dp_norm
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,23 @@ class StepInfo:
     clipped_fraction: float
 
 
-def clip_gradient(grad: np.ndarray, c_s: float) -> np.ndarray:
-    """Rescale onto the c_s ball if the norm exceeds it, else pass through."""
-    if c_s <= 0:
-        raise ValueError(f"clip bound must be positive, got {c_s}")
-    grad = np.asarray(grad, dtype=np.float64)
-    norm = np.linalg.norm(grad)
-    return grad / max(1.0, norm / c_s)
+class DenseGradients:
+    """Adapter giving a plain (B, P) gradient array the factored interface."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.shape = self.rows.shape
+
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.rows, axis=1)
+
+    def clipped_sum(self, scales) -> np.ndarray:
+        return np.asarray(scales, dtype=np.float64) @ self.rows
 
 
 def dp_sgd_step(
     params: np.ndarray,
-    grad_fn: Callable[[Batch], np.ndarray],
+    grad_fn: Callable[[Batch], object],
     cluster: BinaryDataset,
     cfg: SgdConfig,
     sample_rng: np.random.Generator,
@@ -72,12 +77,19 @@ def dp_sgd_step(
 ) -> tuple[np.ndarray, StepInfo]:
     """Run one step against ``cluster`` and return (new params, diagnostics).
 
-    ``grad_fn`` maps a Batch to an (|S|, P) array of per-example descent
-    gradients.  Clusters smaller than L clamp the sampling probability
-    to 1; the per-record inclusion probability stays bounded by the
-    accounted L / |dataset|.  An empty batch skips threshold selection
-    and releases pure noise at the previous clip bound (c_max / 2 before
-    any non-empty batch was seen).
+    ``grad_fn`` maps a Batch to its |S| per-example descent gradients:
+    an object with ``shape`` (|S|, P), ``norms()`` (the |S| row norms)
+    and ``clipped_sum(scales)`` (the scaled row sum, a P-vector), such as
+    rbm.FactoredGradients, or a plain (|S|, P) array, which is wrapped in
+    DenseGradients.  The clip bound is voted on the norms alone, so no
+    (|S|, P) matrix has to exist.  ``noise_rng`` draws ``bins`` normals
+    for the vote, then P for the released sum.
+
+    Clusters smaller than L clamp the sampling probability to 1; the
+    per-record inclusion probability stays bounded by the accounted
+    L / |dataset|.  An empty batch skips threshold selection and releases
+    pure noise at the previous clip bound (c_max / 2 before any non-empty
+    batch was seen).
     """
     if len(cluster) == 0:
         raise ValueError("cannot step against an empty cluster")
@@ -98,15 +110,16 @@ def dp_sgd_step(
         )
         return new_params, info
 
-    grads = np.asarray(grad_fn(batch), dtype=np.float64)
-    if grads.ndim != 2 or grads.shape[0] != len(batch) or grads.shape[1] != params.size:
+    grads = grad_fn(batch)
+    if not hasattr(grads, "clipped_sum"):
+        grads = DenseGradients(grads)
+    if tuple(grads.shape) != (len(batch), params.size):
         raise ValueError(
             f"grad_fn must return ({len(batch)}, {params.size}), got {grads.shape}"
         )
-    norms = np.linalg.norm(grads, axis=1)
-    c_s = dp_norm(grads, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
-    clipped = grads / np.maximum(1.0, norms / c_s)[:, None]
-    total = clipped.sum(axis=0)
+    norms = grads.norms()
+    c_s = dp_norm(norms, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
+    total = grads.clipped_sum(clip_scales(norms, c_s))
     noise = noise_rng.normal(0.0, math.sqrt(2.0) * cfg.sigma_g * c_s, size=params.shape)
     new_params = params - cfg.eta * (total + noise) / cfg.batch_size
     info = StepInfo(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinaryDataset
-from .dpnorm import dp_norm
+from .dpnorm import clip_scales, dp_norm
 from .rff import FeatureMap, embed
 
 # Fallback seed for center initialization when the caller supplies neither
@@ -46,12 +46,8 @@ class Clustering:
 
 def clip_features(features: np.ndarray, c_s: float) -> np.ndarray:
     """Scale rows with norm above c_s back onto the c_s sphere."""
-    if c_s <= 0:
-        raise ValueError(f"clip bound must be positive, got {c_s}")
     features = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(features, axis=1)
-    scale = np.maximum(1.0, norms / c_s)
-    return features / scale[:, None]
+    return features * clip_scales(np.linalg.norm(features, axis=1), c_s)[:, None]
 
 
 def assign_to_centers(features: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -11,10 +11,16 @@ statistics follow persistent contrastive divergence: the model
 expectation is estimated from Gibbs chains that persist across updates
 and never see the current batch, so per-example gradients share one
 negative term and differ only in their positive term.
+
+The per-example gradients are therefore kept factored: p(h|x) (B x n),
+the batch x (B x m) and the shared negative statistic N (one P-vector).
+Their norms and any weighted row sum have closed forms in those factors,
+so a DP-SGD step costs O(B (n + m)) memory instead of the O(B P) of the
+materialized (B, P) gradient matrix, with P = n m + m + n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -95,18 +101,80 @@ def set_flat_parameters(model: RbmModel, vec: np.ndarray) -> None:
     model.hidden_bias = vec[n * m + m :].copy()
 
 
-def positive_statistics(model: RbmModel, records: np.ndarray) -> np.ndarray:
+def positive_statistics(
+    model: RbmModel, records: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Per-record sufficient statistics (p(h|x) x', x, p(h|x)), flattened.
 
     Rows align with flatten_parameters, so statistic differences are
-    log-likelihood gradients.
+    log-likelihood gradients.  With ``weights`` (one per record) the
+    weighted row sum is returned as one P-vector instead, computed
+    without the (B, P) matrix.
     """
     x = np.asarray(records, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     p_h = conditional_hidden(model, x)  # (B, n)
+    if weights is not None:
+        return _weighted_statistic(p_h, x, np.asarray(weights, dtype=np.float64))
     grad_w = np.einsum("bi,bj->bij", p_h, x).reshape(x.shape[0], -1)
     return np.concatenate([grad_w, x, p_h], axis=1)
+
+
+def _weighted_statistic(p_h: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_b w_b (p_b x_b', x_b, p_b), flattened like flatten_parameters."""
+    return np.concatenate([((w[:, None] * p_h).T @ x).ravel(), w @ x, w @ p_h])
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredGradients:
+    """Per-example gradients sign * (pos(x_b) - N) without the (B, P) matrix.
+
+    Row b has weight block p_b x_b' - N_W, visible block x_b - N_b and
+    hidden block p_b - N_c.  ``norms`` and ``clipped_sum`` are the two
+    operations DP-SGD needs; negation flips ``sign`` and leaves norms
+    unchanged.
+    """
+
+    hidden: np.ndarray  # (B, n) p(h | x_b)
+    records: np.ndarray  # (B, m) float
+    negative: np.ndarray  # (P,) shared negative statistic N
+    sign: float = 1.0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.records.shape[0], self.negative.size)
+
+    def __len__(self) -> int:
+        return self.records.shape[0]
+
+    def __neg__(self) -> "FactoredGradients":
+        return replace(self, sign=-self.sign)
+
+    def norms(self) -> np.ndarray:
+        """Row L2 norms from the expanded square of each block, clamped at 0.
+
+        ||p x' - N_W||^2 = ||p||^2 ||x||^2 - 2 p' N_W x + ||N_W||^2; the bias
+        blocks are plain differences.
+        """
+        p, x = self.hidden, self.records
+        n, m = p.shape[1], x.shape[1]
+        neg_w = self.negative[: n * m]
+        neg_b, neg_c = self.negative[n * m : n * m + m], self.negative[n * m + m :]
+        sq = (
+            np.einsum("bi,bi->b", p, p) * np.einsum("bj,bj->b", x, x)
+            - 2.0 * np.einsum("bj,bj->b", p @ neg_w.reshape(n, m), x)
+            + neg_w @ neg_w
+            + np.einsum("bj,bj->b", x - neg_b, x - neg_b)
+            + np.einsum("bi,bi->b", p - neg_c, p - neg_c)
+        )
+        return np.sqrt(np.maximum(sq, 0.0))
+
+    def clipped_sum(self, scales) -> np.ndarray:
+        """sum_b scales_b * row_b = (s o P)' X - (sum s) N, flattened."""
+        s = np.asarray(scales, dtype=np.float64)
+        total = _weighted_statistic(self.hidden, self.records, s) - s.sum() * self.negative
+        return self.sign * total
 
 
 @dataclass
@@ -151,24 +219,29 @@ def advance_chains(model: RbmModel, chains: PersistentChains, sweeps: int) -> No
 
 def negative_statistic(model: RbmModel, chains: PersistentChains) -> np.ndarray:
     """Model-side statistic: mean of positive_statistics over chain states."""
-    return positive_statistics(model, chains.states).mean(axis=0)
+    count = len(chains)
+    return positive_statistics(model, chains.states, np.full(count, 1.0 / count))
 
 
 def pcd_per_example_gradients(
     model: RbmModel, batch, chains: PersistentChains, gibbs_steps: int = 1
-) -> np.ndarray:
-    """Log-likelihood ascent gradients, one row per batch record.
+) -> FactoredGradients:
+    """Log-likelihood ascent gradients, one row per batch record, factored.
 
     Advances the persistent chains by ``gibbs_steps`` sweeps, then
-    returns positive(x) - N with the shared negative statistic N.  An
-    empty batch returns an empty array and leaves the chains untouched.
+    returns rows positive(x) - N with the shared negative statistic N as
+    a FactoredGradients (no (B, P) matrix is built).  An empty batch
+    returns zero rows and leaves the chains untouched.
     """
-    records = batch.records if hasattr(batch, "records") else np.asarray(batch)
-    if records.shape[0] == 0:
-        return np.zeros((0, model.n_params))
+    records = batch.records if hasattr(batch, "records") else batch
+    x = np.atleast_2d(np.asarray(records, dtype=np.float64))
+    if x.shape[0] == 0:
+        return FactoredGradients(
+            np.zeros((0, model.n_hidden)), x, np.zeros(model.n_params)
+        )
     advance_chains(model, chains, gibbs_steps)
     neg = negative_statistic(model, chains)
-    return positive_statistics(model, records) - neg
+    return FactoredGradients(conditional_hidden(model, x), x, neg)
 
 
 def sample_batch(
@@ -181,8 +254,3 @@ def sample_batch(
         raise ValueError(f"gibbs_steps must be >= 1, got {gibbs_steps}")
     start = (rng.random((count, model.m)) < 0.5).astype(np.uint8)
     return _gibbs_sweeps(model, start, gibbs_steps, rng)
-
-
-def sample(model: RbmModel, gibbs_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """One record from the model distribution."""
-    return sample_batch(model, 1, gibbs_steps, rng)[0]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from dpmix.accountant import (
     AlphaProfile,
@@ -111,6 +112,31 @@ class TestSubsampledQuadrature:
             alpha_subsampled_gaussian(1, -1.0, 0.5)
         with pytest.raises(ValueError):
             alpha_subsampled_gaussian(1, 1.0, 1.5)
+
+
+def _binomial_log_e2(lam: int, sigma: float, q: float) -> float:
+    """Exact log E2 at integer lam (Mironov, Talwar & Zhang 2019):
+    log sum_{k=0}^{lam+1} C(lam+1, k) (1-q)^(lam+1-k) q^k e^((k^2-k) / 2 sigma^2).
+    """
+    n = lam + 1
+    k = np.arange(n + 1, dtype=np.float64)
+    log_terms = (
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        + xlog1py(n - k, -q) + xlogy(k, q)
+        + (k * k - k) / (2.0 * sigma**2)
+    )
+    return float(logsumexp(log_terms))
+
+
+class TestBinomialOracle:
+    def test_quadrature_matches_binomial_expansion(self):
+        # independent of the quadrature: a finite sum, no integration
+        for q in (0.001, 0.0017, 0.01, 0.1, 0.5, 1.0):
+            for sigma in (0.8, 1.0, 2.0, 4.0, 8.0):
+                for lam in range(1, 33):
+                    want = _binomial_log_e2(lam, sigma, q)
+                    got = alpha_subsampled_gaussian(lam, sigma, q)
+                    assert abs(got - want) <= 1e-12 + 1e-8 * abs(want), (lam, sigma, q)
 
 
 class TestKmeansAlpha:

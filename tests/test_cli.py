@@ -168,6 +168,24 @@ def _train_args(data_path, model_path, **extra):
     return args
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("n_hidden", 0),
+    ("eta", -1),
+    ("chain_count", 0),
+    ("bins", 0),
+    ("pcd_sweeps", 0),
+    ("pcd_sweeps", -3),
+])
+def test_train_rejects_bad_config_before_any_stage(tmp_path, corpus_files, capsys, flag, value):
+    _, data_path, _ = corpus_files
+    model_path = tmp_path / "model.json"
+    assert main(_train_args(data_path, model_path, **{flag: value})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert len(err.strip().splitlines()) == 1
+    assert not model_path.exists()
+
+
 def test_train_generate_evaluate_pipeline(tmp_path, corpus_files, capsys):
     _, data_path, labels_path = corpus_files
     model_path = tmp_path / "model.json"

@@ -1,13 +1,16 @@
 """Private SGD steps: clipping, adaptive bound, noise calibration."""
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpmix import rbm
 from dpmix.data import make_dataset, sample_batch
-from dpmix.dpnorm import dp_norm
-from dpmix.dpsgd import SgdConfig, clip_gradient, dp_sgd_step
+from dpmix.dpnorm import clip_scales, dp_norm
+from dpmix.dpsgd import SgdConfig, dp_sgd_step
 
 
 def _toy_cluster(n, m, seed):
@@ -17,12 +20,17 @@ def _toy_cluster(n, m, seed):
     return make_dataset(records)
 
 
+def _clip(vec, c_s):
+    vec = np.asarray(vec, dtype=np.float64)
+    return vec * clip_scales(np.linalg.norm(vec), c_s)
+
+
 def test_clip_worked_examples():
-    assert_allclose(clip_gradient(np.array([3.0, 4.0]), 1.0), [0.6, 0.8])
-    assert_allclose(clip_gradient(np.array([0.3, 0.4]), 1.0), [0.3, 0.4])
-    assert_allclose(clip_gradient(np.array([0.0, 0.0]), 2.0), [0.0, 0.0])
+    assert_allclose(_clip([3.0, 4.0], 1.0), [0.6, 0.8])
+    assert_allclose(_clip([0.3, 0.4], 1.0), [0.3, 0.4])
+    assert_allclose(_clip([0.0, 0.0], 2.0), [0.0, 0.0])
     with pytest.raises(ValueError):
-        clip_gradient(np.ones(3), 0.0)
+        clip_scales(np.ones(3), 0.0)
 
 
 def test_config_validation():
@@ -248,3 +256,63 @@ def test_gradient_shape_mismatch_is_rejected():
             cfg, sample_rng=np.random.default_rng(0),
             noise_rng=np.random.default_rng(1),
         )
+
+
+def _rbm_step_inputs(m, n_hidden, records, seed):
+    model = rbm.init_model(m, n_hidden, np.random.default_rng(seed), weight_std=0.3)
+    chains = rbm.PersistentChains.initialize(records, m, seed=seed + 1)
+    return model, chains, _toy_cluster(records, m, seed=seed + 2)
+
+
+def test_factored_and_dense_gradients_give_the_same_step():
+    # one RBM step fed the factored object, then a plain (B, P) array built
+    # from the materialized statistics: same parameters, same stream states
+    model, chains, cluster = _rbm_step_inputs(50, 32, 40, seed=3)
+    dense_chains = copy.deepcopy(chains)
+    cfg = SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1, c_max=20.0, bins=40)
+    params = rbm.flatten_parameters(model)
+
+    def factored_fn(batch):
+        return -rbm.pcd_per_example_gradients(model, batch, chains)
+
+    def dense_fn(batch):
+        rbm.advance_chains(model, dense_chains, 1)
+        neg = rbm.positive_statistics(model, dense_chains.states).mean(axis=0)
+        return neg - rbm.positive_statistics(model, batch.records)
+
+    results = []
+    for fn in (factored_fn, dense_fn):
+        sample_rng, noise_rng = np.random.default_rng(8), np.random.default_rng(9)
+        new_params, info = dp_sgd_step(params, fn, cluster, cfg, sample_rng, noise_rng)
+        results.append((new_params, info, sample_rng.bit_generator.state,
+                        noise_rng.bit_generator.state))
+    (p_f, info_f, s_f, n_f), (p_d, info_d, s_d, n_d) = results
+    assert info_f.batch_size > 0 and 0.0 < info_f.clipped_fraction < 1.0
+    assert info_f.clip_bound == info_d.clip_bound
+    assert_allclose(p_f, p_d, rtol=0.0, atol=1e-12)
+    assert s_f == s_d and n_f == n_d
+    assert np.array_equal(chains.states, dense_chains.states)
+    assert chains.rng.bit_generator.state == dense_chains.rng.bit_generator.state
+
+
+def test_rbm_step_memory_stays_below_the_gradient_matrix():
+    # MNIST-shaped step: m = 784, n_hidden = 200, B = 100.  The (B, P)
+    # gradient matrix alone would be B * P * 8 = 126 MB.
+    model, chains, cluster = _rbm_step_inputs(784, 200, 100, seed=5)
+    cfg = SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=100, eta=0.01)
+    params = rbm.flatten_parameters(model)
+
+    def grad_fn(batch):
+        return -rbm.pcd_per_example_gradients(model, batch, chains)
+
+    tracemalloc.start()
+    try:
+        _, info = dp_sgd_step(
+            params, grad_fn, cluster, cfg,
+            sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.batch_size == 100
+    assert peak < 20e6

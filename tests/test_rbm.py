@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from dpmix.rbm import (
+    FactoredGradients,
     PersistentChains,
     RbmModel,
     advance_chains,
@@ -16,9 +17,9 @@ from dpmix.rbm import (
     energy,
     flatten_parameters,
     init_model,
+    negative_statistic,
     pcd_per_example_gradients,
     positive_statistics,
-    sample,
     sample_batch,
     set_flat_parameters,
 )
@@ -31,6 +32,11 @@ def _random_model(m, n, seed, scale=0.8):
         visible_bias=rng.normal(0, scale, size=m),
         hidden_bias=rng.normal(0, scale, size=n),
     )
+
+
+def _rows(grads):
+    """Materialize factored gradients row by row via one-hot clipped sums."""
+    return np.array([grads.clipped_sum(e) for e in np.eye(len(grads))])
 
 
 def _all_states(bits):
@@ -165,8 +171,9 @@ def test_identical_records_get_identical_gradients():
     model = _random_model(4, 3, seed=9)
     chains = PersistentChains.initialize(8, 4, seed=10)
     batch = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.uint8)
-    grads = pcd_per_example_gradients(model, batch, chains)
-    assert grads.shape == (3, model.n_params)
+    factored = pcd_per_example_gradients(model, batch, chains)
+    assert factored.shape == (3, model.n_params)
+    grads = _rows(factored)
     assert_allclose(grads[0], grads[1])
     assert not np.allclose(grads[0], grads[2])
 
@@ -181,11 +188,11 @@ def test_negative_statistic_ignores_the_batch():
     )
     batch_a = np.array([[1, 1, 0, 0, 1]], dtype=np.uint8)
     batch_b = np.array([[0, 0, 1, 1, 0], [1, 0, 1, 0, 1]], dtype=np.uint8)
-    neg_a = positive_statistics(model, batch_a) - pcd_per_example_gradients(
-        model, batch_a, chains_a
+    neg_a = positive_statistics(model, batch_a) - _rows(
+        pcd_per_example_gradients(model, batch_a, chains_a)
     )
-    neg_b = positive_statistics(model, batch_b) - pcd_per_example_gradients(
-        model, batch_b, chains_b
+    neg_b = positive_statistics(model, batch_b) - _rows(
+        pcd_per_example_gradients(model, batch_b, chains_b)
     )
     assert_allclose(neg_a[0], neg_b[0], atol=1e-12)
     assert_allclose(neg_b[0], neg_b[1], atol=1e-12)
@@ -198,9 +205,69 @@ def test_empty_batch_is_a_no_op():
     before_states = chains.states.copy()
     before_rng = chains.rng.bit_generator.state
     grads = pcd_per_example_gradients(model, np.zeros((0, 4), dtype=np.uint8), chains)
+    assert isinstance(grads, FactoredGradients)
     assert grads.shape == (0, model.n_params)
+    assert grads.norms().shape == (0,)
+    assert_allclose(grads.clipped_sum(np.zeros(0)), np.zeros(model.n_params))
     assert np.array_equal(chains.states, before_states)
     assert chains.rng.bit_generator.state == before_rng
+
+
+def _dense_oracle(model, records, chain_states):
+    """Materialized (B, P) gradients: positive(x) minus the chain mean."""
+    return positive_statistics(model, records) - positive_statistics(
+        model, chain_states
+    ).mean(axis=0)
+
+
+def _close(got, want, rtol=1e-10):
+    """Relative agreement of two vectors in L2; exact when ``want`` is 0."""
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (50, 32), (784, 200)])
+def test_factored_gradients_match_dense_oracle(m, n):
+    model = _random_model(m, n, seed=m + n, scale=2.0 / np.sqrt(m))
+    rng = np.random.default_rng(n)
+    batches = {
+        "random": rng.integers(0, 2, size=(6, m)).astype(np.uint8),
+        "one record": rng.integers(0, 2, size=(1, m)).astype(np.uint8),
+        "all zero": np.zeros((3, m), dtype=np.uint8),
+        "all one": np.ones((3, m), dtype=np.uint8),
+    }
+    for name, batch in batches.items():
+        chains = PersistentChains.initialize(7, m, seed=m)
+        factored = pcd_per_example_gradients(model, batch, chains)
+        dense = _dense_oracle(model, batch, chains.states)
+        assert factored.shape == dense.shape, name
+
+        assert_allclose(
+            negative_statistic(model, chains),
+            positive_statistics(model, chains.states).mean(axis=0),
+            rtol=1e-10, err_msg=name,
+        )
+        assert_allclose(
+            factored.norms(), np.linalg.norm(dense, axis=1), rtol=1e-10, err_msg=name
+        )
+        scales = rng.uniform(0.0, 1.0, size=len(batch))
+        scales[::2] = 0.0  # clip scales that include zeros
+        for s in (scales, np.ones(len(batch))):
+            assert _close(factored.clipped_sum(s), s @ dense), name
+        descent = -factored
+        assert_allclose(descent.norms(), factored.norms())
+        assert _close(descent.clipped_sum(scales), -(scales @ dense)), name
+
+
+def test_negative_statistic_is_weighted_chain_sum():
+    # the weighted form of positive_statistics equals w @ (B, P) matrix
+    model = _random_model(6, 4, seed=31)
+    states = np.random.default_rng(3).integers(0, 2, size=(9, 6)).astype(np.uint8)
+    w = np.random.default_rng(4).uniform(-1.0, 1.0, size=9)
+    assert_allclose(
+        positive_statistics(model, states, w),
+        w @ positive_statistics(model, states),
+        rtol=1e-12,
+    )
 
 
 def test_advance_chains_moves_states():
@@ -230,7 +297,7 @@ def test_saturated_bias_forces_units_on():
     )
     draws = sample_batch(model, 200, 3, np.random.default_rng(0))
     assert np.all(draws == 1)
-    one = sample(model, 3, np.random.default_rng(1))
+    one = sample_batch(model, 1, 3, np.random.default_rng(1))[0]
     assert one.shape == (3,)
     assert np.all(one == 1)
 
@@ -258,7 +325,8 @@ def test_persistent_gradient_ascent_learns_two_modes():
     chains = PersistentChains.initialize(30, 6, seed=7)
     eta = 0.05
     for _ in range(1500):
-        step = pcd_per_example_gradients(model, batch, chains).mean(axis=0)
+        grads = pcd_per_example_gradients(model, batch, chains)
+        step = grads.clipped_sum(np.full(len(batch), 1.0 / len(batch)))
         set_flat_parameters(model, flatten_parameters(model) + eta * step)
 
     draws = sample_batch(model, 2000, 50, np.random.default_rng(55))
