@@ -7,6 +7,13 @@ with a moments accountant.  Trained mixtures sample synthetic datasets
 whose utility is scored by counting-query workloads.
 """
 
+# The public names are those in __all__.  The imports below also fix the
+# order in which the submodules and scipy load.  Trimming them to the
+# public names changed the heap layout the imports leave behind: each
+# `dpmix accountant` run then took about 88,000 minor page faults instead
+# of about 50 in the quadrature temporaries, and was 10-30% slower on a
+# 2-vCPU x86 host.
+
 from .accountant import (
     AlphaProfile,
     PrivacyConfig,
@@ -38,49 +45,12 @@ from .rff import FeatureMap, embed, kernel_rbf, sample_feature_map
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaProfile",
-    "Batch",
-    "BinaryDataset",
-    "Clustering",
-    "ConfigError",
-    "DataError",
-    "EvalReport",
-    "FeatureMap",
-    "MixtureModel",
-    "NumericsError",
-    "PersistentChains",
-    "PrivacyConfig",
-    "QueryWorkload",
-    "RbmModel",
-    "SgdConfig",
-    "StageError",
     "TrainConfig",
-    "alpha_gaussian",
-    "alpha_kmeans",
-    "alpha_sgd",
     "alpha_subsampled_gaussian",
-    "clip_features",
-    "clustering_accuracy",
-    "counting_query",
-    "dp_kernel_kmeans",
-    "dp_norm",
-    "dp_sgd_step",
-    "embed",
     "epsilon_for_delta",
     "epsilon_schedule",
-    "evaluate_workload",
     "generate",
-    "generate_workload",
-    "kernel_rbf",
-    "load_model",
     "load_records",
-    "make_dataset",
-    "norm_histogram",
-    "relative_error",
-    "sample_batch",
-    "sample_feature_map",
-    "save_model",
     "train",
-    "write_records",
     "__version__",
 ]

@@ -14,16 +14,12 @@ import logging
 import math
 import os
 import sys
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__, evaluation, mixture
-from .accountant import (
-    DEFAULT_LAMBDA_MAX,
-    PrivacyConfig,
-    epsilon_schedule,
-    total_alpha_profile,
-)
+from .accountant import PrivacyConfig, epsilon_schedule, total_alpha_profile
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
     FORMATS,
@@ -40,107 +36,108 @@ from .mixture import TrainConfig, load_model, save_model, train
 from .rff import feature_map_from_seed
 from .streams import child_rng, child_seed
 
-log = logging.getLogger("dpmix")
+REQUIRED = MISSING  # the dataclass marker for "no default"
 
-_COMMON_DEFAULTS = {"seed": 0, "workers": 1}
 
-_DEFAULTS = {
-    "accountant": {
-        **_COMMON_DEFAULTS,
-        "q": None,
-        "sigma_c": None,
-        "sigma_k": None,
-        "sigma_g": None,
-        "t_kmeans": 20,
-        "epochs": None,
-        "delta": None,
-        "data_size": None,
-        "rbf_mode": True,
-        "strict_gaussian": False,
-        "lambda_max": DEFAULT_LAMBDA_MAX,
-        "output": None,
-    },
-    "cluster": {
-        **_COMMON_DEFAULTS,
-        "data": None,
-        "format": SPARSE_ITEMS,
-        "threshold": DEFAULT_BINARIZE_THRESHOLD,
-        "labels": None,
-        "k": None,
-        "d": 200,
-        "gamma": 1.0,
-        "t_kmeans": 20,
-        "sigma_c": None,
-        "sigma_k": None,
-        "rbf_mode": True,
-        "c_max": 10.0,
-        "bins": 100,
-        "init_centers": None,
-        "output": None,
-        "assignments_out": None,
-    },
-    "train": {
-        **_COMMON_DEFAULTS,
-        "data": None,
-        "format": SPARSE_ITEMS,
-        "threshold": DEFAULT_BINARIZE_THRESHOLD,
-        "k": None,
-        "epochs": None,
-        "batch_size": None,
-        "sigma_c": None,
-        "sigma_k": None,
-        "sigma_g": None,
-        "t_kmeans": 20,
-        "d": 200,
-        "gamma": 1.0,
-        "n_hidden": 200,
-        "eta": 0.01,
-        "pcd_sweeps": 1,
-        "chain_count": None,
-        "c_max": 10.0,
-        "bins": 100,
-        "delta": None,
-        "rbf_mode": True,
-        "strict_gaussian": False,
-        "lambda_max": DEFAULT_LAMBDA_MAX,
-        "init_centers": None,
-        "model": None,
-        "log": None,
-    },
-    "generate": {
-        **_COMMON_DEFAULTS,
-        "model": None,
-        "count": None,
-        "gibbs_steps": mixture.DEFAULT_GENERATION_SWEEPS,
-        "output": None,
-    },
-    "evaluate": {
-        **_COMMON_DEFAULTS,
-        "data": None,
-        "format": SPARSE_ITEMS,
-        "threshold": DEFAULT_BINARIZE_THRESHOLD,
-        "synthetic": None,
-        "queries": 1000,
-        "max_l1": None,
-        "semantics": evaluation.ANY,
-        "labels": None,
-        "assignments": None,
-        "output": None,
-        "csv": None,
-    },
+@dataclass(frozen=True)
+class Option:
+    """One option: its type, its default (or REQUIRED) and its help text.
+
+    ``kind`` is int, float, bool, str (a file path) or a tuple of the
+    allowed strings.  It sets the flag's parser and the JSON type that a
+    config-file value must have.
+    """
+
+    kind: type | tuple[str, ...]
+    default: object = None
+    help: str = ""
+
+
+def _with_train_defaults(**options: Option) -> dict[str, Option]:
+    """Give each option named after a TrainConfig field that field's default."""
+    return {
+        f.name: replace(options[f.name], default=f.default) for f in fields(TrainConfig)
+    }
+
+
+_OPTIONS = {
+    "seed": Option(int, 0, "master seed"),
+    "workers": Option(int, 1, "reserved: must be >= 1, has no effect yet"),
+    "data": Option(str, REQUIRED, "dataset file"),
+    "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
+    "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
+    "labels": Option(str, None, "true labels, one integer per line"),
+    "q": Option(float, REQUIRED, "batch inclusion probability per iteration"),
+    "data_size": Option(int, None, "derive delta = 1/size when --delta absent"),
+    "output": Option(str, None, "write the report, summary or records here (generate: required)"),
+    "assignments_out": Option(str, None, "write one cluster id per record here"),
+    "model": Option(str, REQUIRED, "model JSON path"),
+    "log": Option(str, None, "output path for the per-step JSON-lines training log"),
+    "count": Option(int, REQUIRED, "number of records to generate"),
+    "gibbs_steps": Option(int, mixture.DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample"),
+    "synthetic": Option(str, REQUIRED, "synthetic dataset (sparse-items)"),
+    "queries": Option(int, 1000, "number of counting queries, a multiple of 5"),
+    "max_l1": Option(int, None, "longest query (default: longest real record)"),
+    "semantics": Option(evaluation.SEMANTICS, evaluation.ANY, "counting-query semantics"),
+    "assignments": Option(str, None, "cluster ids, one per record, scored against --labels"),
+    "csv": Option(str, None, "write the per-subset CSV here"),
+    **_with_train_defaults(
+        k=Option(int, help="number of clusters"),
+        epochs=Option(int, help="SGD epochs"),
+        batch_size=Option(int, help="expected batch size L; q = L / n"),
+        sigma_c=Option(float, help="noise of the clip-bound histogram votes"),
+        sigma_k=Option(float, help="noise of the k-means counts and sums"),
+        sigma_g=Option(float, help="noise of the clipped gradient sums"),
+        t_kmeans=Option(int, help="k-means iterations"),
+        d=Option(int, help="random Fourier feature width"),
+        gamma=Option(float, help="RBF kernel width"),
+        n_hidden=Option(int, help="hidden units per RBM"),
+        eta=Option(float, help="learning rate"),
+        pcd_sweeps=Option(int, help="Gibbs sweeps per persistent-chain update"),
+        chain_count=Option(int, help="persistent chains per RBM (default: batch size)"),
+        c_max=Option(float, help="largest selectable clip bound"),
+        bins=Option(int, help="histogram bins of the clip-bound vote"),
+        delta=Option(float, help="target delta (train default: 1/|dataset|)"),
+        rbf_mode=Option(bool, help="clustering uses the a priori feature norm bound"),
+        strict_gaussian=Option(bool, help="exact Gaussian log-MGF, not the default convention"),
+        lambda_max=Option(int, help="largest moment order searched"),
+        init_centers=Option(str, help="CSV file with k rows of d initial centers"),
+    ),
 }
 
-_REQUIRED = {
-    "accountant": ("q", "sigma_c", "sigma_k", "sigma_g", "epochs"),
-    "cluster": ("data", "k", "sigma_c", "sigma_k"),
-    "train": ("data", "k", "epochs", "batch_size", "sigma_c", "sigma_k", "sigma_g", "model"),
-    "generate": ("model", "count", "output"),
-    "evaluate": ("data", "synthetic"),
+_DATA = ("data", "format", "threshold")
+
+# Each command's options, in the order the config echo lists them.
+_COMMAND_OPTIONS = {
+    "accountant": ("seed", "workers", "q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
+                   "epochs", "delta", "data_size", "rbf_mode", "strict_gaussian",
+                   "lambda_max", "output"),
+    "cluster": ("seed", "workers", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
+                "sigma_k", "rbf_mode", "c_max", "bins", "init_centers", "output",
+                "assignments_out"),
+    "train": ("seed", "workers", *_DATA, *(f.name for f in fields(TrainConfig)), "model", "log"),
+    "generate": ("seed", "workers", "model", "count", "gibbs_steps", "output"),
+    "evaluate": ("seed", "workers", *_DATA, "synthetic", "queries", "max_l1", "semantics",
+                 "labels", "assignments", "output", "csv"),
 }
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
-def _bool_opt(parser, name, help_text):
-    parser.add_argument(name, action=argparse.BooleanOptionalAction, default=None, help=help_text)
+
+def _add_flag(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
+    flag = "--" + name.replace("_", "-")
+    help_text = opt.help
+    if opt.default is REQUIRED:
+        help_text += " (required)"
+    elif opt.default is not None:
+        help_text += f" (default {opt.default})"
+    if opt.kind is bool:
+        parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
+    elif isinstance(opt.kind, tuple):
+        parser.add_argument(flag, choices=opt.kind, help=help_text)
+    else:
+        parser.add_argument(flag, type=opt.kind, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,135 +147,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dpmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--workers", type=int, help="worker count (default 1)")
         p.add_argument(
             "--unsafe-no-privacy",
             action="store_true",
             help="allow zero noise scales (test only, output is NOT private)",
         )
-
-    p = sub.add_parser("accountant", help="print the epsilon schedule for a configuration")
-    common(p)
-    p.add_argument("--q", type=float, help="batch inclusion probability per iteration")
-    p.add_argument("--sigma-c", type=float)
-    p.add_argument("--sigma-k", type=float)
-    p.add_argument("--sigma-g", type=float)
-    p.add_argument("--t-kmeans", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--data-size", type=int, help="derive delta = 1/size when --delta absent")
-    _bool_opt(p, "--rbf-mode", "clustering uses the a priori feature norm bound")
-    _bool_opt(p, "--strict-gaussian", "exact Gaussian log-MGF instead of the default convention")
-    p.add_argument("--lambda-max", type=int)
-    p.add_argument("--output", help="write a JSON report here")
-
-    p = sub.add_parser("cluster", help="run private clustering and report a summary")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--labels")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--t-kmeans", type=int)
-    p.add_argument("--sigma-c", type=float)
-    p.add_argument("--sigma-k", type=float)
-    _bool_opt(p, "--rbf-mode", "clustering uses the a priori feature norm bound")
-    p.add_argument("--c-max", type=float)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--init-centers", help="CSV file with k rows of d initial centers")
-    p.add_argument("--output", help="write the JSON summary here")
-    p.add_argument("--assignments-out", help="write one cluster id per record here")
-
-    p = sub.add_parser("train", help="train a private mixture model")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--sigma-c", type=float)
-    p.add_argument("--sigma-k", type=float)
-    p.add_argument("--sigma-g", type=float)
-    p.add_argument("--t-kmeans", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--n-hidden", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--pcd-sweeps", type=int)
-    p.add_argument("--chain-count", type=int)
-    p.add_argument("--c-max", type=float)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--delta", type=float)
-    _bool_opt(p, "--rbf-mode", "clustering uses the a priori feature norm bound")
-    _bool_opt(p, "--strict-gaussian", "exact Gaussian log-MGF instead of the default convention")
-    p.add_argument("--lambda-max", type=int)
-    p.add_argument("--init-centers", help="CSV file with k rows of d initial centers")
-    p.add_argument("--model", help="output path for the model JSON")
-    p.add_argument("--log", help="output path for the per-step JSON-lines training log")
-
-    p = sub.add_parser("generate", help="sample synthetic records from a trained model")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--count", type=int)
-    p.add_argument("--gibbs-steps", type=int)
-    p.add_argument("--output")
-
-    p = sub.add_parser("evaluate", help="score synthetic data against the real dataset")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--synthetic")
-    p.add_argument("--queries", type=int)
-    p.add_argument("--max-l1", type=int)
-    p.add_argument("--semantics", choices=evaluation.SEMANTICS)
-    p.add_argument("--labels")
-    p.add_argument("--assignments")
-    p.add_argument("--output", help="write the JSON report here")
-    p.add_argument("--csv", help="write the per-subset CSV here")
+        for name in _COMMAND_OPTIONS[command]:
+            _add_flag(p, name, _OPTIONS[name])
     return parser
+
+
+def _check_config_value(name: str, value, opt: Option) -> None:
+    """A config-file value must have its option's JSON type."""
+    if value is None:
+        ok = opt.default is None
+    elif isinstance(opt.kind, tuple):
+        ok = value in opt.kind
+    else:
+        ok = isinstance(value, _JSON_TYPES[opt.kind]) and (
+            opt.kind is bool or not isinstance(value, bool)
+        )
+    if not ok:
+        if isinstance(opt.kind, tuple):
+            wanted = f"one of {', '.join(opt.kind)}"
+        else:
+            wanted = _KIND_NAMES[opt.kind]
+        if opt.default is None:
+            wanted += " or null"
+        raise ConfigError(f"config key {name} must be {wanted}, got {json.dumps(value)}")
+
+
+def _read_config(path: str, command: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}")
+    if not isinstance(values, dict):
+        raise ConfigError("config file must contain a JSON object")
+    unknown = set(values) - set(_COMMAND_OPTIONS[command])
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}")
+    for name, value in values.items():
+        _check_config_value(name, value, _OPTIONS[name])
+    return values
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge flags over the config file over defaults for one command."""
-    defaults = _DEFAULTS[args.command]
-    file_values = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must contain a JSON object")
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown config key(s) for {args.command}: {', '.join(sorted(unknown))}"
-            )
+    file_values = _read_config(args.config, args.command) if args.config else {}
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        else:
-            resolved[key] = default
-    for key in _REQUIRED[args.command]:
-        if resolved[key] is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    for name in _COMMAND_OPTIONS[args.command]:
+        flag = getattr(args, name)
+        value = flag if flag is not None else file_values.get(name, _OPTIONS[name].default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+        resolved[name] = value
     if resolved["workers"] < 1:
         raise ConfigError("--workers must be >= 1")
+    if resolved["seed"] < 0:
+        raise ConfigError("--seed must be >= 0")
     resolved["command"] = args.command
     resolved["unsafe_no_privacy"] = bool(args.unsafe_no_privacy)
     return resolved
@@ -296,8 +229,9 @@ def _check_sigmas(opts: dict, names: tuple[str, ...]) -> None:
         )
 
 
-def _echo(opts: dict) -> dict:
-    return {k: v for k, v in opts.items()}
+def _fields_from(cls, opts: dict) -> dict:
+    """The resolved options named after fields of the dataclass ``cls``."""
+    return {f.name: opts[f.name] for f in fields(cls) if f.name in opts}
 
 
 class _Outputs:
@@ -348,39 +282,21 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
     if delta is None:
         if opts["data_size"] is None:
             raise ConfigError("pass --delta or --data-size (for delta = 1/size)")
+        if opts["data_size"] < 1:
+            raise ConfigError("--data-size must be >= 1")
         delta = 1.0 / opts["data_size"]
-    cfg = PrivacyConfig(
-        sigma_c=opts["sigma_c"],
-        sigma_k=opts["sigma_k"],
-        sigma_g=opts["sigma_g"],
-        q=opts["q"],
-        t_kmeans=opts["t_kmeans"],
-        t_sgd=0,
-        delta=delta,
-        rbf_mode=opts["rbf_mode"],
-        lambda_max=opts["lambda_max"],
-        strict_gaussian=opts["strict_gaussian"],
-    )
+    try:
+        cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
     print("epoch,t_sgd,epsilon,lambda")
     for row in schedule:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
     final = schedule[-1]
     if opts["output"]:
-        final_cfg = PrivacyConfig(
-            sigma_c=cfg.sigma_c,
-            sigma_k=cfg.sigma_k,
-            sigma_g=cfg.sigma_g,
-            q=cfg.q,
-            t_kmeans=cfg.t_kmeans,
-            t_sgd=final.t_sgd,
-            delta=delta,
-            rbf_mode=cfg.rbf_mode,
-            lambda_max=cfg.lambda_max,
-            strict_gaussian=cfg.strict_gaussian,
-        )
         report = {
-            "config_echo": {**_echo(opts), "delta": delta},
+            "config_echo": {**opts, "delta": delta},
             "schedule": [
                 {
                     "epoch": r.epoch,
@@ -392,7 +308,7 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
             ],
             "epsilon": final.epsilon,
             "argmin_lambda": final.argmin_lambda,
-            "alpha_profile": total_alpha_profile(final_cfg).to_dict(),
+            "alpha_profile": total_alpha_profile(replace(cfg, t_sgd=final.t_sgd)).to_dict(),
         }
         out.write_text(opts["output"], _json_dumps(report))
     return 0
@@ -418,13 +334,13 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
         labels = load_labels(opts["labels"])
         dataset = with_labels(dataset, labels)
     seed = opts["seed"]
-    fmap = feature_map_from_seed(
-        dataset.m, opts["d"], opts["gamma"], child_seed(seed, "feature-map")
-    )
     init = None
     if opts["init_centers"]:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
     try:
+        fmap = feature_map_from_seed(
+            dataset.m, opts["d"], opts["gamma"], child_seed(seed, "feature-map")
+        )
         clustering = dp_kernel_kmeans(
             dataset,
             fmap,
@@ -442,7 +358,7 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     summary = {
-        "config_echo": _echo(opts),
+        "config_echo": dict(opts),
         "k": clustering.k,
         "iterations": clustering.iterations,
         "sigma_k": opts["sigma_k"],
@@ -466,31 +382,10 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
     init = None
     if opts["init_centers"]:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
-    cfg = TrainConfig(
-        k=opts["k"],
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        sigma_c=opts["sigma_c"],
-        sigma_k=opts["sigma_k"],
-        sigma_g=opts["sigma_g"],
-        t_kmeans=opts["t_kmeans"],
-        d=opts["d"],
-        gamma=opts["gamma"],
-        n_hidden=opts["n_hidden"],
-        eta=opts["eta"],
-        pcd_sweeps=opts["pcd_sweeps"],
-        chain_count=opts["chain_count"],
-        c_max=opts["c_max"],
-        bins=opts["bins"],
-        delta=opts["delta"],
-        rbf_mode=opts["rbf_mode"],
-        strict_gaussian=opts["strict_gaussian"],
-        lambda_max=opts["lambda_max"],
-        init_centers=init,
-    )
+    cfg = TrainConfig(**{**_fields_from(TrainConfig, opts), "init_centers": init})
     dataset = _load_dataset(opts)
     result = train(dataset, cfg, opts["seed"])
-    echo = _echo(opts)
+    echo = dict(opts)
     echo["delta"] = (
         result.mixture.privacy.delta if result.mixture.privacy is not None else None
     )
@@ -514,6 +409,8 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_generate(opts: dict, out: _Outputs) -> int:
+    if opts["output"] is None:
+        raise ConfigError("missing required option --output")
     if opts["count"] < 1:
         raise ConfigError("--count must be >= 1")
     if opts["gibbs_steps"] < 1:
@@ -522,7 +419,7 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
         mix = load_model(opts["model"])
     except FileNotFoundError:
         raise DataError(f"model not found: {opts['model']}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {opts['model']}: {exc}")
     synth = mixture.generate(
         mix,
@@ -568,7 +465,7 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
         report = evaluate_workload(real, synth, workload, acc=acc)
     except ValueError as exc:
         raise DataError(str(exc))
-    payload = {"config_echo": {**_echo(opts), "max_l1": max_l1}, **report.to_dict()}
+    payload = {"config_echo": {**opts, "max_l1": max_l1}, **report.to_dict()}
     print(_json_dumps(payload), end="")
     if opts["output"]:
         out.write_text(opts["output"], _json_dumps(payload))
@@ -578,11 +475,11 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
 
 
 _COMMANDS = {
-    "accountant": cmd_accountant,
-    "cluster": cmd_cluster,
-    "train": cmd_train,
-    "generate": cmd_generate,
-    "evaluate": cmd_evaluate,
+    "accountant": (cmd_accountant, "print the epsilon schedule for a configuration"),
+    "cluster": (cmd_cluster, "run private clustering and report a summary"),
+    "train": (cmd_train, "train a private mixture model"),
+    "generate": (cmd_generate, "sample synthetic records from a trained model"),
+    "evaluate": (cmd_evaluate, "score synthetic data against the real dataset"),
 }
 
 
@@ -599,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     out = _Outputs()
     try:
         opts = resolve_options(args)
-        return _COMMANDS[args.command](opts, out)
+        return _COMMANDS[args.command][0](opts, out)
     except ConfigError as exc:
         out.discard_all()
         print(f"usage error: {exc}", file=sys.stderr)

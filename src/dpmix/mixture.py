@@ -1,17 +1,21 @@
 """End-to-end pipeline: private clustering, one RBM per cluster, sampling.
 
-Training-time cluster selection uses the true partition sizes; those are
-internal and never serialized.  Everything written into the released
-model is a function of noisy, differentially private quantities: noisy
-cluster sizes (clamped to be non-negative) become the mixture weights,
-and the stored epsilon is recomputed from the exact iteration counts and
-noise scales that were executed.
+Everything written into the released model is a function of noisy,
+differentially private quantities: noisy cluster sizes (clamped to be
+non-negative) become the mixture weights, and the stored epsilon is
+recomputed from the exact iteration counts and noise scales that were
+executed.  Training still picks the cluster of each SGD step, and that
+cluster's sampling rate, from the true partition sizes.  Those choices
+depend on private data and the accountant does not charge them; keeping
+the sizes out of the model file does not make them free.  ROADMAP item 3
+tracks the fix.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -126,6 +130,8 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     n = len(dataset)
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
+    if cfg.k > n:
+        raise ConfigError(f"k {cfg.k} exceeds dataset size {n}")
     q = cfg.batch_size / n
     t_sgd = cfg.epochs * epoch_iterations(q)
     delta = cfg.delta if cfg.delta is not None else 1.0 / n
@@ -136,18 +142,10 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     argmin_lambda = None
     if not unsafe:
         try:
-            privacy = PrivacyConfig(
-                sigma_c=cfg.sigma_c,
-                sigma_k=cfg.sigma_k,
-                sigma_g=cfg.sigma_g,
-                q=q,
-                t_kmeans=cfg.t_kmeans,
-                t_sgd=t_sgd,
-                delta=delta,
-                rbf_mode=cfg.rbf_mode,
-                lambda_max=cfg.lambda_max,
-                strict_gaussian=cfg.strict_gaussian,
-            )
+            shared = {
+                f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)
+            }
+            privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
             epsilon, argmin_lambda = epsilon_for_delta(privacy)
         except (ValueError, ArithmeticError) as exc:
             raise StageError("accounting", str(exc)) from exc
@@ -188,7 +186,7 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     selection_probs = true_sizes / true_sizes.sum()
 
     init_rng = child_rng(master_seed, "model-init")
-    models = [init_model_for(dataset.m, cfg, init_rng) for _ in range(cfg.k)]
+    models = [rbm.init_model(dataset.m, cfg.n_hidden, init_rng) for _ in range(cfg.k)]
     chain_count = cfg.chain_count if cfg.chain_count is not None else cfg.batch_size
     chains = [
         rbm.PersistentChains.initialize(
@@ -257,10 +255,6 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     )
 
 
-def init_model_for(m: int, cfg: TrainConfig, rng: np.random.Generator) -> rbm.RbmModel:
-    return rbm.init_model(m, cfg.n_hidden, rng)
-
-
 def generate(
     mixture: MixtureModel,
     count: int,
@@ -299,7 +293,11 @@ def _privacy_dict(mix: MixtureModel) -> dict:
 
 
 def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None:
-    """Serialize to JSON.  The feature map is stored as seed plus shape."""
+    """Serialize to JSON.  The feature map is stored as seed plus shape.
+
+    The file is written beside ``path`` and then renamed onto it, so a
+    failed write leaves no partial model behind.
+    """
     if mix.feature_map.seed is None:
         raise ValueError("only seed-built feature maps can be serialized")
     payload = {
@@ -323,16 +321,29 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _check_shape(what: str, array: np.ndarray, shape: tuple) -> None:
+    if array.shape != shape:
+        raise DataError(f"malformed model: {what} has shape {array.shape}, expected {shape}")
 
 
 def load_model(path) -> MixtureModel:
+    """Read a model written by save_model; DataError if its shapes disagree."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {payload.get('version')!r}")
+    m, k = payload["m"], payload["k"]
     models = [
         rbm.RbmModel(
             weights=np.array(entry["weights"], dtype=np.float64),
@@ -341,9 +352,18 @@ def load_model(path) -> MixtureModel:
         )
         for entry in payload["models"]
     ]
-    fmap = feature_map_from_seed(
-        payload["m"], payload["d"], payload["gamma"], payload["feature_map_seed"]
-    )
+    if len(models) != k:
+        raise DataError(f"malformed model: {len(models)} RBMs for k = {k}")
+    for i, model in enumerate(models):
+        n_hidden = len(model.weights)
+        _check_shape(f"models[{i}].weights", model.weights, (n_hidden, m))
+        _check_shape(f"models[{i}].visible_bias", model.visible_bias, (m,))
+        _check_shape(f"models[{i}].hidden_bias", model.hidden_bias, (n_hidden,))
+    weights = np.array(payload["weights"], dtype=np.float64)
+    _check_shape("weights", weights, (k,))
+    centers = np.array(payload["centers"], dtype=np.float64)
+    _check_shape("centers", centers, (k, payload["d"]))
+    fmap = feature_map_from_seed(m, payload["d"], payload["gamma"], payload["feature_map_seed"])
     priv = payload["privacy"]
     privacy = None
     epsilon = math.inf
@@ -351,25 +371,14 @@ def load_model(path) -> MixtureModel:
     if not priv.get("unsafe_no_privacy"):
         epsilon = priv["epsilon"]
         argmin_lambda = priv["argmin_lambda"]
-        privacy = PrivacyConfig(
-            sigma_c=priv["sigma_c"],
-            sigma_k=priv["sigma_k"],
-            sigma_g=priv["sigma_g"],
-            q=priv["q"],
-            t_kmeans=priv["t_kmeans"],
-            t_sgd=priv["t_sgd"],
-            delta=priv["delta"],
-            rbf_mode=priv["rbf_mode"],
-            lambda_max=priv["lambda_max"],
-            strict_gaussian=priv["strict_gaussian"],
-        )
+        privacy = PrivacyConfig(**{f.name: priv[f.name] for f in fields(PrivacyConfig)})
     return MixtureModel(
-        m=payload["m"],
-        k=payload["k"],
+        m=m,
+        k=k,
         models=models,
-        weights=np.array(payload["weights"], dtype=np.float64),
+        weights=weights,
         feature_map=fmap,
-        centers=np.array(payload["centers"], dtype=np.float64),
+        centers=centers,
         privacy=privacy,
         epsilon=epsilon,
         argmin_lambda=argmin_lambda,

@@ -1,12 +1,14 @@
 """Command-line interface: precedence, exit codes, artifacts, determinism."""
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from conftest import mixture_corpus
-from dpmix.cli import main
+from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
+from dpmix.mixture import TrainConfig
 
 ACCT_ARGS = [
     "accountant", "--q", "0.01", "--sigma-c", "4", "--sigma-k", "40",
@@ -42,6 +44,12 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_missing_required_option(capsys):
     assert main(["accountant", "--sigma-c", "4"]) == 2
     assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,minimum", [("--seed", 0), ("--workers", 1)])
+def test_negative_seed_or_workers_is_usage_error(capsys, flag, minimum):
+    assert main(ACCT_ARGS + ["--epochs", "1", flag, "-1"]) == 2
+    assert capsys.readouterr().err == f"usage error: {flag} must be >= {minimum}\n"
 
 
 def test_accountant_schedule_csv(capsys):
@@ -80,6 +88,18 @@ def test_accountant_rejects_zero_sigma_even_unsafe(capsys):
     ]
     assert main(args) == 2
     assert "no finite epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (ACCT_ARGS + ["--q", "2"], "q must be in [0, 1]"),
+    (ACCT_ARGS + ["--lambda-max", "0"], "lambda_max must be >= 1"),
+    (ACCT_ARGS[:-2] + ["--data-size", "0"], "--data-size must be >= 1"),  # no --delta
+], ids=["q", "lambda_max", "data_size"])
+def test_accountant_rejects_out_of_range_values(capsys, args, message):
+    assert main(args + ["--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -142,11 +162,28 @@ def test_cluster_rejects_zero_sigma_without_unsafe_flag(corpus_files, capsys):
     assert main(base + ["--sigma-k", "-1"]) == 2
 
 
-def test_cluster_k_larger_than_dataset(corpus_files, capsys):
+@pytest.mark.parametrize("flag,value", [("--d", "0"), ("--gamma", "0")])
+def test_cluster_rejects_bad_feature_map(corpus_files, capsys, flag, value):
     _, data_path, _ = corpus_files
-    args = ["cluster", "--data", data_path, "--k", "500", "--sigma-c", "4",
-            "--sigma-k", "10", "--d", "8"]
+    args = ["cluster", "--data", data_path, "--k", "2", "--sigma-c", "4",
+            "--sigma-k", "10", "--d", "8", flag, value]
     assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["cluster", "train"])
+def test_cluster_k_larger_than_dataset(tmp_path, corpus_files, capsys, command):
+    _, data_path, _ = corpus_files
+    model_path = tmp_path / "model.json"
+    if command == "cluster":
+        args = ["cluster", "--data", data_path, "--k", "500", "--sigma-c", "4",
+                "--sigma-k", "10", "--d", "8"]
+    else:
+        args = _train_args(data_path, model_path, k=500)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not model_path.exists()
 
 
 def test_missing_data_file_is_a_data_error(capsys):
@@ -184,6 +221,58 @@ def test_train_rejects_bad_config_before_any_stage(tmp_path, corpus_files, capsy
     assert err.startswith("usage error:") and flag in err
     assert len(err.strip().splitlines()) == 1
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"k": "3"},
+    {"d": 10.5},
+    {"rbf_mode": "no"},
+    {"format": "xml"},
+    {"seed": None},
+], ids=["k-string", "d-float", "rbf_mode-string", "format-choice", "seed-null"])
+def test_config_values_must_have_the_option_type(tmp_path, corpus_files, capsys, values):
+    _, data_path, _ = corpus_files
+    model_path = tmp_path / "model.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    args = _train_args(data_path, model_path)
+    (key,) = values
+    flag = f"--{key.replace('_', '-')}"
+    if flag in args:  # the file value must not be overridden by a flag
+        i = args.index(flag)
+        del args[i:i + 2]
+    assert main(args + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not model_path.exists()
+
+
+def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsys):
+    required = [f for f in fields(TrainConfig) if f.default is MISSING]
+    argv = ["train", "--data", "d.txt", "--model", "m.json"]
+    for f in required:
+        argv += [f"--{f.name.replace('_', '-')}", "1"]
+    resolved = resolve_options(build_parser().parse_args(argv))
+    for f in fields(TrainConfig):
+        if f.name == "init_centers":
+            continue
+        assert f.name in resolved
+        if f.default is not MISSING:
+            assert resolved[f.name] == f.default and type(resolved[f.name]) is type(f.default)
+
+    _, data_path, _ = corpus_files
+    model_path = tmp_path / "model.json"
+    assert main(_train_args(data_path, model_path)) == 0
+    capsys.readouterr()
+    echo = json.loads(model_path.read_text())["config_echo"]
+    assert list(echo) == [
+        "seed", "workers", "data", "format", "threshold", "k", "epochs", "batch_size",
+        "sigma_c", "sigma_k", "sigma_g", "t_kmeans", "d", "gamma", "n_hidden", "eta",
+        "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "rbf_mode",
+        "strict_gaussian", "lambda_max", "init_centers", "model", "log", "command",
+        "unsafe_no_privacy",
+    ]
 
 
 def test_train_generate_evaluate_pipeline(tmp_path, corpus_files, capsys):
@@ -278,6 +367,60 @@ def test_generate_validation_and_malformed_model(tmp_path, capsys):
         "generate", "--model", str(bad_model), "--count", "0",
         "--output", str(tmp_path / "x.txt"),
     ]) == 2
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("model")
+    data = mixture_corpus(120, 10, 2, np.random.default_rng(42))
+    data_path = tmp / "records.txt"
+    write_records(data, data_path)
+    model_path = tmp / "model.json"
+    assert main(_train_args(str(data_path), model_path)) == 0
+    return json.loads(model_path.read_text())
+
+
+def _truncate_hidden_bias(payload):
+    payload["models"][0]["hidden_bias"].pop()
+
+
+def _short_weights(payload):
+    payload["weights"].pop()
+
+
+def _long_weights(payload):
+    payload["weights"].append(1.0)
+
+
+def _wrong_m(payload):
+    payload["m"] += 1
+
+
+def _missing_rbm(payload):
+    payload["models"].pop()
+
+
+def _narrow_centers(payload):
+    for row in payload["centers"]:
+        row.pop()
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm,
+    _narrow_centers,
+], ids=lambda f: f.__name__.strip("_"))
+def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsys, corrupt):
+    payload = json.loads(json.dumps(trained_model))
+    corrupt(payload)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    out = tmp_path / "synth.txt"
+    rc = main(["generate", "--model", str(model_path), "--count", "5", "--output", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed model")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_evaluate_missing_synthetic(tmp_path, corpus_files, capsys):

@@ -217,6 +217,27 @@ def test_save_is_byte_deterministic(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_failed_save_leaves_no_partial_model(tmp_path, monkeypatch):
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    result = train(data, _tiny_config(k=2), master_seed=11)
+
+    def dump_then_fail(payload, fh, **kw):
+        fh.write(json.dumps(payload, **kw)[:200])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    path = tmp_path / "model.json"
+    with pytest.raises(OSError):
+        save_model(result.mixture, path)
+    assert list(tmp_path.iterdir()) == []
+    # an earlier model at the same path is kept whole
+    path.write_text("earlier model\n")
+    with pytest.raises(OSError):
+        save_model(result.mixture, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "earlier model\n"
+
+
 def test_save_load_round_trip(tmp_path):
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     result = train(data, _tiny_config(k=2), master_seed=11)
