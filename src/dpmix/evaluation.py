@@ -79,8 +79,8 @@ def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("need at least one record")
     _, a = np.unique(assignments, return_inverse=True)
     _, b = np.unique(labels, return_inverse=True)
-    table = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
-    np.add.at(table, (a, b), 1)
+    na, nb = a.max() + 1, b.max() + 1
+    table = np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum() / assignments.size)
 

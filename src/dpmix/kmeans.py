@@ -5,6 +5,10 @@ C_s (privately selected, or the a priori bound 1 in rbf_mode), and each
 iteration releases per-cluster noisy counts and noisy feature sums from
 which the next centers are formed.  Only noisy quantities leave the
 routine; the final assignment pass is against noisy centers.
+
+Assignment never builds the n x k x d difference (see
+``assign_to_centers``) and per-cluster sums add rows in index order, so
+both match the direct form and ``np.add.at`` bit for bit.
 """
 from __future__ import annotations
 
@@ -51,9 +55,55 @@ def clip_features(features: np.ndarray, c_s: float) -> np.ndarray:
 
 
 def assign_to_centers(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per row; ties break toward the lower index."""
-    d2 = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    """Index of the nearest center per row; ties break toward the lower index.
+
+    The result is the argmin of the direct squared distances
+    ``((f - c) ** 2).sum()``, but the n x k x d difference is never built.
+    Distances are taken in expanded form, ||f||^2 - 2 f.c + ||c||^2, with
+    one matrix product.  The expanded and the direct value each lie within
+    g * (||f|| + max ||c||)^2 of the exact distance, with
+    g = gamma_{d+2} = (d+2) eps / (1 - (d+2) eps).  A row whose best and
+    second-best expanded values are more than 4 g (||f|| + max ||c||)^2
+    apart has the same argmin in both forms.  Every other row (a near
+    tie, or a non-finite value) is recomputed in the direct form.  Each
+    direct value is a sum over the contiguous last axis, so it does not
+    depend on which rows are recomputed, and exact ties still go to the
+    lower index.  When every row is a near tie, as with duplicate
+    centers, the recheck costs what the direct form does.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    if len(centers) == 1:
+        return np.zeros(len(features), dtype=np.intp)
+    f_sq = np.einsum("ij,ij->i", features, features)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    d2 = features @ centers.T
+    d2 *= -2.0
+    d2 += f_sq[:, None]
+    d2 += c_sq
+    assign = np.argmin(d2, axis=1)
+
+    best_two = np.partition(d2, 1, axis=1)
+    n_eps = (features.shape[1] + 2) * np.finfo(np.float64).eps
+    bound = 4.0 * n_eps / (1.0 - n_eps) * (np.sqrt(f_sq) + np.sqrt(c_sq.max())) ** 2
+    # written as "not above" so that NaN gaps and bounds are rechecked too
+    near = np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > bound))
+    direct = ((features[near, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assign[near] = np.argmin(direct, axis=1)
+    return assign
+
+
+def _cluster_sums(clipped: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster row sums, adding each cluster's rows in index order.
+
+    An axis-0 sum adds rows one after another, as ``np.add.at`` does, so
+    the sums are bit-for-bit those of ``np.add.at``.  A single column is
+    the exception: numpy sums it pairwise, so it goes through ``bincount``,
+    which also adds in index order.
+    """
+    if clipped.shape[1] == 1:
+        return np.bincount(assign, weights=clipped[:, 0], minlength=k)[:, None]
+    return np.array([clipped[assign == i].sum(axis=0) for i in range(k)])
 
 
 def default_initial_centers(
@@ -88,6 +138,10 @@ def dp_kernel_kmeans(
     being reseeded from data.
     """
     n = len(dataset)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    if c_max <= 0:
+        raise ValueError(f"c_max must be > 0, got {c_max}")
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if iterations < 1:
@@ -118,8 +172,7 @@ def dp_kernel_kmeans(
     for t in range(iterations):
         assign = assign_to_centers(clipped, centers)
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros((k, fmap.d))
-        np.add.at(sums, assign, clipped)
+        sums = _cluster_sums(clipped, assign, k)
         new_centers = np.empty_like(centers)
         for i in range(k):
             noisy_size = counts[i] + rng.normal(0.0, root2 * sigma_k)

@@ -327,6 +327,11 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
             json.dump(payload, fh, indent=1)
             fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the path the caller gave, not the temporary beside it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -172,6 +172,18 @@ def test_cluster_rejects_bad_feature_map(corpus_files, capsys, flag, value):
     assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--bins", "0"), ("--c-max", "0")])
+def test_cluster_rejects_bad_clip_vote_in_rbf_mode(corpus_files, capsys, flag, value):
+    # rbf_mode never runs the clip vote, but the values are still checked
+    _, data_path, _ = corpus_files
+    args = ["cluster", "--data", data_path, "--k", "2", "--sigma-c", "4",
+            "--sigma-k", "10", "--d", "8", "--t-kmeans", "1", flag, value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag[2:].replace("-", "_") in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["cluster", "train"])
 def test_cluster_k_larger_than_dataset(tmp_path, corpus_files, capsys, command):
     _, data_path, _ = corpus_files
@@ -221,6 +233,17 @@ def test_train_rejects_bad_config_before_any_stage(tmp_path, corpus_files, capsy
     assert err.startswith("usage error:") and flag in err
     assert len(err.strip().splitlines()) == 1
     assert not model_path.exists()
+
+
+def test_train_model_in_missing_directory_names_the_given_path(tmp_path, corpus_files, capsys):
+    _, data_path, _ = corpus_files
+    before = sorted(tmp_path.rglob("*"))
+    model_path = tmp_path / "nodir" / "m.json"
+    assert main(_train_args(data_path, model_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and len(err.strip().splitlines()) == 1
+    assert repr(str(model_path)) in err and ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("values", [

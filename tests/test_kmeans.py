@@ -1,4 +1,6 @@
 """Noisy Lloyd clustering over clipped feature embeddings."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,12 +8,19 @@ from numpy.testing import assert_allclose
 from conftest import mixture_corpus
 from dpmix.data import make_dataset
 from dpmix.kmeans import (
+    _cluster_sums,
     assign_to_centers,
     clip_features,
     default_initial_centers,
     dp_kernel_kmeans,
 )
 from dpmix.rff import embed, feature_map_from_seed
+
+
+def _direct_assign(features, centers):
+    """The n x k x d direct form that assign_to_centers must match exactly."""
+    d2 = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
 
 
 def _lloyd_reference(clipped, init, iterations):
@@ -40,6 +49,80 @@ def test_assignment_ties_take_lower_index():
     centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert assign_to_centers(np.array([[0.0, 0.0]]), centers)[0] == 0
     assert assign_to_centers(np.array([[-0.4, 0.0]]), centers)[0] == 1
+
+
+def _unit_rows(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n,k,d", [(500, 7, 40), (300, 3, 1), (40, 1, 9), (60, 60, 5)],
+                         ids=["random", "one-column", "k=1", "k=n"])
+def test_assignment_matches_direct_form(n, k, d):
+    rng = np.random.default_rng(n + k + d)
+    features = _unit_rows(rng, n, d)
+    for centers in (rng.normal(size=(k, d)), 30.0 * rng.normal(size=(k, d)),
+                    features[rng.choice(n, size=k, replace=False)]):
+        assert np.array_equal(assign_to_centers(features, centers),
+                              _direct_assign(features, centers))
+
+
+def test_assignment_exact_ties_match_direct_form():
+    rng = np.random.default_rng(5)
+    centers = rng.normal(size=(6, 3))
+    centers[4] = centers[1]  # a duplicate center ties on every row
+    centers[5] = centers[0][[1, 0, 2]]  # mirror image of center 0
+    features = rng.normal(size=(400, 3))
+    features[:, 1] = features[:, 0]  # on the mirror plane
+    direct = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(direct[:, 0], direct[:, 5])
+    got = assign_to_centers(features, centers)
+    assert np.array_equal(got, _direct_assign(features, centers))
+    assert not np.isin(got, [4, 5]).any()
+
+
+def test_assignment_near_ties_match_direct_form():
+    rng = np.random.default_rng(6)
+    k, d = 5, 30
+    centers = _unit_rows(rng, k, d)
+    a, b = centers[0], centers[3]
+    normal = (a - b) / np.linalg.norm(a - b)
+    along = rng.normal(size=(400, d))
+    along -= np.outer(along @ normal, normal)  # stay on the bisector plane
+    features = 0.5 * (a + b) + 0.1 * along
+    # move one coordinate of each point by one ulp, toward either side
+    cols = rng.integers(d, size=len(features))
+    rows = np.arange(len(features))
+    toward = np.where(rng.random(len(features)) < 0.5, np.inf, -np.inf)
+    features[rows, cols] = np.nextafter(features[rows, cols], toward)
+    got = assign_to_centers(features, centers)
+    assert np.array_equal(got, _direct_assign(features, centers))
+    assert set(got) <= {0, 3}
+
+
+def test_assignment_peak_memory_is_n_by_k():
+    # the direct form's n x k x d difference alone would be 320 MB here
+    rng = np.random.default_rng(7)
+    features = _unit_rows(rng, 20_000, 200)
+    centers = 0.1 * rng.normal(size=(10, 200))
+    tracemalloc.start()
+    try:
+        assign_to_centers(features, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("d", [1, 2, 200])
+def test_cluster_sums_match_add_at(d):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))
+    assign = rng.integers(0, 6, size=3000)
+    assign[assign == 4] = 5  # one empty cluster
+    want = np.zeros((6, d))
+    np.add.at(want, assign, rows)
+    assert np.array_equal(_cluster_sums(rows, assign, 6), want)
 
 
 def test_default_centers_sit_on_clip_sphere():
@@ -165,8 +248,7 @@ def test_single_record_change_touches_at_most_two_clusters():
             clipped = clip_features(embed(fmap, recs), 1.0)
             assign = assign_to_centers(clipped, centers)
             counts = np.bincount(assign, minlength=4).astype(float)
-            sums = np.zeros((4, 14))
-            np.add.at(sums, assign, clipped)
+            sums = _cluster_sums(clipped, assign, 4)
             stats.append((counts, sums))
         (c0, s0), (c1, s1) = stats
         changed = np.flatnonzero(
@@ -193,3 +275,8 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_c=0.0,
                          sigma_k=0.0, rng=rng, init=np.zeros((2, 3)))
+    # checked in rbf_mode too, where no threshold vote uses them
+    for bad in ({"bins": 0}, {"c_max": 0.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_c=1.0,
+                             sigma_k=1.0, rng=rng, **bad)
