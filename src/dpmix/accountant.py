@@ -14,6 +14,14 @@ lam * (lam + 1) / (2 sigma^2), the exact log-MGF of the Gaussian privacy
 loss at sensitivity-to-noise ratio 1/sigma.  The subsampled mechanism is
 always evaluated by numerical quadrature of the two likelihood-ratio
 integrals and is unaffected by the flag.
+
+The quadrature sums its integrands with a private log-sum-exp rather than
+``scipy.special.logsumexp``.  It performs scipy's operations in scipy's
+order, so the two agree bit for bit on this module's inputs, but it builds
+three full-grid temporaries where scipy builds about a dozen (scipy also
+evaluates its direct-sum fallback and sign bookkeeping on every call).
+With scipy's version, the speed of every cold quadrature depended on the
+heap layout left behind by earlier imports.
 """
 from __future__ import annotations
 
@@ -23,7 +31,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericsError
 
@@ -32,7 +39,7 @@ DEFAULT_LAMBDA_MAX = 32
 # Weight splits (j1, 1 - j1) searched when two mechanisms observe the same
 # batch inside one iteration.  Small j1 shifts budget toward the second
 # mechanism; the lone 0.9 entry covers the opposite regime.
-DEFAULT_J1_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.90)
+J1_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.90)
 
 _QUAD_START_INTERVALS = 2**12
 _QUAD_MAX_INTERVALS = 2**22
@@ -77,21 +84,6 @@ class PrivacyConfig:
             raise ValueError("lambda_max must be >= 1")
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
-    """Log-MGF of the total privacy loss on an integer grid of orders."""
-
-    lambdas: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lambdas) != len(self.values):
-            raise ValueError("lambdas and values must have equal length")
-
-    def to_dict(self) -> dict:
-        return {"lambda": list(self.lambdas), "alpha": list(self.values)}
-
-
 def alpha_gaussian(lam: float, sigma: float, strict: bool = False) -> float:
     """Per-invocation log-MGF bound for the Gaussian mechanism."""
     if sigma <= 0:
@@ -108,6 +100,29 @@ def _log_simpson_weights(n_intervals: int, step: float) -> np.ndarray:
     w[0] = 1.0
     w[-1] = 1.0
     return w * (step / 3.0)
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """log(sum(b * exp(a))) for weights b > 0, equal to scipy.special.logsumexp(a, b=b).
+
+    scipy's steps in scipy's order: the weights at the maximum are summed
+    apart as m, the other terms are shifted by the maximum and summed as s,
+    and log1p(s / m) + log(m) + max is taken with numpy's log1p and log.
+    A result that is not finite falls back to the direct sum, as scipy's does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        m = np.where(at_max, b, 0.0).sum()
+        terms = a - a_max
+        terms[at_max] = -np.inf
+        np.exp(terms, out=terms)
+        terms *= b
+        s = terms.sum()
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log((b * np.exp(a)).sum())
+    return float(out)
 
 
 def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[float, float]:
@@ -134,24 +149,16 @@ def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[fl
     log_mu1 = np.logaddexp(log_1mq + log_g0, log_q + log_g1)
     log_ratio = log_mu0 - log_mu1
     weights = _log_simpson_weights(n_intervals, step)
-    log_e1 = float(logsumexp(log_mu0 + lam * log_ratio, b=weights))
-    log_e2 = float(logsumexp(log_mu1 - lam * log_ratio, b=weights))
+    log_e1 = _logsumexp(log_mu0 + lam * log_ratio, weights)
+    log_e2 = _logsumexp(log_mu1 - lam * log_ratio, weights)
     return log_e1, log_e2
 
 
-def alpha_subsampled_gaussian(
-    lam: float,
-    sigma: float,
-    q: float,
-    *,
-    rtol: float = _QUAD_RTOL,
-    start_intervals: int = _QUAD_START_INTERVALS,
-    max_intervals: int = _QUAD_MAX_INTERVALS,
-) -> float:
+def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:
     """log max(E1, E2) for the Poisson-subsampled Gaussian mechanism.
 
-    The node count doubles until successive Simpson estimates agree to
-    ``rtol``; failure to converge raises NumericsError rather than
+    The node count doubles until successive Simpson estimates agree to a
+    relative 1e-8; failure to converge raises NumericsError rather than
     returning a truncated value.  ``lam`` may be non-integer.
     """
     if sigma <= 0:
@@ -162,32 +169,23 @@ def alpha_subsampled_gaussian(
         raise ValueError(f"q must be in [0, 1], got {q}")
     if q == 0.0:
         return 0.0
-    return _alpha_subsampled_cached(
-        float(lam), float(sigma), float(q), float(rtol), int(start_intervals), int(max_intervals)
-    )
+    return _alpha_subsampled_cached(float(lam), float(sigma), float(q))
 
 
 @lru_cache(maxsize=None)
-def _alpha_subsampled_cached(
-    lam: float,
-    sigma: float,
-    q: float,
-    rtol: float,
-    start_intervals: int,
-    max_intervals: int,
-) -> float:
-    n = start_intervals
+def _alpha_subsampled_cached(lam: float, sigma: float, q: float) -> float:
+    n = _QUAD_START_INTERVALS
     prev = None
-    while n <= max_intervals:
+    while n <= _QUAD_MAX_INTERVALS:
         log_e1, log_e2 = _log_e1_e2(lam, sigma, q, n)
         value = max(log_e1, log_e2)
-        if prev is not None and abs(value - prev) <= rtol * abs(value) + _QUAD_ATOL:
+        if prev is not None and abs(value - prev) <= _QUAD_RTOL * abs(value) + _QUAD_ATOL:
             return max(value, 0.0)
         prev = value
         n *= 2
     raise NumericsError(
         f"subsampled-Gaussian quadrature did not converge for "
-        f"lam={lam}, sigma={sigma}, q={q} within {max_intervals} intervals"
+        f"lam={lam}, sigma={sigma}, q={q} within {_QUAD_MAX_INTERVALS} intervals"
     )
 
 
@@ -207,58 +205,38 @@ def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
     return cfg.t_kmeans * per_iter
 
 
-def _validate_j_grid(j_grid: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    grid = [(float(j1), float(j2)) for j1, j2 in j_grid]
-    if not grid:
-        raise ValueError("j_grid must be non-empty")
-    for j1, j2 in grid:
-        if j1 <= 0 or j2 <= 0 or abs(j1 + j2 - 1.0) > 1e-9:
-            raise ValueError(f"invalid split ({j1}, {j2}): need j1, j2 > 0 and j1 + j2 = 1")
-    return grid
-
-
-def default_j_grid() -> list[tuple[float, float]]:
-    return [(j1, 1.0 - j1) for j1 in DEFAULT_J1_GRID]
-
-
-def sgd_step_alpha(
-    lam: float, cfg: PrivacyConfig, j_grid: Iterable[tuple[float, float]] | None = None
-) -> float:
+def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
     """Per-iteration SGD log-MGF, minimised over budget splits.
 
     One iteration runs two subsampled mechanisms on the same batch:
     threshold selection at scale sigma_c and the noisy gradient at scale
     sigma_g.  Their joint moment is bounded by
     j1 * alpha(lam / j1, sigma_c) + j2 * alpha(lam / j2, sigma_g) for any
-    split j1 + j2 = 1, and the split grid is searched for the tightest.
+    split j1 + j2 = 1, and the splits (j1, 1 - j1) of J1_GRID are searched
+    for the tightest.
     """
     if cfg.q == 0.0:
         return 0.0
-    grid = _validate_j_grid(j_grid if j_grid is not None else default_j_grid())
     best = math.inf
-    for j1, j2 in grid:
+    for j1 in J1_GRID:
+        j2 = 1.0 - j1
         a = j1 * alpha_subsampled_gaussian(lam / j1, cfg.sigma_c, cfg.q)
         a += j2 * alpha_subsampled_gaussian(lam / j2, cfg.sigma_g, cfg.q)
         best = min(best, a)
     return best
 
 
-def alpha_sgd(
-    lam: float, cfg: PrivacyConfig, j_grid: Iterable[tuple[float, float]] | None = None
-) -> float:
-    """Total SGD log-MGF after t_sgd iterations."""
-    if cfg.t_sgd == 0:
-        return 0.0
-    return cfg.t_sgd * sgd_step_alpha(lam, cfg, j_grid)
+def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The integer orders 1..lambda_max, the k-means alpha and the per-step SGD alpha at each.
 
-
-def total_alpha_profile(
-    cfg: PrivacyConfig, j_grid: Iterable[tuple[float, float]] | None = None
-) -> AlphaProfile:
-    """alpha_kmeans + alpha_sgd on the integer orders 1..lambda_max."""
+    The total log-MGF after t SGD steps is ``kmeans + t * sgd_step``;
+    epsilon_for_delta, epsilon_schedule and the accountant report all
+    read it from these two arrays.  cfg.t_sgd is not used.
+    """
     lams = tuple(range(1, cfg.lambda_max + 1))
-    values = tuple(alpha_kmeans(l, cfg) + alpha_sgd(l, cfg, j_grid) for l in lams)
-    return AlphaProfile(lambdas=lams, values=values)
+    kmeans = np.array([alpha_kmeans(l, cfg) for l in lams])
+    sgd_step = np.array([sgd_step_alpha(l, cfg) for l in lams])
+    return lams, kmeans, sgd_step
 
 
 def _minimise_epsilon(
@@ -275,12 +253,10 @@ def _minimise_epsilon(
     return float(best_eps), int(best_lam)
 
 
-def epsilon_for_delta(
-    cfg: PrivacyConfig, j_grid: Iterable[tuple[float, float]] | None = None
-) -> tuple[float, int]:
+def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
     """Tightest (epsilon, argmin lambda) for the configured run."""
-    profile = total_alpha_profile(cfg, j_grid)
-    return _minimise_epsilon(profile.lambdas, profile.values, cfg.delta)
+    lams, kmeans, sgd_step = alpha_terms(cfg)
+    return _minimise_epsilon(lams, kmeans + cfg.t_sgd * sgd_step, cfg.delta)
 
 
 def epoch_iterations(q: float) -> int:
@@ -298,25 +274,19 @@ class EpochEpsilon:
     argmin_lambda: int
 
 
-def epsilon_schedule(
-    cfg: PrivacyConfig,
-    epochs: Iterable[int],
-    j_grid: Iterable[tuple[float, float]] | None = None,
-) -> list[EpochEpsilon]:
+def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int]) -> list[EpochEpsilon]:
     """Epsilon after each epoch count; cfg.t_sgd is ignored.
 
     The per-iteration SGD alpha does not depend on the iteration count,
     so the whole schedule costs one quadrature sweep.
     """
-    lams = tuple(range(1, cfg.lambda_max + 1))
-    a_kmeans = np.array([alpha_kmeans(l, cfg) for l in lams])
-    a_step = np.array([sgd_step_alpha(l, cfg, j_grid) for l in lams])
+    lams, kmeans, sgd_step = alpha_terms(cfg)
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:
         if e < 0:
             raise ValueError("epoch counts must be non-negative")
         t_sgd = e * per_epoch
-        eps, lam = _minimise_epsilon(lams, a_kmeans + t_sgd * a_step, cfg.delta)
+        eps, lam = _minimise_epsilon(lams, kmeans + t_sgd * sgd_step, cfg.delta)
         out.append(EpochEpsilon(epoch=e, t_sgd=t_sgd, epsilon=eps, argmin_lambda=lam))
     return out

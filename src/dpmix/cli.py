@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import __version__, evaluation, mixture
-from .accountant import PrivacyConfig, epsilon_schedule, total_alpha_profile
+from .accountant import PrivacyConfig, alpha_terms, epsilon_schedule
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
     FORMATS,
@@ -295,6 +295,7 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
     final = schedule[-1]
     if opts["output"]:
+        lams, kmeans, sgd_step = alpha_terms(cfg)
         report = {
             "config_echo": {**opts, "delta": delta},
             "schedule": [
@@ -308,7 +309,10 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
             ],
             "epsilon": final.epsilon,
             "argmin_lambda": final.argmin_lambda,
-            "alpha_profile": total_alpha_profile(replace(cfg, t_sgd=final.t_sgd)).to_dict(),
+            "alpha_profile": {
+                "lambda": list(lams),
+                "alpha": (kmeans + final.t_sgd * sgd_step).tolist(),
+            },
         }
         out.write_text(opts["output"], _json_dumps(report))
     return 0
@@ -503,9 +507,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DataError, StageError) as exc:
         out.discard_all()
-        if isinstance(getattr(exc, "__cause__", None), NumericsError):
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return 4
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericsError as exc:

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
+from dpmix import accountant
 from dpmix.accountant import (
-    AlphaProfile,
+    J1_GRID,
     PrivacyConfig,
     alpha_gaussian,
     alpha_kmeans,
-    alpha_sgd,
     alpha_subsampled_gaussian,
-    default_j_grid,
+    alpha_terms,
     epoch_iterations,
     epsilon_for_delta,
     epsilon_schedule,
     sgd_step_alpha,
-    total_alpha_profile,
 )
 
 # Monte Carlo oracle for log max(E1, E2) at q=0.01, lam=8, sigma=4,
@@ -94,11 +93,12 @@ class TestSubsampledQuadrature:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_resolution_doubling_is_stable(self):
-        # The adaptive rule converges at 1e-8 relative; starting from a
-        # twice-finer grid must agree to far better than 1e-6 relative.
+        # The adaptive rule converges at 1e-8 relative; one fixed grid of
+        # 2^16 intervals, finer than where it stops, must agree to far
+        # better than 1e-6 relative.
         for lam, sigma, q in ((8, 4.0, 0.01), (31.58, 1.0, 0.0017), (640.0, 4.0, 0.0017)):
-            a = alpha_subsampled_gaussian(lam, sigma, q, start_intervals=2**12)
-            b = alpha_subsampled_gaussian(lam, sigma, q, start_intervals=2**13)
+            a = alpha_subsampled_gaussian(lam, sigma, q)
+            b = max(*accountant._log_e1_e2(lam, sigma, q, 2**16), 0.0)
             assert abs(a - b) <= 1e-6 * max(abs(a), 1e-9)
 
     def test_fractional_lambda_accepted(self):
@@ -126,6 +126,32 @@ def _binomial_log_e2(lam: int, sigma: float, q: float) -> float:
         + (k * k - k) / (2.0 * sigma**2)
     )
     return float(logsumexp(log_terms))
+
+
+class TestLogSumExp:
+    """The private log-sum-exp against scipy.special.logsumexp, compared with ==."""
+
+    def test_equals_scipy_on_quadrature_integrands(self, monkeypatch):
+        own = accountant._logsumexp
+        pairs = []
+
+        def both(a, b):
+            pairs.append((own(a, b), float(logsumexp(a, b=b))))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(accountant, "_logsumexp", both)
+        for lam in (1.0, 8.0, 31.58, 110.0, 640.0):
+            for sigma in (0.8, 1.0, 4.0):
+                for q in (0.001, 0.0017, 0.01, 0.5, 1.0):
+                    for n in (2**12, 2**13):
+                        accountant._log_e1_e2(lam, sigma, q, n)
+        assert len(pairs) == 2 * 5 * 3 * 5 * 2
+        assert all(got == want for got, want in pairs)
+
+    def test_non_finite_inputs(self):
+        b = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 6.0
+        for a in (np.full(5, -np.inf), np.array([0.0, 1.0, np.inf, 2.0, -3.0])):
+            assert accountant._logsumexp(a, b) == float(logsumexp(a, b=b))
 
 
 class TestBinomialOracle:
@@ -165,38 +191,22 @@ class TestKmeansAlpha:
 
 class TestSgdAlpha:
     def test_zero_iterations(self):
-        assert alpha_sgd(3, _cfg(t_sgd=0)) == 0.0
+        cfg = _cfg(t_sgd=0)
+        lams, kmeans, _ = alpha_terms(cfg)
+        eps = min((a - math.log(cfg.delta)) / lam for lam, a in zip(lams, kmeans))
+        assert epsilon_for_delta(cfg)[0] == eps
 
     def test_zero_q(self):
-        assert alpha_sgd(3, _cfg(q=0.0, t_sgd=50)) == 0.0
-
-    def test_symmetric_singleton_split(self):
-        cfg = _cfg(sigma_c=1.5, sigma_g=1.5, q=0.02, t_sgd=7)
-        got = alpha_sgd(4, cfg, j_grid=[(0.5, 0.5)])
-        want = 7 * alpha_subsampled_gaussian(8.0, 1.5, 0.02)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert sgd_step_alpha(3, _cfg(q=0.0, t_sgd=50)) == 0.0
 
     def test_grid_minimum_never_above_any_member(self):
         cfg = _cfg(t_sgd=1)
-        full = sgd_step_alpha(8, cfg)
-        for j1, j2 in default_j_grid():
-            member = j1 * alpha_subsampled_gaussian(8 / j1, cfg.sigma_c, cfg.q) + (
-                j2 * alpha_subsampled_gaussian(8 / j2, cfg.sigma_g, cfg.q)
-            )
-            assert full <= member + 1e-12
-
-    def test_default_grid_shape(self):
-        grid = default_j_grid()
-        assert len(grid) == 10
-        for j1, j2 in grid:
-            assert j1 > 0 and j2 > 0
-            assert j1 + j2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_sgd(2, _cfg(), j_grid=[(0.6, 0.6)])
-        with pytest.raises(ValueError):
-            alpha_sgd(2, _cfg(), j_grid=[])
+        members = [
+            j1 * alpha_subsampled_gaussian(8 / j1, cfg.sigma_c, cfg.q)
+            + (1.0 - j1) * alpha_subsampled_gaussian(8 / (1.0 - j1), cfg.sigma_g, cfg.q)
+            for j1 in J1_GRID
+        ]
+        assert sgd_step_alpha(8, cfg) == min(members)
 
 
 class TestEpsilonSearch:
@@ -209,14 +219,15 @@ class TestEpsilonSearch:
 
     def test_profile_matches_component_sums(self):
         cfg = _cfg(t_sgd=25)
-        profile = total_alpha_profile(cfg)
-        assert profile.lambdas == tuple(range(1, 33))
-        for lam, val in zip(profile.lambdas, profile.values):
-            assert val == pytest.approx(alpha_kmeans(lam, cfg) + alpha_sgd(lam, cfg))
+        lams, kmeans, sgd_step = alpha_terms(cfg)
+        assert lams == tuple(range(1, 33))
+        for lam, a_kmeans, a_step in zip(lams, kmeans, sgd_step):
+            assert a_kmeans == alpha_kmeans(lam, cfg)
+            assert a_step == sgd_step_alpha(lam, cfg)
 
     def test_profile_finite_nonnegative_monotone(self):
-        profile = total_alpha_profile(_cfg(t_sgd=500))
-        vals = profile.values
+        _, kmeans, sgd_step = alpha_terms(_cfg())
+        vals = kmeans + 500 * sgd_step
         assert all(np.isfinite(v) and v >= 0 for v in vals)
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -252,7 +263,3 @@ class TestPrivacyConfigValidation:
             _cfg(delta=0.0)
         with pytest.raises(ValueError):
             _cfg(t_sgd=-1)
-
-    def test_alpha_profile_shape_checked(self):
-        with pytest.raises(ValueError):
-            AlphaProfile(lambdas=(1, 2), values=(0.1,))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mixture_corpus
+from dpmix import accountant
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
 from dpmix.mixture import TrainConfig
@@ -100,6 +101,25 @@ def test_accountant_rejects_out_of_range_values(capsys, args, message):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["accountant", "train"])
+def test_quadrature_failure_exits_4_without_artifact(tmp_path, capsys, monkeypatch, corpus_files,
+                                                    command):
+    # With the interval cap at the start value the quadrature can never
+    # compare two estimates, so it raises NumericsError.
+    monkeypatch.setattr(accountant, "_QUAD_MAX_INTERVALS", accountant._QUAD_START_INTERVALS)
+    accountant._alpha_subsampled_cached.cache_clear()
+    artifact = tmp_path / "out.json"
+    if command == "accountant":
+        args = ACCT_ARGS + ["--epochs", "1", "--output", str(artifact)]
+    else:
+        args = _train_args(corpus_files[1], artifact)
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "did not converge" in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "records.txt"]
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
