@@ -62,7 +62,8 @@ def _with_train_defaults(**options: Option) -> dict[str, Option]:
 
 _OPTIONS = {
     "seed": Option(int, 0, "master seed"),
-    "workers": Option(int, 1, "reserved: must be >= 1, has no effect yet"),
+    "workers": Option(int, 1, "generate: sampling threads (same output for any count); "
+                      "other commands ignore it"),
     "data": Option(str, REQUIRED, "dataset file"),
     "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
     "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
@@ -430,6 +431,7 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
         opts["count"],
         child_rng(opts["seed"], "generation"),
         gibbs_steps=opts["gibbs_steps"],
+        workers=opts["workers"],
     )
     write_records(synth, opts["output"])
     out.mark(opts["output"])

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import BinaryDataset
 
@@ -71,6 +70,10 @@ class EvalReport:
 
 def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray) -> float:
     """Best one-to-one cluster-to-label matching, as a fraction of records."""
+    # imported here: scipy.optimize takes longer to load than most commands
+    # take to run, and only this function needs it
+    from scipy.optimize import linear_sum_assignment
+
     assignments = np.asarray(assignments)
     labels = np.asarray(labels)
     if assignments.shape != labels.shape or assignments.ndim != 1:

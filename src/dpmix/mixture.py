@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -35,6 +36,9 @@ from .streams import child_rng, child_seed
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_GENERATION_SWEEPS = 500
+# Rows per independently seeded sampling chunk.  Fixed, so the output
+# does not depend on how many workers sample the chunks.
+GENERATION_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -260,10 +264,16 @@ def generate(
     count: int,
     rng: np.random.Generator,
     gibbs_steps: int = DEFAULT_GENERATION_SWEEPS,
+    workers: int = 1,
 ) -> BinaryDataset:
     """Sample ``count`` records; component choice follows the DP weights.
 
-    Generated records may be all-zero; consumers must tolerate that.
+    Each component's rows are split into chunks of GENERATION_CHUNK_ROWS.
+    Every chunk samples from its own child stream, spawned in chunk order
+    from one seed drawn from ``rng`` after the component assignment, so
+    the chunks can run on ``workers`` threads and the output is the same
+    for any worker count.  Generated records may be all-zero; consumers
+    must tolerate that.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -275,11 +285,23 @@ def generate(
         )
     probs = mixture.weights / total
     assignment = rng.choice(mixture.k, size=count, p=probs)
-    out = np.zeros((count, mixture.m), dtype=np.uint8)
+    chunks, step = [], GENERATION_CHUNK_ROWS
     for i in range(mixture.k):
-        idx = np.flatnonzero(assignment == i)
-        if idx.size:
-            out[idx] = rbm.sample_batch(mixture.models[i], idx.size, gibbs_steps, rng)
+        rows = np.flatnonzero(assignment == i)
+        chunks += [(i, rows[start : start + step]) for start in range(0, rows.size, step)]
+    streams = np.random.SeedSequence(int(rng.integers(2**63))).spawn(len(chunks))
+
+    def sample_chunk(chunk, stream):
+        i, rows = chunk
+        return rbm.sample_batch(
+            mixture.models[i], rows.size, gibbs_steps, np.random.default_rng(stream)
+        )
+
+    out = np.zeros((count, mixture.m), dtype=np.uint8)
+    with ThreadPoolExecutor(workers) as pool:
+        run = pool.map if workers > 1 else map
+        for (_, rows), records in zip(chunks, run(sample_chunk, chunks, streams)):
+            out[rows] = records
     return make_dataset(out, allow_empty=True)
 
 

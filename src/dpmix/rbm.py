@@ -17,13 +17,18 @@ the batch x (B x m) and the shared negative statistic N (one P-vector).
 Their norms and any weighted row sum have closed forms in those factors,
 so a DP-SGD step costs O(B (n + m)) memory instead of the O(B P) of the
 materialized (B, P) gradient matrix, with P = n m + m + n.
+
+Block Gibbs sampling (persistent-chain advances and ``sample_batch``)
+runs in float32: parameters are cast once per call, conditionals and
+uniform draws are float32, and states are 0/1 throughout, so only the
+probabilities carry float32 rounding.  Training statistics stay float64.
+The logistic is numpy's 1/(1 + exp(-x)), evaluated in place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass
@@ -65,22 +70,30 @@ def init_model(
     )
 
 
-def energy(model: RbmModel, v: np.ndarray, h: np.ndarray) -> float:
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    return float(-h @ model.weights @ v - model.visible_bias @ v - model.hidden_bias @ h)
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in place, in x's dtype.
+
+    exp overflows to inf for very negative x, which gives exactly 0; the
+    overflow is expected and not warned about.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x += 1
+        np.reciprocal(x, out=x)
+    return x
 
 
 def conditional_hidden(model: RbmModel, v: np.ndarray) -> np.ndarray:
     """p(h_i = 1 | v) for one record (1-D) or a stack (2-D)."""
     v = np.asarray(v, dtype=np.float64)
-    return expit(model.hidden_bias + v @ model.weights.T)
+    return _logistic(model.hidden_bias + v @ model.weights.T)
 
 
 def conditional_visible(model: RbmModel, h: np.ndarray) -> np.ndarray:
     """p(v_j = 1 | h) for one state (1-D) or a stack (2-D)."""
     h = np.asarray(h, dtype=np.float64)
-    return expit(model.visible_bias + h @ model.weights)
+    return _logistic(model.visible_bias + h @ model.weights)
 
 
 def flatten_parameters(model: RbmModel) -> np.ndarray:
@@ -203,12 +216,25 @@ class PersistentChains:
 def _gibbs_sweeps(
     model: RbmModel, states: np.ndarray, sweeps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    v = states.astype(np.float64)
+    """Block Gibbs in float32: h ~ p(h | v), then v ~ p(v | h), ``sweeps`` times."""
+    w = model.weights.astype(np.float32)
+    b = model.visible_bias.astype(np.float32)
+    c = model.hidden_bias.astype(np.float32)
+    v = states.astype(np.float32)
+    h = np.empty((v.shape[0], c.size), dtype=np.float32)
+    p_h, u_h = np.empty_like(h), np.empty_like(h)
+    p_v, u_v = np.empty_like(v), np.empty_like(v)
     for _ in range(sweeps):
-        p_h = conditional_hidden(model, v)
-        h = (rng.random(p_h.shape) < p_h).astype(np.float64)
-        p_v = conditional_visible(model, h)
-        v = (rng.random(p_v.shape) < p_v).astype(np.float64)
+        np.matmul(v, w.T, out=p_h)
+        p_h += c
+        _logistic(p_h)
+        rng.random(out=u_h, dtype=np.float32)
+        np.less(u_h, p_h, out=h)
+        np.matmul(h, w, out=p_v)
+        p_v += b
+        _logistic(p_v)
+        rng.random(out=u_v, dtype=np.float32)
+        np.less(u_v, p_v, out=v)
     return v.astype(np.uint8)
 
 
@@ -252,5 +278,5 @@ def sample_batch(
         raise ValueError(f"count must be >= 1, got {count}")
     if gibbs_steps < 1:
         raise ValueError(f"gibbs_steps must be >= 1, got {gibbs_steps}")
-    start = (rng.random((count, model.m)) < 0.5).astype(np.uint8)
+    start = (rng.random((count, model.m), dtype=np.float32) < 0.5).astype(np.uint8)
     return _gibbs_sweeps(model, start, gibbs_steps, rng)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EMBED_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -55,14 +57,22 @@ def feature_map_from_seed(m: int, d: int, gamma: float, seed: int) -> FeatureMap
 
 
 def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Embed one record (1-D) or a stack of records (2-D, one per row)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Embed one record (1-D) or a stack of records (2-D, one per row).
+
+    Records are cast to float64 EMBED_BLOCK_ROWS at a time, so the only
+    full-size array is the (n, d) result.
+    """
+    x = np.asarray(x)
     if x.shape[-1] != fmap.m:
         raise ValueError(f"record dimension {x.shape[-1]} does not match map m={fmap.m}")
-    return np.sqrt(2.0 / fmap.d) * np.cos(x @ fmap.w.T + fmap.b)
-
-
-def kernel_rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2), the kernel the embedding approximates."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.exp(-gamma * np.dot(diff, diff)))
+    records = x.reshape(-1, fmap.m)
+    out = np.empty((records.shape[0], fmap.d))
+    scale = np.sqrt(2.0 / fmap.d)
+    for start in range(0, records.shape[0], EMBED_BLOCK_ROWS):
+        rows = slice(start, start + EMBED_BLOCK_ROWS)
+        block = out[rows]
+        np.matmul(np.asarray(records[rows], dtype=np.float64), fmap.w.T, out=block)
+        block += fmap.b
+        np.cos(block, out=block)
+        block *= scale
+    return out.reshape(*x.shape[:-1], fmap.d)

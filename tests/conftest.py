@@ -33,3 +33,9 @@ def mixture_corpus(
     empty = records.sum(axis=1) == 0
     records[empty, (comp[empty] * block) % m] = 1  # keep every record non-empty
     return make_dataset(records, labels=comp)
+
+
+def kernel_rbf(x, y, gamma: float) -> float:
+    """exp(-gamma * ||x - y||^2), the kernel the random Fourier features approximate."""
+    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    return float(np.exp(-gamma * np.dot(diff, diff)))

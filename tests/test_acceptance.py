@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import mixture_corpus
+from conftest import kernel_rbf, mixture_corpus
 from dpmix import rbm
 from dpmix.accountant import (
     PrivacyConfig,
@@ -30,7 +30,7 @@ from dpmix.evaluation import (
 )
 from dpmix.kmeans import assign_to_centers, clip_features, dp_kernel_kmeans
 from dpmix.mixture import TrainConfig, generate, train
-from dpmix.rff import embed, feature_map_from_seed, kernel_rbf, sample_feature_map
+from dpmix.rff import embed, feature_map_from_seed, sample_feature_map
 from dpmix.streams import child_seed
 
 

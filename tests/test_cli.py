@@ -1,15 +1,22 @@
 """Command-line interface: precedence, exit codes, artifacts, determinism."""
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpmix
 from conftest import mixture_corpus
-from dpmix import accountant
+from dpmix import accountant, rbm
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
-from dpmix.mixture import TrainConfig
+from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, save_model
+from dpmix.rff import feature_map_from_seed
 
 ACCT_ARGS = [
     "accountant", "--q", "0.01", "--sigma-c", "4", "--sigma-k", "40",
@@ -398,6 +405,48 @@ def test_generate_same_seed_reproduces_output(tmp_path, corpus_files, capsys):
         outs.append(path.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
+    # three components, the last with zero weight; neither the count nor
+    # the component sizes are multiples of the chunk size
+    rng = np.random.default_rng(5)
+    m, n_hidden = 12, 4
+    models = [
+        rbm.RbmModel(
+            rng.normal(0, 1, (n_hidden, m)), rng.normal(0, 1, m), rng.normal(0, 1, n_hidden)
+        )
+        for _ in range(3)
+    ]
+    mix = MixtureModel(
+        m=m, k=3, models=models, weights=np.array([2.0, 1.0, 0.0]),
+        feature_map=feature_map_from_seed(m, 4, 1.0, seed=1), centers=np.zeros((3, 4)),
+        privacy=None, epsilon=math.inf, argmin_lambda=None,
+    )
+    model_path = tmp_path / "model.json"
+    save_model(mix, model_path)
+    count = 3 * GENERATION_CHUNK_ROWS + 321
+    outs = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"synth-{workers}.txt"
+        assert main([
+            "generate", "--model", str(model_path), "--count", str(count), "--gibbs-steps", "3",
+            "--output", str(path), "--seed", "9", "--workers", str(workers),
+        ]) == 0
+        outs.append(path.read_bytes())
+    capsys.readouterr()
+    assert len(load_records(str(tmp_path / "synth-1.txt"), allow_empty=True)) == count
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(dpmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, dpmix.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_generate_validation_and_malformed_model(tmp_path, capsys):

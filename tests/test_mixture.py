@@ -14,6 +14,7 @@ from dpmix.dpsgd import SgdConfig, dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import dp_kernel_kmeans
 from dpmix.mixture import (
+    GENERATION_CHUNK_ROWS,
     MixtureModel,
     TrainConfig,
     generate,
@@ -198,12 +199,51 @@ def test_generate_tolerates_all_zero_records():
     assert np.all(out.records == 0)
 
 
+def _random_mixture(weights, m=6, n_hidden=3, seed=12):
+    rng = np.random.default_rng(seed)
+    mix = _saturated_mixture(weights, biases=[0.0] * len(weights), m=m)
+    mix.models = [
+        rbm.RbmModel(
+            rng.normal(0, 1, (n_hidden, m)), rng.normal(0, 1, m), rng.normal(0, 1, n_hidden)
+        )
+        for _ in weights
+    ]
+    return mix
+
+
+def test_generate_replays_from_chunk_streams():
+    # rebuild the output by hand: component draw, one seed, then one spawned
+    # stream per chunk of GENERATION_CHUNK_ROWS rows, components in order
+    mix = _random_mixture([1.0, 0.0, 3.0])
+    count = 2 * GENERATION_CHUNK_ROWS + 77
+    out = generate(mix, count, np.random.default_rng(6), gibbs_steps=2)
+
+    rng = np.random.default_rng(6)
+    assignment = rng.choice(3, size=count, p=[0.25, 0.0, 0.75])
+    seed = int(rng.integers(2**63))
+    chunks = []
+    for i in (0, 2):
+        rows = np.flatnonzero(assignment == i)
+        chunks += [
+            (i, rows[start : start + GENERATION_CHUNK_ROWS])
+            for start in range(0, rows.size, GENERATION_CHUNK_ROWS)
+        ]
+    assert len(chunks) == 3  # about 531 rows, then about 1594 in two chunks
+    expected = np.zeros((count, mix.m), dtype=np.uint8)
+    for (i, rows), stream in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
+        stream_rng = np.random.default_rng(stream)
+        expected[rows] = rbm.sample_batch(mix.models[i], rows.size, 2, stream_rng)
+    assert np.array_equal(out.records, expected)
+
+
 def test_generate_rejects_degenerate_weights():
     mix = _saturated_mixture([0.0, 0.0], biases=[30.0, -30.0])
     with pytest.raises(DataError):
         generate(mix, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         generate(_saturated_mixture([1.0], biases=[0.0]), 0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        generate(_saturated_mixture([1.0], biases=[0.0]), 5, np.random.default_rng(0), workers=0)
 
 
 def test_save_is_byte_deterministic(tmp_path):

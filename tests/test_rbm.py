@@ -1,20 +1,21 @@
 """Bernoulli RBM energies, conditionals, and persistent-chain gradients."""
 import copy
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from dpmix.rbm import (
     FactoredGradients,
     PersistentChains,
     RbmModel,
+    _logistic,
     advance_chains,
     conditional_hidden,
     conditional_visible,
-    energy,
     flatten_parameters,
     init_model,
     negative_statistic,
@@ -32,6 +33,13 @@ def _random_model(m, n, seed, scale=0.8):
         visible_bias=rng.normal(0, scale, size=m),
         hidden_bias=rng.normal(0, scale, size=n),
     )
+
+
+def energy(model, v, h):
+    """E(v, h) = -h' W v - b' v - c' h."""
+    v = np.asarray(v, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    return float(-h @ model.weights @ v - model.visible_bias @ v - model.hidden_bias @ h)
 
 
 def _rows(grads):
@@ -94,6 +102,38 @@ def test_conditionals_at_zero_and_saturation():
     assert np.all(conditional_hidden(model, np.zeros(3)) >= 1 - 1e-9)
     model.visible_bias = np.full(3, -30.0)
     assert np.all(conditional_visible(model, np.zeros(2)) <= 1e-9)
+
+
+@pytest.mark.parametrize("dtype,limit,rtol", [(np.float32, 80.0, 1e-6), (np.float64, 700.0, 1e-15)])
+def test_logistic_matches_expit_and_saturates_silently(dtype, limit, rtol):
+    # scipy's expit is the oracle here only; dpmix itself does not import it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = _logistic(np.array([-1000.0, 1000.0], dtype=dtype))
+    assert ends.dtype == dtype
+    assert ends[0] == 0.0 and ends[1] == 1.0
+    x = np.concatenate([
+        np.linspace(-limit, limit, 20001, dtype=dtype),
+        np.random.default_rng(3).normal(0.0, 10.0, 20000).astype(dtype),
+    ])
+    got = _logistic(x.copy())
+    assert got.dtype == dtype
+    assert_allclose(got, expit(x), rtol=rtol, atol=0.0)
+
+
+def test_float32_gibbs_draws_match_exact_marginal():
+    # 4 visible x 3 hidden: p(v) ~ exp(b'v) prod_i (1 + exp(c_i + W_i v)) over
+    # all 16 visible states, against 100k independent float32 chains
+    model = _random_model(4, 3, seed=21, scale=1.0)
+    vs = _all_states(4)
+    log_p = vs @ model.visible_bias + np.logaddexp(
+        0.0, model.hidden_bias + vs @ model.weights.T
+    ).sum(axis=1)
+    exact = np.exp(log_p - logsumexp(log_p))
+    draws = sample_batch(model, 100_000, 30, np.random.default_rng(2024))
+    index = draws.astype(np.int64) @ (2 ** np.arange(3, -1, -1))  # itertools.product order
+    empirical = np.bincount(index, minlength=16) / len(draws)
+    assert 0.5 * np.abs(empirical - exact).sum() < 0.02
 
 
 def test_conditionals_batch_agree_with_rows():

@@ -1,9 +1,12 @@
 """Random cosine feature maps and the kernel they approximate."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dpmix.rff import embed, feature_map_from_seed, kernel_rbf, sample_feature_map
+from conftest import kernel_rbf
+from dpmix.rff import embed, feature_map_from_seed, sample_feature_map
 
 
 def test_frequency_scale_matches_kernel_width():
@@ -52,6 +55,24 @@ def test_embed_rejects_wrong_width():
         embed(fmap, np.zeros(5))
     with pytest.raises(ValueError):
         embed(fmap, np.zeros((4, 7)))
+
+
+def test_embed_casts_in_row_blocks():
+    # 20k x 784 uint8 records at d = 200: casting all records to float64 at
+    # once peaked at 189.5 MB; the (n, d) float64 result itself is 32 MB
+    rng = np.random.default_rng(4)
+    records = (rng.random((20_000, 784)) < 0.1).astype(np.uint8)
+    fmap = feature_map_from_seed(m=784, d=200, gamma=0.1, seed=6)
+    tracemalloc.start()
+    try:
+        out = embed(fmap, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20_000, 200)
+    assert peak < 64e6
+    direct = np.sqrt(2.0 / 200) * np.cos(records[:5].astype(np.float64) @ fmap.w.T + fmap.b)
+    assert_allclose(out[:5], direct, rtol=0.0, atol=1e-12)
 
 
 def test_kernel_values():
