@@ -7,10 +7,16 @@ Datasets are immutable after construction and safe for concurrent reads.
 Two on-disk formats are supported:
 
 * ``sparse-items``: first line ``m=<int>``, then one record per line as
-  whitespace-separated, strictly increasing item indices in ``[0, m)``.
+  strictly increasing item indices in ``[0, m)``.  An index is a run of
+  ASCII digits; indices are separated by spaces or tabs, and each line
+  ends with ``\n`` or ``\r\n`` (the last one may end at the end of the
+  file instead).  Any other byte on a record line is a malformed index.
 * ``dense-csv``: no header, one record per line of comma-separated
   numbers in ``[0, 255]``; a cell becomes 1 when it exceeds the
   binarization threshold.
+
+Files are read as UTF-8; input that does not decode is a DataError
+naming its line, like any other malformed line.
 """
 from __future__ import annotations
 
@@ -25,6 +31,16 @@ DENSE_CSV = "dense-csv"
 FORMATS = (SPARSE_ITEMS, DENSE_CSV)
 
 DEFAULT_BINARIZE_THRESHOLD = 127
+
+# Sparse-items text is parsed in blocks of about this many bytes, each
+# cut after a newline, so the parse temporaries stay small beside the
+# (n, m) result.
+PARSE_BLOCK_BYTES = 1 << 14
+
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0") : ord("9") + 1] = True
+_RECORD_TEXT = _DIGIT.copy()  # bytes a sparse record line may hold
+_RECORD_TEXT[[ord(" "), ord("\t"), ord("\r"), ord("\n")]] = True
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,9 @@ def make_dataset(
         raise DataError(f"records must be 2-D, got shape {arr.shape}")
     if arr.shape[1] < 1:
         raise DataError("records must have at least one column")
-    if not np.isin(arr, (0, 1)).all():
+    # unsigned entries cannot be negative, so the maximum decides without temporaries
+    unsigned = arr.dtype.kind in "bu"
+    if not (arr.max(initial=0) <= 1 if unsigned else ((arr == 0) | (arr == 1)).all()):
         raise DataError("records must contain only 0/1 entries")
     arr = arr.astype(np.uint8, copy=True)
     if not allow_empty and not arr.any(axis=1).all():
@@ -100,45 +118,94 @@ def load_records(
     """Load a dataset from disk, reporting malformed lines by number."""
     if fmt not in FORMATS:
         raise DataError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if fmt == SPARSE_ITEMS:
-        return _parse_sparse(lines, allow_empty)
-    return _parse_dense(lines, binarize_threshold, allow_empty)
+        return _parse_sparse(raw, allow_empty)
+    return _parse_dense(_text_lines(raw), binarize_threshold, allow_empty)
 
 
-def _parse_sparse(lines: list[str], allow_empty: bool) -> BinaryDataset:
-    if not lines or not lines[0].startswith("m="):
+def _text_lines(raw: bytes) -> list[str]:
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"line {line}: not UTF-8 text") from None
+
+
+def _parse_sparse(raw: bytes, allow_empty: bool) -> BinaryDataset:
+    body = raw.find(b"\n") + 1 or len(raw)
+    header = (_text_lines(raw[:body]) or [""])[0]
+    if not header.startswith("m="):
         raise DataError("line 1: expected header 'm=<int>'")
     try:
-        m = int(lines[0][2:])
+        m = int(header[2:])
     except ValueError:
-        raise DataError(f"line 1: malformed header {lines[0]!r}") from None
+        raise DataError(f"line 1: malformed header {header!r}") from None
     if m < 1:
         raise DataError(f"line 1: declared dimension must be >= 1, got {m}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        row = np.zeros(m, dtype=np.uint8)
-        if not tokens:
-            if not allow_empty:
-                raise DataError(f"line {lineno}: empty record")
-            rows.append(row)
-            continue
-        try:
-            idx = np.array([int(t) for t in tokens], dtype=np.int64)
-        except ValueError:
-            raise DataError(f"line {lineno}: malformed item index") from None
-        if (idx < 0).any() or (idx >= m).any():
-            bad = int(idx[(idx < 0) | (idx >= m)][0])
-            raise DataError(f"line {lineno}: item index {bad} out of range [0, {m})")
-        if idx.size > 1 and not (np.diff(idx) > 0).all():
-            raise DataError(f"line {lineno}: item indices must be strictly increasing")
-        row[idx] = 1
-        rows.append(row)
-    if not rows:
+    n = raw.count(b"\n", body) + (len(raw) > body and not raw.endswith(b"\n"))
+    if n == 0:
         raise DataError("dataset contains no records")
-    return make_dataset(np.stack(rows), allow_empty=allow_empty)
+    records = np.zeros((n, m), dtype=np.uint8)
+    row = 0
+    start = body
+    while start < len(raw):
+        stop = raw.rfind(b"\n", start, start + PARSE_BLOCK_BYTES) + 1
+        if stop <= start:  # the line in hand is longer than a block
+            stop = raw.find(b"\n", start) + 1 or len(raw)
+        row += _parse_block(raw[start:stop], records, row, allow_empty)
+        start = stop
+    # every entry was written as 0 or 1 and every line was checked, so
+    # the array needs neither make_dataset's checks nor its copy
+    records.flags.writeable = False
+    return BinaryDataset(m=m, records=records)
+
+
+def _parse_block(block: bytes, records: np.ndarray, row0: int, allow_empty: bool) -> int:
+    """Parse whole lines of record text into rows ``row0, row0 + 1, ...``.
+
+    Returns the number of lines.  A bad line raises DataError naming its
+    line in the file (the header is line 1).
+    """
+    m = records.shape[1]
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, buf.size)
+    digit = _DIGIT[buf]
+    starts = np.flatnonzero(np.diff(digit.view(np.int8), prepend=0) == 1)
+    line = np.searchsorted(ends, starts)
+    bad = ~_RECORD_TEXT[buf]
+    cr = np.flatnonzero(buf == ord("\r"))  # allowed only right before a newline
+    bad[cr[buf[np.minimum(cr + 1, buf.size - 1)] != ord("\n")]] = True
+    malformed = np.zeros(ends.size, dtype=bool)
+    malformed[np.searchsorted(ends, np.flatnonzero(bad))] = True
+    if malformed.any():  # blank the bad bytes so the other lines still parse
+        block = np.where(digit, buf, np.uint8(ord(" "))).tobytes()
+    values = np.fromstring(block, dtype=np.int64, sep=" ") if starts.size else starts
+    # an index too long for int64 reads as the int64 maximum, which is out of range too
+    out_of_range = values >= m
+    descending = (line[1:] == line[:-1]) & (values[1:] <= values[:-1])
+    empty = ~malformed & (np.bincount(line, minlength=ends.size) == 0) & (not allow_empty)
+    if malformed.any() or empty.any() or out_of_range.any() or descending.any():
+        bad_lines = np.concatenate([
+            np.flatnonzero(malformed), np.flatnonzero(empty),
+            line[out_of_range], line[1:][descending],
+        ])
+        first = int(bad_lines.min())
+        where = f"line {row0 + first + 2}"
+        if malformed[first]:
+            raise DataError(f"{where}: malformed item index")
+        if empty[first]:
+            raise DataError(f"{where}: empty record")
+        hits = np.flatnonzero(out_of_range & (line == first))
+        if hits.size:
+            token = block[starts[hits[0]]:].split(maxsplit=1)[0]
+            raise DataError(f"{where}: item index {int(token)} out of range [0, {m})")
+        raise DataError(f"{where}: item indices must be strictly increasing")
+    records.reshape(-1)[(row0 + line) * m + values] = 1
+    return int(ends.size)
 
 
 def _parse_dense(lines: list[str], threshold: int, allow_empty: bool) -> BinaryDataset:
@@ -168,17 +235,21 @@ def _parse_dense(lines: list[str], threshold: int, allow_empty: bool) -> BinaryD
 
 def write_records(dataset: BinaryDataset, path) -> None:
     """Write in sparse-items format; loading the result round-trips."""
-    out = [f"m={dataset.m}"]
-    for row in dataset.records:
-        out.append(" ".join(str(int(i)) for i in np.flatnonzero(row)))
+    rows, cols = np.nonzero(dataset.records)
+    names = np.array([str(i) for i in range(dataset.m)], dtype=object)[cols].tolist()
+    lines = [f"m={dataset.m}"]
+    start = 0
+    for stop in np.cumsum(np.bincount(rows, minlength=len(dataset))).tolist():
+        lines.append(" ".join(names[start:stop]))
+        start = stop
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_labels(path) -> np.ndarray:
     """One integer class id per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        lines = _text_lines(fh.read())
     out = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

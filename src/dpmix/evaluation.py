@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -123,18 +124,44 @@ def generate_workload(
     )
 
 
-def counting_query(dataset: BinaryDataset, query, semantics: str = ANY) -> int:
-    """Number of records holding any (or all) of the queried items."""
+def counting_query(dataset: BinaryDataset, queries, semantics: str = ANY) -> np.ndarray:
+    """Answer a batch of counting queries in one call.
+
+    ``queries`` is a sequence of item collections.  Entry j of the
+    returned int64 array is the number of records holding any (or all)
+    of the items of query j; an item repeated within a query counts
+    once.  The records are packed once into 64-bit words, so each query
+    reads only the words that hold its items.
+    """
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
-    items = np.asarray(sorted(set(int(i) for i in query)), dtype=np.int64)
-    if items.size == 0:
+    sizes = [len(query) for query in queries]
+    if 0 in sizes:
         raise ValueError("query must contain at least one item")
+    items = np.fromiter(chain.from_iterable(queries), dtype=np.int64, count=sum(sizes))
     if (items < 0).any() or (items >= dataset.m).any():
         raise ValueError(f"query items must lie in [0, {dataset.m})")
-    cols = dataset.records[:, items]
-    hit = cols.any(axis=1) if semantics == ANY else cols.all(axis=1)
-    return int(hit.sum())
+    n_words = -(-dataset.m // 64)
+    padded = np.zeros((len(dataset), n_words * 8), dtype=np.uint8)
+    packed = np.packbits(dataset.records, axis=1, bitorder="little")
+    padded[:, : packed.shape[1]] = packed
+    # (n_words, n): bit i of word w of a record is its item 64 w + i
+    words = np.ascontiguousarray(padded.view("<u8").T)
+    # one (query, word) key per word a query touches, with the OR of its item bits
+    keys, slot = np.unique(
+        np.repeat(np.arange(len(sizes)), sizes) * n_words + (items >> 6), return_inverse=True
+    )
+    bits = np.left_shift(np.uint64(1), (items & 63).astype(np.uint64))
+    masks = np.zeros((keys.size, 1), dtype=np.uint64)
+    np.bitwise_or.at(masks[:, 0], slot, bits)
+    word_of = (keys % n_words).tolist()
+    bounds = np.searchsorted(keys // n_words, np.arange(len(sizes) + 1)).tolist()
+    counts = np.empty(len(sizes), dtype=np.int64)
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        hit = words[word_of[lo:hi]] & masks[lo:hi]
+        held = hit.any(axis=0) if semantics == ANY else (hit == masks[lo:hi]).all(axis=0)
+        counts[j] = np.count_nonzero(held)
+    return counts
 
 
 def independent_estimate(
@@ -168,9 +195,11 @@ def evaluate_workload(
     synth_errors = np.zeros(N_SUBSETS)
     base_errors = np.zeros(N_SUBSETS)
     counts = np.zeros(N_SUBSETS, dtype=np.int64)
-    for query, sid in zip(workload.queries, workload.subset_ids):
-        true = counting_query(real, query, workload.semantics)
-        got = counting_query(synth, query, workload.semantics)
+    true_counts = counting_query(real, workload.queries, workload.semantics).tolist()
+    synth_counts = counting_query(synth, workload.queries, workload.semantics).tolist()
+    for query, sid, true, got in zip(
+        workload.queries, workload.subset_ids, true_counts, synth_counts
+    ):
         est = independent_estimate(marginals, query, workload.semantics, n)
         synth_errors[sid - 1] += relative_error(true, got, n)
         base_errors[sid - 1] += relative_error(true, est, n)

@@ -329,13 +329,13 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
         "d": mix.feature_map.d,
         "gamma": mix.feature_map.gamma,
         "feature_map_seed": mix.feature_map.seed,
-        "centers": mix.centers.tolist(),
-        "weights": mix.weights.tolist(),
+        "centers": mix.centers,
+        "weights": mix.weights,
         "models": [
             {
-                "weights": model.weights.tolist(),
-                "visible_bias": model.visible_bias.tolist(),
-                "hidden_bias": model.hidden_bias.tolist(),
+                "weights": model.weights,
+                "visible_bias": model.visible_bias,
+                "hidden_bias": model.hidden_bias,
             }
             for model in mix.models
         ],
@@ -346,7 +346,7 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            _write_json(fh, payload)
             fh.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
@@ -357,6 +357,34 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _write_json(fh, value, indent: str = "") -> None:
+    """Write ``value`` as ``json.dump(value, fh, indent=1)`` writes it,
+    with numpy arrays as (nested) lists.
+
+    The pure-Python encoder that ``indent`` selects is slow on long float
+    arrays, so each 1-D array is encoded by the C encoder on one line,
+    with the same float repr, and then broken into one number per line.
+    """
+    inner = indent + " "
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
+        flat = json.dumps(value.tolist())[1:-1].replace(", ", ",\n" + inner)
+        fh.write(f"[\n{inner}{flat}\n{indent}]")
+    elif isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(("," if i else "{") + f"\n{inner}{json.dumps(key)}: ")
+            _write_json(fh, item, inner)
+        fh.write(f"\n{indent}}}")
+    elif isinstance(value, (list, np.ndarray)) and len(value):
+        for i, item in enumerate(value):
+            fh.write(("," if i else "[") + f"\n{inner}")
+            _write_json(fh, item, inner)
+        fh.write(f"\n{indent}]")
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        fh.write(json.dumps(value, indent=1).replace("\n", "\n" + indent))
 
 
 def _check_shape(what: str, array: np.ndarray, shape: tuple) -> None:

@@ -232,6 +232,26 @@ def test_missing_data_file_is_a_data_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,line", [
+    ("cluster", "--data", "line 3: malformed item index"),
+    ("evaluate", "--synthetic", "line 3: malformed item index"),
+    ("cluster", "--labels", "line 3: not UTF-8 text"),
+], ids=["cluster-data", "evaluate-synthetic", "cluster-labels"])
+def test_undecodable_input_is_a_one_line_data_error(tmp_path, corpus_files, capsys,
+                                                    command, flag, line):
+    _, data_path, labels_path = corpus_files
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"m=10\n0 1\n2 \xff 3\n" if flag != "--labels" else b"0\n1\n\xff\n")
+    if command == "cluster":
+        args = ["cluster", "--data", data_path, "--labels", labels_path, "--k", "2",
+                "--sigma-c", "4", "--sigma-k", "10", "--d", "8", "--t-kmeans", "1"]
+    else:
+        args = ["evaluate", "--data", data_path, "--synthetic", data_path]
+    args[args.index(flag) + 1] = str(bad)
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"data error: {line}\n"
+
+
 def _train_args(data_path, model_path, **extra):
     args = [
         "train", "--data", data_path, "--k", "2", "--epochs", "1",

@@ -110,19 +110,41 @@ def test_workload_validation():
         generate_workload(m=10, max_l1=8, total=10, rng=rng, semantics="sum")
 
 
+def _reference_count(dataset, query, semantics):
+    """Per-query loop: records holding any (or all) of the queried items."""
+    cols = dataset.records[:, sorted(set(int(i) for i in query))]
+    hit = cols.any(axis=1) if semantics == ANY else cols.all(axis=1)
+    return int(hit.sum())
+
+
 def test_counting_query_examples():
     data = make_dataset(np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8))
-    assert counting_query(data, (0,)) == 2
-    assert counting_query(data, (0, 1)) == 2
-    assert counting_query(data, (0, 1), semantics=ALL) == 1
-    assert counting_query(data, (2,)) == 1
-    assert counting_query(data, (0, 0, 1)) == counting_query(data, (0, 1))
-    with pytest.raises(ValueError):
-        counting_query(data, ())
-    with pytest.raises(ValueError):
-        counting_query(data, (3,))
-    with pytest.raises(ValueError):
-        counting_query(data, (0,), semantics="most")
+    counts = counting_query(data, [(0,), (0, 1), (2,), (0, 0, 1)])
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [2, 2, 1, 2]
+    assert counting_query(data, [(0, 1), (1, 2)], semantics=ALL).tolist() == [1, 0]
+    assert counting_query(data, []).tolist() == []
+    with pytest.raises(ValueError, match="at least one item"):
+        counting_query(data, [(0,), ()])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+        counting_query(data, [(0,), (3,)])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+        counting_query(data, [(-1,)])
+    with pytest.raises(ValueError, match="semantics must be one of"):
+        counting_query(data, [(0,)], semantics="most")
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("semantics", [ANY, ALL])
+def test_counting_query_matches_per_query_loop(m, semantics):
+    rng = np.random.default_rng(m)
+    data = make_dataset((rng.random((300, m)) < 0.6).astype(np.uint8), allow_empty=True)
+    queries = [tuple(rng.integers(0, m, size=rng.integers(1, 9))) for _ in range(200)]
+    # items in the last bit of a word and the first of the next, and repeats
+    edges = [i for i in (0, 62, 63, 64, 65, 127, 128, m - 1) if i < m]
+    queries += [(i,) for i in edges] + [tuple(edges), tuple(edges) * 2, (m - 1, 0, m - 1)]
+    want = [_reference_count(data, q, semantics) for q in queries]
+    assert counting_query(data, queries, semantics).tolist() == want
 
 
 def test_independent_estimate_examples():
@@ -188,6 +210,27 @@ def test_baseline_detects_correlation_structure():
     records = np.stack([bit, bit, np.ones(n, dtype=np.uint8)], axis=1)
     real = make_dataset(records)
     marginals = real.records.mean(axis=0)
-    true = counting_query(real, (0, 1), ANY)
+    (true,) = counting_query(real, [(0, 1)], ANY)
     est = independent_estimate(marginals, (0, 1), ANY, n)
     assert relative_error(true, est, n) > 0.2
+
+
+def test_evaluate_workload_matches_per_query_loop():
+    # the batched counts feed the same sums, in the same order, as one
+    # counting call per query did
+    rng = np.random.default_rng(11)
+    real = make_dataset((rng.random((500, 70)) < 0.2).astype(np.uint8), allow_empty=True)
+    synth = make_dataset((rng.random((400, 70)) < 0.25).astype(np.uint8), allow_empty=True)
+    for semantics in (ANY, ALL):
+        wl = generate_workload(m=70, max_l1=12, total=200, rng=rng, semantics=semantics)
+        marginals = real.records.mean(axis=0)
+        synth_sums, base_sums = np.zeros(5), np.zeros(5)
+        for query, sid in zip(wl.queries, wl.subset_ids):
+            true = _reference_count(real, query, semantics)
+            got = _reference_count(synth, query, semantics)
+            est = independent_estimate(marginals, query, semantics, len(real))
+            synth_sums[sid - 1] += relative_error(true, got, len(real))
+            base_sums[sid - 1] += relative_error(true, est, len(real))
+        report = evaluate_workload(real, synth, wl)
+        assert report.subset_mean_errors == tuple((synth_sums / 40).tolist())
+        assert report.baseline_mean_errors == tuple((base_sums / 40).tolist())

@@ -1,13 +1,15 @@
 """Training pipeline wiring, mixture sampling, and model serialization."""
+import errno
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import mixture_corpus
-from dpmix import rbm
+from dpmix import mixture, rbm
 from dpmix.accountant import epsilon_for_delta
 from dpmix.data import subset
 from dpmix.dpsgd import SgdConfig, dp_sgd_step
@@ -261,21 +263,76 @@ def test_failed_save_leaves_no_partial_model(tmp_path, monkeypatch):
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     result = train(data, _tiny_config(k=2), master_seed=11)
 
-    def dump_then_fail(payload, fh, **kw):
-        fh.write(json.dumps(payload, **kw)[:200])
-        raise OSError("disk full")
+    def open_then_fail(path, *args, **kw):
+        # the file takes 200 characters, then the disk is full
+        fh = open(path, *args, **kw)
+        write, written = fh.write, [0]
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+        def write_until_full(text):
+            written[0] += len(text)
+            if written[0] > 200:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(text)
+
+        fh.write = write_until_full
+        return fh
+
+    monkeypatch.setattr(mixture, "open", open_then_fail, raising=False)
     path = tmp_path / "model.json"
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="No space"):
         save_model(result.mixture, path)
     assert list(tmp_path.iterdir()) == []
     # an earlier model at the same path is kept whole
     path.write_text("earlier model\n")
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="No space"):
         save_model(result.mixture, path)
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == "earlier model\n"
+
+
+def _reference_model_json(mix, config_echo):
+    """The model file as json.dump(indent=1) wrote it from a payload of lists."""
+    if mix.privacy is None:
+        privacy = {"epsilon": None, "unsafe_no_privacy": True}
+    else:
+        privacy = {**asdict(mix.privacy), "epsilon": mix.epsilon,
+                   "argmin_lambda": mix.argmin_lambda}
+    payload = {
+        "version": 1,
+        "m": mix.m,
+        "k": mix.k,
+        "d": mix.feature_map.d,
+        "gamma": mix.feature_map.gamma,
+        "feature_map_seed": mix.feature_map.seed,
+        "centers": mix.centers.tolist(),
+        "weights": mix.weights.tolist(),
+        "models": [
+            {
+                "weights": model.weights.tolist(),
+                "visible_bias": model.visible_bias.tolist(),
+                "hidden_bias": model.hidden_bias.tolist(),
+            }
+            for model in mix.models
+        ],
+        "privacy": privacy,
+    }
+    if config_echo is not None:
+        payload["config_echo"] = config_echo
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("config,echo", [
+    (dict(k=2), {"command": "train", "k": 2, "tags": ["a", "\u00e9"], "nested": {},
+                 "none": None, "lr": 0.05, "empty": []}),
+    (dict(), None),
+    (dict(sigma_c=0.0), {"unsafe_no_privacy": True}),
+], ids=["k2-echo", "k1", "unsafe"])
+def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(**config), master_seed=11).mixture
+    path = tmp_path / "model.json"
+    save_model(mix, path, config_echo=echo)
+    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
 
 
 def test_save_load_round_trip(tmp_path):
