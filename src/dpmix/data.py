@@ -225,7 +225,8 @@ def _parse_dense(lines: list[str], threshold: int, allow_empty: bool) -> BinaryD
             raise DataError(
                 f"line {lineno}: expected {width} columns, got {vals.size}"
             )
-        if (vals < 0).any() or (vals > 255).any():
+        # written so that NaN fails too: it compares false both ways
+        if not ((vals >= 0) & (vals <= 255)).all():
             raise DataError(f"line {lineno}: cell value outside [0, 255]")
         rows.append((vals > threshold).astype(np.uint8))
     if not rows:

@@ -54,7 +54,9 @@ def clip_features(features: np.ndarray, c_s: float) -> np.ndarray:
     return features * clip_scales(np.linalg.norm(features, axis=1), c_s)[:, None]
 
 
-def assign_to_centers(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def assign_to_centers(
+    features: np.ndarray, centers: np.ndarray, f_sq: np.ndarray | None = None
+) -> np.ndarray:
     """Index of the nearest center per row; ties break toward the lower index.
 
     The result is the argmin of the direct squared distances
@@ -70,12 +72,16 @@ def assign_to_centers(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
     depend on which rows are recomputed, and exact ties still go to the
     lower index.  When every row is a near tie, as with duplicate
     centers, the recheck costs what the direct form does.
+
+    ``f_sq`` holds the squared row norms of ``features``; a caller that
+    assigns the same features to several sets of centers passes them in.
     """
     features = np.asarray(features, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     if len(centers) == 1:
         return np.zeros(len(features), dtype=np.intp)
-    f_sq = np.einsum("ij,ij->i", features, features)
+    if f_sq is None:
+        f_sq = np.einsum("ij,ij->i", features, features)
     c_sq = np.einsum("ij,ij->i", centers, centers)
     d2 = features @ centers.T
     d2 *= -2.0
@@ -155,6 +161,7 @@ def dp_kernel_kmeans(
     else:
         c_s = dp_norm(features, sigma_c, c_max=c_max, bins=bins, rng=rng)
     clipped = clip_features(features, c_s)
+    f_sq = np.einsum("ij,ij->i", clipped, clipped)
 
     if init is not None:
         centers = np.array(init, dtype=np.float64, copy=True)
@@ -170,7 +177,7 @@ def dp_kernel_kmeans(
     root2 = np.sqrt(2.0)
     history = np.empty((iterations, k))
     for t in range(iterations):
-        assign = assign_to_centers(clipped, centers)
+        assign = assign_to_centers(clipped, centers, f_sq)
         counts = np.bincount(assign, minlength=k)
         sums = _cluster_sums(clipped, assign, k)
         new_centers = np.empty_like(centers)
@@ -185,7 +192,7 @@ def dp_kernel_kmeans(
             history[t, i] = noisy_size
         centers = new_centers
 
-    final_assign = assign_to_centers(clipped, centers)
+    final_assign = assign_to_centers(clipped, centers, f_sq)
     return Clustering(
         assignments=final_assign,
         noisy_centers=centers,

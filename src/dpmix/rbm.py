@@ -23,6 +23,14 @@ runs in float32: parameters are cast once per call, conditionals and
 uniform draws are float32, and states are 0/1 throughout, so only the
 probabilities carry float32 rounding.  Training statistics stay float64.
 The logistic is numpy's 1/(1 + exp(-x)), evaluated in place.
+
+The float32 uniforms are made from raw 64-bit words of the stream's bit
+generator (PCG64 throughout dpmix), as ``Generator.random(dtype=np.float32)``
+makes them: the top 24 bits of each 32-bit half-word, low half first.  When every draw has an even
+number of elements the states are those of ``Generator.random``, bit
+for bit.  An odd count drops the last high half-word, which
+``Generator.random`` would keep for its next draw, so later draws come
+from a shifted stream with the same distribution.
 """
 from __future__ import annotations
 
@@ -71,17 +79,21 @@ def init_model(
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in place, in x's dtype.
+    """1 / (1 + exp(-x)) in place, in x's dtype."""
+    return _logistic_of_negated(np.negative(x, out=x))
 
-    exp overflows to inf for very negative x, which gives exactly 0; the
-    overflow is expected and not warned about.
+
+def _logistic_of_negated(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(t)), the logistic of -t, in place, in t's dtype.
+
+    exp overflows to inf for large t, which gives exactly 0; the overflow
+    is expected and not warned about.
     """
     with np.errstate(over="ignore"):
-        np.negative(x, out=x)
-        np.exp(x, out=x)
-        x += 1
-        np.reciprocal(x, out=x)
-    return x
+        np.exp(t, out=t)
+        t += 1
+        np.reciprocal(t, out=t)
+    return t
 
 
 def conditional_hidden(model: RbmModel, v: np.ndarray) -> np.ndarray:
@@ -213,27 +225,41 @@ class PersistentChains:
         return int(self.states.shape[0])
 
 
+def _uniform_float32(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill float32 ``out`` with uniforms on [0, 1) from raw 64-bit words."""
+    words = rng.bit_generator.random_raw((out.size + 1) // 2).view(np.uint32)
+    np.right_shift(words, 8, out=words)
+    np.copyto(out, words[: out.size].reshape(out.shape), casting="unsafe")
+    out *= np.float32(2.0**-24)
+
+
 def _gibbs_sweeps(
     model: RbmModel, states: np.ndarray, sweeps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Block Gibbs in float32: h ~ p(h | v), then v ~ p(v | h), ``sweeps`` times."""
-    w = model.weights.astype(np.float32)
-    b = model.visible_bias.astype(np.float32)
-    c = model.hidden_bias.astype(np.float32)
+    """Block Gibbs in float32: h ~ p(h | v), then v ~ p(v | h), ``sweeps`` times.
+
+    The parameters are negated once, so each product gives the negated
+    activation and the logistic needs no negation pass.
+    """
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("Gibbs sampling needs a 64-bit bit generator, not MT19937")
+    neg_w = np.negative(model.weights, dtype=np.float32)
+    neg_b = np.negative(model.visible_bias, dtype=np.float32)
+    neg_c = np.negative(model.hidden_bias, dtype=np.float32)
     v = states.astype(np.float32)
-    h = np.empty((v.shape[0], c.size), dtype=np.float32)
+    h = np.empty((v.shape[0], neg_c.size), dtype=np.float32)
     p_h, u_h = np.empty_like(h), np.empty_like(h)
     p_v, u_v = np.empty_like(v), np.empty_like(v)
     for _ in range(sweeps):
-        np.matmul(v, w.T, out=p_h)
-        p_h += c
-        _logistic(p_h)
-        rng.random(out=u_h, dtype=np.float32)
+        np.matmul(v, neg_w.T, out=p_h)
+        p_h += neg_c
+        _logistic_of_negated(p_h)
+        _uniform_float32(rng, u_h)
         np.less(u_h, p_h, out=h)
-        np.matmul(h, w, out=p_v)
-        p_v += b
-        _logistic(p_v)
-        rng.random(out=u_v, dtype=np.float32)
+        np.matmul(h, neg_w, out=p_v)
+        p_v += neg_b
+        _logistic_of_negated(p_v)
+        _uniform_float32(rng, u_v)
         np.less(u_v, p_v, out=v)
     return v.astype(np.uint8)
 

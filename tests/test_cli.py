@@ -252,6 +252,15 @@ def test_undecodable_input_is_a_one_line_data_error(tmp_path, corpus_files, caps
     assert capsys.readouterr().err == f"data error: {line}\n"
 
 
+def test_nan_dense_cell_is_a_one_line_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,200\n200,nan\n")
+    args = ["cluster", "--data", str(bad), "--format", "dense-csv", "--k", "1",
+            "--sigma-c", "4", "--sigma-k", "10", "--d", "8", "--t-kmeans", "1"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "data error: line 2: cell value outside [0, 255]\n"
+
+
 def _train_args(data_path, model_path, **extra):
     args = [
         "train", "--data", data_path, "--k", "2", "--epochs", "1",
@@ -459,14 +468,55 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_cli_import_loads_no_scipy():
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports dpmix from this checkout."""
     src = str(Path(dpmix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, dpmix.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = _python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# A meta-path hook that makes every scipy import fail, as if scipy were absent.
+_BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+_RUN_CLI = "import sys; from dpmix.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_cluster_accuracy_runs_without_scipy(tmp_path, corpus_files):
+    blocked = _python(_BLOCK_SCIPY + "import scipy.optimize")
+    assert blocked.returncode != 0 and "scipy is blocked" in blocked.stderr
+    _, data_path, labels_path = corpus_files
+    assign_path = tmp_path / "assign.txt"
+    commands = [
+        ["cluster", "--data", data_path, "--labels", labels_path, "--k", "3",
+         "--d", "16", "--gamma", "0.5", "--t-kmeans", "3", "--sigma-c", "4",
+         "--sigma-k", "10", "--seed", "5", "--assignments-out", str(assign_path)],
+        ["evaluate", "--data", data_path, "--synthetic", data_path, "--queries", "10",
+         "--max-l1", "5", "--labels", labels_path, "--assignments", str(assign_path)],
+    ]
+    for args in commands:
+        plain = _python(_RUN_CLI, *args)
+        without = _python(_BLOCK_SCIPY + _RUN_CLI, *args)
+        assert plain.returncode == 0, plain.stderr
+        assert without.returncode == 0, without.stderr
+        assert without.stdout == plain.stdout
+        assert 0.0 < json.loads(plain.stdout)["acc"] <= 1.0
 
 
 def test_generate_validation_and_malformed_model(tmp_path, capsys):

@@ -3,12 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from dpmix.data import make_dataset
 from dpmix.evaluation import (
     ALL,
     ANY,
     QueryWorkload,
+    _max_matching_total,
     clustering_accuracy,
     counting_query,
     evaluate_workload,
@@ -62,6 +64,45 @@ def test_accuracy_matches_brute_force_on_random_tables():
         got = clustering_accuracy(assignments, labels)
         want = _brute_force_accuracy(assignments, labels)
         assert got == pytest.approx(want), f"trial {trial}"
+
+
+def _scipy_total(table):
+    # scipy is the oracle here only; dpmix itself does not import it
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return int(table[rows, cols].sum())
+
+
+def _tables(rng):
+    """Integer tables up to 40 x 40 of every shape family, with ties."""
+    for trial in range(300):
+        r, c = (int(v) for v in rng.integers(1, 41, size=2))
+        r, c = [(r, c), (max(r, c), max(r, c)), (1, c), (r, 1)][trial % 4]
+        hi = (2, 5, 1000)[trial % 3]
+        table = rng.integers(0, hi, size=(r, c))
+        yield table
+        yield table[rng.integers(0, r, size=r)]  # duplicate rows
+    for shape in [(1, 1), (7, 7), (3, 40), (40, 3), (40, 40)]:
+        yield np.zeros(shape, dtype=np.int64)
+        yield np.full(shape, 17)
+
+
+def test_matching_total_equals_scipy():
+    rng = np.random.default_rng(2016)
+    for table in _tables(rng):
+        assert _max_matching_total(table) == _scipy_total(table), table.shape
+
+
+def test_accuracy_is_the_scipy_float():
+    rng = np.random.default_rng(1955)
+    for trial in range(100):
+        n = int(rng.integers(1, 3000))
+        assignments = rng.integers(0, int(rng.integers(1, 25)), size=n)
+        labels = rng.integers(0, int(rng.integers(1, 25)), size=n)
+        _, a = np.unique(assignments, return_inverse=True)
+        _, b = np.unique(labels, return_inverse=True)
+        table = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
+        np.add.at(table, (a, b), 1)
+        assert clustering_accuracy(assignments, labels) == _scipy_total(table) / n
 
 
 def test_accuracy_invariant_to_cluster_relabeling():

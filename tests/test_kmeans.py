@@ -98,6 +98,8 @@ def test_assignment_near_ties_match_direct_form():
     got = assign_to_centers(features, centers)
     assert np.array_equal(got, _direct_assign(features, centers))
     assert set(got) <= {0, 3}
+    f_sq = np.einsum("ij,ij->i", features, features)
+    assert np.array_equal(assign_to_centers(features, centers, f_sq), got)
 
 
 def test_assignment_peak_memory_is_n_by_k():

@@ -12,6 +12,7 @@ from dpmix.rbm import (
     FactoredGradients,
     PersistentChains,
     RbmModel,
+    _gibbs_sweeps,
     _logistic,
     advance_chains,
     conditional_hidden,
@@ -121,19 +122,76 @@ def test_logistic_matches_expit_and_saturates_silently(dtype, limit, rtol):
     assert_allclose(got, expit(x), rtol=rtol, atol=0.0)
 
 
-def test_float32_gibbs_draws_match_exact_marginal():
-    # 4 visible x 3 hidden: p(v) ~ exp(b'v) prod_i (1 + exp(c_i + W_i v)) over
-    # all 16 visible states, against 100k independent float32 chains
+def _reference_gibbs_sweeps(model, states, sweeps, rng):
+    """Float32 block Gibbs with uniforms from Generator.random, one call per draw."""
+    w = model.weights.astype(np.float32)
+    b = model.visible_bias.astype(np.float32)
+    c = model.hidden_bias.astype(np.float32)
+    v = states.astype(np.float32)
+    h = np.empty((v.shape[0], c.size), dtype=np.float32)
+    p_h, u_h = np.empty_like(h), np.empty_like(h)
+    p_v, u_v = np.empty_like(v), np.empty_like(v)
+    for _ in range(sweeps):
+        np.matmul(v, w.T, out=p_h)
+        p_h += c
+        _logistic(p_h)
+        rng.random(out=u_h, dtype=np.float32)
+        np.less(u_h, p_h, out=h)
+        np.matmul(h, w, out=p_v)
+        p_v += b
+        _logistic(p_v)
+        rng.random(out=u_v, dtype=np.float32)
+        np.less(u_v, p_v, out=v)
+    return v.astype(np.uint8)
+
+
+@pytest.mark.parametrize("count,m,n", [(1024, 50, 32), (6, 5, 3), (3, 4, 2), (100, 784, 20)])
+def test_gibbs_sweeps_equal_reference_on_even_draws(count, m, n):
+    # every draw has count * m or count * n elements, all even here
+    model = _random_model(m, n, seed=count + m, scale=1.0)
+    states = (np.random.default_rng(1).random((count, m)) < 0.5).astype(np.uint8)
+    rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
+    got = _gibbs_sweeps(model, states, 4, rng)
+    want = _reference_gibbs_sweeps(model, states, 4, ref_rng)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want)
+    # the same words were consumed, so the streams continue alike
+    assert rng.bit_generator.state["state"] == ref_rng.bit_generator.state["state"]
+    assert np.array_equal(rng.random(5), ref_rng.random(5))
+
+
+def test_gibbs_sweeps_reject_32_bit_streams():
+    model = _random_model(4, 2, seed=1)
+    mt = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="64-bit"):
+        _gibbs_sweeps(model, np.zeros((2, 4), dtype=np.uint8), 1, mt)
+
+
+def _marginal_distance(count):
+    """Total variation between ``count`` float32 Gibbs draws and the exact p(v).
+
+    4 visible x 3 hidden: p(v) ~ exp(b'v) prod_i (1 + exp(c_i + W_i v)) over
+    all 16 visible states, against ``count`` independent chains.
+    """
     model = _random_model(4, 3, seed=21, scale=1.0)
     vs = _all_states(4)
     log_p = vs @ model.visible_bias + np.logaddexp(
         0.0, model.hidden_bias + vs @ model.weights.T
     ).sum(axis=1)
     exact = np.exp(log_p - logsumexp(log_p))
-    draws = sample_batch(model, 100_000, 30, np.random.default_rng(2024))
+    draws = sample_batch(model, count, 30, np.random.default_rng(2024))
     index = draws.astype(np.int64) @ (2 ** np.arange(3, -1, -1))  # itertools.product order
     empirical = np.bincount(index, minlength=16) / len(draws)
-    assert 0.5 * np.abs(empirical - exact).sum() < 0.02
+    return 0.5 * np.abs(empirical - exact).sum()
+
+
+def test_float32_gibbs_draws_match_exact_marginal():
+    assert _marginal_distance(100_000) < 0.02
+
+
+def test_float32_gibbs_draws_match_exact_marginal_with_odd_draws():
+    # 99,999 chains x 3 hidden units make every hidden draw odd-sized
+    assert _marginal_distance(99_999) < 0.02
 
 
 def test_conditionals_batch_agree_with_rows():
