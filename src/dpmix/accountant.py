@@ -15,6 +15,12 @@ loss at sensitivity-to-noise ratio 1/sigma.  The subsampled mechanism is
 always evaluated by numerical quadrature of the two likelihood-ratio
 integrals and is unaffected by the flag.
 
+The quadrature is composite Simpson on a grid that doubles until two
+successive estimates agree.  Each level evaluates the integrands once,
+on the fine grid of 2n intervals, and takes the n-interval estimate from
+its even nodes: those are exactly the nodes of the n-interval grid, so
+the coarse estimate is the one a separate n-interval grid would give.
+
 The quadrature sums its integrands with a private log-sum-exp rather than
 ``scipy.special.logsumexp``.  It performs scipy's operations in scipy's
 order, so the two agree bit for bit on this module's inputs, but it builds
@@ -94,12 +100,15 @@ def alpha_gaussian(lam: float, sigma: float, strict: bool = False) -> float:
     return 2.0 * value if strict else value
 
 
-def _log_simpson_weights(n_intervals: int, step: float) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _simpson_pattern(n_intervals: int) -> np.ndarray:
+    """The composite-Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 before scaling (read-only)."""
     w = np.full(n_intervals + 1, 2.0)
     w[1::2] = 4.0
     w[0] = 1.0
     w[-1] = 1.0
-    return w * (step / 3.0)
+    w.flags.writeable = False
+    return w
 
 
 def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
@@ -125,8 +134,10 @@ def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     return float(out)
 
 
-def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[float, float]:
-    """Composite-Simpson estimates of log E1 and log E2 on one grid.
+def _log_integrands(
+    lam: float, sigma: float, q: float, n_intervals: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """log of the E1 and E2 integrands on the n-interval grid, and the grid's width.
 
     E1 integrates mu0 * (mu0 / mu1)^lam, E2 integrates mu1 * (mu1 / mu0)^lam,
     where mu0 is the N(0, sigma) density and mu1 the q-mixture of mu0 with
@@ -139,7 +150,6 @@ def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[fl
     lo = -(lam + pad)
     hi = 1.0 + lam + pad
     x = np.linspace(lo, hi, n_intervals + 1)
-    step = (hi - lo) / n_intervals
     norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
     log_g0 = -(x**2) / (2.0 * sigma**2) + norm
     log_g1 = -((x - 1.0) ** 2) / (2.0 * sigma**2) + norm
@@ -147,11 +157,20 @@ def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[fl
     log_1mq = math.log1p(-q) if q < 1 else -math.inf
     log_mu0 = log_g0
     log_mu1 = np.logaddexp(log_1mq + log_g0, log_q + log_g1)
-    log_ratio = log_mu0 - log_mu1
-    weights = _log_simpson_weights(n_intervals, step)
-    log_e1 = _logsumexp(log_mu0 + lam * log_ratio, weights)
-    log_e2 = _logsumexp(log_mu1 - lam * log_ratio, weights)
-    return log_e1, log_e2
+    lam_log_ratio = lam * (log_mu0 - log_mu1)
+    return log_mu0 + lam_log_ratio, log_mu1 - lam_log_ratio, hi - lo
+
+
+def _log_simpson(log_f1: np.ndarray, log_f2: np.ndarray, width: float) -> tuple[float, float]:
+    """Composite-Simpson log-integrals of two log-integrands on one grid of the given width."""
+    n_intervals = log_f1.size - 1
+    weights = _simpson_pattern(n_intervals) * (width / n_intervals / 3.0)
+    return _logsumexp(log_f1, weights), _logsumexp(log_f2, weights)
+
+
+def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[float, float]:
+    """Composite-Simpson estimates of log E1 and log E2 on the n-interval grid."""
+    return _log_simpson(*_log_integrands(lam, sigma, q, n_intervals))
 
 
 def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:
@@ -175,13 +194,12 @@ def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:
 @lru_cache(maxsize=None)
 def _alpha_subsampled_cached(lam: float, sigma: float, q: float) -> float:
     n = _QUAD_START_INTERVALS
-    prev = None
-    while n <= _QUAD_MAX_INTERVALS:
-        log_e1, log_e2 = _log_e1_e2(lam, sigma, q, n)
-        value = max(log_e1, log_e2)
-        if prev is not None and abs(value - prev) <= _QUAD_RTOL * abs(value) + _QUAD_ATOL:
-            return max(value, 0.0)
-        prev = value
+    while 2 * n <= _QUAD_MAX_INTERVALS:
+        log_f1, log_f2, width = _log_integrands(lam, sigma, q, 2 * n)
+        coarse = max(_log_simpson(log_f1[::2], log_f2[::2], width))
+        fine = max(_log_simpson(log_f1, log_f2, width))
+        if abs(fine - coarse) <= _QUAD_RTOL * abs(fine) + _QUAD_ATOL:
+            return max(fine, 0.0)
         n *= 2
     raise NumericsError(
         f"subsampled-Gaussian quadrature did not converge for "
@@ -192,10 +210,16 @@ def _alpha_subsampled_cached(lam: float, sigma: float, q: float) -> float:
 def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
     """Total clustering log-MGF after t_kmeans noisy iterations.
 
-    Each iteration releases a noisy cluster size (sensitivity sqrt(2),
-    scale sqrt(2) * sigma_k) and a noisy feature sum (sensitivity
-    sqrt(2) * C_s, scale sqrt(2) * C_s * sigma_k).  Outside rbf_mode one
-    threshold selection at scale sigma_c is charged per iteration as well.
+    Each iteration releases the noisy cluster sizes (noise scale
+    sqrt(2) * sigma_k) and the noisy feature sums (scale
+    sqrt(2) * C_s * sigma_k), and each release is charged
+    alpha_gaussian(lam, sigma_k).  Under add/remove adjacency, which the
+    subsampled-Gaussian analysis assumes, one record moves one size by 1
+    and one sum by at most C_s, so the default convention is the exact
+    log-MGF of noise sqrt(2) * sigma_k.  Under replace-one adjacency the
+    sensitivities are sqrt(2) and sqrt(2) * C_s, and ``strict_gaussian``
+    is the exact charge.  Outside rbf_mode one threshold selection at
+    scale sigma_c is charged per iteration as well.
     """
     if cfg.t_kmeans == 0:
         return 0.0

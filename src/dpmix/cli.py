@@ -5,6 +5,8 @@ precedence is command-line flag, then --config JSON file, then built-in
 default.  Every artifact embeds the fully resolved configuration, so a
 run can be reproduced from any of its outputs.  Exit codes: 0 success,
 2 usage or configuration error, 3 data error, 4 numerical error.
+Each command imports the modules that only it runs, so ``accountant``
+starts without the clustering and training stack.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__, evaluation, mixture
+from . import __version__, evaluation
 from .accountant import PrivacyConfig, alpha_terms, epsilon_schedule
+from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
     FORMATS,
@@ -31,10 +34,6 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .evaluation import clustering_accuracy, evaluate_workload, generate_workload
-from .kmeans import dp_kernel_kmeans
-from .mixture import TrainConfig, load_model, save_model, train
-from .rff import feature_map_from_seed
-from .streams import child_rng, child_seed
 
 REQUIRED = MISSING  # the dataclass marker for "no default"
 
@@ -75,7 +74,7 @@ _OPTIONS = {
     "model": Option(str, REQUIRED, "model JSON path"),
     "log": Option(str, None, "output path for the per-step JSON-lines training log"),
     "count": Option(int, REQUIRED, "number of records to generate"),
-    "gibbs_steps": Option(int, mixture.DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample"),
+    "gibbs_steps": Option(int, DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample"),
     "synthetic": Option(str, REQUIRED, "synthetic dataset (sparse-items)"),
     "queries": Option(int, 1000, "number of counting queries, a multiple of 5"),
     "max_l1": Option(int, None, "longest query (default: longest real record)"),
@@ -332,6 +331,10 @@ def _load_init_centers(path, k: int, d: int) -> np.ndarray:
 
 
 def cmd_cluster(opts: dict, out: _Outputs) -> int:
+    from .kmeans import dp_kernel_kmeans
+    from .rff import feature_map_from_seed
+    from .streams import child_rng, child_seed
+
     _check_sigmas(opts, ("sigma_c", "sigma_k"))
     dataset = _load_dataset(opts)
     labels = None
@@ -383,6 +386,8 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_train(opts: dict, out: _Outputs) -> int:
+    from .mixture import save_model, train
+
     _check_sigmas(opts, ("sigma_c", "sigma_k", "sigma_g"))
     init = None
     if opts["init_centers"]:
@@ -414,6 +419,9 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_generate(opts: dict, out: _Outputs) -> int:
+    from .mixture import generate, load_model
+    from .streams import child_rng
+
     if opts["output"] is None:
         raise ConfigError("missing required option --output")
     if opts["count"] < 1:
@@ -426,7 +434,7 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
         raise DataError(f"model not found: {opts['model']}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {opts['model']}: {exc}")
-    synth = mixture.generate(
+    synth = generate(
         mix,
         opts["count"],
         child_rng(opts["seed"], "generation"),
@@ -440,6 +448,8 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_evaluate(opts: dict, out: _Outputs) -> int:
+    from .streams import child_rng
+
     if opts["queries"] < 5 or opts["queries"] % 5 != 0:
         raise ConfigError("--queries must be a positive multiple of 5")
     real = _load_dataset(opts)

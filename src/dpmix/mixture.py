@@ -21,12 +21,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import rbm
-from .accountant import (
-    DEFAULT_LAMBDA_MAX,
-    PrivacyConfig,
-    epoch_iterations,
-    epsilon_for_delta,
-)
+from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
+from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import BinaryDataset, make_dataset, subset
 from .dpsgd import SgdConfig, StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError, StageError
@@ -35,56 +31,9 @@ from .rff import FeatureMap, feature_map_from_seed
 from .streams import child_rng, child_seed
 
 MODEL_FORMAT_VERSION = 1
-DEFAULT_GENERATION_SWEEPS = 500
 # Rows per independently seeded sampling chunk.  Fixed, so the output
 # does not depend on how many workers sample the chunks.
 GENERATION_CHUNK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Everything train() needs beyond the dataset and the master seed."""
-
-    k: int
-    epochs: int
-    batch_size: int
-    sigma_c: float
-    sigma_k: float
-    sigma_g: float
-    t_kmeans: int = 20
-    d: int = 200
-    gamma: float = 1.0
-    n_hidden: int = 200
-    eta: float = 0.01
-    pcd_sweeps: int = 1
-    chain_count: int | None = None  # defaults to batch_size
-    c_max: float = 10.0
-    bins: int = 100
-    delta: float | None = None  # defaults to 1 / |dataset|
-    rbf_mode: bool = True
-    strict_gaussian: bool = False
-    lambda_max: int = DEFAULT_LAMBDA_MAX
-    init_centers: np.ndarray | None = None
-
-    def __post_init__(self):
-        """Check every field, so a bad value fails before any stage runs."""
-        counts = ("k", "batch_size", "t_kmeans", "d", "n_hidden", "pcd_sweeps", "bins",
-                  "lambda_max", "chain_count")
-        for name in counts:
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        for name in ("gamma", "c_max"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if min(self.sigma_c, self.sigma_k, self.sigma_g) < 0:
-            raise ConfigError("noise scales must be >= 0 (0 only in unsafe test mode)")
 
 
 @dataclass

@@ -126,24 +126,16 @@ def set_flat_parameters(model: RbmModel, vec: np.ndarray) -> None:
     model.hidden_bias = vec[n * m + m :].copy()
 
 
-def positive_statistics(
-    model: RbmModel, records: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-record sufficient statistics (p(h|x) x', x, p(h|x)), flattened.
+def positive_statistics(model: RbmModel, records: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_b w_b (p(h|x_b) x_b', x_b, p(h|x_b)), flattened like flatten_parameters.
 
-    Rows align with flatten_parameters, so statistic differences are
-    log-likelihood gradients.  With ``weights`` (one per record) the
-    weighted row sum is returned as one P-vector instead, computed
-    without the (B, P) matrix.
+    Statistic differences are log-likelihood gradients.  The weighted sum
+    is computed without the (B, P) matrix of per-record statistics.
     """
     x = np.asarray(records, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    p_h = conditional_hidden(model, x)  # (B, n)
-    if weights is not None:
-        return _weighted_statistic(p_h, x, np.asarray(weights, dtype=np.float64))
-    grad_w = np.einsum("bi,bj->bij", p_h, x).reshape(x.shape[0], -1)
-    return np.concatenate([grad_w, x, p_h], axis=1)
+    return _weighted_statistic(
+        conditional_hidden(model, x), x, np.asarray(weights, dtype=np.float64)
+    )
 
 
 def _weighted_statistic(p_h: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -206,8 +198,10 @@ class FactoredGradients:
 class PersistentChains:
     """Gibbs chain states plus their private random stream.
 
-    The states are a function of the parameter history and the chain
-    seed only; batches never touch them.
+    Batch records never enter the states, but a step whose batch is empty
+    skips the chain advance (``pcd_per_example_gradients``), so the states
+    depend on which batches were empty as well as on the parameter
+    history and the chain seed.  ROADMAP item 1 tracks the fix.
     """
 
     states: np.ndarray  # (count, m) uint8

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from dpmix.data import make_dataset
+from dpmix.rbm import conditional_hidden
 
 
 def mixture_corpus(
@@ -39,3 +40,15 @@ def kernel_rbf(x, y, gamma: float) -> float:
     """exp(-gamma * ||x - y||^2), the kernel the random Fourier features approximate."""
     diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     return float(np.exp(-gamma * np.dot(diff, diff)))
+
+
+def dense_positive_statistics(model, records):
+    """Per-record statistics (p(h|x) x', x, p(h|x)) as a materialized (B, P) matrix.
+
+    Rows align with flatten_parameters; ``rbm.positive_statistics`` returns
+    their weighted row sum without building this matrix.
+    """
+    x = np.atleast_2d(np.asarray(records, dtype=np.float64))
+    p_h = conditional_hidden(model, x)
+    grad_w = np.einsum("bi,bj->bij", p_h, x).reshape(x.shape[0], -1)
+    return np.concatenate([grad_w, x, p_h], axis=1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import kernel_rbf, mixture_corpus
+from conftest import dense_positive_statistics, kernel_rbf, mixture_corpus
 from dpmix import rbm
 from dpmix.accountant import (
     PrivacyConfig,
@@ -257,8 +257,8 @@ def test_criterion_08_exact_model_checks():
         vs = np.array(list(itertools.product([0, 1], repeat=3)), dtype=float)
         log_z, per_v = _free_energy_log_z(model, vs)
         probs = np.exp(per_v - log_z)
-        grad = rbm.positive_statistics(model, x)[0] - (
-            probs @ rbm.positive_statistics(model, vs)
+        grad = dense_positive_statistics(model, x)[0] - (
+            probs @ dense_positive_statistics(model, vs)
         )
         vec = rbm.flatten_parameters(model)
         probe = rbm.init_model(3, 2, np.random.default_rng(0))

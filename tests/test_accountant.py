@@ -7,6 +7,7 @@ from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from dpmix import accountant
 from dpmix.accountant import (
+    DEFAULT_LAMBDA_MAX,
     J1_GRID,
     PrivacyConfig,
     alpha_gaussian,
@@ -18,6 +19,7 @@ from dpmix.accountant import (
     epsilon_schedule,
     sgd_step_alpha,
 )
+from dpmix.errors import NumericsError
 
 # Monte Carlo oracle for log max(E1, E2) at q=0.01, lam=8, sigma=4,
 # computed from 4e7 direct draws per integral (seed 20250814) before the
@@ -152,6 +154,107 @@ class TestLogSumExp:
         b = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 6.0
         for a in (np.full(5, -np.inf), np.array([0.0, 1.0, np.inf, 2.0, -3.0])):
             assert accountant._logsumexp(a, b) == float(logsumexp(a, b=b))
+
+
+def _reference_log_e1_e2(lam, sigma, q, n_intervals):
+    """The quadrature as it was before one grid served two levels: one grid per level."""
+    pad = max(20.0 * sigma, 20.0)
+    lo = -(lam + pad)
+    hi = 1.0 + lam + pad
+    x = np.linspace(lo, hi, n_intervals + 1)
+    step = (hi - lo) / n_intervals
+    norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
+    log_g0 = -(x**2) / (2.0 * sigma**2) + norm
+    log_g1 = -((x - 1.0) ** 2) / (2.0 * sigma**2) + norm
+    log_q = math.log(q) if q > 0 else -math.inf
+    log_1mq = math.log1p(-q) if q < 1 else -math.inf
+    log_mu0 = log_g0
+    log_mu1 = np.logaddexp(log_1mq + log_g0, log_q + log_g1)
+    log_ratio = log_mu0 - log_mu1
+    w = np.full(n_intervals + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = 1.0
+    w[-1] = 1.0
+    weights = w * (step / 3.0)
+    log_e1 = accountant._logsumexp(log_mu0 + lam * log_ratio, weights)
+    log_e2 = accountant._logsumexp(log_mu1 - lam * log_ratio, weights)
+    return log_e1, log_e2
+
+
+def _reference_alpha(lam, sigma, q):
+    """The two-level doubling loop on separately built grids, reading the module's tolerances."""
+    n = accountant._QUAD_START_INTERVALS
+    prev = None
+    while n <= accountant._QUAD_MAX_INTERVALS:
+        value = max(_reference_log_e1_e2(lam, sigma, q, n))
+        if prev is not None and (
+            abs(value - prev) <= accountant._QUAD_RTOL * abs(value) + accountant._QUAD_ATOL
+        ):
+            return max(value, 0.0)
+        prev = value
+        n *= 2
+    raise NumericsError("no convergence")
+
+
+def _plan_lattice_points():
+    """(lam', sigma, q) of every quadrature the nine plan-lattice accountant runs make."""
+    points = set()
+    for q in (0.001, 0.0017, 0.003):
+        for sigma_g in (1.0, 2.0, 4.0):
+            for lam in range(1, DEFAULT_LAMBDA_MAX + 1):
+                for j1 in J1_GRID:
+                    points.add((lam / j1, 4.0, q))
+                    points.add((lam / (1.0 - j1), sigma_g, q))
+    return sorted(points)
+
+
+@pytest.fixture
+def empty_quadrature_cache():
+    accountant._alpha_subsampled_cached.cache_clear()
+    yield
+    accountant._alpha_subsampled_cached.cache_clear()
+
+
+class TestOneGridPerLevel:
+    """The fine-grid quadrature against a copy of the grid-per-level loop, compared with ==."""
+
+    def test_equals_reference_on_plan_lattice(self, empty_quadrature_cache):
+        points = _plan_lattice_points()
+        assert len(points) > 1000
+        for point in points:
+            assert alpha_subsampled_gaussian(*point) == _reference_alpha(*point), point
+
+    def test_equals_reference_on_test_grids(self, empty_quadrature_cache):
+        lams = [1.0, 3.5, 8.0, 31.58, 110.0, 640.0, *map(float, range(1, 33))]
+        for lam in lams:
+            for sigma in (0.8, 1.0, 2.0, 4.0, 8.0):
+                for q in (0.001, 0.0017, 0.01, 0.1, 0.5, 0.6, 1.0):
+                    want = _reference_alpha(lam, sigma, q)
+                    assert alpha_subsampled_gaussian(lam, sigma, q) == want, (lam, sigma, q)
+
+    @pytest.mark.parametrize("max_intervals", [2**13, 2**16])
+    def test_deeper_levels_and_failure_match_reference(
+        self, monkeypatch, empty_quadrature_cache, max_intervals
+    ):
+        # With zero tolerance a level passes only when its two estimates are
+        # equal: within 2^16 intervals these points stop at the second,
+        # third or fourth grid, and within 2^13 some never stop.
+        monkeypatch.setattr(accountant, "_QUAD_RTOL", 0.0)
+        monkeypatch.setattr(accountant, "_QUAD_ATOL", 0.0)
+        monkeypatch.setattr(accountant, "_QUAD_MAX_INTERVALS", max_intervals)
+        outcomes = set()
+        for point in ((1.0, 0.8, 0.5), (8.0, 1.0, 0.01), (31.58, 1.0, 0.0017),
+                      (640.0, 4.0, 0.0017), (3.5, 2.0, 0.1)):
+            try:
+                want = _reference_alpha(*point)
+            except NumericsError:
+                with pytest.raises(NumericsError):
+                    alpha_subsampled_gaussian(*point)
+                outcomes.add("raises")
+            else:
+                assert alpha_subsampled_gaussian(*point) == want, point
+                outcomes.add("value")
+        assert outcomes == ({"raises", "value"} if max_intervals == 2**13 else {"value"})
 
 
 class TestBinomialOracle:

@@ -484,6 +484,47 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+_TRAINING_STACK = ["dpmix.dpnorm", "dpmix.dpsgd", "dpmix.kmeans", "dpmix.mixture", "dpmix.rbm",
+                   "dpmix.rff"]
+
+
+def test_accountant_command_loads_no_training_stack():
+    code = (
+        "import sys, dpmix.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m in sys.argv[1:])\n"
+        "print(loaded())\n"
+        "dpmix.cli.main(" + repr(ACCT_ARGS + ["--epochs", "2"]) + ")\n"
+        "print(loaded())\n"
+    )
+    run = _python(code, *_TRAINING_STACK)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
+    assert lines[1] == "epoch,t_sgd,epsilon,lambda" and len(lines) == 5
+
+
+def test_package_names_load_on_first_use():
+    code = (
+        "import sys, dpmix\n"
+        "print(sorted(m for m in sys.modules if m.startswith('dpmix.')))\n"
+        "from dpmix import train, generate, TrainConfig, load_records, epsilon_for_delta\n"
+        "from dpmix import mixture, config, data, accountant\n"
+        "assert train is mixture.train and generate is mixture.generate\n"
+        "assert TrainConfig is config.TrainConfig is mixture.TrainConfig\n"
+        "assert load_records is data.load_records\n"
+        "assert epsilon_for_delta is accountant.epsilon_for_delta\n"
+        "try:\n"
+        "    dpmix.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[]", "module 'dpmix' has no attribute 'no_such_name'"
+    ]
+
+
 # A meta-path hook that makes every scipy import fail, as if scipy were absent.
 _BLOCK_SCIPY = """
 import sys

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import dense_positive_statistics
 from dpmix import rbm
 from dpmix.data import make_dataset, sample_batch
 from dpmix.dpnorm import clip_scales, dp_norm
@@ -277,8 +278,8 @@ def test_factored_and_dense_gradients_give_the_same_step():
 
     def dense_fn(batch):
         rbm.advance_chains(model, dense_chains, 1)
-        neg = rbm.positive_statistics(model, dense_chains.states).mean(axis=0)
-        return neg - rbm.positive_statistics(model, batch.records)
+        neg = dense_positive_statistics(model, dense_chains.states).mean(axis=0)
+        return neg - dense_positive_statistics(model, batch.records)
 
     results = []
     for fn in (factored_fn, dense_fn):

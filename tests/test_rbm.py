@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import expit, logsumexp
 
+from conftest import dense_positive_statistics
 from dpmix.rbm import (
     FactoredGradients,
     PersistentChains,
@@ -240,15 +241,15 @@ def test_joint_distribution_normalizes():
 
 def test_statistic_gap_is_likelihood_gradient():
     # finite differences of the enumerated log-likelihood against
-    # positive_statistics(x) minus the exact model expectation
+    # the statistics of x minus the exact model expectation
     model = _random_model(3, 2, seed=5, scale=0.6)
     x = np.array([1.0, 0.0, 1.0])
 
     vs = _all_states(3)
     log_pv = np.array([_exact_log_prob(model, v) for v in vs])
     weights = np.exp(log_pv)
-    exact_neg = weights @ positive_statistics(model, vs)
-    grad = positive_statistics(model, x)[0] - exact_neg
+    exact_neg = weights @ dense_positive_statistics(model, vs)
+    grad = dense_positive_statistics(model, x)[0] - exact_neg
 
     vec = flatten_parameters(model)
     rng = np.random.default_rng(2)
@@ -286,10 +287,10 @@ def test_negative_statistic_ignores_the_batch():
     )
     batch_a = np.array([[1, 1, 0, 0, 1]], dtype=np.uint8)
     batch_b = np.array([[0, 0, 1, 1, 0], [1, 0, 1, 0, 1]], dtype=np.uint8)
-    neg_a = positive_statistics(model, batch_a) - _rows(
+    neg_a = dense_positive_statistics(model, batch_a) - _rows(
         pcd_per_example_gradients(model, batch_a, chains_a)
     )
-    neg_b = positive_statistics(model, batch_b) - _rows(
+    neg_b = dense_positive_statistics(model, batch_b) - _rows(
         pcd_per_example_gradients(model, batch_b, chains_b)
     )
     assert_allclose(neg_a[0], neg_b[0], atol=1e-12)
@@ -313,7 +314,7 @@ def test_empty_batch_is_a_no_op():
 
 def _dense_oracle(model, records, chain_states):
     """Materialized (B, P) gradients: positive(x) minus the chain mean."""
-    return positive_statistics(model, records) - positive_statistics(
+    return dense_positive_statistics(model, records) - dense_positive_statistics(
         model, chain_states
     ).mean(axis=0)
 
@@ -341,7 +342,7 @@ def test_factored_gradients_match_dense_oracle(m, n):
 
         assert_allclose(
             negative_statistic(model, chains),
-            positive_statistics(model, chains.states).mean(axis=0),
+            dense_positive_statistics(model, chains.states).mean(axis=0),
             rtol=1e-10, err_msg=name,
         )
         assert_allclose(
@@ -363,7 +364,7 @@ def test_negative_statistic_is_weighted_chain_sum():
     w = np.random.default_rng(4).uniform(-1.0, 1.0, size=9)
     assert_allclose(
         positive_statistics(model, states, w),
-        w @ positive_statistics(model, states),
+        w @ dense_positive_statistics(model, states),
         rtol=1e-12,
     )
 
