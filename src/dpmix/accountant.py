@@ -78,8 +78,8 @@ class PrivacyConfig:
 
     def __post_init__(self):
         for name in ("sigma_c", "sigma_k", "sigma_g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0; zero noise has no finite epsilon")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
         if self.t_kmeans < 0 or self.t_sgd < 0:
@@ -166,11 +166,6 @@ def _log_simpson(log_f1: np.ndarray, log_f2: np.ndarray, width: float) -> tuple[
     n_intervals = log_f1.size - 1
     weights = _simpson_pattern(n_intervals) * (width / n_intervals / 3.0)
     return _logsumexp(log_f1, weights), _logsumexp(log_f2, weights)
-
-
-def _log_e1_e2(lam: float, sigma: float, q: float, n_intervals: int) -> tuple[float, float]:
-    """Composite-Simpson estimates of log E1 and log E2 on the n-interval grid."""
-    return _log_simpson(*_log_integrands(lam, sigma, q, n_intervals))
 
 
 def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:

@@ -207,6 +207,9 @@ def resolve_options(args: argparse.Namespace) -> dict:
         value = flag if flag is not None else file_values.get(name, _OPTIONS[name].default)
         if value is REQUIRED:
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+        # float() and json.load accept nan, which passes range checks like x <= 0
+        if _OPTIONS[name].kind is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
         resolved[name] = value
     if resolved["workers"] < 1:
         raise ConfigError("--workers must be >= 1")
@@ -273,9 +276,6 @@ def _json_dumps(payload: dict) -> str:
 
 
 def cmd_accountant(opts: dict, out: _Outputs) -> int:
-    for name in ("sigma_c", "sigma_k", "sigma_g"):
-        if opts[name] is not None and opts[name] <= 0:
-            raise ConfigError(f"the accountant needs {name} > 0; zero noise has no finite epsilon")
     if opts["epochs"] < 1:
         raise ConfigError("--epochs must be >= 1")
     delta = opts["delta"]
@@ -287,9 +287,9 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         delta = 1.0 / opts["data_size"]
     try:
         cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
+        schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
     print("epoch,t_sgd,epsilon,lambda")
     for row in schedule:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
@@ -327,6 +327,8 @@ def _load_init_centers(path, k: int, d: int) -> np.ndarray:
         raise DataError(f"malformed init centers file: {exc}")
     if centers.shape != (k, d):
         raise DataError(f"init centers must be ({k}, {d}), got {centers.shape}")
+    if not np.isfinite(centers).all():
+        raise DataError("init centers must be finite numbers")
     return centers
 
 

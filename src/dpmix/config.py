@@ -43,21 +43,21 @@ class TrainConfig:
     init_centers: np.ndarray | None = None
 
     def __post_init__(self):
-        """Check every field, so a bad value fails before any stage runs."""
+        """Check every field, so a bad value (NaN too) fails before any stage runs."""
         counts = ("k", "batch_size", "t_kmeans", "d", "n_hidden", "pcd_sweeps", "bins",
                   "lambda_max", "chain_count")
         for name in counts:
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and not value >= 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
         for name in ("gamma", "c_max"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if min(self.sigma_c, self.sigma_k, self.sigma_g) < 0:
+        if not all(s >= 0 for s in (self.sigma_c, self.sigma_k, self.sigma_g)):
             raise ConfigError("noise scales must be >= 0 (0 only in unsafe test mode)")

@@ -24,7 +24,7 @@ from . import rbm
 from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import BinaryDataset, make_dataset, subset
-from .dpsgd import SgdConfig, StepInfo, dp_sgd_step
+from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError, StageError
 from .kmeans import Clustering, dp_kernel_kmeans
 from .rff import FeatureMap, feature_map_from_seed
@@ -148,28 +148,14 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
         for i in range(cfg.k)
     ]
 
-    sgd_cfg = SgdConfig(
-        sigma_c=cfg.sigma_c,
-        sigma_g=cfg.sigma_g,
-        batch_size=cfg.batch_size,
-        eta=cfg.eta,
-        c_max=cfg.c_max,
-        bins=cfg.bins,
-    )
     selection_rng = child_rng(master_seed, "selection")
     sample_rng = child_rng(master_seed, "sgd-sampling")
     noise_rng = child_rng(master_seed, "sgd-noise")
 
-    def make_grad_fn(idx: int):
-        def grad_fn(batch):
-            ascent = rbm.pcd_per_example_gradients(
-                models[idx], batch, chains[idx], cfg.pcd_sweeps
-            )
-            return -ascent  # descent on the negative log-likelihood
+    def grad_fn(batch):
+        # descent on the negative log-likelihood of the current step's cluster s
+        return -rbm.pcd_per_example_gradients(models[s], batch, chains[s], cfg.pcd_sweeps)
 
-        return grad_fn
-
-    grad_fns = [make_grad_fn(i) for i in range(cfg.k)]
     prev_clip: list[float | None] = [None] * cfg.k
     steps: list[StepLog] = []
     try:
@@ -178,9 +164,9 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
             params = rbm.flatten_parameters(models[s])
             new_params, info = dp_sgd_step(
                 params,
-                grad_fns[s],
+                grad_fn,
                 clusters[s],
-                sgd_cfg,
+                cfg,
                 sample_rng,
                 noise_rng,
                 prev_clip=prev_clip[s],
@@ -345,6 +331,8 @@ def load_model(path) -> MixtureModel:
     """Read a model written by save_model; DataError if its shapes disagree."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise DataError("malformed model: the file does not hold a JSON object")
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {payload.get('version')!r}")
     m, k = payload["m"], payload["k"]
@@ -369,6 +357,8 @@ def load_model(path) -> MixtureModel:
     _check_shape("centers", centers, (k, payload["d"]))
     fmap = feature_map_from_seed(m, payload["d"], payload["gamma"], payload["feature_map_seed"])
     priv = payload["privacy"]
+    if not isinstance(priv, dict):
+        raise DataError("malformed model: privacy is not a JSON object")
     privacy = None
     epsilon = math.inf
     argmin_lambda = None

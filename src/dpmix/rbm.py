@@ -102,12 +102,6 @@ def conditional_hidden(model: RbmModel, v: np.ndarray) -> np.ndarray:
     return _logistic(model.hidden_bias + v @ model.weights.T)
 
 
-def conditional_visible(model: RbmModel, h: np.ndarray) -> np.ndarray:
-    """p(v_j = 1 | h) for one state (1-D) or a stack (2-D)."""
-    h = np.asarray(h, dtype=np.float64)
-    return _logistic(model.visible_bias + h @ model.weights)
-
-
 def flatten_parameters(model: RbmModel) -> np.ndarray:
     """Parameter vector in declared order: W row-major, then b, then c."""
     return np.concatenate(

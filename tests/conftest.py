@@ -1,10 +1,12 @@
-"""Shared fixtures: synthetic block-structured Bernoulli mixture corpora."""
+"""Shared fixtures: synthetic block-structured Bernoulli mixture corpora,
+dense references for the factored RBM gradients, and DP-SGD step helpers."""
 from __future__ import annotations
 
 import numpy as np
 
+from dpmix.config import TrainConfig
 from dpmix.data import make_dataset
-from dpmix.rbm import conditional_hidden
+from dpmix.rbm import RbmModel, _logistic, conditional_hidden
 
 
 def mixture_corpus(
@@ -52,3 +54,31 @@ def dense_positive_statistics(model, records):
     p_h = conditional_hidden(model, x)
     grad_w = np.einsum("bi,bj->bij", p_h, x).reshape(x.shape[0], -1)
     return np.concatenate([grad_w, x, p_h], axis=1)
+
+
+def conditional_visible(model: RbmModel, h) -> np.ndarray:
+    """p(v_j = 1 | h) for one state (1-D) or a stack (2-D)."""
+    h = np.asarray(h, dtype=np.float64)
+    return _logistic(model.visible_bias + h @ model.weights)
+
+
+class DenseGradients:
+    """A plain (B, P) gradient array in the factored interface ``dp_sgd_step`` reads."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.shape = self.rows.shape
+
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.rows, axis=1)
+
+    def clipped_sum(self, scales) -> np.ndarray:
+        return np.asarray(scales, dtype=np.float64) @ self.rows
+
+
+def step_config(sigma_c, sigma_g, batch_size, eta, **kw) -> TrainConfig:
+    """TrainConfig for a direct ``dp_sgd_step`` call; fields a step does not read are fixed."""
+    return TrainConfig(
+        k=1, epochs=1, batch_size=batch_size, sigma_c=sigma_c, sigma_k=1.0,
+        sigma_g=sigma_g, eta=eta, **kw,
+    )

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import dense_positive_statistics, kernel_rbf, mixture_corpus
+from conftest import (
+    DenseGradients,
+    dense_positive_statistics,
+    kernel_rbf,
+    mixture_corpus,
+    step_config,
+)
 from dpmix import rbm
 from dpmix.accountant import (
     PrivacyConfig,
@@ -22,7 +28,7 @@ from dpmix.accountant import (
 from dpmix.cli import main
 from dpmix.data import make_dataset, write_records
 from dpmix.dpnorm import dp_norm
-from dpmix.dpsgd import SgdConfig, dp_sgd_step
+from dpmix.dpsgd import dp_sgd_step
 from dpmix.evaluation import (
     clustering_accuracy,
     evaluate_workload,
@@ -169,12 +175,12 @@ def test_criterion_07_noise_free_degeneracies():
     n, p = 20, 4
     targets = np.random.default_rng(5).normal(0, 0.004, size=(n, p))
     cluster = make_dataset(np.eye(n, 6, dtype=int).astype(np.uint8) | 1)
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.25)
+    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.25)
     theta = np.full(p, 0.01)
     ok_b = True
     for _ in range(4):
         def grad_fn(batch):
-            return theta[None, :] - targets[batch.indices]
+            return DenseGradients(theta[None, :] - targets[batch.indices])
         new_theta, _ = dp_sgd_step(
             theta, grad_fn, cluster, cfg,
             sample_rng=np.random.default_rng(0),

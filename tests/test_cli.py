@@ -100,9 +100,10 @@ def test_accountant_rejects_zero_sigma_even_unsafe(capsys):
 
 @pytest.mark.parametrize("args,message", [
     (ACCT_ARGS + ["--q", "2"], "q must be in [0, 1]"),
+    (ACCT_ARGS + ["--q", "0"], "q must be in (0, 1]"),  # no epoch length
     (ACCT_ARGS + ["--lambda-max", "0"], "lambda_max must be >= 1"),
     (ACCT_ARGS[:-2] + ["--data-size", "0"], "--data-size must be >= 1"),  # no --delta
-], ids=["q", "lambda_max", "data_size"])
+], ids=["q", "q-zero", "lambda_max", "data_size"])
 def test_accountant_rejects_out_of_range_values(capsys, args, message):
     assert main(args + ["--epochs", "1"]) == 2
     err = capsys.readouterr().err
@@ -325,6 +326,34 @@ def test_config_values_must_have_the_option_type(tmp_path, corpus_files, capsys,
     assert err.startswith("usage error:") and key in err
     assert len(err.strip().splitlines()) == 1
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("source", ["train-flag", "accountant-flag", "config-file", "centers-file"])
+def test_non_finite_numbers_are_rejected(tmp_path, corpus_files, capsys, source):
+    # NaN passes any range check written as x <= 0, so it is refused up front
+    _, data_path, _ = corpus_files
+    artifact = tmp_path / "out.json"
+    if source == "train-flag":
+        args, code, message = _train_args(data_path, artifact, gamma="nan"), 2, "--gamma"
+    elif source == "accountant-flag":
+        args = ACCT_ARGS + ["--sigma-g", "nan", "--epochs", "1", "--output", str(artifact)]
+        code, message = 2, "--sigma-g"
+    elif source == "config-file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": math.nan}))  # written as the JSON extension NaN
+        args, code, message = _train_args(data_path, artifact) + ["--config", str(cfg)], 2, "--eta"
+    else:
+        centers = tmp_path / "centers.csv"
+        centers.write_text("0.1,0.2,0.3\nnan,0.5,0.6\n")
+        args = ["cluster", "--data", data_path, "--k", "2", "--d", "3", "--sigma-c", "4",
+                "--sigma-k", "40", "--init-centers", str(centers), "--output", str(artifact)]
+        code, message = 3, "init centers must be finite"
+    before = sorted(tmp_path.iterdir())
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:" if code == 2 else "data error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsys):
@@ -566,6 +595,12 @@ def test_generate_validation_and_malformed_model(tmp_path, capsys):
     ok = ["--count", "5", "--output", str(tmp_path / "x.txt")]
     assert main(["generate", "--model", str(bad_model)] + ok) == 3
     assert main(["generate", "--model", "/nonexistent.json"] + ok) == 3
+    bad_model.write_text("[]")
+    capsys.readouterr()
+    assert main(["generate", "--model", str(bad_model)] + ok) == 3
+    assert capsys.readouterr().err == (
+        "data error: malformed model: the file does not hold a JSON object\n"
+    )
     assert main([
         "generate", "--model", str(bad_model), "--count", "0",
         "--output", str(tmp_path / "x.txt"),
@@ -608,9 +643,13 @@ def _narrow_centers(payload):
         row.pop()
 
 
+def _null_privacy(payload):
+    payload["privacy"] = None
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm,
-    _narrow_centers,
+    _narrow_centers, _null_privacy,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsys, corrupt):
     payload = json.loads(json.dumps(trained_model))

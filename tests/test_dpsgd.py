@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import dense_positive_statistics
+from conftest import DenseGradients, dense_positive_statistics, step_config
 from dpmix import rbm
 from dpmix.data import make_dataset, sample_batch
 from dpmix.dpnorm import clip_scales, dp_norm
-from dpmix.dpsgd import SgdConfig, dp_sgd_step
+from dpmix.dpsgd import dp_sgd_step
+from dpmix.errors import ConfigError
 
 
 def _toy_cluster(n, m, seed):
@@ -35,14 +36,14 @@ def test_clip_worked_examples():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=0, eta=0.1)
-    with pytest.raises(ValueError):
-        SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=5, eta=-0.1)
-    with pytest.raises(ValueError):
-        SgdConfig(sigma_c=-1.0, sigma_g=1.0, batch_size=5, eta=0.1)
+    with pytest.raises(ConfigError):
+        step_config(sigma_c=1.0, sigma_g=1.0, batch_size=0, eta=0.1)
+    with pytest.raises(ConfigError):
+        step_config(sigma_c=1.0, sigma_g=1.0, batch_size=5, eta=-0.1)
+    with pytest.raises(ConfigError):
+        step_config(sigma_c=-1.0, sigma_g=1.0, batch_size=5, eta=0.1)
     # eta = 0 is allowed: the step still consumes randomness but never moves
-    SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=5, eta=0.0)
+    step_config(sigma_c=1.0, sigma_g=1.0, batch_size=5, eta=0.0)
 
 
 def test_zero_noise_full_batch_equals_plain_gradient_descent():
@@ -54,12 +55,12 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
     # adaptive bound never bites and the update is the exact mean gradient
     targets = rng.normal(0, 0.003, size=(n, p))
     cluster = _toy_cluster(n, 4, seed=1)
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.3)
+    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.3)
 
     theta = np.full(p, 0.01)
 
     def grad_fn(batch):
-        return theta[None, :] - targets[batch.indices]
+        return DenseGradients(theta[None, :] - targets[batch.indices])
 
     for _ in range(5):
         new_theta, info = dp_sgd_step(
@@ -76,11 +77,11 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
 
 def test_zero_eta_never_moves():
     cluster = _toy_cluster(10, 4, seed=2)
-    cfg = SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=10, eta=0.0)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=10, eta=0.0)
     theta = np.arange(5, dtype=np.float64)
 
     def grad_fn(batch):
-        return np.ones((len(batch), 5))
+        return DenseGradients(np.ones((len(batch), 5)))
 
     new_theta, _ = dp_sgd_step(
         theta, grad_fn, cluster, cfg,
@@ -94,13 +95,13 @@ def test_clip_bound_matches_standalone_selection():
     # the bound chosen inside the step equals dp_norm run on the same
     # gradients with a cloned noise stream
     cluster = _toy_cluster(40, 6, seed=9)
-    cfg = SgdConfig(sigma_c=2.0, sigma_g=1.0, batch_size=40, eta=0.1)
+    cfg = step_config(sigma_c=2.0, sigma_g=1.0, batch_size=40, eta=0.1)
     theta = np.zeros(6)
     rng_grad = np.random.default_rng(12)
     per_example = rng_grad.normal(0, 1.2, size=(40, 6))
 
     def grad_fn(batch):
-        return per_example[batch.indices]
+        return DenseGradients(per_example[batch.indices])
 
     _, info = dp_sgd_step(
         theta, grad_fn, cluster, cfg,
@@ -120,11 +121,11 @@ def test_noise_is_centered_and_scaled():
     # std sqrt(2) sigma_g c_s / L; check mean and std over many trials
     cluster = _toy_cluster(8, 3, seed=4)
     sigma_g, L = 2.0, 8
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=sigma_g, batch_size=L, eta=1.0)
+    cfg = step_config(sigma_c=0.0, sigma_g=sigma_g, batch_size=L, eta=1.0)
     theta = np.zeros(4)
 
     def grad_fn(batch):
-        return np.zeros((len(batch), 4))
+        return DenseGradients(np.zeros((len(batch), 4)))
 
     noise_rng = np.random.default_rng(2024)
     draws = []
@@ -150,10 +151,10 @@ def test_divisor_is_expected_batch_size_not_realized():
     theta = np.zeros(2)
 
     def grad_fn(batch):
-        return np.tile([1.0, 0.0], (len(batch), 1))
+        return DenseGradients(np.tile([1.0, 0.0], (len(batch), 1)))
 
     for L in (40, 80):
-        cfg = SgdConfig(sigma_c=0.0, sigma_g=0.0, batch_size=L, eta=1.0)
+        cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=L, eta=1.0)
         new_theta, info = dp_sgd_step(
             theta, grad_fn, cluster, cfg,
             sample_rng=np.random.default_rng(21), noise_rng=np.random.default_rng(0),
@@ -165,7 +166,7 @@ def test_divisor_is_expected_batch_size_not_realized():
 
 def test_empty_batch_releases_pure_noise_at_prev_clip():
     cluster = _toy_cluster(50, 3, seed=8)
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=3.0, batch_size=1, eta=1.0)
+    cfg = step_config(sigma_c=0.0, sigma_g=3.0, batch_size=1, eta=1.0)
     theta = np.zeros(6)
 
     # find a seed whose Poisson draw at q = 1/50 selects nobody
@@ -202,13 +203,13 @@ def test_empty_batch_releases_pure_noise_at_prev_clip():
 
 def test_oversized_batch_clamps_sampling_probability():
     cluster = _toy_cluster(5, 3, seed=3)
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=0.0, batch_size=20, eta=0.5)
+    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=20, eta=0.5)
     theta = np.zeros(3)
     calls = []
 
     def grad_fn(batch):
         calls.append(len(batch))
-        return np.zeros((len(batch), 3))
+        return DenseGradients(np.zeros((len(batch), 3)))
 
     dp_sgd_step(
         theta, grad_fn, cluster, cfg,
@@ -221,13 +222,13 @@ def test_released_sum_respects_clip_bound():
     # adversarial gradients with huge norms: with sigma_g = 0 the update
     # norm is capped by |S| * c_s / L regardless of raw magnitudes
     cluster = _toy_cluster(30, 4, seed=14)
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=0.0, batch_size=30, eta=1.0)
+    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=30, eta=1.0)
     theta = np.zeros(5)
     rng = np.random.default_rng(0)
     raw = rng.normal(0, 200.0, size=(30, 5))
 
     def grad_fn(batch):
-        return raw[batch.indices]
+        return DenseGradients(raw[batch.indices])
 
     new_theta, info = dp_sgd_step(
         theta, grad_fn, cluster, cfg,
@@ -240,10 +241,10 @@ def test_released_sum_respects_clip_bound():
 
 def test_gradient_shape_mismatch_is_rejected():
     cluster = _toy_cluster(6, 3, seed=0)
-    cfg = SgdConfig(sigma_c=0.0, sigma_g=0.0, batch_size=6, eta=0.1)
+    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=6, eta=0.1)
 
     def bad_fn(batch):
-        return np.zeros((len(batch), 7))
+        return DenseGradients(np.zeros((len(batch), 7)))
 
     with pytest.raises(ValueError):
         dp_sgd_step(
@@ -266,11 +267,11 @@ def _rbm_step_inputs(m, n_hidden, records, seed):
 
 
 def test_factored_and_dense_gradients_give_the_same_step():
-    # one RBM step fed the factored object, then a plain (B, P) array built
-    # from the materialized statistics: same parameters, same stream states
+    # one RBM step fed the factored object, then the (B, P) array built from
+    # the materialized statistics: same parameters, same stream states
     model, chains, cluster = _rbm_step_inputs(50, 32, 40, seed=3)
     dense_chains = copy.deepcopy(chains)
-    cfg = SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1, c_max=20.0, bins=40)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1, c_max=20.0, bins=40)
     params = rbm.flatten_parameters(model)
 
     def factored_fn(batch):
@@ -279,7 +280,7 @@ def test_factored_and_dense_gradients_give_the_same_step():
     def dense_fn(batch):
         rbm.advance_chains(model, dense_chains, 1)
         neg = dense_positive_statistics(model, dense_chains.states).mean(axis=0)
-        return neg - dense_positive_statistics(model, batch.records)
+        return DenseGradients(neg - dense_positive_statistics(model, batch.records))
 
     results = []
     for fn in (factored_fn, dense_fn):
@@ -300,7 +301,7 @@ def test_rbm_step_memory_stays_below_the_gradient_matrix():
     # MNIST-shaped step: m = 784, n_hidden = 200, B = 100.  The (B, P)
     # gradient matrix alone would be B * P * 8 = 126 MB.
     model, chains, cluster = _rbm_step_inputs(784, 200, 100, seed=5)
-    cfg = SgdConfig(sigma_c=1.0, sigma_g=1.0, batch_size=100, eta=0.01)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=100, eta=0.01)
     params = rbm.flatten_parameters(model)
 
     def grad_fn(batch):

@@ -12,7 +12,7 @@ from conftest import mixture_corpus
 from dpmix import mixture, rbm
 from dpmix.accountant import epsilon_for_delta
 from dpmix.data import subset
-from dpmix.dpsgd import SgdConfig, dp_sgd_step
+from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import dp_kernel_kmeans
 from dpmix.mixture import (
@@ -83,7 +83,6 @@ def test_training_replays_from_named_streams():
     selection = child_rng(seed, "selection")
     sample_rng = child_rng(seed, "sgd-sampling")
     noise_rng = child_rng(seed, "sgd-noise")
-    sgd_cfg = SgdConfig(sigma_c=4.0, sigma_g=1.0, batch_size=30, eta=0.05)
 
     def grad_fn(batch):
         return -rbm.pcd_per_example_gradients(model, batch, chains, 1)
@@ -93,7 +92,7 @@ def test_training_replays_from_named_streams():
         assert int(selection.choice(1, p=[1.0])) == 0
         params = rbm.flatten_parameters(model)
         new_params, info = dp_sgd_step(
-            params, grad_fn, cluster, sgd_cfg, sample_rng, noise_rng,
+            params, grad_fn, cluster, cfg, sample_rng, noise_rng,
             prev_clip=prev,
         )
         rbm.set_flat_parameters(model, new_params)
@@ -170,6 +169,15 @@ def test_config_validation():
         TrainConfig(k=2, epochs=1, batch_size=5, sigma_c=-1, sigma_k=1, sigma_g=1)
     with pytest.raises(ConfigError):
         train(data, _tiny_config(batch_size=21), master_seed=0)
+
+
+@pytest.mark.parametrize("name", [
+    "epochs", "batch_size", "sigma_c", "sigma_k", "sigma_g", "gamma", "eta", "c_max", "delta",
+])
+def test_config_validation_rejects_nan(name):
+    # every range check is written so that NaN, which compares false both ways, fails it
+    with pytest.raises(ConfigError):
+        _tiny_config(**{name: math.nan})
 
 
 def test_generate_single_component():

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import expit, logsumexp
 
-from conftest import dense_positive_statistics
+from conftest import conditional_visible, dense_positive_statistics
 from dpmix.rbm import (
     FactoredGradients,
     PersistentChains,
@@ -17,7 +17,6 @@ from dpmix.rbm import (
     _logistic,
     advance_chains,
     conditional_hidden,
-    conditional_visible,
     flatten_parameters,
     init_model,
     negative_statistic,

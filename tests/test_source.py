@@ -1,0 +1,49 @@
+"""Source layout: every top-level function and class in src/ is used by src/.
+
+A helper that only the tests call belongs in the tests.  The check parses
+each module, collects the names it defines at top level, and looks for
+a reference to each name (a load, an attribute access or an import)
+anywhere in src/ outside the definition itself.  Docstrings and comments
+do not count.
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import dpmix
+
+SRC = Path(dpmix.__file__).parent
+# Entry points: the lazy public names of the package and the console script.
+EXEMPT = {*(f"{module}.{name}" for name, module in dpmix._PUBLIC.items()), "cli.main"}
+
+
+def _referenced_names(node):
+    """Every name that ``node``'s subtree uses, once per use."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _unreferenced_definitions():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    uses = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or f"{module}.{name}" in EXEMPT:
+                continue
+            # uses inside the definition itself (recursion) do not count
+            if uses[name] == Counter(_referenced_names(node))[name]:
+                unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+def test_every_top_level_definition_is_used_in_src():
+    assert _unreferenced_definitions() == []
