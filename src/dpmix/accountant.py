@@ -78,8 +78,9 @@ class PrivacyConfig:
 
     def __post_init__(self):
         for name in ("sigma_c", "sigma_k", "sigma_g"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be > 0; zero noise has no finite epsilon")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0; zero noise has no finite"
+                                 " epsilon")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
         if self.t_kmeans < 0 or self.t_sgd < 0:

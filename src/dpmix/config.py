@@ -7,6 +7,7 @@ error types: a command that trains nothing does not load ``mixture``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class TrainConfig:
     init_centers: np.ndarray | None = None
 
     def __post_init__(self):
-        """Check every field, so a bad value (NaN too) fails before any stage runs."""
+        """Check every field, so a bad value (NaN or inf too) fails before any stage runs."""
         counts = ("k", "batch_size", "t_kmeans", "d", "n_hidden", "pcd_sweeps", "bins",
                   "lambda_max", "chain_count")
         for name in counts:
@@ -52,12 +53,12 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if not self.epochs >= 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.eta >= 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
         for name in ("gamma", "c_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if not all(s >= 0 for s in (self.sigma_c, self.sigma_k, self.sigma_g)):
-            raise ConfigError("noise scales must be >= 0 (0 only in unsafe test mode)")
+        if not all(0 <= s < math.inf for s in (self.sigma_c, self.sigma_k, self.sigma_g)):
+            raise ConfigError("noise scales must be finite and >= 0 (0 only in unsafe test mode)")

@@ -6,9 +6,12 @@ iteration releases per-cluster noisy counts and noisy feature sums from
 which the next centers are formed.  Only noisy quantities leave the
 routine; the final assignment pass is against noisy centers.
 
-Assignment never builds the n x k x d difference (see
-``assign_to_centers``) and per-cluster sums add rows in index order, so
-both match the direct form and ``np.add.at`` bit for bit.
+Clustering holds one (n, d) float64 array, 8 * n * d bytes: the
+embedding, which is clipped in place.  Every other temporary holds at
+most ``BLOCK_ROWS`` rows of d values, or is n x k.  Assignment never
+builds the n x k x d difference (see ``assign_to_centers``) and
+per-cluster sums add rows in index order, so both match the direct form
+and ``np.add.at`` bit for bit.
 """
 from __future__ import annotations
 
@@ -19,6 +22,10 @@ import numpy as np
 from .data import BinaryDataset
 from .dpnorm import clip_scales, dp_norm
 from .rff import FeatureMap, embed
+
+# Rows per block of the clip norms, the per-cluster gather and the
+# near-tie recheck (which takes BLOCK_ROWS // k rows against all k centers).
+BLOCK_ROWS = 256
 
 # Fallback seed for center initialization when the caller supplies neither
 # centers nor an init stream.  Public: independent of the data.
@@ -48,10 +55,33 @@ class Clustering:
             raise ValueError("centers/sizes must have one row per cluster")
 
 
-def clip_features(features: np.ndarray, c_s: float) -> np.ndarray:
-    """Scale rows with norm above c_s back onto the c_s sphere."""
+def _row_norms(features: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(features, axis=1)``, BLOCK_ROWS rows at a time.
+
+    Each row's reduction does not depend on the other rows, so the norms
+    are bit for bit those of the one-call form.
+    """
+    norms = np.empty(len(features))
+    for start in range(0, len(features), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        norms[rows] = np.linalg.norm(features[rows], axis=1)
+    return norms
+
+
+def clip_features(
+    features: np.ndarray, c_s: float, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Scale rows with norm above c_s back onto the c_s sphere.
+
+    A float64 array is clipped in place and returned; other input is
+    cast to a new float64 array first.  ``norms`` holds the row norms of
+    ``features`` when the caller has them already.
+    """
     features = np.asarray(features, dtype=np.float64)
-    return features * clip_scales(np.linalg.norm(features, axis=1), c_s)[:, None]
+    if norms is None:
+        norms = _row_norms(features)
+    features *= clip_scales(norms, c_s)[:, None]
+    return features
 
 
 def assign_to_centers(
@@ -70,8 +100,9 @@ def assign_to_centers(
     tie, or a non-finite value) is recomputed in the direct form.  Each
     direct value is a sum over the contiguous last axis, so it does not
     depend on which rows are recomputed, and exact ties still go to the
-    lower index.  When every row is a near tie, as with duplicate
-    centers, the recheck costs what the direct form does.
+    lower index.  The recheck runs BLOCK_ROWS // k rows at a time, so
+    when every row is a near tie, as with duplicate centers, it costs the
+    direct form's time but not its n x k x d memory.
 
     ``f_sq`` holds the squared row norms of ``features``; a caller that
     assigns the same features to several sets of centers passes them in.
@@ -94,22 +125,38 @@ def assign_to_centers(
     bound = 4.0 * n_eps / (1.0 - n_eps) * (np.sqrt(f_sq) + np.sqrt(c_sq.max())) ** 2
     # written as "not above" so that NaN gaps and bounds are rechecked too
     near = np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > bound))
-    direct = ((features[near, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign[near] = np.argmin(direct, axis=1)
+    step = max(1, BLOCK_ROWS // len(centers))
+    for start in range(0, len(near), step):
+        rows = near[start:start + step]
+        direct = ((features[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign[rows] = np.argmin(direct, axis=1)
     return assign
 
 
 def _cluster_sums(clipped: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster row sums, adding each cluster's rows in index order.
 
-    An axis-0 sum adds rows one after another, as ``np.add.at`` does, so
-    the sums are bit-for-bit those of ``np.add.at``.  A single column is
-    the exception: numpy sums it pairwise, so it goes through ``bincount``,
-    which also adds in index order.
+    An axis-0 sum adds rows one after another, as ``np.add.at`` does.
+    Each cluster's rows are gathered BLOCK_ROWS - 1 at a time below a
+    first row that carries the running sum (zero at the start), so the
+    additions are the same left fold as ``np.add.at``, bit for bit.  A
+    single column is the exception: numpy sums it pairwise, so it goes
+    through ``bincount``, which also adds in index order.
     """
     if clipped.shape[1] == 1:
         return np.bincount(assign, weights=clipped[:, 0], minlength=k)[:, None]
-    return np.array([clipped[assign == i].sum(axis=0) for i in range(k)])
+    sums = np.zeros((k, clipped.shape[1]))
+    chunk = np.empty((min(BLOCK_ROWS, len(clipped) + 1), clipped.shape[1]))
+    step = len(chunk) - 1
+    for i in range(k):
+        members = np.flatnonzero(assign == i)
+        for start in range(0, len(members), step):
+            take = members[start:start + step]
+            rows = chunk[:len(take) + 1]
+            rows[0] = sums[i]
+            np.take(clipped, take, axis=0, out=rows[1:])
+            rows.sum(axis=0, out=sums[i])
+    return sums
 
 
 def default_initial_centers(
@@ -155,12 +202,13 @@ def dp_kernel_kmeans(
     if sigma_k < 0 or sigma_c < 0:
         raise ValueError("noise scales must be >= 0")
 
-    features = embed(fmap, dataset.records)
+    clipped = embed(fmap, dataset.records)
+    norms = _row_norms(clipped)
     if rbf_mode:
         c_s = 1.0
     else:
-        c_s = dp_norm(features, sigma_c, c_max=c_max, bins=bins, rng=rng)
-    clipped = clip_features(features, c_s)
+        c_s = dp_norm(norms, sigma_c, c_max=c_max, bins=bins, rng=rng)
+    clip_features(clipped, c_s, norms)  # in place: the embedding is the one (n, d) array
     f_sq = np.einsum("ij,ij->i", clipped, clipped)
 
     if init is not None:

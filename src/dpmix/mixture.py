@@ -7,8 +7,9 @@ recomputed from the exact iteration counts and noise scales that were
 executed.  Training still picks the cluster of each SGD step, and that
 cluster's sampling rate, from the true partition sizes.  Those choices
 depend on private data and the accountant does not charge them; keeping
-the sizes out of the model file does not make them free.  ROADMAP item 1
-tracks the fix.
+the sizes out of the model file does not make them free.  The ROADMAP
+item "Make DP-SGD run the mechanism the accountant charges" tracks the
+fix.
 """
 from __future__ import annotations
 

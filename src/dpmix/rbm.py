@@ -195,7 +195,8 @@ class PersistentChains:
     Batch records never enter the states, but a step whose batch is empty
     skips the chain advance (``pcd_per_example_gradients``), so the states
     depend on which batches were empty as well as on the parameter
-    history and the chain seed.  ROADMAP item 1 tracks the fix.
+    history and the chain seed.  The ROADMAP item "Make DP-SGD run the
+    mechanism the accountant charges" tracks the fix.
     """
 
     states: np.ndarray  # (count, m) uint8

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EMBED_BLOCK_ROWS = 2048
+EMBED_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,22 @@ def feature_map_from_seed(m: int, d: int, gamma: float, seed: int) -> FeatureMap
 def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Embed one record (1-D) or a stack of records (2-D, one per row).
 
-    Records are cast to float64 EMBED_BLOCK_ROWS at a time, so the only
-    full-size array is the (n, d) result.
+    Records are cast to float64 EMBED_BLOCK_ROWS at a time into one
+    reused buffer, so the only full-size array is the (n, d) result.
     """
     x = np.asarray(x)
     if x.shape[-1] != fmap.m:
         raise ValueError(f"record dimension {x.shape[-1]} does not match map m={fmap.m}")
     records = x.reshape(-1, fmap.m)
     out = np.empty((records.shape[0], fmap.d))
+    cast = np.empty((min(EMBED_BLOCK_ROWS, records.shape[0]), fmap.m))
     scale = np.sqrt(2.0 / fmap.d)
     for start in range(0, records.shape[0], EMBED_BLOCK_ROWS):
         rows = slice(start, start + EMBED_BLOCK_ROWS)
         block = out[rows]
-        np.matmul(np.asarray(records[rows], dtype=np.float64), fmap.w.T, out=block)
+        floats = cast[:len(block)]
+        floats[...] = records[rows]
+        np.matmul(floats, fmap.w.T, out=block)
         block += fmap.b
         np.cos(block, out=block)
         block *= scale

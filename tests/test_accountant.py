@@ -362,6 +362,12 @@ class TestEpsilonSearch:
 
 
 class TestPrivacyConfigValidation:
+    @pytest.mark.parametrize("name", ["sigma_c", "sigma_k", "sigma_g"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _cfg(**{name: value})
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             _cfg(sigma_g=0.0)

@@ -6,8 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import mixture_corpus
+from dpmix import kmeans
 from dpmix.data import make_dataset
+from dpmix.dpnorm import clip_scales, dp_norm
 from dpmix.kmeans import (
+    BLOCK_ROWS,
     _cluster_sums,
     assign_to_centers,
     clip_features,
@@ -36,6 +39,15 @@ def _lloyd_reference(clipped, init, iterations):
     return centers, assign_to_centers(clipped, centers)
 
 
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_clip_worked_examples():
     out = clip_features(np.array([[3.0, 4.0], [0.3, 0.4]]), 1.0)
     assert_allclose(out, [[0.6, 0.8], [0.3, 0.4]])
@@ -43,6 +55,60 @@ def test_clip_worked_examples():
     assert_allclose(clip_features(np.array([[1.0, 0.0]]), 1.0), [[1.0, 0.0]])
     with pytest.raises(ValueError):
         clip_features(np.ones((2, 2)), 0.0)
+
+
+def test_clip_is_in_place_for_float64_only():
+    rows = np.array([[3.0, 4.0], [0.3, 0.4]])
+    assert clip_features(rows, 1.0) is rows
+    assert_allclose(rows, [[0.6, 0.8], [0.3, 0.4]])
+    ints = np.array([[3, 4]])
+    assert_allclose(clip_features(ints, 1.0), [[0.6, 0.8]])
+    assert np.array_equal(ints, [[3, 4]])
+
+
+def _parent_clip(features, c_s):
+    """The one-call, out-of-place clip that the blockwise in-place form replaced."""
+    return features * clip_scales(np.linalg.norm(features, axis=1), c_s)[:, None]
+
+
+@pytest.mark.parametrize("rbf_mode", [True, False], ids=["rbf", "threshold-vote"])
+def test_clustering_clips_like_the_one_call_form(rbf_mode, monkeypatch):
+    # several norm blocks, rows on both sides of the bound, and in
+    # threshold-vote mode the same bound as a vote over the 2-D features
+    rng = np.random.default_rng(21)
+    data = mixture_corpus(3 * BLOCK_ROWS + 7, 30, 3, rng)
+    fmap = feature_map_from_seed(m=30, d=40, gamma=0.2, seed=8)
+    seen = []
+    real_clip = kmeans.clip_features
+    monkeypatch.setattr(kmeans, "clip_features",
+                        lambda *a, **kw: seen.append(real_clip(*a, **kw)) or seen[-1])
+    out = dp_kernel_kmeans(
+        data, fmap, k=3, iterations=1, sigma_c=1.0, sigma_k=1.0,
+        rng=np.random.default_rng(40), init_rng=np.random.default_rng(1),
+        rbf_mode=rbf_mode, c_max=2.0, bins=40,
+    )
+    features = embed(fmap, data.records)
+    if not rbf_mode:
+        want = dp_norm(features, 1.0, c_max=2.0, bins=40, rng=np.random.default_rng(40))
+        assert out.clip_bound == want
+    want = _parent_clip(features, out.clip_bound)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], want)
+    assert not np.array_equal(want, features)  # some rows were clipped
+
+
+@pytest.mark.parametrize("rbf_mode", [True, False], ids=["rbf", "threshold-vote"])
+def test_clustering_holds_one_feature_matrix(rbf_mode):
+    # the embedding is the only (n, d) array; every other temporary is
+    # BLOCK_ROWS rows or n x k
+    n, d = 20_000, 100
+    data = mixture_corpus(n, 20, 3, np.random.default_rng(9))
+    fmap = feature_map_from_seed(m=20, d=d, gamma=0.3, seed=4)
+    peak = _traced_peak(
+        dp_kernel_kmeans, data, fmap, k=3, iterations=2, sigma_c=1.0, sigma_k=1.0,
+        rng=np.random.default_rng(0), init_rng=np.random.default_rng(1), rbf_mode=rbf_mode,
+    )
+    assert peak < 1.3 * 8 * n * d
 
 
 def test_assignment_ties_take_lower_index():
@@ -102,25 +168,36 @@ def test_assignment_near_ties_match_direct_form():
     assert np.array_equal(assign_to_centers(features, centers, f_sq), got)
 
 
-def test_assignment_peak_memory_is_n_by_k():
-    # the direct form's n x k x d difference alone would be 320 MB here
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicate-centers"])
+def test_assignment_peak_memory_is_n_by_k(duplicates):
+    # the direct form's n x k x d difference alone would be 320 MB here;
+    # with duplicate centers every row is a near tie and is rechecked
     rng = np.random.default_rng(7)
     features = _unit_rows(rng, 20_000, 200)
     centers = 0.1 * rng.normal(size=(10, 200))
+    if duplicates:
+        centers[5:] = centers[:5]
     tracemalloc.start()
     try:
-        assign_to_centers(features, centers)
+        got = assign_to_centers(features, centers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+    assert np.array_equal(got[:500], _direct_assign(features[:500], centers))
+    if duplicates:
+        assert got.max() < 5
 
 
-@pytest.mark.parametrize("d", [1, 2, 200])
-def test_cluster_sums_match_add_at(d):
+@pytest.mark.parametrize("d,dominant", [(1, False), (2, False), (200, False), (2, True),
+                                       (200, True)])
+def test_cluster_sums_match_add_at(d, dominant):
     rng = np.random.default_rng(d)
     rows = rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))
     assign = rng.integers(0, 6, size=3000)
+    if dominant:  # one cluster spans many gather chunks
+        assign[rng.random(3000) < 0.95] = 2
+        assert (assign == 2).sum() > 8 * BLOCK_ROWS
     assign[assign == 4] = 5  # one empty cluster
     want = np.zeros((6, d))
     np.add.at(want, assign, rows)

@@ -180,6 +180,13 @@ def test_config_validation_rejects_nan(name):
         _tiny_config(**{name: math.nan})
 
 
+@pytest.mark.parametrize("name", ["sigma_c", "sigma_k", "sigma_g", "gamma", "eta", "c_max"])
+def test_config_validation_rejects_inf(name):
+    # an infinite step size or noise scale would only fail later, inside DP-SGD
+    with pytest.raises(ConfigError):
+        _tiny_config(**{name: math.inf})
+
+
 def test_generate_single_component():
     mix = _saturated_mixture([7.0], biases=[30.0])
     out = generate(mix, 25, np.random.default_rng(0), gibbs_steps=2)
