@@ -187,8 +187,12 @@ def dp_kernel_kmeans(
     sigma_k = 0 is a test-only mode that reproduces exact Lloyd
     iterations on the clipped features.  In rbf_mode the clip bound is
     the constant 1 and sigma_c is never used (no threshold selection).
-    Empty clusters are re-noised around their previous center instead of
-    being reseeded from data.
+
+    Every cluster releases its noisy count and noisy sum, the charged
+    Gaussian mechanisms; an empty cluster's sum is zero.  The next
+    center is decided from those released values only: a cluster whose
+    noisy count is below 1 keeps its previous center, any other gets its
+    noisy mean.  Nothing is reseeded from data.
     """
     n = len(dataset)
     if bins < 1:
@@ -231,12 +235,11 @@ def dp_kernel_kmeans(
         new_centers = np.empty_like(centers)
         for i in range(k):
             noisy_size = counts[i] + rng.normal(0.0, root2 * sigma_k)
-            center_noise = rng.normal(0.0, root2 * c_s * sigma_k, size=fmap.d)
-            divisor = max(noisy_size, 1.0)  # degenerate guard for tiny noisy counts
-            if counts[i] == 0:
-                new_centers[i] = centers[i] + center_noise / divisor
+            noisy_sum = sums[i] + rng.normal(0.0, root2 * c_s * sigma_k, size=fmap.d)
+            if noisy_size < 1:
+                new_centers[i] = centers[i]
             else:
-                new_centers[i] = (sums[i] + center_noise) / divisor
+                new_centers[i] = noisy_sum / noisy_size
             history[t, i] = noisy_size
         centers = new_centers
 

@@ -306,6 +306,37 @@ def test_empty_cluster_keeps_center_when_noiseless():
     assert np.all(out.assignments == 0)
 
 
+def test_released_noisy_sums_move_by_at_most_the_clip_bound():
+    # one iteration on D and on D plus a canary, with the same noise stream:
+    # the canary joins cluster 1, which is empty without it and whose
+    # previous center lies far outside the clip ball.  Wherever both noisy
+    # counts are at least 1, the released noisy sums (center times noisy
+    # count) may differ by at most C_s = 1, the sensitivity that
+    # alpha_kmeans charges.
+    fmap = feature_map_from_seed(m=8, d=16, gamma=0.5, seed=13)
+    a = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+    canary = 1 - a
+    phi = clip_features(embed(fmap, np.vstack([a, canary])), 1.0)
+    units = phi / np.linalg.norm(phi, axis=1)[:, None]
+    e = (units[1] - units[0]) / np.linalg.norm(units[1] - units[0])
+    init = np.vstack([-10.0 * e, 10.0 * e])  # a goes to center 0, the canary to 1
+    base = make_dataset(np.tile(a, (40, 1)))
+    plus = make_dataset(np.vstack([np.tile(a, (40, 1)), canary]))
+    compared = 0
+    for seed in range(40):
+        released = []
+        for data in (base, plus):
+            out = dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_c=1.0, sigma_k=2.0,
+                                   rng=np.random.default_rng(seed), init=init)
+            released.append((out.noisy_sizes, out.noisy_centers * out.noisy_sizes[:, None]))
+        (size0, sums0), (size1, sums1) = released
+        both = (size0 >= 1) & (size1 >= 1)
+        gaps = np.linalg.norm(sums0 - sums1, axis=1)[both]
+        assert np.all(gaps <= 1.0 + 1e-9), (seed, gaps)
+        compared += int(both[1])
+    assert compared >= 5  # the canary's cluster was compared often enough
+
+
 def test_single_record_change_touches_at_most_two_clusters():
     # the per-iteration release is (count, sum) per cluster; replacing one
     # record must change at most two clusters' aggregates, counts by at
