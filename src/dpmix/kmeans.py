@@ -68,19 +68,14 @@ def _row_norms(features: np.ndarray) -> np.ndarray:
     return norms
 
 
-def clip_features(
-    features: np.ndarray, c_s: float, norms: np.ndarray | None = None
-) -> np.ndarray:
+def clip_features(features: np.ndarray, c_s: float) -> np.ndarray:
     """Scale rows with norm above c_s back onto the c_s sphere.
 
     A float64 array is clipped in place and returned; other input is
-    cast to a new float64 array first.  ``norms`` holds the row norms of
-    ``features`` when the caller has them already.
+    cast to a new float64 array first.
     """
     features = np.asarray(features, dtype=np.float64)
-    if norms is None:
-        norms = _row_norms(features)
-    features *= clip_scales(norms, c_s)[:, None]
+    features *= clip_scales(_row_norms(features), c_s)[:, None]
     return features
 
 
@@ -207,12 +202,11 @@ def dp_kernel_kmeans(
         raise ValueError("noise scales must be >= 0")
 
     clipped = embed(fmap, dataset.records)
-    norms = _row_norms(clipped)
     if rbf_mode:
         c_s = 1.0
     else:
-        c_s = dp_norm(norms, sigma_c, c_max=c_max, bins=bins, rng=rng)
-    clip_features(clipped, c_s, norms)  # in place: the embedding is the one (n, d) array
+        c_s = dp_norm(_row_norms(clipped), sigma_c, c_max=c_max, bins=bins, rng=rng)
+    clip_features(clipped, c_s)  # in place: the embedding is the one (n, d) array
     f_sq = np.einsum("ij,ij->i", clipped, clipped)
 
     if init is not None:

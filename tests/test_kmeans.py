@@ -39,15 +39,6 @@ def _lloyd_reference(clipped, init, iterations):
     return centers, assign_to_centers(clipped, centers)
 
 
-def _traced_peak(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_clip_worked_examples():
     out = clip_features(np.array([[3.0, 4.0], [0.3, 0.4]]), 1.0)
     assert_allclose(out, [[0.6, 0.8], [0.3, 0.4]])
@@ -104,10 +95,14 @@ def test_clustering_holds_one_feature_matrix(rbf_mode):
     n, d = 20_000, 100
     data = mixture_corpus(n, 20, 3, np.random.default_rng(9))
     fmap = feature_map_from_seed(m=20, d=d, gamma=0.3, seed=4)
-    peak = _traced_peak(
-        dp_kernel_kmeans, data, fmap, k=3, iterations=2, sigma_c=1.0, sigma_k=1.0,
-        rng=np.random.default_rng(0), init_rng=np.random.default_rng(1), rbf_mode=rbf_mode,
-    )
+    tracemalloc.start()
+    try:
+        dp_kernel_kmeans(data, fmap, k=3, iterations=2, sigma_c=1.0, sigma_k=1.0,
+                         rng=np.random.default_rng(0), init_rng=np.random.default_rng(1),
+                         rbf_mode=rbf_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1.3 * 8 * n * d
 
 
@@ -168,40 +163,57 @@ def test_assignment_near_ties_match_direct_form():
     assert np.array_equal(assign_to_centers(features, centers, f_sq), got)
 
 
-@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicate-centers"])
-def test_assignment_peak_memory_is_n_by_k(duplicates):
-    # the direct form's n x k x d difference alone would be 320 MB here;
-    # with duplicate centers every row is a near tie and is rechecked
-    rng = np.random.default_rng(7)
-    features = _unit_rows(rng, 20_000, 200)
-    centers = 0.1 * rng.normal(size=(10, 200))
-    if duplicates:
-        centers[5:] = centers[:5]
+def _assign_with_peak(features, centers):
     tracemalloc.start()
     try:
         got = assign_to_centers(features, centers)
-        peak = tracemalloc.get_traced_memory()[1]
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_assignment_peak_memory_is_n_by_k():
+    # the direct form's n x k x d difference alone would be 320 MB here
+    rng = np.random.default_rng(7)
+    features = _unit_rows(rng, 20_000, 200)
+    centers = 0.1 * rng.normal(size=(10, 200))
+    assert _assign_with_peak(features, centers)[1] < 16e6
+
+
+def test_assignment_peak_memory_with_duplicate_centers():
+    # every row is a near tie and is rechecked in the direct form, in row blocks
+    rng = np.random.default_rng(7)
+    features = _unit_rows(rng, 20_000, 200)
+    centers = 0.1 * rng.normal(size=(10, 200))
+    centers[5:] = centers[:5]
+    got, peak = _assign_with_peak(features, centers)
     assert peak < 16e6
     assert np.array_equal(got[:500], _direct_assign(features[:500], centers))
-    if duplicates:
-        assert got.max() < 5
+    assert got.max() < 5
 
 
-@pytest.mark.parametrize("d,dominant", [(1, False), (2, False), (200, False), (2, True),
-                                       (200, True)])
-def test_cluster_sums_match_add_at(d, dominant):
+def _check_sums_match_add_at(rows, assign, k):
+    want = np.zeros((k, rows.shape[1]))
+    np.add.at(want, assign, rows)
+    assert np.array_equal(_cluster_sums(rows, assign, k), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 200])
+def test_cluster_sums_match_add_at(d):
     rng = np.random.default_rng(d)
     rows = rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))
     assign = rng.integers(0, 6, size=3000)
-    if dominant:  # one cluster spans many gather chunks
-        assign[rng.random(3000) < 0.95] = 2
-        assert (assign == 2).sum() > 8 * BLOCK_ROWS
     assign[assign == 4] = 5  # one empty cluster
-    want = np.zeros((6, d))
-    np.add.at(want, assign, rows)
-    assert np.array_equal(_cluster_sums(rows, assign, 6), want)
+    _check_sums_match_add_at(rows, assign, 6)
+
+
+@pytest.mark.parametrize("d", [2, 200])
+def test_cluster_sums_match_add_at_across_gather_chunks(d):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))
+    assign = np.where(rng.random(3000) < 0.95, 2, rng.integers(0, 6, size=3000))
+    assert (assign == 2).sum() > 8 * BLOCK_ROWS  # one cluster spans many chunks
+    _check_sums_match_add_at(rows, assign, 6)
 
 
 def test_default_centers_sit_on_clip_sphere():
