@@ -13,6 +13,7 @@ fix.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .kmeans import Clustering, dp_kernel_kmeans
 from .rff import FeatureMap, feature_map_from_seed
 from .streams import child_rng, child_seed
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 # Rows per independently seeded sampling chunk.  Fixed, so the output
 # does not depend on how many workers sample the chunks.
 GENERATION_CHUNK_ROWS = 1024
@@ -253,6 +254,13 @@ def _privacy_dict(mix: MixtureModel) -> dict:
 def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None:
     """Serialize to JSON.  The feature map is stored as seed plus shape.
 
+    Every float array is stored as ``{"dtype": "<f8", "shape": [...],
+    "base64": ...}``: the base64 of its little-endian float64 bytes in C
+    order, which is exact and less than half the size of one decimal
+    per value.  ``json`` encodes one array at a time through the
+    ``default`` hook, so only one array's text exists at once.  The
+    scalars, the privacy block and the config echo stay plain JSON.
+
     The file is written beside ``path`` and then renamed onto it, so a
     failed write leaves no partial model behind.
     """
@@ -282,7 +290,7 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _write_json(fh, payload)
+            json.dump(payload, fh, indent=1, default=_encode_array)
             fh.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
@@ -295,32 +303,46 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
             os.unlink(tmp)
 
 
-def _write_json(fh, value, indent: str = "") -> None:
-    """Write ``value`` as ``json.dump(value, fh, indent=1)`` writes it,
-    with numpy arrays as (nested) lists.
+def _encode_array(value) -> dict:
+    """``json``'s ``default`` hook: an ndarray as dtype, shape and base64."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    data = np.ascontiguousarray(value, dtype="<f8")
+    return {
+        "dtype": "<f8",
+        "shape": list(data.shape),
+        "base64": base64.b64encode(data).decode("ascii"),
+    }
 
-    The pure-Python encoder that ``indent`` selects is slow on long float
-    arrays, so each 1-D array is encoded by the C encoder on one line,
-    with the same float repr, and then broken into one number per line.
-    """
-    inner = indent + " "
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
-        flat = json.dumps(value.tolist())[1:-1].replace(", ", ",\n" + inner)
-        fh.write(f"[\n{inner}{flat}\n{indent}]")
-    elif isinstance(value, dict) and value:
-        for i, (key, item) in enumerate(value.items()):
-            fh.write(("," if i else "{") + f"\n{inner}{json.dumps(key)}: ")
-            _write_json(fh, item, inner)
-        fh.write(f"\n{indent}}}")
-    elif isinstance(value, (list, np.ndarray)) and len(value):
-        for i, item in enumerate(value):
-            fh.write(("," if i else "[") + f"\n{inner}")
-            _write_json(fh, item, inner)
-        fh.write(f"\n{indent}]")
+
+def _decode_array(what: str, value) -> np.ndarray:
+    """A stored float array: a list of numbers (version 1) or an object
+    written by ``_encode_array`` (version 2).  DataError unless every
+    value is finite."""
+    if isinstance(value, list):
+        array = np.array(value, dtype=np.float64)
+    elif isinstance(value, dict):
+        dtype = value.get("dtype")
+        if dtype != "<f8":
+            raise DataError(f"malformed model: {what} has dtype {dtype!r}, expected '<f8'")
+        shape = value.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"malformed model: {what} has shape {shape!r}")
+        try:
+            raw = base64.b64decode(value.get("base64"), validate=True)
+        except (TypeError, ValueError):
+            raise DataError(f"malformed model: {what} does not hold valid base64") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise DataError(
+                f"malformed model: {what} holds {len(raw)} bytes, "
+                f"expected 8 per value of shape {shape}"
+            )
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     else:
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        fh.write(json.dumps(value, indent=1).replace("\n", "\n" + indent))
+        raise DataError(f"malformed model: {what} is not an array")
+    if not np.isfinite(array).all():
+        raise DataError(f"malformed model: {what} holds a value that is not finite")
+    return array
 
 
 def _check_shape(what: str, array: np.ndarray, shape: tuple) -> None:
@@ -328,22 +350,37 @@ def _check_shape(what: str, array: np.ndarray, shape: tuple) -> None:
         raise DataError(f"malformed model: {what} has shape {array.shape}, expected {shape}")
 
 
+def _positive_int(payload: dict, name: str) -> int:
+    value = payload[name]
+    if type(value) is not int or value < 1:
+        raise DataError(f"malformed model: {name} is {value!r}, expected a positive integer")
+    return value
+
+
 def load_model(path) -> MixtureModel:
-    """Read a model written by save_model; DataError if its shapes disagree."""
+    """Read a model written by save_model, in format version 1 or 2.
+
+    Version 1 stored each float array as a list of decimals; released
+    models cannot be retrained without spending more privacy budget, so
+    those files still load, to the same bits.  DataError if the version
+    is unknown, an array is malformed or not finite, a shape disagrees,
+    a mixture weight is negative or m, k or d is not a positive integer.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise DataError("malformed model: the file does not hold a JSON object")
-    if payload.get("version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {payload.get('version')!r}")
-    m, k = payload["m"], payload["k"]
+    version = payload.get("version")
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+        raise DataError(f"unsupported model format version {version!r}")
+    m, k, d = (_positive_int(payload, name) for name in ("m", "k", "d"))
     models = [
         rbm.RbmModel(
-            weights=np.array(entry["weights"], dtype=np.float64),
-            visible_bias=np.array(entry["visible_bias"], dtype=np.float64),
-            hidden_bias=np.array(entry["hidden_bias"], dtype=np.float64),
+            weights=_decode_array(f"models[{i}].weights", entry["weights"]),
+            visible_bias=_decode_array(f"models[{i}].visible_bias", entry["visible_bias"]),
+            hidden_bias=_decode_array(f"models[{i}].hidden_bias", entry["hidden_bias"]),
         )
-        for entry in payload["models"]
+        for i, entry in enumerate(payload["models"])
     ]
     if len(models) != k:
         raise DataError(f"malformed model: {len(models)} RBMs for k = {k}")
@@ -352,11 +389,13 @@ def load_model(path) -> MixtureModel:
         _check_shape(f"models[{i}].weights", model.weights, (n_hidden, m))
         _check_shape(f"models[{i}].visible_bias", model.visible_bias, (m,))
         _check_shape(f"models[{i}].hidden_bias", model.hidden_bias, (n_hidden,))
-    weights = np.array(payload["weights"], dtype=np.float64)
+    weights = _decode_array("weights", payload["weights"])
     _check_shape("weights", weights, (k,))
-    centers = np.array(payload["centers"], dtype=np.float64)
-    _check_shape("centers", centers, (k, payload["d"]))
-    fmap = feature_map_from_seed(m, payload["d"], payload["gamma"], payload["feature_map_seed"])
+    if (weights < 0).any():
+        raise DataError("malformed model: a mixture weight is negative")
+    centers = _decode_array("centers", payload["centers"])
+    _check_shape("centers", centers, (k, d))
+    fmap = feature_map_from_seed(m, d, payload["gamma"], payload["feature_map_seed"])
     priv = payload["privacy"]
     if not isinstance(priv, dict):
         raise DataError("malformed model: privacy is not a JSON object")

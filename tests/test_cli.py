@@ -1,4 +1,5 @@
 """Command-line interface: precedence, exit codes, artifacts, determinism."""
+import base64
 import json
 import math
 import os
@@ -618,6 +619,38 @@ def trained_model(tmp_path_factory):
     return json.loads(model_path.read_text())
 
 
+def _array_slots(payload):
+    """(holder, key) of every float array in a model payload."""
+    yield payload, "centers"
+    yield payload, "weights"
+    for entry in payload["models"]:
+        for key in ("weights", "visible_bias", "hidden_bias"):
+            yield entry, key
+
+
+def _as_version_1(payload):
+    """A copy of a version-2 model payload with every array as a list."""
+    copy = json.loads(json.dumps(payload))
+    copy["version"] = 1
+    for holder, key in _array_slots(copy):
+        value = holder[key]
+        raw = base64.b64decode(value["base64"])
+        holder[key] = np.frombuffer(raw, "<f8").reshape(value["shape"]).tolist()
+    return copy
+
+
+def _as_version_2(payload):
+    """Turn a version-1 model payload into version 2 in place."""
+    payload["version"] = 2
+    for holder, key in _array_slots(payload):
+        array = np.array(holder[key], dtype="<f8")
+        holder[key] = {"dtype": "<f8", "shape": list(array.shape),
+                       "base64": base64.b64encode(array.tobytes()).decode("ascii")}
+    return payload
+
+
+# Corruptions of a payload in the version-1 layout (arrays as lists).
+
 def _truncate_hidden_bias(payload):
     payload["models"][0]["hidden_bias"].pop()
 
@@ -647,13 +680,57 @@ def _null_privacy(payload):
     payload["privacy"] = None
 
 
-@pytest.mark.parametrize("corrupt", [
+def _nan_rbm_weight(payload):
+    payload["models"][0]["weights"][0][0] = math.nan
+
+
+def _infinite_weight(payload):
+    payload["weights"][0] = math.inf
+
+
+def _negative_weight(payload):
+    payload["weights"][0] = -1.0
+
+
+def _float_k(payload):
+    payload["k"] = float(payload["k"])
+
+
+SHAPE_CORRUPTIONS = [
     _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm,
     _narrow_centers, _null_privacy,
-], ids=lambda f: f.__name__.strip("_"))
-def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsys, corrupt):
-    payload = json.loads(json.dumps(trained_model))
-    corrupt(payload)
+]
+VALUE_CORRUPTIONS = [_nan_rbm_weight, _infinite_weight, _negative_weight, _float_k]
+
+
+# Corruptions of the version-2 encoding itself.
+
+def _bad_base64(payload):
+    payload["weights"]["base64"] = "!" + payload["weights"]["base64"][1:]
+
+
+def _wrong_byte_count(payload):
+    payload["models"][0]["hidden_bias"]["shape"][0] -= 1
+
+
+def _float32_dtype(payload):
+    payload["centers"]["dtype"] = "<f4"
+
+
+def _float_shape(payload):
+    payload["weights"]["shape"] = [float(n) for n in payload["weights"]["shape"]]
+
+
+def _scalar_weights(payload):
+    payload["weights"] = 1.0
+
+
+ENCODING_CORRUPTIONS = [
+    _bad_base64, _wrong_byte_count, _float32_dtype, _float_shape, _scalar_weights,
+]
+
+
+def _assert_generate_rejects(tmp_path, capsys, payload):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(payload))
     out = tmp_path / "synth.txt"
@@ -663,6 +740,43 @@ def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsy
     assert err.startswith("data error: malformed model")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", SHAPE_CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsys, corrupt):
+    payload = _as_version_1(trained_model)
+    corrupt(payload)
+    _assert_generate_rejects(tmp_path, capsys, payload)
+
+
+@pytest.mark.parametrize("version,corrupt", [
+    *((1, f) for f in VALUE_CORRUPTIONS),
+    *((2, f) for f in SHAPE_CORRUPTIONS + VALUE_CORRUPTIONS + ENCODING_CORRUPTIONS),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else f"v{v}")
+def test_generate_rejects_malformed_model(tmp_path, trained_model, capsys, version, corrupt):
+    if corrupt in ENCODING_CORRUPTIONS:
+        payload = json.loads(json.dumps(trained_model))
+        corrupt(payload)
+    else:
+        payload = _as_version_1(trained_model)
+        corrupt(payload)
+        if version == 2:
+            payload = _as_version_2(payload)
+    _assert_generate_rejects(tmp_path, capsys, payload)
+
+
+def test_generate_writes_the_same_records_from_version_1_and_2(tmp_path, trained_model):
+    outputs = []
+    for version, payload in ((1, _as_version_1(trained_model)), (2, trained_model)):
+        model_path = tmp_path / f"model-v{version}.json"
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / f"synth-v{version}.txt"
+        assert main([
+            "generate", "--model", str(model_path), "--count", "300", "--seed", "3",
+            "--output", str(out),
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_missing_synthetic(tmp_path, corpus_files, capsys):

@@ -1,7 +1,9 @@
 """Training pipeline wiring, mixture sampling, and model serialization."""
+import base64
 import errno
 import json
 import math
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -305,27 +307,37 @@ def test_failed_save_leaves_no_partial_model(tmp_path, monkeypatch):
     assert path.read_text() == "earlier model\n"
 
 
-def _reference_model_json(mix, config_echo):
-    """The model file as json.dump(indent=1) wrote it from a payload of lists."""
+def _struct_base64(array):
+    """An array in the version-2 layout, packed value by value with struct."""
+    values = array.ravel().tolist()
+    raw = struct.pack(f"<{len(values)}d", *values)
+    return {"dtype": "<f8", "shape": list(array.shape),
+            "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _reference_model_json(mix, config_echo, version=1):
+    """The model file as json.dump(indent=1) writes it from a payload of
+    lists (version 1) or of struct-packed base64 objects (version 2)."""
+    encode = (lambda array: array.tolist()) if version == 1 else _struct_base64
     if mix.privacy is None:
         privacy = {"epsilon": None, "unsafe_no_privacy": True}
     else:
         privacy = {**asdict(mix.privacy), "epsilon": mix.epsilon,
                    "argmin_lambda": mix.argmin_lambda}
     payload = {
-        "version": 1,
+        "version": version,
         "m": mix.m,
         "k": mix.k,
         "d": mix.feature_map.d,
         "gamma": mix.feature_map.gamma,
         "feature_map_seed": mix.feature_map.seed,
-        "centers": mix.centers.tolist(),
-        "weights": mix.weights.tolist(),
+        "centers": encode(mix.centers),
+        "weights": encode(mix.weights),
         "models": [
             {
-                "weights": model.weights.tolist(),
-                "visible_bias": model.visible_bias.tolist(),
-                "hidden_bias": model.hidden_bias.tolist(),
+                "weights": encode(model.weights),
+                "visible_bias": encode(model.visible_bias),
+                "hidden_bias": encode(model.hidden_bias),
             }
             for model in mix.models
         ],
@@ -336,6 +348,27 @@ def _reference_model_json(mix, config_echo):
     return json.dumps(payload, indent=1) + "\n"
 
 
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_model(back, mix):
+    assert (back.m, back.k) == (mix.m, mix.k)
+    _assert_same_bits(back.weights, mix.weights)
+    _assert_same_bits(back.centers, mix.centers)
+    _assert_same_bits(back.feature_map.w, mix.feature_map.w)
+    assert len(back.models) == len(mix.models)
+    for got, want in zip(back.models, mix.models):
+        _assert_same_bits(got.weights, want.weights)
+        _assert_same_bits(got.visible_bias, want.visible_bias)
+        _assert_same_bits(got.hidden_bias, want.hidden_bias)
+    assert back.privacy == mix.privacy
+    assert back.epsilon == mix.epsilon
+    assert back.argmin_lambda == mix.argmin_lambda
+
+
 @pytest.mark.parametrize("config,echo", [
     (dict(k=2), {"command": "train", "k": 2, "tags": ["a", "\u00e9"], "nested": {},
                  "none": None, "lr": 0.05, "empty": []}),
@@ -343,11 +376,21 @@ def _reference_model_json(mix, config_echo):
     (dict(sigma_c=0.0), {"unsafe_no_privacy": True}),
 ], ids=["k2-echo", "k1", "unsafe"])
 def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
+    # every float array is a base64 object, not a list, since version 2
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     mix = train(data, _tiny_config(**config), master_seed=11).mixture
     path = tmp_path / "model.json"
     save_model(mix, path, config_echo=echo)
-    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
+    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo, version=2)
+
+
+@pytest.mark.parametrize("config", [dict(k=2), dict(sigma_c=0.0)], ids=["k2", "unsafe"])
+def test_version_1_file_loads_to_the_same_bits(tmp_path, config):
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(**config), master_seed=11).mixture
+    path = tmp_path / "v1.json"
+    path.write_text(_reference_model_json(mix, {"command": "train"}), encoding="utf-8")
+    _assert_same_model(load_model(path), mix)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -356,19 +399,8 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(result.mixture, path)
     back = load_model(path)
-
-    assert back.m == result.mixture.m
     assert back.k == 2
-    assert_allclose(back.weights, result.mixture.weights)
-    assert_allclose(back.centers, result.mixture.centers)
-    assert_allclose(back.feature_map.w, result.mixture.feature_map.w)
-    for got, want in zip(back.models, result.mixture.models):
-        assert_allclose(got.weights, want.weights)
-        assert_allclose(got.visible_bias, want.visible_bias)
-        assert_allclose(got.hidden_bias, want.hidden_bias)
-    assert back.privacy == result.mixture.privacy
-    assert back.epsilon == pytest.approx(result.mixture.epsilon)
-    assert back.argmin_lambda == result.mixture.argmin_lambda
+    _assert_same_model(back, result.mixture)
 
     # sampling from the reloaded model reproduces the original stream
     a = generate(result.mixture, 20, np.random.default_rng(8), gibbs_steps=3)
@@ -390,6 +422,7 @@ def test_save_load_unsafe_model(tmp_path):
 
 def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99}))
-    with pytest.raises(DataError):
-        load_model(path)
+    for version in (99, 0, None, True, 2.0, "2"):
+        path.write_text(json.dumps({"version": version}))
+        with pytest.raises(DataError, match="unsupported model format version"):
+            load_model(path)
