@@ -61,17 +61,6 @@ class BinaryDataset:
         return int(self.records.shape[0])
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A Poisson-subsampled view of a dataset."""
-
-    indices: np.ndarray
-    records: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.records.shape[0])
-
-
 def make_dataset(
     records: np.ndarray,
     labels: np.ndarray | None = None,
@@ -274,17 +263,12 @@ def with_labels(dataset: BinaryDataset, labels: np.ndarray) -> BinaryDataset:
     return replace(dataset, labels=lab)
 
 
-def subset(dataset: BinaryDataset, indices: np.ndarray) -> BinaryDataset:
-    """Dataset restricted to the given record indices (labels follow)."""
-    recs = dataset.records[indices]
-    lab = dataset.labels[indices] if dataset.labels is not None else None
-    return BinaryDataset(m=dataset.m, records=recs, labels=lab)
+def sample_batch(members: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson subsample of the row ids ``members``: each is kept with probability q.
 
-
-def sample_batch(dataset: BinaryDataset, q: float, rng: np.random.Generator) -> Batch:
-    """Poisson subsample: include each record independently with probability q."""
+    One ``rng.random(len(members))`` draw decides; the kept ids are
+    returned in their order in ``members``.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"sampling probability must be in [0, 1], got {q}")
-    mask = rng.random(len(dataset)) < q
-    idx = np.flatnonzero(mask)
-    return Batch(indices=idx, records=dataset.records[idx])
+    return members[rng.random(len(members)) < q]

@@ -1,10 +1,11 @@
 """One differentially private SGD step with adaptive clip-bound selection.
 
-Each step Poisson-samples a batch, asks the model for per-example loss
-gradients, selects a clip bound privately from the gradient norms of
-exactly that batch, clips, and releases the noisy sum divided by the
-constant expected batch size L (never the realized |S|, which would leak
-it).  The update is plain descent: theta - eta * noisy_mean_gradient.
+Each step Poisson-samples a batch of row ids from a cluster's members,
+asks the model for the per-example loss gradients of those dataset rows,
+selects a clip bound privately from the gradient norms of exactly that
+batch, clips, and releases the noisy sum divided by the constant
+expected batch size L (never the realized |S|, which would leak it).
+The update is plain descent: theta - eta * noisy_mean_gradient.
 Its options come from the validated TrainConfig, its gradients through
 the factored interface of rbm.FactoredGradients.
 """
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .config import TrainConfig
-from .data import Batch, BinaryDataset, sample_batch
+from .data import sample_batch
 from .dpnorm import clip_scales, dp_norm
 
 
@@ -34,17 +35,18 @@ class StepInfo:
 
 def dp_sgd_step(
     params: np.ndarray,
-    grad_fn: Callable[[Batch], object],
-    cluster: BinaryDataset,
+    grad_fn: Callable[[np.ndarray], object],
+    members: np.ndarray,
     cfg: TrainConfig,
     sample_rng: np.random.Generator,
     noise_rng: np.random.Generator,
     prev_clip: float | None = None,
 ) -> tuple[np.ndarray, StepInfo]:
-    """Run one step against ``cluster`` and return (new params, diagnostics).
+    """Run one step against the cluster ``members`` (row ids); return (params, info).
 
-    ``grad_fn`` maps a Batch to its |S| per-example descent gradients in
-    the factored interface of rbm.FactoredGradients: ``shape`` (|S|, P),
+    ``grad_fn`` maps the sampled ids (kept entries of ``members``, in
+    their order) to their |S| per-example descent gradients in the
+    factored interface of rbm.FactoredGradients: ``shape`` (|S|, P),
     ``norms()`` (the |S| row norms) and ``clipped_sum(scales)`` (the
     scaled row sum, a P-vector).  The clip bound is voted on the norms
     alone, so no (|S|, P) matrix has to exist.  Of ``cfg`` the step reads
@@ -58,11 +60,11 @@ def dp_sgd_step(
     pure noise at the previous clip bound (c_max / 2 before any non-empty
     batch was seen).
     """
-    if len(cluster) == 0:
+    if len(members) == 0:
         raise ValueError("cannot step against an empty cluster")
     params = np.asarray(params, dtype=np.float64)
-    q = min(1.0, cfg.batch_size / len(cluster))
-    batch = sample_batch(cluster, q, sample_rng)
+    q = min(1.0, cfg.batch_size / len(members))
+    batch = sample_batch(members, q, sample_rng)
 
     if len(batch) == 0:
         c_s = prev_clip if prev_clip is not None else cfg.c_max / 2.0

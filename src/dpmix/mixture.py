@@ -17,6 +17,7 @@ import base64
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import rbm
 from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
-from .data import BinaryDataset, make_dataset, subset
+from .data import BinaryDataset, make_dataset
 from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError, StageError
 from .kmeans import Clustering, dp_kernel_kmeans
@@ -132,12 +133,9 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     except ValueError as exc:
         raise StageError("clustering", str(exc)) from exc
 
-    # True partition: training-internal only, never released.
-    clusters = [
-        subset(dataset, np.flatnonzero(clustering.assignments == i))
-        for i in range(cfg.k)
-    ]
-    true_sizes = np.array([len(c) for c in clusters], dtype=np.float64)
+    # True partition, as row ids: training-internal only, never released.
+    members = [np.flatnonzero(clustering.assignments == i) for i in range(cfg.k)]
+    true_sizes = np.array([len(rows) for rows in members], dtype=np.float64)
     selection_probs = true_sizes / true_sizes.sum()
 
     init_rng = child_rng(master_seed, "model-init")
@@ -154,26 +152,27 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     sample_rng = child_rng(master_seed, "sgd-sampling")
     noise_rng = child_rng(master_seed, "sgd-noise")
 
-    def grad_fn(batch):
+    def grad_fn(rows):
         # descent on the negative log-likelihood of the current step's cluster s
-        return -rbm.pcd_per_example_gradients(models[s], batch, chains[s], cfg.pcd_sweeps)
+        return -rbm.pcd_per_example_gradients(
+            models[s], dataset.records[rows], chains[s], cfg.pcd_sweeps
+        )
 
     prev_clip: list[float | None] = [None] * cfg.k
     steps: list[StepLog] = []
     try:
         for t in range(t_sgd):
             s = int(selection_rng.choice(cfg.k, p=selection_probs))
-            params = rbm.flatten_parameters(models[s])
             new_params, info = dp_sgd_step(
-                params,
+                models[s].params,
                 grad_fn,
-                clusters[s],
+                members[s],
                 cfg,
                 sample_rng,
                 noise_rng,
                 prev_clip=prev_clip[s],
             )
-            rbm.set_flat_parameters(models[s], new_params)
+            models[s].params[:] = new_params
             prev_clip[s] = info.clip_bound
             steps.append(StepLog(step=t, cluster=s, info=info))
     except ValueError as exc:
@@ -318,7 +317,8 @@ def _encode_array(value) -> dict:
 def _decode_array(what: str, value) -> np.ndarray:
     """A stored float array: a list of numbers (version 1) or an object
     written by ``_encode_array`` (version 2).  DataError unless every
-    value is finite."""
+    value is finite.  A version-2 array is a read-only view of the
+    decoded bytes, not a copy."""
     if isinstance(value, list):
         array = np.array(value, dtype=np.float64)
     elif isinstance(value, dict):
@@ -337,7 +337,7 @@ def _decode_array(what: str, value) -> np.ndarray:
                 f"malformed model: {what} holds {len(raw)} bytes, "
                 f"expected 8 per value of shape {shape}"
             )
-        array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape)
     else:
         raise DataError(f"malformed model: {what} is not an array")
     if not np.isfinite(array).all():
@@ -350,11 +350,20 @@ def _check_shape(what: str, array: np.ndarray, shape: tuple) -> None:
         raise DataError(f"malformed model: {what} has shape {array.shape}, expected {shape}")
 
 
+def _malformed(name: str, value, expected: str) -> DataError:
+    return DataError(f"malformed model: {name} is {value!r}, expected {expected}")
+
+
 def _positive_int(payload: dict, name: str) -> int:
     value = payload[name]
     if type(value) is not int or value < 1:
-        raise DataError(f"malformed model: {name} is {value!r}, expected a positive integer")
+        raise _malformed(name, value, "a positive integer")
     return value
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is finite as a float64; bool is not a number here."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def load_model(path) -> MixtureModel:
@@ -362,9 +371,11 @@ def load_model(path) -> MixtureModel:
 
     Version 1 stored each float array as a list of decimals; released
     models cannot be retrained without spending more privacy budget, so
-    those files still load, to the same bits.  DataError if the version
-    is unknown, an array is malformed or not finite, a shape disagrees,
-    a mixture weight is negative or m, k or d is not a positive integer.
+    those files still load, to the same bits.  DataError if a key is
+    missing or a value is outside its domain: the version, an array
+    (malformed, not finite or of the wrong shape), a negative mixture
+    weight, m, k, d, gamma, feature_map_seed, or the privacy block's
+    epsilon and argmin_lambda.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -373,29 +384,42 @@ def load_model(path) -> MixtureModel:
     version = payload.get("version")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise DataError(f"unsupported model format version {version!r}")
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
+
+
+def _decode_rbm(what: str, entry: dict, m: int) -> rbm.RbmModel:
+    """One stored RBM; its decoded arrays are freed when the model has copied them."""
+    w, b, c = (
+        _decode_array(f"{what}.{key}", entry[key])
+        for key in ("weights", "visible_bias", "hidden_bias")
+    )
+    n_hidden = len(w)
+    _check_shape(f"{what}.weights", w, (n_hidden, m))
+    _check_shape(f"{what}.visible_bias", b, (m,))
+    _check_shape(f"{what}.hidden_bias", c, (n_hidden,))
+    return rbm.RbmModel(weights=w, visible_bias=b, hidden_bias=c)
+
+
+def _model_from_payload(payload: dict) -> MixtureModel:
     m, k, d = (_positive_int(payload, name) for name in ("m", "k", "d"))
-    models = [
-        rbm.RbmModel(
-            weights=_decode_array(f"models[{i}].weights", entry["weights"]),
-            visible_bias=_decode_array(f"models[{i}].visible_bias", entry["visible_bias"]),
-            hidden_bias=_decode_array(f"models[{i}].hidden_bias", entry["hidden_bias"]),
-        )
-        for i, entry in enumerate(payload["models"])
-    ]
-    if len(models) != k:
-        raise DataError(f"malformed model: {len(models)} RBMs for k = {k}")
-    for i, model in enumerate(models):
-        n_hidden = len(model.weights)
-        _check_shape(f"models[{i}].weights", model.weights, (n_hidden, m))
-        _check_shape(f"models[{i}].visible_bias", model.visible_bias, (m,))
-        _check_shape(f"models[{i}].hidden_bias", model.hidden_bias, (n_hidden,))
+    if len(payload["models"]) != k:
+        raise DataError(f"malformed model: {len(payload['models'])} RBMs for k = {k}")
+    models = [_decode_rbm(f"models[{i}]", entry, m) for i, entry in enumerate(payload["models"])]
     weights = _decode_array("weights", payload["weights"])
     _check_shape("weights", weights, (k,))
     if (weights < 0).any():
         raise DataError("malformed model: a mixture weight is negative")
     centers = _decode_array("centers", payload["centers"])
     _check_shape("centers", centers, (k, d))
-    fmap = feature_map_from_seed(m, d, payload["gamma"], payload["feature_map_seed"])
+    gamma, seed = payload["gamma"], payload["feature_map_seed"]
+    if not (_is_number(gamma) and gamma > 0):
+        raise _malformed("gamma", gamma, "a finite number > 0")
+    if type(seed) is not int or seed < 0:
+        raise _malformed("feature_map_seed", seed, "a non-negative integer")
+    fmap = feature_map_from_seed(m, d, gamma, seed)
     priv = payload["privacy"]
     if not isinstance(priv, dict):
         raise DataError("malformed model: privacy is not a JSON object")
@@ -403,9 +427,13 @@ def load_model(path) -> MixtureModel:
     epsilon = math.inf
     argmin_lambda = None
     if not priv.get("unsafe_no_privacy"):
-        epsilon = priv["epsilon"]
-        argmin_lambda = priv["argmin_lambda"]
         privacy = PrivacyConfig(**{f.name: priv[f.name] for f in fields(PrivacyConfig)})
+        epsilon, argmin_lambda = priv["epsilon"], priv["argmin_lambda"]
+        if not (_is_number(epsilon) and epsilon >= 0):
+            raise _malformed("privacy.epsilon", epsilon, "a finite number >= 0")
+        top = privacy.lambda_max
+        if type(argmin_lambda) is not int or not 1 <= argmin_lambda <= top:
+            raise _malformed("privacy.argmin_lambda", argmin_lambda, f"an integer in [1, {top}]")
     return MixtureModel(
         m=m,
         k=k,

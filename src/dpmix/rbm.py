@@ -34,18 +34,25 @@ from a shifted stream with the same distribution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 
 @dataclass
 class RbmModel:
-    """Mutable parameter container; updates happen in place during training."""
+    """Parameters held in one float64 vector, updated in place during training.
+
+    ``params`` is W row-major, then b, then c, the order of every
+    statistic below.  Construction copies the three arrays into a new
+    ``params``, and ``weights``, ``visible_bias`` and ``hidden_bias``
+    become views of it, so a write through either name shows in the other.
+    """
 
     weights: np.ndarray  # (n_hidden, m)
     visible_bias: np.ndarray  # (m,)
     hidden_bias: np.ndarray  # (n_hidden,)
+    params: np.ndarray = field(init=False, repr=False)  # (n_hidden * m + m + n_hidden,)
 
     @property
     def m(self) -> int:
@@ -57,12 +64,18 @@ class RbmModel:
 
     @property
     def n_params(self) -> int:
-        return self.weights.size + self.visible_bias.size + self.hidden_bias.size
+        return self.params.size
 
     def __post_init__(self):
         n, m = self.weights.shape
         if self.visible_bias.shape != (m,) or self.hidden_bias.shape != (n,):
             raise ValueError("bias shapes do not match the weight matrix")
+        self.params = np.concatenate(
+            [self.weights.ravel(), self.visible_bias, self.hidden_bias], dtype=np.float64
+        )
+        self.weights = self.params[: n * m].reshape(n, m)
+        self.visible_bias = self.params[n * m : n * m + m]
+        self.hidden_bias = self.params[n * m + m :]
 
 
 def init_model(
@@ -102,26 +115,8 @@ def conditional_hidden(model: RbmModel, v: np.ndarray) -> np.ndarray:
     return _logistic(model.hidden_bias + v @ model.weights.T)
 
 
-def flatten_parameters(model: RbmModel) -> np.ndarray:
-    """Parameter vector in declared order: W row-major, then b, then c."""
-    return np.concatenate(
-        [model.weights.ravel(), model.visible_bias, model.hidden_bias]
-    )
-
-
-def set_flat_parameters(model: RbmModel, vec: np.ndarray) -> None:
-    """Inverse of flatten_parameters; writes the model in place."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (model.n_params,):
-        raise ValueError(f"expected {model.n_params} parameters, got {vec.shape}")
-    n, m = model.weights.shape
-    model.weights = vec[: n * m].reshape(n, m).copy()
-    model.visible_bias = vec[n * m : n * m + m].copy()
-    model.hidden_bias = vec[n * m + m :].copy()
-
-
 def positive_statistics(model: RbmModel, records: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_b w_b (p(h|x_b) x_b', x_b, p(h|x_b)), flattened like flatten_parameters.
+    """sum_b w_b (p(h|x_b) x_b', x_b, p(h|x_b)), in the order of RbmModel.params.
 
     Statistic differences are log-likelihood gradients.  The weighted sum
     is computed without the (B, P) matrix of per-record statistics.
@@ -133,7 +128,7 @@ def positive_statistics(model: RbmModel, records: np.ndarray, weights: np.ndarra
 
 
 def _weighted_statistic(p_h: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_b w_b (p_b x_b', x_b, p_b), flattened like flatten_parameters."""
+    """sum_b w_b (p_b x_b', x_b, p_b), in the order of RbmModel.params."""
     return np.concatenate([((w[:, None] * p_h).T @ x).ravel(), w @ x, w @ p_h])
 
 
@@ -267,15 +262,15 @@ def negative_statistic(model: RbmModel, chains: PersistentChains) -> np.ndarray:
 def pcd_per_example_gradients(
     model: RbmModel, batch, chains: PersistentChains, gibbs_steps: int = 1
 ) -> FactoredGradients:
-    """Log-likelihood ascent gradients, one row per batch record, factored.
+    """Log-likelihood ascent gradients, one row per record of ``batch``, factored.
 
-    Advances the persistent chains by ``gibbs_steps`` sweeps, then
-    returns rows positive(x) - N with the shared negative statistic N as
-    a FactoredGradients (no (B, P) matrix is built).  An empty batch
-    returns zero rows and leaves the chains untouched.
+    ``batch`` is a (B, m) record array.  Advances the persistent chains
+    by ``gibbs_steps`` sweeps, then returns rows positive(x) - N with the
+    shared negative statistic N as a FactoredGradients (no (B, P) matrix
+    is built).  An empty batch returns zero rows and leaves the chains
+    untouched.
     """
-    records = batch.records if hasattr(batch, "records") else batch
-    x = np.atleast_2d(np.asarray(records, dtype=np.float64))
+    x = np.asarray(batch, dtype=np.float64)
     if x.shape[0] == 0:
         return FactoredGradients(
             np.zeros((0, model.n_hidden)), x, np.zeros(model.n_params)

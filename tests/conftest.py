@@ -47,7 +47,7 @@ def kernel_rbf(x, y, gamma: float) -> float:
 def dense_positive_statistics(model, records):
     """Per-record statistics (p(h|x) x', x, p(h|x)) as a materialized (B, P) matrix.
 
-    Rows align with flatten_parameters; ``rbm.positive_statistics`` returns
+    Rows align with ``RbmModel.params``; ``rbm.positive_statistics`` returns
     their weighted row sum without building this matrix.
     """
     x = np.atleast_2d(np.asarray(records, dtype=np.float64))

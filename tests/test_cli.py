@@ -625,7 +625,8 @@ def _array_slots(payload):
     yield payload, "weights"
     for entry in payload["models"]:
         for key in ("weights", "visible_bias", "hidden_bias"):
-            yield entry, key
+            if key in entry:
+                yield entry, key
 
 
 def _as_version_1(payload):
@@ -696,11 +697,68 @@ def _float_k(payload):
     payload["k"] = float(payload["k"])
 
 
+# These return a part of the one-line message they must produce.
+
+def _nan_gamma(payload):
+    payload["gamma"] = math.nan
+    return "gamma is nan, expected a finite number > 0"
+
+
+def _zero_gamma(payload):
+    payload["gamma"] = 0
+    return "gamma is 0, expected a finite number > 0"
+
+
+def _bool_seed(payload):
+    payload["feature_map_seed"] = True
+    return "feature_map_seed is True, expected a non-negative integer"
+
+
+def _negative_seed(payload):
+    payload["feature_map_seed"] = -1
+    return "feature_map_seed is -1, expected a non-negative integer"
+
+
+def _string_epsilon(payload):
+    payload["privacy"]["epsilon"] = "x"
+    return "privacy.epsilon is 'x', expected a finite number >= 0"
+
+
+def _infinite_epsilon(payload):
+    payload["privacy"]["epsilon"] = math.inf
+    return "privacy.epsilon is inf, expected a finite number >= 0"
+
+
+def _lambda_above_max(payload):
+    top = payload["privacy"]["lambda_max"]
+    payload["privacy"]["argmin_lambda"] = top + 1
+    return f"privacy.argmin_lambda is {top + 1}, expected an integer in [1, {top}]"
+
+
+def _float_lambda(payload):
+    payload["privacy"]["argmin_lambda"] = 2.0
+    return "privacy.argmin_lambda is 2.0, expected an integer in [1, "
+
+
+def _missing_m(payload):
+    del payload["m"]
+    return "data error: malformed model: missing key 'm'\n"
+
+
+def _missing_hidden_bias(payload):
+    del payload["models"][0]["hidden_bias"]
+    return "data error: malformed model: missing key 'hidden_bias'\n"
+
+
 SHAPE_CORRUPTIONS = [
     _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm,
     _narrow_centers, _null_privacy,
 ]
-VALUE_CORRUPTIONS = [_nan_rbm_weight, _infinite_weight, _negative_weight, _float_k]
+VALUE_CORRUPTIONS = [
+    _nan_rbm_weight, _infinite_weight, _negative_weight, _float_k, _nan_gamma, _zero_gamma,
+    _bool_seed, _negative_seed, _string_epsilon, _infinite_epsilon, _lambda_above_max,
+    _float_lambda, _missing_m, _missing_hidden_bias,
+]
 
 
 # Corruptions of the version-2 encoding itself.
@@ -730,7 +788,7 @@ ENCODING_CORRUPTIONS = [
 ]
 
 
-def _assert_generate_rejects(tmp_path, capsys, payload):
+def _assert_generate_rejects(tmp_path, capsys, payload, message=None):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(payload))
     out = tmp_path / "synth.txt"
@@ -739,6 +797,7 @@ def _assert_generate_rejects(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("data error: malformed model")
     assert len(err.strip().splitlines()) == 1
+    assert message is None or message in err
     assert not out.exists()
 
 
@@ -756,13 +815,13 @@ def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsy
 def test_generate_rejects_malformed_model(tmp_path, trained_model, capsys, version, corrupt):
     if corrupt in ENCODING_CORRUPTIONS:
         payload = json.loads(json.dumps(trained_model))
-        corrupt(payload)
+        message = corrupt(payload)
     else:
         payload = _as_version_1(trained_model)
-        corrupt(payload)
+        message = corrupt(payload)
         if version == 2:
             payload = _as_version_2(payload)
-    _assert_generate_rejects(tmp_path, capsys, payload)
+    _assert_generate_rejects(tmp_path, capsys, payload, message)
 
 
 def test_generate_writes_the_same_records_from_version_1_and_2(tmp_path, trained_model):

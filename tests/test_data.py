@@ -1,4 +1,4 @@
-"""Dataset loading, validation, writing, and Poisson subsampling."""
+"""Dataset loading, validation, writing, and Poisson subsampling of row ids."""
 import tracemalloc
 
 import numpy as np
@@ -13,7 +13,6 @@ from dpmix.data import (
     load_records,
     make_dataset,
     sample_batch,
-    subset,
     with_labels,
     write_records,
 )
@@ -334,12 +333,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.records[0, 0] = 0
 
-    def test_subset_keeps_labels(self):
-        ds = make_dataset(np.eye(4, dtype=np.uint8), labels=[0, 1, 2, 3])
-        sub = subset(ds, np.array([1, 3]))
-        np.testing.assert_array_equal(sub.labels, [1, 3])
-        assert sub.m == 4 and len(sub) == 2
-
 
 class TestLabels:
     def test_load_labels(self, tmp_path):
@@ -360,25 +353,22 @@ class TestLabels:
 
 class TestSampleBatch:
     def test_extremes(self):
-        ds = make_dataset(np.eye(8, dtype=np.uint8))
+        members = np.array([2, 3, 5, 7, 11, 13, 17, 19])
         rng = np.random.default_rng(0)
-        assert len(sample_batch(ds, 0.0, rng)) == 0
-        full = sample_batch(ds, 1.0, rng)
-        assert len(full) == 8
-        np.testing.assert_array_equal(full.indices, np.arange(8))
+        assert len(sample_batch(members, 0.0, rng)) == 0
+        full = sample_batch(members, 1.0, rng)
+        np.testing.assert_array_equal(full, members)
 
     def test_invalid_q(self):
-        ds = make_dataset(np.eye(2, dtype=np.uint8))
         with pytest.raises(ValueError):
-            sample_batch(ds, 1.5, np.random.default_rng(0))
+            sample_batch(np.arange(2), 1.5, np.random.default_rng(0))
 
     def test_mean_batch_size(self):
         # q=0.5 on 10,000 records over 1,000 trials: the mean sits within
         # three standard errors of 5,000 (per-trial sigma 50).
         n, q, trials = 10_000, 0.5, 1_000
-        ds = make_dataset(np.ones((n, 1), dtype=np.uint8))
         rng = np.random.default_rng(2024)
-        sizes = np.array([len(sample_batch(ds, q, rng)) for _ in range(trials)])
+        sizes = np.array([len(sample_batch(np.arange(n), q, rng)) for _ in range(trials)])
         se = 50.0 / np.sqrt(trials)
         assert abs(sizes.mean() - n * q) < 3 * se
 
@@ -386,9 +376,9 @@ class TestSampleBatch:
         # Inclusion of one fixed record is Bernoulli(q); chi-square
         # goodness of fit at the 1% level over 10,000 trials.
         trials, q = 10_000, 0.3
-        ds = make_dataset(np.ones((40, 1), dtype=np.uint8))
+        members = np.arange(100, 140)
         rng = np.random.default_rng(7)
-        hits = sum(0 in sample_batch(ds, q, rng).indices for _ in range(trials))
+        hits = sum(100 in sample_batch(members, q, rng) for _ in range(trials))
         expected = trials * q
         stat = (hits - expected) ** 2 / (trials * q * (1 - q))
         assert stat < chi2.ppf(0.99, df=1)

@@ -7,11 +7,9 @@ from dpmix.dpnorm import dp_norm, norm_histogram
 
 def test_histogram_bins_and_edges():
     vecs = np.array([[0.3, 0.0], [0.0, 0.59], [2.35, 0.0], [0.0, 0.0]])
-    hist = norm_histogram(vecs, c_max=10.0, bins=100)
+    counts = norm_histogram(np.linalg.norm(vecs, axis=1), c_max=10.0, bins=100)
     # edges at multiples of 0.1; (0.2, 0.3] -> bucket 3, (0.5, 0.6] -> 6,
     # (2.3, 2.4] -> 24, zero norms -> bucket 1; counts[j-1] holds bucket j
-    assert hist.edge(3) == pytest.approx(0.3)
-    counts = hist.counts
     assert counts.shape == (100,)
     assert counts[2] == 1
     assert counts[5] == 1
@@ -21,26 +19,25 @@ def test_histogram_bins_and_edges():
 
 
 def test_norms_beyond_cap_are_dropped():
-    vecs = np.array([[10.5], [3.0]])
-    hist = norm_histogram(vecs, c_max=10.0, bins=100)
-    assert hist.counts.sum() == 1
+    counts = norm_histogram(np.array([10.5, 3.0]), c_max=10.0, bins=100)
+    assert counts.sum() == 1
 
 
 def test_boundary_falls_in_lower_bin():
     # a norm exactly on an edge belongs to the bucket it closes
-    hist = norm_histogram(np.array([[0.2]]), c_max=1.0, bins=5)
-    assert hist.counts[0] == 1
-    assert hist.counts.sum() == 1
+    counts = norm_histogram(np.array([0.2]), c_max=1.0, bins=5)
+    assert counts[0] == 1
+    assert counts.sum() == 1
 
 
 def test_noiseless_choice_examples():
     # three worked cases with sigma_c = 0: answer is the modal bin's edge
     rng = np.random.default_rng(0)
-    a = np.array([[0.55], [0.52], [0.58], [1.7]])
+    a = np.array([0.55, 0.52, 0.58, 1.7])
     assert dp_norm(a, 0.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(0.6)
-    b = np.array([[2.31], [2.33], [0.4]])
+    b = np.array([2.31, 2.33, 0.4])
     assert dp_norm(b, 0.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(2.4)
-    c = np.zeros((5, 3))
+    c = np.zeros(5)
     assert dp_norm(c, 0.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(0.1)
 
 
@@ -52,8 +49,8 @@ def test_noiseless_matches_independent_histogram():
     for trial in range(50):
         n = int(rng.integers(1, 40))
         vecs = rng.uniform(0, 9.9, size=(n, 3))
-        got = dp_norm(vecs, 0.0, c_max=10.0, bins=100, rng=rng)
         norms = np.linalg.norm(vecs, axis=1)
+        got = dp_norm(norms, 0.0, c_max=10.0, bins=100, rng=rng)
         idx = np.searchsorted(edges, norms, side="left")
         idx[norms == 0.0] = 1
         idx = idx[idx <= 100]  # norms above the cap carry no vote
@@ -64,34 +61,28 @@ def test_noiseless_matches_independent_histogram():
 
 def test_noisy_output_is_always_an_edge():
     rng = np.random.default_rng(7)
-    vecs = rng.uniform(0, 5, size=(30, 4))
+    norms = np.linalg.norm(rng.uniform(0, 5, size=(30, 4)), axis=1)
     for _ in range(20):
-        out = dp_norm(vecs, 4.0, c_max=10.0, bins=100, rng=rng)
+        out = dp_norm(norms, 4.0, c_max=10.0, bins=100, rng=rng)
         assert out == pytest.approx(round(out * 10) / 10)
         assert 0.1 <= out <= 10.0
 
 
 def test_noise_shifts_choice():
     # a large sigma_c must eventually pick a different bin than the mode
-    vecs = np.full((50, 1), 3.05)
+    norms = np.full(50, 3.05)
     rng = np.random.default_rng(1)
-    seen = {dp_norm(vecs, 100.0, c_max=10.0, bins=100, rng=rng) for _ in range(40)}
+    seen = {dp_norm(norms, 100.0, c_max=10.0, bins=100, rng=rng) for _ in range(40)}
     assert len(seen) > 1
-
-
-def test_one_dimensional_input_uses_absolute_value():
-    rng = np.random.default_rng(0)
-    out = dp_norm(np.array([-0.75, 0.72, 0.78]), 0.0, rng=rng)
-    assert out == pytest.approx(0.8)
 
 
 def test_rejects_bad_input():
     rng = np.random.default_rng(0)
+    for norms in (np.zeros(0), np.array([np.nan, 1.0]), np.array([np.inf]),
+                  np.array([-0.75, 0.72]), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            dp_norm(norms, 1.0, rng=rng)
     with pytest.raises(ValueError):
-        dp_norm(np.zeros((0, 3)), 1.0, rng=rng)
+        norm_histogram(np.ones(2), c_max=-1.0, bins=100)
     with pytest.raises(ValueError):
-        dp_norm(np.array([[np.nan, 1.0]]), 1.0, rng=rng)
-    with pytest.raises(ValueError):
-        norm_histogram(np.ones((2, 2)), c_max=-1.0, bins=100)
-    with pytest.raises(ValueError):
-        norm_histogram(np.ones((2, 2)), c_max=1.0, bins=0)
+        norm_histogram(np.ones(2), c_max=1.0, bins=0)

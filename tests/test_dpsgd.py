@@ -9,17 +9,17 @@ from numpy.testing import assert_allclose
 
 from conftest import DenseGradients, dense_positive_statistics, step_config
 from dpmix import rbm
-from dpmix.data import make_dataset, sample_batch
+from dpmix.data import sample_batch
 from dpmix.dpnorm import clip_scales, dp_norm
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError
 
 
-def _toy_cluster(n, m, seed):
+def _toy_records(n, m, seed):
     rng = np.random.default_rng(seed)
     records = rng.integers(0, 2, size=(n, m)).astype(np.uint8)
     records[records.sum(axis=1) == 0, 0] = 1
-    return make_dataset(records)
+    return records
 
 
 def _clip(vec, c_s):
@@ -54,17 +54,16 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
     # keep every gradient norm below the first histogram edge (0.1) so the
     # adaptive bound never bites and the update is the exact mean gradient
     targets = rng.normal(0, 0.003, size=(n, p))
-    cluster = _toy_cluster(n, 4, seed=1)
     cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.3)
 
     theta = np.full(p, 0.01)
 
-    def grad_fn(batch):
-        return DenseGradients(theta[None, :] - targets[batch.indices])
+    def grad_fn(rows):
+        return DenseGradients(theta[None, :] - targets[rows])
 
     for _ in range(5):
         new_theta, info = dp_sgd_step(
-            theta, grad_fn, cluster, cfg,
+            theta, grad_fn, np.arange(n), cfg,
             sample_rng=np.random.default_rng(0),
             noise_rng=np.random.default_rng(0),
         )
@@ -76,15 +75,14 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
 
 
 def test_zero_eta_never_moves():
-    cluster = _toy_cluster(10, 4, seed=2)
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=10, eta=0.0)
     theta = np.arange(5, dtype=np.float64)
 
-    def grad_fn(batch):
-        return DenseGradients(np.ones((len(batch), 5)))
+    def grad_fn(rows):
+        return DenseGradients(np.ones((len(rows), 5)))
 
     new_theta, _ = dp_sgd_step(
-        theta, grad_fn, cluster, cfg,
+        theta, grad_fn, np.arange(10), cfg,
         sample_rng=np.random.default_rng(3),
         noise_rng=np.random.default_rng(4),
     )
@@ -94,23 +92,22 @@ def test_zero_eta_never_moves():
 def test_clip_bound_matches_standalone_selection():
     # the bound chosen inside the step equals dp_norm run on the same
     # gradients with a cloned noise stream
-    cluster = _toy_cluster(40, 6, seed=9)
     cfg = step_config(sigma_c=2.0, sigma_g=1.0, batch_size=40, eta=0.1)
     theta = np.zeros(6)
     rng_grad = np.random.default_rng(12)
     per_example = rng_grad.normal(0, 1.2, size=(40, 6))
 
-    def grad_fn(batch):
-        return DenseGradients(per_example[batch.indices])
+    def grad_fn(rows):
+        return DenseGradients(per_example[rows])
 
     _, info = dp_sgd_step(
-        theta, grad_fn, cluster, cfg,
+        theta, grad_fn, np.arange(40), cfg,
         sample_rng=np.random.default_rng(5),
         noise_rng=np.random.default_rng(77),
     )
-    replay = sample_batch(cluster, 1.0, np.random.default_rng(5))
+    replay = sample_batch(np.arange(40), 1.0, np.random.default_rng(5))
     want = dp_norm(
-        per_example[replay.indices], 2.0, c_max=10.0, bins=100,
+        np.linalg.norm(per_example[replay], axis=1), 2.0, c_max=10.0, bins=100,
         rng=np.random.default_rng(77),
     )
     assert info.clip_bound == pytest.approx(want)
@@ -119,19 +116,18 @@ def test_clip_bound_matches_standalone_selection():
 def test_noise_is_centered_and_scaled():
     # eta = 1, zero gradients: the update is -noise / L with per-coordinate
     # std sqrt(2) sigma_g c_s / L; check mean and std over many trials
-    cluster = _toy_cluster(8, 3, seed=4)
     sigma_g, L = 2.0, 8
     cfg = step_config(sigma_c=0.0, sigma_g=sigma_g, batch_size=L, eta=1.0)
     theta = np.zeros(4)
 
-    def grad_fn(batch):
-        return DenseGradients(np.zeros((len(batch), 4)))
+    def grad_fn(rows):
+        return DenseGradients(np.zeros((len(rows), 4)))
 
     noise_rng = np.random.default_rng(2024)
     draws = []
     for _ in range(4000):
         new_theta, info = dp_sgd_step(
-            theta, grad_fn, cluster, cfg,
+            theta, grad_fn, np.arange(L), cfg,
             sample_rng=np.random.default_rng(0), noise_rng=noise_rng,
         )
         draws.append(new_theta)
@@ -147,16 +143,15 @@ def test_divisor_is_expected_batch_size_not_realized():
     # two runs with different realized batches but identical gradients per
     # example: scale of the update tracks L, not |S|
     n = 400
-    cluster = _toy_cluster(n, 3, seed=11)
     theta = np.zeros(2)
 
-    def grad_fn(batch):
-        return DenseGradients(np.tile([1.0, 0.0], (len(batch), 1)))
+    def grad_fn(rows):
+        return DenseGradients(np.tile([1.0, 0.0], (len(rows), 1)))
 
     for L in (40, 80):
         cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=L, eta=1.0)
         new_theta, info = dp_sgd_step(
-            theta, grad_fn, cluster, cfg,
+            theta, grad_fn, np.arange(n), cfg,
             sample_rng=np.random.default_rng(21), noise_rng=np.random.default_rng(0),
         )
         # same sampling seed, same q? no: q = L/n differs, so just check scale
@@ -165,23 +160,23 @@ def test_divisor_is_expected_batch_size_not_realized():
 
 
 def test_empty_batch_releases_pure_noise_at_prev_clip():
-    cluster = _toy_cluster(50, 3, seed=8)
+    members = np.arange(50)
     cfg = step_config(sigma_c=0.0, sigma_g=3.0, batch_size=1, eta=1.0)
     theta = np.zeros(6)
 
     # find a seed whose Poisson draw at q = 1/50 selects nobody
     empty_seed = None
     for s in range(100):
-        if len(sample_batch(cluster, 1 / 50, np.random.default_rng(s))) == 0:
+        if len(sample_batch(members, 1 / 50, np.random.default_rng(s))) == 0:
             empty_seed = s
             break
     assert empty_seed is not None
 
-    def grad_fn(batch):  # pragma: no cover - must not be called
+    def grad_fn(rows):  # pragma: no cover - must not be called
         raise AssertionError("gradient function called on an empty batch")
 
     new_theta, info = dp_sgd_step(
-        theta, grad_fn, cluster, cfg,
+        theta, grad_fn, members, cfg,
         sample_rng=np.random.default_rng(empty_seed),
         noise_rng=np.random.default_rng(99),
         prev_clip=0.4,
@@ -194,7 +189,7 @@ def test_empty_batch_releases_pure_noise_at_prev_clip():
 
     # without a previous bound the fallback is half of c_max
     _, info2 = dp_sgd_step(
-        theta, grad_fn, cluster, cfg,
+        theta, grad_fn, members, cfg,
         sample_rng=np.random.default_rng(empty_seed),
         noise_rng=np.random.default_rng(99),
     )
@@ -202,36 +197,57 @@ def test_empty_batch_releases_pure_noise_at_prev_clip():
 
 
 def test_oversized_batch_clamps_sampling_probability():
-    cluster = _toy_cluster(5, 3, seed=3)
     cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=20, eta=0.5)
     theta = np.zeros(3)
     calls = []
 
-    def grad_fn(batch):
-        calls.append(len(batch))
-        return DenseGradients(np.zeros((len(batch), 3)))
+    def grad_fn(rows):
+        calls.append(len(rows))
+        return DenseGradients(np.zeros((len(rows), 3)))
 
     dp_sgd_step(
-        theta, grad_fn, cluster, cfg,
+        theta, grad_fn, np.arange(5), cfg,
         sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
     )
     assert calls == [5]  # q clamps to 1, the whole cluster participates
 
 
+def test_grad_fn_sees_only_members_in_increasing_order():
+    # a cluster of scattered row ids: every batch handed to grad_fn is a
+    # strictly increasing run of those ids, never a position among them
+    members = np.sort(np.random.default_rng(30).choice(500, size=60, replace=False))
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1)
+    sample_rng, noise_rng = np.random.default_rng(31), np.random.default_rng(32)
+    seen = []
+
+    def grad_fn(rows):
+        seen.append(rows.copy())
+        return DenseGradients(np.ones((len(rows), 3)))
+
+    for _ in range(30):
+        dp_sgd_step(np.zeros(3), grad_fn, members, cfg, sample_rng, noise_rng)
+    assert len(seen) == 30
+    for rows in seen:
+        assert np.isin(rows, members).all()
+        assert (np.diff(rows) > 0).all()
+    # the first step's batch is the replayed Poisson mask over members
+    mask = np.random.default_rng(31).random(60) < 20 / 60
+    np.testing.assert_array_equal(seen[0], members[mask])
+
+
 def test_released_sum_respects_clip_bound():
     # adversarial gradients with huge norms: with sigma_g = 0 the update
     # norm is capped by |S| * c_s / L regardless of raw magnitudes
-    cluster = _toy_cluster(30, 4, seed=14)
     cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=30, eta=1.0)
     theta = np.zeros(5)
     rng = np.random.default_rng(0)
     raw = rng.normal(0, 200.0, size=(30, 5))
 
-    def grad_fn(batch):
-        return DenseGradients(raw[batch.indices])
+    def grad_fn(rows):
+        return DenseGradients(raw[rows])
 
     new_theta, info = dp_sgd_step(
-        theta, grad_fn, cluster, cfg,
+        theta, grad_fn, np.arange(30), cfg,
         sample_rng=np.random.default_rng(2), noise_rng=np.random.default_rng(3),
     )
     assert info.clipped_fraction == 1.0
@@ -240,22 +256,20 @@ def test_released_sum_respects_clip_bound():
 
 
 def test_gradient_shape_mismatch_is_rejected():
-    cluster = _toy_cluster(6, 3, seed=0)
     cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=6, eta=0.1)
 
-    def bad_fn(batch):
-        return DenseGradients(np.zeros((len(batch), 7)))
+    def bad_fn(rows):
+        return DenseGradients(np.zeros((len(rows), 7)))
 
     with pytest.raises(ValueError):
         dp_sgd_step(
-            np.zeros(4), bad_fn, cluster, cfg,
+            np.zeros(4), bad_fn, np.arange(6), cfg,
             sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
         )
     with pytest.raises(ValueError):
         dp_sgd_step(
-            np.zeros(4), bad_fn,
-            make_dataset(np.zeros((0, 3), dtype=np.uint8), allow_empty=True),
-            cfg, sample_rng=np.random.default_rng(0),
+            np.zeros(4), bad_fn, np.arange(0), cfg,
+            sample_rng=np.random.default_rng(0),
             noise_rng=np.random.default_rng(1),
         )
 
@@ -263,29 +277,30 @@ def test_gradient_shape_mismatch_is_rejected():
 def _rbm_step_inputs(m, n_hidden, records, seed):
     model = rbm.init_model(m, n_hidden, np.random.default_rng(seed), weight_std=0.3)
     chains = rbm.PersistentChains.initialize(records, m, seed=seed + 1)
-    return model, chains, _toy_cluster(records, m, seed=seed + 2)
+    return model, chains, _toy_records(records, m, seed=seed + 2)
 
 
 def test_factored_and_dense_gradients_give_the_same_step():
     # one RBM step fed the factored object, then the (B, P) array built from
     # the materialized statistics: same parameters, same stream states
-    model, chains, cluster = _rbm_step_inputs(50, 32, 40, seed=3)
+    model, chains, records = _rbm_step_inputs(50, 32, 40, seed=3)
     dense_chains = copy.deepcopy(chains)
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1, c_max=20.0, bins=40)
-    params = rbm.flatten_parameters(model)
 
-    def factored_fn(batch):
-        return -rbm.pcd_per_example_gradients(model, batch, chains)
+    def factored_fn(rows):
+        return -rbm.pcd_per_example_gradients(model, records[rows], chains)
 
-    def dense_fn(batch):
+    def dense_fn(rows):
         rbm.advance_chains(model, dense_chains, 1)
         neg = dense_positive_statistics(model, dense_chains.states).mean(axis=0)
-        return DenseGradients(neg - dense_positive_statistics(model, batch.records))
+        return DenseGradients(neg - dense_positive_statistics(model, records[rows]))
 
     results = []
     for fn in (factored_fn, dense_fn):
         sample_rng, noise_rng = np.random.default_rng(8), np.random.default_rng(9)
-        new_params, info = dp_sgd_step(params, fn, cluster, cfg, sample_rng, noise_rng)
+        new_params, info = dp_sgd_step(
+            model.params, fn, np.arange(40), cfg, sample_rng, noise_rng
+        )
         results.append((new_params, info, sample_rng.bit_generator.state,
                         noise_rng.bit_generator.state))
     (p_f, info_f, s_f, n_f), (p_d, info_d, s_d, n_d) = results
@@ -300,17 +315,16 @@ def test_factored_and_dense_gradients_give_the_same_step():
 def test_rbm_step_memory_stays_below_the_gradient_matrix():
     # MNIST-shaped step: m = 784, n_hidden = 200, B = 100.  The (B, P)
     # gradient matrix alone would be B * P * 8 = 126 MB.
-    model, chains, cluster = _rbm_step_inputs(784, 200, 100, seed=5)
+    model, chains, records = _rbm_step_inputs(784, 200, 100, seed=5)
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=100, eta=0.01)
-    params = rbm.flatten_parameters(model)
 
-    def grad_fn(batch):
-        return -rbm.pcd_per_example_gradients(model, batch, chains)
+    def grad_fn(rows):
+        return -rbm.pcd_per_example_gradients(model, records[rows], chains)
 
     tracemalloc.start()
     try:
         _, info = dp_sgd_step(
-            params, grad_fn, cluster, cfg,
+            model.params, grad_fn, np.arange(100), cfg,
             sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
         )
         _, peak = tracemalloc.get_traced_memory()

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from conftest import mixture_corpus
 from dpmix import mixture, rbm
 from dpmix.accountant import epsilon_for_delta
-from dpmix.data import subset
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import dp_kernel_kmeans
@@ -79,31 +78,27 @@ def test_training_replays_from_named_streams():
         result.mixture.weights, np.clip(clustering.noisy_sizes, 0.0, None)
     )
 
-    cluster = subset(data, np.flatnonzero(clustering.assignments == 0))
+    members = np.flatnonzero(clustering.assignments == 0)
     model = rbm.init_model(8, 4, child_rng(seed, "model-init"))
     chains = rbm.PersistentChains.initialize(6, 8, child_seed(seed, "chains-0"))
     selection = child_rng(seed, "selection")
     sample_rng = child_rng(seed, "sgd-sampling")
     noise_rng = child_rng(seed, "sgd-noise")
 
-    def grad_fn(batch):
-        return -rbm.pcd_per_example_gradients(model, batch, chains, 1)
+    def grad_fn(rows):
+        return -rbm.pcd_per_example_gradients(model, data.records[rows], chains, 1)
 
     prev = None
     for _ in range(2):
         assert int(selection.choice(1, p=[1.0])) == 0
-        params = rbm.flatten_parameters(model)
         new_params, info = dp_sgd_step(
-            params, grad_fn, cluster, cfg, sample_rng, noise_rng,
+            model.params, grad_fn, members, cfg, sample_rng, noise_rng,
             prev_clip=prev,
         )
-        rbm.set_flat_parameters(model, new_params)
+        model.params[:] = new_params
         prev = info.clip_bound
 
-    assert_allclose(
-        rbm.flatten_parameters(result.mixture.models[0]),
-        rbm.flatten_parameters(model),
-    )
+    assert_allclose(result.mixture.models[0].params, model.params)
     assert [s.info.clip_bound for s in result.steps][-1] == prev
 
 

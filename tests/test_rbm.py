@@ -17,13 +17,11 @@ from dpmix.rbm import (
     _logistic,
     advance_chains,
     conditional_hidden,
-    flatten_parameters,
     init_model,
     negative_statistic,
     pcd_per_example_gradients,
     positive_statistics,
     sample_batch,
-    set_flat_parameters,
 )
 
 
@@ -99,9 +97,9 @@ def test_conditionals_at_zero_and_saturation():
     assert_allclose(conditional_hidden(model, np.ones(3)), [0.5, 0.5])
     assert_allclose(conditional_visible(model, np.ones(2)), [0.5, 0.5, 0.5])
 
-    model.hidden_bias = np.full(2, 30.0)
+    model.hidden_bias[:] = 30.0
     assert np.all(conditional_hidden(model, np.zeros(3)) >= 1 - 1e-9)
-    model.visible_bias = np.full(3, -30.0)
+    model.visible_bias[:] = -30.0
     assert np.all(conditional_visible(model, np.zeros(2)) <= 1e-9)
 
 
@@ -202,21 +200,28 @@ def test_conditionals_batch_agree_with_rows():
         assert_allclose(stacked[i], conditional_hidden(model, batch[i]))
 
 
-def test_flatten_round_trip_and_order():
-    model = _random_model(3, 2, seed=7)
-    vec = flatten_parameters(model)
-    assert vec.shape == (2 * 3 + 3 + 2,)
-    assert_allclose(vec[:6], model.weights.ravel())
-    assert_allclose(vec[6:9], model.visible_bias)
-    assert_allclose(vec[9:], model.hidden_bias)
+def test_params_is_the_one_vector_behind_weights_and_biases():
+    # W row-major, then b, then c; construction copies its arrays, and a
+    # write through params shows in the views and in the conditionals
+    w = np.arange(6.0).reshape(2, 3) / 10
+    b, c = np.array([0.1, 0.2, 0.3]), np.array([-0.1, -0.2])
+    model = RbmModel(weights=w, visible_bias=b, hidden_bias=c)
+    assert model.params.dtype == np.float64 and model.n_params == 11
+    assert_allclose(model.params, np.concatenate([w.ravel(), b, c]))
+    w[0, 0] = 5.0
+    assert model.weights[0, 0] == 0.0
 
-    other = init_model(3, 2, np.random.default_rng(0))
-    set_flat_parameters(other, vec)
-    assert_allclose(other.weights, model.weights)
-    assert_allclose(other.visible_bias, model.visible_bias)
-    assert_allclose(other.hidden_bias, model.hidden_bias)
+    v = np.array([1.0, 0.0, 1.0])
+    model.params[:] = np.arange(11.0) / 100
+    assert_allclose(model.weights, [[0.0, 0.01, 0.02], [0.03, 0.04, 0.05]])
+    assert_allclose(model.visible_bias, [0.06, 0.07, 0.08])
+    assert_allclose(model.hidden_bias, [0.09, 0.10])
+    assert_allclose(conditional_hidden(model, v), expit([0.09 + 0.02, 0.10 + 0.08]))
+    model.params[-1] = -40.0
+    assert model.hidden_bias[-1] == -40.0
+    assert conditional_hidden(model, v)[-1] < 1e-15
     with pytest.raises(ValueError):
-        set_flat_parameters(other, vec[:-1])
+        RbmModel(weights=w, visible_bias=b, hidden_bias=b)
 
 
 def test_init_model_shapes():
@@ -250,17 +255,14 @@ def test_statistic_gap_is_likelihood_gradient():
     exact_neg = weights @ dense_positive_statistics(model, vs)
     grad = dense_positive_statistics(model, x)[0] - exact_neg
 
-    vec = flatten_parameters(model)
     rng = np.random.default_rng(2)
     eps = 1e-6
-    for idx in rng.choice(vec.size, size=5, replace=False):
+    for idx in rng.choice(model.n_params, size=5, replace=False):
         probe = init_model(3, 2, np.random.default_rng(0))
-        bumped = vec.copy()
-        bumped[idx] += eps
-        set_flat_parameters(probe, bumped)
+        probe.params[:] = model.params
+        probe.params[idx] += eps
         hi = _exact_log_prob(probe, x)
-        bumped[idx] -= 2 * eps
-        set_flat_parameters(probe, bumped)
+        probe.params[idx] -= 2 * eps
         lo = _exact_log_prob(probe, x)
         assert (hi - lo) / (2 * eps) == pytest.approx(grad[idx], abs=1e-5)
 
@@ -425,7 +427,7 @@ def test_persistent_gradient_ascent_learns_two_modes():
     for _ in range(1500):
         grads = pcd_per_example_gradients(model, batch, chains)
         step = grads.clipped_sum(np.full(len(batch), 1.0 / len(batch)))
-        set_flat_parameters(model, flatten_parameters(model) + eta * step)
+        model.params += eta * step
 
     draws = sample_batch(model, 2000, 50, np.random.default_rng(55))
     pure = np.mean(
