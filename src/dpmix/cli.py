@@ -27,6 +27,7 @@ from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
     FORMATS,
     SPARSE_ITEMS,
+    atomic_write,
     load_labels,
     load_records,
     with_labels,
@@ -61,8 +62,8 @@ def _with_train_defaults(**options: Option) -> dict[str, Option]:
 
 _OPTIONS = {
     "seed": Option(int, 0, "master seed"),
-    "workers": Option(int, 1, "generate: sampling threads (same output for any count); "
-                      "other commands ignore it"),
+    "workers": Option(int, None, "generate: sampling threads, default the usable CPUs "
+                      "(same output for any count); other commands ignore it"),
     "data": Option(str, REQUIRED, "dataset file"),
     "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
     "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
@@ -211,7 +212,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
         if _OPTIONS[name].kind is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
         resolved[name] = value
-    if resolved["workers"] < 1:
+    if resolved["workers"] is not None and resolved["workers"] < 1:
         raise ConfigError("--workers must be >= 1")
     if resolved["seed"] < 0:
         raise ConfigError("--seed must be >= 0")
@@ -244,7 +245,7 @@ class _Outputs:
         self.paths = []
 
     def write_text(self, path, text: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(text)
         self.paths.append(path)
 

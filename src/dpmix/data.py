@@ -20,6 +20,8 @@ naming its line, like any other malformed line.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +38,8 @@ DEFAULT_BINARIZE_THRESHOLD = 127
 # cut after a newline, so the parse temporaries stay small beside the
 # (n, m) result.
 PARSE_BLOCK_BYTES = 1 << 14
+# Records are formatted this many rows at a time when written.
+WRITE_BLOCK_ROWS = 256
 
 _DIGIT = np.zeros(256, dtype=bool)
 _DIGIT[ord("0") : ord("9") + 1] = True
@@ -224,16 +228,44 @@ def _parse_dense(lines: list[str], threshold: int, allow_empty: bool) -> BinaryD
 
 
 def write_records(dataset: BinaryDataset, path) -> None:
-    """Write in sparse-items format; loading the result round-trips."""
-    rows, cols = np.nonzero(dataset.records)
-    names = np.array([str(i) for i in range(dataset.m)], dtype=object)[cols].tolist()
-    lines = [f"m={dataset.m}"]
-    start = 0
-    for stop in np.cumsum(np.bincount(rows, minlength=len(dataset))).tolist():
-        lines.append(" ".join(names[start:stop]))
-        start = stop
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write in sparse-items format; loading the result round-trips.
+
+    Rows are formatted WRITE_BLOCK_ROWS at a time, and the file is
+    written through ``atomic_write``, so a failed write leaves no file.
+    """
+    names = np.array([str(i) for i in range(dataset.m)], dtype=object)
+    with atomic_write(path) as fh:
+        fh.write(f"m={dataset.m}\n")
+        for first in range(0, len(dataset), WRITE_BLOCK_ROWS):
+            block = dataset.records[first : first + WRITE_BLOCK_ROWS]
+            rows, cols = np.nonzero(block)
+            items = names[cols].tolist()
+            lines, start = [], 0
+            for stop in np.cumsum(np.bincount(rows, minlength=len(block))).tolist():
+                lines.append(" ".join(items[start:stop]))
+                start = stop
+            fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a text file beside ``path`` for writing; rename it onto ``path`` on success.
+
+    Whatever ends the block early, neither ``path`` nor the temporary
+    file is left behind.  An OSError about the temporary names ``path``.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_labels(path) -> np.ndarray:

@@ -18,7 +18,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import rbm
 from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
-from .data import BinaryDataset, make_dataset
+from .data import BinaryDataset, atomic_write, make_dataset
 from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError, StageError
 from .kmeans import Clustering, dp_kernel_kmeans
@@ -195,24 +196,37 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def generate(
     mixture: MixtureModel,
     count: int,
     rng: np.random.Generator,
     gibbs_steps: int = DEFAULT_GENERATION_SWEEPS,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> BinaryDataset:
     """Sample ``count`` records; component choice follows the DP weights.
 
     Each component's rows are split into chunks of GENERATION_CHUNK_ROWS.
     Every chunk samples from its own child stream, spawned in chunk order
     from one seed drawn from ``rng`` after the component assignment, so
-    the chunks can run on ``workers`` threads and the output is the same
-    for any worker count.  Generated records may be all-zero; consumers
-    must tolerate that.
+    the output is the same for any worker count.  ``workers`` threads
+    sample the chunks (None: ``_usable_cpus()``, and never more threads
+    than chunks): the calling thread and ``workers - 1`` helpers, each
+    writing its chunks straight into the output rows.  Generated records
+    may be all-zero; consumers must tolerate that.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if workers is None:
+        workers = _usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     total = mixture.weights.sum()
     if total <= 0:
         raise DataError(
@@ -226,18 +240,38 @@ def generate(
         rows = np.flatnonzero(assignment == i)
         chunks += [(i, rows[start : start + step]) for start in range(0, rows.size, step)]
     streams = np.random.SeedSequence(int(rng.integers(2**63))).spawn(len(chunks))
-
-    def sample_chunk(chunk, stream):
-        i, rows = chunk
-        return rbm.sample_batch(
-            mixture.models[i], rows.size, gibbs_steps, np.random.default_rng(stream)
-        )
-
+    # Largest chunks first, so the threads finish close together; popleft
+    # is atomic, so the threads share the queue without a lock.
+    pending = deque(sorted(zip(chunks, streams), key=lambda task: -task[0][1].size))
     out = np.zeros((count, mixture.m), dtype=np.uint8)
-    with ThreadPoolExecutor(workers) as pool:
-        run = pool.map if workers > 1 else map
-        for (_, rows), records in zip(chunks, run(sample_chunk, chunks, streams)):
-            out[rows] = records
+    errors = []
+
+    def sample_chunks():
+        try:
+            while True:
+                try:
+                    (i, rows), stream = pending.popleft()
+                except IndexError:
+                    return
+                out[rows] = rbm.sample_batch(
+                    mixture.models[i], rows.size, gibbs_steps, np.random.default_rng(stream)
+                )
+        except BaseException as exc:
+            pending.clear()  # the other threads stop after their current chunk
+            errors.append(exc)
+
+    # The calling thread samples too: only its malloc arena can reuse the
+    # memory that loading the model freed.
+    helpers = [
+        threading.Thread(target=sample_chunks) for _ in range(min(workers, len(chunks)) - 1)
+    ]
+    for thread in helpers:
+        thread.start()
+    sample_chunks()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return make_dataset(out, allow_empty=True)
 
 
@@ -260,8 +294,8 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     ``default`` hook, so only one array's text exists at once.  The
     scalars, the privacy block and the config echo stay plain JSON.
 
-    The file is written beside ``path`` and then renamed onto it, so a
-    failed write leaves no partial model behind.
+    The file is written through ``data.atomic_write``, so a failed write
+    leaves no partial model behind.
     """
     if mix.feature_map.seed is None:
         raise ValueError("only seed-built feature maps can be serialized")
@@ -286,20 +320,9 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, default=_encode_array)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        if exc.filename != tmp:
-            raise
-        # name the path the caller gave, not the temporary beside it
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=1, default=_encode_array)
+        fh.write("\n")
 
 
 def _encode_array(value) -> dict:
@@ -366,6 +389,23 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+# PrivacyConfig's field annotations, each with a test of the stored value.
+_PRIVACY_KINDS = {
+    "int": (lambda value: type(value) is int, "an integer"),
+    "bool": (lambda value: type(value) is bool, "true or false"),
+    "float": (_is_number, "a finite number"),
+}
+
+
+def _privacy_config(priv: dict) -> PrivacyConfig:
+    """The stored privacy block, each field of its annotated JSON type."""
+    for f in fields(PrivacyConfig):
+        ok, expected = _PRIVACY_KINDS[f.type]
+        if not ok(priv[f.name]):
+            raise _malformed(f"privacy.{f.name}", priv[f.name], expected)
+    return PrivacyConfig(**{f.name: priv[f.name] for f in fields(PrivacyConfig)})
+
+
 def load_model(path) -> MixtureModel:
     """Read a model written by save_model, in format version 1 or 2.
 
@@ -374,8 +414,8 @@ def load_model(path) -> MixtureModel:
     those files still load, to the same bits.  DataError if a key is
     missing or a value is outside its domain: the version, an array
     (malformed, not finite or of the wrong shape), a negative mixture
-    weight, m, k, d, gamma, feature_map_seed, or the privacy block's
-    epsilon and argmin_lambda.
+    weight, m, k, d, gamma, feature_map_seed, the type of a privacy-block
+    field, or the privacy block's epsilon and argmin_lambda.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -427,7 +467,7 @@ def _model_from_payload(payload: dict) -> MixtureModel:
     epsilon = math.inf
     argmin_lambda = None
     if not priv.get("unsafe_no_privacy"):
-        privacy = PrivacyConfig(**{f.name: priv[f.name] for f in fields(PrivacyConfig)})
+        privacy = _privacy_config(priv)
         epsilon, argmin_lambda = priv["epsilon"], priv["argmin_lambda"]
         if not (_is_number(epsilon) and epsilon >= 0):
             raise _malformed("privacy.epsilon", epsilon, "a finite number >= 0")

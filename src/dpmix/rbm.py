@@ -24,19 +24,31 @@ uniform draws are float32, and states are 0/1 throughout, so only the
 probabilities carry float32 rounding.  Training statistics stay float64.
 The logistic is numpy's 1/(1 + exp(-x)), evaluated in place.
 
+A sweep holds two state buffers, v and h.  Each product writes into the
+other buffer, and the bias, the logistic and the ``u < p`` threshold run
+in place, so a chain of B rows needs B (m + n) float32 values beside
+the parameters.  The uniforms are drawn and compared in blocks of
+UNIFORM_BLOCK values, so no buffer of a draw's full size exists.
+
 The float32 uniforms are made from raw 64-bit words of the stream's bit
 generator (PCG64 throughout dpmix), as ``Generator.random(dtype=np.float32)``
-makes them: the top 24 bits of each 32-bit half-word, low half first.  When every draw has an even
-number of elements the states are those of ``Generator.random``, bit
-for bit.  An odd count drops the last high half-word, which
-``Generator.random`` would keep for its next draw, so later draws come
-from a shifted stream with the same distribution.
+makes them: the top 24 bits of each 32-bit half-word, low half first.
+The blocks have an even size and take their words in stream order, so a
+draw gives the values of one call for all of its elements.  When every
+draw has an even number of elements the states are those of
+``Generator.random``, bit for bit.  An odd count drops the last high
+half-word, which ``Generator.random`` would keep for its next draw, so
+later draws come from a shifted stream with the same distribution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# Uniforms drawn and thresholded per block of a Gibbs half-sweep; even,
+# so each block takes whole 64-bit words.
+UNIFORM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -209,48 +221,53 @@ class PersistentChains:
         return int(self.states.shape[0])
 
 
-def _uniform_float32(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill float32 ``out`` with uniforms on [0, 1) from raw 64-bit words."""
-    words = rng.bit_generator.random_raw((out.size + 1) // 2).view(np.uint32)
-    np.right_shift(words, 8, out=words)
-    np.copyto(out, words[: out.size].reshape(out.shape), casting="unsafe")
-    out *= np.float32(2.0**-24)
+def _sample_below(rng: np.random.Generator, p: np.ndarray, u: np.ndarray) -> None:
+    """Replace the probabilities ``p`` by the 0/1 outcomes ``u < p``, in place.
+
+    The float32 uniforms come from raw 64-bit words, one block of
+    ``u.size`` (even) values at a time.
+    """
+    flat = p.reshape(-1)
+    for start in range(0, flat.size, u.size):
+        part = flat[start : start + u.size]
+        words = rng.bit_generator.random_raw((part.size + 1) // 2).view(np.uint32)
+        np.right_shift(words, 8, out=words)
+        block = u[: part.size]
+        np.copyto(block, words[: part.size], casting="unsafe")
+        block *= np.float32(2.0**-24)
+        np.less(block, part, out=part)
 
 
 def _gibbs_sweeps(
-    model: RbmModel, states: np.ndarray, sweeps: int, rng: np.random.Generator
+    model: RbmModel, v: np.ndarray, sweeps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Block Gibbs in float32: h ~ p(h | v), then v ~ p(v | h), ``sweeps`` times.
 
-    The parameters are negated once, so each product gives the negated
-    activation and the logistic needs no negation pass.
+    ``v`` is a (B, m) float32 array of 0/1 states, updated in place and
+    returned.  The parameters are negated once, so each product gives
+    the negated activation and the logistic needs no negation pass.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("Gibbs sampling needs a 64-bit bit generator, not MT19937")
     neg_w = np.negative(model.weights, dtype=np.float32)
     neg_b = np.negative(model.visible_bias, dtype=np.float32)
     neg_c = np.negative(model.hidden_bias, dtype=np.float32)
-    v = states.astype(np.float32)
     h = np.empty((v.shape[0], neg_c.size), dtype=np.float32)
-    p_h, u_h = np.empty_like(h), np.empty_like(h)
-    p_v, u_v = np.empty_like(v), np.empty_like(v)
+    u = np.empty(min(UNIFORM_BLOCK, max(v.size, h.size)), dtype=np.float32)
     for _ in range(sweeps):
-        np.matmul(v, neg_w.T, out=p_h)
-        p_h += neg_c
-        _logistic_of_negated(p_h)
-        _uniform_float32(rng, u_h)
-        np.less(u_h, p_h, out=h)
-        np.matmul(h, neg_w, out=p_v)
-        p_v += neg_b
-        _logistic_of_negated(p_v)
-        _uniform_float32(rng, u_v)
-        np.less(u_v, p_v, out=v)
-    return v.astype(np.uint8)
+        np.matmul(v, neg_w.T, out=h)
+        h += neg_c
+        _sample_below(rng, _logistic_of_negated(h), u)
+        np.matmul(h, neg_w, out=v)
+        v += neg_b
+        _sample_below(rng, _logistic_of_negated(v), u)
+    return v
 
 
 def advance_chains(model: RbmModel, chains: PersistentChains, sweeps: int) -> None:
     """Run block Gibbs on every chain, in place."""
-    chains.states = _gibbs_sweeps(model, chains.states, sweeps, chains.rng)
+    v = chains.states.astype(np.float32)
+    chains.states = _gibbs_sweeps(model, v, sweeps, chains.rng).astype(np.uint8)
 
 
 def negative_statistic(model: RbmModel, chains: PersistentChains) -> np.ndarray:
@@ -288,5 +305,6 @@ def sample_batch(
         raise ValueError(f"count must be >= 1, got {count}")
     if gibbs_steps < 1:
         raise ValueError(f"gibbs_steps must be >= 1, got {gibbs_steps}")
-    start = (rng.random((count, model.m), dtype=np.float32) < 0.5).astype(np.uint8)
-    return _gibbs_sweeps(model, start, gibbs_steps, rng)
+    v = rng.random((count, model.m), dtype=np.float32)
+    np.less(v, np.float32(0.5), out=v)
+    return _gibbs_sweeps(model, v, gibbs_steps, rng).astype(np.uint8)

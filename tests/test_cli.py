@@ -1,5 +1,6 @@
 """Command-line interface: precedence, exit codes, artifacts, determinism."""
 import base64
+import errno
 import json
 import math
 import os
@@ -59,6 +60,13 @@ def test_missing_required_option(capsys):
 def test_negative_seed_or_workers_is_usage_error(capsys, flag, minimum):
     assert main(ACCT_ARGS + ["--epochs", "1", flag, "-1"]) == 2
     assert capsys.readouterr().err == f"usage error: {flag} must be >= {minimum}\n"
+
+
+def test_zero_workers_is_usage_error(capsys):
+    # null, the default, means every usable CPU; 0 is refused
+    assert main(["generate", "--model", "m.json", "--count", "1", "--output", "out.txt",
+                 "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: --workers must be >= 1\n"
 
 
 def test_accountant_schedule_csv(capsys):
@@ -485,17 +493,23 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     save_model(mix, model_path)
     count = 3 * GENERATION_CHUNK_ROWS + 321
+    config = tmp_path / "null-workers.json"
+    config.write_text('{"workers": null}')
     outs = []
-    for workers in (1, 2, 3):
-        path = tmp_path / f"synth-{workers}.txt"
+    for name, flags in [
+        ("default", []),
+        ("null", ["--config", str(config)]),
+        *((str(w), ["--workers", str(w)]) for w in (1, 2, 3, 7)),
+    ]:
+        path = tmp_path / f"synth-{name}.txt"
         assert main([
             "generate", "--model", str(model_path), "--count", str(count), "--gibbs-steps", "3",
-            "--output", str(path), "--seed", "9", "--workers", str(workers),
+            "--output", str(path), "--seed", "9", *flags,
         ]) == 0
         outs.append(path.read_bytes())
     capsys.readouterr()
     assert len(load_records(str(tmp_path / "synth-1.txt"), allow_empty=True)) == count
-    assert outs[0] == outs[1] == outs[2]
+    assert all(out == outs[0] for out in outs)
 
 
 def _python(code, *args):
@@ -750,6 +764,32 @@ def _missing_hidden_bias(payload):
     return "data error: malformed model: missing key 'hidden_bias'\n"
 
 
+def _privacy_field(name, value, expected):
+    """A corruption that stores ``value`` as the privacy block's ``name``."""
+
+    def corrupt(payload):
+        payload["privacy"][name] = value
+        return f"privacy.{name} is {value!r}, expected {expected}"
+
+    corrupt.__name__ = f"_privacy_{name}"
+    return corrupt
+
+
+# One per PrivacyConfig field: each must have its JSON type.
+PRIVACY_TYPE_CORRUPTIONS = [
+    _privacy_field("sigma_c", "4", "a finite number"),
+    _privacy_field("sigma_k", True, "a finite number"),
+    _privacy_field("sigma_g", None, "a finite number"),
+    _privacy_field("q", math.nan, "a finite number"),
+    _privacy_field("delta", math.inf, "a finite number"),
+    _privacy_field("t_kmeans", 20.0, "an integer"),
+    _privacy_field("t_sgd", 2.5, "an integer"),
+    _privacy_field("lambda_max", True, "an integer"),
+    _privacy_field("rbf_mode", "yes", "true or false"),
+    _privacy_field("strict_gaussian", 0, "true or false"),
+]
+
+
 SHAPE_CORRUPTIONS = [
     _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm,
     _narrow_centers, _null_privacy,
@@ -757,7 +797,7 @@ SHAPE_CORRUPTIONS = [
 VALUE_CORRUPTIONS = [
     _nan_rbm_weight, _infinite_weight, _negative_weight, _float_k, _nan_gamma, _zero_gamma,
     _bool_seed, _negative_seed, _string_epsilon, _infinite_epsilon, _lambda_above_max,
-    _float_lambda, _missing_m, _missing_hidden_bias,
+    _float_lambda, _missing_m, _missing_hidden_bias, *PRIVACY_TYPE_CORRUPTIONS,
 ]
 
 
@@ -890,6 +930,37 @@ def test_failed_run_discards_partial_outputs(tmp_path, corpus_files, capsys):
     assert main(args) == 3
     capsys.readouterr()
     assert not summary_path.exists()
+
+
+_FILE_SIZE_LIMITED_MAIN = """
+import resource, sys
+from dpmix.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["generate", "accountant"])
+def test_write_that_fails_partway_leaves_no_file(tmp_path, trained_model, command):
+    # the file size limit stops each write after its first bytes
+    pytest.importorskip("resource")
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(trained_model))
+    out = tmp_path / "out.txt"
+    if command == "generate":
+        args = ["generate", "--model", str(model_path), "--count", "3000", "--output", str(out)]
+    else:
+        args = ACCT_ARGS + ["--epochs", "3", "--output", str(out)]
+    run = _python(_FILE_SIZE_LIMITED_MAIN, "300", *args)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith(f"data error: [Errno {errno.EFBIG}]")
+    assert len(run.stderr.splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == [model_path]
+    # an earlier file at the path is kept whole
+    out.write_text("earlier\n")
+    assert _python(_FILE_SIZE_LIMITED_MAIN, "300", *args).returncode == 3
+    assert sorted(tmp_path.iterdir()) == [model_path, out]
+    assert out.read_text() == "earlier\n"
 
 
 def test_unsafe_train_reports_null_epsilon(tmp_path, corpus_files, capsys):

@@ -4,6 +4,8 @@ import errno
 import json
 import math
 import struct
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -250,6 +252,40 @@ def test_generate_replays_from_chunk_streams():
     assert np.array_equal(out.records, expected)
 
 
+def test_generate_threads_share_chunks_without_losing_one():
+    # more threads than cores, switching as often as the interpreter can:
+    # a chunk taken twice or never would change rows of the output
+    mix = _random_mixture([1.0, 2.0, 1.0], m=4, n_hidden=2)
+    count = 16 * GENERATION_CHUNK_ROWS + 5
+    want = generate(mix, count, np.random.default_rng(8), gibbs_steps=1, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = generate(mix, count, np.random.default_rng(8), gibbs_steps=1, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.records, want.records)
+
+
+def test_generate_raises_a_helper_threads_error(monkeypatch):
+    mix = _random_mixture([1.0, 1.0], m=4, n_hidden=2)
+    sample, calls, lock = rbm.sample_batch, [0], threading.Lock()
+
+    def fail_on_third_chunk(*args):
+        with lock:
+            calls[0] += 1
+            if calls[0] == 3:
+                raise RuntimeError("chunk failed")
+        return sample(*args)
+
+    monkeypatch.setattr(rbm, "sample_batch", fail_on_third_chunk)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        generate(mix, 8 * GENERATION_CHUNK_ROWS, np.random.default_rng(1), gibbs_steps=1,
+                 workers=3)
+    assert threading.active_count() == before  # every helper was joined
+
+
 def test_generate_rejects_degenerate_weights():
     mix = _saturated_mixture([0.0, 0.0], biases=[30.0, -30.0])
     with pytest.raises(DataError):
@@ -289,7 +325,8 @@ def test_failed_save_leaves_no_partial_model(tmp_path, monkeypatch):
         fh.write = write_until_full
         return fh
 
-    monkeypatch.setattr(mixture, "open", open_then_fail, raising=False)
+    # save_model writes through data.atomic_write
+    monkeypatch.setattr("dpmix.data.open", open_then_fail, raising=False)
     path = tmp_path / "model.json"
     with pytest.raises(OSError, match="No space"):
         save_model(result.mixture, path)

@@ -10,6 +10,7 @@ from scipy.special import expit, logsumexp
 
 from conftest import conditional_visible, dense_positive_statistics
 from dpmix.rbm import (
+    UNIFORM_BLOCK,
     FactoredGradients,
     PersistentChains,
     RbmModel,
@@ -149,7 +150,7 @@ def test_gibbs_sweeps_equal_reference_on_even_draws(count, m, n):
     model = _random_model(m, n, seed=count + m, scale=1.0)
     states = (np.random.default_rng(1).random((count, m)) < 0.5).astype(np.uint8)
     rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
-    got = _gibbs_sweeps(model, states, 4, rng)
+    got = _gibbs_sweeps(model, states.astype(np.float32), 4, rng).astype(np.uint8)
     want = _reference_gibbs_sweeps(model, states, 4, ref_rng)
     assert got.dtype == want.dtype == np.uint8
     assert np.array_equal(got, want)
@@ -158,11 +159,52 @@ def test_gibbs_sweeps_equal_reference_on_even_draws(count, m, n):
     assert np.array_equal(rng.random(5), ref_rng.random(5))
 
 
+def _whole_draw_reference_gibbs_sweeps(model, states, sweeps, rng):
+    """Float32 block Gibbs with each draw's uniforms from one ``random_raw`` call."""
+
+    def uniforms(like):
+        words = rng.bit_generator.random_raw((like.size + 1) // 2).view(np.uint32)
+        top = (words[: like.size] >> 8).astype(np.float32)
+        return (top * np.float32(2.0**-24)).reshape(like.shape)
+
+    w = model.weights.astype(np.float32)
+    b = model.visible_bias.astype(np.float32)
+    c = model.hidden_bias.astype(np.float32)
+    v = states.astype(np.float32)
+    for _ in range(sweeps):
+        p_h = _logistic(v @ w.T + c)
+        h = (uniforms(p_h) < p_h).astype(np.float32)
+        p_v = _logistic(h @ w + b)
+        v = (uniforms(p_v) < p_v).astype(np.float32)
+    return v.astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "count,m,n",
+    [
+        (2, UNIFORM_BLOCK // 2 + 1, 3),  # visible draws of UNIFORM_BLOCK + 2, even
+        (1, 2, UNIFORM_BLOCK + 2),  # hidden draws of UNIFORM_BLOCK + 2, even
+        (3, UNIFORM_BLOCK // 3 + 2, 3),  # visible draws of UNIFORM_BLOCK + 5, odd
+        (1, 3, UNIFORM_BLOCK + 3),  # hidden draws odd and over one block
+    ],
+)
+def test_blocked_uniforms_equal_one_whole_draw(count, m, n):
+    # activations of unit scale, so no probability saturates at 0 or 1
+    model = _random_model(m, n, seed=count + n, scale=(2 / max(m, n)) ** 0.5)
+    states = (np.random.default_rng(2).random((count, m)) < 0.5).astype(np.uint8)
+    rng, ref_rng = np.random.default_rng(78), np.random.default_rng(78)
+    got = _gibbs_sweeps(model, states.astype(np.float32), 3, rng).astype(np.uint8)
+    want = _whole_draw_reference_gibbs_sweeps(model, states, 3, ref_rng)
+    assert max(count * m, count * n) > UNIFORM_BLOCK
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_gibbs_sweeps_reject_32_bit_streams():
     model = _random_model(4, 2, seed=1)
     mt = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(ValueError, match="64-bit"):
-        _gibbs_sweeps(model, np.zeros((2, 4), dtype=np.uint8), 1, mt)
+        _gibbs_sweeps(model, np.zeros((2, 4), dtype=np.float32), 1, mt)
 
 
 def _marginal_distance(count):
