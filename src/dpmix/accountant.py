@@ -28,10 +28,29 @@ three full-grid temporaries where scipy builds about a dozen (scipy also
 evaluates its direct-sum fallback and sign bookkeeping on every call).
 With scipy's version, the speed of every cold quadrature depended on the
 heap layout left behind by earlier imports.
+
+alpha_terms can share the split search's distinct quadratures (500 for
+the plan lattice's configurations) among ``workers`` processes made with
+os.fork.  Processes, not threads: a quadrature is a few dozen short
+numpy calls that hold the GIL much of the time, and 500 of them took
+0.27-0.33 s on one thread or on two, but 0.17-0.23 s on two forked
+processes (one measurement on 2 vCPUs).  Each child computes its share through
+alpha_subsampled_gaussian, as this process does, and sends every value
+back as its raw float64 bytes, which go into the quadrature cache
+unchanged; a quadrature depends on nothing but its (lam, sigma, q), so
+alpha, epsilon and the argmin lambda are bit-identical for any worker
+count.  The children call no BLAS routine (whose thread pool does not
+survive a fork) and no logging, only numpy ufuncs and reductions, and
+leave through os._exit, so no atexit handler or buffered stream runs in
+them.  Python 3.12 and later warn when a process that runs other
+threads (an OpenBLAS pool, say) forks, because a child that takes a
+lock another thread held at the fork hangs; these children take no
+such lock.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -51,6 +70,12 @@ _QUAD_START_INTERVALS = 2**12
 _QUAD_MAX_INTERVALS = 2**22
 _QUAD_RTOL = 1e-8
 _QUAD_ATOL = 1e-12
+
+# alpha_subsampled_gaussian's values by (lam, sigma, q): each quadrature
+# this process computed or received from a worker process.
+_QUADRATURE_CACHE: dict[tuple[float, float, float], float] = {}
+
+_SIGKILL = 9  # its POSIX number; os does not name it, and signal is not imported
 
 
 @dataclass(frozen=True)
@@ -91,12 +116,17 @@ class PrivacyConfig:
             raise ValueError("lambda_max must be >= 1")
 
 
+def _check_order_and_noise(lam: float, sigma: float) -> None:
+    # NaN fails these comparisons too
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
+
+
 def alpha_gaussian(lam: float, sigma: float, strict: bool = False) -> float:
     """Per-invocation log-MGF bound for the Gaussian mechanism."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_order_and_noise(lam, sigma)
     value = (lam**2 + lam) / (4.0 * sigma**2)
     return 2.0 * value if strict else value
 
@@ -176,19 +206,19 @@ def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:
     relative 1e-8; failure to converge raises NumericsError rather than
     returning a truncated value.  ``lam`` may be non-integer.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_order_and_noise(lam, sigma)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if q == 0.0:
         return 0.0
-    return _alpha_subsampled_cached(float(lam), float(sigma), float(q))
+    key = (float(lam), float(sigma), float(q))
+    value = _QUADRATURE_CACHE.get(key)
+    if value is None:
+        value = _QUADRATURE_CACHE[key] = _quadrature(*key)
+    return value
 
 
-@lru_cache(maxsize=None)
-def _alpha_subsampled_cached(lam: float, sigma: float, q: float) -> float:
+def _quadrature(lam: float, sigma: float, q: float) -> float:
     n = _QUAD_START_INTERVALS
     while 2 * n <= _QUAD_MAX_INTERVALS:
         log_f1, log_f2, width = _log_integrands(lam, sigma, q, 2 * n)
@@ -246,17 +276,126 @@ def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
     return best
 
 
-def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def alpha_terms(
+    cfg: PrivacyConfig, workers: int | None = 1
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The integer orders 1..lambda_max, the k-means alpha and the per-step SGD alpha at each.
 
     The total log-MGF after t SGD steps is ``kmeans + t * sgd_step``;
     epsilon_for_delta, epsilon_schedule and the accountant report all
-    read it from these two arrays.  cfg.t_sgd is not used.
+    read it from these two arrays.  cfg.t_sgd is not used.  ``workers``
+    processes share the split search's distinct quadratures (None: every
+    usable CPU); the arrays are the same for any count.
     """
+    if workers is None:
+        workers = _usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     lams = tuple(range(1, cfg.lambda_max + 1))
+    if workers > 1 and cfg.q > 0.0:
+        # the orders sgd_step_alpha asks for, computed as it computes them
+        orders = dict.fromkeys(
+            (lam / j, sigma)
+            for lam in lams
+            for j1 in J1_GRID
+            for j, sigma in ((j1, cfg.sigma_c), (1.0 - j1, cfg.sigma_g))
+        )
+        _fill_quadrature_cache(list(orders), cfg.q, workers)
     kmeans = np.array([alpha_kmeans(l, cfg) for l in lams])
     sgd_step = np.array([sgd_step_alpha(l, cfg) for l in lams])
     return lams, kmeans, sgd_step
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_quadrature_cache(orders: list[tuple[float, float]], q: float, workers: int) -> None:
+    """Cache alpha_subsampled_gaussian(lam, sigma, q) for each (lam, sigma) not cached yet.
+
+    The uncached orders are dealt round-robin to this process and to
+    ``workers - 1`` forked children, and each child's values are merged
+    into the cache.  Whatever is still missing (the share of a child that
+    could not be forked, failed or returned short, or the rest of this
+    process's share after a NumericsError) the split search computes here
+    in its own order, so it raises the error the in-process loop raises.
+    Every child is reaped before this returns or raises; on an exception
+    here the children still running are killed first.
+    """
+    missing = [(lam, sigma) for lam, sigma in orders if (lam, sigma, q) not in _QUADRATURE_CACHE]
+    if len(missing) < 2:
+        return
+    shares = [missing[i::workers] for i in range(min(workers, len(missing)))]
+    children = []  # (pid, read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            child = _fork_share(share, q)
+            if child is not None:
+                children.append((*child, share))
+        try:
+            for lam, sigma in shares[0]:
+                alpha_subsampled_gaussian(lam, sigma, q)
+        except NumericsError:
+            pass  # the split search meets the first failing order again, in its own order
+        for _, fd, share in children:
+            raw = _read_to_end(fd)
+            if len(raw) == 8 * len(share):
+                for (lam, sigma), value in zip(share, np.frombuffer(raw, np.float64).tolist()):
+                    _QUADRATURE_CACHE[lam, sigma, q] = value
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, _SIGKILL)
+        raise
+    finally:
+        for pid, fd, _ in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
+def _fork_share(share: list[tuple[float, float]], q: float) -> tuple[int, int] | None:
+    """Fork a child that writes the share's alphas to a pipe as raw float64.
+
+    Returns the child's pid and the pipe's read end, or None when the
+    system refuses a pipe or a process.  The child leaves only through
+    os._exit: status 0 once every value is written, 1 on any exception.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            values = [alpha_subsampled_gaussian(lam, sigma, q) for lam, sigma in share]
+            _write_all(write_fd, np.array(values, np.float64).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def _minimise_epsilon(
@@ -273,9 +412,9 @@ def _minimise_epsilon(
     return float(best_eps), int(best_lam)
 
 
-def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
-    """Tightest (epsilon, argmin lambda) for the configured run."""
-    lams, kmeans, sgd_step = alpha_terms(cfg)
+def epsilon_for_delta(cfg: PrivacyConfig, workers: int | None = 1) -> tuple[float, int]:
+    """Tightest (epsilon, argmin lambda) for the configured run; ``workers`` as in alpha_terms."""
+    lams, kmeans, sgd_step = alpha_terms(cfg, workers)
     return _minimise_epsilon(lams, kmeans + cfg.t_sgd * sgd_step, cfg.delta)
 
 
@@ -294,13 +433,16 @@ class EpochEpsilon:
     argmin_lambda: int
 
 
-def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int]) -> list[EpochEpsilon]:
+def epsilon_schedule(
+    cfg: PrivacyConfig, epochs: Iterable[int], workers: int | None = 1
+) -> list[EpochEpsilon]:
     """Epsilon after each epoch count; cfg.t_sgd is ignored.
 
     The per-iteration SGD alpha does not depend on the iteration count,
-    so the whole schedule costs one quadrature sweep.
+    so the whole schedule costs one quadrature sweep, shared by
+    ``workers`` processes as in alpha_terms.
     """
-    lams, kmeans, sgd_step = alpha_terms(cfg)
+    lams, kmeans, sgd_step = alpha_terms(cfg, workers)
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:

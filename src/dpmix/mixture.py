@@ -16,7 +16,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import os
 import sys
 import threading
 from collections import deque
@@ -25,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import rbm
-from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
+from .accountant import PrivacyConfig, _usable_cpus, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import BinaryDataset, atomic_write, make_dataset
 from .dpsgd import StepInfo, dp_sgd_step
@@ -76,13 +75,17 @@ class TrainResult:
     q: float
 
 
-def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainResult:
+def train(
+    dataset: BinaryDataset, cfg: TrainConfig, master_seed: int, workers: int | None = 1
+) -> TrainResult:
     """Full private training run, deterministic in (dataset, cfg, master_seed).
 
     Child random streams, by name: "feature-map", "kmeans-init",
     "kmeans-noise", "model-init", "chains-<i>", "selection",
     "sgd-sampling", "sgd-noise".  Any stage can be replayed by rebuilding
-    its stream from the master seed.
+    its stream from the master seed.  ``workers`` is the accounting
+    stage's process count, as in accountant.alpha_terms; the result does
+    not depend on it.
     """
     n = len(dataset)
     if cfg.batch_size > n:
@@ -103,7 +106,7 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
                 f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)
             }
             privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
-            epsilon, argmin_lambda = epsilon_for_delta(privacy)
+            epsilon, argmin_lambda = epsilon_for_delta(privacy, workers)
         except (ValueError, ArithmeticError) as exc:
             raise StageError("accounting", str(exc)) from exc
         if not math.isfinite(epsilon):
@@ -194,13 +197,6 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     return TrainResult(
         mixture=mixture, clustering=clustering, steps=steps, t_sgd=t_sgd, q=q
     )
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def generate(

@@ -1,5 +1,7 @@
 """Moments accountant: closed forms, quadrature, composition, epsilon search."""
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +117,19 @@ class TestSubsampledQuadrature:
         with pytest.raises(ValueError):
             alpha_subsampled_gaussian(1, 1.0, 1.5)
 
+    @pytest.mark.parametrize("lam,sigma", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ])
+    def test_non_finite_order_or_noise_rejected_up_front(self, lam, sigma):
+        # Before the check NaN ran all ten refinement levels (about 1 s)
+        # and ended in NumericsError, and alpha_gaussian returned nan.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            alpha_subsampled_gaussian(lam, sigma, 0.01)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            alpha_gaussian(lam, sigma)
+        assert time.perf_counter() - start < 0.1
+
 
 def _log_e1_e2(lam, sigma, q, n_intervals):
     """Composite-Simpson estimates of log E1 and log E2 on the n-interval grid."""
@@ -215,9 +230,9 @@ def _plan_lattice_points():
 
 @pytest.fixture
 def empty_quadrature_cache():
-    accountant._alpha_subsampled_cached.cache_clear()
+    accountant._QUADRATURE_CACHE.clear()
     yield
-    accountant._alpha_subsampled_cached.cache_clear()
+    accountant._QUADRATURE_CACHE.clear()
 
 
 class TestOneGridPerLevel:
@@ -359,6 +374,109 @@ class TestEpsilonSearch:
         assert epoch_iterations(1.0) == 1
         with pytest.raises(ValueError):
             epoch_iterations(0.0)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cold_alpha_terms(cfg, workers):
+    accountant._QUADRATURE_CACHE.clear()
+    lams, kmeans, sgd_step = alpha_terms(cfg, workers)
+    return lams, kmeans.tobytes(), sgd_step.tobytes()
+
+
+# A plan-lattice point and criterion 9's run (q = 100 / 20000, 2000 steps).
+_PLAN_CFG = _cfg(q=0.0017, sigma_g=2.0, t_sgd=0)
+_CRITERION_9_CFG = _cfg(q=0.005, sigma_g=1.0, t_sgd=2000, delta=1 / 20_000)
+
+
+class TestWorkerProcesses:
+    """alpha_terms' forked workers change no bit of the result and leave no process."""
+
+    @pytest.mark.parametrize("cfg", [_PLAN_CFG, _CRITERION_9_CFG], ids=["plan", "criterion-9"])
+    def test_bitwise_equal_for_any_worker_count(self, cfg, empty_quadrature_cache):
+        results = []
+        for workers in (1, 2, 3):
+            terms = _cold_alpha_terms(cfg, workers)
+            accountant._QUADRATURE_CACHE.clear()
+            schedule = epsilon_schedule(cfg, range(1, 21), workers)
+            accountant._QUADRATURE_CACHE.clear()
+            results.append((terms, schedule, epsilon_for_delta(cfg, workers)))
+            _assert_no_child_left()
+        assert results[0] == results[1] == results[2]
+        if cfg is _CRITERION_9_CFG:
+            eps, lam = results[0][2]
+            assert (round(eps, 6), lam) == (1.980524, 8)
+
+    def test_a_failing_child_share_is_computed_here(self, monkeypatch, empty_quadrature_cache):
+        cfg = _cfg(lambda_max=4)
+        want = _cold_alpha_terms(cfg, 1)
+        parent, real = os.getpid(), accountant.alpha_subsampled_gaussian
+
+        def fails_in_children(lam, sigma, q):
+            if os.getpid() != parent:
+                raise NumericsError("worker failed")
+            return real(lam, sigma, q)
+
+        monkeypatch.setattr(accountant, "alpha_subsampled_gaussian", fails_in_children)
+        assert _cold_alpha_terms(cfg, 3) == want
+        _assert_no_child_left()
+
+    def test_a_child_that_writes_nothing_falls_back(self, monkeypatch, empty_quadrature_cache):
+        cfg = _cfg(lambda_max=4)
+        want = _cold_alpha_terms(cfg, 1)
+        monkeypatch.setattr(accountant, "_write_all", lambda fd, data: None)
+        assert _cold_alpha_terms(cfg, 3) == want
+        _assert_no_child_left()
+
+    def test_refused_fork_computes_in_process(self, monkeypatch, empty_quadrature_cache):
+        cfg = _cfg(lambda_max=4)
+        want = _cold_alpha_terms(cfg, 1)
+
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert _cold_alpha_terms(cfg, 3) == want
+
+    def test_parent_exception_kills_and_reaps_children(self, monkeypatch, empty_quadrature_cache):
+        parent, real = os.getpid(), accountant.alpha_subsampled_gaussian
+
+        def fails_in_parent(lam, sigma, q):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(lam, sigma, q)
+
+        monkeypatch.setattr(accountant, "alpha_subsampled_gaussian", fails_in_parent)
+        with pytest.raises(KeyboardInterrupt):
+            alpha_terms(_cfg(), 3)
+        _assert_no_child_left()
+
+    def test_failure_names_the_same_order_for_any_worker_count(
+        self, monkeypatch, empty_quadrature_cache
+    ):
+        # Orders above 25 fail: the split search meets (40.0, sigma_c) first,
+        # at lambda 2, whichever process's share holds it.
+        real = accountant._quadrature
+
+        def fails_above_25(lam, sigma, q):
+            if lam > 25:
+                raise NumericsError(f"no convergence at lam={lam}, sigma={sigma}")
+            return real(lam, sigma, q)
+
+        monkeypatch.setattr(accountant, "_quadrature", fails_above_25)
+        for workers in (1, 2, 3):
+            accountant._QUADRATURE_CACHE.clear()
+            with pytest.raises(NumericsError) as failure:
+                alpha_terms(_cfg(lambda_max=4), workers)
+            assert str(failure.value) == "no convergence at lam=40.0, sigma=4.0"
+            _assert_no_child_left()
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            alpha_terms(_cfg(), 0)
 
 
 class TestPrivacyConfigValidation:

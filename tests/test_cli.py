@@ -120,23 +120,28 @@ def test_accountant_rejects_out_of_range_values(capsys, args, message):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["accountant", "train"])
+@pytest.mark.parametrize("command,workers", [
+    ("accountant", 1), ("train", 1), ("accountant", 3), ("train", 3),
+], ids=["accountant", "train", "accountant-3-workers", "train-3-workers"])
 def test_quadrature_failure_exits_4_without_artifact(tmp_path, capsys, monkeypatch, corpus_files,
-                                                    command):
+                                                    command, workers):
     # With the interval cap at the start value the quadrature can never
-    # compare two estimates, so it raises NumericsError.
+    # compare two estimates, so it raises NumericsError, in worker
+    # processes too.
     monkeypatch.setattr(accountant, "_QUAD_MAX_INTERVALS", accountant._QUAD_START_INTERVALS)
-    accountant._alpha_subsampled_cached.cache_clear()
+    accountant._QUADRATURE_CACHE.clear()
     artifact = tmp_path / "out.json"
     if command == "accountant":
         args = ACCT_ARGS + ["--epochs", "1", "--output", str(artifact)]
     else:
         args = _train_args(corpus_files[1], artifact)
-    assert main(args) == 4
+    assert main(args + ["--workers", str(workers)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and "did not converge" in err
     assert len(err.strip().splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "records.txt"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
