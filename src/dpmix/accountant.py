@@ -7,52 +7,61 @@ composes across iterations additively, and converts the composite to an
     epsilon = min over integer lam in [1, lambda_max] of
               (alpha_total(lam) - log(delta)) / lam.
 
+Neighbouring datasets differ by adding or removing one record, which is
+the adjacency the subsampled analysis assumes.
+
 Two closed-form conventions exist for the plain Gaussian mechanism.  The
 default, (lam^2 + lam) / (4 sigma^2), reproduces the operating points the
 shipped defaults were calibrated against; ``strict_gaussian`` selects
 lam * (lam + 1) / (2 sigma^2), the exact log-MGF of the Gaussian privacy
 loss at sensitivity-to-noise ratio 1/sigma.  The subsampled mechanism is
-always evaluated by numerical quadrature of the two likelihood-ratio
-integrals and is unaffected by the flag.
+unaffected by the flag.
 
-The quadrature is composite Simpson on a grid that doubles until two
-successive estimates agree.  Each level evaluates the integrands once,
-on the fine grid of 2n intervals, and takes the n-interval estimate from
-its even nodes: those are exactly the nodes of the n-interval grid, so
-the coarse estimate is the one a separate n-interval grid would give.
+For the Poisson-subsampled Gaussian, mu0 = N(0, sigma^2) and mu1 = (1 - q)
+mu0 + q N(1, sigma^2); alpha(lam) is log max(E1, E2) with E1 = E_mu0[(mu0 /
+mu1)^lam] and E2 = E_mu1[(mu1 / mu0)^lam].  Mironov, Talwar and Zhang,
+"Renyi Differential Privacy of the Sampled Gaussian Mechanism" (2019),
+prove that for this mechanism the divergence of mu1 from mu0 is at least
+the divergence in the other direction, that is E2 >= E1, so alpha(lam) =
+log E2 (the tests check it against a quadrature of both, at every order
+of acceptance criteria 3 and 9).  Their section 3.3 gives an exact series
+for E2 = A_a at any real order a = lam + 1.  Split the integral at z0 =
+sigma^2 log((1 - q) / q) + 1/2, where the two components of mu1 are equal,
+and expand each side binomially:
 
-The quadrature sums its integrands with a private log-sum-exp rather than
-``scipy.special.logsumexp``.  It performs scipy's operations in scipy's
-order, so the two agree bit for bit on this module's inputs, but it builds
-three full-grid temporaries where scipy builds about a dozen (scipy also
-evaluates its direct-sum fallback and sign bookkeeping on every call).
-With scipy's version, the speed of every cold quadrature depended on the
-heap layout left behind by earlier imports.
+    A_a = sum over i >= 0 of t_i + u_i,
+    t_i = C(a, i) q^i (1 - q)^(a-i) exp((i^2 - i) / (2 sigma^2)) Phi((z0 - i) / sigma),
+    u_i = C(a, i) q^(a-i) (1 - q)^i exp((j^2 - j) / (2 sigma^2)) Phi((j - z0) / sigma),
 
-alpha_terms can share the split search's distinct quadratures (500 for
-the plan lattice's configurations) among ``workers`` processes made with
-os.fork.  Processes, not threads: a quadrature is a few dozen short
-numpy calls that hold the GIL much of the time, and 500 of them took
-0.27-0.33 s on one thread or on two, but 0.17-0.23 s on two forked
-processes (one measurement on 2 vCPUs).  Each child computes its share through
-alpha_subsampled_gaussian, as this process does, and sends every value
-back as its raw float64 bytes, which go into the quadrature cache
-unchanged; a quadrature depends on nothing but its (lam, sigma, q), so
-alpha, epsilon and the argmin lambda are bit-identical for any worker
-count.  The children call no BLAS routine (whose thread pool does not
-survive a fork) and no logging, only numpy ufuncs and reductions, and
-leave through os._exit, so no atexit handler or buffered stream runs in
-them.  Python 3.12 and later warn when a process that runs other
-threads (an OpenBLAS pool, say) forks, because a child that takes a
-lock another thread held at the fork hangs; these children take no
-such lock.
+with j = a - i.  For integer a the terms past i = a vanish and the sum
+is the binomial expansion.  Written with the Mills ratio R(x) = Phi(-x) /
+phi(x), |t_i| = |C(a, i)| (1 - q)^a c R((i - z0) / sigma) and |u_i| =
+|C(a, i)| (1 - q)^a c R((z0 - a + i) / sigma), for c = exp(-z0^2 / (2
+sigma^2)) / sqrt(2 pi); R decreases, so both factors shrink as i grows.
+That bounds what the first K terms of the two sums leave out:
+
+  - for K > a, C(a, i) alternates in sign from i = K on and |C(a, i)|
+    shrinks, so the rest of each sum is at most its first omitted term,
+    and the tail is T_K <= |t_K| + |u_K|;
+  - for K <= a, T_K <= (|t_K| + |u_K|) * B / |C(a, K)|, with
+    B = 2^(floor(a) + 1) + 1 >= the sum over i of |C(a, i)|.
+
+The series takes K = 32 terms, then 64, and so on up to 1024, until the
+partial sum S_K meets T_K / S_K <= 1e-10 log S_K + 1e-16, which keeps the
+truncation's error in alpha below 1e-10 relative.  Of the 3518 orders of
+criteria 3 and 9, all but 7 take 32 terms and none more than 64.  A sum
+that does not meet the bound within 1024 terms, or is not finite and
+positive, raises NumericsError.  log |C(a, i)| is a running sum and its
+sign a running product, both over the factors (a - m + 1) / m, with
+a - m + 1 built as (floor(a) - m + 1) + (a - floor(a)): that stays exact
+at near-integer orders such as 1 / 0.1 + 1 = 11.000000000000002, where
+lgamma of a - m + 1 would fail.  Phi comes from math.erfc; above 26,
+where erfc underflows, from its asymptotic series.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,16 +75,14 @@ DEFAULT_LAMBDA_MAX = 32
 # mechanism; the lone 0.9 entry covers the opposite regime.
 J1_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.90)
 
-_QUAD_START_INTERVALS = 2**12
-_QUAD_MAX_INTERVALS = 2**22
-_QUAD_RTOL = 1e-8
-_QUAD_ATOL = 1e-12
-
-# alpha_subsampled_gaussian's values by (lam, sigma, q): each quadrature
-# this process computed or received from a worker process.
-_QUADRATURE_CACHE: dict[tuple[float, float, float], float] = {}
-
-_SIGKILL = 9  # its POSIX number; os does not name it, and signal is not imported
+# The series' term counts, tried in turn, and its truncation tolerance.
+_SERIES_TERMS = (32, 64, 128, 256, 512, 1024)
+_SERIES_RTOL = 1e-10
+_SERIES_ATOL = 1e-16
+_SERIES_BLOCK = 64  # orders per array pass
+# math.erfc is accurate up to here and underflows just above 26.5.
+_ERFC_ASYMPTOTIC_FROM = 26.0
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,12 @@ class PrivacyConfig:
             raise ValueError("lambda_max must be >= 1")
 
 
-def _check_order_and_noise(lam: float, sigma: float) -> None:
+def _check_order_and_noise(lam, sigma: float) -> None:
     # NaN fails these comparisons too
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if not 0 < lam < math.inf:
+    lam = np.asarray(lam)
+    if lam.size and not 0 < lam.min() <= lam.max() < math.inf:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
 
 
@@ -131,106 +139,97 @@ def alpha_gaussian(lam: float, sigma: float, strict: bool = False) -> float:
     return 2.0 * value if strict else value
 
 
-@lru_cache(maxsize=None)
-def _simpson_pattern(n_intervals: int) -> np.ndarray:
-    """The composite-Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 before scaling (read-only)."""
-    w = np.full(n_intervals + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = 1.0
-    w[-1] = 1.0
-    w.flags.writeable = False
-    return w
-
-
-def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
-    """log(sum(b * exp(a))) for weights b > 0, equal to scipy.special.logsumexp(a, b=b).
-
-    scipy's steps in scipy's order: the weights at the maximum are summed
-    apart as m, the other terms are shifted by the maximum and summed as s,
-    and log1p(s / m) + log(m) + max is taken with numpy's log1p and log.
-    A result that is not finite falls back to the direct sum, as scipy's does.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        at_max = a == a_max
-        m = np.where(at_max, b, 0.0).sum()
-        terms = a - a_max
-        terms[at_max] = -np.inf
-        np.exp(terms, out=terms)
-        terms *= b
-        s = terms.sum()
-        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log((b * np.exp(a)).sum())
-    return float(out)
-
-
-def _log_integrands(
-    lam: float, sigma: float, q: float, n_intervals: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """log of the E1 and E2 integrands on the n-interval grid, and the grid's width.
-
-    E1 integrates mu0 * (mu0 / mu1)^lam, E2 integrates mu1 * (mu1 / mu0)^lam,
-    where mu0 is the N(0, sigma) density and mu1 the q-mixture of mu0 with
-    its unit shift.  Everything stays in log space: the E2 integrand peaks
-    near x = lam + 1 with height exp(lam * (lam + 1) / (2 sigma^2)), far
-    beyond float range for moderate lam.  The window is widened with lam
-    for the same reason; a fixed window would silently truncate that peak.
-    """
-    pad = max(20.0 * sigma, 20.0)
-    lo = -(lam + pad)
-    hi = 1.0 + lam + pad
-    x = np.linspace(lo, hi, n_intervals + 1)
-    norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
-    log_g0 = -(x**2) / (2.0 * sigma**2) + norm
-    log_g1 = -((x - 1.0) ** 2) / (2.0 * sigma**2) + norm
-    log_q = math.log(q) if q > 0 else -math.inf
-    log_1mq = math.log1p(-q) if q < 1 else -math.inf
-    log_mu0 = log_g0
-    log_mu1 = np.logaddexp(log_1mq + log_g0, log_q + log_g1)
-    lam_log_ratio = lam * (log_mu0 - log_mu1)
-    return log_mu0 + lam_log_ratio, log_mu1 - lam_log_ratio, hi - lo
-
-
-def _log_simpson(log_f1: np.ndarray, log_f2: np.ndarray, width: float) -> tuple[float, float]:
-    """Composite-Simpson log-integrals of two log-integrands on one grid of the given width."""
-    n_intervals = log_f1.size - 1
-    weights = _simpson_pattern(n_intervals) * (width / n_intervals / 3.0)
-    return _logsumexp(log_f1, weights), _logsumexp(log_f2, weights)
-
-
-def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:
+def alpha_subsampled_gaussian(lam, sigma: float, q: float):
     """log max(E1, E2) for the Poisson-subsampled Gaussian mechanism.
 
-    The node count doubles until successive Simpson estimates agree to a
-    relative 1e-8; failure to converge raises NumericsError rather than
-    returning a truncated value.  ``lam`` may be non-integer.
+    ``lam`` is one order or an array of them, not necessarily integers;
+    the result is a float or an array of the same shape.  Each order's
+    value depends on that order alone, not on the others in the array.
+    NumericsError if the series does not converge.
     """
     _check_order_and_noise(lam, sigma)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
+    lams = np.array(lam, dtype=np.float64)
     if q == 0.0:
-        return 0.0
-    key = (float(lam), float(sigma), float(q))
-    value = _QUADRATURE_CACHE.get(key)
-    if value is None:
-        value = _QUADRATURE_CACHE[key] = _quadrature(*key)
-    return value
+        out = np.zeros_like(lams)
+    elif q == 1.0:  # the shifted Gaussian's log-MGF; z0 is infinite
+        out = lams * (lams + 1.0) / (2.0 * sigma**2)
+    else:
+        out = np.maximum(_log_e2_series(lams.ravel(), sigma, q), 0.0).reshape(lams.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def _quadrature(lam: float, sigma: float, q: float) -> float:
-    n = _QUAD_START_INTERVALS
-    while 2 * n <= _QUAD_MAX_INTERVALS:
-        log_f1, log_f2, width = _log_integrands(lam, sigma, q, 2 * n)
-        coarse = max(_log_simpson(log_f1[::2], log_f2[::2], width))
-        fine = max(_log_simpson(log_f1, log_f2, width))
-        if abs(fine - coarse) <= _QUAD_RTOL * abs(fine) + _QUAD_ATOL:
-            return max(fine, 0.0)
-        n *= 2
-    raise NumericsError(
-        f"subsampled-Gaussian quadrature did not converge for "
-        f"lam={lam}, sigma={sigma}, q={q} within {_QUAD_MAX_INTERVALS} intervals"
-    )
+def _log_e2_series(lams: np.ndarray, sigma: float, q: float) -> np.ndarray:
+    """log E2 at each order, from the fewest terms of _SERIES_TERMS that meet the tail bound.
+
+    The orders go _SERIES_BLOCK at a time, which bounds the temporaries.
+    """
+    out = np.empty_like(lams)
+    for start in range(0, lams.size, _SERIES_BLOCK):
+        pending = np.arange(start, min(start + _SERIES_BLOCK, lams.size))
+        for terms in _SERIES_TERMS:
+            log_sum, log_tail = _log_partial_sums(lams[pending] + 1.0, sigma, q, terms)
+            bad = ~np.isfinite(log_sum)
+            if bad.any():
+                raise NumericsError(
+                    f"subsampled-Gaussian series is not finite and positive for "
+                    f"lam={lams[pending][bad][0]}, sigma={sigma}, q={q}"
+                )
+            done = np.exp(log_tail - log_sum) <= _SERIES_RTOL * log_sum + _SERIES_ATOL
+            out[pending[done]] = log_sum[done]
+            pending = pending[~done]
+            if not pending.size:
+                break
+        else:
+            raise NumericsError(
+                f"subsampled-Gaussian series did not converge for lam={lams[pending[0]]}, "
+                f"sigma={sigma}, q={q} within {_SERIES_TERMS[-1]} terms"
+            )
+    return out
+
+
+def _log_partial_sums(
+    a: np.ndarray, sigma: float, q: float, terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """log S_K and log T_K at each order a = lam + 1, for K = terms (module docstring)."""
+    a = a[:, None]
+    floor = np.floor(a)
+    i = np.arange(terms + 1.0)
+    factors = (floor + 1.0 - i[1:]) + (a - floor)  # a - i + 1, for i = 1..K
+    log_c = np.zeros((a.size, terms + 1))
+    sign = np.ones_like(log_c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.cumsum(np.log(np.abs(factors)) - np.log(i[1:]), axis=1, out=log_c[:, 1:])
+        np.cumprod(np.sign(factors), axis=1, out=sign[:, 1:])
+        z0 = sigma**2 * (math.log1p(-q) - math.log(q)) + 0.5
+        j = a - i
+        scale = math.sqrt(2.0) * sigma
+        log_t = (log_c + i * math.log(q) + j * math.log1p(-q) + (i * i - i) / (2.0 * sigma**2)
+                 + _log_erfc((i - z0) / scale) - math.log(2.0))
+        log_u = (log_c + j * math.log(q) + i * math.log1p(-q) + (j * j - j) / (2.0 * sigma**2)
+                 + _log_erfc((z0 - j) / scale) - math.log(2.0))
+        head = np.concatenate((log_t[:, :-1], log_u[:, :-1]), axis=1)
+        top = head.max(axis=1)
+        total = (np.tile(sign[:, :-1], 2) * np.exp(head - top[:, None])).sum(axis=1)
+        log_sum = np.log(total) + top
+        log_next = np.logaddexp(log_t[:, -1], log_u[:, -1])  # log(|t_K| + |u_K|)
+        log_bound = np.logaddexp((floor[:, 0] + 1.0) * math.log(2.0), 0.0) - log_c[:, -1]
+        log_tail = np.where(terms > a[:, 0], log_next, log_next + log_bound)
+    return log_sum, log_tail
+
+
+def _log_erfc(x: np.ndarray) -> np.ndarray:
+    """log erfc(x) by math.erfc, and by its asymptotic series where erfc underflows."""
+    out = np.empty_like(x)
+    near = x <= _ERFC_ASYMPTOTIC_FROM
+    out[near] = np.log(_erfc(x[near]).astype(np.float64))
+    far = x[~near]
+    u = 0.5 / (far * far)
+    # erfc(x) = exp(-x^2) / (x sqrt(pi)) * (1 - u + 3u^2 - 15u^3 + 105u^4 - ...)
+    out[~near] = (np.log(1.0 - u * (1.0 - 3.0 * u * (1.0 - 5.0 * u * (1.0 - 7.0 * u))))
+                  - far * far - np.log(far * math.sqrt(math.pi)))
+    return out
 
 
 def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
@@ -255,7 +254,7 @@ def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
     return cfg.t_kmeans * per_iter
 
 
-def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
+def sgd_step_alpha(lam, cfg: PrivacyConfig):
     """Per-iteration SGD log-MGF, minimised over budget splits.
 
     One iteration runs two subsampled mechanisms on the same batch:
@@ -263,139 +262,32 @@ def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
     sigma_g.  Their joint moment is bounded by
     j1 * alpha(lam / j1, sigma_c) + j2 * alpha(lam / j2, sigma_g) for any
     split j1 + j2 = 1, and the splits (j1, 1 - j1) of J1_GRID are searched
-    for the tightest.
+    for the tightest.  ``lam`` is one order or an array of them; the
+    search over every order is one array call per noise scale.
     """
+    lams = np.array(lam, dtype=np.float64)
     if cfg.q == 0.0:
-        return 0.0
-    best = math.inf
-    for j1 in J1_GRID:
+        best = np.zeros_like(lams)
+    else:
+        j1 = np.array(J1_GRID)
         j2 = 1.0 - j1
-        a = j1 * alpha_subsampled_gaussian(lam / j1, cfg.sigma_c, cfg.q)
-        a += j2 * alpha_subsampled_gaussian(lam / j2, cfg.sigma_g, cfg.q)
-        best = min(best, a)
-    return best
+        orders = lams[..., None]
+        split = j1 * alpha_subsampled_gaussian(orders / j1, cfg.sigma_c, cfg.q)
+        split += j2 * alpha_subsampled_gaussian(orders / j2, cfg.sigma_g, cfg.q)
+        best = split.min(axis=-1)
+    return float(best) if best.ndim == 0 else best
 
 
-def alpha_terms(
-    cfg: PrivacyConfig, workers: int | None = 1
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The integer orders 1..lambda_max, the k-means alpha and the per-step SGD alpha at each.
 
     The total log-MGF after t SGD steps is ``kmeans + t * sgd_step``;
     epsilon_for_delta, epsilon_schedule and the accountant report all
-    read it from these two arrays.  cfg.t_sgd is not used.  ``workers``
-    processes share the split search's distinct quadratures (None: every
-    usable CPU); the arrays are the same for any count.
+    read it from these two arrays.  cfg.t_sgd is not used.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     lams = tuple(range(1, cfg.lambda_max + 1))
-    if workers > 1 and cfg.q > 0.0:
-        # the orders sgd_step_alpha asks for, computed as it computes them
-        orders = dict.fromkeys(
-            (lam / j, sigma)
-            for lam in lams
-            for j1 in J1_GRID
-            for j, sigma in ((j1, cfg.sigma_c), (1.0 - j1, cfg.sigma_g))
-        )
-        _fill_quadrature_cache(list(orders), cfg.q, workers)
     kmeans = np.array([alpha_kmeans(l, cfg) for l in lams])
-    sgd_step = np.array([sgd_step_alpha(l, cfg) for l in lams])
-    return lams, kmeans, sgd_step
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fill_quadrature_cache(orders: list[tuple[float, float]], q: float, workers: int) -> None:
-    """Cache alpha_subsampled_gaussian(lam, sigma, q) for each (lam, sigma) not cached yet.
-
-    The uncached orders are dealt round-robin to this process and to
-    ``workers - 1`` forked children, and each child's values are merged
-    into the cache.  Whatever is still missing (the share of a child that
-    could not be forked, failed or returned short, or the rest of this
-    process's share after a NumericsError) the split search computes here
-    in its own order, so it raises the error the in-process loop raises.
-    Every child is reaped before this returns or raises; on an exception
-    here the children still running are killed first.
-    """
-    missing = [(lam, sigma) for lam, sigma in orders if (lam, sigma, q) not in _QUADRATURE_CACHE]
-    if len(missing) < 2:
-        return
-    shares = [missing[i::workers] for i in range(min(workers, len(missing)))]
-    children = []  # (pid, read end of its pipe, its share)
-    try:
-        for share in shares[1:]:
-            child = _fork_share(share, q)
-            if child is not None:
-                children.append((*child, share))
-        try:
-            for lam, sigma in shares[0]:
-                alpha_subsampled_gaussian(lam, sigma, q)
-        except NumericsError:
-            pass  # the split search meets the first failing order again, in its own order
-        for _, fd, share in children:
-            raw = _read_to_end(fd)
-            if len(raw) == 8 * len(share):
-                for (lam, sigma), value in zip(share, np.frombuffer(raw, np.float64).tolist()):
-                    _QUADRATURE_CACHE[lam, sigma, q] = value
-    except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, _SIGKILL)
-        raise
-    finally:
-        for pid, fd, _ in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-
-
-def _fork_share(share: list[tuple[float, float]], q: float) -> tuple[int, int] | None:
-    """Fork a child that writes the share's alphas to a pipe as raw float64.
-
-    Returns the child's pid and the pipe's read end, or None when the
-    system refuses a pipe or a process.  The child leaves only through
-    os._exit: status 0 once every value is written, 1 on any exception.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            values = [alpha_subsampled_gaussian(lam, sigma, q) for lam, sigma in share]
-            _write_all(write_fd, np.array(values, np.float64).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
+    return lams, kmeans, sgd_step_alpha(lams, cfg)
 
 
 def _minimise_epsilon(
@@ -412,9 +304,9 @@ def _minimise_epsilon(
     return float(best_eps), int(best_lam)
 
 
-def epsilon_for_delta(cfg: PrivacyConfig, workers: int | None = 1) -> tuple[float, int]:
-    """Tightest (epsilon, argmin lambda) for the configured run; ``workers`` as in alpha_terms."""
-    lams, kmeans, sgd_step = alpha_terms(cfg, workers)
+def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
+    """Tightest (epsilon, argmin lambda) for the configured run."""
+    lams, kmeans, sgd_step = alpha_terms(cfg)
     return _minimise_epsilon(lams, kmeans + cfg.t_sgd * sgd_step, cfg.delta)
 
 
@@ -433,16 +325,13 @@ class EpochEpsilon:
     argmin_lambda: int
 
 
-def epsilon_schedule(
-    cfg: PrivacyConfig, epochs: Iterable[int], workers: int | None = 1
-) -> list[EpochEpsilon]:
+def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int]) -> list[EpochEpsilon]:
     """Epsilon after each epoch count; cfg.t_sgd is ignored.
 
     The per-iteration SGD alpha does not depend on the iteration count,
-    so the whole schedule costs one quadrature sweep, shared by
-    ``workers`` processes as in alpha_terms.
+    so the whole schedule costs one alpha_terms call.
     """
-    lams, kmeans, sgd_step = alpha_terms(cfg, workers)
+    lams, kmeans, sgd_step = alpha_terms(cfg)
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:

@@ -62,9 +62,8 @@ def _with_train_defaults(**options: Option) -> dict[str, Option]:
 
 _OPTIONS = {
     "seed": Option(int, 0, "master seed"),
-    "workers": Option(int, None, "generate: sampling threads; accountant and train: "
-                      "accounting processes; default the usable CPUs (same output for any "
-                      "count); cluster and evaluate ignore it"),
+    "workers": Option(int, None, "generate: sampling threads, default the usable CPUs "
+                      "(same output for any count); the other commands ignore it"),
     "data": Option(str, REQUIRED, "dataset file"),
     "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
     "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
@@ -289,7 +288,7 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         delta = 1.0 / opts["data_size"]
     try:
         cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
-        schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1), opts["workers"])
+        schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
     except ValueError as exc:
         raise ConfigError(str(exc))
     print("epoch,t_sgd,epsilon,lambda")
@@ -398,7 +397,7 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
     cfg = TrainConfig(**{**_fields_from(TrainConfig, opts), "init_centers": init})
     dataset = _load_dataset(opts)
-    result = train(dataset, cfg, opts["seed"], opts["workers"])
+    result = train(dataset, cfg, opts["seed"])
     echo = dict(opts)
     echo["delta"] = (
         result.mixture.privacy.delta if result.mixture.privacy is not None else None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import sys
 import threading
 from collections import deque
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import rbm
-from .accountant import PrivacyConfig, _usable_cpus, epoch_iterations, epsilon_for_delta
+from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import BinaryDataset, atomic_write, make_dataset
 from .dpsgd import StepInfo, dp_sgd_step
@@ -75,17 +76,13 @@ class TrainResult:
     q: float
 
 
-def train(
-    dataset: BinaryDataset, cfg: TrainConfig, master_seed: int, workers: int | None = 1
-) -> TrainResult:
+def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainResult:
     """Full private training run, deterministic in (dataset, cfg, master_seed).
 
     Child random streams, by name: "feature-map", "kmeans-init",
     "kmeans-noise", "model-init", "chains-<i>", "selection",
     "sgd-sampling", "sgd-noise".  Any stage can be replayed by rebuilding
-    its stream from the master seed.  ``workers`` is the accounting
-    stage's process count, as in accountant.alpha_terms; the result does
-    not depend on it.
+    its stream from the master seed.
     """
     n = len(dataset)
     if cfg.batch_size > n:
@@ -106,7 +103,7 @@ def train(
                 f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)
             }
             privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
-            epsilon, argmin_lambda = epsilon_for_delta(privacy, workers)
+            epsilon, argmin_lambda = epsilon_for_delta(privacy)
         except (ValueError, ArithmeticError) as exc:
             raise StageError("accounting", str(exc)) from exc
         if not math.isfinite(epsilon):
@@ -197,6 +194,13 @@ def train(
     return TrainResult(
         mixture=mixture, clustering=clustering, steps=steps, t_sgd=t_sgd, q=q
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def generate(
@@ -411,7 +415,9 @@ def load_model(path) -> MixtureModel:
     missing or a value is outside its domain: the version, an array
     (malformed, not finite or of the wrong shape), a negative mixture
     weight, m, k, d, gamma, feature_map_seed, the type of a privacy-block
-    field, or the privacy block's epsilon and argmin_lambda.
+    field, or the privacy block's epsilon and argmin_lambda.  The epsilon
+    is recomputed from the privacy block, and DataError if the stored one
+    is lower by more than 1e-9 relative.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -421,9 +427,19 @@ def load_model(path) -> MixtureModel:
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise DataError(f"unsupported model format version {version!r}")
     try:
-        return _model_from_payload(payload)
+        mix = _model_from_payload(payload)
     except KeyError as exc:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
+    del payload  # the accountant's temporaries reuse the memory of the file's text
+    if mix.privacy is not None:
+        # the slack admits epsilons stored by earlier versions of the accountant
+        recomputed, _ = epsilon_for_delta(mix.privacy)
+        if mix.epsilon < recomputed * (1.0 - 1e-9):
+            raise _malformed(
+                "privacy.epsilon", mix.epsilon,
+                f"at least {recomputed!r}, which its privacy block gives",
+            )
+    return mix
 
 
 def _decode_rbm(what: str, entry: dict, m: int) -> rbm.RbmModel:

@@ -1,7 +1,8 @@
-"""Moments accountant: closed forms, quadrature, composition, epsilon search."""
+"""Moments accountant: closed forms, the series against oracles, composition, epsilon search."""
 import math
 import os
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dpmix.accountant import (
     epsilon_schedule,
     sgd_step_alpha,
 )
+from dpmix.cli import main
 from dpmix.errors import NumericsError
 
 # Monte Carlo oracle for log max(E1, E2) at q=0.01, lam=8, sigma=4,
@@ -97,12 +99,13 @@ class TestSubsampledQuadrature:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_resolution_doubling_is_stable(self):
-        # The adaptive rule converges at 1e-8 relative; one fixed grid of
-        # 2^16 intervals, finer than where it stops, must agree to far
+        # The series stops at the first term count whose tail bound is met;
+        # a fixed 1024 terms, more than where it stops, must agree to far
         # better than 1e-6 relative.
         for lam, sigma, q in ((8, 4.0, 0.01), (31.58, 1.0, 0.0017), (640.0, 4.0, 0.0017)):
             a = alpha_subsampled_gaussian(lam, sigma, q)
-            b = max(*_log_e1_e2(lam, sigma, q, 2**16), 0.0)
+            log_sum, _ = accountant._log_partial_sums(np.array([lam + 1.0]), sigma, q, 1024)
+            b = max(float(log_sum[0]), 0.0)
             assert abs(a - b) <= 1e-6 * max(abs(a), 1e-9)
 
     def test_fractional_lambda_accepted(self):
@@ -131,11 +134,6 @@ class TestSubsampledQuadrature:
         assert time.perf_counter() - start < 0.1
 
 
-def _log_e1_e2(lam, sigma, q, n_intervals):
-    """Composite-Simpson estimates of log E1 and log E2 on the n-interval grid."""
-    return accountant._log_simpson(*accountant._log_integrands(lam, sigma, q, n_intervals))
-
-
 def _binomial_log_e2(lam: int, sigma: float, q: float) -> float:
     """Exact log E2 at integer lam (Mironov, Talwar & Zhang 2019):
     log sum_{k=0}^{lam+1} C(lam+1, k) (1-q)^(lam+1-k) q^k e^((k^2-k) / 2 sigma^2).
@@ -150,34 +148,41 @@ def _binomial_log_e2(lam: int, sigma: float, q: float) -> float:
     return float(logsumexp(log_terms))
 
 
-class TestLogSumExp:
-    """The private log-sum-exp against scipy.special.logsumexp, compared with ==."""
-
-    def test_equals_scipy_on_quadrature_integrands(self, monkeypatch):
-        own = accountant._logsumexp
-        pairs = []
-
-        def both(a, b):
-            pairs.append((own(a, b), float(logsumexp(a, b=b))))
-            return pairs[-1][0]
-
-        monkeypatch.setattr(accountant, "_logsumexp", both)
-        for lam in (1.0, 8.0, 31.58, 110.0, 640.0):
-            for sigma in (0.8, 1.0, 4.0):
-                for q in (0.001, 0.0017, 0.01, 0.5, 1.0):
-                    for n in (2**12, 2**13):
-                        _log_e1_e2(lam, sigma, q, n)
-        assert len(pairs) == 2 * 5 * 3 * 5 * 2
-        assert all(got == want for got, want in pairs)
-
-    def test_non_finite_inputs(self):
-        b = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 6.0
-        for a in (np.full(5, -np.inf), np.array([0.0, 1.0, np.inf, 2.0, -3.0])):
-            assert accountant._logsumexp(a, b) == float(logsumexp(a, b=b))
+# The quadrature oracle: adaptive composite Simpson on log-space integrands,
+# the accountant's method before the series.  Independent of the series.
+_QUAD_START_INTERVALS = 2**12
+_QUAD_MAX_INTERVALS = 2**22
+_QUAD_RTOL = 1e-8
+_QUAD_ATOL = 1e-12
 
 
-def _reference_log_e1_e2(lam, sigma, q, n_intervals):
-    """The quadrature as it was before one grid served two levels: one grid per level."""
+def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """log(sum(b * exp(a))) for weights b > 0, equal to scipy.special.logsumexp(a, b=b).
+
+    scipy's steps in scipy's order, with three temporaries where scipy
+    builds about a dozen, which makes the oracle several times faster.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        m = np.where(at_max, b, 0.0).sum()
+        terms = a - a_max
+        terms[at_max] = -np.inf
+        np.exp(terms, out=terms)
+        terms *= b
+        s = terms.sum()
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log((b * np.exp(a)).sum())
+    return float(out)
+
+
+def _oracle_integrands(lam, sigma, q, n_intervals):
+    """log of the E1 and E2 integrands on the n-interval grid, and the Simpson weights.
+
+    E1 integrates mu0 * (mu0 / mu1)^lam, E2 integrates mu1 * (mu1 / mu0)^lam.
+    The window widens with lam, because the E2 integrand peaks near x = lam + 1.
+    """
     pad = max(20.0 * sigma, 20.0)
     lo = -(lam + pad)
     hi = 1.0 + lam + pad
@@ -195,97 +200,184 @@ def _reference_log_e1_e2(lam, sigma, q, n_intervals):
     w[1::2] = 4.0
     w[0] = 1.0
     w[-1] = 1.0
-    weights = w * (step / 3.0)
-    log_e1 = accountant._logsumexp(log_mu0 + lam * log_ratio, weights)
-    log_e2 = accountant._logsumexp(log_mu1 - lam * log_ratio, weights)
-    return log_e1, log_e2
+    return log_mu0 + lam * log_ratio, log_mu1 - lam * log_ratio, w * (step / 3.0)
 
 
-def _reference_alpha(lam, sigma, q):
-    """The two-level doubling loop on separately built grids, reading the module's tolerances."""
-    n = accountant._QUAD_START_INTERVALS
+def _reference_log_e1_e2(lam, sigma, q, n_intervals):
+    """Composite-Simpson estimates of log E1 and log E2 on one n-interval grid."""
+    log_f1, log_f2, weights = _oracle_integrands(lam, sigma, q, n_intervals)
+    return _logsumexp(log_f1, weights), _logsumexp(log_f2, weights)
+
+
+@lru_cache(maxsize=None)
+def _reference_log_moments(lam, sigma, q):
+    """log E1 and log E2 from the grid that doubles until max(log E1, log E2) settles."""
+    n = _QUAD_START_INTERVALS
     prev = None
-    while n <= accountant._QUAD_MAX_INTERVALS:
-        value = max(_reference_log_e1_e2(lam, sigma, q, n))
-        if prev is not None and (
-            abs(value - prev) <= accountant._QUAD_RTOL * abs(value) + accountant._QUAD_ATOL
-        ):
-            return max(value, 0.0)
+    while n <= _QUAD_MAX_INTERVALS:
+        moments = _reference_log_e1_e2(lam, sigma, q, n)
+        value = max(moments)
+        if prev is not None and abs(value - prev) <= _QUAD_RTOL * abs(value) + _QUAD_ATOL:
+            return moments
         prev = value
         n *= 2
     raise NumericsError("no convergence")
 
 
+def _reference_alpha(lam, sigma, q):
+    return max(*_reference_log_moments(lam, sigma, q), 0.0)
+
+
+def _split_orders(q, sigma_g):
+    """(lam', sigma, q) of every order the split search asks for at one configuration."""
+    return {
+        (lam / j, sigma, q)
+        for lam in range(1, DEFAULT_LAMBDA_MAX + 1)
+        for j1 in J1_GRID
+        for j, sigma in ((j1, 4.0), (1.0 - j1, sigma_g))
+    }
+
+
 def _plan_lattice_points():
-    """(lam', sigma, q) of every quadrature the nine plan-lattice accountant runs make."""
-    points = set()
+    """The orders of the nine plan-lattice accountant runs and of criterion 9's run."""
+    points = _split_orders(0.005, 1.0)
     for q in (0.001, 0.0017, 0.003):
         for sigma_g in (1.0, 2.0, 4.0):
-            for lam in range(1, DEFAULT_LAMBDA_MAX + 1):
-                for j1 in J1_GRID:
-                    points.add((lam / j1, 4.0, q))
-                    points.add((lam / (1.0 - j1), sigma_g, q))
+            points |= _split_orders(q, sigma_g)
     return sorted(points)
 
 
-@pytest.fixture
-def empty_quadrature_cache():
-    accountant._QUADRATURE_CACHE.clear()
-    yield
-    accountant._QUADRATURE_CACHE.clear()
+def _series_by_point(points):
+    """alpha_subsampled_gaussian at each (lam, sigma, q), one array call per (sigma, q)."""
+    groups = {}
+    for lam, sigma, q in points:
+        groups.setdefault((sigma, q), []).append(lam)
+    out = {}
+    for (sigma, q), lams in groups.items():
+        for lam, value in zip(lams, alpha_subsampled_gaussian(np.array(lams), sigma, q)):
+            out[lam, sigma, q] = float(value)
+    return out
+
+
+def _assert_matches_oracle(points, atol=0.0):
+    for point, got in _series_by_point(points).items():
+        want = _reference_alpha(*point)
+        assert abs(got - want) <= atol + 1e-8 * abs(want), (point, got, want)
 
 
 class TestOneGridPerLevel:
-    """The fine-grid quadrature against a copy of the grid-per-level loop, compared with ==."""
+    """The series against the quadrature oracle, which builds one grid per level."""
 
-    def test_equals_reference_on_plan_lattice(self, empty_quadrature_cache):
+    def test_equals_reference_on_plan_lattice(self):
         points = _plan_lattice_points()
-        assert len(points) > 1000
-        for point in points:
-            assert alpha_subsampled_gaussian(*point) == _reference_alpha(*point), point
+        assert len(points) > 3000
+        _assert_matches_oracle(points)
 
-    def test_equals_reference_on_test_grids(self, empty_quadrature_cache):
+    def test_equals_reference_on_test_grids(self):
         lams = [1.0, 3.5, 8.0, 31.58, 110.0, 640.0, *map(float, range(1, 33))]
-        for lam in lams:
-            for sigma in (0.8, 1.0, 2.0, 4.0, 8.0):
-                for q in (0.001, 0.0017, 0.01, 0.1, 0.5, 0.6, 1.0):
-                    want = _reference_alpha(lam, sigma, q)
-                    assert alpha_subsampled_gaussian(lam, sigma, q) == want, (lam, sigma, q)
+        _assert_matches_oracle([
+            (lam, sigma, q)
+            for lam in lams
+            for sigma in (0.8, 1.0, 2.0, 4.0, 8.0)
+            for q in (0.001, 0.0017, 0.01, 0.1, 0.5, 0.6, 1.0)
+        ], atol=1e-12)  # the oracle's own absolute tolerance, for alphas near 1e-8
 
-    @pytest.mark.parametrize("max_intervals", [2**13, 2**16])
-    def test_deeper_levels_and_failure_match_reference(
-        self, monkeypatch, empty_quadrature_cache, max_intervals
-    ):
-        # With zero tolerance a level passes only when its two estimates are
-        # equal: within 2^16 intervals these points stop at the second,
-        # third or fourth grid, and within 2^13 some never stop.
-        monkeypatch.setattr(accountant, "_QUAD_RTOL", 0.0)
-        monkeypatch.setattr(accountant, "_QUAD_ATOL", 0.0)
-        monkeypatch.setattr(accountant, "_QUAD_MAX_INTERVALS", max_intervals)
-        outcomes = set()
-        for point in ((1.0, 0.8, 0.5), (8.0, 1.0, 0.01), (31.58, 1.0, 0.0017),
-                      (640.0, 4.0, 0.0017), (3.5, 2.0, 0.1)):
-            try:
-                want = _reference_alpha(*point)
-            except NumericsError:
-                with pytest.raises(NumericsError):
-                    alpha_subsampled_gaussian(*point)
-                outcomes.add("raises")
-            else:
-                assert alpha_subsampled_gaussian(*point) == want, point
-                outcomes.add("value")
-        assert outcomes == ({"raises", "value"} if max_intervals == 2**13 else {"value"})
+    def test_e1_never_exceeds_e2_on_plan_lattice(self):
+        # Mironov, Talwar & Zhang 2019: E2 >= E1 for the sampled Gaussian,
+        # so the series computes E2 alone.
+        for point, got in _series_by_point(_plan_lattice_points()).items():
+            log_e1, _ = _reference_log_moments(*point)
+            assert log_e1 <= got, (point, log_e1, got)
+
+
+class TestLogSumExp:
+    """The oracle's log-sum-exp against scipy.special.logsumexp, compared with ==."""
+
+    def test_equals_scipy_on_quadrature_integrands(self):
+        pairs = []
+        for lam in (1.0, 8.0, 31.58, 110.0, 640.0):
+            for sigma in (0.8, 1.0, 4.0):
+                for q in (0.001, 0.0017, 0.01, 0.5, 1.0):
+                    for n in (2**12, 2**13):
+                        log_f1, log_f2, weights = _oracle_integrands(lam, sigma, q, n)
+                        for a in (log_f1, log_f2):
+                            pairs.append((_logsumexp(a, weights), float(logsumexp(a, b=weights))))
+        assert len(pairs) == 2 * 5 * 3 * 5 * 2
+        assert all(got == want for got, want in pairs)
+
+    def test_non_finite_inputs(self):
+        b = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 6.0
+        for a in (np.full(5, -np.inf), np.array([0.0, 1.0, np.inf, 2.0, -3.0])):
+            assert _logsumexp(a, b) == float(logsumexp(a, b=b))
 
 
 class TestBinomialOracle:
     def test_quadrature_matches_binomial_expansion(self):
-        # independent of the quadrature: a finite sum, no integration
+        # independent of the series: a finite sum over lgamma coefficients
         for q in (0.001, 0.0017, 0.01, 0.1, 0.5, 1.0):
             for sigma in (0.8, 1.0, 2.0, 4.0, 8.0):
                 for lam in range(1, 33):
                     want = _binomial_log_e2(lam, sigma, q)
                     got = alpha_subsampled_gaussian(lam, sigma, q)
                     assert abs(got - want) <= 1e-12 + 1e-8 * abs(want), (lam, sigma, q)
+
+    def test_near_integer_split_orders_match_binomial_expansion(self):
+        # lam / j for j in J1_GRID and 1 - j lands on or next to an integer
+        # (1 / 0.1 = 10.000000000000002); the series must not break there.
+        inexact = 0
+        for j1 in J1_GRID:
+            for j in (j1, 1.0 - j1):
+                for lam in range(1, DEFAULT_LAMBDA_MAX + 1):
+                    order = lam / j
+                    near = round(order)
+                    if abs(order - near) > 1e-9:
+                        continue
+                    inexact += order != near
+                    for sigma, q in ((4.0, 0.001), (1.0, 0.005), (2.0, 0.0017)):
+                        want = _binomial_log_e2(near, sigma, q)
+                        got = alpha_subsampled_gaussian(order, sigma, q)
+                        assert abs(got - want) <= 1e-15 + 1e-10 * abs(want), (order, sigma, q)
+        assert inexact >= 10
+
+
+class TestSeries:
+    def test_array_call_equals_one_call_per_order(self):
+        orders = np.array(sorted({lam for lam, _, _ in _split_orders(0.005, 1.0)}))
+        for sigma in (1.0, 4.0):
+            batch = alpha_subsampled_gaussian(orders, sigma, 0.005)
+            assert batch.shape == orders.shape
+            singles = [alpha_subsampled_gaussian(lam, sigma, 0.005) for lam in orders]
+            assert batch.tolist() == singles
+            grid = alpha_subsampled_gaussian(orders[::-1].reshape(-1, 2), sigma, 0.005)
+            assert grid.ravel().tolist() == singles[::-1]
+
+    @pytest.mark.parametrize("lam,sigma,q,terms", [
+        (19.5, 2.0, 0.1, 8), (8.0, 1.0, 0.05, 4),  # K <= a = lam + 1
+        (3.5, 1.0, 0.5, 8), (1.1, 4.0, 0.5, 32),   # K > a: alternating tail
+    ])
+    def test_tail_bound_covers_what_the_first_terms_leave_out(self, lam, sigma, q, terms):
+        a = np.array([lam + 1.0])
+        log_sum, log_tail = accountant._log_partial_sums(a, sigma, q, terms)
+        log_ref, _ = accountant._log_partial_sums(a, sigma, q, 1024)
+        left_out = abs(math.expm1(log_ref[0] - log_sum[0]))
+        assert 1e-9 < left_out <= math.exp(log_tail[0] - log_sum[0])
+
+    def test_term_cap_that_cannot_meet_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
+        with pytest.raises(NumericsError, match="did not converge for lam=3.5, .* within 2 terms"):
+            alpha_subsampled_gaussian(np.array([3.5, 8.0]), 1.0, 0.05)
+
+    def test_sum_that_is_not_finite_raises(self, monkeypatch):
+        monkeypatch.setattr(accountant, "_log_erfc", lambda x: np.full_like(x, np.nan))
+        with pytest.raises(NumericsError, match="not finite and positive for lam=8.0"):
+            alpha_subsampled_gaussian(8.0, 1.0, 0.05)
+
+    def test_log_erfc_is_continuous_where_the_asymptotic_series_takes_over(self):
+        edge = accountant._ERFC_ASYMPTOTIC_FROM
+        x = np.array([edge, np.nextafter(edge, np.inf)])
+        below, above = accountant._log_erfc(x)
+        assert abs(above - below) <= 1e-12 * abs(below)
+        assert accountant._log_erfc(np.array([0.0, -30.0])).tolist() == [0.0, math.log(2.0)]
 
 
 class TestKmeansAlpha:
@@ -376,107 +468,58 @@ class TestEpsilonSearch:
             epoch_iterations(0.0)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _cold_alpha_terms(cfg, workers):
-    accountant._QUADRATURE_CACHE.clear()
-    lams, kmeans, sgd_step = alpha_terms(cfg, workers)
-    return lams, kmeans.tobytes(), sgd_step.tobytes()
-
-
 # A plan-lattice point and criterion 9's run (q = 100 / 20000, 2000 steps).
 _PLAN_CFG = _cfg(q=0.0017, sigma_g=2.0, t_sgd=0)
 _CRITERION_9_CFG = _cfg(q=0.005, sigma_g=1.0, t_sgd=2000, delta=1 / 20_000)
 
 
+def _accountant_args(cfg, epochs):
+    return [
+        "accountant", "--q", repr(cfg.q), "--sigma-c", repr(cfg.sigma_c),
+        "--sigma-k", repr(cfg.sigma_k), "--sigma-g", repr(cfg.sigma_g),
+        "--t-kmeans", str(cfg.t_kmeans), "--delta", repr(cfg.delta), "--epochs", str(epochs),
+    ]
+
+
 class TestWorkerProcesses:
-    """alpha_terms' forked workers change no bit of the result and leave no process."""
+    """The accountant runs in one process: --workers is accepted, validated and ignored."""
 
     @pytest.mark.parametrize("cfg", [_PLAN_CFG, _CRITERION_9_CFG], ids=["plan", "criterion-9"])
-    def test_bitwise_equal_for_any_worker_count(self, cfg, empty_quadrature_cache):
-        results = []
+    def test_bitwise_equal_for_any_worker_count(self, cfg, capsys):
+        epochs = cfg.t_sgd // epoch_iterations(cfg.q) if cfg.t_sgd else 20
+        outputs = []
         for workers in (1, 2, 3):
-            terms = _cold_alpha_terms(cfg, workers)
-            accountant._QUADRATURE_CACHE.clear()
-            schedule = epsilon_schedule(cfg, range(1, 21), workers)
-            accountant._QUADRATURE_CACHE.clear()
-            results.append((terms, schedule, epsilon_for_delta(cfg, workers)))
-            _assert_no_child_left()
-        assert results[0] == results[1] == results[2]
+            assert main(_accountant_args(cfg, epochs) + ["--workers", str(workers)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
         if cfg is _CRITERION_9_CFG:
-            eps, lam = results[0][2]
+            eps, lam = epsilon_for_delta(cfg)
+            assert outputs[0].splitlines()[-1] == f"{epochs},{cfg.t_sgd},{eps!r},{lam}"
             assert (round(eps, 6), lam) == (1.980524, 8)
 
-    def test_a_failing_child_share_is_computed_here(self, monkeypatch, empty_quadrature_cache):
-        cfg = _cfg(lambda_max=4)
-        want = _cold_alpha_terms(cfg, 1)
-        parent, real = os.getpid(), accountant.alpha_subsampled_gaussian
-
-        def fails_in_children(lam, sigma, q):
-            if os.getpid() != parent:
-                raise NumericsError("worker failed")
-            return real(lam, sigma, q)
-
-        monkeypatch.setattr(accountant, "alpha_subsampled_gaussian", fails_in_children)
-        assert _cold_alpha_terms(cfg, 3) == want
-        _assert_no_child_left()
-
-    def test_a_child_that_writes_nothing_falls_back(self, monkeypatch, empty_quadrature_cache):
-        cfg = _cfg(lambda_max=4)
-        want = _cold_alpha_terms(cfg, 1)
-        monkeypatch.setattr(accountant, "_write_all", lambda fd, data: None)
-        assert _cold_alpha_terms(cfg, 3) == want
-        _assert_no_child_left()
-
-    def test_refused_fork_computes_in_process(self, monkeypatch, empty_quadrature_cache):
-        cfg = _cfg(lambda_max=4)
-        want = _cold_alpha_terms(cfg, 1)
+    def test_refused_fork_computes_in_process(self, monkeypatch):
+        want = alpha_terms(_PLAN_CFG)
 
         def refuse():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
+            raise AssertionError("the accountant forked")
 
         monkeypatch.setattr(os, "fork", refuse)
-        assert _cold_alpha_terms(cfg, 3) == want
+        got = alpha_terms(_PLAN_CFG)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
 
-    def test_parent_exception_kills_and_reaps_children(self, monkeypatch, empty_quadrature_cache):
-        parent, real = os.getpid(), accountant.alpha_subsampled_gaussian
-
-        def fails_in_parent(lam, sigma, q):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return real(lam, sigma, q)
-
-        monkeypatch.setattr(accountant, "alpha_subsampled_gaussian", fails_in_parent)
-        with pytest.raises(KeyboardInterrupt):
-            alpha_terms(_cfg(), 3)
-        _assert_no_child_left()
-
-    def test_failure_names_the_same_order_for_any_worker_count(
-        self, monkeypatch, empty_quadrature_cache
-    ):
-        # Orders above 25 fail: the split search meets (40.0, sigma_c) first,
-        # at lambda 2, whichever process's share holds it.
-        real = accountant._quadrature
-
-        def fails_above_25(lam, sigma, q):
-            if lam > 25:
-                raise NumericsError(f"no convergence at lam={lam}, sigma={sigma}")
-            return real(lam, sigma, q)
-
-        monkeypatch.setattr(accountant, "_quadrature", fails_above_25)
+    def test_failure_names_the_same_order_for_any_worker_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
+        errors = []
         for workers in (1, 2, 3):
-            accountant._QUADRATURE_CACHE.clear()
-            with pytest.raises(NumericsError) as failure:
-                alpha_terms(_cfg(lambda_max=4), workers)
-            assert str(failure.value) == "no convergence at lam=40.0, sigma=4.0"
-            _assert_no_child_left()
+            assert main(_accountant_args(_PLAN_CFG, 1) + ["--workers", str(workers)]) == 4
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith("numerical error: subsampled-Gaussian series did not converge")
 
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            alpha_terms(_cfg(), 0)
+    def test_zero_workers_rejected(self, capsys):
+        assert main(_accountant_args(_PLAN_CFG, 1) + ["--workers", "0"]) == 2
+        assert capsys.readouterr().err == "usage error: --workers must be >= 1\n"
 
 
 class TestPrivacyConfigValidation:

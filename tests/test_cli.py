@@ -125,11 +125,9 @@ def test_accountant_rejects_out_of_range_values(capsys, args, message):
 ], ids=["accountant", "train", "accountant-3-workers", "train-3-workers"])
 def test_quadrature_failure_exits_4_without_artifact(tmp_path, capsys, monkeypatch, corpus_files,
                                                     command, workers):
-    # With the interval cap at the start value the quadrature can never
-    # compare two estimates, so it raises NumericsError, in worker
-    # processes too.
-    monkeypatch.setattr(accountant, "_QUAD_MAX_INTERVALS", accountant._QUAD_START_INTERVALS)
-    accountant._QUADRATURE_CACHE.clear()
+    # Two terms cannot meet the series' tail bound at the split search's
+    # fractional orders, so it raises NumericsError; --workers is ignored.
+    monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
     artifact = tmp_path / "out.json"
     if command == "accountant":
         args = ACCT_ARGS + ["--epochs", "1", "--output", str(artifact)]
@@ -140,8 +138,6 @@ def test_quadrature_failure_exits_4_without_artifact(tmp_path, capsys, monkeypat
     assert err.startswith("numerical error:") and "did not converge" in err
     assert len(err.strip().splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "records.txt"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -748,6 +744,12 @@ def _infinite_epsilon(payload):
     return "privacy.epsilon is inf, expected a finite number >= 0"
 
 
+def _lowered_epsilon(payload):
+    claimed = payload["privacy"]["epsilon"]
+    payload["privacy"]["epsilon"] = claimed * (1 - 1e-8)
+    return f"privacy.epsilon is {claimed * (1 - 1e-8)!r}, expected at least {claimed!r}"
+
+
 def _lambda_above_max(payload):
     top = payload["privacy"]["lambda_max"]
     payload["privacy"]["argmin_lambda"] = top + 1
@@ -801,7 +803,8 @@ SHAPE_CORRUPTIONS = [
 ]
 VALUE_CORRUPTIONS = [
     _nan_rbm_weight, _infinite_weight, _negative_weight, _float_k, _nan_gamma, _zero_gamma,
-    _bool_seed, _negative_seed, _string_epsilon, _infinite_epsilon, _lambda_above_max,
+    _bool_seed, _negative_seed, _string_epsilon, _infinite_epsilon, _lowered_epsilon,
+    _lambda_above_max,
     _float_lambda, _missing_m, _missing_hidden_bias, *PRIVACY_TYPE_CORRUPTIONS,
 ]
 

@@ -452,6 +452,28 @@ def test_save_load_unsafe_model(tmp_path):
     assert back.epsilon == math.inf
 
 
+@pytest.mark.parametrize("factor,accepted", [
+    (1 - 1e-8, False), (0.5, False), (1 - 1e-10, True), (1.5, True),
+], ids=["lowered-1e-8", "halved", "lowered-1e-10", "raised"])
+def test_load_rechecks_the_stored_epsilon(tmp_path, factor, accepted):
+    # The claim may be looser than the accountant's, not tighter; 1e-9
+    # relative slack admits epsilons stored by the earlier quadrature.
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(k=2), master_seed=11).mixture
+    path = tmp_path / "model.json"
+    save_model(mix, path)
+    payload = json.loads(path.read_text())
+    claimed = payload["privacy"]["epsilon"] * factor
+    payload["privacy"]["epsilon"] = claimed
+    path.write_text(json.dumps(payload))
+    if accepted:
+        assert load_model(path).epsilon == claimed
+    else:
+        with pytest.raises(DataError, match=f"privacy.epsilon is {claimed!r}, expected at least "
+                                            f"{mix.epsilon!r}"):
+            load_model(path)
+
+
 def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
     for version in (99, 0, None, True, 2.0, "2"):
