@@ -8,14 +8,11 @@ composes across iterations additively, and converts the composite to an
               (alpha_total(lam) - log(delta)) / lam.
 
 Neighbouring datasets differ by adding or removing one record, which is
-the adjacency the subsampled analysis assumes.
-
-Two closed-form conventions exist for the plain Gaussian mechanism.  The
-default, (lam^2 + lam) / (4 sigma^2), reproduces the operating points the
-shipped defaults were calibrated against; ``strict_gaussian`` selects
-lam * (lam + 1) / (2 sigma^2), the exact log-MGF of the Gaussian privacy
-loss at sensitivity-to-noise ratio 1/sigma.  The subsampled mechanism is
-unaffected by the flag.
+the adjacency the subsampled analysis assumes and the one every term is
+charged under.  For the plain Gaussian mechanism, (lam^2 + lam) /
+(4 sigma^2) is the exact log-MGF of the privacy loss of the noise
+sqrt(2) * sigma that k-means adds at sensitivity 1 (and sqrt(2) * sigma *
+C_s at sensitivity C_s).
 
 For the Poisson-subsampled Gaussian, mu0 = N(0, sigma^2) and mu1 = (1 - q)
 mu0 + q N(1, sigma^2); alpha(lam) is log max(E1, E2) with E1 = E_mu0[(mu0 /
@@ -106,7 +103,6 @@ class PrivacyConfig:
     delta: float
     rbf_mode: bool = True
     lambda_max: int = DEFAULT_LAMBDA_MAX
-    strict_gaussian: bool = False
 
     def __post_init__(self):
         for name in ("sigma_c", "sigma_k", "sigma_g"):
@@ -132,11 +128,12 @@ def _check_order_and_noise(lam, sigma: float) -> None:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
 
 
-def alpha_gaussian(lam: float, sigma: float, strict: bool = False) -> float:
-    """Per-invocation log-MGF bound for the Gaussian mechanism."""
+def alpha_gaussian(lam, sigma: float):
+    """(lam^2 + lam) / (4 sigma^2) at one order, a float, or at an array of them."""
     _check_order_and_noise(lam, sigma)
-    value = (lam**2 + lam) / (4.0 * sigma**2)
-    return 2.0 * value if strict else value
+    lams = np.array(lam, dtype=np.float64)
+    out = (lams**2 + lams) / (4.0 * sigma**2)
+    return float(out) if out.ndim == 0 else out
 
 
 def alpha_subsampled_gaussian(lam, sigma: float, q: float):
@@ -232,25 +229,19 @@ def _log_erfc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
-    """Total clustering log-MGF after t_kmeans noisy iterations.
+def alpha_kmeans(lam, cfg: PrivacyConfig):
+    """Total clustering log-MGF after t_kmeans noisy iterations; ``lam`` as for alpha_gaussian.
 
     Each iteration releases the noisy cluster sizes (noise scale
     sqrt(2) * sigma_k) and the noisy feature sums (scale
-    sqrt(2) * C_s * sigma_k), and each release is charged
-    alpha_gaussian(lam, sigma_k).  Under add/remove adjacency, which the
-    subsampled-Gaussian analysis assumes, one record moves one size by 1
-    and one sum by at most C_s, so the default convention is the exact
-    log-MGF of noise sqrt(2) * sigma_k.  Under replace-one adjacency the
-    sensitivities are sqrt(2) and sqrt(2) * C_s, and ``strict_gaussian``
-    is the exact charge.  Outside rbf_mode one threshold selection at
-    scale sigma_c is charged per iteration as well.
+    sqrt(2) * C_s * sigma_k).  One record moves one size by 1 and one sum
+    by at most C_s, so alpha_gaussian(lam, sigma_k) is the exact charge of
+    each.  Outside rbf_mode one threshold selection at scale sigma_c is
+    charged per iteration as well.
     """
-    if cfg.t_kmeans == 0:
-        return 0.0
-    per_iter = 2.0 * alpha_gaussian(lam, cfg.sigma_k, cfg.strict_gaussian)
+    per_iter = 2.0 * alpha_gaussian(lam, cfg.sigma_k)
     if not cfg.rbf_mode:
-        per_iter += alpha_gaussian(lam, cfg.sigma_c, cfg.strict_gaussian)
+        per_iter += alpha_gaussian(lam, cfg.sigma_c)
     return cfg.t_kmeans * per_iter
 
 
@@ -286,22 +277,16 @@ def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], np.ndarray, np.nda
     read it from these two arrays.  cfg.t_sgd is not used.
     """
     lams = tuple(range(1, cfg.lambda_max + 1))
-    kmeans = np.array([alpha_kmeans(l, cfg) for l in lams])
-    return lams, kmeans, sgd_step_alpha(lams, cfg)
+    return lams, alpha_kmeans(lams, cfg), sgd_step_alpha(lams, cfg)
 
 
 def _minimise_epsilon(
-    lambdas: Sequence[int], alphas: Sequence[float], delta: float
+    lambdas: Sequence[int], alphas: np.ndarray, delta: float
 ) -> tuple[float, int]:
-    log_delta = math.log(delta)
-    best_eps = math.inf
-    best_lam = lambdas[0]
-    for lam, alpha in zip(lambdas, alphas):
-        eps = (alpha - log_delta) / lam
-        if eps < best_eps:
-            best_eps = eps
-            best_lam = lam
-    return float(best_eps), int(best_lam)
+    """The least (alpha - log delta) / lam and its order; the first minimiser wins."""
+    eps = (alphas - math.log(delta)) / np.asarray(lambdas)
+    best = int(np.argmin(eps))
+    return float(eps[best]), int(lambdas[best])
 
 
 def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
@@ -331,7 +316,12 @@ def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int]) -> list[EpochEps
     The per-iteration SGD alpha does not depend on the iteration count,
     so the whole schedule costs one alpha_terms call.
     """
-    lams, kmeans, sgd_step = alpha_terms(cfg)
+    return _schedule(cfg, epochs, alpha_terms(cfg))
+
+
+def _schedule(cfg: PrivacyConfig, epochs: Iterable[int], terms) -> list[EpochEpsilon]:
+    """epsilon_schedule from ``terms``, the value of alpha_terms(cfg)."""
+    lams, kmeans, sgd_step = terms
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import __version__, evaluation
-from .accountant import PrivacyConfig, alpha_terms, epsilon_schedule
+from .accountant import PrivacyConfig, _schedule, alpha_terms, epsilon_schedule
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
@@ -100,7 +100,6 @@ _OPTIONS = {
         bins=Option(int, help="histogram bins of the clip-bound vote"),
         delta=Option(float, help="target delta (train default: 1/|dataset|)"),
         rbf_mode=Option(bool, help="clustering uses the a priori feature norm bound"),
-        strict_gaussian=Option(bool, help="exact Gaussian log-MGF, not the default convention"),
         lambda_max=Option(int, help="largest moment order searched"),
         init_centers=Option(str, help="CSV file with k rows of d initial centers"),
     ),
@@ -111,8 +110,7 @@ _DATA = ("data", "format", "threshold")
 # Each command's options, in the order the config echo lists them.
 _COMMAND_OPTIONS = {
     "accountant": ("seed", "workers", "q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
-                   "epochs", "delta", "data_size", "rbf_mode", "strict_gaussian",
-                   "lambda_max", "output"),
+                   "epochs", "delta", "data_size", "rbf_mode", "lambda_max", "output"),
     "cluster": ("seed", "workers", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
                 "sigma_k", "rbf_mode", "c_max", "bins", "init_centers", "output",
                 "assignments_out"),
@@ -141,8 +139,15 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
         parser.add_argument(flag, type=opt.kind, help=help_text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error exits 2 with one line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpmix",
         description="Differentially private mixture of generative models for binary data.",
     )
@@ -288,7 +293,10 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         delta = 1.0 / opts["data_size"]
     try:
         cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
-        schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
+        epochs = range(1, opts["epochs"] + 1)
+        # the report reuses the terms; without one, epsilon_schedule (traced by bench/) runs
+        terms = alpha_terms(cfg) if opts["output"] else None
+        schedule = _schedule(cfg, epochs, terms) if terms else epsilon_schedule(cfg, epochs)
     except ValueError as exc:
         raise ConfigError(str(exc))
     print("epoch,t_sgd,epsilon,lambda")
@@ -296,7 +304,7 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
     final = schedule[-1]
     if opts["output"]:
-        lams, kmeans, sgd_step = alpha_terms(cfg)
+        lams, kmeans, sgd_step = terms
         report = {
             "config_echo": {**opts, "delta": delta},
             "schedule": [

@@ -39,7 +39,6 @@ class TrainConfig:
     bins: int = 100
     delta: float | None = None  # defaults to 1 / |dataset|
     rbf_mode: bool = True
-    strict_gaussian: bool = False
     lambda_max: int = DEFAULT_LAMBDA_MAX
     init_centers: np.ndarray | None = None
 

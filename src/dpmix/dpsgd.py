@@ -54,11 +54,13 @@ def dp_sgd_step(
     eta, c_max and bins.  ``noise_rng`` draws ``bins`` normals for the
     vote, then P for the released sum.
 
-    Clusters smaller than L clamp the sampling probability to 1; the
-    per-record inclusion probability stays bounded by the accounted
-    L / |dataset|.  An empty batch skips threshold selection and releases
-    pure noise at the previous clip bound (c_max / 2 before any non-empty
-    batch was seen).
+    Each member is included with probability L / |members|, clamped to 1
+    for clusters smaller than L.  That is above the q = L / |dataset| the
+    accountant charges: 0.0150 against 0.005 at acceptance criterion 9.
+    The ROADMAP item "Make DP-SGD run the mechanism the accountant
+    charges" tracks the fix.  An empty batch skips threshold selection and
+    releases pure noise at the previous clip bound (c_max / 2 before any
+    non-empty batch was seen).
     """
     if len(members) == 0:
         raise ValueError("cannot step against an empty cluster")

@@ -50,13 +50,13 @@ class TestGaussianClosedForm:
         assert alpha_gaussian(1, 1.0) == pytest.approx(0.5)
         assert alpha_gaussian(2, 2.0) == pytest.approx(0.375)
 
-    def test_strict_is_exact_log_mgf(self):
-        assert alpha_gaussian(1, 1.0, strict=True) == pytest.approx(1.0)
-        for lam in (1, 3, 9):
-            for sigma in (0.5, 2.0):
-                assert alpha_gaussian(lam, sigma, strict=True) == pytest.approx(
-                    2 * alpha_gaussian(lam, sigma)
-                )
+    def test_is_exact_log_mgf_of_noise_sqrt2_sigma(self):
+        # the Gaussian privacy loss at sensitivity 1 and noise s has log-MGF
+        # lam (lam + 1) / (2 s^2); k-means adds s = sqrt(2) sigma
+        for lam in (1, 3, 9, 2.5):
+            for sigma in (0.5, 2.0, 40.0):
+                exact = lam * (lam + 1) / (2 * (math.sqrt(2) * sigma) ** 2)
+                assert alpha_gaussian(lam, sigma) == pytest.approx(exact, rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -397,11 +397,17 @@ class TestKmeansAlpha:
         many = alpha_kmeans(5, _cfg(t_kmeans=17, rbf_mode=False))
         assert many == pytest.approx(17 * one, rel=1e-15)
 
-    def test_strict_doubles_each_term(self):
-        for rbf in (True, False):
-            base = alpha_kmeans(4, _cfg(rbf_mode=rbf))
-            strict = alpha_kmeans(4, _cfg(rbf_mode=rbf, strict_gaussian=True))
-            assert strict == pytest.approx(2 * base)
+    def test_array_call_equals_one_call_per_order(self):
+        orders = np.array([1, 2, 3, 7.5, 32])
+        for cfg in (_cfg(rbf_mode=True), _cfg(rbf_mode=False), _cfg(t_kmeans=0)):
+            for alpha in (lambda lam: alpha_kmeans(lam, cfg),
+                          lambda lam: alpha_gaussian(lam, cfg.sigma_k)):
+                batch = alpha(orders)
+                singles = [alpha(lam) for lam in orders]
+                assert all(type(value) is float for value in singles)
+                assert batch.shape == orders.shape and batch.tolist() == singles
+                assert alpha(orders.reshape(1, -1)).ravel().tolist() == singles
+                assert alpha(tuple(orders)).tolist() == singles
 
 
 class TestSgdAlpha:
@@ -413,6 +419,12 @@ class TestSgdAlpha:
 
     def test_zero_q(self):
         assert sgd_step_alpha(3, _cfg(q=0.0, t_sgd=50)) == 0.0
+
+    def test_first_minimiser_wins(self):
+        # log(1) = 0, so epsilon is alpha / lam
+        lams = (1, 2, 3)
+        assert accountant._minimise_epsilon(lams, np.array([2.0, 4.0, 6.0]), 1.0) == (2.0, 1)
+        assert accountant._minimise_epsilon(lams, np.array([3.0, 4.0, 6.0]), 1.0) == (2.0, 2)
 
     def test_grid_minimum_never_above_any_member(self):
         cfg = _cfg(t_sgd=1)

@@ -160,6 +160,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["accountant", "train"])
+def test_strict_gaussian_is_refused(tmp_path, capsys, command):
+    # the accountant charges add/remove adjacency only; the option that
+    # doubled the k-means terms is gone, as a flag and as a config key
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"strict_gaussian": False}))
+    for argv, message in (
+        ([command, "--strict-gaussian"], "usage error: unrecognized arguments: --strict-gaussian\n"),
+        ([command, "--config", str(cfg)], f"usage error: unknown config key(s) for {command}: "
+                                          "strict_gaussian\n"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+
+
 def test_config_file_not_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("epochs: 3")
@@ -388,7 +403,7 @@ def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsy
         "seed", "workers", "data", "format", "threshold", "k", "epochs", "batch_size",
         "sigma_c", "sigma_k", "sigma_g", "t_kmeans", "d", "gamma", "n_hidden", "eta",
         "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "rbf_mode",
-        "strict_gaussian", "lambda_max", "init_centers", "model", "log", "command",
+        "lambda_max", "init_centers", "model", "log", "command",
         "unsafe_no_privacy",
     ]
 
@@ -793,7 +808,6 @@ PRIVACY_TYPE_CORRUPTIONS = [
     _privacy_field("t_sgd", 2.5, "an integer"),
     _privacy_field("lambda_max", True, "an integer"),
     _privacy_field("rbf_mode", "yes", "true or false"),
-    _privacy_field("strict_gaussian", 0, "true or false"),
 ]
 
 

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import mixture_corpus
 from dpmix import mixture, rbm
-from dpmix.accountant import epsilon_for_delta
+from dpmix.accountant import alpha_terms, epsilon_for_delta
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import dp_kernel_kmeans
@@ -472,6 +472,29 @@ def test_load_rechecks_the_stored_epsilon(tmp_path, factor, accepted):
         with pytest.raises(DataError, match=f"privacy.epsilon is {claimed!r}, expected at least "
                                             f"{mix.epsilon!r}"):
             load_model(path)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["strict-false", "strict-true"])
+def test_models_stored_with_strict_gaussian_still_load(tmp_path, strict):
+    # Models saved while the strict_gaussian option existed hold it in the
+    # privacy block and the config echo; true doubled every k-means term,
+    # so their stored epsilon is above what the block gives now.
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(k=2), master_seed=11).mixture
+    path = tmp_path / "model.json"
+    save_model(mix, path, config_echo={"strict_gaussian": strict})
+    payload = json.loads(path.read_text())
+    priv = payload["privacy"]
+    priv["strict_gaussian"] = strict
+    if strict:
+        lams, kmeans, sgd_step = alpha_terms(mix.privacy)
+        eps = (2 * kmeans + mix.privacy.t_sgd * sgd_step - math.log(mix.privacy.delta)) / lams
+        priv["epsilon"], priv["argmin_lambda"] = float(eps.min()), lams[int(eps.argmin())]
+    path.write_text(json.dumps(payload))
+    loaded = load_model(path)
+    assert loaded.privacy == mix.privacy
+    assert (loaded.epsilon, loaded.argmin_lambda) == (priv["epsilon"], priv["argmin_lambda"])
+    assert (loaded.epsilon > mix.epsilon) == strict
 
 
 def test_load_rejects_unknown_version(tmp_path):
