@@ -9,10 +9,8 @@ composes across iterations additively, and converts the composite to an
 
 Neighbouring datasets differ by adding or removing one record, which is
 the adjacency the subsampled analysis assumes and the one every term is
-charged under.  For the plain Gaussian mechanism, (lam^2 + lam) /
-(4 sigma^2) is the exact log-MGF of the privacy loss of the noise
-sqrt(2) * sigma that k-means adds at sensitivity 1 (and sqrt(2) * sigma *
-C_s at sensitivity C_s).
+charged under.  Every noisy release goes through gaussian_release, whose
+docstring says why alpha_gaussian is its exact charge.
 
 For the Poisson-subsampled Gaussian, mu0 = N(0, sigma^2) and mu1 = (1 - q)
 mu0 + q N(1, sigma^2); alpha(lam) is log max(E1, E2) with E1 = E_mu0[(mu0 /
@@ -128,8 +126,23 @@ def _check_order_and_noise(lam, sigma: float) -> None:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
 
 
+def gaussian_release(value, sigma: float, sensitivity: float, rng: np.random.Generator):
+    """``value`` plus Gaussian noise of standard deviation sqrt(2) * sigma * sensitivity.
+
+    Every noisy release goes through here, and alpha_gaussian(lam, sigma)
+    is its charge.  Adding or removing one record moves ``value`` by at
+    most ``sensitivity`` in L2 norm.  The noise is then sqrt(2) * sigma
+    per unit of sensitivity, and the Gaussian mechanism of scale s at
+    sensitivity 1 has privacy-loss log-MGF lam (lam + 1) / (2 s^2), which
+    is (lam^2 + lam) / (4 sigma^2) exactly.  ``value`` is a scalar or an
+    array; one ``rng.normal`` call draws noise of its shape.  sigma = 0
+    (test only) adds zeros but still draws, so the stream stays aligned.
+    """
+    return value + rng.normal(0.0, math.sqrt(2.0) * sigma * sensitivity, size=np.shape(value))
+
+
 def alpha_gaussian(lam, sigma: float):
-    """(lam^2 + lam) / (4 sigma^2) at one order, a float, or at an array of them."""
+    """(lam^2 + lam) / (4 sigma^2), the charge of gaussian_release, at one order or an array."""
     _check_order_and_noise(lam, sigma)
     lams = np.array(lam, dtype=np.float64)
     out = (lams**2 + lams) / (4.0 * sigma**2)
@@ -232,12 +245,12 @@ def _log_erfc(x: np.ndarray) -> np.ndarray:
 def alpha_kmeans(lam, cfg: PrivacyConfig):
     """Total clustering log-MGF after t_kmeans noisy iterations; ``lam`` as for alpha_gaussian.
 
-    Each iteration releases the noisy cluster sizes (noise scale
-    sqrt(2) * sigma_k) and the noisy feature sums (scale
-    sqrt(2) * C_s * sigma_k).  One record moves one size by 1 and one sum
-    by at most C_s, so alpha_gaussian(lam, sigma_k) is the exact charge of
-    each.  Outside rbf_mode one threshold selection at scale sigma_c is
-    charged per iteration as well.
+    Each iteration releases the k noisy cluster sizes (gaussian_release
+    at sigma_k, sensitivity 1) and the k noisy feature sums (sigma_k,
+    sensitivity C_s).  One record moves one size by 1 and one sum by at
+    most C_s, so each of the two sets is one release, charged
+    alpha_gaussian(lam, sigma_k).  Outside rbf_mode one threshold
+    selection at scale sigma_c is charged per iteration as well.
     """
     per_iter = 2.0 * alpha_gaussian(lam, cfg.sigma_k)
     if not cfg.rbf_mode:
@@ -310,18 +323,14 @@ class EpochEpsilon:
     argmin_lambda: int
 
 
-def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int]) -> list[EpochEpsilon]:
+def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int], terms=None) -> list[EpochEpsilon]:
     """Epsilon after each epoch count; cfg.t_sgd is ignored.
 
     The per-iteration SGD alpha does not depend on the iteration count,
-    so the whole schedule costs one alpha_terms call.
+    so the whole schedule costs one alpha_terms call.  A caller that
+    already holds alpha_terms(cfg) passes it as ``terms`` and pays none.
     """
-    return _schedule(cfg, epochs, alpha_terms(cfg))
-
-
-def _schedule(cfg: PrivacyConfig, epochs: Iterable[int], terms) -> list[EpochEpsilon]:
-    """epsilon_schedule from ``terms``, the value of alpha_terms(cfg)."""
-    lams, kmeans, sgd_step = terms
+    lams, kmeans, sgd_step = terms if terms is not None else alpha_terms(cfg)
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import __version__, evaluation
-from .accountant import PrivacyConfig, _schedule, alpha_terms, epsilon_schedule
+from .accountant import PrivacyConfig, alpha_terms, epsilon_schedule
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
@@ -30,7 +30,6 @@ from .data import (
     atomic_write,
     load_labels,
     load_records,
-    with_labels,
     write_records,
 )
 from .errors import ConfigError, DataError, NumericsError, StageError
@@ -109,7 +108,7 @@ _DATA = ("data", "format", "threshold")
 
 # Each command's options, in the order the config echo lists them.
 _COMMAND_OPTIONS = {
-    "accountant": ("seed", "workers", "q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
+    "accountant": ("workers", "q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
                    "epochs", "delta", "data_size", "rbf_mode", "lambda_max", "output"),
     "cluster": ("seed", "workers", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
                 "sigma_k", "rbf_mode", "c_max", "bins", "init_centers", "output",
@@ -119,6 +118,9 @@ _COMMAND_OPTIONS = {
     "evaluate": ("seed", "workers", *_DATA, "synthetic", "queries", "max_l1", "semantics",
                  "labels", "assignments", "output", "csv"),
 }
+
+# The commands that add noise, with their noise scales: only these take --unsafe-no-privacy.
+_NOISE_SCALES = {"cluster": ("sigma_c", "sigma_k"), "train": ("sigma_c", "sigma_k", "sigma_g")}
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 _JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
@@ -156,11 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument(
-            "--unsafe-no-privacy",
-            action="store_true",
-            help="allow zero noise scales (test only, output is NOT private)",
-        )
+        if command in _NOISE_SCALES:
+            p.add_argument(
+                "--unsafe-no-privacy",
+                action="store_true",
+                help="allow zero noise scales (test only, output is NOT private)",
+            )
         for name in _COMMAND_OPTIONS[command]:
             _add_flag(p, name, _OPTIONS[name])
     return parser
@@ -205,7 +208,7 @@ def _read_config(path: str, command: str) -> dict:
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge flags over the config file over defaults for one command."""
+    """Merge flags over the config file over defaults for one command, and check them."""
     file_values = _read_config(args.config, args.command) if args.config else {}
     resolved = {}
     for name in _COMMAND_OPTIONS[args.command]:
@@ -217,12 +220,13 @@ def resolve_options(args: argparse.Namespace) -> dict:
         if _OPTIONS[name].kind is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
         resolved[name] = value
-    if resolved["workers"] is not None and resolved["workers"] < 1:
-        raise ConfigError("--workers must be >= 1")
-    if resolved["seed"] < 0:
-        raise ConfigError("--seed must be >= 0")
+    for name, least in (("workers", 1), ("seed", 0)):
+        if resolved.get(name) is not None and resolved[name] < least:
+            raise ConfigError(f"--{name} must be >= {least}")
     resolved["command"] = args.command
-    resolved["unsafe_no_privacy"] = bool(args.unsafe_no_privacy)
+    if args.command in _NOISE_SCALES:
+        resolved["unsafe_no_privacy"] = args.unsafe_no_privacy
+        _check_sigmas(resolved, _NOISE_SCALES[args.command])
     return resolved
 
 
@@ -293,10 +297,8 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         delta = 1.0 / opts["data_size"]
     try:
         cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
-        epochs = range(1, opts["epochs"] + 1)
-        # the report reuses the terms; without one, epsilon_schedule (traced by bench/) runs
-        terms = alpha_terms(cfg) if opts["output"] else None
-        schedule = _schedule(cfg, epochs, terms) if terms else epsilon_schedule(cfg, epochs)
+        terms = alpha_terms(cfg)  # the schedule and the report's alpha profile share them
+        schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1), terms)
     except ValueError as exc:
         raise ConfigError(str(exc))
     print("epoch,t_sgd,epsilon,lambda")
@@ -341,17 +343,21 @@ def _load_init_centers(path, k: int, d: int) -> np.ndarray:
     return centers
 
 
+def _load_labels(path, n: int) -> np.ndarray:
+    """One integer per line of ``path``; DataError unless there are ``n`` of them."""
+    labels = load_labels(path)
+    if len(labels) != n:
+        raise DataError(f"{path} holds {len(labels)} entries for {n} records")
+    return labels
+
+
 def cmd_cluster(opts: dict, out: _Outputs) -> int:
     from .kmeans import dp_kernel_kmeans
     from .rff import feature_map_from_seed
     from .streams import child_rng, child_seed
 
-    _check_sigmas(opts, ("sigma_c", "sigma_k"))
     dataset = _load_dataset(opts)
-    labels = None
-    if opts["labels"]:
-        labels = load_labels(opts["labels"])
-        dataset = with_labels(dataset, labels)
+    labels = _load_labels(opts["labels"], len(dataset)) if opts["labels"] else None
     seed = opts["seed"]
     init = None
     if opts["init_centers"]:
@@ -399,7 +405,6 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
 def cmd_train(opts: dict, out: _Outputs) -> int:
     from .mixture import save_model, train
 
-    _check_sigmas(opts, ("sigma_c", "sigma_k", "sigma_g"))
     init = None
     if opts["init_centers"]:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
@@ -470,10 +475,8 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
         raise DataError(f"synthetic dataset not found: {opts['synthetic']}")
     acc = None
     if opts["labels"] and opts["assignments"]:
-        labels = load_labels(opts["labels"])
-        assignments = load_labels(opts["assignments"])
-        if len(labels) != len(real) or len(assignments) != len(real):
-            raise DataError("labels/assignments length does not match the dataset")
+        labels = _load_labels(opts["labels"], len(real))
+        assignments = _load_labels(opts["assignments"], len(real))
         acc = clustering_accuracy(assignments, labels)
     max_l1 = opts["max_l1"]
     if max_l1 is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,16 +283,6 @@ def load_labels(path) -> np.ndarray:
     if not out:
         raise DataError("labels file contains no entries")
     return np.array(out, dtype=np.int64)
-
-
-def with_labels(dataset: BinaryDataset, labels: np.ndarray) -> BinaryDataset:
-    """Attach evaluation labels to an existing dataset."""
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.shape[0] != len(dataset):
-        raise DataError(
-            f"labels length {lab.shape[0]} does not match {len(dataset)} records"
-        )
-    return replace(dataset, labels=lab)
 
 
 def sample_batch(members: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:

@@ -3,14 +3,18 @@
 The L2 norms of the input vectors are binned into w buckets
 (C_{j-1}, C_j] with C_j = j * c_max / w, independent Gaussian noise of
 standard deviation sqrt(2) * sigma_c is added to every count, and the
-upper edge of the noisiest bucket is returned.  One record moves at most
-one unit of count between two buckets, hence the sqrt(2) L2 sensitivity.
+upper edge of the noisiest bucket is returned.  Adding or removing one
+record changes one count by 1 (or none, above c_max), so the counts
+have L2 sensitivity 1: the noisy counts are one gaussian_release at
+sigma_c.
 Callers pass the 1-D array of norms, never the vectors: both of them
 (k-means and DP-SGD) know the norms without building the vectors.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .accountant import gaussian_release
 
 
 def clip_scales(norms, c_s: float) -> np.ndarray:
@@ -20,7 +24,7 @@ def clip_scales(norms, c_s: float) -> np.ndarray:
     return 1.0 / np.maximum(1.0, np.asarray(norms, dtype=np.float64) / c_s)
 
 
-def norm_histogram(norms, c_max: float = 10.0, bins: int = 100) -> np.ndarray:
+def norm_histogram(norms, c_max: float, bins: int) -> np.ndarray:
     """Bucket counts of the norms: counts[j-1] = #{C_{j-1} < norm <= C_j}.
 
     Zero norms count in bucket 1; norms above c_max are dropped.
@@ -45,8 +49,8 @@ def dp_norm(
     norms,
     sigma_c: float,
     *,
-    c_max: float = 10.0,
-    bins: int = 100,
+    c_max: float,
+    bins: int,
     rng: np.random.Generator,
 ) -> float:
     """Noisy-argmax clip bound in {C_1, ..., C_w} for the 1-D array ``norms``.
@@ -57,6 +61,6 @@ def dp_norm(
     if sigma_c < 0:
         raise ValueError(f"sigma_c must be >= 0, got {sigma_c}")
     counts = norm_histogram(norms, c_max, bins)
-    noisy = counts + rng.normal(0.0, np.sqrt(2.0) * sigma_c, size=bins)
+    noisy = gaussian_release(counts, sigma_c, 1.0, rng)
     j = int(np.argmax(noisy)) + 1  # argmax takes the first (smallest) maximiser
     return j * float(c_max) / int(bins)

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .accountant import gaussian_release
 from .config import TrainConfig
 from .data import sample_batch
 from .dpnorm import clip_scales, dp_norm
@@ -59,8 +60,8 @@ def dp_sgd_step(
     accountant charges: 0.0150 against 0.005 at acceptance criterion 9.
     The ROADMAP item "Make DP-SGD run the mechanism the accountant
     charges" tracks the fix.  An empty batch skips threshold selection and
-    releases pure noise at the previous clip bound (c_max / 2 before any
-    non-empty batch was seen).
+    releases a zero sum at the previous clip bound (c_max / 2 before any
+    non-empty batch was seen), so every step makes one gradient release.
     """
     if len(members) == 0:
         raise ValueError("cannot step against an empty cluster")
@@ -70,32 +71,17 @@ def dp_sgd_step(
 
     if len(batch) == 0:
         c_s = prev_clip if prev_clip is not None else cfg.c_max / 2.0
-        noise = noise_rng.normal(0.0, math.sqrt(2.0) * cfg.sigma_g * c_s, size=params.shape)
-        new_params = params - cfg.eta * noise / cfg.batch_size
-        info = StepInfo(
-            batch_size=0,
-            clip_bound=float(c_s),
-            grad_norm_mean=math.nan,
-            grad_norm_max=math.nan,
-            clipped_fraction=0.0,
-        )
-        return new_params, info
-
-    grads = grad_fn(batch)
-    if tuple(grads.shape) != (len(batch), params.size):
-        raise ValueError(
-            f"grad_fn must return ({len(batch)}, {params.size}), got {grads.shape}"
-        )
-    norms = grads.norms()
-    c_s = dp_norm(norms, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
-    total = grads.clipped_sum(clip_scales(norms, c_s))
-    noise = noise_rng.normal(0.0, math.sqrt(2.0) * cfg.sigma_g * c_s, size=params.shape)
-    new_params = params - cfg.eta * (total + noise) / cfg.batch_size
-    info = StepInfo(
-        batch_size=len(batch),
-        clip_bound=float(c_s),
-        grad_norm_mean=float(norms.mean()),
-        grad_norm_max=float(norms.max()),
-        clipped_fraction=float((norms > c_s).mean()),
-    )
-    return new_params, info
+        total, norm_stats = np.zeros_like(params), (math.nan, math.nan, 0.0)  # none clipped
+    else:
+        grads = grad_fn(batch)
+        if tuple(grads.shape) != (len(batch), params.size):
+            raise ValueError(
+                f"grad_fn must return ({len(batch)}, {params.size}), got {grads.shape}"
+            )
+        norms = grads.norms()
+        c_s = dp_norm(norms, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
+        total = grads.clipped_sum(clip_scales(norms, c_s))
+        norm_stats = (float(norms.mean()), float(norms.max()), float((norms > c_s).mean()))
+    released = gaussian_release(total, cfg.sigma_g, c_s, noise_rng)
+    new_params = params - cfg.eta * released / cfg.batch_size
+    return new_params, StepInfo(len(batch), float(c_s), *norm_stats)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accountant import gaussian_release
 from .data import BinaryDataset
 from .dpnorm import clip_scales, dp_norm
 from .rff import FeatureMap, embed
@@ -26,10 +27,6 @@ from .rff import FeatureMap, embed
 # Rows per block of the clip norms, the per-cluster gather and the
 # near-tie recheck (which takes BLOCK_ROWS // k rows against all k centers).
 BLOCK_ROWS = 256
-
-# Fallback seed for center initialization when the caller supplies neither
-# centers nor an init stream.  Public: independent of the data.
-_DEFAULT_INIT_SEED = 271828
 
 
 @dataclass(frozen=True)
@@ -172,16 +169,18 @@ def dp_kernel_kmeans(
     rng: np.random.Generator,
     *,
     init: np.ndarray | None = None,
-    init_rng: np.random.Generator | None = None,
-    rbf_mode: bool = True,
-    c_max: float = 10.0,
-    bins: int = 100,
+    init_rng: np.random.Generator,
+    rbf_mode: bool,
+    c_max: float,
+    bins: int,
 ) -> Clustering:
     """Cluster the embedded records with per-iteration Gaussian noise.
 
     sigma_k = 0 is a test-only mode that reproduces exact Lloyd
     iterations on the clipped features.  In rbf_mode the clip bound is
     the constant 1 and sigma_c is never used (no threshold selection).
+    Centers start at ``init``, or else at default_initial_centers drawn
+    from ``init_rng``.
 
     Every cluster releases its noisy count and noisy sum, the charged
     Gaussian mechanisms; an empty cluster's sum is zero.  The next
@@ -216,11 +215,8 @@ def dp_kernel_kmeans(
                 f"init centers must have shape ({k}, {fmap.d}), got {centers.shape}"
             )
     else:
-        if init_rng is None:
-            init_rng = np.random.default_rng(_DEFAULT_INIT_SEED)
         centers = default_initial_centers(k, fmap.d, c_s, init_rng)
 
-    root2 = np.sqrt(2.0)
     history = np.empty((iterations, k))
     for t in range(iterations):
         assign = assign_to_centers(clipped, centers, f_sq)
@@ -228,8 +224,8 @@ def dp_kernel_kmeans(
         sums = _cluster_sums(clipped, assign, k)
         new_centers = np.empty_like(centers)
         for i in range(k):
-            noisy_size = counts[i] + rng.normal(0.0, root2 * sigma_k)
-            noisy_sum = sums[i] + rng.normal(0.0, root2 * c_s * sigma_k, size=fmap.d)
+            noisy_size = gaussian_release(counts[i], sigma_k, 1.0, rng)
+            noisy_sum = gaussian_release(sums[i], sigma_k, c_s, rng)
             if noisy_size < 1:
                 new_centers[i] = centers[i]
             else:

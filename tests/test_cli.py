@@ -14,7 +14,7 @@ import pytest
 
 import dpmix
 from conftest import mixture_corpus
-from dpmix import accountant, rbm
+from dpmix import accountant, cli, rbm
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
 from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, save_model
@@ -58,7 +58,8 @@ def test_missing_required_option(capsys):
 
 @pytest.mark.parametrize("flag,minimum", [("--seed", 0), ("--workers", 1)])
 def test_negative_seed_or_workers_is_usage_error(capsys, flag, minimum):
-    assert main(ACCT_ARGS + ["--epochs", "1", flag, "-1"]) == 2
+    assert main(["generate", "--model", "m.json", "--count", "1", "--output", "out.txt",
+                 flag, "-1"]) == 2
     assert capsys.readouterr().err == f"usage error: {flag} must be >= {minimum}\n"
 
 
@@ -97,14 +98,30 @@ def test_accountant_json_report(tmp_path, capsys):
     assert len(profile["lambda"]) == len(profile["alpha"]) == 32
 
 
-def test_accountant_rejects_zero_sigma_even_unsafe(capsys):
+def test_accountant_rejects_zero_sigma(capsys):
     args = [
         "accountant", "--q", "0.01", "--sigma-c", "0", "--sigma-k", "40",
         "--sigma-g", "2", "--delta", "1e-5", "--epochs", "1",
-        "--unsafe-no-privacy",
     ]
     assert main(args) == 2
     assert "no finite epsilon" in capsys.readouterr().err
+
+
+def test_accountant_report_computes_the_alpha_terms_once(tmp_path, capsys, monkeypatch):
+    calls, real = [], accountant.alpha_terms
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "alpha_terms", counted)
+    monkeypatch.setattr(accountant, "alpha_terms", counted)
+    out = tmp_path / "report.json"
+    assert main(ACCT_ARGS + ["--epochs", "3", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    rows = _csv_rows(capsys.readouterr().out)
+    report = json.loads(out.read_text())
+    assert [float(r[2]) for r in rows] == [row["epsilon"] for row in report["schedule"]]
 
 
 @pytest.mark.parametrize("args,message", [
@@ -175,6 +192,27 @@ def test_strict_gaussian_is_refused(tmp_path, capsys, command):
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("accountant", ["--seed", "1"]),
+    ("accountant", ["--unsafe-no-privacy"]),
+    ("generate", ["--unsafe-no-privacy"]),
+    ("evaluate", ["--unsafe-no-privacy"]),
+], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe"])
+def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
+    # the accountant draws nothing at random; accountant, generate and
+    # evaluate add no noise, so a zero noise scale has nothing to unlock
+    key = flag[0][2:].replace("-", "_")
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({key: True if len(flag) == 1 else 1}))
+    for argv, message in (
+        ([command, *flag], f"usage error: unrecognized arguments: {' '.join(flag)}\n"),
+        ([command, "--config", str(cfg)], f"usage error: unknown config key(s) for {command}: "
+                                          f"{key}\n"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+
+
 def test_config_file_not_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("epochs: 3")
@@ -202,6 +240,27 @@ def test_cluster_smoke_and_artifacts(tmp_path, corpus_files, capsys):
     ids = [int(line) for line in assign_path.read_text().splitlines()]
     assert len(ids) == 120
     assert set(ids) <= {0, 1}
+
+
+@pytest.mark.parametrize("count", [119, 121])
+def test_cluster_labels_must_match_the_dataset(tmp_path, corpus_files, capsys, count):
+    _, data_path, labels_path = corpus_files
+    labels = tmp_path / "wrong-length.txt"
+    labels.write_text("0\n" * count)
+    summary = tmp_path / "summary.json"
+    assert main(["cluster", "--data", data_path, "--labels", str(labels), "--k", "2",
+                 "--d", "8", "--sigma-c", "4", "--sigma-k", "10",
+                 "--output", str(summary)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {labels} holds {count} entries for 120 records\n"
+    )
+    assert not summary.exists()
+    # evaluate checks its labels and assignments the same way
+    assert main(["evaluate", "--data", data_path, "--synthetic", data_path, "--queries", "10",
+                 "--labels", labels_path, "--assignments", str(labels)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {labels} holds {count} entries for 120 records\n"
+    )
 
 
 def test_cluster_rejects_zero_sigma_without_unsafe_flag(corpus_files, capsys):

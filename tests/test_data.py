@@ -13,7 +13,6 @@ from dpmix.data import (
     load_records,
     make_dataset,
     sample_batch,
-    with_labels,
     write_records,
 )
 from dpmix.errors import DataError
@@ -322,11 +321,6 @@ class TestValidation:
     def test_labels_length_checked(self):
         with pytest.raises(DataError, match="labels"):
             make_dataset(np.array([[1, 0], [0, 1]]), labels=[0])
-
-    def test_with_labels(self):
-        ds = make_dataset(np.array([[1, 0], [0, 1]]))
-        ds2 = with_labels(ds, [3, 4])
-        np.testing.assert_array_equal(ds2.labels, [3, 4])
 
     def test_records_frozen(self):
         ds = make_dataset(np.array([[1, 0]]))

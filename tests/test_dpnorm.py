@@ -81,7 +81,7 @@ def test_rejects_bad_input():
     for norms in (np.zeros(0), np.array([np.nan, 1.0]), np.array([np.inf]),
                   np.array([-0.75, 0.72]), np.ones((2, 2))):
         with pytest.raises(ValueError):
-            dp_norm(norms, 1.0, rng=rng)
+            dp_norm(norms, 1.0, c_max=10.0, bins=100, rng=rng)
     with pytest.raises(ValueError):
         norm_histogram(np.ones(2), c_max=-1.0, bins=100)
     with pytest.raises(ValueError):

@@ -19,6 +19,9 @@ from dpmix.kmeans import (
 )
 from dpmix.rff import embed, feature_map_from_seed
 
+# dp_kernel_kmeans has no defaults of its own; these are TrainConfig's.
+OPTIONS = dict(rbf_mode=True, c_max=10.0, bins=100)
+
 
 def _direct_assign(features, centers):
     """The n x k x d direct form that assign_to_centers must match exactly."""
@@ -100,7 +103,7 @@ def test_clustering_holds_one_feature_matrix(rbf_mode):
     try:
         dp_kernel_kmeans(data, fmap, k=3, iterations=2, sigma_c=1.0, sigma_k=1.0,
                          rng=np.random.default_rng(0), init_rng=np.random.default_rng(1),
-                         rbf_mode=rbf_mode)
+                         rbf_mode=rbf_mode, c_max=10.0, bins=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,7 +236,7 @@ def test_zero_noise_reproduces_exact_lloyd():
 
     result = dp_kernel_kmeans(
         data, fmap, k=3, iterations=6, sigma_c=0.0, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init,
+        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1), **OPTIONS,
     )
     want_centers, want_assign = _lloyd_reference(clipped, init, 6)
     assert_allclose(result.noisy_centers, want_centers, atol=1e-12)
@@ -252,6 +255,7 @@ def test_single_cluster_center_is_clipped_mean():
     result = dp_kernel_kmeans(
         data, fmap, k=1, iterations=3, sigma_c=0.0, sigma_k=0.0,
         rng=np.random.default_rng(0), init=np.zeros((1, 16)),
+        init_rng=np.random.default_rng(1), **OPTIONS,
     )
     clipped = clip_features(embed(fmap, data.records), 1.0)
     assert_allclose(result.noisy_centers[0], clipped.mean(axis=0), atol=1e-12)
@@ -266,7 +270,7 @@ def test_rbf_mode_never_consumes_threshold_noise():
     for sigma_c in (0.0, 57.0):
         out = dp_kernel_kmeans(
             data, fmap, k=2, iterations=4, sigma_c=sigma_c, sigma_k=3.0,
-            rng=np.random.default_rng(2024), init_rng=np.random.default_rng(6),
+            rng=np.random.default_rng(2024), init_rng=np.random.default_rng(6), **OPTIONS,
         )
         runs.append(out)
     assert_allclose(runs[0].noisy_centers, runs[1].noisy_centers)
@@ -298,7 +302,8 @@ def test_noiseless_objective_never_increases():
     for t in range(1, 7):
         out = dp_kernel_kmeans(
             data, fmap, k=3, iterations=t, sigma_c=0.0, sigma_k=0.0,
-            rng=np.random.default_rng(0), init=init,
+            rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
+            **OPTIONS,
         )
         d2 = ((clipped[:, None, :] - out.noisy_centers[None, :, :]) ** 2).sum(axis=2)
         objectives.append(d2.min(axis=1).sum())
@@ -313,7 +318,7 @@ def test_empty_cluster_keeps_center_when_noiseless():
     init = np.vstack([np.zeros(6), far])
     out = dp_kernel_kmeans(
         data, fmap, k=2, iterations=3, sigma_c=0.0, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init,
+        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1), **OPTIONS,
     )
     assert_allclose(out.noisy_centers[1], far)
     assert np.all(out.assignments == 0)
@@ -340,7 +345,8 @@ def test_released_noisy_sums_move_by_at_most_the_clip_bound():
         released = []
         for data in (base, plus):
             out = dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_c=1.0, sigma_k=2.0,
-                                   rng=np.random.default_rng(seed), init=init)
+                                   rng=np.random.default_rng(seed), init=init,
+                                   init_rng=np.random.default_rng(1), **OPTIONS)
             released.append((out.noisy_sizes, out.noisy_centers * out.noisy_sizes[:, None]))
         (size0, sums0), (size1, sums1) = released
         both = (size0 >= 1) & (size1 >= 1)
@@ -386,20 +392,21 @@ def test_argument_validation():
     rng = np.random.default_rng(0)
     data = make_dataset(np.array([[1, 0], [0, 1]], dtype=np.uint8))
     fmap = feature_map_from_seed(m=2, d=4, gamma=1.0, seed=0)
+    fixed = dict(rng=rng, init_rng=np.random.default_rng(1))
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=3, iterations=1, sigma_c=1.0,
-                         sigma_k=1.0, rng=rng)
+                         sigma_k=1.0, **fixed, **OPTIONS)
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=1, iterations=0, sigma_c=1.0,
-                         sigma_k=1.0, rng=rng)
+                         sigma_k=1.0, **fixed, **OPTIONS)
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_c=1.0,
-                         sigma_k=-2.0, rng=rng)
+                         sigma_k=-2.0, **fixed, **OPTIONS)
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_c=0.0,
-                         sigma_k=0.0, rng=rng, init=np.zeros((2, 3)))
+                         sigma_k=0.0, init=np.zeros((2, 3)), **fixed, **OPTIONS)
     # checked in rbf_mode too, where no threshold vote uses them
     for bad in ({"bins": 0}, {"c_max": 0.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_c=1.0,
-                             sigma_k=1.0, rng=rng, **bad)
+                             sigma_k=1.0, **fixed, **{**OPTIONS, **bad})

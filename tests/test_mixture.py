@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import mixture_corpus
-from dpmix import mixture, rbm
+from dpmix import accountant, mixture, rbm
 from dpmix.accountant import alpha_terms, epsilon_for_delta
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError, DataError
@@ -59,6 +59,39 @@ def _saturated_mixture(weights, biases, m=4):
     )
 
 
+@pytest.mark.parametrize("rbf_mode", [True, False], ids=["rbf", "threshold-vote"])
+def test_every_release_is_a_charged_gaussian(monkeypatch, rbf_mode):
+    # wrap the release helper wherever src/ bound it and list the (sigma,
+    # sensitivity) of each release of a small run: exactly the mechanisms
+    # the accountant charges, in the order they ran
+    released, real = [], accountant.gaussian_release
+
+    def recorded(value, sigma, sensitivity, rng):
+        released.append((sigma, sensitivity))
+        return real(value, sigma, sensitivity, rng)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.startswith("dpmix") and getattr(module, "gaussian_release", None) is real]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "gaussian_release", recorded)
+    assert {"dpmix.kmeans", "dpmix.dpnorm", "dpmix.dpsgd"} <= set(patched)
+
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(17))
+    cfg = _tiny_config(k=2, t_kmeans=3, batch_size=1, rbf_mode=rbf_mode)
+    result = train(data, cfg, master_seed=7)
+
+    c_s = result.clustering.clip_bound
+    want = [] if rbf_mode else [(cfg.sigma_c, 1.0)]  # one clip-bound vote before Lloyd
+    want += [(cfg.sigma_k, 1.0), (cfg.sigma_k, c_s)] * (cfg.k * cfg.t_kmeans)
+    for step in result.steps:
+        if step.info.batch_size:
+            want.append((cfg.sigma_c, 1.0))
+        want.append((cfg.sigma_g, step.info.clip_bound))
+    assert released == want
+    sizes = [step.info.batch_size for step in result.steps]
+    assert len(sizes) == result.t_sgd and 0 in sizes and max(sizes) > 0
+
+
 def test_training_replays_from_named_streams():
     # rebuild every stage of a k = 1 run from the master seed by hand and
     # demand bit-identical parameters
@@ -72,7 +105,8 @@ def test_training_replays_from_named_streams():
     fmap = feature_map_from_seed(8, 10, 0.5, child_seed(seed, "feature-map"))
     clustering = dp_kernel_kmeans(
         data, fmap, 1, 2, 4.0, 40.0, child_rng(seed, "kmeans-noise"),
-        init_rng=child_rng(seed, "kmeans-init"),
+        init_rng=child_rng(seed, "kmeans-init"), rbf_mode=cfg.rbf_mode, c_max=cfg.c_max,
+        bins=cfg.bins,
     )
     assert np.array_equal(result.clustering.assignments, clustering.assignments)
     assert_allclose(result.mixture.centers, clustering.noisy_centers)

@@ -47,3 +47,26 @@ def _unreferenced_definitions():
 
 def test_every_top_level_definition_is_used_in_src():
     assert _unreferenced_definitions() == []
+
+
+def _normal_draw_sites():
+    """``module.function`` of every ``.normal(`` call in src/, once per call."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == "normal"):
+                    sites.append(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return sorted(sites)
+
+
+def test_every_noisy_release_goes_through_gaussian_release():
+    # the other three draws are data-independent initialisations, not releases
+    assert _normal_draw_sites() == [
+        "accountant.gaussian_release",
+        "kmeans.default_initial_centers",
+        "rbm.init_model",
+        "rff.sample_feature_map",
+    ]
