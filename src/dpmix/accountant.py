@@ -249,13 +249,14 @@ def alpha_kmeans(lam, cfg: PrivacyConfig):
     at sigma_k, sensitivity 1) and the k noisy feature sums (sigma_k,
     sensitivity C_s).  One record moves one size by 1 and one sum by at
     most C_s, so each of the two sets is one release, charged
-    alpha_gaussian(lam, sigma_k).  Outside rbf_mode one threshold
-    selection at scale sigma_c is charged per iteration as well.
+    alpha_gaussian(lam, sigma_k).  Outside rbf_mode the clip bound is
+    voted once, before the first iteration, so one threshold selection at
+    scale sigma_c is charged when there is at least one iteration.
     """
-    per_iter = 2.0 * alpha_gaussian(lam, cfg.sigma_k)
-    if not cfg.rbf_mode:
-        per_iter += alpha_gaussian(lam, cfg.sigma_c)
-    return cfg.t_kmeans * per_iter
+    total = cfg.t_kmeans * (2.0 * alpha_gaussian(lam, cfg.sigma_k))
+    if not cfg.rbf_mode and cfg.t_kmeans >= 1:
+        total += alpha_gaussian(lam, cfg.sigma_c)
+    return total
 
 
 def sgd_step_alpha(lam, cfg: PrivacyConfig):

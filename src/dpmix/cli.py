@@ -40,16 +40,18 @@ REQUIRED = MISSING  # the dataclass marker for "no default"
 
 @dataclass(frozen=True)
 class Option:
-    """One option: its type, its default (or REQUIRED) and its help text.
+    """One option: its type, its default (or REQUIRED), its help text and its bound.
 
     ``kind`` is int, float, bool, str (a file path) or a tuple of the
     allowed strings.  It sets the flag's parser and the JSON type that a
-    config-file value must have.
+    config-file value must have.  ``least`` is the smallest value allowed,
+    set only where no library object checks the option itself.
     """
 
     kind: type | tuple[str, ...]
     default: object = None
     help: str = ""
+    least: int | None = None
 
 
 def _with_train_defaults(**options: Option) -> dict[str, Option]:
@@ -60,26 +62,28 @@ def _with_train_defaults(**options: Option) -> dict[str, Option]:
 
 
 _OPTIONS = {
-    "seed": Option(int, 0, "master seed"),
-    "workers": Option(int, None, "generate: sampling threads, default the usable CPUs "
-                      "(same output for any count); the other commands ignore it"),
+    "seed": Option(int, 0, "master seed", least=0),
+    "workers": Option(int, None, "sampling threads (default: the usable CPUs; "
+                      "same output for any count)", least=1),
     "data": Option(str, REQUIRED, "dataset file"),
     "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
     "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
     "labels": Option(str, None, "true labels, one integer per line"),
     "q": Option(float, REQUIRED, "batch inclusion probability per iteration"),
-    "data_size": Option(int, None, "derive delta = 1/size when --delta absent"),
+    "data_size": Option(int, None, "derive delta = 1/size instead of passing --delta",
+                        least=1),
     "output": Option(str, None, "write the report, summary or records here (generate: required)"),
     "assignments_out": Option(str, None, "write one cluster id per record here"),
     "model": Option(str, REQUIRED, "model JSON path"),
     "log": Option(str, None, "output path for the per-step JSON-lines training log"),
-    "count": Option(int, REQUIRED, "number of records to generate"),
-    "gibbs_steps": Option(int, DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample"),
+    "count": Option(int, REQUIRED, "number of records to generate", least=1),
+    "gibbs_steps": Option(int, DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample", least=1),
     "synthetic": Option(str, REQUIRED, "synthetic dataset (sparse-items)"),
     "queries": Option(int, 1000, "number of counting queries, a multiple of 5"),
     "max_l1": Option(int, None, "longest query (default: longest real record)"),
     "semantics": Option(evaluation.SEMANTICS, evaluation.ANY, "counting-query semantics"),
-    "assignments": Option(str, None, "cluster ids, one per record, scored against --labels"),
+    "assignments": Option(str, None, "cluster ids, one per record, scored against --labels "
+                          "(give both or neither)"),
     "csv": Option(str, None, "write the per-subset CSV here"),
     **_with_train_defaults(
         k=Option(int, help="number of clusters"),
@@ -108,14 +112,14 @@ _DATA = ("data", "format", "threshold")
 
 # Each command's options, in the order the config echo lists them.
 _COMMAND_OPTIONS = {
-    "accountant": ("workers", "q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
+    "accountant": ("q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
                    "epochs", "delta", "data_size", "rbf_mode", "lambda_max", "output"),
-    "cluster": ("seed", "workers", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
+    "cluster": ("seed", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
                 "sigma_k", "rbf_mode", "c_max", "bins", "init_centers", "output",
                 "assignments_out"),
-    "train": ("seed", "workers", *_DATA, *(f.name for f in fields(TrainConfig)), "model", "log"),
+    "train": ("seed", *_DATA, *(f.name for f in fields(TrainConfig)), "model", "log"),
     "generate": ("seed", "workers", "model", "count", "gibbs_steps", "output"),
-    "evaluate": ("seed", "workers", *_DATA, "synthetic", "queries", "max_l1", "semantics",
+    "evaluate": ("seed", *_DATA, "synthetic", "queries", "max_l1", "semantics",
                  "labels", "assignments", "output", "csv"),
 }
 
@@ -212,17 +216,17 @@ def resolve_options(args: argparse.Namespace) -> dict:
     file_values = _read_config(args.config, args.command) if args.config else {}
     resolved = {}
     for name in _COMMAND_OPTIONS[args.command]:
+        opt, flag_name = _OPTIONS[name], "--" + name.replace("_", "-")
         flag = getattr(args, name)
-        value = flag if flag is not None else file_values.get(name, _OPTIONS[name].default)
+        value = flag if flag is not None else file_values.get(name, opt.default)
         if value is REQUIRED:
-            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+            raise ConfigError(f"missing required option {flag_name}")
         # float() and json.load accept nan, which passes range checks like x <= 0
-        if _OPTIONS[name].kind is float and value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+        if opt.kind is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag_name} must be a finite number, got {value}")
+        if opt.least is not None and value is not None and value < opt.least:
+            raise ConfigError(f"{flag_name} must be >= {opt.least}")
         resolved[name] = value
-    for name, least in (("workers", 1), ("seed", 0)):
-        if resolved.get(name) is not None and resolved[name] < least:
-            raise ConfigError(f"--{name} must be >= {least}")
     resolved["command"] = args.command
     if args.command in _NOISE_SCALES:
         resolved["unsafe_no_privacy"] = args.unsafe_no_privacy
@@ -288,13 +292,9 @@ def _json_dumps(payload: dict) -> str:
 def cmd_accountant(opts: dict, out: _Outputs) -> int:
     if opts["epochs"] < 1:
         raise ConfigError("--epochs must be >= 1")
-    delta = opts["delta"]
-    if delta is None:
-        if opts["data_size"] is None:
-            raise ConfigError("pass --delta or --data-size (for delta = 1/size)")
-        if opts["data_size"] < 1:
-            raise ConfigError("--data-size must be >= 1")
-        delta = 1.0 / opts["data_size"]
+    if (opts["delta"] is None) == (opts["data_size"] is None):
+        raise ConfigError("pass one of --delta and --data-size (for delta = 1/size)")
+    delta = opts["delta"] if opts["delta"] is not None else 1.0 / opts["data_size"]
     try:
         cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
         terms = alpha_terms(cfg)  # the schedule and the report's alpha profile share them
@@ -440,10 +440,6 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
 
     if opts["output"] is None:
         raise ConfigError("missing required option --output")
-    if opts["count"] < 1:
-        raise ConfigError("--count must be >= 1")
-    if opts["gibbs_steps"] < 1:
-        raise ConfigError("--gibbs-steps must be >= 1")
     try:
         mix = load_model(opts["model"])
     except FileNotFoundError:
@@ -466,15 +462,15 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
 def cmd_evaluate(opts: dict, out: _Outputs) -> int:
     from .streams import child_rng
 
-    if opts["queries"] < 5 or opts["queries"] % 5 != 0:
-        raise ConfigError("--queries must be a positive multiple of 5")
+    if (opts["labels"] is None) != (opts["assignments"] is None):
+        raise ConfigError("pass --labels and --assignments together")
     real = _load_dataset(opts)
     try:
         synth = load_records(opts["synthetic"], SPARSE_ITEMS, allow_empty=True)
     except FileNotFoundError:
         raise DataError(f"synthetic dataset not found: {opts['synthetic']}")
     acc = None
-    if opts["labels"] and opts["assignments"]:
+    if opts["labels"] is not None:
         labels = _load_labels(opts["labels"], len(real))
         assignments = _load_labels(opts["assignments"], len(real))
         acc = clustering_accuracy(assignments, labels)

@@ -51,26 +51,18 @@ _RECORD_TEXT[[ord(" "), ord("\t"), ord("\r"), ord("\n")]] = True
 class BinaryDataset:
     """m-dimensional binary records, one row per individual.
 
-    ``records`` has shape (n, m) with entries in {0, 1}.  ``labels``,
-    when present, are evaluation-only class ids; training code never
-    reads them.  Construct through :func:`make_dataset` or a loader so
-    the invariants are checked.
+    ``records`` has shape (n, m) with entries in {0, 1}.  Construct
+    through :func:`make_dataset` or a loader so the invariants are checked.
     """
 
     m: int
     records: np.ndarray
-    labels: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.records.shape[0])
 
 
-def make_dataset(
-    records: np.ndarray,
-    labels: np.ndarray | None = None,
-    *,
-    allow_empty: bool = False,
-) -> BinaryDataset:
+def make_dataset(records: np.ndarray, *, allow_empty: bool = False) -> BinaryDataset:
     """Validate and freeze a (n, m) 0/1 array into a BinaryDataset.
 
     ``allow_empty`` admits all-zero rows; loaders keep it off, while
@@ -89,16 +81,8 @@ def make_dataset(
     if not allow_empty and not arr.any(axis=1).all():
         first = int(np.flatnonzero(~arr.any(axis=1))[0])
         raise DataError(f"record {first} is empty (all zeros)")
-    lab = None
-    if labels is not None:
-        lab = np.asarray(labels, dtype=np.int64).copy()
-        if lab.ndim != 1 or lab.shape[0] != arr.shape[0]:
-            raise DataError(
-                f"labels length {lab.shape} does not match {arr.shape[0]} records"
-            )
-        lab.flags.writeable = False
     arr.flags.writeable = False
-    return BinaryDataset(m=int(arr.shape[1]), records=arr, labels=lab)
+    return BinaryDataset(m=int(arr.shape[1]), records=arr)
 
 
 def load_records(

@@ -59,25 +59,26 @@ def dp_sgd_step(
     for clusters smaller than L.  That is above the q = L / |dataset| the
     accountant charges: 0.0150 against 0.005 at acceptance criterion 9.
     The ROADMAP item "Make DP-SGD run the mechanism the accountant
-    charges" tracks the fix.  An empty batch skips threshold selection and
-    releases a zero sum at the previous clip bound (c_max / 2 before any
-    non-empty batch was seen), so every step makes one gradient release.
+    charges" tracks the fix.  ``grad_fn`` is called on every step, an
+    empty batch included, so a model's persistent chains advance the same
+    way whichever batches were empty.  An empty batch skips threshold
+    selection and releases a zero sum at the previous clip bound (c_max / 2
+    before any non-empty batch was seen), so every step makes one gradient
+    release.
     """
     if len(members) == 0:
         raise ValueError("cannot step against an empty cluster")
     params = np.asarray(params, dtype=np.float64)
     q = min(1.0, cfg.batch_size / len(members))
     batch = sample_batch(members, q, sample_rng)
+    grads = grad_fn(batch)
+    if tuple(grads.shape) != (len(batch), params.size):
+        raise ValueError(f"grad_fn must return ({len(batch)}, {params.size}), got {grads.shape}")
 
     if len(batch) == 0:
         c_s = prev_clip if prev_clip is not None else cfg.c_max / 2.0
         total, norm_stats = np.zeros_like(params), (math.nan, math.nan, 0.0)  # none clipped
     else:
-        grads = grad_fn(batch)
-        if tuple(grads.shape) != (len(batch), params.size):
-            raise ValueError(
-                f"grad_fn must return ({len(batch)}, {params.size}), got {grads.shape}"
-            )
         norms = grads.norms()
         c_s = dp_norm(norms, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
         total = grads.clipped_sum(clip_scales(norms, c_s))

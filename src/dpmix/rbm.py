@@ -199,11 +199,9 @@ class FactoredGradients:
 class PersistentChains:
     """Gibbs chain states plus their private random stream.
 
-    Batch records never enter the states, but a step whose batch is empty
-    skips the chain advance (``pcd_per_example_gradients``), so the states
-    depend on which batches were empty as well as on the parameter
-    history and the chain seed.  The ROADMAP item "Make DP-SGD run the
-    mechanism the accountant charges" tracks the fix.
+    Batch records never enter the states, and every gradient call
+    advances them, an empty batch included, so the states depend only on
+    the parameter history, the number of steps and the chain seed.
     """
 
     states: np.ndarray  # (count, m) uint8
@@ -284,14 +282,9 @@ def pcd_per_example_gradients(
     ``batch`` is a (B, m) record array.  Advances the persistent chains
     by ``gibbs_steps`` sweeps, then returns rows positive(x) - N with the
     shared negative statistic N as a FactoredGradients (no (B, P) matrix
-    is built).  An empty batch returns zero rows and leaves the chains
-    untouched.
+    is built).  An empty batch gives zero rows, and still advances the chains.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.shape[0] == 0:
-        return FactoredGradients(
-            np.zeros((0, model.n_hidden)), x, np.zeros(model.n_params)
-        )
     advance_chains(model, chains, gibbs_steps)
     neg = negative_statistic(model, chains)
     return FactoredGradients(conditional_hidden(model, x), x, neg)

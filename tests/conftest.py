@@ -9,7 +9,7 @@ from dpmix.data import make_dataset
 from dpmix.rbm import RbmModel, _logistic, conditional_hidden
 
 
-def mixture_corpus(
+def labelled_mixture_corpus(
     n: int,
     m: int,
     k: int,
@@ -20,7 +20,7 @@ def mixture_corpus(
 ):
     """k-component corpus: component c lights up its own block of items.
 
-    Returns a BinaryDataset with component ids attached as labels.
+    Returns (BinaryDataset, component id of each record).
     """
     if weights is None:
         weights = np.full(k, 1.0 / k)
@@ -35,7 +35,12 @@ def mixture_corpus(
     records = (rng.random((n, m)) < probs).astype(np.uint8)
     empty = records.sum(axis=1) == 0
     records[empty, (comp[empty] * block) % m] = 1  # keep every record non-empty
-    return make_dataset(records, labels=comp)
+    return make_dataset(records), comp
+
+
+def mixture_corpus(*args, **kwargs):
+    """The records of labelled_mixture_corpus, without their component ids."""
+    return labelled_mixture_corpus(*args, **kwargs)[0]
 
 
 def kernel_rbf(x, y, gamma: float) -> float:

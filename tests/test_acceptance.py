@@ -16,6 +16,7 @@ from conftest import (
     DenseGradients,
     dense_positive_statistics,
     kernel_rbf,
+    labelled_mixture_corpus,
     mixture_corpus,
     step_config,
 )
@@ -282,7 +283,7 @@ def test_criterion_08_exact_model_checks():
 
 def test_criterion_09_end_to_end_utility():
     start = time.perf_counter()
-    data = mixture_corpus(
+    data, labels = labelled_mixture_corpus(
         20_000, 50, 3, np.random.default_rng(2024),
         block_p=0.9, background_p=0.01,
     )
@@ -309,7 +310,7 @@ def test_criterion_09_end_to_end_utility():
     synth = generate(
         result.mixture, 20_000, np.random.default_rng(seed + 1), gibbs_steps=300
     )
-    acc = clustering_accuracy(result.clustering.assignments, data.labels)
+    acc = clustering_accuracy(result.clustering.assignments, labels)
     max_l1 = int(data.records.sum(axis=1).max())
     workload = generate_workload(50, max_l1, 500, np.random.default_rng(7))
     report = evaluate_workload(data, synth, workload, acc=acc)
@@ -362,7 +363,7 @@ def test_criterion_11_training_determinism(tmp_path, capsys):
         "train", "--data", str(data_path), "--k", "2", "--epochs", "1",
         "--batch-size", "30", "--sigma-c", "4", "--sigma-k", "40",
         "--sigma-g", "1", "--t-kmeans", "2", "--d", "16", "--n-hidden", "4",
-        "--chain-count", "8", "--seed", "31", "--workers", "1",
+        "--chain-count", "8", "--seed", "31",
         "--model", str(model_path),
     ]
     assert main(args) == 0

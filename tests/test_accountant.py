@@ -2,6 +2,7 @@
 import math
 import os
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -389,13 +390,31 @@ class TestKmeansAlpha:
         assert alpha_kmeans(2, cfg) == pytest.approx(20 * 6 / 3200)
 
     def test_full_mode_adds_threshold_selection(self):
-        cfg = _cfg(t_kmeans=1, sigma_c=2.0, sigma_k=2.0, rbf_mode=False)
-        assert alpha_kmeans(1, cfg) == pytest.approx(2 * (1 / 16 + 1 / 8))
+        # dp_kernel_kmeans votes on the clip bound once, before its first
+        # iteration: one selection at sigma_c, whatever the iteration count
+        for t in (1, 3):
+            cfg = _cfg(t_kmeans=t, sigma_c=2.0, sigma_k=2.0, rbf_mode=False)
+            assert alpha_kmeans(1, cfg) == pytest.approx(t * 2 / 8 + 1 / 8)
+        assert alpha_kmeans(1, _cfg(t_kmeans=0, sigma_c=2.0, rbf_mode=False)) == 0.0
 
     def test_composition_is_exactly_linear(self):
-        one = alpha_kmeans(5, _cfg(t_kmeans=1, rbf_mode=False))
-        many = alpha_kmeans(5, _cfg(t_kmeans=17, rbf_mode=False))
-        assert many == pytest.approx(17 * one, rel=1e-15)
+        # each iteration adds the same charge; outside rbf_mode the one vote is an offset
+        vote = alpha_gaussian(5, _cfg().sigma_c)
+        for rbf_mode, offset in ((True, 0.0), (False, vote)):
+            one = alpha_kmeans(5, _cfg(t_kmeans=1, rbf_mode=rbf_mode)) - offset
+            many = alpha_kmeans(5, _cfg(t_kmeans=17, rbf_mode=rbf_mode)) - offset
+            assert many == pytest.approx(17 * one, rel=1e-15)
+
+    @pytest.mark.parametrize("q,t_sgd,delta,rbf_eps,full_eps", [
+        (0.0017, 20 * 589, 1e-5, (1.7616018098053687, 10), (1.9256362968698535, 9)),
+        (0.005, 2000, 1 / 20_000, (1.980523809022984, 8), (2.121148809022984, 8)),
+    ], ids=["criterion-2", "criterion-9"])
+    def test_acceptance_configurations(self, q, t_sgd, delta, rbf_eps, full_eps):
+        # outside rbf_mode the one clip-bound vote adds 0.16 (criterion 2) and 0.14 (criterion 9)
+        cfg = _cfg(q=q, t_sgd=t_sgd, delta=delta)
+        assert epsilon_for_delta(cfg) == pytest.approx(rbf_eps, rel=1e-12)
+        full = epsilon_for_delta(replace(cfg, rbf_mode=False))
+        assert full == pytest.approx(full_eps, rel=1e-12)
 
     def test_array_call_equals_one_call_per_order(self):
         orders = np.array([1, 2, 3, 7.5, 32])
@@ -494,14 +513,14 @@ def _accountant_args(cfg, epochs):
 
 
 class TestWorkerProcesses:
-    """The accountant runs in one process: --workers is accepted, validated and ignored."""
+    """The accountant runs in one process and takes no --workers."""
 
     @pytest.mark.parametrize("cfg", [_PLAN_CFG, _CRITERION_9_CFG], ids=["plan", "criterion-9"])
-    def test_bitwise_equal_for_any_worker_count(self, cfg, capsys):
+    def test_repeated_runs_are_bitwise_equal(self, cfg, capsys):
         epochs = cfg.t_sgd // epoch_iterations(cfg.q) if cfg.t_sgd else 20
         outputs = []
-        for workers in (1, 2, 3):
-            assert main(_accountant_args(cfg, epochs) + ["--workers", str(workers)]) == 0
+        for _ in range(3):
+            assert main(_accountant_args(cfg, epochs)) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
         if cfg is _CRITERION_9_CFG:
@@ -520,18 +539,18 @@ class TestWorkerProcesses:
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
 
-    def test_failure_names_the_same_order_for_any_worker_count(self, monkeypatch, capsys):
+    def test_failure_names_the_same_order_on_every_run(self, monkeypatch, capsys):
         monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
         errors = []
-        for workers in (1, 2, 3):
-            assert main(_accountant_args(_PLAN_CFG, 1) + ["--workers", str(workers)]) == 4
+        for _ in range(3):
+            assert main(_accountant_args(_PLAN_CFG, 1)) == 4
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == errors[2]
         assert errors[0].startswith("numerical error: subsampled-Gaussian series did not converge")
 
     def test_zero_workers_rejected(self, capsys):
         assert main(_accountant_args(_PLAN_CFG, 1) + ["--workers", "0"]) == 2
-        assert capsys.readouterr().err == "usage error: --workers must be >= 1\n"
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --workers 0\n"
 
 
 class TestPrivacyConfigValidation:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dpmix
-from conftest import mixture_corpus
+from conftest import labelled_mixture_corpus, mixture_corpus
 from dpmix import accountant, cli, rbm
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
@@ -28,11 +28,11 @@ ACCT_ARGS = [
 
 @pytest.fixture
 def corpus_files(tmp_path):
-    data = mixture_corpus(120, 10, 2, np.random.default_rng(42))
+    data, labels = labelled_mixture_corpus(120, 10, 2, np.random.default_rng(42))
     data_path = tmp_path / "records.txt"
     labels_path = tmp_path / "labels.txt"
     write_records(data, data_path)
-    labels_path.write_text("\n".join(str(int(c)) for c in data.labels) + "\n")
+    labels_path.write_text("\n".join(str(int(c)) for c in labels) + "\n")
     return data, str(data_path), str(labels_path)
 
 
@@ -137,20 +137,18 @@ def test_accountant_rejects_out_of_range_values(capsys, args, message):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command,workers", [
-    ("accountant", 1), ("train", 1), ("accountant", 3), ("train", 3),
-], ids=["accountant", "train", "accountant-3-workers", "train-3-workers"])
+@pytest.mark.parametrize("command", ["accountant", "train"])
 def test_quadrature_failure_exits_4_without_artifact(tmp_path, capsys, monkeypatch, corpus_files,
-                                                    command, workers):
+                                                    command):
     # Two terms cannot meet the series' tail bound at the split search's
-    # fractional orders, so it raises NumericsError; --workers is ignored.
+    # fractional orders, so it raises NumericsError.
     monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
     artifact = tmp_path / "out.json"
     if command == "accountant":
         args = ACCT_ARGS + ["--epochs", "1", "--output", str(artifact)]
     else:
         args = _train_args(corpus_files[1], artifact)
-    assert main(args + ["--workers", str(workers)]) == 4
+    assert main(args) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and "did not converge" in err
     assert len(err.strip().splitlines()) == 1
@@ -197,10 +195,16 @@ def test_strict_gaussian_is_refused(tmp_path, capsys, command):
     ("accountant", ["--unsafe-no-privacy"]),
     ("generate", ["--unsafe-no-privacy"]),
     ("evaluate", ["--unsafe-no-privacy"]),
-], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe"])
+    ("accountant", ["--workers", "1"]),
+    ("train", ["--workers", "1"]),
+    ("cluster", ["--workers", "1"]),
+    ("evaluate", ["--workers", "1"]),
+], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe",
+        "accountant-workers", "train-workers", "cluster-workers", "evaluate-workers"])
 def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
     # the accountant draws nothing at random; accountant, generate and
-    # evaluate add no noise, so a zero noise scale has nothing to unlock
+    # evaluate add no noise, so a zero noise scale has nothing to unlock;
+    # only generate runs threads
     key = flag[0][2:].replace("-", "_")
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: True if len(flag) == 1 else 1}))
@@ -211,6 +215,23 @@ def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err == message
+
+
+_EVALUATE = ["evaluate", "--data", "records.txt", "--synthetic", "synth.txt"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_EVALUATE + ["--labels", "labels.txt"], "pass --labels and --assignments together"),
+    (_EVALUATE + ["--assignments", "ids.txt"], "pass --labels and --assignments together"),
+    (ACCT_ARGS + ["--epochs", "1", "--data-size", "100"],
+     "pass one of --delta and --data-size (for delta = 1/size)"),
+    (ACCT_ARGS[:-2] + ["--epochs", "1"], "pass one of --delta and --data-size (for delta = 1/size)"),
+], ids=["labels-only", "assignments-only", "delta-and-data-size", "neither-delta-nor-size"])
+def test_options_read_as_a_pair_are_never_dropped(capsys, argv, message):
+    # evaluate scores accuracy only from both files; the accountant takes
+    # delta from exactly one source, so neither option is silently ignored
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_config_file_not_json(tmp_path, capsys):
@@ -459,7 +480,7 @@ def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsy
     capsys.readouterr()
     echo = json.loads(model_path.read_text())["config_echo"]
     assert list(echo) == [
-        "seed", "workers", "data", "format", "threshold", "k", "epochs", "batch_size",
+        "seed", "data", "format", "threshold", "k", "epochs", "batch_size",
         "sigma_c", "sigma_k", "sigma_g", "t_kmeans", "d", "gamma", "n_hidden", "eta",
         "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "rbf_mode",
         "lambda_max", "init_centers", "model", "log", "command",

@@ -318,10 +318,6 @@ class TestValidation:
                         np.zeros((0, 3), dtype=np.uint8)):
             np.testing.assert_array_equal(make_dataset(records).records, records)
 
-    def test_labels_length_checked(self):
-        with pytest.raises(DataError, match="labels"):
-            make_dataset(np.array([[1, 0], [0, 1]]), labels=[0])
-
     def test_records_frozen(self):
         ds = make_dataset(np.array([[1, 0]]))
         with pytest.raises(ValueError):

@@ -172,8 +172,11 @@ def test_empty_batch_releases_pure_noise_at_prev_clip():
             break
     assert empty_seed is not None
 
-    def grad_fn(rows):  # pragma: no cover - must not be called
-        raise AssertionError("gradient function called on an empty batch")
+    calls = []
+
+    def grad_fn(rows):  # called on every step, so the model's chains advance
+        calls.append(rows)
+        return DenseGradients(np.zeros((len(rows), theta.size)))
 
     new_theta, info = dp_sgd_step(
         theta, grad_fn, members, cfg,
@@ -194,6 +197,33 @@ def test_empty_batch_releases_pure_noise_at_prev_clip():
         noise_rng=np.random.default_rng(99),
     )
     assert info2.clip_bound == pytest.approx(5.0)
+    assert [len(rows) for rows in calls] == [0, 0]
+
+
+def test_chain_states_do_not_depend_on_empty_batches():
+    # eta = 0 keeps the model fixed, so the chains must end in the same
+    # states whether some batches were empty (q = 1/200) or none (q = 1)
+    m, steps = 6, 12
+    records = _toy_records(200, m, seed=3)
+    model = rbm.init_model(m, 3, np.random.default_rng(0))
+    finals, empties = [], []
+    for batch_size, members in ((1, np.arange(200)), (4, np.arange(4))):
+        chains = rbm.PersistentChains.initialize(5, m, seed=8)
+        cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=batch_size, eta=0.0)
+        sample_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
+
+        def grad_fn(rows):
+            return -rbm.pcd_per_example_gradients(model, records[rows], chains)
+
+        sizes = []
+        for _ in range(steps):
+            params, info = dp_sgd_step(model.params, grad_fn, members, cfg, sample_rng, noise_rng)
+            assert np.array_equal(params, model.params)
+            sizes.append(info.batch_size)
+        finals.append(chains.states)
+        empties.append(sizes.count(0))
+    assert empties[0] >= steps // 4 and empties[1] == 0
+    assert np.array_equal(finals[0], finals[1])
 
 
 def test_oversized_batch_clamps_sampling_probability():

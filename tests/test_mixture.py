@@ -531,6 +531,28 @@ def test_models_stored_with_strict_gaussian_still_load(tmp_path, strict):
     assert (loaded.epsilon > mix.epsilon) == strict
 
 
+def test_full_mode_models_charged_a_vote_per_iteration_still_load(tmp_path):
+    # Outside rbf_mode, earlier versions charged the k-means clip-bound
+    # vote in each of the t_kmeans iterations, though it runs once; the
+    # epsilon they stored is above what the privacy block gives now.
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(k=2, t_kmeans=3, rbf_mode=False), master_seed=11).mixture
+    path = tmp_path / "model.json"
+    save_model(mix, path)
+    payload = json.loads(path.read_text())
+    priv = payload["privacy"]
+    lams, kmeans, sgd_step = alpha_terms(mix.privacy)
+    votes = (mix.privacy.t_kmeans - 1) * accountant.alpha_gaussian(lams, mix.privacy.sigma_c)
+    alpha = kmeans + votes + mix.privacy.t_sgd * sgd_step
+    eps = (alpha - math.log(mix.privacy.delta)) / lams
+    priv["epsilon"], priv["argmin_lambda"] = float(eps.min()), lams[int(eps.argmin())]
+    path.write_text(json.dumps(payload))
+    loaded = load_model(path)
+    assert loaded.privacy == mix.privacy
+    assert (loaded.epsilon, loaded.argmin_lambda) == (priv["epsilon"], priv["argmin_lambda"])
+    assert loaded.epsilon > mix.epsilon
+
+
 def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
     for version in (99, 0, None, True, 2.0, "2"):

@@ -341,18 +341,18 @@ def test_negative_statistic_ignores_the_batch():
     assert np.array_equal(chains_a.states, chains_b.states)
 
 
-def test_empty_batch_is_a_no_op():
+def test_empty_batch_gives_zero_rows_and_advances_the_chains():
     model = _random_model(4, 2, seed=1)
     chains = PersistentChains.initialize(5, 4, seed=2)
-    before_states = chains.states.copy()
-    before_rng = chains.rng.bit_generator.state
-    grads = pcd_per_example_gradients(model, np.zeros((0, 4), dtype=np.uint8), chains)
+    twin = PersistentChains.initialize(5, 4, seed=2)
+    grads = pcd_per_example_gradients(model, np.zeros((0, 4), dtype=np.uint8), chains, 3)
     assert isinstance(grads, FactoredGradients)
     assert grads.shape == (0, model.n_params)
     assert grads.norms().shape == (0,)
     assert_allclose(grads.clipped_sum(np.zeros(0)), np.zeros(model.n_params))
-    assert np.array_equal(chains.states, before_states)
-    assert chains.rng.bit_generator.state == before_rng
+    advance_chains(model, twin, 3)
+    assert np.array_equal(chains.states, twin.states)
+    assert chains.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def _dense_oracle(model, records, chain_states):
