@@ -145,7 +145,8 @@ def alpha_gaussian(lam, sigma: float):
     """(lam^2 + lam) / (4 sigma^2), the charge of gaussian_release, at one order or an array."""
     _check_order_and_noise(lam, sigma)
     lams = np.array(lam, dtype=np.float64)
-    out = (lams**2 + lams) / (4.0 * sigma**2)
+    with np.errstate(divide="ignore"):  # sigma**2 underflows to 0: alpha is inf
+        out = (lams**2 + lams) / (4.0 * sigma**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -209,7 +210,7 @@ def _log_partial_sums(
     factors = (floor + 1.0 - i[1:]) + (a - floor)  # a - i + 1, for i = 1..K
     log_c = np.zeros((a.size, terms + 1))
     sign = np.ones_like(log_c)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.cumsum(np.log(np.abs(factors)) - np.log(i[1:]), axis=1, out=log_c[:, 1:])
         np.cumprod(np.sign(factors), axis=1, out=sign[:, 1:])
         z0 = sigma**2 * (math.log1p(-q) - math.log(q)) + 0.5
@@ -297,9 +298,14 @@ def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], np.ndarray, np.nda
 def _minimise_epsilon(
     lambdas: Sequence[int], alphas: np.ndarray, delta: float
 ) -> tuple[float, int]:
-    """The least (alpha - log delta) / lam and its order; the first minimiser wins."""
+    """The least (alpha - log delta) / lam and its order; the first minimiser wins.
+
+    NumericsError if that epsilon is not finite.
+    """
     eps = (alphas - math.log(delta)) / np.asarray(lambdas)
     best = int(np.argmin(eps))
+    if not math.isfinite(eps[best]):
+        raise NumericsError("epsilon is not finite for this configuration")
     return float(eps[best]), int(lambdas[best])
 
 

@@ -4,7 +4,10 @@ Subcommands: accountant, cluster, train, generate, evaluate.  Option
 precedence is command-line flag, then --config JSON file, then built-in
 default.  Every artifact embeds the fully resolved configuration, so a
 run can be reproduced from any of its outputs.  Exit codes: 0 success,
-2 usage or configuration error, 3 data error, 4 numerical error.
+2 usage or configuration error (ConfigError, or a ValueError by which a
+library refused an argument), 3 data error (DataError or OSError), 4
+numerical error (NumericsError or ArithmeticError).  ``main`` alone maps
+an exception to its code, and prints it as one line on stderr.
 Each command imports the modules that only it runs, so ``accountant``
 starts without the clustering and training stack.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -32,7 +34,7 @@ from .data import (
     load_records,
     write_records,
 )
-from .errors import ConfigError, DataError, NumericsError, StageError
+from .errors import ConfigError, DataError, NumericsError
 from .evaluation import clustering_accuracy, evaluate_workload, generate_workload
 
 REQUIRED = MISSING  # the dataclass marker for "no default"
@@ -146,10 +148,10 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument error exits 2 with one line, like every other usage error."""
+    """An argument error is a ConfigError, which main reports like any other."""
 
     def error(self, message):
-        self.exit(2, f"usage error: {message}\n")
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +201,7 @@ def _read_config(path: str, command: str) -> dict:
             values = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise ConfigError("config file must contain a JSON object")
@@ -295,12 +297,9 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
     if (opts["delta"] is None) == (opts["data_size"] is None):
         raise ConfigError("pass one of --delta and --data-size (for delta = 1/size)")
     delta = opts["delta"] if opts["delta"] is not None else 1.0 / opts["data_size"]
-    try:
-        cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
-        terms = alpha_terms(cfg)  # the schedule and the report's alpha profile share them
-        schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1), terms)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
+    terms = alpha_terms(cfg)  # the schedule and the report's alpha profile share them
+    schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1), terms)
     print("epoch,t_sgd,epsilon,lambda")
     for row in schedule:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
@@ -362,26 +361,23 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
     init = None
     if opts["init_centers"]:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
-    try:
-        fmap = feature_map_from_seed(
-            dataset.m, opts["d"], opts["gamma"], child_seed(seed, "feature-map")
-        )
-        clustering = dp_kernel_kmeans(
-            dataset,
-            fmap,
-            opts["k"],
-            opts["t_kmeans"],
-            opts["sigma_c"],
-            opts["sigma_k"],
-            child_rng(seed, "kmeans-noise"),
-            init=init,
-            init_rng=child_rng(seed, "kmeans-init"),
-            rbf_mode=opts["rbf_mode"],
-            c_max=opts["c_max"],
-            bins=opts["bins"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    fmap = feature_map_from_seed(
+        dataset.m, opts["d"], opts["gamma"], child_seed(seed, "feature-map")
+    )
+    clustering = dp_kernel_kmeans(
+        dataset,
+        fmap,
+        opts["k"],
+        opts["t_kmeans"],
+        opts["sigma_c"],
+        opts["sigma_k"],
+        child_rng(seed, "kmeans-noise"),
+        init=init,
+        init_rng=child_rng(seed, "kmeans-init"),
+        rbf_mode=opts["rbf_mode"],
+        c_max=opts["c_max"],
+        bins=opts["bins"],
+    )
     summary = {
         "config_echo": dict(opts),
         "k": clustering.k,
@@ -477,16 +473,13 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
     max_l1 = opts["max_l1"]
     if max_l1 is None:
         max_l1 = int(real.records.sum(axis=1).max())
-    try:
-        workload = generate_workload(
-            real.m,
-            max_l1,
-            opts["queries"],
-            child_rng(opts["seed"], "workload"),
-            semantics=opts["semantics"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    workload = generate_workload(
+        real.m,
+        max_l1,
+        opts["queries"],
+        child_rng(opts["seed"], "workload"),
+        semantics=opts["semantics"],
+    )
     try:
         report = evaluate_workload(real, synth, workload, acc=acc)
     except ValueError as exc:
@@ -510,35 +503,23 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("DPMIX_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    """Run one command.  The only code that turns an exception into an exit code."""
     out = _Outputs()
     try:
+        args = build_parser().parse_args(argv)
         opts = resolve_options(args)
         return _COMMANDS[args.command][0](opts, out)
-    except ConfigError as exc:
-        out.discard_all()
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, StageError) as exc:
-        out.discard_all()
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericsError as exc:
-        out.discard_all()
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        out.discard_all()
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
+    except (ConfigError, ValueError) as exc:
+        code, message = 2, f"usage error: {exc}"
+    except (DataError, OSError) as exc:
+        code, message = 3, f"data error: {exc}"
+    except (NumericsError, ArithmeticError) as exc:
+        code, message = 4, f"numerical error: {exc}"
+    out.discard_all()
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

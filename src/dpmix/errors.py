@@ -6,16 +6,8 @@ class DataError(Exception):
 
 
 class NumericsError(Exception):
-    """A numerical routine failed to reach its accuracy target."""
+    """A numerical routine gave no finite result or did not reach its accuracy target."""
 
 
 class ConfigError(Exception):
     """Invalid or conflicting run configuration."""
-
-
-class StageError(Exception):
-    """A pipeline stage failed.  Carries the stage name for diagnostics."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"{stage}: {message}")
-        self.stage = stage

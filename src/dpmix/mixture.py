@@ -29,7 +29,7 @@ from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import BinaryDataset, atomic_write, make_dataset
 from .dpsgd import StepInfo, dp_sgd_step
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError
 from .kmeans import Clustering, dp_kernel_kmeans
 from .rff import FeatureMap, feature_map_from_seed
 from .streams import child_rng, child_seed
@@ -98,41 +98,29 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     epsilon = math.inf
     argmin_lambda = None
     if not unsafe:
-        try:
-            shared = {
-                f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)
-            }
-            privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
-            epsilon, argmin_lambda = epsilon_for_delta(privacy)
-        except (ValueError, ArithmeticError) as exc:
-            raise StageError("accounting", str(exc)) from exc
-        if not math.isfinite(epsilon):
-            raise StageError("accounting", "epsilon is not finite for this configuration")
+        shared = {
+            f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)
+        }
+        privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
+        epsilon, argmin_lambda = epsilon_for_delta(privacy)
 
-    try:
-        fmap = feature_map_from_seed(
-            dataset.m, cfg.d, cfg.gamma, child_seed(master_seed, "feature-map")
-        )
-    except ValueError as exc:
-        raise StageError("feature-map", str(exc)) from exc
-
-    try:
-        clustering = dp_kernel_kmeans(
-            dataset,
-            fmap,
-            cfg.k,
-            cfg.t_kmeans,
-            cfg.sigma_c,
-            cfg.sigma_k,
-            child_rng(master_seed, "kmeans-noise"),
-            init=cfg.init_centers,
-            init_rng=child_rng(master_seed, "kmeans-init"),
-            rbf_mode=cfg.rbf_mode,
-            c_max=cfg.c_max,
-            bins=cfg.bins,
-        )
-    except ValueError as exc:
-        raise StageError("clustering", str(exc)) from exc
+    fmap = feature_map_from_seed(
+        dataset.m, cfg.d, cfg.gamma, child_seed(master_seed, "feature-map")
+    )
+    clustering = dp_kernel_kmeans(
+        dataset,
+        fmap,
+        cfg.k,
+        cfg.t_kmeans,
+        cfg.sigma_c,
+        cfg.sigma_k,
+        child_rng(master_seed, "kmeans-noise"),
+        init=cfg.init_centers,
+        init_rng=child_rng(master_seed, "kmeans-init"),
+        rbf_mode=cfg.rbf_mode,
+        c_max=cfg.c_max,
+        bins=cfg.bins,
+    )
 
     # True partition, as row ids: training-internal only, never released.
     members = [np.flatnonzero(clustering.assignments == i) for i in range(cfg.k)]
@@ -161,23 +149,20 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
 
     prev_clip: list[float | None] = [None] * cfg.k
     steps: list[StepLog] = []
-    try:
-        for t in range(t_sgd):
-            s = int(selection_rng.choice(cfg.k, p=selection_probs))
-            new_params, info = dp_sgd_step(
-                models[s].params,
-                grad_fn,
-                members[s],
-                cfg,
-                sample_rng,
-                noise_rng,
-                prev_clip=prev_clip[s],
-            )
-            models[s].params[:] = new_params
-            prev_clip[s] = info.clip_bound
-            steps.append(StepLog(step=t, cluster=s, info=info))
-    except ValueError as exc:
-        raise StageError("sgd", str(exc)) from exc
+    for t in range(t_sgd):
+        s = int(selection_rng.choice(cfg.k, p=selection_probs))
+        new_params, info = dp_sgd_step(
+            models[s].params,
+            grad_fn,
+            members[s],
+            cfg,
+            sample_rng,
+            noise_rng,
+            prev_clip=prev_clip[s],
+        )
+        models[s].params[:] = new_params
+        prev_clip[s] = info.clip_bound
+        steps.append(StepLog(step=t, cluster=s, info=info))
 
     weights = np.clip(clustering.noisy_sizes, 0.0, None)
     mixture = MixtureModel(

@@ -492,6 +492,15 @@ class TestEpsilonSearch:
             assert row.epsilon == pytest.approx(direct, rel=1e-12)
             assert row.argmin_lambda == lam
 
+    @pytest.mark.filterwarnings("error")  # and no numpy RuntimeWarning on the way
+    def test_no_finite_epsilon_raises(self):
+        # sigma_k**2 underflows to 0, so the k-means alpha is inf at every order
+        cfg = _cfg(sigma_k=1e-200)
+        with pytest.raises(NumericsError, match="^epsilon is not finite for this configuration$"):
+            epsilon_for_delta(cfg)
+        with pytest.raises(NumericsError, match="^epsilon is not finite for this configuration$"):
+            epsilon_schedule(cfg, (1, 2))
+
     def test_epoch_iterations(self):
         assert epoch_iterations(0.0017) == 589
         assert epoch_iterations(1.0) == 1

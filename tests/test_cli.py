@@ -608,11 +608,14 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
     assert all(out == outs[0] for out in outs)
 
 
-def _python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports dpmix from this checkout."""
+def _python(code, *args, env=None):
+    """Run ``code`` in a fresh interpreter that imports dpmix from this checkout.
+
+    ``env`` adds variables to the environment.
+    """
     src = str(Path(dpmix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, **(env or {}), PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
 
@@ -698,6 +701,45 @@ def test_cluster_accuracy_runs_without_scipy(tmp_path, corpus_files):
         assert without.returncode == 0, without.stderr
         assert without.stdout == plain.stdout
         assert 0.0 < json.loads(plain.stdout)["acc"] <= 1.0
+
+
+_ONE_RECORD_TRAIN = ["train", "--data", "ONE", "--k", "1", "--epochs", "1", "--batch-size", "1",
+                     "--sigma-c", "4", "--sigma-g", "1", "--d", "4", "--n-hidden", "2",
+                     "--model", "MODEL"]
+
+
+@pytest.mark.parametrize("argv,env,code,message", [
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-k", "1e200"], {}, 4, "numerical error: "),
+    (ACCT_ARGS + ["--epochs", "1", "--q", "1e-320"], {}, 4,
+     "numerical error: cannot convert float infinity to integer"),
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-k", "1e-200"], {}, 4,
+     "numerical error: epsilon is not finite for this configuration"),
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-g", "1e-200"], {}, 4,
+     "numerical error: subsampled-Gaussian series is not finite and positive"),
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-c", "1e-200"], {}, 4,
+     "numerical error: subsampled-Gaussian series is not finite and positive"),
+    (["accountant", "--config", "CONFIG"], {}, 2, "usage error: config file is not valid JSON: "),
+    (_ONE_RECORD_TRAIN + ["--sigma-k", "40"], {}, 2,
+     "usage error: delta must be in (0, 1), got 1.0"),
+    (_ONE_RECORD_TRAIN + ["--sigma-k", "1e200", "--delta", "0.5"], {}, 4, "numerical error: "),
+    (_ONE_RECORD_TRAIN + ["--sigma-k", "1e-200", "--delta", "0.5"], {}, 4,
+     "numerical error: epsilon is not finite for this configuration"),
+    (ACCT_ARGS + ["--epochs", "1", "--q", "2"], {"DPMIX_LOG": "foo"}, 2,
+     "usage error: q must be in [0, 1], got 2.0"),
+], ids=["accountant-sigma-k-huge", "accountant-q-subnormal", "accountant-sigma-k-tiny",
+        "accountant-sigma-g-tiny", "accountant-sigma-c-tiny", "config-not-utf8",
+        "train-one-record-default-delta", "train-sigma-k-huge", "train-sigma-k-tiny",
+        "unread-DPMIX_LOG"])
+def test_every_failure_is_one_line_with_its_exit_code(tmp_path, argv, env, code, message):
+    # numpy warnings on stderr would add lines; a traceback would exit 1
+    files = {"CONFIG": tmp_path / "cfg.json", "ONE": tmp_path / "one.txt",
+             "MODEL": tmp_path / "model.json"}
+    files["CONFIG"].write_bytes(b'{"q": 0.01, "epochs": 1\xff}')
+    files["ONE"].write_text("m=3\n0 1\n")
+    run = _python(_RUN_CLI, *(str(files.get(arg, arg)) for arg in argv), env=env)
+    assert run.returncode == code and "Traceback" not in run.stderr, run.stderr
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(message), run.stderr
+    assert run.stdout == "" and not files["MODEL"].exists()
 
 
 def test_generate_validation_and_malformed_model(tmp_path, capsys):
@@ -978,6 +1020,25 @@ def test_generate_writes_the_same_records_from_version_1_and_2(tmp_path, trained
         ]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("sigma_k,message", [
+    (1e-200, "epsilon is not finite for this configuration"),
+    (1e200, "Numerical result out of range"),
+], ids=["sigma-k-tiny", "sigma-k-huge"])
+def test_model_whose_privacy_block_gives_no_finite_epsilon(tmp_path, trained_model, capsys,
+                                                           sigma_k, message):
+    # load_model's re-check refuses it as the accountant command does
+    payload = json.loads(json.dumps(trained_model))
+    payload["privacy"]["sigma_k"] = sigma_k
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    out = tmp_path / "synth.txt"
+    assert main(["generate", "--model", str(model_path), "--count", "5", "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_evaluate_missing_synthetic(tmp_path, corpus_files, capsys):

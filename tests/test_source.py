@@ -70,3 +70,35 @@ def test_every_noisy_release_goes_through_gaussian_release():
         "rbm.init_model",
         "rff.sample_feature_map",
     ]
+
+
+def _value_error_handler_sites():
+    """``module.function`` of every ``except`` clause in src/ that catches ValueError."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ExceptHandler) and sub.type is not None and any(
+                    isinstance(name, ast.Name) and name.id == "ValueError"
+                    for name in ast.walk(sub.type)
+                ):
+                    sites.append(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return sorted(sites)
+
+
+def test_only_file_readers_and_main_catch_value_error():
+    # A library ValueError means an argument was refused, and cli.main maps
+    # it to exit 2.  Only code that reads a file catches it earlier, to
+    # name the bad input as a data or config-file error.
+    assert _value_error_handler_sites() == [
+        "cli._load_init_centers",
+        "cli._read_config",
+        "cli.cmd_evaluate",  # evaluate_workload's dimension check of the two files
+        "cli.cmd_generate",  # load_model
+        "cli.main",
+        "data._parse_dense",
+        "data._parse_sparse",
+        "data.load_labels",
+        "mixture._decode_array",
+    ]
