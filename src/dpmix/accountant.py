@@ -87,9 +87,8 @@ class PrivacyConfig:
     Noise scales are multipliers on sensitivity: a mechanism with L2
     sensitivity s adds Gaussian noise of standard deviation s * sigma.
     ``q`` is the per-record batch inclusion probability of one SGD
-    iteration.  ``rbf_mode`` marks feature embeddings with a known a
-    priori norm bound, in which case clustering spends no budget on
-    threshold selection.
+    iteration.  ``sigma_c`` is the noise of DP-SGD's clip-bound vote;
+    clustering clips at a public bound and votes on nothing.
     """
 
     sigma_c: float
@@ -99,14 +98,16 @@ class PrivacyConfig:
     t_kmeans: int
     t_sgd: int
     delta: float
-    rbf_mode: bool = True
     lambda_max: int = DEFAULT_LAMBDA_MAX
 
     def __post_init__(self):
         for name in ("sigma_c", "sigma_k", "sigma_g"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+            sigma = getattr(self, name)
+            if not 0 < sigma < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and > 0; zero noise has no finite"
                                  " epsilon")
+            if sigma * sigma == math.inf:  # every charge divides by sigma^2
+                raise NumericsError(f"{name} = {sigma!r} is too large: its square overflows")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
         if self.t_kmeans < 0 or self.t_sgd < 0:
@@ -250,14 +251,10 @@ def alpha_kmeans(lam, cfg: PrivacyConfig):
     at sigma_k, sensitivity 1) and the k noisy feature sums (sigma_k,
     sensitivity C_s).  One record moves one size by 1 and one sum by at
     most C_s, so each of the two sets is one release, charged
-    alpha_gaussian(lam, sigma_k).  Outside rbf_mode the clip bound is
-    voted once, before the first iteration, so one threshold selection at
-    scale sigma_c is charged when there is at least one iteration.
+    alpha_gaussian(lam, sigma_k).  C_s is a public constant, so nothing
+    else is charged.
     """
-    total = cfg.t_kmeans * (2.0 * alpha_gaussian(lam, cfg.sigma_k))
-    if not cfg.rbf_mode and cfg.t_kmeans >= 1:
-        total += alpha_gaussian(lam, cfg.sigma_c)
-    return total
+    return cfg.t_kmeans * (2.0 * alpha_gaussian(lam, cfg.sigma_k))
 
 
 def sgd_step_alpha(lam, cfg: PrivacyConfig):
@@ -319,6 +316,8 @@ def epoch_iterations(q: float) -> int:
     """Iterations per epoch: ceil(1/q), so one epoch touches each record once in expectation."""
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
+    if 1.0 / q == math.inf:
+        raise NumericsError(f"q = {q!r} is too small: 1/q overflows")
     return math.ceil(1.0 / q)
 
 

@@ -44,8 +44,8 @@ REQUIRED = MISSING  # the dataclass marker for "no default"
 class Option:
     """One option: its type, its default (or REQUIRED), its help text and its bound.
 
-    ``kind`` is int, float, bool, str (a file path) or a tuple of the
-    allowed strings.  It sets the flag's parser and the JSON type that a
+    ``kind`` is int, float, str (a file path) or a tuple of the allowed
+    strings.  It sets the flag's parser and the JSON type that a
     config-file value must have.  ``least`` is the smallest value allowed,
     set only where no library object checks the option itself.
     """
@@ -104,7 +104,6 @@ _OPTIONS = {
         c_max=Option(float, help="largest selectable clip bound"),
         bins=Option(int, help="histogram bins of the clip-bound vote"),
         delta=Option(float, help="target delta (train default: 1/|dataset|)"),
-        rbf_mode=Option(bool, help="clustering uses the a priori feature norm bound"),
         lambda_max=Option(int, help="largest moment order searched"),
         init_centers=Option(str, help="CSV file with k rows of d initial centers"),
     ),
@@ -115,21 +114,28 @@ _DATA = ("data", "format", "threshold")
 # Each command's options, in the order the config echo lists them.
 _COMMAND_OPTIONS = {
     "accountant": ("q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
-                   "epochs", "delta", "data_size", "rbf_mode", "lambda_max", "output"),
+                   "epochs", "delta", "data_size", "lambda_max", "output"),
     "cluster": ("seed", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
-                "sigma_k", "rbf_mode", "c_max", "bins", "init_centers", "output",
-                "assignments_out"),
+                "sigma_k", "init_centers", "output", "assignments_out"),
     "train": ("seed", *_DATA, *(f.name for f in fields(TrainConfig)), "model", "log"),
     "generate": ("seed", "workers", "model", "count", "gibbs_steps", "output"),
     "evaluate": ("seed", *_DATA, "synthetic", "queries", "max_l1", "semantics",
                  "labels", "assignments", "output", "csv"),
 }
 
-# The commands that add noise, with their noise scales: only these take --unsafe-no-privacy.
-_NOISE_SCALES = {"cluster": ("sigma_c", "sigma_k"), "train": ("sigma_c", "sigma_k", "sigma_g")}
+# cluster reads no sigma_c, but still takes it, optional, so that command
+# lines written for the clip-bound vote it no longer runs keep working.
+_CLUSTER_SIGMA_C = Option(float, None, "ignored: clustering votes on no clip bound")
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+# The commands that add noise, with their noise scales: only these take --unsafe-no-privacy.
+_NOISE_SCALES = {"cluster": ("sigma_k",), "train": ("sigma_c", "sigma_k", "sigma_g")}
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _option(command: str, name: str) -> Option:
+    return _CLUSTER_SIGMA_C if (command, name) == ("cluster", "sigma_c") else _OPTIONS[name]
 
 
 def _add_flag(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
@@ -139,9 +145,7 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
         help_text += " (required)"
     elif opt.default is not None:
         help_text += f" (default {opt.default})"
-    if opt.kind is bool:
-        parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
-    elif isinstance(opt.kind, tuple):
+    if isinstance(opt.kind, tuple):
         parser.add_argument(flag, choices=opt.kind, help=help_text)
     else:
         parser.add_argument(flag, type=opt.kind, help=help_text)
@@ -171,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="allow zero noise scales (test only, output is NOT private)",
             )
         for name in _COMMAND_OPTIONS[command]:
-            _add_flag(p, name, _OPTIONS[name])
+            _add_flag(p, name, _option(command, name))
     return parser
 
 
@@ -182,9 +186,7 @@ def _check_config_value(name: str, value, opt: Option) -> None:
     elif isinstance(opt.kind, tuple):
         ok = value in opt.kind
     else:
-        ok = isinstance(value, _JSON_TYPES[opt.kind]) and (
-            opt.kind is bool or not isinstance(value, bool)
-        )
+        ok = isinstance(value, _JSON_TYPES[opt.kind]) and not isinstance(value, bool)
     if not ok:
         if isinstance(opt.kind, tuple):
             wanted = f"one of {', '.join(opt.kind)}"
@@ -209,7 +211,7 @@ def _read_config(path: str, command: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}")
     for name, value in values.items():
-        _check_config_value(name, value, _OPTIONS[name])
+        _check_config_value(name, value, _option(command, name))
     return values
 
 
@@ -218,7 +220,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
     file_values = _read_config(args.config, args.command) if args.config else {}
     resolved = {}
     for name in _COMMAND_OPTIONS[args.command]:
-        opt, flag_name = _OPTIONS[name], "--" + name.replace("_", "-")
+        opt, flag_name = _option(args.command, name), "--" + name.replace("_", "-")
         flag = getattr(args, name)
         value = flag if flag is not None else file_values.get(name, opt.default)
         if value is REQUIRED:
@@ -351,39 +353,22 @@ def _load_labels(path, n: int) -> np.ndarray:
 
 
 def cmd_cluster(opts: dict, out: _Outputs) -> int:
-    from .kmeans import dp_kernel_kmeans
-    from .rff import feature_map_from_seed
-    from .streams import child_rng, child_seed
+    from .kmeans import clustering_stage
 
     dataset = _load_dataset(opts)
     labels = _load_labels(opts["labels"], len(dataset)) if opts["labels"] else None
-    seed = opts["seed"]
     init = None
     if opts["init_centers"]:
         init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
-    fmap = feature_map_from_seed(
-        dataset.m, opts["d"], opts["gamma"], child_seed(seed, "feature-map")
-    )
-    clustering = dp_kernel_kmeans(
-        dataset,
-        fmap,
-        opts["k"],
-        opts["t_kmeans"],
-        opts["sigma_c"],
-        opts["sigma_k"],
-        child_rng(seed, "kmeans-noise"),
-        init=init,
-        init_rng=child_rng(seed, "kmeans-init"),
-        rbf_mode=opts["rbf_mode"],
-        c_max=opts["c_max"],
-        bins=opts["bins"],
+    _, clustering = clustering_stage(
+        dataset, opts["seed"], k=opts["k"], d=opts["d"], gamma=opts["gamma"],
+        t_kmeans=opts["t_kmeans"], sigma_k=opts["sigma_k"], init=init,
     )
     summary = {
         "config_echo": dict(opts),
         "k": clustering.k,
         "iterations": clustering.iterations,
         "sigma_k": opts["sigma_k"],
-        "clip_bound": clustering.clip_bound,
         "noisy_sizes": clustering.noisy_sizes.tolist(),
         "size_history": clustering.size_history.tolist(),
     }

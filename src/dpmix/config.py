@@ -38,7 +38,6 @@ class TrainConfig:
     c_max: float = 10.0
     bins: int = 100
     delta: float | None = None  # defaults to 1 / |dataset|
-    rbf_mode: bool = True
     lambda_max: int = DEFAULT_LAMBDA_MAX
     init_centers: np.ndarray | None = None
 

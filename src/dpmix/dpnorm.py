@@ -7,8 +7,8 @@ upper edge of the noisiest bucket is returned.  Adding or removing one
 record changes one count by 1 (or none, above c_max), so the counts
 have L2 sensitivity 1: the noisy counts are one gaussian_release at
 sigma_c.
-Callers pass the 1-D array of norms, never the vectors: both of them
-(k-means and DP-SGD) know the norms without building the vectors.
+The caller passes the 1-D array of norms, never the vectors: DP-SGD
+knows the norms without building the vectors.
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
 """Differentially private k-means over clipped random Fourier features.
 
-Noisy Lloyd iterations: records are embedded once, clipped to a bound
-C_s (privately selected, or the a priori bound 1 in rbf_mode), and each
-iteration releases per-cluster noisy counts and noisy feature sums from
-which the next centers are formed.  Only noisy quantities leave the
-routine; the final assignment pass is against noisy centers.
+Noisy Lloyd iterations: records are embedded once, clipped to the
+public bound CLIP_BOUND, and each iteration releases per-cluster noisy
+counts and noisy feature sums from which the next centers are formed.
+Only noisy quantities leave the routine; the final assignment pass is
+against noisy centers.
 
 Clustering holds one (n, d) float64 array, 8 * n * d bytes: the
 embedding, which is clipped in place.  Every other temporary holds at
@@ -21,8 +21,14 @@ import numpy as np
 
 from .accountant import gaussian_release
 from .data import BinaryDataset
-from .dpnorm import clip_scales, dp_norm
-from .rff import FeatureMap, embed
+from .dpnorm import clip_scales
+from .rff import FeatureMap, embed, feature_map_from_seed
+from .streams import child_rng, child_seed
+
+# Every embedded record has ||z(x)||^2 = (2/d) * sum of cos^2 <= 2
+# (rff.py) whatever the data, so a fixed clip bound of that order is
+# public: choosing it spends no privacy budget.
+CLIP_BOUND = 1.0
 
 # Rows per block of the clip norms, the per-cluster gather and the
 # near-tie recheck (which takes BLOCK_ROWS // k rows against all k centers).
@@ -43,7 +49,6 @@ class Clustering:
     noisy_sizes: np.ndarray
     k: int
     iterations: int
-    clip_bound: float
     size_history: np.ndarray
 
     def __post_init__(self):
@@ -164,23 +169,17 @@ def dp_kernel_kmeans(
     fmap: FeatureMap,
     k: int,
     iterations: int,
-    sigma_c: float,
     sigma_k: float,
     rng: np.random.Generator,
     *,
     init: np.ndarray | None = None,
     init_rng: np.random.Generator,
-    rbf_mode: bool,
-    c_max: float,
-    bins: int,
 ) -> Clustering:
     """Cluster the embedded records with per-iteration Gaussian noise.
 
     sigma_k = 0 is a test-only mode that reproduces exact Lloyd
-    iterations on the clipped features.  In rbf_mode the clip bound is
-    the constant 1 and sigma_c is never used (no threshold selection).
-    Centers start at ``init``, or else at default_initial_centers drawn
-    from ``init_rng``.
+    iterations on the clipped features.  Centers start at ``init``, or
+    else at default_initial_centers drawn from ``init_rng``.
 
     Every cluster releases its noisy count and noisy sum, the charged
     Gaussian mechanisms; an empty cluster's sum is zero.  The next
@@ -189,23 +188,15 @@ def dp_kernel_kmeans(
     noisy mean.  Nothing is reseeded from data.
     """
     n = len(dataset)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if c_max <= 0:
-        raise ValueError(f"c_max must be > 0, got {c_max}")
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
-    if sigma_k < 0 or sigma_c < 0:
-        raise ValueError("noise scales must be >= 0")
+    if sigma_k < 0:
+        raise ValueError(f"sigma_k must be >= 0, got {sigma_k}")
 
     clipped = embed(fmap, dataset.records)
-    if rbf_mode:
-        c_s = 1.0
-    else:
-        c_s = dp_norm(_row_norms(clipped), sigma_c, c_max=c_max, bins=bins, rng=rng)
-    clip_features(clipped, c_s)  # in place: the embedding is the one (n, d) array
+    clip_features(clipped, CLIP_BOUND)  # in place: the embedding is the one (n, d) array
     f_sq = np.einsum("ij,ij->i", clipped, clipped)
 
     if init is not None:
@@ -215,7 +206,7 @@ def dp_kernel_kmeans(
                 f"init centers must have shape ({k}, {fmap.d}), got {centers.shape}"
             )
     else:
-        centers = default_initial_centers(k, fmap.d, c_s, init_rng)
+        centers = default_initial_centers(k, fmap.d, CLIP_BOUND, init_rng)
 
     history = np.empty((iterations, k))
     for t in range(iterations):
@@ -225,7 +216,7 @@ def dp_kernel_kmeans(
         new_centers = np.empty_like(centers)
         for i in range(k):
             noisy_size = gaussian_release(counts[i], sigma_k, 1.0, rng)
-            noisy_sum = gaussian_release(sums[i], sigma_k, c_s, rng)
+            noisy_sum = gaussian_release(sums[i], sigma_k, CLIP_BOUND, rng)
             if noisy_size < 1:
                 new_centers[i] = centers[i]
             else:
@@ -240,6 +231,22 @@ def dp_kernel_kmeans(
         noisy_sizes=history[-1].copy(),
         k=k,
         iterations=iterations,
-        clip_bound=float(c_s),
         size_history=history,
     )
+
+
+def clustering_stage(
+    dataset: BinaryDataset, seed: int, *, k: int, d: int, gamma: float, t_kmeans: int,
+    sigma_k: float, init: np.ndarray | None = None,
+) -> tuple[FeatureMap, Clustering]:
+    """The feature map and the clustering that ``seed`` gives; train and cluster run this.
+
+    The map comes from the child stream "feature-map", the noise from
+    "kmeans-noise" and default initial centers from "kmeans-init".
+    """
+    fmap = feature_map_from_seed(dataset.m, d, gamma, child_seed(seed, "feature-map"))
+    clustering = dp_kernel_kmeans(
+        dataset, fmap, k, t_kmeans, sigma_k, child_rng(seed, "kmeans-noise"),
+        init=init, init_rng=child_rng(seed, "kmeans-init"),
+    )
+    return fmap, clustering

@@ -30,7 +30,7 @@ from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import BinaryDataset, atomic_write, make_dataset
 from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError
-from .kmeans import Clustering, dp_kernel_kmeans
+from .kmeans import Clustering, clustering_stage
 from .rff import FeatureMap, feature_map_from_seed
 from .streams import child_rng, child_seed
 
@@ -79,10 +79,10 @@ class TrainResult:
 def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainResult:
     """Full private training run, deterministic in (dataset, cfg, master_seed).
 
-    Child random streams, by name: "feature-map", "kmeans-init",
-    "kmeans-noise", "model-init", "chains-<i>", "selection",
-    "sgd-sampling", "sgd-noise".  Any stage can be replayed by rebuilding
-    its stream from the master seed.
+    Child random streams, by name: those of kmeans.clustering_stage,
+    "model-init", "chains-<i>", "selection", "sgd-sampling", "sgd-noise".
+    Any stage can be replayed by rebuilding its stream from the master
+    seed.
     """
     n = len(dataset)
     if cfg.batch_size > n:
@@ -104,22 +104,9 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
         privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
         epsilon, argmin_lambda = epsilon_for_delta(privacy)
 
-    fmap = feature_map_from_seed(
-        dataset.m, cfg.d, cfg.gamma, child_seed(master_seed, "feature-map")
-    )
-    clustering = dp_kernel_kmeans(
-        dataset,
-        fmap,
-        cfg.k,
-        cfg.t_kmeans,
-        cfg.sigma_c,
-        cfg.sigma_k,
-        child_rng(master_seed, "kmeans-noise"),
-        init=cfg.init_centers,
-        init_rng=child_rng(master_seed, "kmeans-init"),
-        rbf_mode=cfg.rbf_mode,
-        c_max=cfg.c_max,
-        bins=cfg.bins,
+    fmap, clustering = clustering_stage(
+        dataset, master_seed, k=cfg.k, d=cfg.d, gamma=cfg.gamma, t_kmeans=cfg.t_kmeans,
+        sigma_k=cfg.sigma_k, init=cfg.init_centers,
     )
 
     # True partition, as row ids: training-internal only, never released.
@@ -377,7 +364,6 @@ def _is_number(value) -> bool:
 # PrivacyConfig's field annotations, each with a test of the stored value.
 _PRIVACY_KINDS = {
     "int": (lambda value: type(value) is int, "an integer"),
-    "bool": (lambda value: type(value) is bool, "true or false"),
     "float": (_is_number, "a finite number"),
 }
 

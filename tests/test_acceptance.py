@@ -159,9 +159,8 @@ def test_criterion_07_noise_free_degeneracies():
     clipped = clip_features(embed(fmap, data.records), 1.0)
     init = np.vstack([clipped[0], clipped[1]])
     result = dp_kernel_kmeans(
-        data, fmap, k=2, iterations=8, sigma_c=0.0, sigma_k=0.0,
+        data, fmap, k=2, iterations=8, sigma_k=0.0,
         rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
-        rbf_mode=True, c_max=10.0, bins=100,
     )
     centers = init.copy()
     for _ in range(8):

@@ -386,39 +386,28 @@ class TestKmeansAlpha:
         assert alpha_kmeans(3, _cfg(t_kmeans=0)) == 0.0
 
     def test_rbf_mode_charges_counts_and_sums_only(self):
-        cfg = _cfg(t_kmeans=20, sigma_k=40.0, rbf_mode=True)
+        # the clip bound is public, so sigma_c is never charged
+        cfg = _cfg(t_kmeans=20, sigma_k=40.0)
         assert alpha_kmeans(2, cfg) == pytest.approx(20 * 6 / 3200)
-
-    def test_full_mode_adds_threshold_selection(self):
-        # dp_kernel_kmeans votes on the clip bound once, before its first
-        # iteration: one selection at sigma_c, whatever the iteration count
-        for t in (1, 3):
-            cfg = _cfg(t_kmeans=t, sigma_c=2.0, sigma_k=2.0, rbf_mode=False)
-            assert alpha_kmeans(1, cfg) == pytest.approx(t * 2 / 8 + 1 / 8)
-        assert alpha_kmeans(1, _cfg(t_kmeans=0, sigma_c=2.0, rbf_mode=False)) == 0.0
+        assert alpha_kmeans(2, replace(cfg, sigma_c=1e-3)) == alpha_kmeans(2, cfg)
 
     def test_composition_is_exactly_linear(self):
-        # each iteration adds the same charge; outside rbf_mode the one vote is an offset
-        vote = alpha_gaussian(5, _cfg().sigma_c)
-        for rbf_mode, offset in ((True, 0.0), (False, vote)):
-            one = alpha_kmeans(5, _cfg(t_kmeans=1, rbf_mode=rbf_mode)) - offset
-            many = alpha_kmeans(5, _cfg(t_kmeans=17, rbf_mode=rbf_mode)) - offset
-            assert many == pytest.approx(17 * one, rel=1e-15)
+        # each iteration adds the same charge
+        one = alpha_kmeans(5, _cfg(t_kmeans=1))
+        many = alpha_kmeans(5, _cfg(t_kmeans=17))
+        assert many == pytest.approx(17 * one, rel=1e-15)
 
-    @pytest.mark.parametrize("q,t_sgd,delta,rbf_eps,full_eps", [
-        (0.0017, 20 * 589, 1e-5, (1.7616018098053687, 10), (1.9256362968698535, 9)),
-        (0.005, 2000, 1 / 20_000, (1.980523809022984, 8), (2.121148809022984, 8)),
+    @pytest.mark.parametrize("q,t_sgd,delta,want", [
+        (0.0017, 20 * 589, 1e-5, (1.7616018098053687, 10)),
+        (0.005, 2000, 1 / 20_000, (1.980523809022984, 8)),
     ], ids=["criterion-2", "criterion-9"])
-    def test_acceptance_configurations(self, q, t_sgd, delta, rbf_eps, full_eps):
-        # outside rbf_mode the one clip-bound vote adds 0.16 (criterion 2) and 0.14 (criterion 9)
+    def test_acceptance_configurations(self, q, t_sgd, delta, want):
         cfg = _cfg(q=q, t_sgd=t_sgd, delta=delta)
-        assert epsilon_for_delta(cfg) == pytest.approx(rbf_eps, rel=1e-12)
-        full = epsilon_for_delta(replace(cfg, rbf_mode=False))
-        assert full == pytest.approx(full_eps, rel=1e-12)
+        assert epsilon_for_delta(cfg) == pytest.approx(want, rel=1e-12)
 
     def test_array_call_equals_one_call_per_order(self):
         orders = np.array([1, 2, 3, 7.5, 32])
-        for cfg in (_cfg(rbf_mode=True), _cfg(rbf_mode=False), _cfg(t_kmeans=0)):
+        for cfg in (_cfg(), _cfg(t_kmeans=0)):
             for alpha in (lambda lam: alpha_kmeans(lam, cfg),
                           lambda lam: alpha_gaussian(lam, cfg.sigma_k)):
                 batch = alpha(orders)

@@ -17,7 +17,7 @@ from conftest import labelled_mixture_corpus, mixture_corpus
 from dpmix import accountant, cli, rbm
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
-from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, save_model
+from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, load_model, save_model
 from dpmix.rff import feature_map_from_seed
 
 ACCT_ARGS = [
@@ -175,19 +175,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["accountant", "train"])
-def test_strict_gaussian_is_refused(tmp_path, capsys, command):
-    # the accountant charges add/remove adjacency only; the option that
-    # doubled the k-means terms is gone, as a flag and as a config key
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({"strict_gaussian": False}))
-    for argv, message in (
-        ([command, "--strict-gaussian"], "usage error: unrecognized arguments: --strict-gaussian\n"),
-        ([command, "--config", str(cfg)], f"usage error: unknown config key(s) for {command}: "
-                                          "strict_gaussian\n"),
-    ):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == message
+@pytest.mark.parametrize("command", ["accountant", "cluster", "train"])
+def test_removed_options_are_refused(tmp_path, capsys, command):
+    # the accountant charges add/remove adjacency only, so strict_gaussian,
+    # which doubled the k-means terms, is gone; clustering clips at a
+    # public bound, so rbf_mode, whose false value voted on one, is gone.
+    # Each is refused as a flag and as a config key.
+    for key, flags in (("strict_gaussian", ["--strict-gaussian"]),
+                       ("rbf_mode", ["--rbf-mode", "--no-rbf-mode"])):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({key: False}))
+        for flag in flags:
+            assert main([command, flag]) == 2
+            assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag}\n"
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: unknown config key(s) for {command}: {key}\n"
+        )
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -199,12 +203,15 @@ def test_strict_gaussian_is_refused(tmp_path, capsys, command):
     ("train", ["--workers", "1"]),
     ("cluster", ["--workers", "1"]),
     ("evaluate", ["--workers", "1"]),
+    ("cluster", ["--c-max", "2"]),
+    ("cluster", ["--bins", "5"]),
 ], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe",
-        "accountant-workers", "train-workers", "cluster-workers", "evaluate-workers"])
+        "accountant-workers", "train-workers", "cluster-workers", "evaluate-workers",
+        "cluster-c_max", "cluster-bins"])
 def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
     # the accountant draws nothing at random; accountant, generate and
     # evaluate add no noise, so a zero noise scale has nothing to unlock;
-    # only generate runs threads
+    # only generate runs threads; only DP-SGD votes on a clip bound
     key = flag[0][2:].replace("-", "_")
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: True if len(flag) == 1 else 1}))
@@ -255,12 +262,25 @@ def test_cluster_smoke_and_artifacts(tmp_path, corpus_files, capsys):
     stored = json.loads(summary_path.read_text())
     assert printed == stored
     assert stored["k"] == 2
-    assert stored["clip_bound"] == 1.0
     assert len(stored["size_history"]) == 3
     assert 0.0 <= stored["acc"] <= 1.0
     ids = [int(line) for line in assign_path.read_text().splitlines()]
     assert len(ids) == 120
     assert set(ids) <= {0, 1}
+
+
+def test_cluster_and_train_share_the_clustering_stage(tmp_path, corpus_files, capsys):
+    # at one seed and the same clustering options, the sizes cluster prints
+    # are the noisy sizes behind train's mixture weights, bit for bit
+    _, data_path, _ = corpus_files
+    model_path = tmp_path / "model.json"
+    assert main(_train_args(data_path, model_path, sigma_k=4, seed=3)) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--data", data_path, "--k", "2", "--t-kmeans", "2", "--d", "12",
+                 "--gamma", "0.5", "--sigma-k", "4", "--seed", "3"]) == 0
+    sizes = np.array(json.loads(capsys.readouterr().out)["noisy_sizes"])
+    assert (sizes > 0).all()  # so no weight is a clamped size
+    assert np.array_equal(load_model(model_path).weights, sizes)
 
 
 @pytest.mark.parametrize("count", [119, 121])
@@ -293,6 +313,8 @@ def test_cluster_rejects_zero_sigma_without_unsafe_flag(corpus_files, capsys):
     assert main(base + ["--sigma-k", "0", "--unsafe-no-privacy"]) == 0
     capsys.readouterr()
     assert main(base + ["--sigma-k", "-1"]) == 2
+    # cluster ignores --sigma-c, so a zero there unlocks nothing
+    assert main(base + ["--sigma-k", "10", "--sigma-c", "0"]) == 0
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "0"), ("--gamma", "0")])
@@ -303,18 +325,6 @@ def test_cluster_rejects_bad_feature_map(corpus_files, capsys, flag, value):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("flag,value", [("--bins", "0"), ("--c-max", "0")])
-def test_cluster_rejects_bad_clip_vote_in_rbf_mode(corpus_files, capsys, flag, value):
-    # rbf_mode never runs the clip vote, but the values are still checked
-    _, data_path, _ = corpus_files
-    args = ["cluster", "--data", data_path, "--k", "2", "--sigma-c", "4",
-            "--sigma-k", "10", "--d", "8", "--t-kmeans", "1", flag, value]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and flag[2:].replace("-", "_") in err
-    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["cluster", "train"])
@@ -411,10 +421,10 @@ def test_train_model_in_missing_directory_names_the_given_path(tmp_path, corpus_
 @pytest.mark.parametrize("values", [
     {"k": "3"},
     {"d": 10.5},
-    {"rbf_mode": "no"},
+    {"k": True},
     {"format": "xml"},
     {"seed": None},
-], ids=["k-string", "d-float", "rbf_mode-string", "format-choice", "seed-null"])
+], ids=["k-string", "d-float", "k-bool", "format-choice", "seed-null"])
 def test_config_values_must_have_the_option_type(tmp_path, corpus_files, capsys, values):
     _, data_path, _ = corpus_files
     model_path = tmp_path / "model.json"
@@ -482,9 +492,8 @@ def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsy
     assert list(echo) == [
         "seed", "data", "format", "threshold", "k", "epochs", "batch_size",
         "sigma_c", "sigma_k", "sigma_g", "t_kmeans", "d", "gamma", "n_hidden", "eta",
-        "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "rbf_mode",
-        "lambda_max", "init_centers", "model", "log", "command",
-        "unsafe_no_privacy",
+        "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "lambda_max",
+        "init_centers", "model", "log", "command", "unsafe_no_privacy",
     ]
 
 
@@ -709,9 +718,14 @@ _ONE_RECORD_TRAIN = ["train", "--data", "ONE", "--k", "1", "--epochs", "1", "--b
 
 
 @pytest.mark.parametrize("argv,env,code,message", [
-    (ACCT_ARGS + ["--epochs", "1", "--sigma-k", "1e200"], {}, 4, "numerical error: "),
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-k", "1e200"], {}, 4,
+     "numerical error: sigma_k = 1e+200 is too large: its square overflows\n"),
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-c", "1e200"], {}, 4,
+     "numerical error: sigma_c = 1e+200 is too large: its square overflows\n"),
+    (ACCT_ARGS + ["--epochs", "1", "--sigma-g", "1e200"], {}, 4,
+     "numerical error: sigma_g = 1e+200 is too large: its square overflows\n"),
     (ACCT_ARGS + ["--epochs", "1", "--q", "1e-320"], {}, 4,
-     "numerical error: cannot convert float infinity to integer"),
+     "numerical error: q = 1e-320 is too small: 1/q overflows\n"),
     (ACCT_ARGS + ["--epochs", "1", "--sigma-k", "1e-200"], {}, 4,
      "numerical error: epsilon is not finite for this configuration"),
     (ACCT_ARGS + ["--epochs", "1", "--sigma-g", "1e-200"], {}, 4,
@@ -721,12 +735,14 @@ _ONE_RECORD_TRAIN = ["train", "--data", "ONE", "--k", "1", "--epochs", "1", "--b
     (["accountant", "--config", "CONFIG"], {}, 2, "usage error: config file is not valid JSON: "),
     (_ONE_RECORD_TRAIN + ["--sigma-k", "40"], {}, 2,
      "usage error: delta must be in (0, 1), got 1.0"),
-    (_ONE_RECORD_TRAIN + ["--sigma-k", "1e200", "--delta", "0.5"], {}, 4, "numerical error: "),
+    (_ONE_RECORD_TRAIN + ["--sigma-k", "1e200", "--delta", "0.5"], {}, 4,
+     "numerical error: sigma_k = 1e+200 is too large: its square overflows\n"),
     (_ONE_RECORD_TRAIN + ["--sigma-k", "1e-200", "--delta", "0.5"], {}, 4,
      "numerical error: epsilon is not finite for this configuration"),
     (ACCT_ARGS + ["--epochs", "1", "--q", "2"], {"DPMIX_LOG": "foo"}, 2,
      "usage error: q must be in [0, 1], got 2.0"),
-], ids=["accountant-sigma-k-huge", "accountant-q-subnormal", "accountant-sigma-k-tiny",
+], ids=["accountant-sigma-k-huge", "accountant-sigma-c-huge", "accountant-sigma-g-huge",
+        "accountant-q-subnormal", "accountant-sigma-k-tiny",
         "accountant-sigma-g-tiny", "accountant-sigma-c-tiny", "config-not-utf8",
         "train-one-record-default-delta", "train-sigma-k-huge", "train-sigma-k-tiny",
         "unread-DPMIX_LOG"])
@@ -929,7 +945,6 @@ PRIVACY_TYPE_CORRUPTIONS = [
     _privacy_field("t_kmeans", 20.0, "an integer"),
     _privacy_field("t_sgd", 2.5, "an integer"),
     _privacy_field("lambda_max", True, "an integer"),
-    _privacy_field("rbf_mode", "yes", "true or false"),
 ]
 
 
@@ -1024,7 +1039,7 @@ def test_generate_writes_the_same_records_from_version_1_and_2(tmp_path, trained
 
 @pytest.mark.parametrize("sigma_k,message", [
     (1e-200, "epsilon is not finite for this configuration"),
-    (1e200, "Numerical result out of range"),
+    (1e200, "sigma_k = 1e+200 is too large: its square overflows"),
 ], ids=["sigma-k-tiny", "sigma-k-huge"])
 def test_model_whose_privacy_block_gives_no_finite_epsilon(tmp_path, trained_model, capsys,
                                                            sigma_k, message):

@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 from conftest import mixture_corpus
 from dpmix import kmeans
 from dpmix.data import make_dataset
-from dpmix.dpnorm import clip_scales, dp_norm
+from dpmix.dpnorm import clip_scales
 from dpmix.kmeans import (
     BLOCK_ROWS,
+    CLIP_BOUND,
     _cluster_sums,
     assign_to_centers,
     clip_features,
@@ -18,9 +19,6 @@ from dpmix.kmeans import (
     dp_kernel_kmeans,
 )
 from dpmix.rff import embed, feature_map_from_seed
-
-# dp_kernel_kmeans has no defaults of its own; these are TrainConfig's.
-OPTIONS = dict(rbf_mode=True, c_max=10.0, bins=100)
 
 
 def _direct_assign(features, centers):
@@ -65,10 +63,8 @@ def _parent_clip(features, c_s):
     return features * clip_scales(np.linalg.norm(features, axis=1), c_s)[:, None]
 
 
-@pytest.mark.parametrize("rbf_mode", [True, False], ids=["rbf", "threshold-vote"])
-def test_clustering_clips_like_the_one_call_form(rbf_mode, monkeypatch):
-    # several norm blocks, rows on both sides of the bound, and in
-    # threshold-vote mode the same bound as a vote over the 2-D features
+def test_clustering_clips_like_the_one_call_form(monkeypatch):
+    # several norm blocks and rows on both sides of the bound
     rng = np.random.default_rng(21)
     data = mixture_corpus(3 * BLOCK_ROWS + 7, 30, 3, rng)
     fmap = feature_map_from_seed(m=30, d=40, gamma=0.2, seed=8)
@@ -77,23 +73,17 @@ def test_clustering_clips_like_the_one_call_form(rbf_mode, monkeypatch):
     monkeypatch.setattr(kmeans, "clip_features",
                         lambda *a, **kw: seen.append(real_clip(*a, **kw)) or seen[-1])
     out = dp_kernel_kmeans(
-        data, fmap, k=3, iterations=1, sigma_c=1.0, sigma_k=1.0,
+        data, fmap, k=3, iterations=1, sigma_k=1.0,
         rng=np.random.default_rng(40), init_rng=np.random.default_rng(1),
-        rbf_mode=rbf_mode, c_max=2.0, bins=40,
     )
     features = embed(fmap, data.records)
-    if not rbf_mode:
-        norms = np.linalg.norm(features, axis=1)
-        want = dp_norm(norms, 1.0, c_max=2.0, bins=40, rng=np.random.default_rng(40))
-        assert out.clip_bound == want
-    want = _parent_clip(features, out.clip_bound)
+    want = _parent_clip(features, CLIP_BOUND)
     assert len(seen) == 1
     assert np.array_equal(seen[0], want)
     assert not np.array_equal(want, features)  # some rows were clipped
 
 
-@pytest.mark.parametrize("rbf_mode", [True, False], ids=["rbf", "threshold-vote"])
-def test_clustering_holds_one_feature_matrix(rbf_mode):
+def test_clustering_holds_one_feature_matrix():
     # the embedding is the only (n, d) array; every other temporary is
     # BLOCK_ROWS rows or n x k
     n, d = 20_000, 100
@@ -101,9 +91,8 @@ def test_clustering_holds_one_feature_matrix(rbf_mode):
     fmap = feature_map_from_seed(m=20, d=d, gamma=0.3, seed=4)
     tracemalloc.start()
     try:
-        dp_kernel_kmeans(data, fmap, k=3, iterations=2, sigma_c=1.0, sigma_k=1.0,
-                         rng=np.random.default_rng(0), init_rng=np.random.default_rng(1),
-                         rbf_mode=rbf_mode, c_max=10.0, bins=100)
+        dp_kernel_kmeans(data, fmap, k=3, iterations=2, sigma_k=1.0,
+                         rng=np.random.default_rng(0), init_rng=np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,13 +224,12 @@ def test_zero_noise_reproduces_exact_lloyd():
     init = default_initial_centers(3, 24, 1.0, np.random.default_rng(2))
 
     result = dp_kernel_kmeans(
-        data, fmap, k=3, iterations=6, sigma_c=0.0, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1), **OPTIONS,
+        data, fmap, k=3, iterations=6, sigma_k=0.0,
+        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
     )
     want_centers, want_assign = _lloyd_reference(clipped, init, 6)
     assert_allclose(result.noisy_centers, want_centers, atol=1e-12)
     assert np.array_equal(result.assignments, want_assign)
-    assert result.clip_bound == 1.0
     # noiseless counts are exact and cover every record
     assert result.size_history.shape == (6, 3)
     assert_allclose(result.size_history.sum(axis=1), np.full(6, 300.0))
@@ -253,9 +241,9 @@ def test_single_cluster_center_is_clipped_mean():
     data = mixture_corpus(80, 10, 2, rng)
     fmap = feature_map_from_seed(m=10, d=16, gamma=0.5, seed=9)
     result = dp_kernel_kmeans(
-        data, fmap, k=1, iterations=3, sigma_c=0.0, sigma_k=0.0,
+        data, fmap, k=1, iterations=3, sigma_k=0.0,
         rng=np.random.default_rng(0), init=np.zeros((1, 16)),
-        init_rng=np.random.default_rng(1), **OPTIONS,
+        init_rng=np.random.default_rng(1),
     )
     clipped = clip_features(embed(fmap, data.records), 1.0)
     assert_allclose(result.noisy_centers[0], clipped.mean(axis=0), atol=1e-12)
@@ -263,33 +251,19 @@ def test_single_cluster_center_is_clipped_mean():
 
 
 def test_rbf_mode_never_consumes_threshold_noise():
+    # the clip bound is public, so the noise stream holds the 2 * k * t
+    # released counts and sums and nothing else
     rng = np.random.default_rng(12)
     data = mixture_corpus(150, 8, 2, rng)
     fmap = feature_map_from_seed(m=8, d=20, gamma=0.4, seed=1)
-    runs = []
-    for sigma_c in (0.0, 57.0):
-        out = dp_kernel_kmeans(
-            data, fmap, k=2, iterations=4, sigma_c=sigma_c, sigma_k=3.0,
-            rng=np.random.default_rng(2024), init_rng=np.random.default_rng(6), **OPTIONS,
-        )
-        runs.append(out)
-    assert_allclose(runs[0].noisy_centers, runs[1].noisy_centers)
-    assert np.array_equal(runs[0].assignments, runs[1].assignments)
-    assert runs[0].clip_bound == runs[1].clip_bound == 1.0
-
-
-def test_full_mode_bound_comes_from_histogram_edges():
-    rng = np.random.default_rng(3)
-    data = mixture_corpus(200, 10, 2, rng)
-    fmap = feature_map_from_seed(m=10, d=16, gamma=0.5, seed=2)
-    out = dp_kernel_kmeans(
-        data, fmap, k=2, iterations=2, sigma_c=2.0, sigma_k=2.0,
-        rng=np.random.default_rng(10), init_rng=np.random.default_rng(1),
-        rbf_mode=False, c_max=10.0, bins=100,
-    )
-    scaled = out.clip_bound * 100 / 10.0
-    assert scaled == pytest.approx(round(scaled))
-    assert 0 < out.clip_bound <= 10.0
+    noise = np.random.default_rng(2024)
+    dp_kernel_kmeans(data, fmap, k=2, iterations=4, sigma_k=3.0, rng=noise,
+                     init_rng=np.random.default_rng(6))
+    want = np.random.default_rng(2024)
+    for _ in range(2 * 4):
+        want.normal(size=())
+        want.normal(size=20)
+    assert noise.bit_generator.state == want.bit_generator.state
 
 
 def test_noiseless_objective_never_increases():
@@ -301,9 +275,8 @@ def test_noiseless_objective_never_increases():
     objectives = []
     for t in range(1, 7):
         out = dp_kernel_kmeans(
-            data, fmap, k=3, iterations=t, sigma_c=0.0, sigma_k=0.0,
+            data, fmap, k=3, iterations=t, sigma_k=0.0,
             rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
-            **OPTIONS,
         )
         d2 = ((clipped[:, None, :] - out.noisy_centers[None, :, :]) ** 2).sum(axis=2)
         objectives.append(d2.min(axis=1).sum())
@@ -317,8 +290,8 @@ def test_empty_cluster_keeps_center_when_noiseless():
     far = np.full(6, 50.0)
     init = np.vstack([np.zeros(6), far])
     out = dp_kernel_kmeans(
-        data, fmap, k=2, iterations=3, sigma_c=0.0, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1), **OPTIONS,
+        data, fmap, k=2, iterations=3, sigma_k=0.0,
+        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
     )
     assert_allclose(out.noisy_centers[1], far)
     assert np.all(out.assignments == 0)
@@ -344,9 +317,9 @@ def test_released_noisy_sums_move_by_at_most_the_clip_bound():
     for seed in range(40):
         released = []
         for data in (base, plus):
-            out = dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_c=1.0, sigma_k=2.0,
+            out = dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_k=2.0,
                                    rng=np.random.default_rng(seed), init=init,
-                                   init_rng=np.random.default_rng(1), **OPTIONS)
+                                   init_rng=np.random.default_rng(1))
             released.append((out.noisy_sizes, out.noisy_centers * out.noisy_sizes[:, None]))
         (size0, sums0), (size1, sums1) = released
         both = (size0 >= 1) & (size1 >= 1)
@@ -394,19 +367,11 @@ def test_argument_validation():
     fmap = feature_map_from_seed(m=2, d=4, gamma=1.0, seed=0)
     fixed = dict(rng=rng, init_rng=np.random.default_rng(1))
     with pytest.raises(ValueError):
-        dp_kernel_kmeans(data, fmap, k=3, iterations=1, sigma_c=1.0,
-                         sigma_k=1.0, **fixed, **OPTIONS)
+        dp_kernel_kmeans(data, fmap, k=3, iterations=1, sigma_k=1.0, **fixed)
     with pytest.raises(ValueError):
-        dp_kernel_kmeans(data, fmap, k=1, iterations=0, sigma_c=1.0,
-                         sigma_k=1.0, **fixed, **OPTIONS)
+        dp_kernel_kmeans(data, fmap, k=1, iterations=0, sigma_k=1.0, **fixed)
     with pytest.raises(ValueError):
-        dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_c=1.0,
-                         sigma_k=-2.0, **fixed, **OPTIONS)
+        dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_k=-2.0, **fixed)
     with pytest.raises(ValueError):
-        dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_c=0.0,
-                         sigma_k=0.0, init=np.zeros((2, 3)), **fixed, **OPTIONS)
-    # checked in rbf_mode too, where no threshold vote uses them
-    for bad in ({"bins": 0}, {"c_max": 0.0}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
-            dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_c=1.0,
-                             sigma_k=1.0, **fixed, **{**OPTIONS, **bad})
+        dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_k=0.0, init=np.zeros((2, 3)),
+                         **fixed)

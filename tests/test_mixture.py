@@ -17,7 +17,7 @@ from dpmix import accountant, mixture, rbm
 from dpmix.accountant import alpha_terms, epsilon_for_delta
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError, DataError
-from dpmix.kmeans import dp_kernel_kmeans
+from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
 from dpmix.mixture import (
     GENERATION_CHUNK_ROWS,
     MixtureModel,
@@ -59,8 +59,7 @@ def _saturated_mixture(weights, biases, m=4):
     )
 
 
-@pytest.mark.parametrize("rbf_mode", [True, False], ids=["rbf", "threshold-vote"])
-def test_every_release_is_a_charged_gaussian(monkeypatch, rbf_mode):
+def test_every_release_is_a_charged_gaussian(monkeypatch):
     # wrap the release helper wherever src/ bound it and list the (sigma,
     # sensitivity) of each release of a small run: exactly the mechanisms
     # the accountant charges, in the order they ran
@@ -77,12 +76,10 @@ def test_every_release_is_a_charged_gaussian(monkeypatch, rbf_mode):
     assert {"dpmix.kmeans", "dpmix.dpnorm", "dpmix.dpsgd"} <= set(patched)
 
     data = mixture_corpus(60, 8, 2, np.random.default_rng(17))
-    cfg = _tiny_config(k=2, t_kmeans=3, batch_size=1, rbf_mode=rbf_mode)
+    cfg = _tiny_config(k=2, t_kmeans=3, batch_size=1)
     result = train(data, cfg, master_seed=7)
 
-    c_s = result.clustering.clip_bound
-    want = [] if rbf_mode else [(cfg.sigma_c, 1.0)]  # one clip-bound vote before Lloyd
-    want += [(cfg.sigma_k, 1.0), (cfg.sigma_k, c_s)] * (cfg.k * cfg.t_kmeans)
+    want = [(cfg.sigma_k, 1.0), (cfg.sigma_k, CLIP_BOUND)] * (cfg.k * cfg.t_kmeans)
     for step in result.steps:
         if step.info.batch_size:
             want.append((cfg.sigma_c, 1.0))
@@ -104,9 +101,8 @@ def test_training_replays_from_named_streams():
 
     fmap = feature_map_from_seed(8, 10, 0.5, child_seed(seed, "feature-map"))
     clustering = dp_kernel_kmeans(
-        data, fmap, 1, 2, 4.0, 40.0, child_rng(seed, "kmeans-noise"),
-        init_rng=child_rng(seed, "kmeans-init"), rbf_mode=cfg.rbf_mode, c_max=cfg.c_max,
-        bins=cfg.bins,
+        data, fmap, 1, 2, 40.0, child_rng(seed, "kmeans-noise"),
+        init_rng=child_rng(seed, "kmeans-init"),
     )
     assert np.array_equal(result.clustering.assignments, clustering.assignments)
     assert_allclose(result.mixture.centers, clustering.noisy_centers)
@@ -532,25 +528,27 @@ def test_models_stored_with_strict_gaussian_still_load(tmp_path, strict):
 
 
 def test_full_mode_models_charged_a_vote_per_iteration_still_load(tmp_path):
-    # Outside rbf_mode, earlier versions charged the k-means clip-bound
-    # vote in each of the t_kmeans iterations, though it runs once; the
-    # epsilon they stored is above what the privacy block gives now.
+    # Earlier versions had a clustering mode that voted on the clip bound,
+    # stored as "rbf_mode": false, and charged that vote once or, before
+    # that, in each of the t_kmeans iterations.  The key is now ignored,
+    # and the epsilon stored with it is above what the privacy block gives.
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
-    mix = train(data, _tiny_config(k=2, t_kmeans=3, rbf_mode=False), master_seed=11).mixture
+    mix = train(data, _tiny_config(k=2, t_kmeans=3), master_seed=11).mixture
     path = tmp_path / "model.json"
     save_model(mix, path)
     payload = json.loads(path.read_text())
     priv = payload["privacy"]
+    priv["rbf_mode"] = False
     lams, kmeans, sgd_step = alpha_terms(mix.privacy)
-    votes = (mix.privacy.t_kmeans - 1) * accountant.alpha_gaussian(lams, mix.privacy.sigma_c)
-    alpha = kmeans + votes + mix.privacy.t_sgd * sgd_step
-    eps = (alpha - math.log(mix.privacy.delta)) / lams
-    priv["epsilon"], priv["argmin_lambda"] = float(eps.min()), lams[int(eps.argmin())]
-    path.write_text(json.dumps(payload))
-    loaded = load_model(path)
-    assert loaded.privacy == mix.privacy
-    assert (loaded.epsilon, loaded.argmin_lambda) == (priv["epsilon"], priv["argmin_lambda"])
-    assert loaded.epsilon > mix.epsilon
+    for votes in (1, mix.privacy.t_kmeans):
+        vote = votes * accountant.alpha_gaussian(lams, mix.privacy.sigma_c)
+        eps = (kmeans + vote + mix.privacy.t_sgd * sgd_step - math.log(mix.privacy.delta)) / lams
+        priv["epsilon"], priv["argmin_lambda"] = float(eps.min()), lams[int(eps.argmin())]
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path)
+        assert loaded.privacy == mix.privacy
+        assert (loaded.epsilon, loaded.argmin_lambda) == (priv["epsilon"], priv["argmin_lambda"])
+        assert loaded.epsilon > mix.epsilon
 
 
 def test_load_rejects_unknown_version(tmp_path):

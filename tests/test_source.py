@@ -102,3 +102,27 @@ def test_only_file_readers_and_main_catch_value_error():
         "data.load_labels",
         "mixture._decode_array",
     ]
+
+
+def _stream_name_sites():
+    """``module.function`` of each child_seed or child_rng call in src/, by stream name."""
+    sites = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                        and sub.func.id in ("child_seed", "child_rng")):
+                    name = ast.unparse(sub.args[1])
+                    sites.setdefault(name, []).append(f"{path.stem}.{node.name}")
+    return sites
+
+
+def test_each_random_stream_is_built_at_one_call_site():
+    # train and the cluster command share the clustering stage, so its
+    # streams are named once and the two cannot draw different ones
+    sites = _stream_name_sites()
+    assert {name: where for name, where in sites.items() if len(where) > 1} == {}
+    assert sites["'feature-map'"] == sites["'kmeans-noise'"] == sites["'kmeans-init'"] == [
+        "kmeans.clustering_stage"
+    ]
