@@ -157,12 +157,16 @@ def alpha_subsampled_gaussian(lam, sigma: float, q: float):
     ``lam`` is one order or an array of them, not necessarily integers;
     the result is a float or an array of the same shape.  Each order's
     value depends on that order alone, not on the others in the array.
-    NumericsError if the series does not converge.
+    ValueError for an order below 1, where the series' tail can shrink
+    too slowly to meet its bound; NumericsError if the series does not
+    converge.
     """
     _check_order_and_noise(lam, sigma)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     lams = np.array(lam, dtype=np.float64)
+    if lams.size and lams.min() < 1.0:
+        raise ValueError(f"lambda must be >= 1, got {float(lams.min())!r}")
     if q == 0.0:
         out = np.zeros_like(lams)
     elif q == 1.0:  # the shifted Gaussian's log-MGF; z0 is infinite

@@ -127,7 +127,7 @@ _COMMAND_OPTIONS = {
 # lines written for the clip-bound vote it no longer runs keep working.
 _CLUSTER_SIGMA_C = Option(float, None, "ignored: clustering votes on no clip bound")
 
-# The commands that add noise, with their noise scales: only these take --unsafe-no-privacy.
+# The noise scales that cluster and train read: zero noise has no finite epsilon.
 _NOISE_SCALES = {"cluster": ("sigma_k",), "train": ("sigma_c", "sigma_k", "sigma_g")}
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -168,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults")
-        if command in _NOISE_SCALES:
-            p.add_argument(
-                "--unsafe-no-privacy",
-                action="store_true",
-                help="allow zero noise scales (test only, output is NOT private)",
-            )
         for name in _COMMAND_OPTIONS[command]:
             _add_flag(p, name, _option(command, name))
     return parser
@@ -230,24 +224,11 @@ def resolve_options(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{flag_name} must be a finite number, got {value}")
         if opt.least is not None and value is not None and value < opt.least:
             raise ConfigError(f"{flag_name} must be >= {opt.least}")
+        if name in _NOISE_SCALES.get(args.command, ()) and value <= 0:
+            raise ConfigError(f"{flag_name} must be > 0, got {value}")
         resolved[name] = value
     resolved["command"] = args.command
-    if args.command in _NOISE_SCALES:
-        resolved["unsafe_no_privacy"] = args.unsafe_no_privacy
-        _check_sigmas(resolved, _NOISE_SCALES[args.command])
     return resolved
-
-
-def _check_sigmas(opts: dict, names: tuple[str, ...]) -> None:
-    zero = [n for n in names if opts[n] == 0]
-    negative = [n for n in names if opts[n] < 0]
-    if negative:
-        raise ConfigError(f"noise scales must be >= 0: {', '.join(negative)}")
-    if zero and not opts["unsafe_no_privacy"]:
-        raise ConfigError(
-            f"zero noise scale ({', '.join(zero)}) disables privacy; "
-            "pass --unsafe-no-privacy to run anyway"
-        )
 
 
 def _fields_from(cls, opts: dict) -> dict:
@@ -392,11 +373,8 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
     cfg = TrainConfig(**{**_fields_from(TrainConfig, opts), "init_centers": init})
     dataset = _load_dataset(opts)
     result = train(dataset, cfg, opts["seed"])
-    echo = dict(opts)
-    echo["delta"] = (
-        result.mixture.privacy.delta if result.mixture.privacy is not None else None
-    )
-    save_model(result.mixture, opts["model"], config_echo=echo)
+    mix = result.mixture
+    save_model(mix, opts["model"], config_echo={**opts, "delta": mix.privacy.delta})
     out.mark(opts["model"])
     if opts["log"]:
         lines = [json.dumps(step.to_dict()) for step in result.steps]
@@ -405,10 +383,10 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
         json.dumps(
             {
                 "model": opts["model"],
-                "epsilon": result.mixture.epsilon if math.isfinite(result.mixture.epsilon) else None,
-                "argmin_lambda": result.mixture.argmin_lambda,
-                "t_sgd": result.t_sgd,
-                "q": result.q,
+                "epsilon": mix.epsilon,
+                "argmin_lambda": mix.argmin_lambda,
+                "t_sgd": mix.privacy.t_sgd,
+                "q": mix.privacy.q,
             }
         )
     )

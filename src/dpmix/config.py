@@ -59,4 +59,5 @@ class TrainConfig:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
         if not all(0 <= s < math.inf for s in (self.sigma_c, self.sigma_k, self.sigma_g)):
-            raise ConfigError("noise scales must be finite and >= 0 (0 only in unsafe test mode)")
+            raise ConfigError("noise scales must be finite and >= 0 (0 runs dp_sgd_step without "
+                              "noise; train refuses it)")

@@ -70,14 +70,14 @@ def _row_norms(features: np.ndarray) -> np.ndarray:
     return norms
 
 
-def clip_features(features: np.ndarray, c_s: float) -> np.ndarray:
-    """Scale rows with norm above c_s back onto the c_s sphere.
+def clip_features(features: np.ndarray) -> np.ndarray:
+    """Scale rows with norm above CLIP_BOUND back onto the CLIP_BOUND sphere.
 
     A float64 array is clipped in place and returned; other input is
     cast to a new float64 array first.
     """
     features = np.asarray(features, dtype=np.float64)
-    features *= clip_scales(_row_norms(features), c_s)[:, None]
+    features *= clip_scales(_row_norms(features), CLIP_BOUND)[:, None]
     return features
 
 
@@ -156,12 +156,10 @@ def _cluster_sums(clipped: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray
     return sums
 
 
-def default_initial_centers(
-    k: int, d: int, c_s: float, rng: np.random.Generator
-) -> np.ndarray:
-    """k pseudo-random unit vectors scaled to c_s.  Data-independent."""
+def default_initial_centers(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """k pseudo-random unit vectors scaled to CLIP_BOUND.  Data-independent."""
     raw = rng.normal(0.0, 1.0, size=(k, d))
-    return c_s * raw / np.linalg.norm(raw, axis=1)[:, None]
+    return CLIP_BOUND * raw / np.linalg.norm(raw, axis=1)[:, None]
 
 
 def dp_kernel_kmeans(
@@ -196,7 +194,7 @@ def dp_kernel_kmeans(
         raise ValueError(f"sigma_k must be >= 0, got {sigma_k}")
 
     clipped = embed(fmap, dataset.records)
-    clip_features(clipped, CLIP_BOUND)  # in place: the embedding is the one (n, d) array
+    clip_features(clipped)  # in place: the embedding is the one (n, d) array
     f_sq = np.einsum("ij,ij->i", clipped, clipped)
 
     if init is not None:
@@ -206,7 +204,7 @@ def dp_kernel_kmeans(
                 f"init centers must have shape ({k}, {fmap.d}), got {centers.shape}"
             )
     else:
-        centers = default_initial_centers(k, fmap.d, CLIP_BOUND, init_rng)
+        centers = default_initial_centers(k, fmap.d, init_rng)
 
     history = np.empty((iterations, k))
     for t in range(iterations):

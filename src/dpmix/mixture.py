@@ -42,7 +42,12 @@ GENERATION_CHUNK_ROWS = 1024
 
 @dataclass
 class MixtureModel:
-    """The released artifact: k generative models plus DP mixture weights."""
+    """The released artifact: k generative models plus DP mixture weights.
+
+    ``privacy`` holds the noise scales and iteration counts that ran, and
+    ``epsilon`` at order ``argmin_lambda`` is the (epsilon, privacy.delta)
+    claim the accountant gives for them; every model carries one.
+    """
 
     m: int
     k: int
@@ -50,9 +55,9 @@ class MixtureModel:
     weights: np.ndarray
     feature_map: FeatureMap
     centers: np.ndarray
-    privacy: PrivacyConfig | None
+    privacy: PrivacyConfig
     epsilon: float
-    argmin_lambda: int | None
+    argmin_lambda: int
 
 
 @dataclass(frozen=True)
@@ -69,11 +74,15 @@ class StepLog:
 
 @dataclass
 class TrainResult:
+    """The released mixture, with the clustering and step log behind it.
+
+    The SGD iteration count and sampling rate are
+    ``mixture.privacy.t_sgd`` and ``mixture.privacy.q``.
+    """
+
     mixture: MixtureModel
     clustering: Clustering
     steps: list[StepLog]
-    t_sgd: int
-    q: float
 
 
 def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainResult:
@@ -82,7 +91,8 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     Child random streams, by name: those of kmeans.clustering_stage,
     "model-init", "chains-<i>", "selection", "sgd-sampling", "sgd-noise".
     Any stage can be replayed by rebuilding its stream from the master
-    seed.
+    seed.  The privacy claim is computed first, so a noise scale with no
+    finite epsilon (zero among them) raises before any stage runs.
     """
     n = len(dataset)
     if cfg.batch_size > n:
@@ -93,16 +103,9 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     t_sgd = cfg.epochs * epoch_iterations(q)
     delta = cfg.delta if cfg.delta is not None else 1.0 / n
 
-    unsafe = min(cfg.sigma_c, cfg.sigma_k, cfg.sigma_g) == 0
-    privacy = None
-    epsilon = math.inf
-    argmin_lambda = None
-    if not unsafe:
-        shared = {
-            f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)
-        }
-        privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
-        epsilon, argmin_lambda = epsilon_for_delta(privacy)
+    shared = {f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)}
+    privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
+    epsilon, argmin_lambda = epsilon_for_delta(privacy)
 
     fmap, clustering = clustering_stage(
         dataset, master_seed, k=cfg.k, d=cfg.d, gamma=cfg.gamma, t_kmeans=cfg.t_kmeans,
@@ -163,9 +166,7 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
         epsilon=epsilon,
         argmin_lambda=argmin_lambda,
     )
-    return TrainResult(
-        mixture=mixture, clustering=clustering, steps=steps, t_sgd=t_sgd, q=q
-    )
+    return TrainResult(mixture=mixture, clustering=clustering, steps=steps)
 
 
 def _usable_cpus() -> int:
@@ -248,12 +249,7 @@ def generate(
 
 
 def _privacy_dict(mix: MixtureModel) -> dict:
-    if mix.privacy is None:
-        return {"epsilon": None, "unsafe_no_privacy": True}
-    d = asdict(mix.privacy)
-    d["epsilon"] = mix.epsilon
-    d["argmin_lambda"] = mix.argmin_lambda
-    return d
+    return {**asdict(mix.privacy), "epsilon": mix.epsilon, "argmin_lambda": mix.argmin_lambda}
 
 
 def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None:
@@ -386,9 +382,12 @@ def load_model(path) -> MixtureModel:
     missing or a value is outside its domain: the version, an array
     (malformed, not finite or of the wrong shape), a negative mixture
     weight, m, k, d, gamma, feature_map_seed, the type of a privacy-block
-    field, or the privacy block's epsilon and argmin_lambda.  The epsilon
-    is recomputed from the privacy block, and DataError if the stored one
-    is lower by more than 1e-9 relative.
+    field, or the privacy block's epsilon and argmin_lambda.  Every model
+    carries a privacy block with a finite epsilon, so the zero-noise
+    block of earlier versions, a null epsilon without PrivacyConfig's
+    fields, is refused as a missing key.  The epsilon is recomputed from
+    the privacy block, and DataError if the stored one is lower by more
+    than 1e-9 relative.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -402,14 +401,13 @@ def load_model(path) -> MixtureModel:
     except KeyError as exc:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
     del payload  # the accountant's temporaries reuse the memory of the file's text
-    if mix.privacy is not None:
-        # the slack admits epsilons stored by earlier versions of the accountant
-        recomputed, _ = epsilon_for_delta(mix.privacy)
-        if mix.epsilon < recomputed * (1.0 - 1e-9):
-            raise _malformed(
-                "privacy.epsilon", mix.epsilon,
-                f"at least {recomputed!r}, which its privacy block gives",
-            )
+    # the slack admits epsilons stored by earlier versions of the accountant
+    recomputed, _ = epsilon_for_delta(mix.privacy)
+    if mix.epsilon < recomputed * (1.0 - 1e-9):
+        raise _malformed(
+            "privacy.epsilon", mix.epsilon,
+            f"at least {recomputed!r}, which its privacy block gives",
+        )
     return mix
 
 
@@ -446,17 +444,13 @@ def _model_from_payload(payload: dict) -> MixtureModel:
     priv = payload["privacy"]
     if not isinstance(priv, dict):
         raise DataError("malformed model: privacy is not a JSON object")
-    privacy = None
-    epsilon = math.inf
-    argmin_lambda = None
-    if not priv.get("unsafe_no_privacy"):
-        privacy = _privacy_config(priv)
-        epsilon, argmin_lambda = priv["epsilon"], priv["argmin_lambda"]
-        if not (_is_number(epsilon) and epsilon >= 0):
-            raise _malformed("privacy.epsilon", epsilon, "a finite number >= 0")
-        top = privacy.lambda_max
-        if type(argmin_lambda) is not int or not 1 <= argmin_lambda <= top:
-            raise _malformed("privacy.argmin_lambda", argmin_lambda, f"an integer in [1, {top}]")
+    privacy = _privacy_config(priv)
+    epsilon, argmin_lambda = priv["epsilon"], priv["argmin_lambda"]
+    if not (_is_number(epsilon) and epsilon >= 0):
+        raise _malformed("privacy.epsilon", epsilon, "a finite number >= 0")
+    top = privacy.lambda_max
+    if type(argmin_lambda) is not int or not 1 <= argmin_lambda <= top:
+        raise _malformed("privacy.argmin_lambda", argmin_lambda, f"an integer in [1, {top}]")
     return MixtureModel(
         m=m,
         k=k,

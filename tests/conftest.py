@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dpmix.accountant import PrivacyConfig, epsilon_for_delta
 from dpmix.config import TrainConfig
 from dpmix.data import make_dataset
 from dpmix.rbm import RbmModel, _logistic, conditional_hidden
@@ -87,3 +88,12 @@ def step_config(sigma_c, sigma_g, batch_size, eta, **kw) -> TrainConfig:
         k=1, epochs=1, batch_size=batch_size, sigma_c=sigma_c, sigma_k=1.0,
         sigma_g=sigma_g, eta=eta, **kw,
     )
+
+
+def privacy_claim() -> dict:
+    """The ``privacy``, ``epsilon`` and ``argmin_lambda`` of a MixtureModel
+    built by hand: a small run's block and the epsilon the accountant gives it."""
+    privacy = PrivacyConfig(sigma_c=4.0, sigma_k=40.0, sigma_g=1.0, q=0.25, t_kmeans=2,
+                            t_sgd=4, delta=0.01)
+    epsilon, argmin_lambda = epsilon_for_delta(privacy)
+    return {"privacy": privacy, "epsilon": epsilon, "argmin_lambda": argmin_lambda}

@@ -156,7 +156,7 @@ def test_criterion_07_noise_free_degeneracies():
     # (a) zero-noise clustering equals exact Lloyd on two planted blobs
     data = mixture_corpus(400, 12, 2, np.random.default_rng(99))
     fmap = feature_map_from_seed(m=12, d=32, gamma=0.3, seed=6)
-    clipped = clip_features(embed(fmap, data.records), 1.0)
+    clipped = clip_features(embed(fmap, data.records))
     init = np.vstack([clipped[0], clipped[1]])
     result = dp_kernel_kmeans(
         data, fmap, k=2, iterations=8, sigma_k=0.0,

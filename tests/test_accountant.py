@@ -121,6 +121,16 @@ class TestSubsampledQuadrature:
         with pytest.raises(ValueError):
             alpha_subsampled_gaussian(1, 1.0, 1.5)
 
+    @pytest.mark.parametrize("lam,lowest", [(0.1, 0.1), (0.5, 0.5), (0.99, 0.99),
+                                            ([3.0, 0.5], 0.5)])
+    def test_orders_below_one_are_refused(self, lam, lowest):
+        # below 1 the series' tail can shrink too slowly to meet its bound:
+        # at sigma = 10, q = 0.5, lambda = 0.1 and 0.5 ran 1024 terms and
+        # ended in NumericsError; the refusal names the lowest order
+        with pytest.raises(ValueError, match=f"^lambda must be >= 1, got {lowest}$"):
+            alpha_subsampled_gaussian(np.array(lam), 10.0, 0.5)
+        assert alpha_subsampled_gaussian(1.0, 10.0, 0.5) > 0.0
+
     @pytest.mark.parametrize("lam,sigma", [
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
     ])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dpmix
-from conftest import labelled_mixture_corpus, mixture_corpus
+from conftest import labelled_mixture_corpus, mixture_corpus, privacy_claim
 from dpmix import accountant, cli, rbm
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
@@ -199,6 +199,8 @@ def test_removed_options_are_refused(tmp_path, capsys, command):
     ("accountant", ["--unsafe-no-privacy"]),
     ("generate", ["--unsafe-no-privacy"]),
     ("evaluate", ["--unsafe-no-privacy"]),
+    ("cluster", ["--unsafe-no-privacy"]),
+    ("train", ["--unsafe-no-privacy"]),
     ("accountant", ["--workers", "1"]),
     ("train", ["--workers", "1"]),
     ("cluster", ["--workers", "1"]),
@@ -206,12 +208,12 @@ def test_removed_options_are_refused(tmp_path, capsys, command):
     ("cluster", ["--c-max", "2"]),
     ("cluster", ["--bins", "5"]),
 ], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe",
-        "accountant-workers", "train-workers", "cluster-workers", "evaluate-workers",
-        "cluster-c_max", "cluster-bins"])
+        "cluster-unsafe", "train-unsafe", "accountant-workers", "train-workers",
+        "cluster-workers", "evaluate-workers", "cluster-c_max", "cluster-bins"])
 def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
-    # the accountant draws nothing at random; accountant, generate and
-    # evaluate add no noise, so a zero noise scale has nothing to unlock;
-    # only generate runs threads; only DP-SGD votes on a clip bound
+    # the accountant draws nothing at random; every model carries a privacy
+    # claim, so no command runs without noise; only generate runs threads;
+    # only DP-SGD votes on a clip bound
     key = flag[0][2:].replace("-", "_")
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: True if len(flag) == 1 else 1}))
@@ -304,17 +306,22 @@ def test_cluster_labels_must_match_the_dataset(tmp_path, corpus_files, capsys, c
     )
 
 
-def test_cluster_rejects_zero_sigma_without_unsafe_flag(corpus_files, capsys):
+def test_cluster_rejects_zero_sigma(tmp_path, corpus_files, capsys):
+    # zero noise has no finite epsilon; the check runs before any input is
+    # read, so it is the error even when the dataset does not exist
     _, data_path, _ = corpus_files
-    base = ["cluster", "--data", data_path, "--k", "2", "--sigma-c", "4",
-            "--d", "8", "--t-kmeans", "1"]
-    assert main(base + ["--sigma-k", "0"]) == 2
-    assert "unsafe-no-privacy" in capsys.readouterr().err
-    assert main(base + ["--sigma-k", "0", "--unsafe-no-privacy"]) == 0
-    capsys.readouterr()
-    assert main(base + ["--sigma-k", "-1"]) == 2
-    # cluster ignores --sigma-c, so a zero there unlocks nothing
-    assert main(base + ["--sigma-k", "10", "--sigma-c", "0"]) == 0
+    missing = str(tmp_path / "missing.txt")
+    base = ["cluster", "--k", "2", "--d", "8", "--t-kmeans", "1"]
+    for value in ("0", "-1"):
+        assert main(base + ["--data", missing, "--sigma-k", value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --sigma-k must be > 0, got {float(value)}\n"
+    cfg = tmp_path / "zero.json"
+    cfg.write_text('{"sigma_k": 0}')
+    assert main(base + ["--data", missing, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "usage error: --sigma-k must be > 0, got 0\n"
+    # cluster ignores --sigma-c, so a zero there is no error
+    assert main(base + ["--data", data_path, "--sigma-k", "10", "--sigma-c", "0"]) == 0
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "0"), ("--gamma", "0")])
@@ -493,7 +500,7 @@ def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsy
         "seed", "data", "format", "threshold", "k", "epochs", "batch_size",
         "sigma_c", "sigma_k", "sigma_g", "t_kmeans", "d", "gamma", "n_hidden", "eta",
         "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "lambda_max",
-        "init_centers", "model", "log", "command", "unsafe_no_privacy",
+        "init_centers", "model", "log", "command",
     ]
 
 
@@ -593,7 +600,7 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
     mix = MixtureModel(
         m=m, k=3, models=models, weights=np.array([2.0, 1.0, 0.0]),
         feature_map=feature_map_from_seed(m, 4, 1.0, seed=1), centers=np.zeros((3, 4)),
-        privacy=None, epsilon=math.inf, argmin_lambda=None,
+        **privacy_claim(),
     )
     model_path = tmp_path / "model.json"
     save_model(mix, model_path)
@@ -1141,14 +1148,20 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path, trained_model, comman
     assert out.read_text() == "earlier\n"
 
 
-def test_unsafe_train_reports_null_epsilon(tmp_path, corpus_files, capsys):
-    _, data_path, _ = corpus_files
-    model_path = tmp_path / "model.json"
-    args = _train_args(data_path, model_path, sigma_g=0)
-    assert main(args) == 2  # refused without the flag
-    capsys.readouterr()
-    assert main(args + ["--unsafe-no-privacy"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["epsilon"] is None
-    stored = json.loads(model_path.read_text())
-    assert stored["privacy"]["unsafe_no_privacy"] is True
+def test_train_rejects_zero_sigma(tmp_path, capsys):
+    # every model carries a finite epsilon, so each noise scale must be
+    # positive; the check runs before the (missing) dataset is read
+    missing = str(tmp_path / "missing.txt")
+    for name in ("sigma_c", "sigma_k", "sigma_g"):
+        assert main(_train_args(missing, tmp_path / "model.json", **{name: 0})) == 2
+        flag = "--" + name.replace("_", "-")
+        assert capsys.readouterr().err == f"usage error: {flag} must be > 0, got 0.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_refuses_a_model_without_a_privacy_claim(tmp_path, trained_model, capsys):
+    # earlier versions stored zero-noise runs with this block in place of a
+    # claim; it lacks PrivacyConfig's fields, so it is a malformed model
+    payload = json.loads(json.dumps(trained_model))
+    payload["privacy"] = {"epsilon": None, "unsafe_no_privacy": True}
+    _assert_generate_rejects(tmp_path, capsys, payload, "missing key 'sigma_c'")

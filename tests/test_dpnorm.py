@@ -1,8 +1,21 @@
 """Noisy-histogram norm bound selection."""
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from dpmix.dpnorm import dp_norm, norm_histogram
+from dpmix.dpnorm import clip_scales, dp_norm, norm_histogram
+
+
+def test_clip_scales_move_long_vectors_onto_the_bound():
+    # DP-SGD clips at a voted bound, so the bound is an argument here
+    vecs = np.random.default_rng(8).normal(size=(5, 30))
+    clipped = vecs * clip_scales(np.linalg.norm(vecs, axis=1), 0.7)[:, None]
+    assert_allclose(np.linalg.norm(clipped, axis=1), np.full(5, 0.7), rtol=1e-12)
+    # norms at or below the bound keep their length
+    assert clip_scales(np.array([0.3, 0.7]), 0.7).tolist() == [1.0, 1.0]
+    for c_s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="clip bound must be positive"):
+            clip_scales(np.ones(3), c_s)
 
 
 def test_histogram_bins_and_edges():

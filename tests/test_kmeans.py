@@ -41,20 +41,19 @@ def _lloyd_reference(clipped, init, iterations):
 
 
 def test_clip_worked_examples():
-    out = clip_features(np.array([[3.0, 4.0], [0.3, 0.4]]), 1.0)
+    # the bound is the public CLIP_BOUND = 1
+    out = clip_features(np.array([[3.0, 4.0], [0.3, 0.4]]))
     assert_allclose(out, [[0.6, 0.8], [0.3, 0.4]])
     # exactly on the bound: untouched
-    assert_allclose(clip_features(np.array([[1.0, 0.0]]), 1.0), [[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        clip_features(np.ones((2, 2)), 0.0)
+    assert_allclose(clip_features(np.array([[1.0, 0.0]])), [[1.0, 0.0]])
 
 
 def test_clip_is_in_place_for_float64_only():
     rows = np.array([[3.0, 4.0], [0.3, 0.4]])
-    assert clip_features(rows, 1.0) is rows
+    assert clip_features(rows) is rows
     assert_allclose(rows, [[0.6, 0.8], [0.3, 0.4]])
     ints = np.array([[3, 4]])
-    assert_allclose(clip_features(ints, 1.0), [[0.6, 0.8]])
+    assert_allclose(clip_features(ints), [[0.6, 0.8]])
     assert np.array_equal(ints, [[3, 4]])
 
 
@@ -211,17 +210,17 @@ def test_cluster_sums_match_add_at_across_gather_chunks(d):
 
 def test_default_centers_sit_on_clip_sphere():
     rng = np.random.default_rng(8)
-    centers = default_initial_centers(5, 30, 0.7, rng)
+    centers = default_initial_centers(5, 30, rng)
     assert centers.shape == (5, 30)
-    assert_allclose(np.linalg.norm(centers, axis=1), np.full(5, 0.7), rtol=1e-12)
+    assert_allclose(np.linalg.norm(centers, axis=1), np.full(5, CLIP_BOUND), rtol=1e-12)
 
 
 def test_zero_noise_reproduces_exact_lloyd():
     rng = np.random.default_rng(31)
     data = mixture_corpus(300, 12, 3, rng)
     fmap = feature_map_from_seed(m=12, d=24, gamma=0.3, seed=5)
-    clipped = clip_features(embed(fmap, data.records), 1.0)
-    init = default_initial_centers(3, 24, 1.0, np.random.default_rng(2))
+    clipped = clip_features(embed(fmap, data.records))
+    init = default_initial_centers(3, 24, np.random.default_rng(2))
 
     result = dp_kernel_kmeans(
         data, fmap, k=3, iterations=6, sigma_k=0.0,
@@ -245,7 +244,7 @@ def test_single_cluster_center_is_clipped_mean():
         rng=np.random.default_rng(0), init=np.zeros((1, 16)),
         init_rng=np.random.default_rng(1),
     )
-    clipped = clip_features(embed(fmap, data.records), 1.0)
+    clipped = clip_features(embed(fmap, data.records))
     assert_allclose(result.noisy_centers[0], clipped.mean(axis=0), atol=1e-12)
     assert np.all(result.assignments == 0)
 
@@ -270,8 +269,8 @@ def test_noiseless_objective_never_increases():
     rng = np.random.default_rng(77)
     data = mixture_corpus(240, 12, 3, rng)
     fmap = feature_map_from_seed(m=12, d=18, gamma=0.3, seed=7)
-    clipped = clip_features(embed(fmap, data.records), 1.0)
-    init = default_initial_centers(3, 18, 1.0, np.random.default_rng(5))
+    clipped = clip_features(embed(fmap, data.records))
+    init = default_initial_centers(3, 18, np.random.default_rng(5))
     objectives = []
     for t in range(1, 7):
         out = dp_kernel_kmeans(
@@ -307,7 +306,7 @@ def test_released_noisy_sums_move_by_at_most_the_clip_bound():
     fmap = feature_map_from_seed(m=8, d=16, gamma=0.5, seed=13)
     a = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
     canary = 1 - a
-    phi = clip_features(embed(fmap, np.vstack([a, canary])), 1.0)
+    phi = clip_features(embed(fmap, np.vstack([a, canary])))
     units = phi / np.linalg.norm(phi, axis=1)[:, None]
     e = (units[1] - units[0]) / np.linalg.norm(units[1] - units[0])
     init = np.vstack([-10.0 * e, 10.0 * e])  # a goes to center 0, the canary to 1
@@ -335,7 +334,7 @@ def test_single_record_change_touches_at_most_two_clusters():
     # most one each, sums by at most 2 * clip bound in total
     rng = np.random.default_rng(55)
     fmap = feature_map_from_seed(m=9, d=14, gamma=0.4, seed=11)
-    centers = default_initial_centers(4, 14, 1.0, np.random.default_rng(3))
+    centers = default_initial_centers(4, 14, np.random.default_rng(3))
     for trial in range(25):
         records = rng.integers(0, 2, size=(60, 9)).astype(np.uint8)
         records[records.sum(axis=1) == 0, 0] = 1
@@ -347,7 +346,7 @@ def test_single_record_change_touches_at_most_two_clusters():
 
         stats = []
         for recs in (records, swapped):
-            clipped = clip_features(embed(fmap, recs), 1.0)
+            clipped = clip_features(embed(fmap, recs))
             assign = assign_to_centers(clipped, centers)
             counts = np.bincount(assign, minlength=4).astype(float)
             sums = _cluster_sums(clipped, assign, 4)

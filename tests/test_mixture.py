@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mixture_corpus
+from conftest import mixture_corpus, privacy_claim
 from dpmix import accountant, mixture, rbm
 from dpmix.accountant import alpha_terms, epsilon_for_delta
 from dpmix.dpsgd import dp_sgd_step
@@ -54,8 +54,7 @@ def _saturated_mixture(weights, biases, m=4):
     return MixtureModel(
         m=m, k=len(models), models=models,
         weights=np.asarray(weights, dtype=np.float64),
-        feature_map=fmap, centers=np.zeros((len(models), 4)),
-        privacy=None, epsilon=math.inf, argmin_lambda=None,
+        feature_map=fmap, centers=np.zeros((len(models), 4)), **privacy_claim(),
     )
 
 
@@ -86,7 +85,7 @@ def test_every_release_is_a_charged_gaussian(monkeypatch):
         want.append((cfg.sigma_g, step.info.clip_bound))
     assert released == want
     sizes = [step.info.batch_size for step in result.steps]
-    assert len(sizes) == result.t_sgd and 0 in sizes and max(sizes) > 0
+    assert len(sizes) == result.mixture.privacy.t_sgd and 0 in sizes and max(sizes) > 0
 
 
 def test_training_replays_from_named_streams():
@@ -96,7 +95,7 @@ def test_training_replays_from_named_streams():
     data = mixture_corpus(60, 8, 2, np.random.default_rng(17))
     cfg = _tiny_config()
     result = train(data, cfg, master_seed=seed)
-    assert result.t_sgd == 2  # one epoch at q = 0.5
+    assert result.mixture.privacy.t_sgd == 2  # one epoch at q = 0.5
     assert len(result.steps) == 2
 
     fmap = feature_map_from_seed(8, 10, 0.5, child_seed(seed, "feature-map"))
@@ -139,7 +138,7 @@ def test_zero_epochs_leaves_models_at_initialization():
     data = mixture_corpus(90, 8, 3, np.random.default_rng(3))
     cfg = _tiny_config(k=3, epochs=0, batch_size=10)
     result = train(data, cfg, master_seed=seed)
-    assert result.t_sgd == 0
+    assert result.mixture.privacy.t_sgd == 0
     assert result.steps == []
 
     init_rng = child_rng(seed, "model-init")
@@ -153,9 +152,8 @@ def test_epsilon_matches_recomputation_from_stored_privacy():
     data = mixture_corpus(120, 8, 2, np.random.default_rng(9))
     result = train(data, _tiny_config(k=2, epochs=2), master_seed=7)
     mix = result.mixture
-    assert mix.privacy is not None
     assert mix.privacy.q == pytest.approx(30 / 120)
-    assert mix.privacy.t_sgd == result.t_sgd
+    assert mix.privacy.t_sgd == len(result.steps) == 2 * 4
     eps, lam = epsilon_for_delta(mix.privacy)
     assert mix.epsilon == pytest.approx(eps, rel=1e-12)
     assert mix.argmin_lambda == lam
@@ -169,7 +167,7 @@ def test_step_selection_tracks_true_cluster_sizes():
         k=3, epochs=10, batch_size=5, n_hidden=3, d=8, chain_count=4
     )
     result = train(data, cfg, master_seed=61)
-    t = result.t_sgd
+    t = result.mixture.privacy.t_sgd
     assert t == 10 * 60  # q = 1/60
 
     sizes = np.bincount(result.clustering.assignments, minlength=3)
@@ -180,12 +178,17 @@ def test_step_selection_tracks_true_cluster_sizes():
         assert abs(picks[i] - t * probs[i]) <= margin, (i, picks, probs)
 
 
-def test_unsafe_zero_noise_disables_accounting():
+@pytest.mark.parametrize("name", ["sigma_c", "sigma_k", "sigma_g"])
+def test_zero_noise_is_refused_before_clustering(monkeypatch, name):
+    # zero noise has no finite epsilon, so no model could carry a claim;
+    # TrainConfig accepts 0 for dp_sgd_step's noise-free tests, train does not
+    def clustering_ran(*args, **kwargs):
+        raise AssertionError("clustering ran")
+
+    monkeypatch.setattr(mixture, "clustering_stage", clustering_ran)
     data = mixture_corpus(60, 8, 2, np.random.default_rng(4))
-    result = train(data, _tiny_config(sigma_c=0.0), master_seed=5)
-    assert result.mixture.privacy is None
-    assert result.mixture.epsilon == math.inf
-    assert result.mixture.argmin_lambda is None
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        train(data, _tiny_config(**{name: 0.0}), master_seed=5)
 
 
 def test_config_validation():
@@ -381,11 +384,7 @@ def _reference_model_json(mix, config_echo, version=1):
     """The model file as json.dump(indent=1) writes it from a payload of
     lists (version 1) or of struct-packed base64 objects (version 2)."""
     encode = (lambda array: array.tolist()) if version == 1 else _struct_base64
-    if mix.privacy is None:
-        privacy = {"epsilon": None, "unsafe_no_privacy": True}
-    else:
-        privacy = {**asdict(mix.privacy), "epsilon": mix.epsilon,
-                   "argmin_lambda": mix.argmin_lambda}
+    privacy = {**asdict(mix.privacy), "epsilon": mix.epsilon, "argmin_lambda": mix.argmin_lambda}
     payload = {
         "version": version,
         "m": mix.m,
@@ -435,8 +434,7 @@ def _assert_same_model(back, mix):
     (dict(k=2), {"command": "train", "k": 2, "tags": ["a", "\u00e9"], "nested": {},
                  "none": None, "lr": 0.05, "empty": []}),
     (dict(), None),
-    (dict(sigma_c=0.0), {"unsafe_no_privacy": True}),
-], ids=["k2-echo", "k1", "unsafe"])
+], ids=["k2-echo", "k1"])
 def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
     # every float array is a base64 object, not a list, since version 2
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
@@ -446,7 +444,7 @@ def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
     assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo, version=2)
 
 
-@pytest.mark.parametrize("config", [dict(k=2), dict(sigma_c=0.0)], ids=["k2", "unsafe"])
+@pytest.mark.parametrize("config", [dict(k=2)], ids=["k2"])
 def test_version_1_file_loads_to_the_same_bits(tmp_path, config):
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     mix = train(data, _tiny_config(**config), master_seed=11).mixture
@@ -468,18 +466,6 @@ def test_save_load_round_trip(tmp_path):
     a = generate(result.mixture, 20, np.random.default_rng(8), gibbs_steps=3)
     b = generate(back, 20, np.random.default_rng(8), gibbs_steps=3)
     assert np.array_equal(a.records, b.records)
-
-
-def test_save_load_unsafe_model(tmp_path):
-    data = mixture_corpus(60, 8, 2, np.random.default_rng(6))
-    result = train(data, _tiny_config(sigma_c=0.0), master_seed=3)
-    path = tmp_path / "unsafe.json"
-    save_model(result.mixture, path)
-    payload = json.loads(path.read_text())
-    assert payload["privacy"] == {"epsilon": None, "unsafe_no_privacy": True}
-    back = load_model(path)
-    assert back.privacy is None
-    assert back.epsilon == math.inf
 
 
 @pytest.mark.parametrize("factor,accepted", [
