@@ -61,7 +61,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 
 DEFAULT_LAMBDA_MAX = 32
 
@@ -78,6 +78,13 @@ _SERIES_BLOCK = 64  # orders per array pass
 # math.erfc is accurate up to here and underflows just above 26.5.
 _ERFC_ASYMPTOTIC_FROM = 26.0
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def check_noise_scale(name: str, sigma: float) -> None:
+    """The rule for every noise scale: finite and > 0.  ConfigError naming ``name`` otherwise."""
+    if not 0 < sigma < math.inf:  # NaN fails too
+        raise ConfigError(f"{name} must be finite and > 0, got {sigma}; zero noise has no"
+                          " finite epsilon")
 
 
 @dataclass(frozen=True)
@@ -103,9 +110,7 @@ class PrivacyConfig:
     def __post_init__(self):
         for name in ("sigma_c", "sigma_k", "sigma_g"):
             sigma = getattr(self, name)
-            if not 0 < sigma < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and > 0; zero noise has no finite"
-                                 " epsilon")
+            check_noise_scale(name, sigma)
             if sigma * sigma == math.inf:  # every charge divides by sigma^2
                 raise NumericsError(f"{name} = {sigma!r} is too large: its square overflows")
         if not 0.0 <= self.q <= 1.0:
@@ -119,10 +124,8 @@ class PrivacyConfig:
 
 
 def _check_order_and_noise(lam, sigma: float) -> None:
-    # NaN fails these comparisons too
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    lam = np.asarray(lam)
+    check_noise_scale("sigma", sigma)
+    lam = np.asarray(lam)  # NaN fails the comparisons below too
     if lam.size and not 0 < lam.min() <= lam.max() < math.inf:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
 
@@ -136,9 +139,10 @@ def gaussian_release(value, sigma: float, sensitivity: float, rng: np.random.Gen
     per unit of sensitivity, and the Gaussian mechanism of scale s at
     sensitivity 1 has privacy-loss log-MGF lam (lam + 1) / (2 s^2), which
     is (lam^2 + lam) / (4 sigma^2) exactly.  ``value`` is a scalar or an
-    array; one ``rng.normal`` call draws noise of its shape.  sigma = 0
-    (test only) adds zeros but still draws, so the stream stays aligned.
+    array; one ``rng.normal`` call draws noise of its shape.  No release
+    goes out at a sigma that check_noise_scale refuses.
     """
+    check_noise_scale("sigma", sigma)
     return value + rng.normal(0.0, math.sqrt(2.0) * sigma * sensitivity, size=np.shape(value))
 
 

@@ -3,8 +3,9 @@
 Subcommands: accountant, cluster, train, generate, evaluate.  Option
 precedence is command-line flag, then --config JSON file, then built-in
 default.  Every artifact embeds the fully resolved configuration, so a
-run can be reproduced from any of its outputs.  Exit codes: 0 success,
-2 usage or configuration error (ConfigError, or a ValueError by which a
+run can be reproduced from any of its outputs, on a host with the same
+BLAS thread count (ROADMAP item 6).  Exit codes: 0 success, 2 usage or
+configuration error (a ValueError, ConfigError included, by which a
 library refused an argument), 3 data error (DataError or OSError), 4
 numerical error (NumericsError or ArithmeticError).  ``main`` alone maps
 an exception to its code, and prints it as one line on stderr.
@@ -23,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import __version__, evaluation
-from .accountant import PrivacyConfig, alpha_terms, epsilon_schedule
+from .accountant import PrivacyConfig, alpha_terms, check_noise_scale, epsilon_schedule
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
@@ -70,12 +71,14 @@ _OPTIONS = {
     "data": Option(str, REQUIRED, "dataset file"),
     "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
     "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
-    "labels": Option(str, None, "true labels, one integer per line"),
+    "labels": Option(str, None, "true labels, one integer per line (cluster: its acc is "
+                     "computed from raw data and is not private)"),
     "q": Option(float, REQUIRED, "batch inclusion probability per iteration"),
     "data_size": Option(int, None, "derive delta = 1/size instead of passing --delta",
                         least=1),
-    "output": Option(str, None, "write the report, summary or records here (generate: required)"),
-    "assignments_out": Option(str, None, "write one cluster id per record here"),
+    "output": Option(str, None, "write the report or summary here"),
+    "assignments_out": Option(str, None, "write one cluster id per record here (computed "
+                              "from raw data: not private)"),
     "model": Option(str, REQUIRED, "model JSON path"),
     "log": Option(str, None, "output path for the per-step JSON-lines training log"),
     "count": Option(int, REQUIRED, "number of records to generate", least=1),
@@ -123,19 +126,21 @@ _COMMAND_OPTIONS = {
                  "labels", "assignments", "output", "csv"),
 }
 
-# cluster reads no sigma_c, but still takes it, optional, so that command
-# lines written for the clip-bound vote it no longer runs keep working.
-_CLUSTER_SIGMA_C = Option(float, None, "ignored: clustering votes on no clip bound")
-
-# The noise scales that cluster and train read: zero noise has no finite epsilon.
-_NOISE_SCALES = {"cluster": ("sigma_k",), "train": ("sigma_c", "sigma_k", "sigma_g")}
+# The options that one command defines its own way.  cluster reads no
+# sigma_c, but still takes it, optional, so that command lines written for
+# the clip-bound vote it no longer runs keep working.
+_COMMAND_VARIANTS = {
+    ("cluster", "sigma_c"): Option(float, None, "ignored: clustering votes on no clip bound"),
+    ("generate", "output"): Option(str, REQUIRED, "write the synthetic records here"),
+    ("accountant", "epochs"): replace(_OPTIONS["epochs"], least=1),
+}
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _option(command: str, name: str) -> Option:
-    return _CLUSTER_SIGMA_C if (command, name) == ("cluster", "sigma_c") else _OPTIONS[name]
+    return _COMMAND_VARIANTS.get((command, name), _OPTIONS[name])
 
 
 def _add_flag(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
@@ -224,8 +229,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{flag_name} must be a finite number, got {value}")
         if opt.least is not None and value is not None and value < opt.least:
             raise ConfigError(f"{flag_name} must be >= {opt.least}")
-        if name in _NOISE_SCALES.get(args.command, ()) and value <= 0:
-            raise ConfigError(f"{flag_name} must be > 0, got {value}")
         resolved[name] = value
     resolved["command"] = args.command
     return resolved
@@ -275,8 +278,6 @@ def _json_dumps(payload: dict) -> str:
 
 
 def cmd_accountant(opts: dict, out: _Outputs) -> int:
-    if opts["epochs"] < 1:
-        raise ConfigError("--epochs must be >= 1")
     if (opts["delta"] is None) == (opts["data_size"] is None):
         raise ConfigError("pass one of --delta and --data-size (for delta = 1/size)")
     delta = opts["delta"] if opts["delta"] is not None else 1.0 / opts["data_size"]
@@ -336,6 +337,7 @@ def _load_labels(path, n: int) -> np.ndarray:
 def cmd_cluster(opts: dict, out: _Outputs) -> int:
     from .kmeans import clustering_stage
 
+    check_noise_scale("sigma_k", opts["sigma_k"])  # before any input is read
     dataset = _load_dataset(opts)
     labels = _load_labels(opts["labels"], len(dataset)) if opts["labels"] else None
     init = None
@@ -367,10 +369,10 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
 def cmd_train(opts: dict, out: _Outputs) -> int:
     from .mixture import save_model, train
 
-    init = None
-    if opts["init_centers"]:
-        init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
-    cfg = TrainConfig(**{**_fields_from(TrainConfig, opts), "init_centers": init})
+    cfg = TrainConfig(**{**_fields_from(TrainConfig, opts), "init_centers": None})
+    if opts["init_centers"]:  # read only once cfg has checked every option
+        init = _load_init_centers(opts["init_centers"], cfg.k, cfg.d)
+        cfg = replace(cfg, init_centers=init)
     dataset = _load_dataset(opts)
     result = train(dataset, cfg, opts["seed"])
     mix = result.mixture
@@ -397,8 +399,6 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
     from .mixture import generate, load_model
     from .streams import child_rng
 
-    if opts["output"] is None:
-        raise ConfigError("missing required option --output")
     try:
         mix = load_model(opts["model"])
     except FileNotFoundError:
@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command][0](opts, out)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is one
         code, message = 2, f"usage error: {exc}"
     except (DataError, OSError) as exc:
         code, message = 3, f"data error: {exc}"

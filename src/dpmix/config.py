@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import DEFAULT_LAMBDA_MAX
+from .accountant import DEFAULT_LAMBDA_MAX, check_noise_scale
 from .errors import ConfigError
 
 DEFAULT_GENERATION_SWEEPS = 500
@@ -58,6 +58,5 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if not all(0 <= s < math.inf for s in (self.sigma_c, self.sigma_k, self.sigma_g)):
-            raise ConfigError("noise scales must be finite and >= 0 (0 runs dp_sgd_step without "
-                              "noise; train refuses it)")
+        for name in ("sigma_c", "sigma_k", "sigma_g"):
+            check_noise_scale(name, getattr(self, name))

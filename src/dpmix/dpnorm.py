@@ -55,11 +55,8 @@ def dp_norm(
 ) -> float:
     """Noisy-argmax clip bound in {C_1, ..., C_w} for the 1-D array ``norms``.
 
-    sigma_c = 0 is a test-only mode that returns the exact modal edge;
-    ties resolve toward the smaller bucket.
+    Ties resolve toward the smaller bucket.
     """
-    if sigma_c < 0:
-        raise ValueError(f"sigma_c must be >= 0, got {sigma_c}")
     counts = norm_histogram(norms, c_max, bins)
     noisy = gaussian_release(counts, sigma_c, 1.0, rng)
     j = int(np.argmax(noisy)) + 1  # argmax takes the first (smallest) maximiser

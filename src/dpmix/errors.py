@@ -9,5 +9,5 @@ class NumericsError(Exception):
     """A numerical routine gave no finite result or did not reach its accuracy target."""
 
 
-class ConfigError(Exception):
-    """Invalid or conflicting run configuration."""
+class ConfigError(ValueError):
+    """Invalid or conflicting run configuration: a refused argument value, as ValueError is."""

@@ -175,9 +175,8 @@ def dp_kernel_kmeans(
 ) -> Clustering:
     """Cluster the embedded records with per-iteration Gaussian noise.
 
-    sigma_k = 0 is a test-only mode that reproduces exact Lloyd
-    iterations on the clipped features.  Centers start at ``init``, or
-    else at default_initial_centers drawn from ``init_rng``.
+    Centers start at ``init``, or else at default_initial_centers drawn
+    from ``init_rng``.
 
     Every cluster releases its noisy count and noisy sum, the charged
     Gaussian mechanisms; an empty cluster's sum is zero.  The next
@@ -190,8 +189,6 @@ def dp_kernel_kmeans(
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
-    if sigma_k < 0:
-        raise ValueError(f"sigma_k must be >= 0, got {sigma_k}")
 
     clipped = embed(fmap, dataset.records)
     clip_features(clipped)  # in place: the embedding is the one (n, d) array

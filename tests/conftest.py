@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic block-structured Bernoulli mixture corpora,
-dense references for the factored RBM gradients, and DP-SGD step helpers."""
+dense references for the factored RBM gradients, DP-SGD step helpers and
+a zero-noise stream for noise-free oracles."""
 from __future__ import annotations
 
 import numpy as np
@@ -97,3 +98,26 @@ def privacy_claim() -> dict:
                             t_sgd=4, delta=0.01)
     epsilon, argmin_lambda = epsilon_for_delta(privacy)
     return {"privacy": privacy, "epsilon": epsilon, "argmin_lambda": argmin_lambda}
+
+
+class ZeroNoise:
+    """A noise stream whose releases add nothing: the test double of zero noise.
+
+    No noise scale of 0 is accepted anywhere in dpmix, so a noise-free
+    oracle passes a positive one and this double as the noise ``rng``.
+    ``normal`` draws from the wrapped Generator exactly as a real release
+    would, so the stream stays where it would be, then returns zeros of
+    the drawn shape.  With ``size``, only draws of that many values (a
+    clip-bound vote over ``size`` bins, say) are zeroed; the others are
+    returned as drawn.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int | None = None):
+        self.rng = rng
+        self.size = size
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        drawn = self.rng.normal(loc, scale, size)
+        if self.size is not None and np.size(drawn) != self.size:
+            return drawn
+        return np.zeros(np.shape(drawn))

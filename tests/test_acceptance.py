@@ -19,6 +19,7 @@ from conftest import (
     labelled_mixture_corpus,
     mixture_corpus,
     step_config,
+    ZeroNoise,
 )
 from dpmix import rbm
 from dpmix.accountant import (
@@ -159,8 +160,8 @@ def test_criterion_07_noise_free_degeneracies():
     clipped = clip_features(embed(fmap, data.records))
     init = np.vstack([clipped[0], clipped[1]])
     result = dp_kernel_kmeans(
-        data, fmap, k=2, iterations=8, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
+        data, fmap, k=2, iterations=8, sigma_k=1.0,
+        rng=ZeroNoise(np.random.default_rng(0)), init=init, init_rng=np.random.default_rng(1),
     )
     centers = init.copy()
     for _ in range(8):
@@ -175,7 +176,7 @@ def test_criterion_07_noise_free_degeneracies():
     # (b) zero-noise step equals plain gradient descent on a quadratic
     n, p = 20, 4
     targets = np.random.default_rng(5).normal(0, 0.004, size=(n, p))
-    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.25)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=n, eta=0.25)
     theta = np.full(p, 0.01)
     ok_b = True
     for _ in range(4):
@@ -184,7 +185,7 @@ def test_criterion_07_noise_free_degeneracies():
         new_theta, _ = dp_sgd_step(
             theta, grad_fn, np.arange(n), cfg,
             sample_rng=np.random.default_rng(0),
-            noise_rng=np.random.default_rng(0),
+            noise_rng=ZeroNoise(np.random.default_rng(0)),
         )
         want = theta - 0.25 * (theta - targets.mean(axis=0))
         ok_b = ok_b and bool(np.max(np.abs(new_theta - want)) <= 1e-12)
@@ -197,7 +198,7 @@ def test_criterion_07_noise_free_degeneracies():
     for _ in range(50):
         vecs = rng.uniform(0, 9.5, size=(int(rng.integers(1, 60)), 4))
         norms = np.linalg.norm(vecs, axis=1)
-        got = dp_norm(norms, 0.0, c_max=10.0, bins=100, rng=rng)
+        got = dp_norm(norms, 1.0, c_max=10.0, bins=100, rng=ZeroNoise(rng))
         idx = np.searchsorted(edges, norms, side="left")
         idx[norms == 0.0] = 1
         idx = idx[idx <= 100]

@@ -1,6 +1,7 @@
 """Moments accountant: closed forms, the series against oracles, composition, epsilon search."""
 import math
 import os
+import re
 import time
 from dataclasses import replace
 from functools import lru_cache
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
+from conftest import DenseGradients, step_config
 from dpmix import accountant
 from dpmix.accountant import (
     DEFAULT_LAMBDA_MAX,
@@ -24,7 +26,12 @@ from dpmix.accountant import (
     sgd_step_alpha,
 )
 from dpmix.cli import main
+from dpmix.data import make_dataset
+from dpmix.dpnorm import dp_norm
+from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import NumericsError
+from dpmix.kmeans import dp_kernel_kmeans
+from dpmix.rff import feature_map_from_seed
 
 # Monte Carlo oracle for log max(E1, E2) at q=0.01, lam=8, sigma=4,
 # computed from 4e7 direct draws per integral (seed 20250814) before the
@@ -137,10 +144,12 @@ class TestSubsampledQuadrature:
     def test_non_finite_order_or_noise_rejected_up_front(self, lam, sigma):
         # Before the check NaN ran all ten refinement levels (about 1 s)
         # and ended in NumericsError, and alpha_gaussian returned nan.
+        refusal = ("sigma must be finite and > 0" if sigma != 1.0
+                   else "lambda must be finite and positive")
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="must be finite and positive"):
+        with pytest.raises(ValueError, match=refusal):
             alpha_subsampled_gaussian(lam, sigma, 0.01)
-        with pytest.raises(ValueError, match="must be finite and positive"):
+        with pytest.raises(ValueError, match=refusal):
             alpha_gaussian(lam, sigma)
         assert time.perf_counter() - start < 0.1
 
@@ -559,6 +568,45 @@ class TestWorkerProcesses:
     def test_zero_workers_rejected(self, capsys):
         assert main(_accountant_args(_PLAN_CFG, 1) + ["--workers", "0"]) == 2
         assert capsys.readouterr().err == "usage error: unrecognized arguments: --workers 0\n"
+
+
+def _release_at(sigma):
+    return accountant.gaussian_release(np.ones(3), sigma, 1.0, np.random.default_rng(0))
+
+
+def _vote_at(sigma):
+    return dp_norm(np.ones(4), sigma, c_max=10.0, bins=10, rng=np.random.default_rng(0))
+
+
+def _cluster_at(sigma):
+    data = make_dataset(np.eye(4, dtype=np.uint8))
+    fmap = feature_map_from_seed(m=4, d=6, gamma=1.0, seed=0)
+    return dp_kernel_kmeans(data, fmap, 2, 1, sigma, np.random.default_rng(0),
+                            init_rng=np.random.default_rng(1))
+
+
+def _sgd_step_at(sigma):
+    def grad_fn(rows):
+        return DenseGradients(np.ones((len(rows), 2)))
+
+    cfg = step_config(sigma_c=1.0, sigma_g=sigma, batch_size=4, eta=0.1)
+    return dp_sgd_step(np.zeros(2), grad_fn, np.arange(4), cfg,
+                       np.random.default_rng(0), np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("run,name", [
+    (_release_at, "sigma"),
+    (_vote_at, "sigma"),
+    (_cluster_at, "sigma"),
+    (_sgd_step_at, "sigma_g"),
+    (lambda sigma: _cfg(sigma_k=sigma), "sigma_k"),
+])
+def test_every_release_refuses_a_noise_scale_with_one_message(run, name, sigma):
+    # no release goes out without noise, and the refusal reads the same everywhere
+    message = f"{name} must be finite and > 0, got {sigma}; zero noise has no finite epsilon"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(sigma)
 
 
 class TestPrivacyConfigValidation:

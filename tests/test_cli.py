@@ -56,6 +56,17 @@ def test_missing_required_option(capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_command_variants_of_shared_options(capsys):
+    # generate requires --output, which the other commands take optionally;
+    # accountant needs at least one epoch, where train allows none
+    assert main(["generate", "--model", "m.json", "--count", "1"]) == 2
+    assert capsys.readouterr().err == "usage error: missing required option --output\n"
+    assert main(["generate", "--help"]) == 0
+    assert "write the synthetic records here (required)" in capsys.readouterr().out
+    assert main(ACCT_ARGS + ["--epochs", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: --epochs must be >= 1\n"
+
+
 @pytest.mark.parametrize("flag,minimum", [("--seed", 0), ("--workers", 1)])
 def test_negative_seed_or_workers_is_usage_error(capsys, flag, minimum):
     assert main(["generate", "--model", "m.json", "--count", "1", "--output", "out.txt",
@@ -315,11 +326,14 @@ def test_cluster_rejects_zero_sigma(tmp_path, corpus_files, capsys):
     for value in ("0", "-1"):
         assert main(base + ["--data", missing, "--sigma-k", value]) == 2
         err = capsys.readouterr().err
-        assert err == f"usage error: --sigma-k must be > 0, got {float(value)}\n"
+        assert err == (f"usage error: sigma_k must be finite and > 0, got {float(value)}; "
+                       "zero noise has no finite epsilon\n")
     cfg = tmp_path / "zero.json"
     cfg.write_text('{"sigma_k": 0}')
     assert main(base + ["--data", missing, "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "usage error: --sigma-k must be > 0, got 0\n"
+    assert capsys.readouterr().err == (
+        "usage error: sigma_k must be finite and > 0, got 0; zero noise has no finite epsilon\n"
+    )
     # cluster ignores --sigma-c, so a zero there is no error
     assert main(base + ["--data", data_path, "--sigma-k", "10", "--sigma-c", "0"]) == 0
 
@@ -1154,9 +1168,34 @@ def test_train_rejects_zero_sigma(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     for name in ("sigma_c", "sigma_k", "sigma_g"):
         assert main(_train_args(missing, tmp_path / "model.json", **{name: 0})) == 2
-        flag = "--" + name.replace("_", "-")
-        assert capsys.readouterr().err == f"usage error: {flag} must be > 0, got 0.0\n"
+        assert capsys.readouterr().err == (
+            f"usage error: {name} must be finite and > 0, got 0.0; zero noise has no finite"
+            " epsilon\n"
+        )
+    # the centers file is input too: it is read only after the options are checked
+    centers = tmp_path / "centers.csv"
+    args = _train_args(missing, tmp_path / "model.json", sigma_g=0, init_centers=centers)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("usage error: sigma_g must be finite and > 0")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_noise_gets_one_line_from_every_command(tmp_path, capsys):
+    # one rule, in the accountant, so the three commands that read a noise
+    # scale refuse the same value with the same line
+    missing = str(tmp_path / "missing.txt")
+    runs = [
+        ACCT_ARGS + ["--epochs", "1", "--sigma-k", "0"],
+        ["cluster", "--data", missing, "--k", "2", "--sigma-k", "0"],
+        _train_args(missing, tmp_path / "model.json", sigma_k=0),
+    ]
+    errors = []
+    for args in runs:
+        assert main(args) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [
+        "usage error: sigma_k must be finite and > 0, got 0.0; zero noise has no finite epsilon\n"
+    ] * 3
 
 
 def test_generate_refuses_a_model_without_a_privacy_claim(tmp_path, trained_model, capsys):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import ZeroNoise
 from dpmix.dpnorm import clip_scales, dp_norm, norm_histogram
 
 
@@ -44,14 +45,14 @@ def test_boundary_falls_in_lower_bin():
 
 
 def test_noiseless_choice_examples():
-    # three worked cases with sigma_c = 0: answer is the modal bin's edge
-    rng = np.random.default_rng(0)
+    # three worked cases without noise: answer is the modal bin's edge
+    rng = ZeroNoise(np.random.default_rng(0))
     a = np.array([0.55, 0.52, 0.58, 1.7])
-    assert dp_norm(a, 0.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(0.6)
+    assert dp_norm(a, 1.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(0.6)
     b = np.array([2.31, 2.33, 0.4])
-    assert dp_norm(b, 0.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(2.4)
+    assert dp_norm(b, 1.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(2.4)
     c = np.zeros(5)
-    assert dp_norm(c, 0.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(0.1)
+    assert dp_norm(c, 1.0, c_max=10.0, bins=100, rng=rng) == pytest.approx(0.1)
 
 
 def test_noiseless_matches_independent_histogram():
@@ -63,7 +64,7 @@ def test_noiseless_matches_independent_histogram():
         n = int(rng.integers(1, 40))
         vecs = rng.uniform(0, 9.9, size=(n, 3))
         norms = np.linalg.norm(vecs, axis=1)
-        got = dp_norm(norms, 0.0, c_max=10.0, bins=100, rng=rng)
+        got = dp_norm(norms, 1.0, c_max=10.0, bins=100, rng=ZeroNoise(rng))
         idx = np.searchsorted(edges, norms, side="left")
         idx[norms == 0.0] = 1
         idx = idx[idx <= 100]  # norms above the cap carry no vote

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import DenseGradients, dense_positive_statistics, step_config
+from conftest import DenseGradients, ZeroNoise, dense_positive_statistics, step_config
 from dpmix import rbm
 from dpmix.data import sample_batch
 from dpmix.dpnorm import clip_scales, dp_norm
@@ -47,14 +47,14 @@ def test_config_validation():
 
 
 def test_zero_noise_full_batch_equals_plain_gradient_descent():
-    # sigma = 0, q = 1, norms below every edge: the step reduces to exact
+    # no noise, q = 1, norms below every edge: the step reduces to exact
     # mean-gradient descent on a quadratic, checked against the closed form
     n, p = 16, 3
     rng = np.random.default_rng(6)
     # keep every gradient norm below the first histogram edge (0.1) so the
     # adaptive bound never bites and the update is the exact mean gradient
     targets = rng.normal(0, 0.003, size=(n, p))
-    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=n, eta=0.3)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=n, eta=0.3)
 
     theta = np.full(p, 0.01)
 
@@ -65,7 +65,7 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
         new_theta, info = dp_sgd_step(
             theta, grad_fn, np.arange(n), cfg,
             sample_rng=np.random.default_rng(0),
-            noise_rng=np.random.default_rng(0),
+            noise_rng=ZeroNoise(np.random.default_rng(0)),
         )
         want = theta - cfg.eta * (theta - targets.mean(axis=0))
         assert_allclose(new_theta, want, atol=1e-12)
@@ -115,15 +115,16 @@ def test_clip_bound_matches_standalone_selection():
 
 def test_noise_is_centered_and_scaled():
     # eta = 1, zero gradients: the update is -noise / L with per-coordinate
-    # std sqrt(2) sigma_g c_s / L; check mean and std over many trials
+    # std sqrt(2) sigma_g c_s / L; check mean and std over many trials.
+    # The clip-bound vote over cfg.bins counts is noise-free, the release is not.
     sigma_g, L = 2.0, 8
-    cfg = step_config(sigma_c=0.0, sigma_g=sigma_g, batch_size=L, eta=1.0)
+    cfg = step_config(sigma_c=1.0, sigma_g=sigma_g, batch_size=L, eta=1.0)
     theta = np.zeros(4)
 
     def grad_fn(rows):
         return DenseGradients(np.zeros((len(rows), 4)))
 
-    noise_rng = np.random.default_rng(2024)
+    noise_rng = ZeroNoise(np.random.default_rng(2024), size=cfg.bins)
     draws = []
     for _ in range(4000):
         new_theta, info = dp_sgd_step(
@@ -149,10 +150,11 @@ def test_divisor_is_expected_batch_size_not_realized():
         return DenseGradients(np.tile([1.0, 0.0], (len(rows), 1)))
 
     for L in (40, 80):
-        cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=L, eta=1.0)
+        cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=L, eta=1.0)
         new_theta, info = dp_sgd_step(
             theta, grad_fn, np.arange(n), cfg,
-            sample_rng=np.random.default_rng(21), noise_rng=np.random.default_rng(0),
+            sample_rng=np.random.default_rng(21),
+            noise_rng=ZeroNoise(np.random.default_rng(0)),
         )
         # same sampling seed, same q? no: q = L/n differs, so just check scale
         assert new_theta[0] == pytest.approx(-info.batch_size / L)
@@ -161,7 +163,7 @@ def test_divisor_is_expected_batch_size_not_realized():
 
 def test_empty_batch_releases_pure_noise_at_prev_clip():
     members = np.arange(50)
-    cfg = step_config(sigma_c=0.0, sigma_g=3.0, batch_size=1, eta=1.0)
+    cfg = step_config(sigma_c=1.0, sigma_g=3.0, batch_size=1, eta=1.0)
     theta = np.zeros(6)
 
     # find a seed whose Poisson draw at q = 1/50 selects nobody
@@ -227,7 +229,7 @@ def test_chain_states_do_not_depend_on_empty_batches():
 
 
 def test_oversized_batch_clamps_sampling_probability():
-    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=20, eta=0.5)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.5)
     theta = np.zeros(3)
     calls = []
 
@@ -266,9 +268,9 @@ def test_grad_fn_sees_only_members_in_increasing_order():
 
 
 def test_released_sum_respects_clip_bound():
-    # adversarial gradients with huge norms: with sigma_g = 0 the update
+    # adversarial gradients with huge norms: without noise the update
     # norm is capped by |S| * c_s / L regardless of raw magnitudes
-    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=30, eta=1.0)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=30, eta=1.0)
     theta = np.zeros(5)
     rng = np.random.default_rng(0)
     raw = rng.normal(0, 200.0, size=(30, 5))
@@ -278,7 +280,7 @@ def test_released_sum_respects_clip_bound():
 
     new_theta, info = dp_sgd_step(
         theta, grad_fn, np.arange(30), cfg,
-        sample_rng=np.random.default_rng(2), noise_rng=np.random.default_rng(3),
+        sample_rng=np.random.default_rng(2), noise_rng=ZeroNoise(np.random.default_rng(3)),
     )
     assert info.clipped_fraction == 1.0
     assert np.linalg.norm(new_theta) <= info.batch_size * info.clip_bound / 30 + 1e-9
@@ -286,7 +288,7 @@ def test_released_sum_respects_clip_bound():
 
 
 def test_gradient_shape_mismatch_is_rejected():
-    cfg = step_config(sigma_c=0.0, sigma_g=0.0, batch_size=6, eta=0.1)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=6, eta=0.1)
 
     def bad_fn(rows):
         return DenseGradients(np.zeros((len(rows), 7)))

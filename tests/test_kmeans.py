@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mixture_corpus
+from conftest import ZeroNoise, mixture_corpus
 from dpmix import kmeans
 from dpmix.data import make_dataset
 from dpmix.dpnorm import clip_scales
@@ -223,8 +223,8 @@ def test_zero_noise_reproduces_exact_lloyd():
     init = default_initial_centers(3, 24, np.random.default_rng(2))
 
     result = dp_kernel_kmeans(
-        data, fmap, k=3, iterations=6, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
+        data, fmap, k=3, iterations=6, sigma_k=1.0,
+        rng=ZeroNoise(np.random.default_rng(0)), init=init, init_rng=np.random.default_rng(1),
     )
     want_centers, want_assign = _lloyd_reference(clipped, init, 6)
     assert_allclose(result.noisy_centers, want_centers, atol=1e-12)
@@ -240,8 +240,8 @@ def test_single_cluster_center_is_clipped_mean():
     data = mixture_corpus(80, 10, 2, rng)
     fmap = feature_map_from_seed(m=10, d=16, gamma=0.5, seed=9)
     result = dp_kernel_kmeans(
-        data, fmap, k=1, iterations=3, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=np.zeros((1, 16)),
+        data, fmap, k=1, iterations=3, sigma_k=1.0,
+        rng=ZeroNoise(np.random.default_rng(0)), init=np.zeros((1, 16)),
         init_rng=np.random.default_rng(1),
     )
     clipped = clip_features(embed(fmap, data.records))
@@ -274,8 +274,8 @@ def test_noiseless_objective_never_increases():
     objectives = []
     for t in range(1, 7):
         out = dp_kernel_kmeans(
-            data, fmap, k=3, iterations=t, sigma_k=0.0,
-            rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
+            data, fmap, k=3, iterations=t, sigma_k=1.0,
+            rng=ZeroNoise(np.random.default_rng(0)), init=init, init_rng=np.random.default_rng(1),
         )
         d2 = ((clipped[:, None, :] - out.noisy_centers[None, :, :]) ** 2).sum(axis=2)
         objectives.append(d2.min(axis=1).sum())
@@ -289,8 +289,8 @@ def test_empty_cluster_keeps_center_when_noiseless():
     far = np.full(6, 50.0)
     init = np.vstack([np.zeros(6), far])
     out = dp_kernel_kmeans(
-        data, fmap, k=2, iterations=3, sigma_k=0.0,
-        rng=np.random.default_rng(0), init=init, init_rng=np.random.default_rng(1),
+        data, fmap, k=2, iterations=3, sigma_k=1.0,
+        rng=ZeroNoise(np.random.default_rng(0)), init=init, init_rng=np.random.default_rng(1),
     )
     assert_allclose(out.noisy_centers[1], far)
     assert np.all(out.assignments == 0)
@@ -372,5 +372,5 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=1, iterations=1, sigma_k=-2.0, **fixed)
     with pytest.raises(ValueError):
-        dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_k=0.0, init=np.zeros((2, 3)),
+        dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_k=1.0, init=np.zeros((2, 3)),
                          **fixed)

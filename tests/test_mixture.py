@@ -181,7 +181,7 @@ def test_step_selection_tracks_true_cluster_sizes():
 @pytest.mark.parametrize("name", ["sigma_c", "sigma_k", "sigma_g"])
 def test_zero_noise_is_refused_before_clustering(monkeypatch, name):
     # zero noise has no finite epsilon, so no model could carry a claim;
-    # TrainConfig accepts 0 for dp_sgd_step's noise-free tests, train does not
+    # TrainConfig refuses it, so train never reaches clustering
     def clustering_ran(*args, **kwargs):
         raise AssertionError("clustering ran")
 
