@@ -81,10 +81,13 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def check_noise_scale(name: str, sigma: float) -> None:
-    """The rule for every noise scale: finite and > 0.  ConfigError naming ``name`` otherwise."""
+    """The rule for every noise scale: finite and > 0 (ConfigError naming ``name``
+    otherwise), with a square that does not overflow (NumericsError otherwise)."""
     if not 0 < sigma < math.inf:  # NaN fails too
         raise ConfigError(f"{name} must be finite and > 0, got {sigma}; zero noise has no"
                           " finite epsilon")
+    if sigma * sigma == math.inf:  # every charge divides by sigma^2
+        raise NumericsError(f"{name} = {sigma!r} is too large: its square overflows")
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,7 @@ class PrivacyConfig:
 
     def __post_init__(self):
         for name in ("sigma_c", "sigma_k", "sigma_g"):
-            sigma = getattr(self, name)
-            check_noise_scale(name, sigma)
-            if sigma * sigma == math.inf:  # every charge divides by sigma^2
-                raise NumericsError(f"{name} = {sigma!r} is too large: its square overflows")
+            check_noise_scale(name, getattr(self, name))
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
         if self.t_kmeans < 0 or self.t_sgd < 0:

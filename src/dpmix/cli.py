@@ -7,8 +7,8 @@ run can be reproduced from any of its outputs, on a host with the same
 BLAS thread count (ROADMAP item 6).  Exit codes: 0 success, 2 usage or
 configuration error (a ValueError, ConfigError included, by which a
 library refused an argument), 3 data error (DataError or OSError), 4
-numerical error (NumericsError or ArithmeticError).  ``main`` alone maps
-an exception to its code, and prints it as one line on stderr.
+numerical error (an ArithmeticError, NumericsError included).  ``main``
+alone maps an exception to its code, and prints it as one line on stderr.
 Each command imports the modules that only it runs, so ``accountant``
 starts without the clustering and training stack.
 """
@@ -35,7 +35,7 @@ from .data import (
     load_records,
     write_records,
 )
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError
 from .evaluation import clustering_accuracy, evaluate_workload, generate_workload
 
 REQUIRED = MISSING  # the dataclass marker for "no default"
@@ -48,7 +48,7 @@ class Option:
     ``kind`` is int, float, str (a file path) or a tuple of the allowed
     strings.  It sets the flag's parser and the JSON type that a
     config-file value must have.  ``least`` is the smallest value allowed,
-    set only where no library object checks the option itself.
+    set where the check must run before any input is read.
     """
 
     kind: type | tuple[str, ...]
@@ -97,7 +97,7 @@ _OPTIONS = {
         sigma_c=Option(float, help="noise of the clip-bound histogram votes"),
         sigma_k=Option(float, help="noise of the k-means counts and sums"),
         sigma_g=Option(float, help="noise of the clipped gradient sums"),
-        t_kmeans=Option(int, help="k-means iterations"),
+        t_kmeans=Option(int, help="k-means iterations", least=1),
         d=Option(int, help="random Fourier feature width"),
         gamma=Option(float, help="RBF kernel width"),
         n_hidden=Option(int, help="hidden units per RBM"),
@@ -403,8 +403,6 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
         mix = load_model(opts["model"])
     except FileNotFoundError:
         raise DataError(f"model not found: {opts['model']}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model file {opts['model']}: {exc}")
     synth = generate(
         mix,
         opts["count"],
@@ -478,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 2, f"usage error: {exc}"
     except (DataError, OSError) as exc:
         code, message = 3, f"data error: {exc}"
-    except (NumericsError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NumericsError is one
         code, message = 4, f"numerical error: {exc}"
     out.discard_all()
     print(message, file=sys.stderr)

@@ -5,8 +5,8 @@ class DataError(Exception):
     """Malformed or invalid dataset input."""
 
 
-class NumericsError(Exception):
-    """A numerical routine gave no finite result or did not reach its accuracy target."""
+class NumericsError(ArithmeticError):
+    """No finite result, or an accuracy target missed: an arithmetic failure, as ArithmeticError is."""
 
 
 class ConfigError(ValueError):

@@ -306,31 +306,27 @@ def _encode_array(value) -> dict:
 
 
 def _decode_array(what: str, value) -> np.ndarray:
-    """A stored float array: a list of numbers (version 1) or an object
-    written by ``_encode_array`` (version 2).  DataError unless every
-    value is finite.  A version-2 array is a read-only view of the
-    decoded bytes, not a copy."""
-    if isinstance(value, list):
-        array = np.array(value, dtype=np.float64)
-    elif isinstance(value, dict):
-        dtype = value.get("dtype")
-        if dtype != "<f8":
-            raise DataError(f"malformed model: {what} has dtype {dtype!r}, expected '<f8'")
-        shape = value.get("shape")
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise DataError(f"malformed model: {what} has shape {shape!r}")
-        try:
-            raw = base64.b64decode(value.get("base64"), validate=True)
-        except (TypeError, ValueError):
-            raise DataError(f"malformed model: {what} does not hold valid base64") from None
-        if len(raw) != 8 * math.prod(shape):
-            raise DataError(
-                f"malformed model: {what} holds {len(raw)} bytes, "
-                f"expected 8 per value of shape {shape}"
-            )
-        array = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    else:
+    """A stored float array, an object written by ``_encode_array``, as a
+    read-only view of the decoded bytes, not a copy.  DataError unless
+    the object is well formed and every value is finite."""
+    if not isinstance(value, dict):
         raise DataError(f"malformed model: {what} is not an array")
+    dtype = value.get("dtype")
+    if dtype != "<f8":
+        raise DataError(f"malformed model: {what} has dtype {dtype!r}, expected '<f8'")
+    shape = value.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"malformed model: {what} has shape {shape!r}")
+    try:
+        raw = base64.b64decode(value.get("base64"), validate=True)
+    except (TypeError, ValueError):
+        raise DataError(f"malformed model: {what} does not hold valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError(
+            f"malformed model: {what} holds {len(raw)} bytes, "
+            f"expected 8 per value of shape {shape}"
+        )
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if not np.isfinite(array).all():
         raise DataError(f"malformed model: {what} holds a value that is not finite")
     return array
@@ -374,32 +370,29 @@ def _privacy_config(priv: dict) -> PrivacyConfig:
 
 
 def load_model(path) -> MixtureModel:
-    """Read a model written by save_model, in format version 1 or 2.
+    """Read a model written by save_model; format version 2 is the only one read.
 
-    Version 1 stored each float array as a list of decimals; released
-    models cannot be retrained without spending more privacy budget, so
-    those files still load, to the same bits.  DataError if a key is
-    missing or a value is outside its domain: the version, an array
-    (malformed, not finite or of the wrong shape), a negative mixture
-    weight, m, k, d, gamma, feature_map_seed, the type of a privacy-block
-    field, or the privacy block's epsilon and argmin_lambda.  Every model
-    carries a privacy block with a finite epsilon, so the zero-noise
-    block of earlier versions, a null epsilon without PrivacyConfig's
-    fields, is refused as a missing key.  The epsilon is recomputed from
-    the privacy block, and DataError if the stored one is lower by more
-    than 1e-9 relative.
+    A version-1 file is refused: its privacy claim predates the checks
+    made here, and some predate the k-means fix for empty clusters,
+    which no check of the file can see.  DataError for any malformed
+    file: not JSON, a missing key, or a value of the wrong type or
+    outside its domain (the version, an array that is malformed, not
+    finite or of the wrong shape, a negative mixture weight, m, k, d,
+    gamma, feature_map_seed, a privacy-block field, epsilon or
+    argmin_lambda).  So the zero-noise block of earlier versions, a null
+    epsilon without PrivacyConfig's fields, is refused as a missing key.
+    The epsilon is recomputed from the privacy block: DataError if the
+    stored one is lower by more than 1e-9 relative, NumericsError if
+    the block gives no finite epsilon.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise DataError("malformed model: the file does not hold a JSON object")
-    version = payload.get("version")
-    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
-        raise DataError(f"unsupported model format version {version!r}")
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         mix = _model_from_payload(payload)
     except KeyError as exc:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # bad JSON or UTF-8, a wrong type, or PrivacyConfig
+        raise DataError(f"malformed model file {path}: {exc}") from None
     del payload  # the accountant's temporaries reuse the memory of the file's text
     # the slack admits epsilons stored by earlier versions of the accountant
     recomputed, _ = epsilon_for_delta(mix.privacy)
@@ -424,7 +417,15 @@ def _decode_rbm(what: str, entry: dict, m: int) -> rbm.RbmModel:
     return rbm.RbmModel(weights=w, visible_bias=b, hidden_bias=c)
 
 
-def _model_from_payload(payload: dict) -> MixtureModel:
+def _model_from_payload(payload) -> MixtureModel:
+    if not isinstance(payload, dict):
+        raise DataError("malformed model: the file does not hold a JSON object")
+    version = payload.get("version")
+    if version == 1 and type(version) is int:
+        raise DataError("model format version 1 is no longer read: its privacy claim predates "
+                        "the checks that load_model makes")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise DataError(f"unsupported model format version {version!r}")
     m, k, d = (_positive_int(payload, name) for name in ("m", "k", "d"))
     if len(payload["models"]) != k:
         raise DataError(f"malformed model: {len(payload['models'])} RBMs for k = {k}")

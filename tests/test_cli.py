@@ -760,17 +760,19 @@ _ONE_RECORD_TRAIN = ["train", "--data", "ONE", "--k", "1", "--epochs", "1", "--b
      "numerical error: sigma_k = 1e+200 is too large: its square overflows\n"),
     (_ONE_RECORD_TRAIN + ["--sigma-k", "1e-200", "--delta", "0.5"], {}, 4,
      "numerical error: epsilon is not finite for this configuration"),
+    (["cluster", "--data", "MISSING", "--k", "3", "--sigma-k", "1e200"], {}, 4,
+     "numerical error: sigma_k = 1e+200 is too large: its square overflows\n"),
     (ACCT_ARGS + ["--epochs", "1", "--q", "2"], {"DPMIX_LOG": "foo"}, 2,
      "usage error: q must be in [0, 1], got 2.0"),
 ], ids=["accountant-sigma-k-huge", "accountant-sigma-c-huge", "accountant-sigma-g-huge",
         "accountant-q-subnormal", "accountant-sigma-k-tiny",
         "accountant-sigma-g-tiny", "accountant-sigma-c-tiny", "config-not-utf8",
         "train-one-record-default-delta", "train-sigma-k-huge", "train-sigma-k-tiny",
-        "unread-DPMIX_LOG"])
+        "cluster-sigma-k-huge", "unread-DPMIX_LOG"])
 def test_every_failure_is_one_line_with_its_exit_code(tmp_path, argv, env, code, message):
     # numpy warnings on stderr would add lines; a traceback would exit 1
     files = {"CONFIG": tmp_path / "cfg.json", "ONE": tmp_path / "one.txt",
-             "MODEL": tmp_path / "model.json"}
+             "MODEL": tmp_path / "model.json", "MISSING": tmp_path / "missing.txt"}
     files["CONFIG"].write_bytes(b'{"q": 0.01, "epochs": 1\xff}')
     files["ONE"].write_text("m=3\n0 1\n")
     run = _python(_RUN_CLI, *(str(files.get(arg, arg)) for arg in argv), env=env)
@@ -818,10 +820,9 @@ def _array_slots(payload):
                 yield entry, key
 
 
-def _as_version_1(payload):
-    """A copy of a version-2 model payload with every array as a list."""
+def _as_lists(payload):
+    """A copy of a model payload with every array as a list, for a corruption to edit."""
     copy = json.loads(json.dumps(payload))
-    copy["version"] = 1
     for holder, key in _array_slots(copy):
         value = holder[key]
         raw = base64.b64decode(value["base64"])
@@ -829,17 +830,15 @@ def _as_version_1(payload):
     return copy
 
 
-def _as_version_2(payload):
-    """Turn a version-1 model payload into version 2 in place."""
-    payload["version"] = 2
+def _encode_lists(payload):
+    """Re-encode the lists of an edited payload as version-2 arrays, in place."""
     for holder, key in _array_slots(payload):
         array = np.array(holder[key], dtype="<f8")
         holder[key] = {"dtype": "<f8", "shape": list(array.shape),
                        "base64": base64.b64encode(array.tobytes()).decode("ascii")}
-    return payload
 
 
-# Corruptions of a payload in the version-1 layout (arrays as lists).
+# Corruptions of a payload whose arrays are lists (see _as_lists).
 
 def _truncate_hidden_bias(payload):
     payload["models"][0]["hidden_bias"].pop()
@@ -1008,24 +1007,37 @@ ENCODING_CORRUPTIONS = [
 ]
 
 
-def _assert_generate_rejects(tmp_path, capsys, payload, message=None):
+# A version-1 file stored each array as a list.  It is refused by its
+# version, before any other field is read, whatever else it holds.
+VERSION_1_LINE = ("data error: model format version 1 is no longer read: its privacy claim "
+                  "predates the checks that load_model makes\n")
+
+
+def _assert_generate_rejects(tmp_path, capsys, payload, message=None,
+                             prefix="data error: malformed model"):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(payload))
     out = tmp_path / "synth.txt"
     rc = main(["generate", "--model", str(model_path), "--count", "5", "--output", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: malformed model")
+    assert err.startswith(prefix)
     assert len(err.strip().splitlines()) == 1
     assert message is None or message in err
     assert not out.exists()
 
 
+def test_generate_refuses_a_version_1_model(tmp_path, trained_model, capsys):
+    payload = {**_as_lists(trained_model), "version": 1}
+    _assert_generate_rejects(tmp_path, capsys, payload, prefix=VERSION_1_LINE)
+
+
 @pytest.mark.parametrize("corrupt", SHAPE_CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
 def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsys, corrupt):
-    payload = _as_version_1(trained_model)
+    # in the version-1 layout: the version line is the only error
+    payload = {**_as_lists(trained_model), "version": 1}
     corrupt(payload)
-    _assert_generate_rejects(tmp_path, capsys, payload)
+    _assert_generate_rejects(tmp_path, capsys, payload, prefix=VERSION_1_LINE)
 
 
 @pytest.mark.parametrize("version,corrupt", [
@@ -1037,25 +1049,15 @@ def test_generate_rejects_malformed_model(tmp_path, trained_model, capsys, versi
         payload = json.loads(json.dumps(trained_model))
         message = corrupt(payload)
     else:
-        payload = _as_version_1(trained_model)
+        payload = _as_lists(trained_model)
         message = corrupt(payload)
         if version == 2:
-            payload = _as_version_2(payload)
-    _assert_generate_rejects(tmp_path, capsys, payload, message)
-
-
-def test_generate_writes_the_same_records_from_version_1_and_2(tmp_path, trained_model):
-    outputs = []
-    for version, payload in ((1, _as_version_1(trained_model)), (2, trained_model)):
-        model_path = tmp_path / f"model-v{version}.json"
-        model_path.write_text(json.dumps(payload))
-        out = tmp_path / f"synth-v{version}.txt"
-        assert main([
-            "generate", "--model", str(model_path), "--count", "300", "--seed", "3",
-            "--output", str(out),
-        ]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+            _encode_lists(payload)
+    if version == 1:
+        payload["version"] = 1
+        _assert_generate_rejects(tmp_path, capsys, payload, prefix=VERSION_1_LINE)
+    else:
+        _assert_generate_rejects(tmp_path, capsys, payload, message)
 
 
 @pytest.mark.parametrize("sigma_k,message", [
@@ -1196,6 +1198,19 @@ def test_zero_noise_gets_one_line_from_every_command(tmp_path, capsys):
     assert errors == [
         "usage error: sigma_k must be finite and > 0, got 0.0; zero noise has no finite epsilon\n"
     ] * 3
+
+
+@pytest.mark.parametrize("command", ["accountant", "cluster", "train"])
+def test_t_kmeans_zero_is_refused_before_any_input_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.txt")
+    args = {
+        "accountant": ACCT_ARGS + ["--epochs", "1"],
+        "cluster": ["cluster", "--data", missing, "--k", "2", "--sigma-k", "10"],
+        "train": _train_args(missing, tmp_path / "model.json"),
+    }[command]
+    assert main(args + ["--t-kmeans", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: --t-kmeans must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_refuses_a_model_without_a_privacy_claim(tmp_path, trained_model, capsys):

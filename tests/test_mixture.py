@@ -380,25 +380,24 @@ def _struct_base64(array):
             "base64": base64.b64encode(raw).decode("ascii")}
 
 
-def _reference_model_json(mix, config_echo, version=1):
+def _reference_model_json(mix, config_echo):
     """The model file as json.dump(indent=1) writes it from a payload of
-    lists (version 1) or of struct-packed base64 objects (version 2)."""
-    encode = (lambda array: array.tolist()) if version == 1 else _struct_base64
+    struct-packed base64 objects."""
     privacy = {**asdict(mix.privacy), "epsilon": mix.epsilon, "argmin_lambda": mix.argmin_lambda}
     payload = {
-        "version": version,
+        "version": 2,
         "m": mix.m,
         "k": mix.k,
         "d": mix.feature_map.d,
         "gamma": mix.feature_map.gamma,
         "feature_map_seed": mix.feature_map.seed,
-        "centers": encode(mix.centers),
-        "weights": encode(mix.weights),
+        "centers": _struct_base64(mix.centers),
+        "weights": _struct_base64(mix.weights),
         "models": [
             {
-                "weights": encode(model.weights),
-                "visible_bias": encode(model.visible_bias),
-                "hidden_bias": encode(model.hidden_bias),
+                "weights": _struct_base64(model.weights),
+                "visible_bias": _struct_base64(model.visible_bias),
+                "hidden_bias": _struct_base64(model.hidden_bias),
             }
             for model in mix.models
         ],
@@ -441,16 +440,7 @@ def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
     mix = train(data, _tiny_config(**config), master_seed=11).mixture
     path = tmp_path / "model.json"
     save_model(mix, path, config_echo=echo)
-    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo, version=2)
-
-
-@pytest.mark.parametrize("config", [dict(k=2)], ids=["k2"])
-def test_version_1_file_loads_to_the_same_bits(tmp_path, config):
-    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
-    mix = train(data, _tiny_config(**config), master_seed=11).mixture
-    path = tmp_path / "v1.json"
-    path.write_text(_reference_model_json(mix, {"command": "train"}), encoding="utf-8")
-    _assert_same_model(load_model(path), mix)
+    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -539,7 +529,22 @@ def test_full_mode_models_charged_a_vote_per_iteration_still_load(tmp_path):
 
 def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
-    for version in (99, 0, None, True, 2.0, "2"):
+    for version in (99, 0, None, True, 1.0, 2.0, "2"):
         path.write_text(json.dumps({"version": version}))
         with pytest.raises(DataError, match="unsupported model format version"):
             load_model(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"version": 1, "m": 1, "k": 1, "d": 1, "weights": [1.0]}',
+     "model format version 1 is no longer read: its privacy claim predates the checks"),
+    ("{", "malformed model file .*: Expecting property name"),
+    ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": 5}',
+     "malformed model file .*: object of type 'int' has no len"),
+], ids=["version-1", "truncated-json", "models-not-a-list"])
+def test_load_raises_data_error_for_a_bad_file(tmp_path, text, message):
+    # a library caller gets the same DataError that generate reports
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{message}"):
+        load_model(path)

@@ -95,12 +95,12 @@ def test_only_file_readers_and_main_catch_value_error():
         "cli._load_init_centers",
         "cli._read_config",
         "cli.cmd_evaluate",  # evaluate_workload's dimension check of the two files
-        "cli.cmd_generate",  # load_model
         "cli.main",
         "data._parse_dense",
         "data._parse_sparse",
         "data.load_labels",
         "mixture._decode_array",
+        "mixture.load_model",
     ]
 
 
