@@ -3,12 +3,12 @@
 Subcommands: accountant, cluster, train, generate, evaluate.  Option
 precedence is command-line flag, then --config JSON file, then built-in
 default.  Every artifact embeds the fully resolved configuration, so a
-run can be reproduced from any of its outputs, on a host with the same
-BLAS thread count (ROADMAP item 6).  Exit codes: 0 success, 2 usage or
-configuration error (a ValueError, ConfigError included, by which a
-library refused an argument), 3 data error (DataError or OSError), 4
-numerical error (an ArithmeticError, NumericsError included).  ``main``
-alone maps an exception to its code, and prints it as one line on stderr.
+run can be reproduced from any of its outputs.  Exit codes: 0 success, 2
+usage or configuration error (a ValueError, ConfigError included, by
+which a library refused an argument), 3 data error (DataError or
+OSError), 4 numerical error (an ArithmeticError, NumericsError
+included), 5 out of memory (a MemoryError).  ``main`` alone maps an
+exception to its code, and prints it as one line on stderr.
 Each command imports the modules that only it runs, so ``accountant``
 starts without the clustering and training stack.
 """
@@ -66,8 +66,6 @@ def _with_train_defaults(**options: Option) -> dict[str, Option]:
 
 _OPTIONS = {
     "seed": Option(int, 0, "master seed", least=0),
-    "workers": Option(int, None, "sampling threads (default: the usable CPUs; "
-                      "same output for any count)", least=1),
     "data": Option(str, REQUIRED, "dataset file"),
     "format": Option(FORMATS, SPARSE_ITEMS, "dataset file format"),
     "threshold": Option(int, DEFAULT_BINARIZE_THRESHOLD, "dense-csv cells above this are 1"),
@@ -121,7 +119,7 @@ _COMMAND_OPTIONS = {
     "cluster": ("seed", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
                 "sigma_k", "init_centers", "output", "assignments_out"),
     "train": ("seed", *_DATA, *(f.name for f in fields(TrainConfig)), "model", "log"),
-    "generate": ("seed", "workers", "model", "count", "gibbs_steps", "output"),
+    "generate": ("seed", "model", "count", "gibbs_steps", "output"),
     "evaluate": ("seed", *_DATA, "synthetic", "queries", "max_l1", "semantics",
                  "labels", "assignments", "output", "csv"),
 }
@@ -408,7 +406,6 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
         opts["count"],
         child_rng(opts["seed"], "generation"),
         gibbs_steps=opts["gibbs_steps"],
-        workers=opts["workers"],
     )
     write_records(synth, opts["output"])
     out.mark(opts["output"])
@@ -478,10 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 3, f"data error: {exc}"
     except ArithmeticError as exc:  # NumericsError is one
         code, message = 4, f"numerical error: {exc}"
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        code, message = 5, "out of memory" + (f": {exc}" if str(exc) else "")
     out.discard_all()
     print(message, file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,7 +36,7 @@ from .streams import child_rng, child_seed
 
 MODEL_FORMAT_VERSION = 2
 # Rows per independently seeded sampling chunk.  Fixed, so the output
-# does not depend on how many workers sample the chunks.
+# does not depend on how many threads sample the chunks.
 GENERATION_CHUNK_ROWS = 1024
 
 
@@ -67,8 +67,10 @@ class StepLog:
     info: StepInfo
 
     def to_dict(self) -> dict:
+        """The step as a JSON object; an empty batch's NaN gradient norms become null."""
         d = {"step": self.step, "cluster": self.cluster}
-        d.update(asdict(self.info))
+        for key, value in asdict(self.info).items():
+            d[key] = None if isinstance(value, float) and math.isnan(value) else value
         return d
 
 
@@ -181,25 +183,19 @@ def generate(
     count: int,
     rng: np.random.Generator,
     gibbs_steps: int = DEFAULT_GENERATION_SWEEPS,
-    workers: int | None = None,
 ) -> BinaryDataset:
     """Sample ``count`` records; component choice follows the DP weights.
 
     Each component's rows are split into chunks of GENERATION_CHUNK_ROWS.
     Every chunk samples from its own child stream, spawned in chunk order
     from one seed drawn from ``rng`` after the component assignment, so
-    the output is the same for any worker count.  ``workers`` threads
-    sample the chunks (None: ``_usable_cpus()``, and never more threads
-    than chunks): the calling thread and ``workers - 1`` helpers, each
-    writing its chunks straight into the output rows.  Generated records
-    may be all-zero; consumers must tolerate that.
+    the output is the same for any thread count.  ``min(_usable_cpus(),
+    chunks)`` threads sample the chunks: the calling thread and the
+    helpers, each writing its chunks straight into the output rows.
+    Generated records may be all-zero; consumers must tolerate that.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     total = mixture.weights.sum()
     if total <= 0:
         raise DataError(
@@ -235,9 +231,8 @@ def generate(
 
     # The calling thread samples too: only its malloc arena can reuse the
     # memory that loading the model freed.
-    helpers = [
-        threading.Thread(target=sample_chunks) for _ in range(min(workers, len(chunks)) - 1)
-    ]
+    threads = min(_usable_cpus(), len(chunks))
+    helpers = [threading.Thread(target=sample_chunks) for _ in range(threads - 1)]
     for thread in helpers:
         thread.start()
     sample_chunks()
@@ -404,12 +399,16 @@ def load_model(path) -> MixtureModel:
     return mix
 
 
-def _decode_rbm(what: str, entry: dict, m: int) -> rbm.RbmModel:
+def _decode_rbm(what: str, entry, m: int) -> rbm.RbmModel:
     """One stored RBM; its decoded arrays are freed when the model has copied them."""
+    if not isinstance(entry, dict):
+        raise DataError(f"malformed model: {what} is not a JSON object")
     w, b, c = (
         _decode_array(f"{what}.{key}", entry[key])
         for key in ("weights", "visible_bias", "hidden_bias")
     )
+    if w.ndim != 2:
+        raise DataError(f"malformed model: {what}.weights has shape {w.shape}, expected 2 axes")
     n_hidden = len(w)
     _check_shape(f"{what}.weights", w, (n_hidden, m))
     _check_shape(f"{what}.visible_bias", b, (m,))
@@ -427,9 +426,12 @@ def _model_from_payload(payload) -> MixtureModel:
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     m, k, d = (_positive_int(payload, name) for name in ("m", "k", "d"))
-    if len(payload["models"]) != k:
-        raise DataError(f"malformed model: {len(payload['models'])} RBMs for k = {k}")
-    models = [_decode_rbm(f"models[{i}]", entry, m) for i, entry in enumerate(payload["models"])]
+    stored = payload["models"]
+    if not isinstance(stored, list):
+        raise DataError("malformed model: models is not a list")
+    if len(stored) != k:
+        raise DataError(f"malformed model: {len(stored)} RBMs for k = {k}")
+    models = [_decode_rbm(f"models[{i}]", entry, m) for i, entry in enumerate(stored)]
     weights = _decode_array("weights", payload["weights"])
     _check_shape("weights", weights, (k,))
     if (weights < 0).any():

@@ -14,7 +14,8 @@ import pytest
 
 import dpmix
 from conftest import labelled_mixture_corpus, mixture_corpus, privacy_claim
-from dpmix import accountant, cli, rbm
+from dpmix import accountant, cli, mixture, rbm
+from dpmix.__main__ import BLAS_THREAD_VARIABLES
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
 from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, load_model, save_model
@@ -67,18 +68,10 @@ def test_command_variants_of_shared_options(capsys):
     assert capsys.readouterr().err == "usage error: --epochs must be >= 1\n"
 
 
-@pytest.mark.parametrize("flag,minimum", [("--seed", 0), ("--workers", 1)])
-def test_negative_seed_or_workers_is_usage_error(capsys, flag, minimum):
+def test_negative_seed_is_usage_error(capsys):
     assert main(["generate", "--model", "m.json", "--count", "1", "--output", "out.txt",
-                 flag, "-1"]) == 2
-    assert capsys.readouterr().err == f"usage error: {flag} must be >= {minimum}\n"
-
-
-def test_zero_workers_is_usage_error(capsys):
-    # null, the default, means every usable CPU; 0 is refused
-    assert main(["generate", "--model", "m.json", "--count", "1", "--output", "out.txt",
-                 "--workers", "0"]) == 2
-    assert capsys.readouterr().err == "usage error: --workers must be >= 1\n"
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "usage error: --seed must be >= 0\n"
 
 
 def test_accountant_schedule_csv(capsys):
@@ -216,15 +209,17 @@ def test_removed_options_are_refused(tmp_path, capsys, command):
     ("train", ["--workers", "1"]),
     ("cluster", ["--workers", "1"]),
     ("evaluate", ["--workers", "1"]),
+    ("generate", ["--workers", "1"]),
     ("cluster", ["--c-max", "2"]),
     ("cluster", ["--bins", "5"]),
 ], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe",
         "cluster-unsafe", "train-unsafe", "accountant-workers", "train-workers",
-        "cluster-workers", "evaluate-workers", "cluster-c_max", "cluster-bins"])
+        "cluster-workers", "evaluate-workers", "generate-workers", "cluster-c_max",
+        "cluster-bins"])
 def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
     # the accountant draws nothing at random; every model carries a privacy
-    # claim, so no command runs without noise; only generate runs threads;
-    # only DP-SGD votes on a clip bound
+    # claim, so no command runs without noise; generate works out its own
+    # thread count; only DP-SGD votes on a clip bound
     key = flag[0][2:].replace("-", "_")
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: True if len(flag) == 1 else 1}))
@@ -569,6 +564,27 @@ def test_train_generate_evaluate_pipeline(tmp_path, corpus_files, capsys):
     assert len(csv_lines) == 6
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_train_log_is_valid_json_when_a_batch_is_empty(tmp_path, capsys):
+    # at batch size 2 about one Poisson batch in eight is empty, and its
+    # gradient norms, which have no value, are logged as null
+    data_path, model_path, log_path = (tmp_path / n for n in ("records.txt", "m.json", "log"))
+    write_records(mixture_corpus(400, 30, 3, np.random.default_rng(7)), data_path)
+    assert main(_train_args(str(data_path), model_path, batch_size=2, log=log_path)) == 0
+    capsys.readouterr()
+    steps = [json.loads(line, parse_constant=_refuse_constant)
+             for line in log_path.read_text().splitlines()]
+    assert len(steps) == 200  # one epoch at q = 2/400
+    empty = [step for step in steps if step["batch_size"] == 0]
+    assert empty and all(step["grad_norm_mean"] is step["grad_norm_max"] is None
+                         for step in empty)
+    assert all(step["grad_norm_max"] >= step["grad_norm_mean"] > 0
+               for step in steps if step["batch_size"] > 0)
+
+
 def test_train_is_deterministic_per_seed(tmp_path, corpus_files, capsys):
     # the config echo embeds the model path, so reuse one path per seed
     _, data_path, _ = corpus_files
@@ -600,9 +616,10 @@ def test_generate_same_seed_reproduces_output(tmp_path, corpus_files, capsys):
     assert outs[0] == outs[1]
 
 
-def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
+def test_generate_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
     # three components, the last with zero weight; neither the count nor
-    # the component sizes are multiples of the chunk size
+    # the component sizes are multiples of the chunk size; generate samples
+    # on as many threads as it finds usable CPUs, at most one per chunk
     rng = np.random.default_rng(5)
     m, n_hidden = 12, 4
     models = [
@@ -619,18 +636,14 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     save_model(mix, model_path)
     count = 3 * GENERATION_CHUNK_ROWS + 321
-    config = tmp_path / "null-workers.json"
-    config.write_text('{"workers": null}')
     outs = []
-    for name, flags in [
-        ("default", []),
-        ("null", ["--config", str(config)]),
-        *((str(w), ["--workers", str(w)]) for w in (1, 2, 3, 7)),
-    ]:
-        path = tmp_path / f"synth-{name}.txt"
+    for cpus in ("default", 1, 2, 3, 8):
+        if cpus != "default":
+            monkeypatch.setattr(mixture, "_usable_cpus", lambda n=cpus: n)
+        path = tmp_path / f"synth-{cpus}.txt"
         assert main([
             "generate", "--model", str(model_path), "--count", str(count), "--gibbs-steps", "3",
-            "--output", str(path), "--seed", "9", *flags,
+            "--output", str(path), "--seed", "9",
         ]) == 0
         outs.append(path.read_bytes())
     capsys.readouterr()
@@ -638,16 +651,42 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys):
     assert all(out == outs[0] for out in outs)
 
 
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 46.6 TiB for an array"),
+     "out of memory: Unable to allocate 46.6 TiB for an array\n"),
+    (MemoryError(), "out of memory\n"),
+], ids=["numpy", "bare"])
+def test_generate_out_of_memory_is_one_line(tmp_path, trained_model, capsys, monkeypatch,
+                                            error, line):
+    # a stand-in for the allocation: a real one of this size may succeed
+    # where the host overcommits memory
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(mixture, "generate", out_of_memory)
+    model_path, out = tmp_path / "model.json", tmp_path / "synth.txt"
+    model_path.write_text(json.dumps(trained_model))
+    assert main(["generate", "--model", str(model_path), "--count", "1000000000000",
+                 "--output", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == line
+    assert captured.out == "" and not out.exists()
+
+
+def _checkout_env(env=None):
+    """This process's environment, with ``env`` added, that imports dpmix from this checkout."""
+    src = str(Path(dpmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, **(env or {}), PYTHONPATH=path)
+
+
 def _python(code, *args, env=None):
     """Run ``code`` in a fresh interpreter that imports dpmix from this checkout.
 
     ``env`` adds variables to the environment.
     """
-    src = str(Path(dpmix.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, **(env or {}), PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_checkout_env(env))
 
 
 def test_cli_import_loads_no_scipy():
@@ -696,6 +735,70 @@ def test_package_names_load_on_first_use():
     assert run.stdout.splitlines() == [
         "[]", "module 'dpmix' has no attribute 'no_such_name'"
     ]
+
+
+def test_entry_point_module_loads_no_numpy():
+    # numpy reads the BLAS thread variables when it loads, so the entry
+    # point must set them before anything imports numpy
+    run = _python("import sys, dpmix.__main__; print('numpy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def _env_without_blas_pins(**env):
+    """The checkout's environment with no BLAS thread variable but those in ``env``."""
+    base = {name: value for name, value in _checkout_env().items()
+            if name not in BLAS_THREAD_VARIABLES}
+    return {**base, **env}
+
+
+@pytest.mark.parametrize("env,expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OMP_NUM_THREADS": "3"}, [None, "3", None]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+], ids=["unset", "omp-set", "openblas-set"])
+def test_entry_point_pins_blas_unless_the_user_set_a_variable(env, expected):
+    code = (
+        "import os, sys\n"
+        "from dpmix.__main__ import BLAS_THREAD_VARIABLES, main\n"
+        "sys.argv[1:] = ['--version']\n"
+        "assert main() == 0\n"
+        "print([os.environ.get(name) for name in BLAS_THREAD_VARIABLES])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_env_without_blas_pins(**env))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == repr(expected)
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``python -m dpmix train`` writes the same model file whether or not
+    the user pins BLAS to one thread.
+
+    At m = 784 the float64 products of the embedding and of the RBM
+    statistics round differently on one OpenBLAS thread than on two, so
+    this fails where the entry point leaves BLAS its own thread count.
+    On a host with one usable CPU BLAS runs one thread either way, and
+    the test passes vacuously.
+    """
+    data, _ = labelled_mixture_corpus(400, 784, 3, np.random.default_rng(5))
+    data_path = tmp_path / "records.txt"
+    write_records(data, data_path)
+    models = []
+    for name, env in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        # the config echo holds the --model path, so both runs give the same relative one
+        run = subprocess.run(
+            [sys.executable, "-m", "dpmix", "train", "--data", str(data_path), "--k", "3",
+             "--d", "64", "--n-hidden", "32", "--batch-size", "40", "--epochs", "1",
+             "--sigma-c", "4", "--sigma-k", "40", "--sigma-g", "1", "--seed", "5",
+             "--model", "model.json"],
+            cwd=run_dir, capture_output=True, text=True, env=_env_without_blas_pins(**env),
+        )
+        assert run.returncode == 0, run.stderr
+        models.append((run_dir / "model.json").read_bytes())
+    assert models[0] == models[1]
 
 
 # A meta-path hook that makes every scipy import fail, as if scipy were absent.
@@ -1002,8 +1105,25 @@ def _scalar_weights(payload):
     payload["weights"] = 1.0
 
 
+def _scalar_rbm_weights(payload):
+    payload["models"][0]["weights"] = {"dtype": "<f8", "shape": [],
+                                       "base64": base64.b64encode(b"\0" * 8).decode("ascii")}
+    return "models[0].weights has shape (), expected 2 axes"
+
+
+def _int_rbm_entry(payload):
+    payload["models"][0] = 5
+    return "models[0] is not a JSON object"
+
+
+def _models_not_a_list(payload):
+    payload["models"] = {"0": payload["models"][0]}
+    return "models is not a list"
+
+
 ENCODING_CORRUPTIONS = [
     _bad_base64, _wrong_byte_count, _float32_dtype, _float_shape, _scalar_weights,
+    _scalar_rbm_weights, _int_rbm_entry, _models_not_a_list,
 ]
 
 

@@ -285,16 +285,18 @@ def test_generate_replays_from_chunk_streams():
     assert np.array_equal(out.records, expected)
 
 
-def test_generate_threads_share_chunks_without_losing_one():
+def test_generate_threads_share_chunks_without_losing_one(monkeypatch):
     # more threads than cores, switching as often as the interpreter can:
     # a chunk taken twice or never would change rows of the output
     mix = _random_mixture([1.0, 2.0, 1.0], m=4, n_hidden=2)
     count = 16 * GENERATION_CHUNK_ROWS + 5
-    want = generate(mix, count, np.random.default_rng(8), gibbs_steps=1, workers=1)
+    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 1)
+    want = generate(mix, count, np.random.default_rng(8), gibbs_steps=1)
+    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = generate(mix, count, np.random.default_rng(8), gibbs_steps=1, workers=8)
+        got = generate(mix, count, np.random.default_rng(8), gibbs_steps=1)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got.records, want.records)
@@ -312,10 +314,10 @@ def test_generate_raises_a_helper_threads_error(monkeypatch):
         return sample(*args)
 
     monkeypatch.setattr(rbm, "sample_batch", fail_on_third_chunk)
+    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk failed"):
-        generate(mix, 8 * GENERATION_CHUNK_ROWS, np.random.default_rng(1), gibbs_steps=1,
-                 workers=3)
+        generate(mix, 8 * GENERATION_CHUNK_ROWS, np.random.default_rng(1), gibbs_steps=1)
     assert threading.active_count() == before  # every helper was joined
 
 
@@ -325,8 +327,6 @@ def test_generate_rejects_degenerate_weights():
         generate(mix, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         generate(_saturated_mixture([1.0], biases=[0.0]), 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        generate(_saturated_mixture([1.0], biases=[0.0]), 5, np.random.default_rng(0), workers=0)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -540,8 +540,16 @@ def test_load_rejects_unknown_version(tmp_path):
      "model format version 1 is no longer read: its privacy claim predates the checks"),
     ("{", "malformed model file .*: Expecting property name"),
     ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": 5}',
-     "malformed model file .*: object of type 'int' has no len"),
-], ids=["version-1", "truncated-json", "models-not-a-list"])
+     "malformed model: models is not a list"),
+    ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": [5]}',
+     r"malformed model: models\[0\] is not a JSON object"),
+    ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": [{"weights": '
+     '{"dtype": "<f8", "shape": [], "base64": "AAAAAAAA8D8="}, "visible_bias": '
+     '{"dtype": "<f8", "shape": [0], "base64": ""}, "hidden_bias": '
+     '{"dtype": "<f8", "shape": [0], "base64": ""}}]}',
+     r"malformed model: models\[0\]\.weights has shape \(\), expected 2 axes"),
+], ids=["version-1", "truncated-json", "models-not-a-list", "rbm-not-an-object",
+        "scalar-rbm-weights"])
 def test_load_raises_data_error_for_a_bad_file(tmp_path, text, message):
     # a library caller gets the same DataError that generate reports
     path = tmp_path / "model.json"

@@ -13,8 +13,9 @@ from pathlib import Path
 import dpmix
 
 SRC = Path(dpmix.__file__).parent
-# Entry points: the lazy public names of the package and the console script.
-EXEMPT = {*(f"{module}.{name}" for name, module in dpmix._PUBLIC.items()), "cli.main"}
+# Entry points: the lazy public names of the package and the console script's
+# target, which pyproject.toml names as dpmix.__main__:main.
+EXEMPT = {*(f"{module}.{name}" for name, module in dpmix._PUBLIC.items()), "__main__.main"}
 
 
 def _referenced_names(node):
