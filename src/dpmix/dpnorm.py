@@ -27,15 +27,15 @@ def clip_scales(norms, c_s: float) -> np.ndarray:
 def norm_histogram(norms, c_max: float, bins: int) -> np.ndarray:
     """Bucket counts of the norms: counts[j-1] = #{C_{j-1} < norm <= C_j}.
 
-    Zero norms count in bucket 1; norms above c_max are dropped.
-    ValueError unless ``norms`` is a non-empty 1-D array of finite,
-    non-negative values.
+    Zero norms count in bucket 1; norms above c_max are dropped, and no
+    norms give all-zero counts.  ValueError unless ``norms`` is a 1-D
+    array of finite, non-negative values.
     """
     if c_max <= 0 or bins < 1:
         raise ValueError(f"need c_max > 0 and bins >= 1, got {c_max}, {bins}")
     norms = np.asarray(norms, dtype=np.float64)
-    if norms.ndim != 1 or norms.size == 0:
-        raise ValueError(f"need a non-empty 1-D array of norms, got shape {norms.shape}")
+    if norms.ndim != 1:
+        raise ValueError(f"need a 1-D array of norms, got shape {norms.shape}")
     if not (np.isfinite(norms) & (norms >= 0)).all():
         raise ValueError("norms must be finite and non-negative")
     edges = np.arange(bins + 1) * (c_max / bins)

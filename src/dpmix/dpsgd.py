@@ -3,8 +3,9 @@
 Each step Poisson-samples a batch of row ids from a cluster's members,
 asks the model for the per-example loss gradients of those dataset rows,
 selects a clip bound privately from the gradient norms of exactly that
-batch, clips, and releases the noisy sum divided by the constant
-expected batch size L (never the realized |S|, which would leak it).
+batch (an empty one included), clips, and releases the noisy sum
+divided by the constant expected batch size L (never the realized |S|,
+which would leak it).
 The update is plain descent: theta - eta * noisy_mean_gradient.
 Its options come from the validated TrainConfig, its gradients through
 the factored interface of rbm.FactoredGradients.
@@ -25,7 +26,7 @@ from .dpnorm import clip_scales, dp_norm
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Diagnostics of one step; clip_bound feeds the next empty-batch fallback."""
+    """Diagnostics of one step; an empty batch has NaN norm statistics and none clipped."""
 
     batch_size: int
     clip_bound: float
@@ -41,7 +42,6 @@ def dp_sgd_step(
     cfg: TrainConfig,
     sample_rng: np.random.Generator,
     noise_rng: np.random.Generator,
-    prev_clip: float | None = None,
 ) -> tuple[np.ndarray, StepInfo]:
     """Run one step against the cluster ``members`` (row ids); return (params, info).
 
@@ -52,19 +52,19 @@ def dp_sgd_step(
     scaled row sum, a P-vector).  The clip bound is voted on the norms
     alone, so no (|S|, P) matrix has to exist.  Of ``cfg`` the step reads
     sigma_c, sigma_g, batch_size (L, both sampling target and divisor),
-    eta, c_max and bins.  ``noise_rng`` draws ``bins`` normals for the
-    vote, then P for the released sum.
+    eta, c_max and bins.
 
     Each member is included with probability L / |members|, clamped to 1
     for clusters smaller than L.  That is above the q = L / |dataset| the
     accountant charges: 0.0150 against 0.005 at acceptance criterion 9.
     The ROADMAP item "Make DP-SGD run the mechanism the accountant
-    charges" tracks the fix.  ``grad_fn`` is called on every step, an
-    empty batch included, so a model's persistent chains advance the same
-    way whichever batches were empty.  An empty batch skips threshold
-    selection and releases a zero sum at the previous clip bound (c_max / 2
-    before any non-empty batch was seen), so every step makes one gradient
-    release.
+    charges" tracks the fix.  Every step, an empty batch included, runs
+    the one mechanism the accountant charges: the vote on the batch's
+    norms (an empty batch votes on all-zero counts), then the Gaussian
+    at the voted bound.  So ``noise_rng`` draws ``bins`` normals, then P,
+    on every step, and the step keeps no state between calls.
+    ``grad_fn`` is called on every step too, so a model's persistent
+    chains advance the same way whichever batches were empty.
     """
     if len(members) == 0:
         raise ValueError("cannot step against an empty cluster")
@@ -75,14 +75,13 @@ def dp_sgd_step(
     if tuple(grads.shape) != (len(batch), params.size):
         raise ValueError(f"grad_fn must return ({len(batch)}, {params.size}), got {grads.shape}")
 
-    if len(batch) == 0:
-        c_s = prev_clip if prev_clip is not None else cfg.c_max / 2.0
-        total, norm_stats = np.zeros_like(params), (math.nan, math.nan, 0.0)  # none clipped
-    else:
-        norms = grads.norms()
-        c_s = dp_norm(norms, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
-        total = grads.clipped_sum(clip_scales(norms, c_s))
-        norm_stats = (float(norms.mean()), float(norms.max()), float((norms > c_s).mean()))
+    norms = grads.norms()
+    c_s = dp_norm(norms, cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=noise_rng)
+    total = grads.clipped_sum(clip_scales(norms, c_s))
     released = gaussian_release(total, cfg.sigma_g, c_s, noise_rng)
     new_params = params - cfg.eta * released / cfg.batch_size
+    if len(batch) == 0:
+        norm_stats = (math.nan, math.nan, 0.0)  # no norms, none clipped
+    else:
+        norm_stats = (float(norms.mean()), float(norms.max()), float((norms > c_s).mean()))
     return new_params, StepInfo(len(batch), float(c_s), *norm_stats)

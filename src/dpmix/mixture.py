@@ -139,21 +139,13 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
             models[s], dataset.records[rows], chains[s], cfg.pcd_sweeps
         )
 
-    prev_clip: list[float | None] = [None] * cfg.k
     steps: list[StepLog] = []
     for t in range(t_sgd):
         s = int(selection_rng.choice(cfg.k, p=selection_probs))
         new_params, info = dp_sgd_step(
-            models[s].params,
-            grad_fn,
-            members[s],
-            cfg,
-            sample_rng,
-            noise_rng,
-            prev_clip=prev_clip[s],
+            models[s].params, grad_fn, members[s], cfg, sample_rng, noise_rng
         )
         models[s].params[:] = new_params
-        prev_clip[s] = info.clip_bound
         steps.append(StepLog(step=t, cluster=s, info=info))
 
     weights = np.clip(clustering.noisy_sizes, 0.0, None)

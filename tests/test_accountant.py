@@ -404,7 +404,7 @@ class TestKmeansAlpha:
     def test_zero_iterations(self):
         assert alpha_kmeans(3, _cfg(t_kmeans=0)) == 0.0
 
-    def test_rbf_mode_charges_counts_and_sums_only(self):
+    def test_clustering_charges_counts_and_sums_only(self):
         # the clip bound is public, so sigma_c is never charged
         cfg = _cfg(t_kmeans=20, sigma_k=40.0)
         assert alpha_kmeans(2, cfg) == pytest.approx(20 * 6 / 3200)

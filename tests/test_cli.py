@@ -570,10 +570,14 @@ def _refuse_constant(name):
 
 def test_train_log_is_valid_json_when_a_batch_is_empty(tmp_path, capsys):
     # at batch size 2 about one Poisson batch in eight is empty, and its
-    # gradient norms, which have no value, are logged as null
+    # gradient norms, which have no value, are logged as null; it still
+    # votes, so its clip bound is a histogram edge, and it clips nothing
     data_path, model_path, log_path = (tmp_path / n for n in ("records.txt", "m.json", "log"))
     write_records(mixture_corpus(400, 30, 3, np.random.default_rng(7)), data_path)
-    assert main(_train_args(str(data_path), model_path, batch_size=2, log=log_path)) == 0
+    c_max, bins = 6.0, 30
+    args = _train_args(str(data_path), model_path, batch_size=2, log=log_path, c_max=c_max,
+                       bins=bins)
+    assert main(args) == 0
     capsys.readouterr()
     steps = [json.loads(line, parse_constant=_refuse_constant)
              for line in log_path.read_text().splitlines()]
@@ -581,6 +585,9 @@ def test_train_log_is_valid_json_when_a_batch_is_empty(tmp_path, capsys):
     empty = [step for step in steps if step["batch_size"] == 0]
     assert empty and all(step["grad_norm_mean"] is step["grad_norm_max"] is None
                          for step in empty)
+    edges = {j * c_max / bins for j in range(1, bins + 1)}
+    assert all(step["clipped_fraction"] == 0 and step["clip_bound"] in edges
+               for step in empty)
     assert all(step["grad_norm_max"] >= step["grad_norm_mean"] > 0
                for step in steps if step["batch_size"] > 0)
 

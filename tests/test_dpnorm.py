@@ -92,7 +92,7 @@ def test_noise_shifts_choice():
 
 def test_rejects_bad_input():
     rng = np.random.default_rng(0)
-    for norms in (np.zeros(0), np.array([np.nan, 1.0]), np.array([np.inf]),
+    for norms in (np.array([np.nan, 1.0]), np.array([np.inf]),
                   np.array([-0.75, 0.72]), np.ones((2, 2))):
         with pytest.raises(ValueError):
             dp_norm(norms, 1.0, c_max=10.0, bins=100, rng=rng)
@@ -100,3 +100,6 @@ def test_rejects_bad_input():
         norm_histogram(np.ones(2), c_max=-1.0, bins=100)
     with pytest.raises(ValueError):
         norm_histogram(np.ones(2), c_max=1.0, bins=0)
+    # no norms are an ordinary input: an empty batch votes on all-zero counts
+    counts = norm_histogram(np.zeros(0), c_max=10.0, bins=100)
+    assert counts.shape == (100,) and not counts.any()

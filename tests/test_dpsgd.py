@@ -2,6 +2,7 @@
 import copy
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,15 +162,17 @@ def test_divisor_is_expected_batch_size_not_realized():
         assert new_theta[1] == 0.0
 
 
-def test_empty_batch_releases_pure_noise_at_prev_clip():
+def test_empty_batch_votes_and_releases_at_the_voted_bound():
+    # an empty batch runs the same mechanism as any other: a vote on its
+    # (all-zero) norm histogram, then the Gaussian at the voted bound / L
     members = np.arange(50)
-    cfg = step_config(sigma_c=1.0, sigma_g=3.0, batch_size=1, eta=1.0)
+    cfg = step_config(sigma_c=1.0, sigma_g=3.0, batch_size=2, eta=1.0)
     theta = np.zeros(6)
 
-    # find a seed whose Poisson draw at q = 1/50 selects nobody
+    # find a seed whose Poisson draw at q = 2/50 selects nobody
     empty_seed = None
     for s in range(100):
-        if len(sample_batch(members, 1 / 50, np.random.default_rng(s))) == 0:
+        if len(sample_batch(members, 2 / 50, np.random.default_rng(s))) == 0:
             empty_seed = s
             break
     assert empty_seed is not None
@@ -180,26 +183,45 @@ def test_empty_batch_releases_pure_noise_at_prev_clip():
         calls.append(rows)
         return DenseGradients(np.zeros((len(rows), theta.size)))
 
-    new_theta, info = dp_sgd_step(
-        theta, grad_fn, members, cfg,
-        sample_rng=np.random.default_rng(empty_seed),
-        noise_rng=np.random.default_rng(99),
-        prev_clip=0.4,
-    )
-    assert info.batch_size == 0
-    assert info.clip_bound == pytest.approx(0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no empty-slice warning from the diagnostics
+        new_theta, info = dp_sgd_step(
+            theta, grad_fn, members, cfg,
+            sample_rng=np.random.default_rng(empty_seed),
+            noise_rng=np.random.default_rng(99),
+        )
+    assert [len(rows) for rows in calls] == [0]
+    assert info.batch_size == 0 and info.clipped_fraction == 0.0
     assert math.isnan(info.grad_norm_mean) and math.isnan(info.grad_norm_max)
-    want = -np.random.default_rng(99).normal(0, math.sqrt(2) * 3.0 * 0.4, size=6) / 1
+
+    replay = np.random.default_rng(99)
+    c_s = dp_norm(np.zeros(0), cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=replay)
+    assert info.clip_bound == c_s
+    want = -replay.normal(0, math.sqrt(2) * cfg.sigma_g * c_s, size=6) / cfg.batch_size
     assert_allclose(new_theta, want)
 
-    # without a previous bound the fallback is half of c_max
-    _, info2 = dp_sgd_step(
-        theta, grad_fn, members, cfg,
-        sample_rng=np.random.default_rng(empty_seed),
-        noise_rng=np.random.default_rng(99),
-    )
-    assert info2.clip_bound == pytest.approx(5.0)
-    assert [len(rows) for rows in calls] == [0, 0]
+
+def test_noise_draws_do_not_depend_on_the_batch_size():
+    # one step moves noise_rng by bins + P normals whatever the batch holds,
+    # the empty batch included, so the stream's position gives no batch away
+    members = np.arange(4)
+    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=2, eta=0.1, c_max=4.0, bins=8)
+    rows = np.random.default_rng(5).normal(0.0, 1.0, size=(4, 3))
+
+    def grad_fn(batch):
+        return DenseGradients(rows[batch])
+
+    states = {}
+    for seed in range(200):
+        noise = np.random.default_rng(2024)
+        _, info = dp_sgd_step(np.zeros(3), grad_fn, members, cfg,
+                              np.random.default_rng(seed), noise)
+        states.setdefault(info.batch_size, noise.bit_generator.state)
+    assert sorted(states) == [0, 1, 2, 3, 4]
+    want = np.random.default_rng(2024)
+    want.normal(size=cfg.bins)
+    want.normal(size=3)
+    assert all(state == want.bit_generator.state for state in states.values())
 
 
 def test_chain_states_do_not_depend_on_empty_batches():

@@ -249,7 +249,7 @@ def test_single_cluster_center_is_clipped_mean():
     assert np.all(result.assignments == 0)
 
 
-def test_rbf_mode_never_consumes_threshold_noise():
+def test_clustering_draws_only_counts_and_sums():
     # the clip bound is public, so the noise stream holds the 2 * k * t
     # released counts and sums and nothing else
     rng = np.random.default_rng(12)
