@@ -259,14 +259,9 @@ class _Outputs:
                 pass
 
 
-def _load_dataset(opts: dict, *, allow_empty: bool = False):
+def _load_dataset(opts: dict):
     try:
-        return load_records(
-            opts["data"],
-            opts["format"],
-            binarize_threshold=opts["threshold"],
-            allow_empty=allow_empty,
-        )
+        return load_records(opts["data"], opts["format"], binarize_threshold=opts["threshold"])
     except FileNotFoundError:
         raise DataError(f"dataset not found: {opts['data']}")
 
@@ -431,6 +426,9 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
     max_l1 = opts["max_l1"]
     if max_l1 is None:
         max_l1 = int(real.records.sum(axis=1).max())
+        if max_l1 < evaluation.N_SUBSETS:
+            raise DataError(f"the longest record of {opts['data']} holds {max_l1} items; "
+                            f"pass --max-l1 >= {evaluation.N_SUBSETS}")
     workload = generate_workload(
         real.m,
         max_l1,

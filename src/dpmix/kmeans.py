@@ -39,22 +39,26 @@ BLOCK_ROWS = 256
 class Clustering:
     """Result of one clustering run.
 
-    ``noisy_sizes`` are the last iteration's noisy counts; they are the
-    only size estimates safe to release.  ``size_history`` stacks the
-    noisy counts of every iteration (iterations x k) for run logs.
+    ``size_history`` stacks the noisy counts of every iteration
+    (iterations x k) for run logs.
     """
 
     assignments: np.ndarray
     noisy_centers: np.ndarray
-    noisy_sizes: np.ndarray
-    k: int
-    iterations: int
     size_history: np.ndarray
 
-    def __post_init__(self):
-        if (self.noisy_centers.shape[0] != self.k
-                or self.noisy_sizes.shape[0] != self.k):
-            raise ValueError("centers/sizes must have one row per cluster")
+    @property
+    def k(self) -> int:
+        return len(self.noisy_centers)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.size_history)
+
+    @property
+    def noisy_sizes(self) -> np.ndarray:
+        """The last iteration's noisy counts: the only size estimates safe to release."""
+        return self.size_history[-1]
 
 
 def _row_norms(features: np.ndarray) -> np.ndarray:
@@ -220,14 +224,7 @@ def dp_kernel_kmeans(
         centers = new_centers
 
     final_assign = assign_to_centers(clipped, centers, f_sq)
-    return Clustering(
-        assignments=final_assign,
-        noisy_centers=centers,
-        noisy_sizes=history[-1].copy(),
-        k=k,
-        iterations=iterations,
-        size_history=history,
-    )
+    return Clustering(assignments=final_assign, noisy_centers=centers, size_history=history)
 
 
 def clustering_stage(

@@ -42,7 +42,7 @@ later draws come from a shifted stream with the same distribution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,33 +146,22 @@ def _weighted_statistic(p_h: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class FactoredGradients:
-    """Per-example gradients sign * (pos(x_b) - N) without the (B, P) matrix.
+    """Per-example loss gradients N - pos(x_b) without the (B, P) matrix.
 
-    Row b has weight block p_b x_b' - N_W, visible block x_b - N_b and
-    hidden block p_b - N_c.  ``norms`` and ``clipped_sum`` are the two
-    operations DP-SGD needs; negation flips ``sign`` and leaves norms
-    unchanged.
+    Row b is the descent direction on the negative log-likelihood of
+    x_b: weight block N_W - p_b x_b', visible block N_b - x_b and hidden
+    block N_c - p_b.  ``norms`` and ``clipped_sum`` are the two
+    operations DP-SGD needs.
     """
 
     hidden: np.ndarray  # (B, n) p(h | x_b)
     records: np.ndarray  # (B, m) float
     negative: np.ndarray  # (P,) shared negative statistic N
-    sign: float = 1.0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.records.shape[0], self.negative.size)
-
-    def __len__(self) -> int:
-        return self.records.shape[0]
-
-    def __neg__(self) -> "FactoredGradients":
-        return replace(self, sign=-self.sign)
 
     def norms(self) -> np.ndarray:
         """Row L2 norms from the expanded square of each block, clamped at 0.
 
-        ||p x' - N_W||^2 = ||p||^2 ||x||^2 - 2 p' N_W x + ||N_W||^2; the bias
+        ||N_W - p x'||^2 = ||p||^2 ||x||^2 - 2 p' N_W x + ||N_W||^2; the bias
         blocks are plain differences.
         """
         p, x = self.hidden, self.records
@@ -189,10 +178,9 @@ class FactoredGradients:
         return np.sqrt(np.maximum(sq, 0.0))
 
     def clipped_sum(self, scales) -> np.ndarray:
-        """sum_b scales_b * row_b = (s o P)' X - (sum s) N, flattened."""
+        """sum_b scales_b * row_b = (sum s) N - (s o P)' X, flattened."""
         s = np.asarray(scales, dtype=np.float64)
-        total = _weighted_statistic(self.hidden, self.records, s) - s.sum() * self.negative
-        return self.sign * total
+        return s.sum() * self.negative - _weighted_statistic(self.hidden, self.records, s)
 
 
 @dataclass
@@ -277,10 +265,10 @@ def negative_statistic(model: RbmModel, chains: PersistentChains) -> np.ndarray:
 def pcd_per_example_gradients(
     model: RbmModel, batch, chains: PersistentChains, gibbs_steps: int = 1
 ) -> FactoredGradients:
-    """Log-likelihood ascent gradients, one row per record of ``batch``, factored.
+    """Loss (negative log-likelihood) gradients, one row per record of ``batch``, factored.
 
     ``batch`` is a (B, m) record array.  Advances the persistent chains
-    by ``gibbs_steps`` sweeps, then returns rows positive(x) - N with the
+    by ``gibbs_steps`` sweeps, then returns rows N - positive(x) with the
     shared negative statistic N as a FactoredGradients (no (B, P) matrix
     is built).  An empty batch gives zero rows, and still advances the chains.
     """

@@ -74,7 +74,6 @@ class DenseGradients:
 
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.float64)
-        self.shape = self.rows.shape
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.rows, axis=1)

@@ -180,11 +180,8 @@ def test_criterion_07_noise_free_degeneracies():
     theta = np.full(p, 0.01)
     ok_b = True
     for _ in range(4):
-        def grad_fn(rows):
-            return DenseGradients(theta[None, :] - targets[rows])
         new_theta, _ = dp_sgd_step(
-            theta, grad_fn, np.arange(n), cfg,
-            sample_rng=np.random.default_rng(0),
+            theta, DenseGradients(theta[None, :] - targets), cfg,
             noise_rng=ZeroNoise(np.random.default_rng(0)),
         )
         want = theta - 0.25 * (theta - targets.mean(axis=0))

@@ -586,12 +586,9 @@ def _cluster_at(sigma):
 
 
 def _sgd_step_at(sigma):
-    def grad_fn(rows):
-        return DenseGradients(np.ones((len(rows), 2)))
-
     cfg = step_config(sigma_c=1.0, sigma_g=sigma, batch_size=4, eta=0.1)
-    return dp_sgd_step(np.zeros(2), grad_fn, np.arange(4), cfg,
-                       np.random.default_rng(0), np.random.default_rng(1))
+    return dp_sgd_step(np.zeros(2), DenseGradients(np.ones((4, 2))), cfg,
+                       np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])

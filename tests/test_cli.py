@@ -1223,7 +1223,7 @@ def test_evaluate_bad_query_count(tmp_path, corpus_files, capsys):
 
 def test_evaluate_short_records_need_explicit_max_l1(tmp_path, capsys):
     # every record has fewer than five items: the derived cap is unusable
-    # and the run must fail as a usage error without leaving artifacts
+    # and the run must fail as a data error without leaving artifacts
     data_path = tmp_path / "short.txt"
     data_path.write_text("m=10\n0 1\n2\n3 4\n")
     report_path = tmp_path / "report.json"
@@ -1231,7 +1231,7 @@ def test_evaluate_short_records_need_explicit_max_l1(tmp_path, capsys):
         "evaluate", "--data", str(data_path), "--synthetic", str(data_path),
         "--queries", "10", "--output", str(report_path),
     ])
-    assert rc == 2
+    assert rc == 3
     assert not report_path.exists()
     # an explicit cap fixes it
     rc = main([
@@ -1241,6 +1241,20 @@ def test_evaluate_short_records_need_explicit_max_l1(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert report_path.exists()
+
+
+def test_evaluate_derived_max_l1_error_names_the_data_not_the_flag(tmp_path, capsys):
+    # no --max-l1 was passed, so the message gives the longest record's
+    # length and says which flag fixes it
+    data_path = tmp_path / "short.txt"
+    data_path.write_text("m=6\n0 1\n2\n3 4\n5\n0\n1 2\n")
+    rc = main(["evaluate", "--data", str(data_path), "--synthetic", str(data_path),
+               "--queries", "10"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"data error: the longest record of {data_path} holds 2 items; "
+                            "pass --max-l1 >= 5\n")
 
 
 def test_failed_run_discards_partial_outputs(tmp_path, corpus_files, capsys):

@@ -349,6 +349,14 @@ class TestSampleBatch:
         full = sample_batch(members, 1.0, rng)
         np.testing.assert_array_equal(full, members)
 
+    def test_keeps_member_ids_in_order(self):
+        # the batch holds row ids taken from members, in their order, never
+        # positions among them; one uniform per member decides
+        members = np.sort(np.random.default_rng(30).choice(500, size=60, replace=False))
+        batch = sample_batch(members, 1 / 3, np.random.default_rng(31))
+        mask = np.random.default_rng(31).random(60) < 1 / 3
+        np.testing.assert_array_equal(batch, members[mask])
+
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             sample_batch(np.arange(2), 1.5, np.random.default_rng(0))

@@ -48,8 +48,9 @@ def test_config_validation():
 
 
 def test_zero_noise_full_batch_equals_plain_gradient_descent():
-    # no noise, q = 1, norms below every edge: the step reduces to exact
-    # mean-gradient descent on a quadratic, checked against the closed form
+    # no noise, the whole set in the batch, norms below every edge: the step
+    # reduces to exact mean-gradient descent on a quadratic, checked against
+    # the closed form
     n, p = 16, 3
     rng = np.random.default_rng(6)
     # keep every gradient norm below the first histogram edge (0.1) so the
@@ -58,14 +59,9 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=n, eta=0.3)
 
     theta = np.full(p, 0.01)
-
-    def grad_fn(rows):
-        return DenseGradients(theta[None, :] - targets[rows])
-
     for _ in range(5):
         new_theta, info = dp_sgd_step(
-            theta, grad_fn, np.arange(n), cfg,
-            sample_rng=np.random.default_rng(0),
+            theta, DenseGradients(theta[None, :] - targets), cfg,
             noise_rng=ZeroNoise(np.random.default_rng(0)),
         )
         want = theta - cfg.eta * (theta - targets.mean(axis=0))
@@ -78,14 +74,8 @@ def test_zero_noise_full_batch_equals_plain_gradient_descent():
 def test_zero_eta_never_moves():
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=10, eta=0.0)
     theta = np.arange(5, dtype=np.float64)
-
-    def grad_fn(rows):
-        return DenseGradients(np.ones((len(rows), 5)))
-
     new_theta, _ = dp_sgd_step(
-        theta, grad_fn, np.arange(10), cfg,
-        sample_rng=np.random.default_rng(3),
-        noise_rng=np.random.default_rng(4),
+        theta, DenseGradients(np.ones((10, 5))), cfg, noise_rng=np.random.default_rng(4)
     )
     assert_allclose(new_theta, theta)
 
@@ -94,21 +84,12 @@ def test_clip_bound_matches_standalone_selection():
     # the bound chosen inside the step equals dp_norm run on the same
     # gradients with a cloned noise stream
     cfg = step_config(sigma_c=2.0, sigma_g=1.0, batch_size=40, eta=0.1)
-    theta = np.zeros(6)
-    rng_grad = np.random.default_rng(12)
-    per_example = rng_grad.normal(0, 1.2, size=(40, 6))
-
-    def grad_fn(rows):
-        return DenseGradients(per_example[rows])
-
+    per_example = np.random.default_rng(12).normal(0, 1.2, size=(40, 6))
     _, info = dp_sgd_step(
-        theta, grad_fn, np.arange(40), cfg,
-        sample_rng=np.random.default_rng(5),
-        noise_rng=np.random.default_rng(77),
+        np.zeros(6), DenseGradients(per_example), cfg, noise_rng=np.random.default_rng(77)
     )
-    replay = sample_batch(np.arange(40), 1.0, np.random.default_rng(5))
     want = dp_norm(
-        np.linalg.norm(per_example[replay], axis=1), 2.0, c_max=10.0, bins=100,
+        np.linalg.norm(per_example, axis=1), 2.0, c_max=10.0, bins=100,
         rng=np.random.default_rng(77),
     )
     assert info.clip_bound == pytest.approx(want)
@@ -121,17 +102,11 @@ def test_noise_is_centered_and_scaled():
     sigma_g, L = 2.0, 8
     cfg = step_config(sigma_c=1.0, sigma_g=sigma_g, batch_size=L, eta=1.0)
     theta = np.zeros(4)
-
-    def grad_fn(rows):
-        return DenseGradients(np.zeros((len(rows), 4)))
-
+    grads = DenseGradients(np.zeros((L, 4)))
     noise_rng = ZeroNoise(np.random.default_rng(2024), size=cfg.bins)
     draws = []
     for _ in range(4000):
-        new_theta, info = dp_sgd_step(
-            theta, grad_fn, np.arange(L), cfg,
-            sample_rng=np.random.default_rng(0), noise_rng=noise_rng,
-        )
+        new_theta, info = dp_sgd_step(theta, grads, cfg, noise_rng=noise_rng)
         draws.append(new_theta)
     draws = np.asarray(draws)
     c_s = info.clip_bound  # zero-gradient norms all land on the first edge
@@ -142,55 +117,29 @@ def test_noise_is_centered_and_scaled():
 
 
 def test_divisor_is_expected_batch_size_not_realized():
-    # two runs with different realized batches but identical gradients per
-    # example: scale of the update tracks L, not |S|
-    n = 400
-    theta = np.zeros(2)
-
-    def grad_fn(rows):
-        return DenseGradients(np.tile([1.0, 0.0], (len(rows), 1)))
-
-    for L in (40, 80):
+    # batches of different realized sizes with identical gradients per
+    # example: the scale of the update tracks |S| / L, never 1
+    for size, L in ((30, 40), (50, 40), (50, 80)):
         cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=L, eta=1.0)
         new_theta, info = dp_sgd_step(
-            theta, grad_fn, np.arange(n), cfg,
-            sample_rng=np.random.default_rng(21),
+            np.zeros(2), DenseGradients(np.tile([1.0, 0.0], (size, 1))), cfg,
             noise_rng=ZeroNoise(np.random.default_rng(0)),
         )
-        # same sampling seed, same q? no: q = L/n differs, so just check scale
-        assert new_theta[0] == pytest.approx(-info.batch_size / L)
+        assert info.batch_size == size
+        assert new_theta[0] == pytest.approx(-size / L)
         assert new_theta[1] == 0.0
 
 
 def test_empty_batch_votes_and_releases_at_the_voted_bound():
     # an empty batch runs the same mechanism as any other: a vote on its
     # (all-zero) norm histogram, then the Gaussian at the voted bound / L
-    members = np.arange(50)
     cfg = step_config(sigma_c=1.0, sigma_g=3.0, batch_size=2, eta=1.0)
-    theta = np.zeros(6)
-
-    # find a seed whose Poisson draw at q = 2/50 selects nobody
-    empty_seed = None
-    for s in range(100):
-        if len(sample_batch(members, 2 / 50, np.random.default_rng(s))) == 0:
-            empty_seed = s
-            break
-    assert empty_seed is not None
-
-    calls = []
-
-    def grad_fn(rows):  # called on every step, so the model's chains advance
-        calls.append(rows)
-        return DenseGradients(np.zeros((len(rows), theta.size)))
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no empty-slice warning from the diagnostics
         new_theta, info = dp_sgd_step(
-            theta, grad_fn, members, cfg,
-            sample_rng=np.random.default_rng(empty_seed),
+            np.zeros(6), DenseGradients(np.zeros((0, 6))), cfg,
             noise_rng=np.random.default_rng(99),
         )
-    assert [len(rows) for rows in calls] == [0]
     assert info.batch_size == 0 and info.clipped_fraction == 0.0
     assert math.isnan(info.grad_norm_mean) and math.isnan(info.grad_norm_max)
 
@@ -204,24 +153,15 @@ def test_empty_batch_votes_and_releases_at_the_voted_bound():
 def test_noise_draws_do_not_depend_on_the_batch_size():
     # one step moves noise_rng by bins + P normals whatever the batch holds,
     # the empty batch included, so the stream's position gives no batch away
-    members = np.arange(4)
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=2, eta=0.1, c_max=4.0, bins=8)
     rows = np.random.default_rng(5).normal(0.0, 1.0, size=(4, 3))
-
-    def grad_fn(batch):
-        return DenseGradients(rows[batch])
-
-    states = {}
-    for seed in range(200):
-        noise = np.random.default_rng(2024)
-        _, info = dp_sgd_step(np.zeros(3), grad_fn, members, cfg,
-                              np.random.default_rng(seed), noise)
-        states.setdefault(info.batch_size, noise.bit_generator.state)
-    assert sorted(states) == [0, 1, 2, 3, 4]
     want = np.random.default_rng(2024)
     want.normal(size=cfg.bins)
     want.normal(size=3)
-    assert all(state == want.bit_generator.state for state in states.values())
+    for size in range(5):
+        noise = np.random.default_rng(2024)
+        dp_sgd_step(np.zeros(3), DenseGradients(rows[:size]), cfg, noise)
+        assert noise.bit_generator.state == want.bit_generator.state, size
 
 
 def test_chain_states_do_not_depend_on_empty_batches():
@@ -231,17 +171,15 @@ def test_chain_states_do_not_depend_on_empty_batches():
     records = _toy_records(200, m, seed=3)
     model = rbm.init_model(m, 3, np.random.default_rng(0))
     finals, empties = [], []
-    for batch_size, members in ((1, np.arange(200)), (4, np.arange(4))):
+    for q, members in ((1 / 200, np.arange(200)), (1.0, np.arange(4))):
         chains = rbm.PersistentChains.initialize(5, m, seed=8)
-        cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=batch_size, eta=0.0)
+        cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=1, eta=0.0)
         sample_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
-
-        def grad_fn(rows):
-            return -rbm.pcd_per_example_gradients(model, records[rows], chains)
-
         sizes = []
         for _ in range(steps):
-            params, info = dp_sgd_step(model.params, grad_fn, members, cfg, sample_rng, noise_rng)
+            batch = sample_batch(members, q, sample_rng)
+            grads = rbm.pcd_per_example_gradients(model, records[batch], chains)
+            params, info = dp_sgd_step(model.params, grads, cfg, noise_rng)
             assert np.array_equal(params, model.params)
             sizes.append(info.batch_size)
         finals.append(chains.states)
@@ -250,82 +188,17 @@ def test_chain_states_do_not_depend_on_empty_batches():
     assert np.array_equal(finals[0], finals[1])
 
 
-def test_oversized_batch_clamps_sampling_probability():
-    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.5)
-    theta = np.zeros(3)
-    calls = []
-
-    def grad_fn(rows):
-        calls.append(len(rows))
-        return DenseGradients(np.zeros((len(rows), 3)))
-
-    dp_sgd_step(
-        theta, grad_fn, np.arange(5), cfg,
-        sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
-    )
-    assert calls == [5]  # q clamps to 1, the whole cluster participates
-
-
-def test_grad_fn_sees_only_members_in_increasing_order():
-    # a cluster of scattered row ids: every batch handed to grad_fn is a
-    # strictly increasing run of those ids, never a position among them
-    members = np.sort(np.random.default_rng(30).choice(500, size=60, replace=False))
-    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1)
-    sample_rng, noise_rng = np.random.default_rng(31), np.random.default_rng(32)
-    seen = []
-
-    def grad_fn(rows):
-        seen.append(rows.copy())
-        return DenseGradients(np.ones((len(rows), 3)))
-
-    for _ in range(30):
-        dp_sgd_step(np.zeros(3), grad_fn, members, cfg, sample_rng, noise_rng)
-    assert len(seen) == 30
-    for rows in seen:
-        assert np.isin(rows, members).all()
-        assert (np.diff(rows) > 0).all()
-    # the first step's batch is the replayed Poisson mask over members
-    mask = np.random.default_rng(31).random(60) < 20 / 60
-    np.testing.assert_array_equal(seen[0], members[mask])
-
-
 def test_released_sum_respects_clip_bound():
     # adversarial gradients with huge norms: without noise the update
     # norm is capped by |S| * c_s / L regardless of raw magnitudes
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=30, eta=1.0)
-    theta = np.zeros(5)
-    rng = np.random.default_rng(0)
-    raw = rng.normal(0, 200.0, size=(30, 5))
-
-    def grad_fn(rows):
-        return DenseGradients(raw[rows])
-
+    raw = np.random.default_rng(0).normal(0, 200.0, size=(30, 5))
     new_theta, info = dp_sgd_step(
-        theta, grad_fn, np.arange(30), cfg,
-        sample_rng=np.random.default_rng(2), noise_rng=ZeroNoise(np.random.default_rng(3)),
+        np.zeros(5), DenseGradients(raw), cfg, noise_rng=ZeroNoise(np.random.default_rng(3)),
     )
     assert info.clipped_fraction == 1.0
     assert np.linalg.norm(new_theta) <= info.batch_size * info.clip_bound / 30 + 1e-9
     assert info.grad_norm_max > 100.0
-
-
-def test_gradient_shape_mismatch_is_rejected():
-    cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=6, eta=0.1)
-
-    def bad_fn(rows):
-        return DenseGradients(np.zeros((len(rows), 7)))
-
-    with pytest.raises(ValueError):
-        dp_sgd_step(
-            np.zeros(4), bad_fn, np.arange(6), cfg,
-            sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
-        )
-    with pytest.raises(ValueError):
-        dp_sgd_step(
-            np.zeros(4), bad_fn, np.arange(0), cfg,
-            sample_rng=np.random.default_rng(0),
-            noise_rng=np.random.default_rng(1),
-        )
 
 
 def _rbm_step_inputs(m, n_hidden, records, seed):
@@ -340,28 +213,23 @@ def test_factored_and_dense_gradients_give_the_same_step():
     model, chains, records = _rbm_step_inputs(50, 32, 40, seed=3)
     dense_chains = copy.deepcopy(chains)
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=20, eta=0.1, c_max=20.0, bins=40)
+    batch = records[sample_batch(np.arange(40), 0.5, np.random.default_rng(8))]
 
-    def factored_fn(rows):
-        return -rbm.pcd_per_example_gradients(model, records[rows], chains)
-
-    def dense_fn(rows):
-        rbm.advance_chains(model, dense_chains, 1)
-        neg = dense_positive_statistics(model, dense_chains.states).mean(axis=0)
-        return DenseGradients(neg - dense_positive_statistics(model, records[rows]))
+    factored = rbm.pcd_per_example_gradients(model, batch, chains)
+    rbm.advance_chains(model, dense_chains, 1)
+    neg = dense_positive_statistics(model, dense_chains.states).mean(axis=0)
+    dense = DenseGradients(neg - dense_positive_statistics(model, batch))
 
     results = []
-    for fn in (factored_fn, dense_fn):
-        sample_rng, noise_rng = np.random.default_rng(8), np.random.default_rng(9)
-        new_params, info = dp_sgd_step(
-            model.params, fn, np.arange(40), cfg, sample_rng, noise_rng
-        )
-        results.append((new_params, info, sample_rng.bit_generator.state,
-                        noise_rng.bit_generator.state))
-    (p_f, info_f, s_f, n_f), (p_d, info_d, s_d, n_d) = results
+    for grads in (factored, dense):
+        noise_rng = np.random.default_rng(9)
+        new_params, info = dp_sgd_step(model.params, grads, cfg, noise_rng)
+        results.append((new_params, info, noise_rng.bit_generator.state))
+    (p_f, info_f, n_f), (p_d, info_d, n_d) = results
     assert info_f.batch_size > 0 and 0.0 < info_f.clipped_fraction < 1.0
     assert info_f.clip_bound == info_d.clip_bound
     assert_allclose(p_f, p_d, rtol=0.0, atol=1e-12)
-    assert s_f == s_d and n_f == n_d
+    assert n_f == n_d
     assert np.array_equal(chains.states, dense_chains.states)
     assert chains.rng.bit_generator.state == dense_chains.rng.bit_generator.state
 
@@ -372,15 +240,10 @@ def test_rbm_step_memory_stays_below_the_gradient_matrix():
     model, chains, records = _rbm_step_inputs(784, 200, 100, seed=5)
     cfg = step_config(sigma_c=1.0, sigma_g=1.0, batch_size=100, eta=0.01)
 
-    def grad_fn(rows):
-        return -rbm.pcd_per_example_gradients(model, records[rows], chains)
-
     tracemalloc.start()
     try:
-        _, info = dp_sgd_step(
-            model.params, grad_fn, np.arange(100), cfg,
-            sample_rng=np.random.default_rng(0), noise_rng=np.random.default_rng(1),
-        )
+        grads = rbm.pcd_per_example_gradients(model, records, chains)
+        _, info = dp_sgd_step(model.params, grads, cfg, noise_rng=np.random.default_rng(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

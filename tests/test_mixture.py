@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from conftest import mixture_corpus, privacy_claim
 from dpmix import accountant, mixture, rbm
 from dpmix.accountant import alpha_terms, epsilon_for_delta
+from dpmix.data import sample_batch
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
@@ -114,20 +115,47 @@ def test_training_replays_from_named_streams():
     sample_rng = child_rng(seed, "sgd-sampling")
     noise_rng = child_rng(seed, "sgd-noise")
 
-    def grad_fn(rows):
-        return -rbm.pcd_per_example_gradients(model, data.records[rows], chains, 1)
-
     bounds = []
     for _ in range(2):
         assert int(selection.choice(1, p=[1.0])) == 0
-        new_params, info = dp_sgd_step(
-            model.params, grad_fn, members, cfg, sample_rng, noise_rng
-        )
+        batch = sample_batch(members, cfg.batch_size / len(members), sample_rng)
+        grads = rbm.pcd_per_example_gradients(model, data.records[batch], chains, 1)
+        new_params, info = dp_sgd_step(model.params, grads, cfg, noise_rng)
         model.params[:] = new_params
         bounds.append(info.clip_bound)
 
     assert_allclose(result.mixture.models[0].params, model.params)
     assert [s.info.clip_bound for s in result.steps] == bounds
+
+
+def test_every_step_advances_the_chains(monkeypatch):
+    # the chains advance on every step, an empty batch included, so their
+    # states depend on the number of steps and not on which batches were empty
+    sizes, real = [], rbm.pcd_per_example_gradients
+
+    def counted(model, batch, chains, gibbs_steps=1):
+        sizes.append(len(batch))
+        return real(model, batch, chains, gibbs_steps)
+
+    monkeypatch.setattr(rbm, "pcd_per_example_gradients", counted)
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(17))
+    result = train(data, _tiny_config(k=2, t_kmeans=3, batch_size=1), master_seed=7)
+    assert len(sizes) == result.mixture.privacy.t_sgd == 60
+    assert 0 in sizes
+    assert sizes == [step.info.batch_size for step in result.steps]
+
+
+def test_oversized_batch_clamps_sampling_probability():
+    # L = 40 exceeds both clusters of 60 records: q clamps to 1, so every
+    # step's batch is its whole cluster
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(17))
+    cfg = _tiny_config(k=2, epochs=3, batch_size=40, sigma_k=1.0)
+    result = train(data, cfg, master_seed=7)
+    sizes = np.bincount(result.clustering.assignments, minlength=2)
+    assert sizes.max() < 40 and len(result.steps) == 6
+    assert [step.info.batch_size for step in result.steps] == [
+        sizes[step.cluster] for step in result.steps
+    ]
 
 
 def test_zero_epochs_leaves_models_at_initialization():

@@ -44,7 +44,7 @@ def energy(model, v, h):
 
 def _rows(grads):
     """Materialize factored gradients row by row via one-hot clipped sums."""
-    return np.array([grads.clipped_sum(e) for e in np.eye(len(grads))])
+    return np.array([grads.clipped_sum(e) for e in np.eye(len(grads.records))])
 
 
 def _all_states(bits):
@@ -313,16 +313,15 @@ def test_identical_records_get_identical_gradients():
     model = _random_model(4, 3, seed=9)
     chains = PersistentChains.initialize(8, 4, seed=10)
     batch = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.uint8)
-    factored = pcd_per_example_gradients(model, batch, chains)
-    assert factored.shape == (3, model.n_params)
-    grads = _rows(factored)
+    grads = _rows(pcd_per_example_gradients(model, batch, chains))
+    assert grads.shape == (3, model.n_params)
     assert_allclose(grads[0], grads[1])
     assert not np.allclose(grads[0], grads[2])
 
 
 def test_negative_statistic_ignores_the_batch():
     # with identical chain state and stream, swapping the batch only moves
-    # the positive term: pos(x) - grad(x) is the same shared negative
+    # the positive term: pos(x) + grad(x) is the same shared negative
     model = _random_model(5, 3, seed=17)
     chains_a = PersistentChains.initialize(6, 5, seed=4)
     chains_b = PersistentChains(
@@ -330,10 +329,10 @@ def test_negative_statistic_ignores_the_batch():
     )
     batch_a = np.array([[1, 1, 0, 0, 1]], dtype=np.uint8)
     batch_b = np.array([[0, 0, 1, 1, 0], [1, 0, 1, 0, 1]], dtype=np.uint8)
-    neg_a = dense_positive_statistics(model, batch_a) - _rows(
+    neg_a = dense_positive_statistics(model, batch_a) + _rows(
         pcd_per_example_gradients(model, batch_a, chains_a)
     )
-    neg_b = dense_positive_statistics(model, batch_b) - _rows(
+    neg_b = dense_positive_statistics(model, batch_b) + _rows(
         pcd_per_example_gradients(model, batch_b, chains_b)
     )
     assert_allclose(neg_a[0], neg_b[0], atol=1e-12)
@@ -347,7 +346,6 @@ def test_empty_batch_gives_zero_rows_and_advances_the_chains():
     twin = PersistentChains.initialize(5, 4, seed=2)
     grads = pcd_per_example_gradients(model, np.zeros((0, 4), dtype=np.uint8), chains, 3)
     assert isinstance(grads, FactoredGradients)
-    assert grads.shape == (0, model.n_params)
     assert grads.norms().shape == (0,)
     assert_allclose(grads.clipped_sum(np.zeros(0)), np.zeros(model.n_params))
     advance_chains(model, twin, 3)
@@ -356,10 +354,10 @@ def test_empty_batch_gives_zero_rows_and_advances_the_chains():
 
 
 def _dense_oracle(model, records, chain_states):
-    """Materialized (B, P) gradients: positive(x) minus the chain mean."""
-    return dense_positive_statistics(model, records) - dense_positive_statistics(
-        model, chain_states
-    ).mean(axis=0)
+    """Materialized (B, P) loss gradients: the chain mean minus positive(x)."""
+    return dense_positive_statistics(model, chain_states).mean(axis=0) - (
+        dense_positive_statistics(model, records)
+    )
 
 
 def _close(got, want, rtol=1e-10):
@@ -381,7 +379,6 @@ def test_factored_gradients_match_dense_oracle(m, n):
         chains = PersistentChains.initialize(7, m, seed=m)
         factored = pcd_per_example_gradients(model, batch, chains)
         dense = _dense_oracle(model, batch, chains.states)
-        assert factored.shape == dense.shape, name
 
         assert_allclose(
             negative_statistic(model, chains),
@@ -395,9 +392,6 @@ def test_factored_gradients_match_dense_oracle(m, n):
         scales[::2] = 0.0  # clip scales that include zeros
         for s in (scales, np.ones(len(batch))):
             assert _close(factored.clipped_sum(s), s @ dense), name
-        descent = -factored
-        assert_allclose(descent.norms(), factored.norms())
-        assert _close(descent.clipped_sum(scales), -(scales @ dense)), name
 
 
 def test_negative_statistic_is_weighted_chain_sum():
@@ -455,9 +449,9 @@ def test_sampling_argument_validation():
 
 
 def test_persistent_gradient_ascent_learns_two_modes():
-    # non-private sanity run: full-batch ascent on a two-mode corpus; the
-    # trained sampler should emit mostly pure modes, a fair-coin model
-    # would manage about 3 percent
+    # non-private sanity run: full-batch likelihood ascent (descent on the
+    # loss gradients) on a two-mode corpus; the trained sampler should emit
+    # mostly pure modes, a fair-coin model would manage about 3 percent
     rng = np.random.default_rng(101)
     mode_a = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
     mode_b = np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8)
@@ -469,7 +463,7 @@ def test_persistent_gradient_ascent_learns_two_modes():
     for _ in range(1500):
         grads = pcd_per_example_gradients(model, batch, chains)
         step = grads.clipped_sum(np.full(len(batch), 1.0 / len(batch)))
-        model.params += eta * step
+        model.params -= eta * step
 
     draws = sample_batch(model, 2000, 50, np.random.default_rng(55))
     pure = np.mean(
