@@ -276,16 +276,12 @@ def sgd_step_alpha(lam, cfg: PrivacyConfig):
     for the tightest.  ``lam`` is one order or an array of them; the
     search over every order is one array call per noise scale.
     """
-    lams = np.array(lam, dtype=np.float64)
-    if cfg.q == 0.0:
-        best = np.zeros_like(lams)
-    else:
-        j1 = np.array(J1_GRID)
-        j2 = 1.0 - j1
-        orders = lams[..., None]
-        split = j1 * alpha_subsampled_gaussian(orders / j1, cfg.sigma_c, cfg.q)
-        split += j2 * alpha_subsampled_gaussian(orders / j2, cfg.sigma_g, cfg.q)
-        best = split.min(axis=-1)
+    j1 = np.array(J1_GRID)
+    j2 = 1.0 - j1
+    orders = np.array(lam, dtype=np.float64)[..., None]
+    split = j1 * alpha_subsampled_gaussian(orders / j1, cfg.sigma_c, cfg.q)
+    split += j2 * alpha_subsampled_gaussian(orders / j2, cfg.sigma_g, cfg.q)
+    best = split.min(axis=-1)
     return float(best) if best.ndim == 0 else best
 
 

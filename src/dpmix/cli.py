@@ -82,21 +82,23 @@ _OPTIONS = {
     "count": Option(int, REQUIRED, "number of records to generate", least=1),
     "gibbs_steps": Option(int, DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample", least=1),
     "synthetic": Option(str, REQUIRED, "synthetic dataset (sparse-items)"),
-    "queries": Option(int, 1000, "number of counting queries, a multiple of 5"),
-    "max_l1": Option(int, None, "longest query (default: longest real record)"),
+    "queries": Option(int, 1000, "number of counting queries, a multiple of 5",
+                      least=evaluation.N_SUBSETS),
+    "max_l1": Option(int, None, "longest query (default: longest real record)",
+                     least=evaluation.N_SUBSETS),
     "semantics": Option(evaluation.SEMANTICS, evaluation.ANY, "counting-query semantics"),
     "assignments": Option(str, None, "cluster ids, one per record, scored against --labels "
                           "(give both or neither)"),
     "csv": Option(str, None, "write the per-subset CSV here"),
     **_with_train_defaults(
-        k=Option(int, help="number of clusters"),
+        k=Option(int, help="number of clusters", least=1),
         epochs=Option(int, help="SGD epochs"),
         batch_size=Option(int, help="expected batch size L; q = L / n"),
         sigma_c=Option(float, help="noise of the clip-bound histogram votes"),
         sigma_k=Option(float, help="noise of the k-means counts and sums"),
         sigma_g=Option(float, help="noise of the clipped gradient sums"),
         t_kmeans=Option(int, help="k-means iterations", least=1),
-        d=Option(int, help="random Fourier feature width"),
+        d=Option(int, help="random Fourier feature width", least=1),
         gamma=Option(float, help="RBF kernel width"),
         n_hidden=Option(int, help="hidden units per RBM"),
         eta=Option(float, help="learning rate"),
@@ -331,6 +333,8 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
     from .kmeans import clustering_stage
 
     check_noise_scale("sigma_k", opts["sigma_k"])  # before any input is read
+    if not opts["gamma"] > 0:
+        raise ConfigError(f"--gamma must be > 0, got {opts['gamma']}")
     dataset = _load_dataset(opts)
     labels = _load_labels(opts["labels"], len(dataset)) if opts["labels"] else None
     init = None
@@ -413,6 +417,9 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
 
     if (opts["labels"] is None) != (opts["assignments"] is None):
         raise ConfigError("pass --labels and --assignments together")
+    if opts["queries"] % evaluation.N_SUBSETS:  # before any input is read
+        raise ConfigError(f"--queries must be a multiple of {evaluation.N_SUBSETS}, "
+                          f"got {opts['queries']}")
     real = _load_dataset(opts)
     try:
         synth = load_records(opts["synthetic"], SPARSE_ITEMS, allow_empty=True)

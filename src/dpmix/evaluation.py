@@ -34,7 +34,6 @@ class QueryWorkload:
     queries: tuple[tuple[int, ...], ...]
     subset_ids: np.ndarray
     semantics: str
-    max_l1: int
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -169,7 +168,6 @@ def generate_workload(
         queries=tuple(queries),
         subset_ids=np.array(subset_ids),
         semantics=semantics,
-        max_l1=int(max_l1),
     )
 
 

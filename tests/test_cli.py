@@ -1354,6 +1354,25 @@ def test_t_kmeans_zero_is_refused_before_any_input_is_read(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("evaluate", "--queries", "7", "--queries must be a multiple of 5, got 7"),
+    ("evaluate", "--queries", "0", "--queries must be >= 5"),
+    ("evaluate", "--max-l1", "2", "--max-l1 must be >= 5"),
+    ("cluster", "--k", "0", "--k must be >= 1"),
+    ("cluster", "--d", "0", "--d must be >= 1"),
+    ("cluster", "--gamma", "0", "--gamma must be > 0, got 0.0"),
+], ids=["queries", "queries-zero", "max-l1", "k", "d", "gamma"])
+def test_bad_option_is_refused_before_any_input_is_read(tmp_path, capsys, command, flag,
+                                                        value, message):
+    missing = str(tmp_path / "missing.txt")
+    args = {
+        "evaluate": ["evaluate", "--data", missing, "--synthetic", missing],
+        "cluster": ["cluster", "--data", missing, "--k", "2", "--sigma-k", "10"],
+    }[command]
+    assert main(args + [flag, value]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_generate_refuses_a_model_without_a_privacy_claim(tmp_path, trained_model, capsys):
     # earlier versions stored zero-noise runs with this block in place of a
     # claim; it lacks PrivacyConfig's fields, so it is a malformed model

@@ -236,7 +236,7 @@ def test_evaluate_workload_flags_dimension_mismatch():
 def test_evaluate_workload_requires_all_subsets():
     real = make_dataset(np.array([[1, 0], [0, 1]], dtype=np.uint8))
     wl = QueryWorkload(
-        queries=((0,), (1,)), subset_ids=np.array([1, 2]), semantics=ANY, max_l1=5
+        queries=((0,), (1,)), subset_ids=np.array([1, 2]), semantics=ANY
     )
     with pytest.raises(ValueError):
         evaluate_workload(real, real, wl)

@@ -249,20 +249,64 @@ def test_single_cluster_center_is_clipped_mean():
     assert np.all(result.assignments == 0)
 
 
+class _DrawLog:
+    """A noise stream that records the shape of every ``normal`` draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.shapes = []
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        drawn = self.rng.normal(loc, scale, size)
+        self.shapes.append(np.shape(drawn))
+        return drawn
+
+
 def test_clustering_draws_only_counts_and_sums():
-    # the clip bound is public, so the noise stream holds the 2 * k * t
-    # released counts and sums and nothing else
+    # the clip bound is public, so the noise stream holds the released
+    # counts and sums and nothing else: per iteration, k normals for the
+    # counts, then k * d for the sums
     rng = np.random.default_rng(12)
     data = mixture_corpus(150, 8, 2, rng)
     fmap = feature_map_from_seed(m=8, d=20, gamma=0.4, seed=1)
-    noise = np.random.default_rng(2024)
+    noise = _DrawLog(np.random.default_rng(2024))
     dp_kernel_kmeans(data, fmap, k=2, iterations=4, sigma_k=3.0, rng=noise,
                      init_rng=np.random.default_rng(6))
+    assert noise.shapes == [(2,), (2, 20)] * 4
     want = np.random.default_rng(2024)
-    for _ in range(2 * 4):
-        want.normal(size=())
-        want.normal(size=20)
-    assert noise.bit_generator.state == want.bit_generator.state
+    for _ in range(4):
+        want.normal(size=2)
+        want.normal(size=(2, 20))
+    assert noise.rng.bit_generator.state == want.bit_generator.state
+
+
+def test_one_iteration_replays_from_a_copy_of_the_noise_stream():
+    # rebuild one iteration by hand: direct assignment, np.add.at sums,
+    # then k count draws and k * d sum draws from a copy of the stream.
+    # Center 1 lies far from every record, so its noisy count is below 1
+    # and it keeps its place; center 0 moves to its noisy mean.
+    fmap = feature_map_from_seed(m=8, d=12, gamma=0.5, seed=21)
+    data = mixture_corpus(90, 8, 2, np.random.default_rng(8))
+    init = np.vstack([np.zeros(12), np.full(12, 40.0)])
+    sigma = 0.3
+    out = dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_k=sigma,
+                           rng=np.random.default_rng(31), init=init,
+                           init_rng=np.random.default_rng(1))
+
+    clipped = clip_features(embed(fmap, data.records))
+    assign = _direct_assign(clipped, init)
+    sums = np.zeros((2, 12))
+    np.add.at(sums, assign, clipped)
+    copy = np.random.default_rng(31)
+    noisy_counts = np.bincount(assign, minlength=2) + copy.normal(
+        0.0, np.sqrt(2.0) * sigma * 1.0, size=2)
+    noisy_sums = sums + copy.normal(0.0, np.sqrt(2.0) * sigma * CLIP_BOUND, size=(2, 12))
+    assert noisy_counts[0] >= 1 > noisy_counts[1]
+    want = np.vstack([noisy_sums[0] / noisy_counts[0], init[1]])
+
+    assert np.array_equal(out.size_history, noisy_counts[None, :])
+    assert np.array_equal(out.noisy_centers, want)
+    assert np.array_equal(out.assignments, _direct_assign(clipped, want))
 
 
 def test_noiseless_objective_never_increases():

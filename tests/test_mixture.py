@@ -61,12 +61,12 @@ def _saturated_mixture(weights, biases, m=4):
 
 def test_every_release_is_a_charged_gaussian(monkeypatch):
     # wrap the release helper wherever src/ bound it and list the (sigma,
-    # sensitivity) of each release of a small run: exactly the mechanisms
-    # the accountant charges, in the order they ran
+    # sensitivity, shape) of each release of a small run: exactly the
+    # mechanisms the accountant charges, one call each, in the order they ran
     released, real = [], accountant.gaussian_release
 
     def recorded(value, sigma, sensitivity, rng):
-        released.append((sigma, sensitivity))
+        released.append((sigma, sensitivity, np.shape(value)))
         return real(value, sigma, sensitivity, rng)
 
     patched = [name for name, module in list(sys.modules.items())
@@ -79,9 +79,13 @@ def test_every_release_is_a_charged_gaussian(monkeypatch):
     cfg = _tiny_config(k=2, t_kmeans=3, batch_size=1)
     result = train(data, cfg, master_seed=7)
 
-    want = [(cfg.sigma_k, 1.0), (cfg.sigma_k, CLIP_BOUND)] * (cfg.k * cfg.t_kmeans)
+    # per k-means iteration, the k counts then the (k, d) sums: the two
+    # Gaussians alpha_kmeans charges; per step, the (bins,) vote then the
+    # (P,) gradient
+    k, d, n_params = cfg.k, cfg.d, result.mixture.models[0].n_params
+    want = [(cfg.sigma_k, 1.0, (k,)), (cfg.sigma_k, CLIP_BOUND, (k, d))] * cfg.t_kmeans
     for step in result.steps:  # an empty batch votes and releases like any other
-        want += [(cfg.sigma_c, 1.0), (cfg.sigma_g, step.info.clip_bound)]
+        want += [(cfg.sigma_c, 1.0, (cfg.bins,)), (cfg.sigma_g, step.info.clip_bound, (n_params,))]
     assert released == want
     sizes = [step.info.batch_size for step in result.steps]
     assert len(sizes) == result.mixture.privacy.t_sgd and 0 in sizes and max(sizes) > 0
