@@ -90,6 +90,7 @@ _OPTIONS = {
     "assignments": Option(str, None, "cluster ids, one per record, scored against --labels "
                           "(give both or neither)"),
     "csv": Option(str, None, "write the per-subset CSV here"),
+    "init_centers": Option(str, None, "CSV file with k rows of d initial centers"),
     **_with_train_defaults(
         k=Option(int, help="number of clusters", least=1),
         epochs=Option(int, help="SGD epochs"),
@@ -108,7 +109,6 @@ _OPTIONS = {
         bins=Option(int, help="histogram bins of the clip-bound vote"),
         delta=Option(float, help="target delta (train default: 1/|dataset|)"),
         lambda_max=Option(int, help="largest moment order searched"),
-        init_centers=Option(str, help="CSV file with k rows of d initial centers"),
     ),
 }
 
@@ -120,7 +120,8 @@ _COMMAND_OPTIONS = {
                    "epochs", "delta", "data_size", "lambda_max", "output"),
     "cluster": ("seed", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
                 "sigma_k", "init_centers", "output", "assignments_out"),
-    "train": ("seed", *_DATA, *(f.name for f in fields(TrainConfig)), "model", "log"),
+    "train": ("seed", *_DATA, *(f.name for f in fields(TrainConfig)), "init_centers", "model",
+              "log"),
     "generate": ("seed", "model", "count", "gibbs_steps", "output"),
     "evaluate": ("seed", *_DATA, "synthetic", "queries", "max_l1", "semantics",
                  "labels", "assignments", "output", "csv"),
@@ -224,9 +225,10 @@ def resolve_options(args: argparse.Namespace) -> dict:
         value = flag if flag is not None else file_values.get(name, opt.default)
         if value is REQUIRED:
             raise ConfigError(f"missing required option {flag_name}")
-        # float() and json.load accept nan, which passes range checks like x <= 0
-        if opt.kind is float and value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag_name} must be a finite number, got {value}")
+        if opt.kind is float and value is not None:
+            value = float(value)  # a config file's 10 is the flag's 10.0
+            if not math.isfinite(value):  # float() and json.load accept nan, which passes x <= 0
+                raise ConfigError(f"{flag_name} must be a finite number, got {value}")
         if opt.least is not None and value is not None and value < opt.least:
             raise ConfigError(f"{flag_name} must be >= {opt.least}")
         resolved[name] = value
@@ -307,7 +309,11 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
     return 0
 
 
-def _load_init_centers(path, k: int, d: int) -> np.ndarray:
+def _load_init_centers(opts: dict) -> np.ndarray | None:
+    """The (k, d) array in the --init-centers file, or None without one."""
+    path, k, d = opts["init_centers"], opts["k"], opts["d"]
+    if not path:
+        return None
     try:
         centers = np.loadtxt(path, delimiter=",", ndmin=2)
     except FileNotFoundError:
@@ -337,12 +343,9 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
         raise ConfigError(f"--gamma must be > 0, got {opts['gamma']}")
     dataset = _load_dataset(opts)
     labels = _load_labels(opts["labels"], len(dataset)) if opts["labels"] else None
-    init = None
-    if opts["init_centers"]:
-        init = _load_init_centers(opts["init_centers"], opts["k"], opts["d"])
     _, clustering = clustering_stage(
         dataset, opts["seed"], k=opts["k"], d=opts["d"], gamma=opts["gamma"],
-        t_kmeans=opts["t_kmeans"], sigma_k=opts["sigma_k"], init=init,
+        t_kmeans=opts["t_kmeans"], sigma_k=opts["sigma_k"], init=_load_init_centers(opts),
     )
     summary = {
         "config_echo": dict(opts),
@@ -366,12 +369,10 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
 def cmd_train(opts: dict, out: _Outputs) -> int:
     from .mixture import save_model, train
 
-    cfg = TrainConfig(**{**_fields_from(TrainConfig, opts), "init_centers": None})
-    if opts["init_centers"]:  # read only once cfg has checked every option
-        init = _load_init_centers(opts["init_centers"], cfg.k, cfg.d)
-        cfg = replace(cfg, init_centers=init)
+    cfg = TrainConfig(**_fields_from(TrainConfig, opts))
+    init = _load_init_centers(opts)  # read only once cfg has checked every option
     dataset = _load_dataset(opts)
-    result = train(dataset, cfg, opts["seed"])
+    result = train(dataset, cfg, opts["seed"], init_centers=init)
     mix = result.mixture
     save_model(mix, opts["model"], config_echo={**opts, "delta": mix.privacy.delta})
     out.mark(opts["model"])

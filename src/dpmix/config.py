@@ -1,16 +1,14 @@
 """Training options and defaults, kept apart from the training stack.
 
 The CLI builds its option table from ``TrainConfig``'s fields and
-defaults, so this module imports only numpy, the accountant and the
-error types: a command that trains nothing does not load ``mixture``.
+defaults, so this module imports only the accountant and the error
+types: a command that trains nothing does not load ``mixture``.
 ``mixture`` re-exports both names.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .accountant import DEFAULT_LAMBDA_MAX, check_noise_scale
 from .errors import ConfigError
@@ -20,7 +18,7 @@ DEFAULT_GENERATION_SWEEPS = 500
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything train() needs beyond the dataset and the master seed."""
+    """train()'s options beyond the dataset, the master seed and the initial centers."""
 
     k: int
     epochs: int
@@ -39,7 +37,6 @@ class TrainConfig:
     bins: int = 100
     delta: float | None = None  # defaults to 1 / |dataset|
     lambda_max: int = DEFAULT_LAMBDA_MAX
-    init_centers: np.ndarray | None = None
 
     def __post_init__(self):
         """Check every field, so a bad value (NaN or inf too) fails before any stage runs."""

@@ -11,7 +11,6 @@ gradients through the factored interface of rbm.FactoredGradients.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +22,12 @@ from .dpnorm import clip_scales, dp_norm
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Diagnostics of one step; an empty batch has NaN norm statistics and none clipped."""
+    """Diagnostics of one step; an empty batch has no norm statistics (None) and none clipped."""
 
     batch_size: int
     clip_bound: float
-    grad_norm_mean: float
-    grad_norm_max: float
+    grad_norm_mean: float | None
+    grad_norm_max: float | None
     clipped_fraction: float
 
 
@@ -60,7 +59,7 @@ def dp_sgd_step(
     released = gaussian_release(total, cfg.sigma_g, c_s, noise_rng)
     new_params = params - cfg.eta * released / cfg.batch_size
     if len(norms) == 0:
-        norm_stats = (math.nan, math.nan, 0.0)  # no norms, none clipped
+        norm_stats = (None, None, 0.0)  # no norms, none clipped
     else:
         norm_stats = (float(norms.mean()), float(norms.max()), float((norms > c_s).mean()))
     return new_params, StepInfo(len(norms), float(c_s), *norm_stats)

@@ -233,12 +233,14 @@ def evaluate_workload(
     workload: QueryWorkload,
     acc: float | None = None,
 ) -> EvalReport:
-    """Mean relative error per length subset, for the synthetic data and
-    for the independent-marginals baseline computed from the real data."""
+    """Mean relative error per length subset, for the synthetic data (its
+    counts scaled by |real| / |synth|) and for the independent-marginals
+    baseline computed from the real data."""
     if real.m != synth.m:
         raise ValueError(f"dimension mismatch: real m={real.m}, synthetic m={synth.m}")
     marginals = real.records.mean(axis=0)
     n = len(real)
+    scale = n / max(len(synth), 1)  # an empty synthetic set counts 0 at any scale
     synth_errors = np.zeros(N_SUBSETS)
     base_errors = np.zeros(N_SUBSETS)
     counts = np.zeros(N_SUBSETS, dtype=np.int64)
@@ -248,7 +250,7 @@ def evaluate_workload(
         workload.queries, workload.subset_ids, true_counts, synth_counts
     ):
         est = independent_estimate(marginals, query, workload.semantics, n)
-        synth_errors[sid - 1] += relative_error(true, got, n)
+        synth_errors[sid - 1] += relative_error(true, got * scale, n)
         base_errors[sid - 1] += relative_error(true, est, n)
         counts[sid - 1] += 1
     if (counts == 0).any():

@@ -225,15 +225,16 @@ def dp_kernel_kmeans(
 def clustering_stage(
     dataset: BinaryDataset, seed: int, *, k: int, d: int, gamma: float, t_kmeans: int,
     sigma_k: float, init: np.ndarray | None = None,
-) -> tuple[FeatureMap, Clustering]:
-    """The feature map and the clustering that ``seed`` gives; train and cluster run this.
+) -> tuple[int, Clustering]:
+    """The clustering that ``seed`` gives and its feature-map seed; train and cluster run this.
 
-    The map comes from the child stream "feature-map", the noise from
-    "kmeans-noise" and default initial centers from "kmeans-init".
+    The map is built from the seed of the child stream "feature-map", the
+    noise from "kmeans-noise" and default initial centers from "kmeans-init".
     """
-    fmap = feature_map_from_seed(dataset.m, d, gamma, child_seed(seed, "feature-map"))
+    map_seed = child_seed(seed, "feature-map")
+    fmap = feature_map_from_seed(dataset.m, d, gamma, map_seed)
     clustering = dp_kernel_kmeans(
         dataset, fmap, k, t_kmeans, sigma_k, child_rng(seed, "kmeans-noise"),
         init=init, init_rng=child_rng(seed, "kmeans-init"),
     )
-    return fmap, clustering
+    return map_seed, clustering

@@ -35,7 +35,6 @@ from .data import BinaryDataset, atomic_write, make_dataset, sample_batch
 from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError
 from .kmeans import Clustering, clustering_stage
-from .rff import FeatureMap, feature_map_from_seed
 from .streams import child_rng, child_seed
 
 MODEL_FORMAT_VERSION = 2
@@ -48,16 +47,19 @@ GENERATION_CHUNK_ROWS = 1024
 class MixtureModel:
     """The released artifact: k generative models plus DP mixture weights.
 
-    ``privacy`` holds the noise scales and iteration counts that ran, and
-    ``epsilon`` at order ``argmin_lambda`` is the (epsilon, privacy.delta)
-    claim the accountant gives for them; every model carries one.
+    The feature map is kept as the file stores it, by ``gamma`` and
+    ``feature_map_seed``; d is ``centers.shape[1]``.  ``privacy`` holds
+    the noise scales and iteration counts that ran, and ``epsilon`` at
+    order ``argmin_lambda`` is the (epsilon, privacy.delta) claim the
+    accountant gives for them; every model carries one.
     """
 
     m: int
     k: int
     models: list[rbm.RbmModel]
     weights: np.ndarray
-    feature_map: FeatureMap
+    gamma: float
+    feature_map_seed: int
     centers: np.ndarray
     privacy: PrivacyConfig
     epsilon: float
@@ -71,11 +73,8 @@ class StepLog:
     info: StepInfo
 
     def to_dict(self) -> dict:
-        """The step as a JSON object; an empty batch's NaN gradient norms become null."""
-        d = {"step": self.step, "cluster": self.cluster}
-        for key, value in asdict(self.info).items():
-            d[key] = None if isinstance(value, float) and math.isnan(value) else value
-        return d
+        """The step as a JSON object; an empty batch's gradient norms are null."""
+        return {"step": self.step, "cluster": self.cluster, **asdict(self.info)}
 
 
 @dataclass
@@ -91,8 +90,11 @@ class TrainResult:
     steps: list[StepLog]
 
 
-def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainResult:
-    """Full private training run, deterministic in (dataset, cfg, master_seed).
+def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int,
+          init_centers: np.ndarray | None = None) -> TrainResult:
+    """Full private training run, deterministic in its arguments.
+
+    ``init_centers``, k rows of d features, replaces k-means' drawn start.
 
     Child random streams, by name: those of kmeans.clustering_stage,
     "model-init", "chains-<i>", "selection", "sgd-sampling", "sgd-noise".
@@ -120,9 +122,9 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
     privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
     epsilon, argmin_lambda = epsilon_for_delta(privacy)
 
-    fmap, clustering = clustering_stage(
+    map_seed, clustering = clustering_stage(
         dataset, master_seed, k=cfg.k, d=cfg.d, gamma=cfg.gamma, t_kmeans=cfg.t_kmeans,
-        sigma_k=cfg.sigma_k, init=cfg.init_centers,
+        sigma_k=cfg.sigma_k, init=init_centers,
     )
 
     # True partition, as row ids: training-internal only, never released.
@@ -161,7 +163,8 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int) -> TrainRe
         k=cfg.k,
         models=models,
         weights=weights,
-        feature_map=fmap,
+        gamma=cfg.gamma,
+        feature_map_seed=map_seed,
         centers=clustering.noisy_centers,
         privacy=privacy,
         epsilon=epsilon,
@@ -247,7 +250,7 @@ def _privacy_dict(mix: MixtureModel) -> dict:
 
 
 def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None:
-    """Serialize to JSON.  The feature map is stored as seed plus shape.
+    """Serialize to JSON.  The feature map is stored as seed, gamma and d.
 
     Every float array is stored as ``{"dtype": "<f8", "shape": [...],
     "base64": ...}``: the base64 of its little-endian float64 bytes in C
@@ -259,15 +262,13 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     The file is written through ``data.atomic_write``, so a failed write
     leaves no partial model behind.
     """
-    if mix.feature_map.seed is None:
-        raise ValueError("only seed-built feature maps can be serialized")
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "m": mix.m,
         "k": mix.k,
-        "d": mix.feature_map.d,
-        "gamma": mix.feature_map.gamma,
-        "feature_map_seed": mix.feature_map.seed,
+        "d": mix.centers.shape[1],
+        "gamma": float(mix.gamma),
+        "feature_map_seed": int(mix.feature_map_seed),
         "centers": mix.centers,
         "weights": mix.weights,
         "models": [
@@ -442,7 +443,6 @@ def _model_from_payload(payload) -> MixtureModel:
         raise _malformed("gamma", gamma, "a finite number > 0")
     if type(seed) is not int or seed < 0:
         raise _malformed("feature_map_seed", seed, "a non-negative integer")
-    fmap = feature_map_from_seed(m, d, gamma, seed)
     priv = payload["privacy"]
     if not isinstance(priv, dict):
         raise DataError("malformed model: privacy is not a JSON object")
@@ -458,7 +458,8 @@ def _model_from_payload(payload) -> MixtureModel:
         k=k,
         models=models,
         weights=weights,
-        feature_map=fmap,
+        gamma=float(gamma),
+        feature_map_seed=seed,
         centers=centers,
         privacy=privacy,
         epsilon=epsilon,

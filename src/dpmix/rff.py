@@ -26,7 +26,6 @@ class FeatureMap:
     w: np.ndarray  # (d, m) frequency matrix, rows ~ N(0, 2*gamma*I)
     b: np.ndarray  # (d,) phases in [0, 2*pi)
     gamma: float
-    seed: int | None = None  # recorded when built via feature_map_from_seed
 
     @property
     def d(self) -> int:
@@ -51,9 +50,8 @@ def sample_feature_map(m: int, d: int, gamma: float, rng: np.random.Generator) -
 
 
 def feature_map_from_seed(m: int, d: int, gamma: float, seed: int) -> FeatureMap:
-    """Rebuildable map: the seed plus dimensions fully determine it."""
-    fmap = sample_feature_map(m, d, gamma, np.random.default_rng(seed))
-    return FeatureMap(w=fmap.w, b=fmap.b, gamma=fmap.gamma, seed=int(seed))
+    """Rebuildable map: (m, d, gamma, seed) determine it, so a model stores the seed, not W."""
+    return sample_feature_map(m, d, gamma, np.random.default_rng(seed))
 
 
 def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:

@@ -298,9 +298,9 @@ def test_criterion_09_end_to_end_utility():
         k=3, epochs=10, batch_size=100,
         sigma_c=4.0, sigma_k=40.0, sigma_g=1.0,
         t_kmeans=20, d=200, gamma=0.1, n_hidden=32, eta=0.05,
-        chain_count=100, init_centers=init,
+        chain_count=100,
     )
-    result = train(data, cfg, master_seed=seed)
+    result = train(data, cfg, master_seed=seed, init_centers=init)
     eps = result.mixture.epsilon
     assert result.mixture.privacy.delta == pytest.approx(1 / 20_000)
 

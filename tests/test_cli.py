@@ -19,7 +19,6 @@ from dpmix.__main__ import BLAS_THREAD_VARIABLES
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
 from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, load_model, save_model
-from dpmix.rff import feature_map_from_seed
 
 ACCT_ARGS = [
     "accountant", "--q", "0.01", "--sigma-c", "4", "--sigma-k", "40",
@@ -324,10 +323,10 @@ def test_cluster_rejects_zero_sigma(tmp_path, corpus_files, capsys):
         assert err == (f"usage error: sigma_k must be finite and > 0, got {float(value)}; "
                        "zero noise has no finite epsilon\n")
     cfg = tmp_path / "zero.json"
-    cfg.write_text('{"sigma_k": 0}')
+    cfg.write_text('{"sigma_k": 0}')  # a config file's 0 is the flag's 0.0
     assert main(base + ["--data", missing, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == (
-        "usage error: sigma_k must be finite and > 0, got 0; zero noise has no finite epsilon\n"
+        "usage error: sigma_k must be finite and > 0, got 0.0; zero noise has no finite epsilon\n"
     )
     # cluster ignores --sigma-c, so a zero there is no error
     assert main(base + ["--data", data_path, "--sigma-k", "10", "--sigma-c", "0"]) == 0
@@ -487,6 +486,96 @@ def test_non_finite_numbers_are_rejected(tmp_path, corpus_files, capsys, source)
     assert sorted(tmp_path.iterdir()) == before
 
 
+_CLUSTER = ["cluster", "--data", "records.txt", "--k", "2", "--d", "12", "--sigma-k", "10",
+            "--t-kmeans", "1", "--output", "summary.json", "--assignments-out", "assign.txt"]
+_TRAIN = _train_args("records.txt", "model.json", log="log.jsonl")
+_MALFORMED_CENTERS = {"centers.csv": "0.1,0.2\n0.3,x\n"}
+_THREE_CENTERS = {"centers.csv": (",".join(["0.1"] * 12) + "\n") * 3}
+
+
+@pytest.mark.parametrize("files,argv,code,message", [
+    ({}, _CLUSTER + ["--config", "missing.json"], 2,
+     "usage error: config file not found: missing.json"),
+    ({"list.json": "[1, 2]\n"}, _CLUSTER + ["--config", "list.json"], 2,
+     "usage error: config file must contain a JSON object"),
+    ({}, _CLUSTER + ["--init-centers", "centers.csv"], 3,
+     "data error: init centers file not found: centers.csv"),
+    ({}, _TRAIN + ["--init-centers", "centers.csv"], 3,
+     "data error: init centers file not found: centers.csv"),
+    (_MALFORMED_CENTERS, _CLUSTER + ["--init-centers", "centers.csv"], 3,
+     "data error: malformed init centers file: "),
+    (_MALFORMED_CENTERS, _TRAIN + ["--init-centers", "centers.csv"], 3,
+     "data error: malformed init centers file: "),
+    (_THREE_CENTERS, _CLUSTER + ["--init-centers", "centers.csv"], 3,
+     "data error: init centers must be (2, 12), got (3, 12)"),
+    (_THREE_CENTERS, _TRAIN + ["--init-centers", "centers.csv"], 3,
+     "data error: init centers must be (2, 12), got (3, 12)"),
+    ({"bad.csv": "1,2,x\n"}, _CLUSTER + ["--data", "bad.csv", "--format", "dense-csv"], 3,
+     "data error: line 1: malformed cell"),
+    ({"bad.txt": "0\n\n1\n"}, _CLUSTER + ["--labels", "bad.txt"], 3,
+     "data error: line 2: empty label"),
+    ({"bad.txt": ""}, _CLUSTER + ["--labels", "bad.txt"], 3,
+     "data error: labels file contains no entries"),
+    ({"wide.txt": "m=12\n0 11\n"},
+     ["evaluate", "--data", "records.txt", "--synthetic", "wide.txt", "--queries", "10",
+      "--output", "report.json", "--csv", "report.csv"], 3,
+     "data error: dimension mismatch: real m=10, synthetic m=12"),
+], ids=["config-missing", "config-list", "cluster-centers-missing", "train-centers-missing",
+        "cluster-centers-malformed", "train-centers-malformed", "cluster-centers-shape",
+        "train-centers-shape", "dense-cell", "labels-blank", "labels-empty", "evaluate-m"])
+def test_documented_input_errors(tmp_path, corpus_files, capsys, monkeypatch,
+                                 files, argv, code, message):
+    # each bad input is refused with its exit code and one stderr line,
+    # and the command leaves none of its outputs behind
+    monkeypatch.chdir(tmp_path)  # corpus_files wrote records.txt here
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_train_init_centers_file_is_the_library_argument(tmp_path, corpus_files, capsys):
+    # the centers file reaches mixture.train as init_centers, bit for bit
+    data, data_path, _ = corpus_files
+    init = np.random.default_rng(3).normal(0.0, 0.1, (2, 12))
+    centers = tmp_path / "centers.csv"
+    centers.write_text("".join(",".join(map(repr, row)) + "\n" for row in init.tolist()))
+    model_path = tmp_path / "model.json"
+    assert main(_train_args(data_path, model_path, seed=4, init_centers=centers)) == 0
+    capsys.readouterr()
+    cfg = TrainConfig(k=2, epochs=1, batch_size=30, sigma_c=4.0, sigma_k=40.0, sigma_g=1.0,
+                      t_kmeans=2, d=12, gamma=0.5, n_hidden=4, chain_count=6)
+    want = mixture.train(data, cfg, 4, init_centers=init).mixture
+    assert not np.array_equal(want.centers, mixture.train(data, cfg, 4).mixture.centers)
+    got = load_model(model_path)
+    for a, b in [(got.centers, want.centers), (got.weights, want.weights),
+                 *((g.params, w.params) for g, w in zip(got.models, want.models))]:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_float_option_from_a_config_file_is_a_float(tmp_path, corpus_files, capsys):
+    # a config file's integer for a real-valued option resolves to the
+    # float the flag gives, so the two runs write the same model bytes
+    _, data_path, _ = corpus_files
+    model_path = tmp_path / "model.json"
+    args = _train_args(data_path, model_path)
+    for flag in ("--sigma-k", "--gamma"):
+        i = args.index(flag)
+        del args[i:i + 2]
+    assert main(args + ["--sigma-k", "10", "--gamma", "1", "--c-max", "8"]) == 0
+    by_flag = model_path.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma_k": 10, "gamma": 1, "c_max": 8}))
+    assert main(args + ["--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert model_path.read_bytes() == by_flag
+    echo = json.loads(by_flag)["config_echo"]
+    assert [type(echo[key]) for key in ("sigma_k", "gamma", "c_max")] == [float] * 3
+
+
 def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsys):
     required = [f for f in fields(TrainConfig) if f.default is MISSING]
     argv = ["train", "--data", "d.txt", "--model", "m.json"]
@@ -494,8 +583,6 @@ def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsy
         argv += [f"--{f.name.replace('_', '-')}", "1"]
     resolved = resolve_options(build_parser().parse_args(argv))
     for f in fields(TrainConfig):
-        if f.name == "init_centers":
-            continue
         assert f.name in resolved
         if f.default is not MISSING:
             assert resolved[f.name] == f.default and type(resolved[f.name]) is type(f.default)
@@ -637,7 +724,7 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatc
     ]
     mix = MixtureModel(
         m=m, k=3, models=models, weights=np.array([2.0, 1.0, 0.0]),
-        feature_map=feature_map_from_seed(m, 4, 1.0, seed=1), centers=np.zeros((3, 4)),
+        gamma=1.0, feature_map_seed=1, centers=np.zeros((3, 4)),
         **privacy_claim(),
     )
     model_path = tmp_path / "model.json"

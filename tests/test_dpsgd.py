@@ -141,7 +141,7 @@ def test_empty_batch_votes_and_releases_at_the_voted_bound():
             noise_rng=np.random.default_rng(99),
         )
     assert info.batch_size == 0 and info.clipped_fraction == 0.0
-    assert math.isnan(info.grad_norm_mean) and math.isnan(info.grad_norm_max)
+    assert info.grad_norm_mean is None and info.grad_norm_max is None
 
     replay = np.random.default_rng(99)
     c_s = dp_norm(np.zeros(0), cfg.sigma_c, c_max=cfg.c_max, bins=cfg.bins, rng=replay)

@@ -258,7 +258,7 @@ def test_baseline_detects_correlation_structure():
 
 def test_evaluate_workload_matches_per_query_loop():
     # the batched counts feed the same sums, in the same order, as one
-    # counting call per query did
+    # counting call per query did, synthetic counts scaled to |real|
     rng = np.random.default_rng(11)
     real = make_dataset((rng.random((500, 70)) < 0.2).astype(np.uint8), allow_empty=True)
     synth = make_dataset((rng.random((400, 70)) < 0.25).astype(np.uint8), allow_empty=True)
@@ -268,10 +268,30 @@ def test_evaluate_workload_matches_per_query_loop():
         synth_sums, base_sums = np.zeros(5), np.zeros(5)
         for query, sid in zip(wl.queries, wl.subset_ids):
             true = _reference_count(real, query, semantics)
-            got = _reference_count(synth, query, semantics)
+            got = _reference_count(synth, query, semantics) * (len(real) / len(synth))
             est = independent_estimate(marginals, query, semantics, len(real))
             synth_sums[sid - 1] += relative_error(true, got, len(real))
             base_sums[sid - 1] += relative_error(true, est, len(real))
         report = evaluate_workload(real, synth, wl)
         assert report.subset_mean_errors == tuple((synth_sums / 40).tolist())
         assert report.baseline_mean_errors == tuple((base_sums / 40).tolist())
+
+
+@pytest.mark.parametrize("copies", [0, 1, 2])
+def test_synthetic_counts_are_scaled_to_the_real_size(copies):
+    # a synthetic set that holds every real record once or twice answers
+    # each query in the real data's proportions, so every error is 0; an
+    # empty one counts 0 on every query, which scaling cannot change
+    rng = np.random.default_rng(4)
+    real = make_dataset((rng.random((300, 40)) < 0.2).astype(np.uint8), allow_empty=True)
+    synth = make_dataset(np.tile(real.records, (copies, 1)), allow_empty=True)
+    for semantics in (ANY, ALL):
+        wl = generate_workload(m=40, max_l1=10, total=100, rng=rng, semantics=semantics)
+        errors = evaluate_workload(real, synth, wl).subset_mean_errors
+        if copies:
+            assert errors == (0.0,) * 5
+        else:
+            true_counts = counting_query(real, wl.queries, semantics)
+            want = np.array([relative_error(true, 0, len(real)) for true in true_counts])
+            ids = np.array(wl.subset_ids)
+            assert errors == pytest.approx([want[ids == s].mean() for s in range(1, 6)])

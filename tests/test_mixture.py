@@ -6,22 +6,23 @@ import math
 import struct
 import sys
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import mixture_corpus, privacy_claim
-from dpmix import accountant, mixture, rbm
+from dpmix import accountant, mixture, rbm, rff
 from dpmix.accountant import alpha_terms, epsilon_for_delta
 from dpmix.data import sample_batch
-from dpmix.dpsgd import dp_sgd_step
+from dpmix.dpsgd import StepInfo, dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
 from dpmix.mixture import (
     GENERATION_CHUNK_ROWS,
     MixtureModel,
+    StepLog,
     TrainConfig,
     generate,
     load_model,
@@ -51,11 +52,10 @@ def _saturated_mixture(weights, biases, m=4):
         )
         for b in biases
     ]
-    fmap = feature_map_from_seed(m=m, d=4, gamma=1.0, seed=1)
     return MixtureModel(
         m=m, k=len(models), models=models,
         weights=np.asarray(weights, dtype=np.float64),
-        feature_map=fmap, centers=np.zeros((len(models), 4)), **privacy_claim(),
+        gamma=1.0, feature_map_seed=1, centers=np.zeros((len(models), 4)), **privacy_claim(),
     )
 
 
@@ -107,6 +107,7 @@ def test_training_replays_from_named_streams():
         init_rng=child_rng(seed, "kmeans-init"),
     )
     assert np.array_equal(result.clustering.assignments, clustering.assignments)
+    assert result.mixture.feature_map_seed == child_seed(seed, "feature-map")
     assert_allclose(result.mixture.centers, clustering.noisy_centers)
     assert_allclose(
         result.mixture.weights, np.clip(clustering.noisy_sizes, 0.0, None)
@@ -218,6 +219,21 @@ def test_zero_noise_is_refused_before_clustering(monkeypatch, name):
     data = mixture_corpus(60, 8, 2, np.random.default_rng(4))
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
         train(data, _tiny_config(**{name: 0.0}), master_seed=5)
+
+
+def test_empty_step_log_line():
+    # an empty batch has no norm statistics: None in StepInfo, null in the log
+    line = json.dumps(StepLog(step=3, cluster=1, info=StepInfo(0, 0.5, None, None, 0.0)).to_dict())
+    assert line == ('{"step": 3, "cluster": 1, "batch_size": 0, "clip_bound": 0.5, '
+                    '"grad_norm_mean": null, "grad_norm_max": null, "clipped_fraction": 0.0}')
+
+
+def test_equal_configs_compare_and_hash_equal():
+    # every field is a scalar, so a frozen config is a value
+    assert {f.type for f in fields(TrainConfig)} <= {"int", "float", "int | None", "float | None"}
+    a, b = _tiny_config(k=2), _tiny_config(k=2)
+    assert a == b and hash(a) == hash(b)
+    assert a != _tiny_config(k=3)
 
 
 def test_config_validation():
@@ -417,9 +433,9 @@ def _reference_model_json(mix, config_echo):
         "version": 2,
         "m": mix.m,
         "k": mix.k,
-        "d": mix.feature_map.d,
-        "gamma": mix.feature_map.gamma,
-        "feature_map_seed": mix.feature_map.seed,
+        "d": mix.centers.shape[1],
+        "gamma": mix.gamma,
+        "feature_map_seed": mix.feature_map_seed,
         "centers": _struct_base64(mix.centers),
         "weights": _struct_base64(mix.weights),
         "models": [
@@ -447,7 +463,8 @@ def _assert_same_model(back, mix):
     assert (back.m, back.k) == (mix.m, mix.k)
     _assert_same_bits(back.weights, mix.weights)
     _assert_same_bits(back.centers, mix.centers)
-    _assert_same_bits(back.feature_map.w, mix.feature_map.w)
+    assert (back.gamma, back.feature_map_seed) == (mix.gamma, mix.feature_map_seed)
+    assert (type(back.gamma), type(back.feature_map_seed)) == (float, int)
     assert len(back.models) == len(mix.models)
     for got, want in zip(back.models, mix.models):
         _assert_same_bits(got.weights, want.weights)
@@ -485,6 +502,32 @@ def test_save_load_round_trip(tmp_path):
     a = generate(result.mixture, 20, np.random.default_rng(8), gibbs_steps=3)
     b = generate(back, 20, np.random.default_rng(8), gibbs_steps=3)
     assert np.array_equal(a.records, b.records)
+
+
+def test_int_gamma_saves_the_bytes_of_float_gamma(tmp_path):
+    # the file stores gamma as a float and the seed as an int, however given
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    saved = []
+    for gamma in (1, 1.0):
+        path = tmp_path / f"model-{gamma!r}.json"
+        save_model(train(data, _tiny_config(gamma=gamma), master_seed=11).mixture, path)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
+
+def test_load_draws_no_feature_map(tmp_path, monkeypatch):
+    # the model keeps the map's seed; generate never embeds, so loading
+    # rebuilds no map
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(k=2), master_seed=11).mixture
+    path = tmp_path / "model.json"
+    save_model(mix, path)
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a feature map was drawn")
+
+    monkeypatch.setattr(rff, "sample_feature_map", drawn)
+    _assert_same_model(load_model(path), mix)
 
 
 @pytest.mark.parametrize("factor,accepted", [
