@@ -10,7 +10,7 @@ OSError), 4 numerical error (an ArithmeticError, NumericsError
 included), 5 out of memory (a MemoryError).  ``main`` alone maps an
 exception to its code, and prints it as one line on stderr.
 Each command imports the modules that only it runs, so ``accountant``
-starts without the clustering and training stack.
+starts without the clustering, training and evaluation stacks.
 """
 from __future__ import annotations
 
@@ -19,13 +19,14 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__, evaluation
+from . import __version__
 from .accountant import PrivacyConfig, alpha_terms, check_noise_scale, epsilon_schedule
-from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
+from .config import ANY, DEFAULT_GENERATION_SWEEPS, N_SUBSETS, SEMANTICS, TrainConfig
 from .data import (
     DEFAULT_BINARIZE_THRESHOLD,
     FORMATS,
@@ -36,7 +37,6 @@ from .data import (
     write_records,
 )
 from .errors import ConfigError, DataError
-from .evaluation import clustering_accuracy, evaluate_workload, generate_workload
 
 REQUIRED = MISSING  # the dataclass marker for "no default"
 
@@ -82,11 +82,9 @@ _OPTIONS = {
     "count": Option(int, REQUIRED, "number of records to generate", least=1),
     "gibbs_steps": Option(int, DEFAULT_GENERATION_SWEEPS, "Gibbs sweeps per sample", least=1),
     "synthetic": Option(str, REQUIRED, "synthetic dataset (sparse-items)"),
-    "queries": Option(int, 1000, "number of counting queries, a multiple of 5",
-                      least=evaluation.N_SUBSETS),
-    "max_l1": Option(int, None, "longest query (default: longest real record)",
-                     least=evaluation.N_SUBSETS),
-    "semantics": Option(evaluation.SEMANTICS, evaluation.ANY, "counting-query semantics"),
+    "queries": Option(int, 1000, "number of counting queries, a multiple of 5", least=N_SUBSETS),
+    "max_l1": Option(int, None, "longest query (default: longest real record)", least=N_SUBSETS),
+    "semantics": Option(SEMANTICS, ANY, "counting-query semantics"),
     "assignments": Option(str, None, "cluster ids, one per record, scored against --labels "
                           "(give both or neither)"),
     "csv": Option(str, None, "write the per-subset CSV here"),
@@ -315,7 +313,9 @@ def _load_init_centers(opts: dict) -> np.ndarray | None:
     if not path:
         return None
     try:
-        centers = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # numpy warns of an empty file; the shape check refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            centers = np.loadtxt(path, delimiter=",", ndmin=2)
     except FileNotFoundError:
         raise DataError(f"init centers file not found: {path}")
     except ValueError as exc:
@@ -336,6 +336,7 @@ def _load_labels(path, n: int) -> np.ndarray:
 
 
 def cmd_cluster(opts: dict, out: _Outputs) -> int:
+    from .evaluation import clustering_accuracy
     from .kmeans import clustering_stage
 
     check_noise_scale("sigma_k", opts["sigma_k"])  # before any input is read
@@ -414,13 +415,13 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_evaluate(opts: dict, out: _Outputs) -> int:
+    from .evaluation import clustering_accuracy, evaluate_workload, generate_workload
     from .streams import child_rng
 
     if (opts["labels"] is None) != (opts["assignments"] is None):
         raise ConfigError("pass --labels and --assignments together")
-    if opts["queries"] % evaluation.N_SUBSETS:  # before any input is read
-        raise ConfigError(f"--queries must be a multiple of {evaluation.N_SUBSETS}, "
-                          f"got {opts['queries']}")
+    if opts["queries"] % N_SUBSETS:  # before any input is read
+        raise ConfigError(f"--queries must be a multiple of {N_SUBSETS}, got {opts['queries']}")
     real = _load_dataset(opts)
     try:
         synth = load_records(opts["synthetic"], SPARSE_ITEMS, allow_empty=True)
@@ -434,9 +435,9 @@ def cmd_evaluate(opts: dict, out: _Outputs) -> int:
     max_l1 = opts["max_l1"]
     if max_l1 is None:
         max_l1 = int(real.records.sum(axis=1).max())
-        if max_l1 < evaluation.N_SUBSETS:
+        if max_l1 < N_SUBSETS:
             raise DataError(f"the longest record of {opts['data']} holds {max_l1} items; "
-                            f"pass --max-l1 >= {evaluation.N_SUBSETS}")
+                            f"pass --max-l1 >= {N_SUBSETS}")
     workload = generate_workload(
         real.m,
         max_l1,

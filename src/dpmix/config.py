@@ -1,9 +1,8 @@
-"""Training options and defaults, kept apart from the training stack.
+"""Option values and defaults, kept apart from the stacks that read them.
 
-The CLI builds its option table from ``TrainConfig``'s fields and
-defaults, so this module imports only the accountant and the error
-types: a command that trains nothing does not load ``mixture``.
-``mixture`` re-exports both names.
+The CLI builds its option table from ``TrainConfig`` and the evaluation
+constants, and this module imports only the accountant and the error
+types, so ``accountant`` loads neither ``mixture`` nor ``evaluation``.
 """
 from __future__ import annotations
 
@@ -14,6 +13,11 @@ from .accountant import DEFAULT_LAMBDA_MAX, check_noise_scale
 from .errors import ConfigError
 
 DEFAULT_GENERATION_SWEEPS = 500
+
+ANY = "any"
+ALL = "all"
+SEMANTICS = (ANY, ALL)
+N_SUBSETS = 5
 
 
 @dataclass(frozen=True)

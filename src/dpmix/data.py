@@ -51,12 +51,15 @@ _RECORD_TEXT[[ord(" "), ord("\t"), ord("\r"), ord("\n")]] = True
 class BinaryDataset:
     """m-dimensional binary records, one row per individual.
 
-    ``records`` has shape (n, m) with entries in {0, 1}.  Construct
-    through :func:`make_dataset` or a loader so the invariants are checked.
+    ``records`` has shape (n, m), entries in {0, 1}, and gives n and m.
+    Construct through :func:`make_dataset` or a loader so the invariants are checked.
     """
 
-    m: int
     records: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return int(self.records.shape[1])
 
     def __len__(self) -> int:
         return int(self.records.shape[0])
@@ -82,7 +85,7 @@ def make_dataset(records: np.ndarray, *, allow_empty: bool = False) -> BinaryDat
         first = int(np.flatnonzero(~arr.any(axis=1))[0])
         raise DataError(f"record {first} is empty (all zeros)")
     arr.flags.writeable = False
-    return BinaryDataset(m=int(arr.shape[1]), records=arr)
+    return BinaryDataset(records=arr)
 
 
 def load_records(
@@ -136,7 +139,7 @@ def _parse_sparse(raw: bytes, allow_empty: bool) -> BinaryDataset:
     # every entry was written as 0 or 1 and every line was checked, so
     # the array needs neither make_dataset's checks nor its copy
     records.flags.writeable = False
-    return BinaryDataset(m=m, records=records)
+    return BinaryDataset(records=records)
 
 
 def _parse_block(block: bytes, records: np.ndarray, row0: int, allow_empty: bool) -> int:

@@ -19,12 +19,8 @@ from itertools import chain
 
 import numpy as np
 
+from .config import ALL, ANY, N_SUBSETS, SEMANTICS  # ALL only for callers of this module
 from .data import BinaryDataset
-
-ANY = "any"
-ALL = "all"
-SEMANTICS = (ANY, ALL)
-N_SUBSETS = 5
 
 
 @dataclass(frozen=True)

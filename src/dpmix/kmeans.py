@@ -8,11 +8,11 @@ Only noisy quantities leave the routine; the final assignment pass is
 against noisy centers.
 
 Clustering holds one (n, d) float64 array, 8 * n * d bytes: the
-embedding, which is clipped in place.  Every other temporary holds at
-most ``BLOCK_ROWS`` rows of d values, or is n x k.  Assignment never
-builds the n x k x d difference (see ``assign_to_centers``) and
-per-cluster sums add rows in index order, so both match the direct form
-and ``np.add.at`` bit for bit.
+embedding, clipped in place by the one pass that takes its squared row
+norms.  Every other temporary holds at most ``BLOCK_ROWS`` rows of d
+values, or is n x k.  Assignment never builds the n x k x d difference
+(see ``assign_to_centers``) and per-cluster sums add rows in index
+order, so both match the direct form and ``np.add.at`` bit for bit.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ from .streams import child_rng, child_seed
 # public: choosing it spends no privacy budget.
 CLIP_BOUND = 1.0
 
-# Rows per block of the clip norms, the per-cluster gather and the
-# near-tie recheck (which takes BLOCK_ROWS // k rows against all k centers).
+# Rows per block of the clip and squared norms, the per-cluster gather and
+# the near-tie recheck (which takes BLOCK_ROWS // k rows against all k centers).
 BLOCK_ROWS = 256
 
 
@@ -62,28 +62,18 @@ class Clustering:
         return self.size_history[-1]
 
 
-def _row_norms(features: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(features, axis=1)``, BLOCK_ROWS rows at a time.
+def clip_embedding(features: np.ndarray) -> np.ndarray:
+    """Clip the rows of a float64 array to CLIP_BOUND in place; return their squared norms.
 
-    Each row's reduction does not depend on the other rows, so the norms
-    are bit for bit those of the one-call form.
+    One pass, BLOCK_ROWS rows at a time.  Each row's reductions depend on
+    that row alone, so rows and squares are bit for bit the one-call forms'.
     """
-    norms = np.empty(len(features))
+    f_sq = np.empty(len(features))
     for start in range(0, len(features), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        norms[rows] = np.linalg.norm(features[rows], axis=1)
-    return norms
-
-
-def clip_features(features: np.ndarray) -> np.ndarray:
-    """Scale rows with norm above CLIP_BOUND back onto the CLIP_BOUND sphere.
-
-    A float64 array is clipped in place and returned; other input is
-    cast to a new float64 array first.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    features *= clip_scales(_row_norms(features), CLIP_BOUND)[:, None]
-    return features
+        rows = features[start:start + BLOCK_ROWS]
+        rows *= clip_scales(np.linalg.norm(rows, axis=1), CLIP_BOUND)[:, None]
+        np.einsum("ij,ij->i", rows, rows, out=f_sq[start:start + BLOCK_ROWS])
+    return f_sq
 
 
 def assign_to_centers(
@@ -178,7 +168,7 @@ def dp_kernel_kmeans(
     init: np.ndarray | None = None,
     init_rng: np.random.Generator,
 ) -> Clustering:
-    """Cluster the embedded records with per-iteration Gaussian noise.
+    """Cluster the embedded records, clipped in one pass, with per-iteration Gaussian noise.
 
     Centers start at ``init``, or else at default_initial_centers drawn
     from ``init_rng``.
@@ -197,8 +187,7 @@ def dp_kernel_kmeans(
         raise ValueError(f"need at least one iteration, got {iterations}")
 
     clipped = embed(fmap, dataset.records)
-    clip_features(clipped)  # in place: the embedding is the one (n, d) array
-    f_sq = np.einsum("ij,ij->i", clipped, clipped)
+    f_sq = clip_embedding(clipped)  # in place: the embedding is the one (n, d) array
 
     if init is not None:
         centers = np.array(init, dtype=np.float64, copy=True)

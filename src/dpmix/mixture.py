@@ -47,15 +47,13 @@ GENERATION_CHUNK_ROWS = 1024
 class MixtureModel:
     """The released artifact: k generative models plus DP mixture weights.
 
-    The feature map is kept as the file stores it, by ``gamma`` and
-    ``feature_map_seed``; d is ``centers.shape[1]``.  ``privacy`` holds
-    the noise scales and iteration counts that ran, and ``epsilon`` at
-    order ``argmin_lambda`` is the (epsilon, privacy.delta) claim the
-    accountant gives for them; every model carries one.
+    k is ``len(models)``, m their visible width and d ``centers.shape[1]``;
+    the feature map is kept as the file stores it, by ``gamma`` and
+    ``feature_map_seed``.  ``privacy`` holds the noise scales and iteration
+    counts that ran, and ``epsilon`` at order ``argmin_lambda`` is the
+    (epsilon, privacy.delta) claim the accountant gives for them; every model carries one.
     """
 
-    m: int
-    k: int
     models: list[rbm.RbmModel]
     weights: np.ndarray
     gamma: float
@@ -64,6 +62,14 @@ class MixtureModel:
     privacy: PrivacyConfig
     epsilon: float
     argmin_lambda: int
+
+    @property
+    def m(self) -> int:
+        return self.models[0].m
+
+    @property
+    def k(self) -> int:
+        return len(self.models)
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,6 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int,
 
     weights = np.clip(clustering.noisy_sizes, 0.0, None)
     mixture = MixtureModel(
-        m=dataset.m,
-        k=cfg.k,
         models=models,
         weights=weights,
         gamma=cfg.gamma,
@@ -245,10 +249,6 @@ def generate(
     return make_dataset(out, allow_empty=True)
 
 
-def _privacy_dict(mix: MixtureModel) -> dict:
-    return {**asdict(mix.privacy), "epsilon": mix.epsilon, "argmin_lambda": mix.argmin_lambda}
-
-
 def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None:
     """Serialize to JSON.  The feature map is stored as seed, gamma and d.
 
@@ -279,7 +279,8 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
             }
             for model in mix.models
         ],
-        "privacy": _privacy_dict(mix),
+        "privacy": {**asdict(mix.privacy), "epsilon": mix.epsilon,
+                    "argmin_lambda": mix.argmin_lambda},
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
@@ -454,8 +455,6 @@ def _model_from_payload(payload) -> MixtureModel:
     if type(argmin_lambda) is not int or not 1 <= argmin_lambda <= top:
         raise _malformed("privacy.argmin_lambda", argmin_lambda, f"an integer in [1, {top}]")
     return MixtureModel(
-        m=m,
-        k=k,
         models=models,
         weights=weights,
         gamma=float(gamma),

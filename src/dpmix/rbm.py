@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericsError
+
 # Uniforms drawn and thresholded per block of a Gibbs half-sweep; even,
 # so each block takes whole 64-bit words.
 UNIFORM_BLOCK = 1 << 16
@@ -232,9 +234,13 @@ def _gibbs_sweeps(
     ``v`` is a (B, m) float32 array of 0/1 states, updated in place and
     returned.  The parameters are negated once, so each product gives
     the negated activation and the logistic needs no negation pass.
+    NumericsError for a parameter that float32 cannot hold: the chains would run on NaN.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("Gibbs sampling needs a 64-bit bit generator, not MT19937")
+    limit = np.finfo(np.float32).max
+    if not -limit <= model.params.min() <= model.params.max() <= limit:  # NaN fails too
+        raise NumericsError("an RBM parameter lies outside float32's range, where sampling runs")
     neg_w = np.negative(model.weights, dtype=np.float32)
     neg_b = np.negative(model.visible_bias, dtype=np.float32)
     neg_c = np.negative(model.hidden_bias, dtype=np.float32)

@@ -21,11 +21,10 @@ EMBED_BLOCK_ROWS = 512
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Frozen random projection; the same map must embed every record of a run."""
+    """Frozen random projection, ``w`` and ``b`` alone; the same map must embed every record."""
 
     w: np.ndarray  # (d, m) frequency matrix, rows ~ N(0, 2*gamma*I)
     b: np.ndarray  # (d,) phases in [0, 2*pi)
-    gamma: float
 
     @property
     def d(self) -> int:
@@ -46,7 +45,7 @@ def sample_feature_map(m: int, d: int, gamma: float, rng: np.random.Generator) -
     b = rng.uniform(0.0, 2.0 * np.pi, size=d)
     w.flags.writeable = False
     b.flags.writeable = False
-    return FeatureMap(w=w, b=b, gamma=float(gamma))
+    return FeatureMap(w=w, b=b)
 
 
 def feature_map_from_seed(m: int, d: int, gamma: float, seed: int) -> FeatureMap:

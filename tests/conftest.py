@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic block-structured Bernoulli mixture corpora,
-dense references for the factored RBM gradients, DP-SGD step helpers and
-a zero-noise stream for noise-free oracles."""
+the one-call clip of embedded records, dense references for the factored
+RBM gradients, DP-SGD step helpers and a zero-noise stream for noise-free
+oracles."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,6 +9,8 @@ import numpy as np
 from dpmix.accountant import PrivacyConfig, epsilon_for_delta
 from dpmix.config import TrainConfig
 from dpmix.data import make_dataset
+from dpmix.dpnorm import clip_scales
+from dpmix.kmeans import CLIP_BOUND
 from dpmix.rbm import RbmModel, _logistic, conditional_hidden
 
 
@@ -43,6 +46,11 @@ def labelled_mixture_corpus(
 def mixture_corpus(*args, **kwargs):
     """The records of labelled_mixture_corpus, without their component ids."""
     return labelled_mixture_corpus(*args, **kwargs)[0]
+
+
+def one_call_clip(features):
+    """The out-of-place, one-call clip that kmeans.clip_embedding must match bit for bit."""
+    return features * clip_scales(np.linalg.norm(features, axis=1), CLIP_BOUND)[:, None]
 
 
 def kernel_rbf(x, y, gamma: float) -> float:

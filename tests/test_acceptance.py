@@ -18,6 +18,7 @@ from conftest import (
     kernel_rbf,
     labelled_mixture_corpus,
     mixture_corpus,
+    one_call_clip,
     step_config,
     ZeroNoise,
 )
@@ -36,7 +37,7 @@ from dpmix.evaluation import (
     evaluate_workload,
     generate_workload,
 )
-from dpmix.kmeans import assign_to_centers, clip_features, dp_kernel_kmeans
+from dpmix.kmeans import assign_to_centers, dp_kernel_kmeans
 from dpmix.mixture import TrainConfig, generate, train
 from dpmix.rff import embed, feature_map_from_seed, sample_feature_map
 from dpmix.streams import child_seed
@@ -157,7 +158,7 @@ def test_criterion_07_noise_free_degeneracies():
     # (a) zero-noise clustering equals exact Lloyd on two planted blobs
     data = mixture_corpus(400, 12, 2, np.random.default_rng(99))
     fmap = feature_map_from_seed(m=12, d=32, gamma=0.3, seed=6)
-    clipped = clip_features(embed(fmap, data.records))
+    clipped = one_call_clip(embed(fmap, data.records))
     init = np.vstack([clipped[0], clipped[1]])
     result = dp_kernel_kmeans(
         data, fmap, k=2, iterations=8, sigma_k=1.0,

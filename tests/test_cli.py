@@ -520,9 +520,16 @@ _THREE_CENTERS = {"centers.csv": (",".join(["0.1"] * 12) + "\n") * 3}
      ["evaluate", "--data", "records.txt", "--synthetic", "wide.txt", "--queries", "10",
       "--output", "report.json", "--csv", "report.csv"], 3,
      "data error: dimension mismatch: real m=10, synthetic m=12"),
+    *(({"centers.csv": text}, command + ["--init-centers", "centers.csv"], 3,
+       "data error: init centers must be (2, 12), got (0, 1)")
+      for command in (_CLUSTER, _TRAIN) for text in ("", "\n\n")),
+    ({}, _TRAIN + ["--eta", "1e50"], 4,
+     "numerical error: an RBM parameter lies outside float32's range"),
 ], ids=["config-missing", "config-list", "cluster-centers-missing", "train-centers-missing",
         "cluster-centers-malformed", "train-centers-malformed", "cluster-centers-shape",
-        "train-centers-shape", "dense-cell", "labels-blank", "labels-empty", "evaluate-m"])
+        "train-centers-shape", "dense-cell", "labels-blank", "labels-empty", "evaluate-m",
+        "cluster-centers-empty", "cluster-centers-blank", "train-centers-empty",
+        "train-centers-blank", "train-eta-overflow"])
 def test_documented_input_errors(tmp_path, corpus_files, capsys, monkeypatch,
                                  files, argv, code, message):
     # each bad input is refused with its exit code and one stderr line,
@@ -723,7 +730,7 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatc
         for _ in range(3)
     ]
     mix = MixtureModel(
-        m=m, k=3, models=models, weights=np.array([2.0, 1.0, 0.0]),
+        models=models, weights=np.array([2.0, 1.0, 0.0]),
         gamma=1.0, feature_map_seed=1, centers=np.zeros((3, 4)),
         **privacy_claim(),
     )
@@ -743,6 +750,24 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert len(load_records(str(tmp_path / "synth-1.txt"), allow_empty=True)) == count
     assert all(out == outs[0] for out in outs)
+
+
+def test_generate_refuses_parameters_beyond_float32(tmp_path, capsys):
+    # the file holds finite float64 values, but Gibbs sampling runs in
+    # float32, where 1e39 is infinite
+    model = rbm.RbmModel(np.zeros((2, 4)), np.full(4, 1e39), np.zeros(2))
+    mix = MixtureModel(
+        models=[model], weights=np.array([1.0]), gamma=1.0, feature_map_seed=1,
+        centers=np.zeros((1, 3)), **privacy_claim(),
+    )
+    model_path, output = tmp_path / "model.json", tmp_path / "synth.txt"
+    save_model(mix, model_path)
+    assert main(["generate", "--model", str(model_path), "--count", "5",
+                 "--output", str(output)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: an RBM parameter lies outside float32's range")
+    assert len(err.splitlines()) == 1
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("error,line", [
@@ -790,8 +815,9 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
-_TRAINING_STACK = ["dpmix.dpnorm", "dpmix.dpsgd", "dpmix.kmeans", "dpmix.mixture", "dpmix.rbm",
-                   "dpmix.rff"]
+# the clustering, training and evaluation stacks
+_NOT_FOR_ACCOUNTANT = ["dpmix.dpnorm", "dpmix.dpsgd", "dpmix.evaluation", "dpmix.kmeans",
+                       "dpmix.mixture", "dpmix.rbm", "dpmix.rff"]
 
 
 def test_accountant_command_loads_no_training_stack():
@@ -802,11 +828,34 @@ def test_accountant_command_loads_no_training_stack():
         "dpmix.cli.main(" + repr(ACCT_ARGS + ["--epochs", "2"]) + ")\n"
         "print(loaded())\n"
     )
-    run = _python(code, *_TRAINING_STACK)
+    run = _python(code, *_NOT_FOR_ACCOUNTANT)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == "[]" and lines[-1] == "[]"
     assert lines[1] == "epoch,t_sgd,epsilon,lambda" and len(lines) == 5
+
+
+def test_commands_run_quietly(tmp_path):
+    # each command, in a fresh interpreter with the default warning
+    # filters, succeeds without a line on stderr
+    data, labels = labelled_mixture_corpus(200, 10, 2, np.random.default_rng(3))
+    write_records(data, tmp_path / "records.txt")
+    (tmp_path / "labels.txt").write_text("\n".join(str(int(c)) for c in labels) + "\n")
+    runs = [
+        ACCT_ARGS + ["--epochs", "2"],
+        ["cluster", "--data", "records.txt", "--labels", "labels.txt", "--k", "2", "--d", "12",
+         "--t-kmeans", "2", "--sigma-k", "10", "--assignments-out", "assign.txt"],
+        _train_args("records.txt", "model.json"),
+        ["generate", "--model", "model.json", "--count", "50", "--gibbs-steps", "5",
+         "--output", "synth.txt"],
+        ["evaluate", "--data", "records.txt", "--synthetic", "synth.txt", "--queries", "10",
+         "--labels", "labels.txt", "--assignments", "assign.txt"],
+    ]
+    for argv in runs:
+        run = subprocess.run([sys.executable, "-m", "dpmix", *argv], cwd=tmp_path,
+                             capture_output=True, text=True, env=_checkout_env())
+        assert (run.returncode, run.stderr) == (0, ""), argv[0]
+        assert run.stdout
 
 
 def test_package_names_load_on_first_use():

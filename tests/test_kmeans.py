@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import ZeroNoise, mixture_corpus
+from conftest import ZeroNoise, mixture_corpus, one_call_clip
 from dpmix import kmeans
 from dpmix.data import make_dataset
-from dpmix.dpnorm import clip_scales
 from dpmix.kmeans import (
     BLOCK_ROWS,
     CLIP_BOUND,
     _cluster_sums,
     assign_to_centers,
-    clip_features,
+    clip_embedding,
     default_initial_centers,
     dp_kernel_kmeans,
 )
@@ -41,45 +40,47 @@ def _lloyd_reference(clipped, init, iterations):
 
 
 def test_clip_worked_examples():
-    # the bound is the public CLIP_BOUND = 1
-    out = clip_features(np.array([[3.0, 4.0], [0.3, 0.4]]))
-    assert_allclose(out, [[0.6, 0.8], [0.3, 0.4]])
+    # the bound is the public CLIP_BOUND = 1; the squares are of the clipped rows
+    assert_allclose(clip_embedding(np.array([[3.0, 4.0], [0.3, 0.4]])), [1.0, 0.25])
     # exactly on the bound: untouched
-    assert_allclose(clip_features(np.array([[1.0, 0.0]])), [[1.0, 0.0]])
+    rows = np.array([[1.0, 0.0]])
+    assert np.array_equal(clip_embedding(rows), [1.0])
+    assert np.array_equal(rows, [[1.0, 0.0]])
 
 
 def test_clip_is_in_place_for_float64_only():
     rows = np.array([[3.0, 4.0], [0.3, 0.4]])
-    assert clip_features(rows) is rows
+    clip_embedding(rows)
     assert_allclose(rows, [[0.6, 0.8], [0.3, 0.4]])
-    ints = np.array([[3, 4]])
-    assert_allclose(clip_features(ints), [[0.6, 0.8]])
-    assert np.array_equal(ints, [[3, 4]])
-
-
-def _parent_clip(features, c_s):
-    """The one-call, out-of-place clip that the blockwise in-place form replaced."""
-    return features * clip_scales(np.linalg.norm(features, axis=1), c_s)[:, None]
 
 
 def test_clustering_clips_like_the_one_call_form(monkeypatch):
-    # several norm blocks and rows on both sides of the bound
+    # several blocks and rows on both sides of the bound: the rows that
+    # clustering clips and the squares it keeps are bit for bit those of
+    # the one-call forms
     rng = np.random.default_rng(21)
     data = mixture_corpus(3 * BLOCK_ROWS + 7, 30, 3, rng)
     fmap = feature_map_from_seed(m=30, d=40, gamma=0.2, seed=8)
     seen = []
-    real_clip = kmeans.clip_features
-    monkeypatch.setattr(kmeans, "clip_features",
-                        lambda *a, **kw: seen.append(real_clip(*a, **kw)) or seen[-1])
-    out = dp_kernel_kmeans(
+
+    def recording_clip(features):
+        f_sq = clip_embedding(features)
+        seen.append((features.copy(), f_sq.copy()))
+        return f_sq
+
+    monkeypatch.setattr(kmeans, "clip_embedding", recording_clip)
+    dp_kernel_kmeans(
         data, fmap, k=3, iterations=1, sigma_k=1.0,
         rng=np.random.default_rng(40), init_rng=np.random.default_rng(1),
     )
     features = embed(fmap, data.records)
-    want = _parent_clip(features, CLIP_BOUND)
+    want = one_call_clip(features)
     assert len(seen) == 1
-    assert np.array_equal(seen[0], want)
-    assert not np.array_equal(want, features)  # some rows were clipped
+    clipped, f_sq = seen[0]
+    assert np.array_equal(clipped, want)
+    assert np.array_equal(f_sq, np.einsum("ij,ij->i", want, want))
+    norms = np.linalg.norm(features, axis=1)
+    assert (norms > CLIP_BOUND).any() and (norms < CLIP_BOUND).any()
 
 
 def test_clustering_holds_one_feature_matrix():
@@ -219,7 +220,7 @@ def test_zero_noise_reproduces_exact_lloyd():
     rng = np.random.default_rng(31)
     data = mixture_corpus(300, 12, 3, rng)
     fmap = feature_map_from_seed(m=12, d=24, gamma=0.3, seed=5)
-    clipped = clip_features(embed(fmap, data.records))
+    clipped = one_call_clip(embed(fmap, data.records))
     init = default_initial_centers(3, 24, np.random.default_rng(2))
 
     result = dp_kernel_kmeans(
@@ -244,7 +245,7 @@ def test_single_cluster_center_is_clipped_mean():
         rng=ZeroNoise(np.random.default_rng(0)), init=np.zeros((1, 16)),
         init_rng=np.random.default_rng(1),
     )
-    clipped = clip_features(embed(fmap, data.records))
+    clipped = one_call_clip(embed(fmap, data.records))
     assert_allclose(result.noisy_centers[0], clipped.mean(axis=0), atol=1e-12)
     assert np.all(result.assignments == 0)
 
@@ -293,7 +294,7 @@ def test_one_iteration_replays_from_a_copy_of_the_noise_stream():
                            rng=np.random.default_rng(31), init=init,
                            init_rng=np.random.default_rng(1))
 
-    clipped = clip_features(embed(fmap, data.records))
+    clipped = one_call_clip(embed(fmap, data.records))
     assign = _direct_assign(clipped, init)
     sums = np.zeros((2, 12))
     np.add.at(sums, assign, clipped)
@@ -313,7 +314,7 @@ def test_noiseless_objective_never_increases():
     rng = np.random.default_rng(77)
     data = mixture_corpus(240, 12, 3, rng)
     fmap = feature_map_from_seed(m=12, d=18, gamma=0.3, seed=7)
-    clipped = clip_features(embed(fmap, data.records))
+    clipped = one_call_clip(embed(fmap, data.records))
     init = default_initial_centers(3, 18, np.random.default_rng(5))
     objectives = []
     for t in range(1, 7):
@@ -350,7 +351,7 @@ def test_released_noisy_sums_move_by_at_most_the_clip_bound():
     fmap = feature_map_from_seed(m=8, d=16, gamma=0.5, seed=13)
     a = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
     canary = 1 - a
-    phi = clip_features(embed(fmap, np.vstack([a, canary])))
+    phi = one_call_clip(embed(fmap, np.vstack([a, canary])))
     units = phi / np.linalg.norm(phi, axis=1)[:, None]
     e = (units[1] - units[0]) / np.linalg.norm(units[1] - units[0])
     init = np.vstack([-10.0 * e, 10.0 * e])  # a goes to center 0, the canary to 1
@@ -390,7 +391,7 @@ def test_single_record_change_touches_at_most_two_clusters():
 
         stats = []
         for recs in (records, swapped):
-            clipped = clip_features(embed(fmap, recs))
+            clipped = one_call_clip(embed(fmap, recs))
             assign = assign_to_centers(clipped, centers)
             counts = np.bincount(assign, minlength=4).astype(float)
             sums = _cluster_sums(clipped, assign, 4)

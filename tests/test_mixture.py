@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from conftest import mixture_corpus, privacy_claim
 from dpmix import accountant, mixture, rbm, rff
 from dpmix.accountant import alpha_terms, epsilon_for_delta
-from dpmix.data import sample_batch
+from dpmix.data import BinaryDataset, make_dataset, sample_batch
 from dpmix.dpsgd import StepInfo, dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
@@ -53,10 +53,21 @@ def _saturated_mixture(weights, biases, m=4):
         for b in biases
     ]
     return MixtureModel(
-        m=m, k=len(models), models=models,
+        models=models,
         weights=np.asarray(weights, dtype=np.float64),
         gamma=1.0, feature_map_seed=1, centers=np.zeros((len(models), 4)), **privacy_claim(),
     )
+
+
+def test_sizes_are_read_from_the_arrays():
+    # no record stores a size beside the array that holds it, so none can
+    # state one that its arrays contradict
+    assert [f.name for f in fields(BinaryDataset)] == ["records"]
+    assert not {"m", "k"} & {f.name for f in fields(MixtureModel)}
+    assert "gamma" not in {f.name for f in fields(rff.FeatureMap)}
+    assert make_dataset(np.eye(7, dtype=np.uint8)[:3]).m == 7
+    mix = _saturated_mixture([1.0, 2.0, 3.0], biases=[0.0] * 3, m=5)
+    assert (mix.m, mix.k) == (5, 3)
 
 
 def test_every_release_is_a_charged_gaussian(monkeypatch):

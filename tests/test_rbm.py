@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit, logsumexp
 
 from conftest import conditional_visible, dense_positive_statistics
+from dpmix.errors import NumericsError
 from dpmix.rbm import (
     UNIFORM_BLOCK,
     FactoredGradients,
@@ -205,6 +206,27 @@ def test_gibbs_sweeps_reject_32_bit_streams():
     mt = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(ValueError, match="64-bit"):
         _gibbs_sweeps(model, np.zeros((2, 4), dtype=np.float32), 1, mt)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+@pytest.mark.parametrize("block", ["weights", "visible_bias", "hidden_bias"])
+def test_gibbs_sweeps_refuse_parameters_beyond_float32(block, value):
+    # the float32 cast would make the parameter infinite (or keep it NaN),
+    # and the chains would run on NaN probabilities
+    model = _random_model(4, 2, seed=1)
+    getattr(model, block).flat[0] = value
+    with pytest.raises(NumericsError, match="outside float32's range"):
+        sample_batch(model, 3, 1, np.random.default_rng(0))
+    chains = PersistentChains.initialize(3, 4, seed=2)
+    with pytest.raises(NumericsError, match="outside float32's range"):
+        advance_chains(model, chains, 1)
+
+
+def test_gibbs_sweeps_accept_the_float32_extremes():
+    limit = float(np.finfo(np.float32).max)
+    model = RbmModel(np.zeros((2, 3)), np.array([limit, -limit, 0.0]), np.zeros(2))
+    draws = sample_batch(model, 50, 2, np.random.default_rng(0))
+    assert np.all(draws[:, 0] == 1) and np.all(draws[:, 1] == 0)
 
 
 def _marginal_distance(count):
