@@ -7,12 +7,16 @@ sums, from which the next centers are formed.
 Only noisy quantities leave the routine; the final assignment pass is
 against noisy centers.
 
-Clustering holds one (n, d) float64 array, 8 * n * d bytes: the
+Clustering holds one (n, d) float32 array, 4 * n * d bytes: the
 embedding, clipped in place by the one pass that takes its squared row
-norms.  Every other temporary holds at most ``BLOCK_ROWS`` rows of d
-values, or is n x k.  Assignment never builds the n x k x d difference
-(see ``assign_to_centers``) and per-cluster sums add rows in index
-order, so both match the direct form and ``np.add.at`` bit for bit.
+norms.  float32 rounds 10^6 times finer than the features' kernel error
+(see ``rff``), while every quantity that decides an assignment or leaves
+the routine is float64: row norms, centers, the near-tie recheck and the
+per-cluster sums.  Every other temporary holds at most ``BLOCK_ROWS``
+rows of d values, or is n x k.  Assignment never builds the n x k x d
+difference (see ``assign_to_centers``) and per-cluster sums add rows in
+index order, so both match the direct float64 form and ``np.add.at`` bit
+for bit.
 """
 from __future__ import annotations
 
@@ -30,6 +34,12 @@ from .streams import child_rng, child_seed
 # (rff.py) whatever the data, so a fixed clip bound of that order is
 # public: choosing it spends no privacy budget.
 CLIP_BOUND = 1.0
+
+# A clipped row is scaled to this norm, just inside CLIP_BOUND: rounding
+# its entries to float32 moves each by at most 2^-24 of itself, and the
+# float64 norm and scale add about d * 2^-53, so for any d below 2^28 the
+# rounded row's float64 norm stays at most CLIP_BOUND.
+CLIP_TARGET = CLIP_BOUND * (1.0 - 2.0**-22)
 
 # Rows per block of the clip and squared norms, the per-cluster gather and
 # the near-tie recheck (which takes BLOCK_ROWS // k rows against all k centers).
@@ -63,61 +73,92 @@ class Clustering:
 
 
 def clip_embedding(features: np.ndarray) -> np.ndarray:
-    """Clip the rows of a float64 array to CLIP_BOUND in place; return their squared norms.
+    """Clip the rows of a float32 array to CLIP_BOUND in place; return their squared norms.
 
-    One pass, BLOCK_ROWS rows at a time.  Each row's reductions depend on
+    One pass, BLOCK_ROWS rows at a time, in float64: a row within the
+    bound is left as it is, a row beyond it is scaled to CLIP_TARGET and
+    rounded to float32, so its float64 norm is at most CLIP_BOUND, the
+    sensitivity that ``alpha_kmeans`` charges.  The squares are float64
+    sums over the stored float32 rows.  Each row's reductions depend on
     that row alone, so rows and squares are bit for bit the one-call forms'.
     """
     f_sq = np.empty(len(features))
+    wide = np.empty((min(BLOCK_ROWS, len(features)), features.shape[1]))
     for start in range(0, len(features), BLOCK_ROWS):
         rows = features[start:start + BLOCK_ROWS]
-        rows *= clip_scales(np.linalg.norm(rows, axis=1), CLIP_BOUND)[:, None]
-        np.einsum("ij,ij->i", rows, rows, out=f_sq[start:start + BLOCK_ROWS])
+        block = wide[:len(rows)]
+        block[...] = rows
+        norms = np.linalg.norm(block, axis=1)
+        block *= np.where(norms > CLIP_BOUND, clip_scales(norms, CLIP_TARGET), 1.0)[:, None]
+        rows[...] = block
+        block[...] = rows
+        np.einsum("ij,ij->i", block, block, out=f_sq[start:start + BLOCK_ROWS])
     return f_sq
 
 
 def assign_to_centers(
     features: np.ndarray, centers: np.ndarray, f_sq: np.ndarray | None = None
 ) -> np.ndarray:
-    """Index of the nearest center per row; ties break toward the lower index.
+    """Index of the nearest center per float32 row; ties break toward the lower index.
 
-    The result is the argmin of the direct squared distances
-    ``((f - c) ** 2).sum()``, but the n x k x d difference is never built.
-    Distances are taken in expanded form, ||f||^2 - 2 f.c + ||c||^2, with
-    one matrix product.  The expanded and the direct value each lie within
-    g * (||f|| + max ||c||)^2 of the exact distance, with
-    g = gamma_{d+2} = (d+2) eps / (1 - (d+2) eps).  A row whose best and
-    second-best expanded values are more than 4 g (||f|| + max ||c||)^2
-    apart has the same argmin in both forms.  Every other row (a near
-    tie, or a non-finite value) is recomputed in the direct form.  Each
+    The result is the argmin of the direct float64 squared distances
+    ``((f - c) ** 2).sum()`` from each row, upcast exactly, to the float64
+    centers, but the n x k x d difference is never built.  Distances are
+    taken in expanded form, ||f||^2 - 2 f.c + ||c||^2: one float32 matrix
+    product against the centers rounded to float32, the rest in float64.
+
+    With u = 2^-24 and gamma_n(x) = n x / (1 - n x), rounding c to float32
+    moves f.c by at most u ||f|| ||c||, and the float32 product adds at
+    most gamma_d(u) ||f|| ||c||, together at most gamma_{d+1}(u) ||f|| ||c||.
+    The float64 terms, and the direct value, each lie within
+    g (||f|| + ||c||)^2 of the exact distance, g = gamma_{d+2}(eps64).
+    A float32 underflow adds at most half the smallest subnormal s per
+    rounded entry and per product.  As 2 ||f|| ||c|| <= (||f|| + ||c||)^2,
+    a row whose best and second-best expanded values are more than
+    2 (gamma_{d+1}(u) + 2 g) (||f|| + max ||c||)^2 + 4 d (1 + ||f||) s
+    apart has the same argmin in both forms.  Every other row is
+    recomputed in the direct form: a near tie, or a row with a value that
+    is not finite, which is how an overflow in float32 shows.  Each
     direct value is a sum over the contiguous last axis, so it does not
     depend on which rows are recomputed, and exact ties still go to the
     lower index.  The recheck runs BLOCK_ROWS // k rows at a time, so
     when every row is a near tie, as with duplicate centers, it costs the
     direct form's time but not its n x k x d memory.
 
-    ``f_sq`` holds the squared row norms of ``features``; a caller that
-    assigns the same features to several sets of centers passes them in.
+    ``f_sq`` holds the float64 squared row norms of ``features``; a caller
+    that assigns the same features to several sets of centers passes them in.
     """
-    features = np.asarray(features, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    if len(centers) == 1:
+    k = len(centers)
+    if k == 1:
         return np.zeros(len(features), dtype=np.intp)
     if f_sq is None:
-        f_sq = np.einsum("ij,ij->i", features, features)
+        f_sq = np.einsum("ij,ij->i", features, features, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = features @ centers.T
-    d2 *= -2.0
-    d2 += f_sq[:, None]
-    d2 += c_sq
-    assign = np.argmin(d2, axis=1)
-
-    best_two = np.partition(d2, 1, axis=1)
-    n_eps = (features.shape[1] + 2) * np.finfo(np.float64).eps
-    bound = 4.0 * n_eps / (1.0 - n_eps) * (np.sqrt(f_sq) + np.sqrt(c_sq.max())) ** 2
-    # written as "not above" so that NaN gaps and bounds are rechecked too
-    near = np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > bound))
-    step = max(1, BLOCK_ROWS // len(centers))
+    # one row per center, so the best two per record come from k row passes;
+    # a center beyond float32's range becomes infinite here
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = features @ centers.astype(np.float32).T
+        d2 = np.multiply(product.T, -2.0, dtype=np.float64, order="C")
+        d2 += f_sq
+        d2 += c_sq[:, None]
+        assign = np.zeros(len(features), dtype=np.intp)
+        best = d2[0].copy()
+        second = np.full(len(features), np.inf)
+        for i in range(1, k):
+            np.minimum(second, np.maximum(best, d2[i]), out=second)
+            assign[d2[i] < best] = i
+            np.minimum(best, d2[i], out=best)
+        d = features.shape[1]
+        u, eps64 = 2.0**-24, np.finfo(np.float64).eps
+        g32 = (d + 1) * u / (1.0 - (d + 1) * u)
+        g64 = (d + 2) * eps64 / (1.0 - (d + 2) * eps64)
+        f_norm = np.sqrt(f_sq)
+        bound = 2.0 * (g32 + 2.0 * g64) * (f_norm + np.sqrt(c_sq.max())) ** 2
+        bound += 4.0 * d * (1.0 + f_norm) * np.finfo(np.float32).smallest_subnormal
+        # written as "not above" so that NaN gaps and bounds are rechecked too
+        near = np.flatnonzero(~(second - best > bound) | ~np.isfinite(d2).all(axis=0))
+    step = max(1, BLOCK_ROWS // k)
     for start in range(0, len(near), step):
         rows = near[start:start + step]
         direct = ((features[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -126,14 +167,15 @@ def assign_to_centers(
 
 
 def _cluster_sums(clipped: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster row sums, adding each cluster's rows in index order.
+    """Per-cluster float64 sums of float32 rows, adding each cluster's rows in index order.
 
     An axis-0 sum adds rows one after another, as ``np.add.at`` does.
-    Each cluster's rows are gathered BLOCK_ROWS - 1 at a time below a
-    first row that carries the running sum (zero at the start), so the
-    additions are the same left fold as ``np.add.at``, bit for bit.  A
-    single column is the exception: numpy sums it pairwise, so it goes
-    through ``bincount``, which also adds in index order.
+    Each cluster's rows are gathered BLOCK_ROWS - 1 at a time and upcast
+    below a first row that carries the running sum (zero at the start),
+    so the additions are the same left fold as ``np.add.at`` into float64
+    zeros, bit for bit.  A single column is the exception: numpy sums it
+    pairwise, so it goes through ``bincount``, which also adds in index
+    order.
     """
     if clipped.shape[1] == 1:
         return np.bincount(assign, weights=clipped[:, 0], minlength=k)[:, None]
@@ -146,7 +188,7 @@ def _cluster_sums(clipped: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray
             take = members[start:start + step]
             rows = chunk[:len(take) + 1]
             rows[0] = sums[i]
-            np.take(clipped, take, axis=0, out=rows[1:])
+            rows[1:] = clipped[take]
             rows.sum(axis=0, out=sums[i])
     return sums
 
@@ -205,7 +247,6 @@ def dp_kernel_kmeans(
         noisy_sums = gaussian_release(_cluster_sums(clipped, assign, k), sigma_k, CLIP_BOUND, rng)
         moved = history[t] >= 1
         centers[moved] = noisy_sums[moved] / history[t, moved][:, None]
-        del noisy_sums  # alive across the next assignment, it fragments the heap: +1 MB RSS
 
     final_assign = assign_to_centers(clipped, centers, f_sq)
     return Clustering(assignments=final_assign, noisy_centers=centers, size_history=history)

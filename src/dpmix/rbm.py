@@ -234,14 +234,23 @@ def _gibbs_sweeps(
     ``v`` is a (B, m) float32 array of 0/1 states, updated in place and
     returned.  The parameters are negated once, so each product gives
     the negated activation and the logistic needs no negation pass.
-    NumericsError for a parameter that float32 cannot hold: the chains would run on NaN.
+    NumericsError where an activation could overflow float32 and the
+    chains would run on NaN: a hidden activation is at most
+    sum_j |W_ij| + |c_i| in size and a visible one sum_i |W_ij| + |b_j|,
+    and each of these must fit in float32.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("Gibbs sampling needs a 64-bit bit generator, not MT19937")
     limit = np.finfo(np.float32).max
-    if not -limit <= model.params.min() <= model.params.max() <= limit:  # NaN fails too
-        raise NumericsError("an RBM parameter lies outside float32's range, where sampling runs")
-    neg_w = np.negative(model.weights, dtype=np.float32)
+    # neg_w holds |W| in float32 for the check, then -W; a weight beyond
+    # float32's range becomes infinite, and a sum beyond float64's too
+    with np.errstate(over="ignore"):
+        neg_w = np.abs(model.weights, dtype=np.float32)
+        hidden = neg_w.sum(axis=1, dtype=np.float64) + np.abs(model.hidden_bias)
+        visible = neg_w.sum(axis=0, dtype=np.float64) + np.abs(model.visible_bias)
+    if not (hidden.max() <= limit and visible.max() <= limit):  # NaN fails too
+        raise NumericsError("an RBM activation can lie outside float32's range, where sampling runs")
+    np.negative(model.weights, out=neg_w, casting="same_kind")
     neg_b = np.negative(model.visible_bias, dtype=np.float32)
     neg_c = np.negative(model.hidden_bias, dtype=np.float32)
     h = np.empty((v.shape[0], neg_c.size), dtype=np.float32)

@@ -9,6 +9,10 @@ kernel's spectral density N(0, 2*gamma*I) and phases b uniform on
 with error O(1/sqrt(d)).  The embedding satisfies E[||z(x)||] <= 1, so
 clustering in feature space can use the fixed clip bound 1 without
 spending privacy budget on threshold selection.
+
+The embedding is float32: at d = 200 the kernel error is about 7%, some
+10^6 times float32's rounding of ``W x + b`` and of the cosine, and
+float32 halves the bytes of the (n, d) array that clustering holds.
 """
 from __future__ import annotations
 
@@ -56,23 +60,26 @@ def feature_map_from_seed(m: int, d: int, gamma: float, seed: int) -> FeatureMap
 def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Embed one record (1-D) or a stack of records (2-D, one per row).
 
-    Records are cast to float64 EMBED_BLOCK_ROWS at a time into one
-    reused buffer, so the only full-size array is the (n, d) result.
+    The result is float32, and so is the arithmetic: W and b are cast
+    once per call, and records are cast EMBED_BLOCK_ROWS at a time into
+    one reused buffer, so the only full-size array is the (n, d) result.
     """
     x = np.asarray(x)
     if x.shape[-1] != fmap.m:
         raise ValueError(f"record dimension {x.shape[-1]} does not match map m={fmap.m}")
     records = x.reshape(-1, fmap.m)
-    out = np.empty((records.shape[0], fmap.d))
-    cast = np.empty((min(EMBED_BLOCK_ROWS, records.shape[0]), fmap.m))
-    scale = np.sqrt(2.0 / fmap.d)
+    w = fmap.w.astype(np.float32)
+    b = fmap.b.astype(np.float32)
+    out = np.empty((records.shape[0], fmap.d), dtype=np.float32)
+    cast = np.empty((min(EMBED_BLOCK_ROWS, records.shape[0]), fmap.m), dtype=np.float32)
+    scale = np.float32(np.sqrt(2.0 / fmap.d))
     for start in range(0, records.shape[0], EMBED_BLOCK_ROWS):
         rows = slice(start, start + EMBED_BLOCK_ROWS)
         block = out[rows]
         floats = cast[:len(block)]
         floats[...] = records[rows]
-        np.matmul(floats, fmap.w.T, out=block)
-        block += fmap.b
+        np.matmul(floats, w.T, out=block)
+        block += b
         np.cos(block, out=block)
         block *= scale
     return out.reshape(*x.shape[:-1], fmap.d)

@@ -10,7 +10,7 @@ from dpmix.accountant import PrivacyConfig, epsilon_for_delta
 from dpmix.config import TrainConfig
 from dpmix.data import make_dataset
 from dpmix.dpnorm import clip_scales
-from dpmix.kmeans import CLIP_BOUND
+from dpmix.kmeans import CLIP_BOUND, CLIP_TARGET
 from dpmix.rbm import RbmModel, _logistic, conditional_hidden
 
 
@@ -49,8 +49,15 @@ def mixture_corpus(*args, **kwargs):
 
 
 def one_call_clip(features):
-    """The out-of-place, one-call clip that kmeans.clip_embedding must match bit for bit."""
-    return features * clip_scales(np.linalg.norm(features, axis=1), CLIP_BOUND)[:, None]
+    """The out-of-place, one-call clip that kmeans.clip_embedding must match bit for bit.
+
+    Norms and scales are float64, a row beyond CLIP_BOUND moves onto the
+    CLIP_TARGET ball, and the rows come back as float32.
+    """
+    wide = features.astype(np.float64)
+    norms = np.linalg.norm(wide, axis=1)
+    scales = np.where(norms > CLIP_BOUND, clip_scales(norms, CLIP_TARGET), 1.0)
+    return (wide * scales[:, None]).astype(np.float32)
 
 
 def kernel_rbf(x, y, gamma: float) -> float:

@@ -524,7 +524,7 @@ _THREE_CENTERS = {"centers.csv": (",".join(["0.1"] * 12) + "\n") * 3}
        "data error: init centers must be (2, 12), got (0, 1)")
       for command in (_CLUSTER, _TRAIN) for text in ("", "\n\n")),
     ({}, _TRAIN + ["--eta", "1e50"], 4,
-     "numerical error: an RBM parameter lies outside float32's range"),
+     "numerical error: an RBM activation can lie outside float32's range"),
 ], ids=["config-missing", "config-list", "cluster-centers-missing", "train-centers-missing",
         "cluster-centers-malformed", "train-centers-malformed", "cluster-centers-shape",
         "train-centers-shape", "dense-cell", "labels-blank", "labels-empty", "evaluate-m",
@@ -765,7 +765,7 @@ def test_generate_refuses_parameters_beyond_float32(tmp_path, capsys):
     assert main(["generate", "--model", str(model_path), "--count", "5",
                  "--output", str(output)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: an RBM parameter lies outside float32's range")
+    assert err.startswith("numerical error: an RBM activation can lie outside float32's range")
     assert len(err.splitlines()) == 1
     assert not output.exists()
 
@@ -918,9 +918,10 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     """``python -m dpmix train`` writes the same model file whether or not
     the user pins BLAS to one thread.
 
-    At m = 784 the float64 products of the embedding and of the RBM
-    statistics round differently on one OpenBLAS thread than on two, so
-    this fails where the entry point leaves BLAS its own thread count.
+    At m = 784 the float32 products of the embedding and the float64
+    products of the RBM statistics round differently on one OpenBLAS
+    thread than on two, so this fails where the entry point leaves BLAS
+    its own thread count.
     On a host with one usable CPU BLAS runs one thread either way, and
     the test passes vacuously.
     """

@@ -11,6 +11,7 @@ from dpmix.data import make_dataset
 from dpmix.kmeans import (
     BLOCK_ROWS,
     CLIP_BOUND,
+    CLIP_TARGET,
     _cluster_sums,
     assign_to_centers,
     clip_embedding,
@@ -21,7 +22,9 @@ from dpmix.rff import embed, feature_map_from_seed
 
 
 def _direct_assign(features, centers):
-    """The n x k x d direct form that assign_to_centers must match exactly."""
+    """The n x k x d direct float64 form that assign_to_centers must match exactly."""
+    features = np.asarray(features, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
     d2 = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
 
@@ -35,23 +38,66 @@ def _lloyd_reference(clipped, init, iterations):
         for i in range(k):
             members = clipped[assign == i]
             if len(members):
-                centers[i] = members.mean(axis=0)
+                centers[i] = members.mean(axis=0, dtype=np.float64)
     return centers, assign_to_centers(clipped, centers)
 
 
 def test_clip_worked_examples():
-    # the bound is the public CLIP_BOUND = 1; the squares are of the clipped rows
-    assert_allclose(clip_embedding(np.array([[3.0, 4.0], [0.3, 0.4]])), [1.0, 0.25])
+    # the bound is the public CLIP_BOUND = 1; the squares are of the clipped
+    # float32 rows, and a clipped row lands just inside the bound
+    squares = clip_embedding(np.array([[3.0, 4.0], [0.3, 0.4]], dtype=np.float32))
+    assert_allclose(squares, [1.0, 0.25], rtol=1e-6)
+    assert squares[0] <= CLIP_BOUND**2
     # exactly on the bound: untouched
-    rows = np.array([[1.0, 0.0]])
+    rows = np.array([[1.0, 0.0]], dtype=np.float32)
     assert np.array_equal(clip_embedding(rows), [1.0])
     assert np.array_equal(rows, [[1.0, 0.0]])
 
 
-def test_clip_is_in_place_for_float64_only():
-    rows = np.array([[3.0, 4.0], [0.3, 0.4]])
+def test_clip_is_in_place():
+    rows = np.array([[3.0, 4.0], [0.3, 0.4]], dtype=np.float32)
+    inside = rows[1].copy()
     clip_embedding(rows)
-    assert_allclose(rows, [[0.6, 0.8], [0.3, 0.4]])
+    assert rows.dtype == np.float32
+    assert_allclose(rows, [[0.6, 0.8], [0.3, 0.4]], rtol=1e-6)
+    assert np.array_equal(rows[1], inside)
+
+
+def _adversarial_rows(d):
+    """float32 rows at and around CLIP_BOUND that rounding could push past it."""
+    rng = np.random.default_rng(d)
+    equal = np.full(d, CLIP_BOUND / np.sqrt(d), dtype=np.float32)  # equal components
+    units = rng.normal(size=(50, d))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    units = units.astype(np.float32)
+    rows = [equal, *units, np.zeros(d, dtype=np.float32)]
+    for row in [equal, *units]:
+        # the row one float32 step above and one below itself, each entry moved
+        rows += [np.nextafter(row, 2 * row), np.nextafter(row, row / 2), 2.0 * row, 1e6 * row]
+    exact = np.zeros((2, d), dtype=np.float32)  # float64 norms exactly CLIP_BOUND
+    exact[0, 0] = CLIP_BOUND
+    if d >= 4:
+        exact[1, :4] = CLIP_BOUND / 2
+    scaled = rng.normal(size=(200, d)) * rng.uniform(0, 3, size=(200, 1))
+    return np.vstack([np.array(rows, dtype=np.float32), exact, scaled.astype(np.float32)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 200, 1000])
+def test_every_clipped_row_lies_within_the_bound(d):
+    # the charged sensitivity C_s is CLIP_BOUND: no row may leave the clip
+    # with a float64 norm above it, and a row inside it is left as it is
+    rows = _adversarial_rows(d)
+    before = rows.copy()
+    wide = np.linalg.norm(before.astype(np.float64), axis=1)
+    assert (wide > CLIP_BOUND).any() and (wide == CLIP_BOUND).any()
+    assert (np.abs(wide - CLIP_BOUND) < 1e-6).any()  # rows right at the bound
+    f_sq = clip_embedding(rows)
+    after = np.linalg.norm(rows.astype(np.float64), axis=1)
+    assert np.all(after <= CLIP_BOUND)
+    assert np.all(f_sq <= CLIP_BOUND**2)
+    inside = wide <= CLIP_BOUND
+    assert np.array_equal(rows[inside], before[inside])
+    assert np.all(after[~inside] >= CLIP_TARGET * (1 - 1e-6))
 
 
 def test_clustering_clips_like_the_one_call_form(monkeypatch):
@@ -78,14 +124,15 @@ def test_clustering_clips_like_the_one_call_form(monkeypatch):
     assert len(seen) == 1
     clipped, f_sq = seen[0]
     assert np.array_equal(clipped, want)
-    assert np.array_equal(f_sq, np.einsum("ij,ij->i", want, want))
+    wide = want.astype(np.float64)
+    assert np.array_equal(f_sq, np.einsum("ij,ij->i", wide, wide))
     norms = np.linalg.norm(features, axis=1)
     assert (norms > CLIP_BOUND).any() and (norms < CLIP_BOUND).any()
 
 
 def test_clustering_holds_one_feature_matrix():
-    # the embedding is the only (n, d) array; every other temporary is
-    # BLOCK_ROWS rows or n x k
+    # the float32 embedding is the only (n, d) array; every other temporary
+    # is BLOCK_ROWS rows or n x k
     n, d = 20_000, 100
     data = mixture_corpus(n, 20, 3, np.random.default_rng(9))
     fmap = feature_map_from_seed(m=20, d=d, gamma=0.3, seed=4)
@@ -96,7 +143,7 @@ def test_clustering_holds_one_feature_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * 8 * n * d
+    assert peak < 1.3 * 4 * n * d
 
 
 def test_assignment_ties_take_lower_index():
@@ -107,7 +154,7 @@ def test_assignment_ties_take_lower_index():
 
 def _unit_rows(rng, n, d):
     rows = rng.normal(size=(n, d))
-    return rows / np.linalg.norm(rows, axis=1)[:, None]
+    return (rows / np.linalg.norm(rows, axis=1)[:, None]).astype(np.float32)
 
 
 @pytest.mark.parametrize("n,k,d", [(500, 7, 40), (300, 3, 1), (40, 1, 9), (60, 60, 5)],
@@ -115,8 +162,11 @@ def _unit_rows(rng, n, d):
 def test_assignment_matches_direct_form(n, k, d):
     rng = np.random.default_rng(n + k + d)
     features = _unit_rows(rng, n, d)
+    # the last set has one center beyond float32's range: its float32 product
+    # is infinite, or NaN, while the other centers' are finite
     for centers in (rng.normal(size=(k, d)), 30.0 * rng.normal(size=(k, d)),
-                    features[rng.choice(n, size=k, replace=False)]):
+                    features[rng.choice(n, size=k, replace=False)],
+                    np.vstack([rng.normal(size=(k - 1, d)), 1e50 * rng.normal(size=(1, d))])):
         assert np.array_equal(assign_to_centers(features, centers),
                               _direct_assign(features, centers))
 
@@ -126,7 +176,7 @@ def test_assignment_exact_ties_match_direct_form():
     centers = rng.normal(size=(6, 3))
     centers[4] = centers[1]  # a duplicate center ties on every row
     centers[5] = centers[0][[1, 0, 2]]  # mirror image of center 0
-    features = rng.normal(size=(400, 3))
+    features = rng.normal(size=(400, 3)).astype(np.float32)
     features[:, 1] = features[:, 0]  # on the mirror plane
     direct = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(direct[:, 0], direct[:, 5])
@@ -138,21 +188,22 @@ def test_assignment_exact_ties_match_direct_form():
 def test_assignment_near_ties_match_direct_form():
     rng = np.random.default_rng(6)
     k, d = 5, 30
-    centers = _unit_rows(rng, k, d)
+    centers = _unit_rows(rng, k, d).astype(np.float64)
     a, b = centers[0], centers[3]
     normal = (a - b) / np.linalg.norm(a - b)
     along = rng.normal(size=(400, d))
     along -= np.outer(along @ normal, normal)  # stay on the bisector plane
-    features = 0.5 * (a + b) + 0.1 * along
-    # move one coordinate of each point by one ulp, toward either side
+    features = (0.5 * (a + b) + 0.1 * along).astype(np.float32)
+    # move one coordinate of each point by one float32 ulp, toward either side
     cols = rng.integers(d, size=len(features))
     rows = np.arange(len(features))
     toward = np.where(rng.random(len(features)) < 0.5, np.inf, -np.inf)
-    features[rows, cols] = np.nextafter(features[rows, cols], toward)
+    features[rows, cols] = np.nextafter(features[rows, cols], toward.astype(np.float32))
     got = assign_to_centers(features, centers)
     assert np.array_equal(got, _direct_assign(features, centers))
     assert set(got) <= {0, 3}
-    f_sq = np.einsum("ij,ij->i", features, features)
+    wide = features.astype(np.float64)
+    f_sq = np.einsum("ij,ij->i", wide, wide)
     assert np.array_equal(assign_to_centers(features, centers, f_sq), got)
 
 
@@ -187,14 +238,14 @@ def test_assignment_peak_memory_with_duplicate_centers():
 
 def _check_sums_match_add_at(rows, assign, k):
     want = np.zeros((k, rows.shape[1]))
-    np.add.at(want, assign, rows)
+    np.add.at(want, assign, rows.astype(np.float64))
     assert np.array_equal(_cluster_sums(rows, assign, k), want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 200])
 def test_cluster_sums_match_add_at(d):
     rng = np.random.default_rng(d)
-    rows = rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))
+    rows = (rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))).astype(np.float32)
     assign = rng.integers(0, 6, size=3000)
     assign[assign == 4] = 5  # one empty cluster
     _check_sums_match_add_at(rows, assign, 6)
@@ -203,7 +254,7 @@ def test_cluster_sums_match_add_at(d):
 @pytest.mark.parametrize("d", [2, 200])
 def test_cluster_sums_match_add_at_across_gather_chunks(d):
     rng = np.random.default_rng(d)
-    rows = rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))
+    rows = (rng.normal(size=(3000, d)) * rng.uniform(0, 1e3, size=(3000, 1))).astype(np.float32)
     assign = np.where(rng.random(3000) < 0.95, 2, rng.integers(0, 6, size=3000))
     assert (assign == 2).sum() > 8 * BLOCK_ROWS  # one cluster spans many chunks
     _check_sums_match_add_at(rows, assign, 6)
@@ -246,7 +297,7 @@ def test_single_cluster_center_is_clipped_mean():
         init_rng=np.random.default_rng(1),
     )
     clipped = one_call_clip(embed(fmap, data.records))
-    assert_allclose(result.noisy_centers[0], clipped.mean(axis=0), atol=1e-12)
+    assert_allclose(result.noisy_centers[0], clipped.mean(axis=0, dtype=np.float64), atol=1e-12)
     assert np.all(result.assignments == 0)
 
 

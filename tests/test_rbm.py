@@ -222,6 +222,23 @@ def test_gibbs_sweeps_refuse_parameters_beyond_float32(block, value):
         advance_chains(model, chains, 1)
 
 
+@pytest.mark.parametrize("weights,visible_bias,hidden_bias", [
+    (np.full((2, 3), 3e38), np.zeros(3), np.full(2, -3e38)),  # every hidden unit
+    (np.array([[2e38, 0.0]]), np.array([2e38, 0.0]), np.zeros(1)),  # one visible unit
+], ids=["hidden", "visible"])
+def test_gibbs_sweeps_refuse_activations_beyond_float32(weights, visible_bias, hidden_bias):
+    # every parameter fits in float32, but a unit's sum of absolute weights
+    # and bias does not: the product would overflow (inf - inf is NaN)
+    model = RbmModel(weights, visible_bias, hidden_bias)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any overflow warning
+        with pytest.raises(NumericsError, match="outside float32's range"):
+            sample_batch(model, 3, 1, np.random.default_rng(0))
+        chains = PersistentChains.initialize(3, model.m, seed=2)
+        with pytest.raises(NumericsError, match="outside float32's range"):
+            advance_chains(model, chains, 1)
+
+
 def test_gibbs_sweeps_accept_the_float32_extremes():
     limit = float(np.finfo(np.float32).max)
     model = RbmModel(np.zeros((2, 3)), np.array([limit, -limit, 0.0]), np.zeros(2))

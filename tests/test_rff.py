@@ -58,7 +58,7 @@ def test_embed_rejects_wrong_width():
 
 def test_embed_casts_in_row_blocks():
     # 20k x 784 uint8 records at d = 200: casting all records to float64 at
-    # once peaked at 189.5 MB; the (n, d) float64 result itself is 32 MB
+    # once peaked at 189.5 MB; the (n, d) float32 result itself is 16 MB
     rng = np.random.default_rng(4)
     records = (rng.random((20_000, 784)) < 0.1).astype(np.uint8)
     fmap = feature_map_from_seed(m=784, d=200, gamma=0.1, seed=6)
@@ -69,9 +69,14 @@ def test_embed_casts_in_row_blocks():
     finally:
         tracemalloc.stop()
     assert out.shape == (20_000, 200)
-    assert peak < 64e6
-    direct = np.sqrt(2.0 / 200) * np.cos(records[:5].astype(np.float64) @ fmap.w.T + fmap.b)
-    assert_allclose(out[:5], direct, rtol=0.0, atol=1e-12)
+    assert out.dtype == np.float32
+    assert peak < 32e6
+    w, b = fmap.w.astype(np.float32), fmap.b.astype(np.float32)
+    direct = np.float32(np.sqrt(2.0 / 200)) * np.cos(records[:5].astype(np.float32) @ w.T + b)
+    assert direct.dtype == np.float32
+    # the float32 products of 5 and of 512 rows add in different orders, so
+    # the cosines' arguments (up to 16.5 here) differ by a few float32 ulps
+    assert_allclose(out[:5], direct, rtol=0.0, atol=1e-6)
 
 
 def test_kernel_values():
