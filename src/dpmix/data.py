@@ -37,7 +37,7 @@ DEFAULT_BINARIZE_THRESHOLD = 127
 # Sparse-items text is parsed in blocks of about this many bytes, each
 # cut after a newline, so the parse temporaries stay small beside the
 # (n, m) result.
-PARSE_BLOCK_BYTES = 1 << 14
+PARSE_BLOCK_BYTES = 1 << 16
 # Records are formatted this many rows at a time when written.
 WRITE_BLOCK_ROWS = 256
 

@@ -22,6 +22,11 @@ import numpy as np
 from .config import ALL, ANY, N_SUBSETS, SEMANTICS  # ALL only for callers of this module
 from .data import BinaryDataset
 
+# Bytes of item bitmaps gathered per block of counting queries.
+QUERY_BLOCK_BYTES = 1 << 19
+# Set bits of each byte value; np.bitwise_count needs numpy 2.
+_BIT_COUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class QueryWorkload:
@@ -173,8 +178,12 @@ def counting_query(dataset: BinaryDataset, queries, semantics: str = ANY) -> np.
     ``queries`` is a sequence of item collections.  Entry j of the
     returned int64 array is the number of records holding any (or all)
     of the items of query j; an item repeated within a query counts
-    once.  The records are packed once into 64-bit words, so each query
-    reads only the words that hold its items.
+    once.  Each item's column is packed once into a bitmap over the
+    records.  A query ORs (any) or ANDs (all) the bitmaps of its items
+    and counts the set bits with a byte table.  Queries go in blocks
+    whose gathered bitmaps take about QUERY_BLOCK_BYTES; the table
+    lookup's index copy, 8 bytes per byte of a block's combined
+    bitmaps, is the largest temporary, so they stay under about 5 MB.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
@@ -184,26 +193,23 @@ def counting_query(dataset: BinaryDataset, queries, semantics: str = ANY) -> np.
     items = np.fromiter(chain.from_iterable(queries), dtype=np.int64, count=sum(sizes))
     if (items < 0).any() or (items >= dataset.m).any():
         raise ValueError(f"query items must lie in [0, {dataset.m})")
-    n_words = -(-dataset.m // 64)
-    padded = np.zeros((len(dataset), n_words * 8), dtype=np.uint8)
-    packed = np.packbits(dataset.records, axis=1, bitorder="little")
-    padded[:, : packed.shape[1]] = packed
-    # (n_words, n): bit i of word w of a record is its item 64 w + i
-    words = np.ascontiguousarray(padded.view("<u8").T)
-    # one (query, word) key per word a query touches, with the OR of its item bits
-    keys, slot = np.unique(
-        np.repeat(np.arange(len(sizes)), sizes) * n_words + (items >> 6), return_inverse=True
-    )
-    bits = np.left_shift(np.uint64(1), (items & 63).astype(np.uint64))
-    masks = np.zeros((keys.size, 1), dtype=np.uint64)
-    np.bitwise_or.at(masks[:, 0], slot, bits)
-    word_of = (keys % n_words).tolist()
-    bounds = np.searchsorted(keys // n_words, np.arange(len(sizes) + 1)).tolist()
+    n_words = -(-len(dataset) // 64)
+    packed = np.packbits(dataset.records, axis=0)  # (ceil(n / 8), m); padding bits are 0
+    bitmaps = np.zeros((dataset.m, 8 * n_words), dtype=np.uint8)
+    bitmaps[:, : len(packed)] = packed.T
+    bitmaps = bitmaps.view(np.uint64)  # row i: the records that hold item i
+    combine = np.bitwise_or if semantics == ANY else np.bitwise_and
+    starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    block_rows = max(1, QUERY_BLOCK_BYTES // max(1, 8 * n_words))
     counts = np.empty(len(sizes), dtype=np.int64)
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        hit = words[word_of[lo:hi]] & masks[lo:hi]
-        held = hit.any(axis=0) if semantics == ANY else (hit == masks[lo:hi]).all(axis=0)
-        counts[j] = np.count_nonzero(held)
+    first = 0
+    while first < len(sizes):  # queries first..last-1, at least one
+        last = int(np.searchsorted(starts, starts[first] + block_rows, side="right")) - 1
+        last = max(last, first + 1)
+        lo, hi = starts[first], starts[last]
+        held = combine.reduceat(bitmaps[items[lo:hi]], starts[first:last] - lo, axis=0)
+        counts[first:last] = np.take(_BIT_COUNT, held.view(np.uint8)).sum(axis=1)
+        first = last
     return counts
 
 

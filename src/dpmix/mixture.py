@@ -41,6 +41,9 @@ MODEL_FORMAT_VERSION = 2
 # Rows per independently seeded sampling chunk.  Fixed, so the output
 # does not depend on how many threads sample the chunks.
 GENERATION_CHUNK_ROWS = 1024
+# Array bytes base64-encoded per write when a model is saved; a multiple
+# of 3, so no block but the last is padded.
+BASE64_BLOCK_BYTES = 3 << 18
 
 
 @dataclass
@@ -255,13 +258,23 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     Every float array is stored as ``{"dtype": "<f8", "shape": [...],
     "base64": ...}``: the base64 of its little-endian float64 bytes in C
     order, which is exact and less than half the size of one decimal
-    per value.  ``json`` encodes one array at a time through the
-    ``default`` hook, so only one array's text exists at once.  The
-    scalars, the privacy block and the config echo stay plain JSON.
+    per value.  The bytes are those of ``json.dump(indent=1)`` of that
+    payload, but ``json`` encodes only the skeleton, each array with an
+    empty base64 field.  Each array's base64 is written straight into
+    its field, BASE64_BLOCK_BYTES of the array at a time, so no array's
+    whole text is ever held.  The scalars, the privacy block and the
+    config echo stay plain JSON.
 
     The file is written through ``data.atomic_write``, so a failed write
     leaves no partial model behind.
     """
+    arrays = []
+
+    def slot(value) -> dict:
+        data = np.ascontiguousarray(value, dtype="<f8")
+        arrays.append(data)
+        return {"dtype": "<f8", "shape": list(data.shape), "base64": ""}
+
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "m": mix.m,
@@ -269,13 +282,13 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
         "d": mix.centers.shape[1],
         "gamma": float(mix.gamma),
         "feature_map_seed": int(mix.feature_map_seed),
-        "centers": mix.centers,
-        "weights": mix.weights,
+        "centers": slot(mix.centers),
+        "weights": slot(mix.weights),
         "models": [
             {
-                "weights": model.weights,
-                "visible_bias": model.visible_bias,
-                "hidden_bias": model.hidden_bias,
+                "weights": slot(model.weights),
+                "visible_bias": slot(model.visible_bias),
+                "hidden_bias": slot(model.hidden_bias),
             }
             for model in mix.models
         ],
@@ -284,27 +297,37 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
+    # Only numbers and fixed keys precede the last array, so the first
+    # len(arrays) empty base64 fields are the arrays', in order.
+    pieces = json.dumps(payload, indent=1).split('"base64": ""', len(arrays))
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=1, default=_encode_array)
-        fh.write("\n")
+        for piece, data in zip(pieces, arrays):
+            fh.write(piece + '"base64": "')
+            raw = data.reshape(-1).view(np.uint8)
+            for start in range(0, raw.size, BASE64_BLOCK_BYTES):
+                fh.write(base64.b64encode(raw[start : start + BASE64_BLOCK_BYTES]).decode("ascii"))
+            fh.write('"')
+        fh.write(pieces[-1] + "\n")
 
 
-def _encode_array(value) -> dict:
-    """``json``'s ``default`` hook: an ndarray as dtype, shape and base64."""
-    if not isinstance(value, np.ndarray):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    data = np.ascontiguousarray(value, dtype="<f8")
-    return {
-        "dtype": "<f8",
-        "shape": list(data.shape),
-        "base64": base64.b64encode(data).decode("ascii"),
-    }
+def _decode_base64(obj: dict) -> dict:
+    """``json``'s ``object_hook``: an array object's base64 text becomes its
+    bytes as soon as ``json`` has parsed the object, so the text is freed
+    before the next array is read.  Text that is not valid base64 is kept,
+    for ``_decode_array`` to refuse by the array's name."""
+    text = obj.get("base64")
+    if obj.get("dtype") == "<f8" and type(text) is str:
+        try:
+            obj["base64"] = base64.b64decode(text, validate=True)
+        except ValueError:
+            pass
+    return obj
 
 
 def _decode_array(what: str, value) -> np.ndarray:
-    """A stored float array, an object written by ``_encode_array``, as a
-    read-only view of the decoded bytes, not a copy.  DataError unless
-    the object is well formed and every value is finite."""
+    """A stored float array, an object whose base64 ``_decode_base64`` has
+    decoded, as a read-only view of those bytes, not a copy.  DataError
+    unless the object is well formed and every value is finite."""
     if not isinstance(value, dict):
         raise DataError(f"malformed model: {what} is not an array")
     dtype = value.get("dtype")
@@ -313,10 +336,9 @@ def _decode_array(what: str, value) -> np.ndarray:
     shape = value.get("shape")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise DataError(f"malformed model: {what} has shape {shape!r}")
-    try:
-        raw = base64.b64decode(value.get("base64"), validate=True)
-    except (TypeError, ValueError):
-        raise DataError(f"malformed model: {what} does not hold valid base64") from None
+    raw = value.get("base64")
+    if not isinstance(raw, bytes):
+        raise DataError(f"malformed model: {what} does not hold valid base64")
     if len(raw) != 8 * math.prod(shape):
         raise DataError(
             f"malformed model: {what} holds {len(raw)} bytes, "
@@ -380,16 +402,23 @@ def load_model(path) -> MixtureModel:
     The epsilon is recomputed from the privacy block: DataError if the
     stored one is lower by more than 1e-9 relative, NumericsError if
     the block gives no finite epsilon.
+
+    Each array's base64 is decoded as soon as ``json`` has parsed its
+    object, and its text is freed then.  So past reading the file, whose
+    bytes and text coexist for a moment, the call holds at most the
+    text, the arrays decoded so far and one array's base64 text with the
+    ASCII copy that ``base64.b64decode`` makes of it.  Each
+    RBM's decoded bytes are freed once its ``params`` copies them, so
+    ``params`` is the one copy of its parameters that outlives the call.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_hook=_decode_base64)
         mix = _model_from_payload(payload)
     except KeyError as exc:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # bad JSON or UTF-8, a wrong type, or PrivacyConfig
         raise DataError(f"malformed model file {path}: {exc}") from None
-    del payload  # the accountant's temporaries reuse the memory of the file's text
     # the slack admits epsilons stored by earlier versions of the accountant
     recomputed, _ = epsilon_for_delta(mix.privacy)
     if mix.epsilon < recomputed * (1.0 - 1e-9):
@@ -401,7 +430,7 @@ def load_model(path) -> MixtureModel:
 
 
 def _decode_rbm(what: str, entry, m: int) -> rbm.RbmModel:
-    """One stored RBM; its decoded arrays are freed when the model has copied them."""
+    """One stored RBM, its ``params`` a copy of the entry's decoded arrays."""
     if not isinstance(entry, dict):
         raise DataError(f"malformed model: {what} is not a JSON object")
     w, b, c = (
@@ -432,7 +461,10 @@ def _model_from_payload(payload) -> MixtureModel:
         raise DataError("malformed model: models is not a list")
     if len(stored) != k:
         raise DataError(f"malformed model: {len(stored)} RBMs for k = {k}")
-    models = [_decode_rbm(f"models[{i}]", entry, m) for i, entry in enumerate(stored)]
+    models = []
+    for i in range(k):  # each RBM's decoded bytes are freed once its params copy them
+        models.append(_decode_rbm(f"models[{i}]", stored[i], m))
+        stored[i] = None
     weights = _decode_array("weights", payload["weights"])
     _check_shape("weights", weights, (k,))
     if (weights < 0).any():

@@ -177,7 +177,8 @@ class TestSparseParseMatchesReference:
 
     @staticmethod
     def _lines_and_boundary(rng):
-        records = (rng.random((3000, 40)) < 0.2).astype(np.uint8)
+        # about five blocks of text
+        records = (rng.random((3 * PARSE_BLOCK_BYTES // 16, 40)) < 0.2).astype(np.uint8)
         records[:, 0] = 1
         lines = _reference_write(records).splitlines()
         # line i + 1 (1-based) is the last one that ends inside the first block

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from dpmix import evaluation
 from dpmix.data import make_dataset
 from dpmix.evaluation import (
     ALL,
@@ -184,6 +185,21 @@ def test_counting_query_matches_per_query_loop(m, semantics):
     # items in the last bit of a word and the first of the next, and repeats
     edges = [i for i in (0, 62, 63, 64, 65, 127, 128, m - 1) if i < m]
     queries += [(i,) for i in edges] + [tuple(edges), tuple(edges) * 2, (m - 1, 0, m - 1)]
+    want = [_reference_count(data, q, semantics) for q in queries]
+    assert counting_query(data, queries, semantics).tolist() == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+@pytest.mark.parametrize("semantics", [ANY, ALL])
+def test_counting_query_in_blocks_matches_per_query_loop(monkeypatch, n, semantics):
+    # each item's bitmap fills its last 64-bit word partly or exactly; blocks
+    # of two bitmap rows split the queries, and a longer query is a block alone
+    n_words = -(-n // 64)
+    monkeypatch.setattr(evaluation, "QUERY_BLOCK_BYTES", 2 * max(1, 8 * n_words))
+    rng = np.random.default_rng(n)
+    data = make_dataset((rng.random((n, 7)) < 0.6).astype(np.uint8), allow_empty=True)
+    queries = [tuple(rng.integers(0, 7, size=rng.integers(1, 5))) for _ in range(60)]
+    queries += [(6,), tuple(range(7)), (3, 3), (0,)]
     want = [_reference_count(data, q, semantics) for q in queries]
     assert counting_query(data, queries, semantics).tolist() == want
 

@@ -6,6 +6,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -498,6 +499,52 @@ def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
     path = tmp_path / "model.json"
     save_model(mix, path, config_echo=echo)
     assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
+
+
+def _traced_peak(call, *args):
+    """``call(*args)`` and the peak of its traced memory, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_model_saves_the_reference_bytes_one_block_at_a_time(tmp_path):
+    # each RBM's weights span several base64 blocks, the last one short; the
+    # bytes are still json.dump's, and no array's whole base64 text is held
+    mix = _random_mixture([1.0, 2.0], m=1000, n_hidden=500)
+    largest = 4 * math.ceil(mix.models[0].weights.nbytes / 3)
+    assert mix.models[0].weights.nbytes % mixture.BASE64_BLOCK_BYTES != 0
+    echo = {"command": "train", "base64": "", "model": "model.json"}
+    path = tmp_path / "model.json"
+    _, peak = _traced_peak(save_model, mix, path, echo)
+    assert peak < largest
+    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
+
+
+def test_load_holds_the_text_and_one_copy_of_the_parameters(tmp_path, monkeypatch):
+    # Past reading the file, whose bytes and text coexist for a moment,
+    # load_model holds the text, the arrays decoded so far and one array's
+    # base64 text and its ASCII copy (0.35 MB each here).  Keeping every
+    # array's base64 text until the whole file is parsed would add a third
+    # of the parameters, 2.6 MB.
+    mix = _random_mixture([1.0] * 30, m=1000, n_hidden=32)
+    path = tmp_path / "model.json"
+    save_model(mix, path)
+    real_loads = json.loads
+
+    def loads_after_the_read(text, **kw):
+        tracemalloc.reset_peak()
+        return real_loads(text, **kw)
+
+    monkeypatch.setattr(json, "loads", loads_after_the_read)
+    back, peak = _traced_peak(load_model, path)
+    params = sum(model.params.nbytes for model in back.models)
+    assert params > 7e6
+    assert peak < path.stat().st_size + params + 1e6
+    _assert_same_model(back, mix)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -100,7 +100,7 @@ def test_only_file_readers_and_main_catch_value_error():
         "data._parse_dense",
         "data._parse_sparse",
         "data.load_labels",
-        "mixture._decode_array",
+        "mixture._decode_base64",  # json's object_hook, which decodes each array's base64
         "mixture.load_model",
     ]
 
