@@ -2,13 +2,13 @@
 
 Subcommands: accountant, cluster, train, generate, evaluate.  Option
 precedence is command-line flag, then --config JSON file, then built-in
-default.  Every artifact embeds the fully resolved configuration, so a
-run can be reproduced from any of its outputs.  Exit codes: 0 success, 2
-usage or configuration error (a ValueError, ConfigError included, by
-which a library refused an argument), 3 data error (DataError or
-OSError), 4 numerical error (an ArithmeticError, NumericsError
-included), 5 out of memory (a MemoryError).  ``main`` alone maps an
-exception to its code, and prints it as one line on stderr.
+default.  The reports of accountant, cluster and evaluate echo the fully
+resolved configuration; a model file holds none of it.  Exit codes: 0
+success, 2 usage or configuration error (a ValueError, ConfigError
+included, by which a library refused an argument), 3 data error
+(DataError or OSError), 4 numerical error (an ArithmeticError,
+NumericsError included), 5 out of memory (a MemoryError).  ``main``
+alone maps an exception to its code, and prints it as one line on stderr.
 Each command imports the modules that only it runs, so ``accountant``
 starts without the clustering, training and evaluation stacks.
 """
@@ -344,7 +344,7 @@ def cmd_cluster(opts: dict, out: _Outputs) -> int:
         raise ConfigError(f"--gamma must be > 0, got {opts['gamma']}")
     dataset = _load_dataset(opts)
     labels = _load_labels(opts["labels"], len(dataset)) if opts["labels"] else None
-    _, clustering = clustering_stage(
+    clustering = clustering_stage(
         dataset, opts["seed"], k=opts["k"], d=opts["d"], gamma=opts["gamma"],
         t_kmeans=opts["t_kmeans"], sigma_k=opts["sigma_k"], init=_load_init_centers(opts),
     )
@@ -375,7 +375,7 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
     dataset = _load_dataset(opts)
     result = train(dataset, cfg, opts["seed"], init_centers=init)
     mix = result.mixture
-    save_model(mix, opts["model"], config_echo={**opts, "delta": mix.privacy.delta})
+    save_model(mix, opts["model"])
     out.mark(opts["model"])
     if opts["log"]:
         lines = [json.dumps(step.to_dict()) for step in result.steps]

@@ -255,16 +255,14 @@ def dp_kernel_kmeans(
 def clustering_stage(
     dataset: BinaryDataset, seed: int, *, k: int, d: int, gamma: float, t_kmeans: int,
     sigma_k: float, init: np.ndarray | None = None,
-) -> tuple[int, Clustering]:
-    """The clustering that ``seed`` gives and its feature-map seed; train and cluster run this.
+) -> Clustering:
+    """The clustering that ``seed`` gives; train and cluster run this.
 
     The map is built from the seed of the child stream "feature-map", the
     noise from "kmeans-noise" and default initial centers from "kmeans-init".
     """
-    map_seed = child_seed(seed, "feature-map")
-    fmap = feature_map_from_seed(dataset.m, d, gamma, map_seed)
-    clustering = dp_kernel_kmeans(
+    fmap = feature_map_from_seed(dataset.m, d, gamma, child_seed(seed, "feature-map"))
+    return dp_kernel_kmeans(
         dataset, fmap, k, t_kmeans, sigma_k, child_rng(seed, "kmeans-noise"),
         init=init, init_rng=child_rng(seed, "kmeans-init"),
     )
-    return map_seed, clustering

@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError
 from .kmeans import Clustering, clustering_stage
 from .streams import child_rng, child_seed
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 # Rows per independently seeded sampling chunk.  Fixed, so the output
 # does not depend on how many threads sample the chunks.
 GENERATION_CHUNK_ROWS = 1024
@@ -50,18 +50,15 @@ BASE64_BLOCK_BYTES = 3 << 18
 class MixtureModel:
     """The released artifact: k generative models plus DP mixture weights.
 
-    k is ``len(models)``, m their visible width and d ``centers.shape[1]``;
-    the feature map is kept as the file stores it, by ``gamma`` and
-    ``feature_map_seed``.  ``privacy`` holds the noise scales and iteration
-    counts that ran, and ``epsilon`` at order ``argmin_lambda`` is the
-    (epsilon, privacy.delta) claim the accountant gives for them; every model carries one.
+    k is ``len(models)`` and m their visible width.  ``privacy`` holds the
+    noise scales and iteration counts that ran, and ``epsilon`` at order
+    ``argmin_lambda`` is the (epsilon, privacy.delta) claim the accountant
+    gives for them; every model carries one.  The clustering behind the
+    weights, its noisy centers included, is ``TrainResult.clustering``.
     """
 
     models: list[rbm.RbmModel]
     weights: np.ndarray
-    gamma: float
-    feature_map_seed: int
-    centers: np.ndarray
     privacy: PrivacyConfig
     epsilon: float
     argmin_lambda: int
@@ -131,7 +128,7 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int,
     privacy = PrivacyConfig(**{**shared, "q": q, "t_sgd": t_sgd, "delta": delta})
     epsilon, argmin_lambda = epsilon_for_delta(privacy)
 
-    map_seed, clustering = clustering_stage(
+    clustering = clustering_stage(
         dataset, master_seed, k=cfg.k, d=cfg.d, gamma=cfg.gamma, t_kmeans=cfg.t_kmeans,
         sigma_k=cfg.sigma_k, init=init_centers,
     )
@@ -170,9 +167,6 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int,
     mixture = MixtureModel(
         models=models,
         weights=weights,
-        gamma=cfg.gamma,
-        feature_map_seed=map_seed,
-        centers=clustering.noisy_centers,
         privacy=privacy,
         epsilon=epsilon,
         argmin_lambda=argmin_lambda,
@@ -252,9 +246,11 @@ def generate(
     return make_dataset(out, allow_empty=True)
 
 
-def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None:
-    """Serialize to JSON.  The feature map is stored as seed, gamma and d.
+def save_model(mix: MixtureModel, path) -> None:
+    """Serialize to JSON: ``version``, ``m``, ``k``, ``weights``, ``models``, ``privacy``.
 
+    The file holds what ``generate`` reads and what the privacy claim
+    needs, and nothing else: no feature map, centers, seed or options.
     Every float array is stored as ``{"dtype": "<f8", "shape": [...],
     "base64": ...}``: the base64 of its little-endian float64 bytes in C
     order, which is exact and less than half the size of one decimal
@@ -262,8 +258,8 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
     payload, but ``json`` encodes only the skeleton, each array with an
     empty base64 field.  Each array's base64 is written straight into
     its field, BASE64_BLOCK_BYTES of the array at a time, so no array's
-    whole text is ever held.  The scalars, the privacy block and the
-    config echo stay plain JSON.
+    whole text is ever held.  The scalars and the privacy block stay
+    plain JSON.
 
     The file is written through ``data.atomic_write``, so a failed write
     leaves no partial model behind.
@@ -279,10 +275,6 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
         "version": MODEL_FORMAT_VERSION,
         "m": mix.m,
         "k": mix.k,
-        "d": mix.centers.shape[1],
-        "gamma": float(mix.gamma),
-        "feature_map_seed": int(mix.feature_map_seed),
-        "centers": slot(mix.centers),
         "weights": slot(mix.weights),
         "models": [
             {
@@ -295,8 +287,6 @@ def save_model(mix: MixtureModel, path, config_echo: dict | None = None) -> None
         "privacy": {**asdict(mix.privacy), "epsilon": mix.epsilon,
                     "argmin_lambda": mix.argmin_lambda},
     }
-    if config_echo is not None:
-        payload["config_echo"] = config_echo
     # Only numbers and fixed keys precede the last array, so the first
     # len(arrays) empty base64 fields are the arrays', in order.
     pieces = json.dumps(payload, indent=1).split('"base64": ""', len(arrays))
@@ -388,20 +378,16 @@ def _privacy_config(priv: dict) -> PrivacyConfig:
 
 
 def load_model(path) -> MixtureModel:
-    """Read a model written by save_model; format version 2 is the only one read.
+    """Read a model written by save_model; format version 3 is the only one read.
 
-    A version-1 file is refused: its privacy claim predates the checks
-    made here, and some predate the k-means fix for empty clusters,
-    which no check of the file can see.  DataError for any malformed
-    file: not JSON, a missing key, or a value of the wrong type or
-    outside its domain (the version, an array that is malformed, not
-    finite or of the wrong shape, a negative mixture weight, m, k, d,
-    gamma, feature_map_seed, a privacy-block field, epsilon or
-    argmin_lambda).  So the zero-noise block of earlier versions, a null
-    epsilon without PrivacyConfig's fields, is refused as a missing key.
-    The epsilon is recomputed from the privacy block: DataError if the
-    stored one is lower by more than 1e-9 relative, NumericsError if
-    the block gives no finite epsilon.
+    Versions 1 and 2 are refused: their files name the seed of their
+    noise.  DataError for any malformed file: not JSON, a missing key,
+    or a value of the wrong type or outside its domain (the version, an
+    array that is malformed, not finite or of the wrong shape, a
+    negative mixture weight, m, k, a privacy-block field, epsilon or
+    argmin_lambda).  The epsilon is recomputed from the privacy block:
+    DataError if the stored one is lower by more than 1e-9 relative,
+    NumericsError if the block gives no finite epsilon.
 
     Each array's base64 is decoded as soon as ``json`` has parsed its
     object, and its text is freed then.  So past reading the file, whose
@@ -419,7 +405,8 @@ def load_model(path) -> MixtureModel:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # bad JSON or UTF-8, a wrong type, or PrivacyConfig
         raise DataError(f"malformed model file {path}: {exc}") from None
-    # the slack admits epsilons stored by earlier versions of the accountant
+    # the slack admits an epsilon stored on a host whose numpy or C library
+    # rounds exp, log or erfc differently in the last bits
     recomputed, _ = epsilon_for_delta(mix.privacy)
     if mix.epsilon < recomputed * (1.0 - 1e-9):
         raise _malformed(
@@ -450,12 +437,12 @@ def _model_from_payload(payload) -> MixtureModel:
     if not isinstance(payload, dict):
         raise DataError("malformed model: the file does not hold a JSON object")
     version = payload.get("version")
-    if version == 1 and type(version) is int:
-        raise DataError("model format version 1 is no longer read: its privacy claim predates "
-                        "the checks that load_model makes")
+    if type(version) is int and version in (1, 2):
+        raise DataError(f"model format version {version} is no longer read: its file names the "
+                        f"seed of its noise; train again to write version {MODEL_FORMAT_VERSION}")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
-    m, k, d = (_positive_int(payload, name) for name in ("m", "k", "d"))
+    m, k = (_positive_int(payload, name) for name in ("m", "k"))
     stored = payload["models"]
     if not isinstance(stored, list):
         raise DataError("malformed model: models is not a list")
@@ -469,13 +456,6 @@ def _model_from_payload(payload) -> MixtureModel:
     _check_shape("weights", weights, (k,))
     if (weights < 0).any():
         raise DataError("malformed model: a mixture weight is negative")
-    centers = _decode_array("centers", payload["centers"])
-    _check_shape("centers", centers, (k, d))
-    gamma, seed = payload["gamma"], payload["feature_map_seed"]
-    if not (_is_number(gamma) and gamma > 0):
-        raise _malformed("gamma", gamma, "a finite number > 0")
-    if type(seed) is not int or seed < 0:
-        raise _malformed("feature_map_seed", seed, "a non-negative integer")
     priv = payload["privacy"]
     if not isinstance(priv, dict):
         raise DataError("malformed model: privacy is not a JSON object")
@@ -489,9 +469,6 @@ def _model_from_payload(payload) -> MixtureModel:
     return MixtureModel(
         models=models,
         weights=weights,
-        gamma=float(gamma),
-        feature_map_seed=seed,
-        centers=centers,
         privacy=privacy,
         epsilon=epsilon,
         argmin_lambda=argmin_lambda,

@@ -53,7 +53,8 @@ def sample_feature_map(m: int, d: int, gamma: float, rng: np.random.Generator) -
 
 
 def feature_map_from_seed(m: int, d: int, gamma: float, seed: int) -> FeatureMap:
-    """Rebuildable map: (m, d, gamma, seed) determine it, so a model stores the seed, not W."""
+    """Rebuildable map: (m, d, gamma, seed) determine it, so a caller can embed
+    public prototypes with the map that a run will draw from its seed."""
     return sample_feature_map(m, d, gamma, np.random.default_rng(seed))
 
 

@@ -544,21 +544,34 @@ def test_documented_input_errors(tmp_path, corpus_files, capsys, monkeypatch,
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_train_init_centers_file_is_the_library_argument(tmp_path, corpus_files, capsys):
-    # the centers file reaches mixture.train as init_centers, bit for bit
+def test_train_init_centers_file_is_the_library_argument(tmp_path, corpus_files, capsys,
+                                                         monkeypatch):
+    # the centers file reaches mixture.train as init_centers, bit for bit,
+    # the model is the library's for that argument, and the start moves the
+    # clustering
     data, data_path, _ = corpus_files
     init = np.random.default_rng(3).normal(0.0, 0.1, (2, 12))
     centers = tmp_path / "centers.csv"
     centers.write_text("".join(",".join(map(repr, row)) + "\n" for row in init.tolist()))
     model_path = tmp_path / "model.json"
+    passed, real_train = [], mixture.train
+
+    def recorded(*args, init_centers=None):
+        passed.append(init_centers)
+        return real_train(*args, init_centers=init_centers)
+
+    monkeypatch.setattr(mixture, "train", recorded)
     assert main(_train_args(data_path, model_path, seed=4, init_centers=centers)) == 0
     capsys.readouterr()
+    assert len(passed) == 1 and passed[0].tobytes() == init.tobytes()
     cfg = TrainConfig(k=2, epochs=1, batch_size=30, sigma_c=4.0, sigma_k=40.0, sigma_g=1.0,
                       t_kmeans=2, d=12, gamma=0.5, n_hidden=4, chain_count=6)
-    want = mixture.train(data, cfg, 4, init_centers=init).mixture
-    assert not np.array_equal(want.centers, mixture.train(data, cfg, 4).mixture.centers)
+    started = real_train(data, cfg, 4, init_centers=init)
+    assert not np.array_equal(started.clustering.noisy_centers,
+                              real_train(data, cfg, 4).clustering.noisy_centers)
+    want = started.mixture
     got = load_model(model_path)
-    for a, b in [(got.centers, want.centers), (got.weights, want.weights),
+    for a, b in [(got.weights, want.weights),
                  *((g.params, w.params) for g, w in zip(got.models, want.models))]:
         assert a.tobytes() == b.tobytes()
 
@@ -579,11 +592,11 @@ def test_float_option_from_a_config_file_is_a_float(tmp_path, corpus_files, caps
     assert main(args + ["--config", str(cfg)]) == 0
     capsys.readouterr()
     assert model_path.read_bytes() == by_flag
-    echo = json.loads(by_flag)["config_echo"]
-    assert [type(echo[key]) for key in ("sigma_k", "gamma", "c_max")] == [float] * 3
+    resolved = resolve_options(build_parser().parse_args(args + ["--config", str(cfg)]))
+    assert [type(resolved[key]) for key in ("sigma_k", "gamma", "c_max")] == [float] * 3
 
 
-def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsys):
+def test_train_options_are_the_train_config_fields():
     required = [f for f in fields(TrainConfig) if f.default is MISSING]
     argv = ["train", "--data", "d.txt", "--model", "m.json"]
     for f in required:
@@ -593,13 +606,8 @@ def test_train_options_are_the_train_config_fields(tmp_path, corpus_files, capsy
         assert f.name in resolved
         if f.default is not MISSING:
             assert resolved[f.name] == f.default and type(resolved[f.name]) is type(f.default)
-
-    _, data_path, _ = corpus_files
-    model_path = tmp_path / "model.json"
-    assert main(_train_args(data_path, model_path)) == 0
-    capsys.readouterr()
-    echo = json.loads(model_path.read_text())["config_echo"]
-    assert list(echo) == [
+    # the order of --help and of the flags' definition
+    assert list(resolved) == [
         "seed", "data", "format", "threshold", "k", "epochs", "batch_size",
         "sigma_c", "sigma_k", "sigma_g", "t_kmeans", "d", "gamma", "n_hidden", "eta",
         "pcd_sweeps", "chain_count", "c_max", "bins", "delta", "lambda_max",
@@ -624,7 +632,7 @@ def test_train_generate_evaluate_pipeline(tmp_path, corpus_files, capsys):
     assert {"step", "cluster", "batch_size", "clip_bound"} <= set(first)
 
     stored = json.loads(model_path.read_text())
-    assert stored["config_echo"]["delta"] == pytest.approx(1 / 120)
+    assert stored["privacy"]["delta"] == pytest.approx(1 / 120)
     assert stored["privacy"]["epsilon"] == train_out["epsilon"]
 
     synth_path = tmp_path / "synthetic.txt"
@@ -730,9 +738,7 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatc
         for _ in range(3)
     ]
     mix = MixtureModel(
-        models=models, weights=np.array([2.0, 1.0, 0.0]),
-        gamma=1.0, feature_map_seed=1, centers=np.zeros((3, 4)),
-        **privacy_claim(),
+        models=models, weights=np.array([2.0, 1.0, 0.0]), **privacy_claim(),
     )
     model_path = tmp_path / "model.json"
     save_model(mix, model_path)
@@ -756,10 +762,7 @@ def test_generate_refuses_parameters_beyond_float32(tmp_path, capsys):
     # the file holds finite float64 values, but Gibbs sampling runs in
     # float32, where 1e39 is infinite
     model = rbm.RbmModel(np.zeros((2, 4)), np.full(4, 1e39), np.zeros(2))
-    mix = MixtureModel(
-        models=[model], weights=np.array([1.0]), gamma=1.0, feature_map_seed=1,
-        centers=np.zeros((1, 3)), **privacy_claim(),
-    )
+    mix = MixtureModel(models=[model], weights=np.array([1.0]), **privacy_claim())
     model_path, output = tmp_path / "model.json", tmp_path / "synth.txt"
     save_model(mix, model_path)
     assert main(["generate", "--model", str(model_path), "--count", "5",
@@ -1059,7 +1062,6 @@ def trained_model(tmp_path_factory):
 
 def _array_slots(payload):
     """(holder, key) of every float array in a model payload."""
-    yield payload, "centers"
     yield payload, "weights"
     for entry in payload["models"]:
         for key in ("weights", "visible_bias", "hidden_bias"):
@@ -1078,7 +1080,7 @@ def _as_lists(payload):
 
 
 def _encode_lists(payload):
-    """Re-encode the lists of an edited payload as version-2 arrays, in place."""
+    """Re-encode the lists of an edited payload as base64 arrays, in place."""
     for holder, key in _array_slots(payload):
         array = np.array(holder[key], dtype="<f8")
         holder[key] = {"dtype": "<f8", "shape": list(array.shape),
@@ -1107,11 +1109,6 @@ def _missing_rbm(payload):
     payload["models"].pop()
 
 
-def _narrow_centers(payload):
-    for row in payload["centers"]:
-        row.pop()
-
-
 def _null_privacy(payload):
     payload["privacy"] = None
 
@@ -1133,26 +1130,6 @@ def _float_k(payload):
 
 
 # These return a part of the one-line message they must produce.
-
-def _nan_gamma(payload):
-    payload["gamma"] = math.nan
-    return "gamma is nan, expected a finite number > 0"
-
-
-def _zero_gamma(payload):
-    payload["gamma"] = 0
-    return "gamma is 0, expected a finite number > 0"
-
-
-def _bool_seed(payload):
-    payload["feature_map_seed"] = True
-    return "feature_map_seed is True, expected a non-negative integer"
-
-
-def _negative_seed(payload):
-    payload["feature_map_seed"] = -1
-    return "feature_map_seed is -1, expected a non-negative integer"
-
 
 def _string_epsilon(payload):
     payload["privacy"]["epsilon"] = "x"
@@ -1216,18 +1193,16 @@ PRIVACY_TYPE_CORRUPTIONS = [
 
 
 SHAPE_CORRUPTIONS = [
-    _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm,
-    _narrow_centers, _null_privacy,
+    _truncate_hidden_bias, _short_weights, _long_weights, _wrong_m, _missing_rbm, _null_privacy,
 ]
 VALUE_CORRUPTIONS = [
-    _nan_rbm_weight, _infinite_weight, _negative_weight, _float_k, _nan_gamma, _zero_gamma,
-    _bool_seed, _negative_seed, _string_epsilon, _infinite_epsilon, _lowered_epsilon,
-    _lambda_above_max,
-    _float_lambda, _missing_m, _missing_hidden_bias, *PRIVACY_TYPE_CORRUPTIONS,
+    _nan_rbm_weight, _infinite_weight, _negative_weight, _float_k, _string_epsilon,
+    _infinite_epsilon, _lowered_epsilon, _lambda_above_max, _float_lambda, _missing_m,
+    _missing_hidden_bias, *PRIVACY_TYPE_CORRUPTIONS,
 ]
 
 
-# Corruptions of the version-2 encoding itself.
+# Corruptions of the base64 encoding itself.
 
 def _bad_base64(payload):
     payload["weights"]["base64"] = "!" + payload["weights"]["base64"][1:]
@@ -1238,7 +1213,7 @@ def _wrong_byte_count(payload):
 
 
 def _float32_dtype(payload):
-    payload["centers"]["dtype"] = "<f4"
+    payload["weights"]["dtype"] = "<f4"
 
 
 def _float_shape(payload):
@@ -1273,8 +1248,8 @@ ENCODING_CORRUPTIONS = [
 
 # A version-1 file stored each array as a list.  It is refused by its
 # version, before any other field is read, whatever else it holds.
-VERSION_1_LINE = ("data error: model format version 1 is no longer read: its privacy claim "
-                  "predates the checks that load_model makes\n")
+VERSION_1_LINE = ("data error: model format version 1 is no longer read: its file names the "
+                  "seed of its noise; train again to write version 3\n")
 
 
 def _assert_generate_rejects(tmp_path, capsys, payload, message=None,
@@ -1296,6 +1271,17 @@ def test_generate_refuses_a_version_1_model(tmp_path, trained_model, capsys):
     _assert_generate_rejects(tmp_path, capsys, payload, prefix=VERSION_1_LINE)
 
 
+def test_generate_refuses_a_version_2_model(tmp_path, trained_model, capsys):
+    # Version 2 also held the feature map's seed, the centers and a config
+    # echo that named the master seed.  That seed makes the noise public, so
+    # generate no longer vouches for the file's epsilon, whatever it states.
+    payload = json.loads(json.dumps(trained_model))
+    payload.update(version=2, d=4, gamma=0.5, feature_map_seed=12345,
+                   centers=payload["weights"], config_echo={"seed": 7})
+    _assert_generate_rejects(tmp_path, capsys, payload,
+                             prefix=VERSION_1_LINE.replace("version 1", "version 2"))
+
+
 @pytest.mark.parametrize("corrupt", SHAPE_CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
 def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsys, corrupt):
     # in the version-1 layout: the version line is the only error
@@ -1304,20 +1290,23 @@ def test_generate_rejects_model_with_wrong_shapes(tmp_path, trained_model, capsy
     _assert_generate_rejects(tmp_path, capsys, payload, prefix=VERSION_1_LINE)
 
 
-@pytest.mark.parametrize("version,corrupt", [
+# v1 is a version-1 file, its arrays lists, which the version line refuses
+# whatever else is wrong.  v2 is the base64 layout that version 2 brought
+# and version 3 keeps, so its cases are corruptions of a current file.
+@pytest.mark.parametrize("layout,corrupt", [
     *((1, f) for f in VALUE_CORRUPTIONS),
     *((2, f) for f in SHAPE_CORRUPTIONS + VALUE_CORRUPTIONS + ENCODING_CORRUPTIONS),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else f"v{v}")
-def test_generate_rejects_malformed_model(tmp_path, trained_model, capsys, version, corrupt):
+def test_generate_rejects_malformed_model(tmp_path, trained_model, capsys, layout, corrupt):
     if corrupt in ENCODING_CORRUPTIONS:
         payload = json.loads(json.dumps(trained_model))
         message = corrupt(payload)
     else:
         payload = _as_lists(trained_model)
         message = corrupt(payload)
-        if version == 2:
+        if layout == 2:
             _encode_lists(payload)
-    if version == 1:
+    if layout == 1:
         payload["version"] = 1
         _assert_generate_rejects(tmp_path, capsys, payload, prefix=VERSION_1_LINE)
     else:

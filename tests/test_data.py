@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from dpmix import data
 from dpmix.data import (
     DENSE_CSV,
-    PARSE_BLOCK_BYTES,
     SPARSE_ITEMS,
     load_labels,
     load_records,
@@ -142,16 +142,24 @@ class TestSparseFormat:
         assert ds.records[1].sum() == 0
 
 
+@pytest.fixture
+def block_bytes(monkeypatch):
+    """A 4 KB parse block: the block-boundary cases, sized from it, cross as
+    many block boundaries as at the production size in a sixteenth of the text."""
+    monkeypatch.setattr(data, "PARSE_BLOCK_BYTES", 1 << 12)
+    return data.PARSE_BLOCK_BYTES
+
+
 class TestSparseParseMatchesReference:
     @pytest.mark.parametrize("m", [1, 50, 64, 65, 784])
     @pytest.mark.parametrize("allow_empty", [False, True])
     @pytest.mark.parametrize("newline,final", [
         ("\n", "\n"), ("\r\n", "\r\n"), ("\n", ""), ("\r\n", ""),
     ], ids=["lf", "crlf", "lf-no-final", "crlf-no-final"])
-    def test_random_files(self, tmp_path, m, allow_empty, newline, final):
+    def test_random_files(self, tmp_path, block_bytes, m, allow_empty, newline, final):
         rng = np.random.default_rng(m + 7 * allow_empty)
         density = min(0.5, 8 / m + 0.05)
-        n = 6 * PARSE_BLOCK_BYTES // int(3 + 4 * density * m)
+        n = 6 * block_bytes // int(3 + 4 * density * m)
         records = (rng.random((n, m)) < density).astype(np.uint8)
         if allow_empty:
             records[rng.random(n) < 0.1] = 0
@@ -159,14 +167,17 @@ class TestSparseParseMatchesReference:
             records[records.sum(axis=1) == 0, rng.integers(0, m)] = 1
         records[-1, 0] = 1  # an empty last line needs its newline
         text = _messy_text(records, rng, newline) + final
-        assert len(text) > 3 * PARSE_BLOCK_BYTES  # several blocks
+        assert len(text) > 3 * block_bytes  # several blocks
         path = tmp_path / "d.txt"
         path.write_bytes(text.encode())
         np.testing.assert_array_equal(_reference_parse(text, allow_empty), records)
         _assert_parses_like_reference(path, allow_empty)
 
-    def test_line_longer_than_a_block(self, tmp_path):
-        m = PARSE_BLOCK_BYTES  # an all-ones record spans several blocks
+    def test_random_file_in_production_blocks(self, tmp_path):
+        self.test_random_files(tmp_path, data.PARSE_BLOCK_BYTES, 784, True, "\r\n", "")
+
+    def test_line_longer_than_a_block(self, tmp_path, block_bytes):
+        m = block_bytes  # an all-ones record spans several blocks
         long_lines = [" ".join(map(str, range(m))), "0 5", "  ".join(map(str, range(1, m, 2)))]
         text = f"m={m}\n" + "\n".join(long_lines)
         path = tmp_path / "d.txt"
@@ -176,14 +187,14 @@ class TestSparseParseMatchesReference:
         _assert_parses_like_reference(path, False)
 
     @staticmethod
-    def _lines_and_boundary(rng):
+    def _lines_and_boundary(rng, block):
         # about five blocks of text
-        records = (rng.random((3 * PARSE_BLOCK_BYTES // 16, 40)) < 0.2).astype(np.uint8)
+        records = (rng.random((3 * block // 16, 40)) < 0.2).astype(np.uint8)
         records[:, 0] = 1
         lines = _reference_write(records).splitlines()
         # line i + 1 (1-based) is the last one that ends inside the first block
         ends = np.cumsum([len(line) + 1 for line in lines])
-        last_in_first = int(np.searchsorted(ends, PARSE_BLOCK_BYTES, side="right"))
+        last_in_first = int(np.searchsorted(ends, block, side="right"))
         return lines, last_in_first
 
     @pytest.mark.parametrize("kind,bad", [
@@ -199,8 +210,8 @@ class TestSparseParseMatchesReference:
         ("malformed beats range", "45 x"),
     ])
     @pytest.mark.parametrize("where", ["first", "block-end", "block-start", "later"])
-    def test_error_messages(self, tmp_path, kind, bad, where):
-        lines, last_in_first = self._lines_and_boundary(np.random.default_rng(5))
+    def test_error_messages(self, tmp_path, block_bytes, kind, bad, where):
+        lines, last_in_first = self._lines_and_boundary(np.random.default_rng(5), block_bytes)
         at = {"first": 1, "block-end": last_in_first, "block-start": last_in_first + 1,
               "later": 2 * last_in_first + 17}[where]
         lines[at] = bad

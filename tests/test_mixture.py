@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from conftest import mixture_corpus, privacy_claim
 from dpmix import accountant, mixture, rbm, rff
-from dpmix.accountant import alpha_terms, epsilon_for_delta
+from dpmix.accountant import epsilon_for_delta
 from dpmix.data import BinaryDataset, make_dataset, sample_batch
 from dpmix.dpsgd import StepInfo, dp_sgd_step
 from dpmix.errors import ConfigError, DataError
@@ -55,8 +55,7 @@ def _saturated_mixture(weights, biases, m=4):
     ]
     return MixtureModel(
         models=models,
-        weights=np.asarray(weights, dtype=np.float64),
-        gamma=1.0, feature_map_seed=1, centers=np.zeros((len(models), 4)), **privacy_claim(),
+        weights=np.asarray(weights, dtype=np.float64), **privacy_claim(),
     )
 
 
@@ -119,8 +118,7 @@ def test_training_replays_from_named_streams():
         init_rng=child_rng(seed, "kmeans-init"),
     )
     assert np.array_equal(result.clustering.assignments, clustering.assignments)
-    assert result.mixture.feature_map_seed == child_seed(seed, "feature-map")
-    assert_allclose(result.mixture.centers, clustering.noisy_centers)
+    assert_allclose(result.clustering.noisy_centers, clustering.noisy_centers)
     assert_allclose(
         result.mixture.weights, np.clip(clustering.noisy_sizes, 0.0, None)
     )
@@ -389,11 +387,10 @@ def test_generate_rejects_degenerate_weights():
 def test_save_is_byte_deterministic(tmp_path):
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     result = train(data, _tiny_config(k=2), master_seed=11)
-    echo = {"command": "train", "k": 2}
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
-    save_model(result.mixture, path_a, config_echo=echo)
-    save_model(result.mixture, path_b, config_echo=echo)
+    save_model(result.mixture, path_a)
+    save_model(result.mixture, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -430,25 +427,21 @@ def test_failed_save_leaves_no_partial_model(tmp_path, monkeypatch):
 
 
 def _struct_base64(array):
-    """An array in the version-2 layout, packed value by value with struct."""
+    """An array in the base64 layout, packed value by value with struct."""
     values = array.ravel().tolist()
     raw = struct.pack(f"<{len(values)}d", *values)
     return {"dtype": "<f8", "shape": list(array.shape),
             "base64": base64.b64encode(raw).decode("ascii")}
 
 
-def _reference_model_json(mix, config_echo):
+def _reference_model_json(mix):
     """The model file as json.dump(indent=1) writes it from a payload of
     struct-packed base64 objects."""
     privacy = {**asdict(mix.privacy), "epsilon": mix.epsilon, "argmin_lambda": mix.argmin_lambda}
     payload = {
-        "version": 2,
+        "version": 3,
         "m": mix.m,
         "k": mix.k,
-        "d": mix.centers.shape[1],
-        "gamma": mix.gamma,
-        "feature_map_seed": mix.feature_map_seed,
-        "centers": _struct_base64(mix.centers),
         "weights": _struct_base64(mix.weights),
         "models": [
             {
@@ -460,8 +453,6 @@ def _reference_model_json(mix, config_echo):
         ],
         "privacy": privacy,
     }
-    if config_echo is not None:
-        payload["config_echo"] = config_echo
     return json.dumps(payload, indent=1) + "\n"
 
 
@@ -474,9 +465,6 @@ def _assert_same_bits(got, want):
 def _assert_same_model(back, mix):
     assert (back.m, back.k) == (mix.m, mix.k)
     _assert_same_bits(back.weights, mix.weights)
-    _assert_same_bits(back.centers, mix.centers)
-    assert (back.gamma, back.feature_map_seed) == (mix.gamma, mix.feature_map_seed)
-    assert (type(back.gamma), type(back.feature_map_seed)) == (float, int)
     assert len(back.models) == len(mix.models)
     for got, want in zip(back.models, mix.models):
         _assert_same_bits(got.weights, want.weights)
@@ -487,18 +475,14 @@ def _assert_same_model(back, mix):
     assert back.argmin_lambda == mix.argmin_lambda
 
 
-@pytest.mark.parametrize("config,echo", [
-    (dict(k=2), {"command": "train", "k": 2, "tags": ["a", "\u00e9"], "nested": {},
-                 "none": None, "lr": 0.05, "empty": []}),
-    (dict(), None),
-], ids=["k2-echo", "k1"])
-def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config, echo):
+@pytest.mark.parametrize("config", [dict(k=2), dict()], ids=["k2", "k1"])
+def test_saved_bytes_equal_json_dump_of_lists(tmp_path, config):
     # every float array is a base64 object, not a list, since version 2
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     mix = train(data, _tiny_config(**config), master_seed=11).mixture
     path = tmp_path / "model.json"
-    save_model(mix, path, config_echo=echo)
-    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
+    save_model(mix, path)
+    assert path.read_text(encoding="utf-8") == _reference_model_json(mix)
 
 
 def _traced_peak(call, *args):
@@ -517,11 +501,10 @@ def test_large_model_saves_the_reference_bytes_one_block_at_a_time(tmp_path):
     mix = _random_mixture([1.0, 2.0], m=1000, n_hidden=500)
     largest = 4 * math.ceil(mix.models[0].weights.nbytes / 3)
     assert mix.models[0].weights.nbytes % mixture.BASE64_BLOCK_BYTES != 0
-    echo = {"command": "train", "base64": "", "model": "model.json"}
     path = tmp_path / "model.json"
-    _, peak = _traced_peak(save_model, mix, path, echo)
+    _, peak = _traced_peak(save_model, mix, path)
     assert peak < largest
-    assert path.read_text(encoding="utf-8") == _reference_model_json(mix, echo)
+    assert path.read_text(encoding="utf-8") == _reference_model_json(mix)
 
 
 def test_load_holds_the_text_and_one_copy_of_the_parameters(tmp_path, monkeypatch):
@@ -562,8 +545,70 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(a.records, b.records)
 
 
+# The class of every key a model file holds.  A key that holds an object or
+# a list is a public shape; its leaves carry the class of what they store.
+# No charged release is stored as drawn: each stored array is post-processing
+# of one.
+PUBLIC, POST = "public shape", "post-processing of charged releases"
+# q = L / n, t_sgd = epochs * ceil(n / L), the default delta = 1 / n and the
+# epsilon they give are functions of the exact record count, which the
+# add/remove adjacency does not make public (ROADMAP item 4).
+RECORD_COUNT = "function of the record count"
+_ARRAY = {"": PUBLIC, ".dtype": PUBLIC, ".shape": PUBLIC}
+MANIFEST = {
+    "version": PUBLIC,
+    "m": PUBLIC,
+    "k": PUBLIC,
+    # the last k-means iteration's noisy counts, clamped at 0
+    **{f"weights{key}": cls for key, cls in {**_ARRAY, ".base64": POST}.items()},
+    "models": PUBLIC,
+    # DP-SGD's iterates: sums of noisy clipped gradients at noisily voted clip bounds
+    **{f"models[].{name}{key}": cls
+       for name in ("weights", "visible_bias", "hidden_bias")
+       for key, cls in {**_ARRAY, ".base64": POST}.items()},
+    "privacy": PUBLIC,
+    **{f"privacy.{name}": PUBLIC
+       for name in ("sigma_c", "sigma_k", "sigma_g", "t_kmeans", "lambda_max")},
+    **{f"privacy.{name}": RECORD_COUNT
+       for name in ("q", "t_sgd", "delta", "epsilon", "argmin_lambda")},
+}
+
+
+def _key_paths(value, path=""):
+    """The path of every key under ``value``, a list's items as ``[]``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            name = f"{path}.{key}" if path else key
+            yield name
+            yield from _key_paths(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _key_paths(item, f"{path}[]")
+
+
+def test_every_key_of_the_file_is_classed(tmp_path):
+    # Each key of a saved model is a public shape, a charged release or
+    # post-processing of one (or a named gap); the file names no seed, and
+    # load_model gives back every field bit for bit.
+    seed = 2**40 + 424242
+    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
+    mix = train(data, _tiny_config(k=2, t_kmeans=3), master_seed=seed).mixture
+    path = tmp_path / "model.json"
+    save_model(mix, path)
+    payload = json.loads(path.read_text())
+    assert list(payload) == ["version", "m", "k", "weights", "models", "privacy"]
+    paths = set(_key_paths(payload))
+    assert paths - MANIFEST.keys() == set()
+    assert MANIFEST.keys() - paths == set()  # the table names no key the file lacks
+
+    raw = path.read_bytes()
+    for secret in (seed, child_seed(seed, "feature-map")):
+        assert str(secret).encode() not in raw
+    _assert_same_model(load_model(path), mix)
+
+
 def test_int_gamma_saves_the_bytes_of_float_gamma(tmp_path):
-    # the file stores gamma as a float and the seed as an int, however given
+    # the file stores no gamma, and an int gamma trains the model a float one does
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     saved = []
     for gamma in (1, 1.0):
@@ -574,8 +619,8 @@ def test_int_gamma_saves_the_bytes_of_float_gamma(tmp_path):
 
 
 def test_load_draws_no_feature_map(tmp_path, monkeypatch):
-    # the model keeps the map's seed; generate never embeds, so loading
-    # rebuilds no map
+    # the file holds no feature map; generate never embeds, so loading
+    # draws none
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     mix = train(data, _tiny_config(k=2), master_seed=11).mixture
     path = tmp_path / "model.json"
@@ -593,7 +638,7 @@ def test_load_draws_no_feature_map(tmp_path, monkeypatch):
 ], ids=["lowered-1e-8", "halved", "lowered-1e-10", "raised"])
 def test_load_rechecks_the_stored_epsilon(tmp_path, factor, accepted):
     # The claim may be looser than the accountant's, not tighter; 1e-9
-    # relative slack admits epsilons stored by the earlier quadrature.
+    # relative slack admits last-bit differences in exp, log and erfc.
     data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
     mix = train(data, _tiny_config(k=2), master_seed=11).mixture
     path = tmp_path / "model.json"
@@ -610,56 +655,9 @@ def test_load_rechecks_the_stored_epsilon(tmp_path, factor, accepted):
             load_model(path)
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["strict-false", "strict-true"])
-def test_models_stored_with_strict_gaussian_still_load(tmp_path, strict):
-    # Models saved while the strict_gaussian option existed hold it in the
-    # privacy block and the config echo; true doubled every k-means term,
-    # so their stored epsilon is above what the block gives now.
-    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
-    mix = train(data, _tiny_config(k=2), master_seed=11).mixture
-    path = tmp_path / "model.json"
-    save_model(mix, path, config_echo={"strict_gaussian": strict})
-    payload = json.loads(path.read_text())
-    priv = payload["privacy"]
-    priv["strict_gaussian"] = strict
-    if strict:
-        lams, kmeans, sgd_step = alpha_terms(mix.privacy)
-        eps = (2 * kmeans + mix.privacy.t_sgd * sgd_step - math.log(mix.privacy.delta)) / lams
-        priv["epsilon"], priv["argmin_lambda"] = float(eps.min()), lams[int(eps.argmin())]
-    path.write_text(json.dumps(payload))
-    loaded = load_model(path)
-    assert loaded.privacy == mix.privacy
-    assert (loaded.epsilon, loaded.argmin_lambda) == (priv["epsilon"], priv["argmin_lambda"])
-    assert (loaded.epsilon > mix.epsilon) == strict
-
-
-def test_full_mode_models_charged_a_vote_per_iteration_still_load(tmp_path):
-    # Earlier versions had a clustering mode that voted on the clip bound,
-    # stored as "rbf_mode": false, and charged that vote once or, before
-    # that, in each of the t_kmeans iterations.  The key is now ignored,
-    # and the epsilon stored with it is above what the privacy block gives.
-    data = mixture_corpus(60, 8, 2, np.random.default_rng(2))
-    mix = train(data, _tiny_config(k=2, t_kmeans=3), master_seed=11).mixture
-    path = tmp_path / "model.json"
-    save_model(mix, path)
-    payload = json.loads(path.read_text())
-    priv = payload["privacy"]
-    priv["rbf_mode"] = False
-    lams, kmeans, sgd_step = alpha_terms(mix.privacy)
-    for votes in (1, mix.privacy.t_kmeans):
-        vote = votes * accountant.alpha_gaussian(lams, mix.privacy.sigma_c)
-        eps = (kmeans + vote + mix.privacy.t_sgd * sgd_step - math.log(mix.privacy.delta)) / lams
-        priv["epsilon"], priv["argmin_lambda"] = float(eps.min()), lams[int(eps.argmin())]
-        path.write_text(json.dumps(payload))
-        loaded = load_model(path)
-        assert loaded.privacy == mix.privacy
-        assert (loaded.epsilon, loaded.argmin_lambda) == (priv["epsilon"], priv["argmin_lambda"])
-        assert loaded.epsilon > mix.epsilon
-
-
 def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
-    for version in (99, 0, None, True, 1.0, 2.0, "2"):
+    for version in (99, 0, 4, None, True, 1.0, 2.0, 3.0, "2", "3"):
         path.write_text(json.dumps({"version": version}))
         with pytest.raises(DataError, match="unsupported model format version"):
             load_model(path)
@@ -667,19 +665,23 @@ def test_load_rejects_unknown_version(tmp_path):
 
 @pytest.mark.parametrize("text,message", [
     ('{"version": 1, "m": 1, "k": 1, "d": 1, "weights": [1.0]}',
-     "model format version 1 is no longer read: its privacy claim predates the checks"),
+     "model format version 1 is no longer read: its file names the seed of its noise; "
+     "train again to write version 3$"),
+    ('{"version": 2, "m": 1, "k": 1, "d": 1, "feature_map_seed": 5}',
+     "model format version 2 is no longer read: its file names the seed of its noise; "
+     "train again to write version 3$"),
     ("{", "malformed model file .*: Expecting property name"),
-    ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": 5}',
+    ('{"version": 3, "m": 3, "k": 1, "models": 5}',
      "malformed model: models is not a list"),
-    ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": [5]}',
+    ('{"version": 3, "m": 3, "k": 1, "models": [5]}',
      r"malformed model: models\[0\] is not a JSON object"),
-    ('{"version": 2, "m": 3, "k": 1, "d": 2, "models": [{"weights": '
+    ('{"version": 3, "m": 3, "k": 1, "models": [{"weights": '
      '{"dtype": "<f8", "shape": [], "base64": "AAAAAAAA8D8="}, "visible_bias": '
      '{"dtype": "<f8", "shape": [0], "base64": ""}, "hidden_bias": '
      '{"dtype": "<f8", "shape": [0], "base64": ""}}]}',
      r"malformed model: models\[0\]\.weights has shape \(\), expected 2 axes"),
-], ids=["version-1", "truncated-json", "models-not-a-list", "rbm-not-an-object",
-        "scalar-rbm-weights"])
+], ids=["version-1", "version-2", "truncated-json", "models-not-a-list",
+        "rbm-not-an-object", "scalar-rbm-weights"])
 def test_load_raises_data_error_for_a_bad_file(tmp_path, text, message):
     # a library caller gets the same DataError that generate reports
     path = tmp_path / "model.json"
