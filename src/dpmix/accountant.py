@@ -51,17 +51,21 @@ sign a running product, both over the factors (a - m + 1) / m, with
 a - m + 1 built as (floor(a) - m + 1) + (a - floor(a)): that stays exact
 at near-integer orders such as 1 / 0.1 + 1 = 11.000000000000002, where
 lgamma of a - m + 1 would fail.  Phi comes from math.erfc; above 26,
-where erfc underflows, from its asymptotic series.
+where erfc underflows, from its asymptotic series.  Each order's sum is
+a loop over its terms in the math module, the signed terms added by
+math.fsum, so the accountant needs only the standard library.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, NumericsError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LAMBDA_MAX = 32
 
@@ -74,10 +78,8 @@ J1_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.90)
 _SERIES_TERMS = (32, 64, 128, 256, 512, 1024)
 _SERIES_RTOL = 1e-10
 _SERIES_ATOL = 1e-16
-_SERIES_BLOCK = 64  # orders per array pass
 # math.erfc is accurate up to here and underflows just above 26.5.
 _ERFC_ASYMPTOTIC_FROM = 26.0
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def check_noise_scale(name: str, sigma: float) -> None:
@@ -123,14 +125,14 @@ class PrivacyConfig:
             raise ValueError("lambda_max must be >= 1")
 
 
-def _check_order_and_noise(lam, sigma: float) -> None:
+def _check_order_and_noise(lam: float, sigma: float) -> None:
     check_noise_scale("sigma", sigma)
-    lam = np.asarray(lam)  # NaN fails the comparisons below too
-    if lam.size and not 0 < lam.min() <= lam.max() < math.inf:
+    if not 0 < lam < math.inf:  # NaN fails too
         raise ValueError(f"lambda must be finite and positive, got {lam}")
 
 
-def gaussian_release(value, sigma: float, sensitivity: float, rng: np.random.Generator):
+def gaussian_release(value: np.ndarray, sigma: float, sensitivity: float,
+                     rng: np.random.Generator) -> np.ndarray:
     """``value`` plus Gaussian noise of standard deviation sqrt(2) * sigma * sensitivity.
 
     Every noisy release goes through here, and alpha_gaussian(lam, sigma)
@@ -138,122 +140,132 @@ def gaussian_release(value, sigma: float, sensitivity: float, rng: np.random.Gen
     most ``sensitivity`` in L2 norm.  The noise is then sqrt(2) * sigma
     per unit of sensitivity, and the Gaussian mechanism of scale s at
     sensitivity 1 has privacy-loss log-MGF lam (lam + 1) / (2 s^2), which
-    is (lam^2 + lam) / (4 sigma^2) exactly.  ``value`` is a scalar or an
-    array; one ``rng.normal`` call draws noise of its shape.  No release
-    goes out at a sigma that check_noise_scale refuses.
+    is (lam^2 + lam) / (4 sigma^2) exactly.  ``value`` is an array; one
+    ``rng.normal`` call draws noise of its shape.  No release goes out at
+    a sigma that check_noise_scale refuses.
     """
     check_noise_scale("sigma", sigma)
-    return value + rng.normal(0.0, math.sqrt(2.0) * sigma * sensitivity, size=np.shape(value))
+    return value + rng.normal(0.0, math.sqrt(2.0) * sigma * sensitivity, size=value.shape)
 
 
-def alpha_gaussian(lam, sigma: float):
-    """(lam^2 + lam) / (4 sigma^2), the charge of gaussian_release, at one order or an array."""
+def _over(numerator: float, denominator: float) -> float:
+    """numerator / denominator, or inf where the denominator, a square, underflowed to 0."""
+    return numerator / denominator if denominator else math.inf
+
+
+def alpha_gaussian(lam: float, sigma: float) -> float:
+    """(lam^2 + lam) / (4 sigma^2), the charge of gaussian_release at the order lam."""
     _check_order_and_noise(lam, sigma)
-    lams = np.array(lam, dtype=np.float64)
-    with np.errstate(divide="ignore"):  # sigma**2 underflows to 0: alpha is inf
-        out = (lams**2 + lams) / (4.0 * sigma**2)
-    return float(out) if out.ndim == 0 else out
+    return _over(lam * lam + lam, 4.0 * sigma**2)
 
 
-def alpha_subsampled_gaussian(lam, sigma: float, q: float):
-    """log max(E1, E2) for the Poisson-subsampled Gaussian mechanism.
+def alpha_subsampled_gaussian(lam: float, sigma: float, q: float) -> float:
+    """log max(E1, E2) for the Poisson-subsampled Gaussian mechanism at the order lam.
 
-    ``lam`` is one order or an array of them, not necessarily integers;
-    the result is a float or an array of the same shape.  Each order's
-    value depends on that order alone, not on the others in the array.
-    ValueError for an order below 1, where the series' tail can shrink
-    too slowly to meet its bound; NumericsError if the series does not
-    converge.
+    ``lam`` need not be an integer.  log E2 comes from the fewest terms of
+    _SERIES_TERMS that meet the tail bound.  ValueError for an order
+    below 1, where the series' tail can shrink too slowly to meet its
+    bound; NumericsError if the series does not converge.
     """
     _check_order_and_noise(lam, sigma)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    lams = np.array(lam, dtype=np.float64)
-    if lams.size and lams.min() < 1.0:
-        raise ValueError(f"lambda must be >= 1, got {float(lams.min())!r}")
+    lam = float(lam)
+    if lam < 1.0:
+        raise ValueError(f"lambda must be >= 1, got {lam!r}")
     if q == 0.0:
-        out = np.zeros_like(lams)
-    elif q == 1.0:  # the shifted Gaussian's log-MGF; z0 is infinite
-        out = lams * (lams + 1.0) / (2.0 * sigma**2)
-    else:
-        out = np.maximum(_log_e2_series(lams.ravel(), sigma, q), 0.0).reshape(lams.shape)
-    return float(out) if out.ndim == 0 else out
+        return 0.0
+    if q == 1.0:  # the shifted Gaussian's log-MGF; z0 is infinite
+        return _over(lam * (lam + 1.0), 2.0 * sigma**2)
+    for terms in _SERIES_TERMS:
+        log_sum, log_tail = _log_partial_sums(lam + 1.0, sigma, q, terms)
+        if not math.isfinite(log_sum):
+            raise NumericsError(f"subsampled-Gaussian series is not finite and positive for "
+                                f"lam={lam}, sigma={sigma}, q={q}")
+        # a ratio above e^700 misses the bound, and math.exp overflows near 710
+        gap = log_tail - log_sum
+        if gap <= 700.0 and math.exp(gap) <= _SERIES_RTOL * log_sum + _SERIES_ATOL:
+            return max(log_sum, 0.0)
+    raise NumericsError(f"subsampled-Gaussian series did not converge for lam={lam}, "
+                        f"sigma={sigma}, q={q} within {_SERIES_TERMS[-1]} terms")
 
 
-def _log_e2_series(lams: np.ndarray, sigma: float, q: float) -> np.ndarray:
-    """log E2 at each order, from the fewest terms of _SERIES_TERMS that meet the tail bound.
+def _log_partial_sums(a: float, sigma: float, q: float, terms: int) -> tuple[float, float]:
+    """log S_K and log T_K at the order a = lam + 1, for K = terms (module docstring).
 
-    The orders go _SERIES_BLOCK at a time, which bounds the temporaries.
+    log S_K is NaN where S_K is not finite and positive.
     """
-    out = np.empty_like(lams)
-    for start in range(0, lams.size, _SERIES_BLOCK):
-        pending = np.arange(start, min(start + _SERIES_BLOCK, lams.size))
-        for terms in _SERIES_TERMS:
-            log_sum, log_tail = _log_partial_sums(lams[pending] + 1.0, sigma, q, terms)
-            bad = ~np.isfinite(log_sum)
-            if bad.any():
-                raise NumericsError(
-                    f"subsampled-Gaussian series is not finite and positive for "
-                    f"lam={lams[pending][bad][0]}, sigma={sigma}, q={q}"
-                )
-            done = np.exp(log_tail - log_sum) <= _SERIES_RTOL * log_sum + _SERIES_ATOL
-            out[pending[done]] = log_sum[done]
-            pending = pending[~done]
-            if not pending.size:
-                break
-        else:
-            raise NumericsError(
-                f"subsampled-Gaussian series did not converge for lam={lams[pending[0]]}, "
-                f"sigma={sigma}, q={q} within {_SERIES_TERMS[-1]} terms"
-            )
-    return out
-
-
-def _log_partial_sums(
-    a: np.ndarray, sigma: float, q: float, terms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """log S_K and log T_K at each order a = lam + 1, for K = terms (module docstring)."""
-    a = a[:, None]
-    floor = np.floor(a)
-    i = np.arange(terms + 1.0)
-    factors = (floor + 1.0 - i[1:]) + (a - floor)  # a - i + 1, for i = 1..K
-    log_c = np.zeros((a.size, terms + 1))
-    sign = np.ones_like(log_c)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.cumsum(np.log(np.abs(factors)) - np.log(i[1:]), axis=1, out=log_c[:, 1:])
-        np.cumprod(np.sign(factors), axis=1, out=sign[:, 1:])
-        z0 = sigma**2 * (math.log1p(-q) - math.log(q)) + 0.5
+    two_var = 2.0 * sigma**2
+    if not two_var:  # sigma**2 underflows to 0: the terms are 0/0 and x/0
+        return math.nan, math.nan
+    log_q, log_1mq, z0, scale, parts = _order_free_parts(sigma, q, terms)
+    floor = float(math.floor(a))
+    log, exp, log_erfc, log_2 = math.log, math.exp, _log_erfc, math.log(2.0)
+    log_c, sign = 0.0, 1.0
+    log_ts, log_us, signs = [], [], []
+    for i, log_i, i_log_q, i_log_1mq, t_square, t_erfc in parts:
+        if i:
+            factor = (floor + 1.0 - i) + (a - floor)  # a - i + 1
+            if factor:
+                log_c += log(abs(factor)) - log_i
+                if factor < 0.0:
+                    sign = -sign
+            else:  # a = i - 1 is an integer: this and every later C(a, i) is 0
+                log_c, sign = -math.inf, 0.0
         j = a - i
-        scale = math.sqrt(2.0) * sigma
-        log_t = (log_c + i * math.log(q) + j * math.log1p(-q) + (i * i - i) / (2.0 * sigma**2)
-                 + _log_erfc((i - z0) / scale) - math.log(2.0))
-        log_u = (log_c + j * math.log(q) + i * math.log1p(-q) + (j * j - j) / (2.0 * sigma**2)
-                 + _log_erfc((z0 - j) / scale) - math.log(2.0))
-        head = np.concatenate((log_t[:, :-1], log_u[:, :-1]), axis=1)
-        top = head.max(axis=1)
-        total = (np.tile(sign[:, :-1], 2) * np.exp(head - top[:, None])).sum(axis=1)
-        log_sum = np.log(total) + top
-        log_next = np.logaddexp(log_t[:, -1], log_u[:, -1])  # log(|t_K| + |u_K|)
-        log_bound = np.logaddexp((floor[:, 0] + 1.0) * math.log(2.0), 0.0) - log_c[:, -1]
-        log_tail = np.where(terms > a[:, 0], log_next, log_next + log_bound)
-    return log_sum, log_tail
+        log_ts.append(log_c + i_log_q + j * log_1mq + t_square + t_erfc - log_2)
+        log_us.append(log_c + j * log_q + i_log_1mq + (j * j - j) / two_var
+                      + log_erfc((z0 - j) / scale) - log_2)
+        signs.append(sign)
+    log_next = _logaddexp(log_ts.pop(), log_us.pop())  # log(|t_K| + |u_K|)
+    signs.pop()
+    top = max(max(log_ts), max(log_us))
+    total = math.fsum([s * exp(x - top) for s, x in zip(signs + signs, log_ts + log_us)])
+    log_sum = math.log(total) + top if total > 0.0 else math.nan
+    if terms > a:
+        return log_sum, log_next
+    log_bound = _logaddexp((floor + 1.0) * log_2, 0.0) - log_c
+    return log_sum, log_next + log_bound
 
 
-def _log_erfc(x: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _order_free_parts(sigma: float, q: float, terms: int) -> tuple:
+    """What _log_partial_sums needs that no order changes, at one (sigma, q, K = terms).
+
+    That is log q, log(1 - q), z0, sqrt(2) sigma, and per term i = 0..K:
+    i, log i, i log q, i log(1 - q), (i^2 - i) / (2 sigma^2) and
+    log erfc((i - z0) / (sqrt(2) sigma)).  The split search asks for
+    hundreds of orders at one (sigma, q), so these are computed once.
+    """
+    two_var = 2.0 * sigma**2
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    z0 = sigma**2 * (log_1mq - log_q) + 0.5
+    scale = math.sqrt(2.0) * sigma
+    parts = tuple((i, math.log(i) if i else 0.0, i * log_q, i * log_1mq, (i * i - i) / two_var,
+                   _log_erfc((i - z0) / scale)) for i in range(terms + 1))
+    return log_q, log_1mq, z0, scale, parts
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y), -inf when both are."""
+    top = max(x, y)
+    if top == -math.inf:
+        return top
+    return top + math.log1p(math.exp(-abs(x - y)))
+
+
+def _log_erfc(x: float) -> float:
     """log erfc(x) by math.erfc, and by its asymptotic series where erfc underflows."""
-    out = np.empty_like(x)
-    near = x <= _ERFC_ASYMPTOTIC_FROM
-    out[near] = np.log(_erfc(x[near]).astype(np.float64))
-    far = x[~near]
-    u = 0.5 / (far * far)
+    if x <= _ERFC_ASYMPTOTIC_FROM:
+        return math.log(math.erfc(x))
+    u = 0.5 / (x * x)
     # erfc(x) = exp(-x^2) / (x sqrt(pi)) * (1 - u + 3u^2 - 15u^3 + 105u^4 - ...)
-    out[~near] = (np.log(1.0 - u * (1.0 - 3.0 * u * (1.0 - 5.0 * u * (1.0 - 7.0 * u))))
-                  - far * far - np.log(far * math.sqrt(math.pi)))
-    return out
+    return (math.log(1.0 - u * (1.0 - 3.0 * u * (1.0 - 5.0 * u * (1.0 - 7.0 * u))))
+            - x * x - math.log(x * math.sqrt(math.pi)))
 
 
-def alpha_kmeans(lam, cfg: PrivacyConfig):
-    """Total clustering log-MGF after t_kmeans noisy iterations; ``lam`` as for alpha_gaussian.
+def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
+    """Total clustering log-MGF after t_kmeans noisy iterations, at the order lam.
 
     Each iteration releases the k noisy cluster sizes (gaussian_release
     at sigma_k, sensitivity 1) and the k noisy feature sums (sigma_k,
@@ -265,46 +277,51 @@ def alpha_kmeans(lam, cfg: PrivacyConfig):
     return cfg.t_kmeans * (2.0 * alpha_gaussian(lam, cfg.sigma_k))
 
 
-def sgd_step_alpha(lam, cfg: PrivacyConfig):
-    """Per-iteration SGD log-MGF, minimised over budget splits.
+def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
+    """Per-iteration SGD log-MGF at the order lam, minimised over budget splits.
 
     One iteration runs two subsampled mechanisms on the same batch:
     threshold selection at scale sigma_c and the noisy gradient at scale
     sigma_g.  Their joint moment is bounded by
     j1 * alpha(lam / j1, sigma_c) + j2 * alpha(lam / j2, sigma_g) for any
     split j1 + j2 = 1, and the splits (j1, 1 - j1) of J1_GRID are searched
-    for the tightest.  ``lam`` is one order or an array of them; the
-    search over every order is one array call per noise scale.
+    for the tightest.
     """
-    j1 = np.array(J1_GRID)
-    j2 = 1.0 - j1
-    orders = np.array(lam, dtype=np.float64)[..., None]
-    split = j1 * alpha_subsampled_gaussian(orders / j1, cfg.sigma_c, cfg.q)
-    split += j2 * alpha_subsampled_gaussian(orders / j2, cfg.sigma_g, cfg.q)
-    best = split.min(axis=-1)
-    return float(best) if best.ndim == 0 else best
+    return min(
+        j1 * alpha_subsampled_gaussian(lam / j1, cfg.sigma_c, cfg.q)
+        + (1.0 - j1) * alpha_subsampled_gaussian(lam / (1.0 - j1), cfg.sigma_g, cfg.q)
+        for j1 in J1_GRID
+    )
 
 
-def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
     """The integer orders 1..lambda_max, the k-means alpha and the per-step SGD alpha at each.
 
-    The total log-MGF after t SGD steps is ``kmeans + t * sgd_step``;
-    epsilon_for_delta, epsilon_schedule and the accountant report all
-    read it from these two arrays.  cfg.t_sgd is not used.
+    The total log-MGF after t SGD steps is ``kmeans + t * sgd_step`` at
+    each order; epsilon_for_delta, epsilon_schedule and the accountant
+    report all read it from these two tuples.  cfg.t_sgd is not used.
     """
     lams = tuple(range(1, cfg.lambda_max + 1))
-    return lams, alpha_kmeans(lams, cfg), sgd_step_alpha(lams, cfg)
+    return (lams, tuple(alpha_kmeans(lam, cfg) for lam in lams),
+            tuple(sgd_step_alpha(lam, cfg) for lam in lams))
+
+
+def total_alpha(terms, t_sgd: int) -> list[float]:
+    """The total log-MGF at each order of ``terms`` (alpha_terms) after t_sgd SGD steps."""
+    _, kmeans, sgd_step = terms
+    return [a_kmeans + t_sgd * a_step for a_kmeans, a_step in zip(kmeans, sgd_step)]
 
 
 def _minimise_epsilon(
-    lambdas: Sequence[int], alphas: np.ndarray, delta: float
+    lambdas: Sequence[int], alphas: Sequence[float], delta: float
 ) -> tuple[float, int]:
     """The least (alpha - log delta) / lam and its order; the first minimiser wins.
 
     NumericsError if that epsilon is not finite.
     """
-    eps = (alphas - math.log(delta)) / np.asarray(lambdas)
-    best = int(np.argmin(eps))
+    log_delta = math.log(delta)
+    eps = [(alpha - log_delta) / lam for lam, alpha in zip(lambdas, alphas)]
+    best = min(range(len(eps)), key=eps.__getitem__)
     if not math.isfinite(eps[best]):
         raise NumericsError("epsilon is not finite for this configuration")
     return float(eps[best]), int(lambdas[best])
@@ -312,8 +329,8 @@ def _minimise_epsilon(
 
 def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
     """Tightest (epsilon, argmin lambda) for the configured run."""
-    lams, kmeans, sgd_step = alpha_terms(cfg)
-    return _minimise_epsilon(lams, kmeans + cfg.t_sgd * sgd_step, cfg.delta)
+    terms = alpha_terms(cfg)
+    return _minimise_epsilon(terms[0], total_alpha(terms, cfg.t_sgd), cfg.delta)
 
 
 def epoch_iterations(q: float) -> int:
@@ -340,13 +357,13 @@ def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int], terms=None) -> l
     so the whole schedule costs one alpha_terms call.  A caller that
     already holds alpha_terms(cfg) passes it as ``terms`` and pays none.
     """
-    lams, kmeans, sgd_step = terms if terms is not None else alpha_terms(cfg)
+    terms = terms if terms is not None else alpha_terms(cfg)
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:
         if e < 0:
             raise ValueError("epoch counts must be non-negative")
         t_sgd = e * per_epoch
-        eps, lam = _minimise_epsilon(lams, kmeans + t_sgd * sgd_step, cfg.delta)
+        eps, lam = _minimise_epsilon(terms[0], total_alpha(terms, t_sgd), cfg.delta)
         out.append(EpochEpsilon(epoch=e, t_sgd=t_sgd, epsilon=eps, argmin_lambda=lam))
     return out

@@ -10,7 +10,8 @@ included, by which a library refused an argument), 3 data error
 NumericsError included), 5 out of memory (a MemoryError).  ``main``
 alone maps an exception to its code, and prints it as one line on stderr.
 Each command imports the modules that only it runs, so ``accountant``
-starts without the clustering, training and evaluation stacks.
+starts without the clustering, training and evaluation stacks, and
+without numpy.
 """
 from __future__ import annotations
 
@@ -21,22 +22,17 @@ import os
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .accountant import PrivacyConfig, alpha_terms, check_noise_scale, epsilon_schedule
-from .config import ANY, DEFAULT_GENERATION_SWEEPS, N_SUBSETS, SEMANTICS, TrainConfig
-from .data import (
-    DEFAULT_BINARIZE_THRESHOLD,
-    FORMATS,
-    SPARSE_ITEMS,
-    atomic_write,
-    load_labels,
-    load_records,
-    write_records,
-)
+from .accountant import (PrivacyConfig, alpha_terms, check_noise_scale, epsilon_schedule,
+                         total_alpha)
+from .config import (ANY, DEFAULT_BINARIZE_THRESHOLD, DEFAULT_GENERATION_SWEEPS, FORMATS,
+                     N_SUBSETS, SEMANTICS, SPARSE_ITEMS, TrainConfig, atomic_write)
 from .errors import ConfigError, DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REQUIRED = MISSING  # the dataclass marker for "no default"
 
@@ -262,6 +258,8 @@ class _Outputs:
 
 
 def _load_dataset(opts: dict):
+    from .data import load_records
+
     try:
         return load_records(opts["data"], opts["format"], binarize_threshold=opts["threshold"])
     except FileNotFoundError:
@@ -284,7 +282,6 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
     final = schedule[-1]
     if opts["output"]:
-        lams, kmeans, sgd_step = terms
         report = {
             "config_echo": {**opts, "delta": delta},
             "schedule": [
@@ -299,8 +296,8 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
             "epsilon": final.epsilon,
             "argmin_lambda": final.argmin_lambda,
             "alpha_profile": {
-                "lambda": list(lams),
-                "alpha": (kmeans + final.t_sgd * sgd_step).tolist(),
+                "lambda": list(terms[0]),
+                "alpha": total_alpha(terms, final.t_sgd),
             },
         }
         out.write_text(opts["output"], _json_dumps(report))
@@ -309,6 +306,8 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
 
 def _load_init_centers(opts: dict) -> np.ndarray | None:
     """The (k, d) array in the --init-centers file, or None without one."""
+    import numpy as np
+
     path, k, d = opts["init_centers"], opts["k"], opts["d"]
     if not path:
         return None
@@ -329,6 +328,8 @@ def _load_init_centers(opts: dict) -> np.ndarray | None:
 
 def _load_labels(path, n: int) -> np.ndarray:
     """One integer per line of ``path``; DataError unless there are ``n`` of them."""
+    from .data import load_labels
+
     labels = load_labels(path)
     if len(labels) != n:
         raise DataError(f"{path} holds {len(labels)} entries for {n} records")
@@ -395,6 +396,7 @@ def cmd_train(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_generate(opts: dict, out: _Outputs) -> int:
+    from .data import write_records
     from .mixture import generate, load_model
     from .streams import child_rng
 
@@ -415,6 +417,7 @@ def cmd_generate(opts: dict, out: _Outputs) -> int:
 
 
 def cmd_evaluate(opts: dict, out: _Outputs) -> int:
+    from .data import load_records
     from .evaluation import clustering_accuracy, evaluate_workload, generate_workload
     from .streams import child_rng
 

@@ -1,16 +1,27 @@
 """Option values and defaults, kept apart from the stacks that read them.
 
-The CLI builds its option table from ``TrainConfig`` and the evaluation
-constants, and this module imports only the accountant and the error
-types, so ``accountant`` loads neither ``mixture`` nor ``evaluation``.
+The CLI builds its option table from ``TrainConfig``, the dataset
+formats and the evaluation constants.  This module also holds
+``atomic_write``, through which every command writes its files.  It
+imports only the standard library, the accountant and the error types,
+so ``accountant`` loads neither numpy nor the data, training and
+evaluation stacks.
 """
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .accountant import DEFAULT_LAMBDA_MAX, check_noise_scale
 from .errors import ConfigError
+
+SPARSE_ITEMS = "sparse-items"
+DENSE_CSV = "dense-csv"
+FORMATS = (SPARSE_ITEMS, DENSE_CSV)
+
+DEFAULT_BINARIZE_THRESHOLD = 127
 
 DEFAULT_GENERATION_SWEEPS = 500
 
@@ -61,3 +72,24 @@ class TrainConfig:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
         for name in ("sigma_c", "sigma_k", "sigma_g"):
             check_noise_scale(name, getattr(self, name))
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a text file beside ``path`` for writing; rename it onto ``path`` on success.
+
+    Whatever ends the block early, neither ``path`` nor the temporary
+    file is left behind.  An OSError about the temporary names ``path``.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

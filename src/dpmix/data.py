@@ -20,19 +20,12 @@ naming its line, like any other malformed line.
 """
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_BINARIZE_THRESHOLD, DENSE_CSV, FORMATS, SPARSE_ITEMS, atomic_write
 from .errors import DataError
-
-SPARSE_ITEMS = "sparse-items"
-DENSE_CSV = "dense-csv"
-FORMATS = (SPARSE_ITEMS, DENSE_CSV)
-
-DEFAULT_BINARIZE_THRESHOLD = 127
 
 # Sparse-items text is parsed in blocks of about this many bytes, each
 # cut after a newline, so the parse temporaries stay small beside the
@@ -232,27 +225,6 @@ def write_records(dataset: BinaryDataset, path) -> None:
                 lines.append(" ".join(items[start:stop]))
                 start = stop
             fh.write("\n".join(lines) + "\n")
-
-
-@contextmanager
-def atomic_write(path):
-    """Open a text file beside ``path`` for writing; rename it onto ``path`` on success.
-
-    Whatever ends the block early, neither ``path`` nor the temporary
-    file is left behind.  An OSError about the temporary names ``path``.
-    """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except OSError as exc:
-        if exc.filename != tmp:
-            raise
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def load_labels(path) -> np.ndarray:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import rbm
 from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
-from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig
-from .data import BinaryDataset, atomic_write, make_dataset, sample_batch
+from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig, atomic_write
+from .data import BinaryDataset, make_dataset, sample_batch
 from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError
 from .kmeans import Clustering, clustering_stage
@@ -261,7 +261,7 @@ def save_model(mix: MixtureModel, path) -> None:
     whole text is ever held.  The scalars and the privacy block stay
     plain JSON.
 
-    The file is written through ``data.atomic_write``, so a failed write
+    The file is written through ``config.atomic_write``, so a failed write
     leaves no partial model behind.
     """
     arrays = []
@@ -405,8 +405,9 @@ def load_model(path) -> MixtureModel:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # bad JSON or UTF-8, a wrong type, or PrivacyConfig
         raise DataError(f"malformed model file {path}: {exc}") from None
-    # the slack admits an epsilon stored on a host whose numpy or C library
-    # rounds exp, log or erfc differently in the last bits
+    # the slack admits an epsilon stored on a host whose C library rounds
+    # exp, log or erfc differently in the last bits, or by an earlier dpmix,
+    # whose numpy series rounded the same sum differently
     recomputed, _ = epsilon_for_delta(mix.privacy)
     if mix.epsilon < recomputed * (1.0 - 1e-9):
         raise _malformed(

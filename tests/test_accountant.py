@@ -24,6 +24,7 @@ from dpmix.accountant import (
     epsilon_for_delta,
     epsilon_schedule,
     sgd_step_alpha,
+    total_alpha,
 )
 from dpmix.cli import main
 from dpmix.data import make_dataset
@@ -112,8 +113,8 @@ class TestSubsampledQuadrature:
         # better than 1e-6 relative.
         for lam, sigma, q in ((8, 4.0, 0.01), (31.58, 1.0, 0.0017), (640.0, 4.0, 0.0017)):
             a = alpha_subsampled_gaussian(lam, sigma, q)
-            log_sum, _ = accountant._log_partial_sums(np.array([lam + 1.0]), sigma, q, 1024)
-            b = max(float(log_sum[0]), 0.0)
+            log_sum, _ = accountant._log_partial_sums(lam + 1.0, sigma, q, 1024)
+            b = max(log_sum, 0.0)
             assert abs(a - b) <= 1e-6 * max(abs(a), 1e-9)
 
     def test_fractional_lambda_accepted(self):
@@ -133,9 +134,10 @@ class TestSubsampledQuadrature:
     def test_orders_below_one_are_refused(self, lam, lowest):
         # below 1 the series' tail can shrink too slowly to meet its bound:
         # at sigma = 10, q = 0.5, lambda = 0.1 and 0.5 ran 1024 terms and
-        # ended in NumericsError; the refusal names the lowest order
+        # ended in NumericsError; the refusal names the order, here the lowest
         with pytest.raises(ValueError, match=f"^lambda must be >= 1, got {lowest}$"):
-            alpha_subsampled_gaussian(np.array(lam), 10.0, 0.5)
+            for order in np.ravel(lam):
+                alpha_subsampled_gaussian(order, 10.0, 0.5)
         assert alpha_subsampled_gaussian(1.0, 10.0, 0.5) > 0.0
 
     @pytest.mark.parametrize("lam,sigma", [
@@ -268,15 +270,8 @@ def _plan_lattice_points():
 
 
 def _series_by_point(points):
-    """alpha_subsampled_gaussian at each (lam, sigma, q), one array call per (sigma, q)."""
-    groups = {}
-    for lam, sigma, q in points:
-        groups.setdefault((sigma, q), []).append(lam)
-    out = {}
-    for (sigma, q), lams in groups.items():
-        for lam, value in zip(lams, alpha_subsampled_gaussian(np.array(lams), sigma, q)):
-            out[lam, sigma, q] = float(value)
-    return out
+    """alpha_subsampled_gaussian at each (lam, sigma, q)."""
+    return {point: alpha_subsampled_gaussian(*point) for point in points}
 
 
 def _assert_matches_oracle(points, atol=0.0):
@@ -361,43 +356,44 @@ class TestBinomialOracle:
 
 
 class TestSeries:
-    def test_array_call_equals_one_call_per_order(self):
-        orders = np.array(sorted({lam for lam, _, _ in _split_orders(0.005, 1.0)}))
+    def test_one_call_per_order(self):
+        # each value is a float that depends on its own order alone: not on
+        # the orders asked before it, nor on the order's numeric type
+        orders = sorted({lam for lam, _, _ in _split_orders(0.005, 1.0)})
         for sigma in (1.0, 4.0):
-            batch = alpha_subsampled_gaussian(orders, sigma, 0.005)
-            assert batch.shape == orders.shape
             singles = [alpha_subsampled_gaussian(lam, sigma, 0.005) for lam in orders]
-            assert batch.tolist() == singles
-            grid = alpha_subsampled_gaussian(orders[::-1].reshape(-1, 2), sigma, 0.005)
-            assert grid.ravel().tolist() == singles[::-1]
+            assert all(type(value) is float for value in singles)
+            backwards = [alpha_subsampled_gaussian(lam, sigma, 0.005) for lam in orders[::-1]]
+            assert backwards == singles[::-1]
+            scalars = [alpha_subsampled_gaussian(np.float64(lam), sigma, 0.005) for lam in orders]
+            assert scalars == singles
 
     @pytest.mark.parametrize("lam,sigma,q,terms", [
         (19.5, 2.0, 0.1, 8), (8.0, 1.0, 0.05, 4),  # K <= a = lam + 1
         (3.5, 1.0, 0.5, 8), (1.1, 4.0, 0.5, 32),   # K > a: alternating tail
     ])
     def test_tail_bound_covers_what_the_first_terms_leave_out(self, lam, sigma, q, terms):
-        a = np.array([lam + 1.0])
+        a = lam + 1.0
         log_sum, log_tail = accountant._log_partial_sums(a, sigma, q, terms)
         log_ref, _ = accountant._log_partial_sums(a, sigma, q, 1024)
-        left_out = abs(math.expm1(log_ref[0] - log_sum[0]))
-        assert 1e-9 < left_out <= math.exp(log_tail[0] - log_sum[0])
+        left_out = abs(math.expm1(log_ref - log_sum))
+        assert 1e-9 < left_out <= math.exp(log_tail - log_sum)
 
     def test_term_cap_that_cannot_meet_the_bound_raises(self, monkeypatch):
         monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
         with pytest.raises(NumericsError, match="did not converge for lam=3.5, .* within 2 terms"):
-            alpha_subsampled_gaussian(np.array([3.5, 8.0]), 1.0, 0.05)
+            alpha_subsampled_gaussian(3.5, 1.0, 0.05)
 
     def test_sum_that_is_not_finite_raises(self, monkeypatch):
-        monkeypatch.setattr(accountant, "_log_erfc", lambda x: np.full_like(x, np.nan))
+        monkeypatch.setattr(accountant, "_log_erfc", lambda x: math.nan)
         with pytest.raises(NumericsError, match="not finite and positive for lam=8.0"):
             alpha_subsampled_gaussian(8.0, 1.0, 0.05)
 
     def test_log_erfc_is_continuous_where_the_asymptotic_series_takes_over(self):
         edge = accountant._ERFC_ASYMPTOTIC_FROM
-        x = np.array([edge, np.nextafter(edge, np.inf)])
-        below, above = accountant._log_erfc(x)
+        below, above = accountant._log_erfc(edge), accountant._log_erfc(math.nextafter(edge, math.inf))
         assert abs(above - below) <= 1e-12 * abs(below)
-        assert accountant._log_erfc(np.array([0.0, -30.0])).tolist() == [0.0, math.log(2.0)]
+        assert [accountant._log_erfc(0.0), accountant._log_erfc(-30.0)] == [0.0, math.log(2.0)]
 
 
 class TestKmeansAlpha:
@@ -424,17 +420,17 @@ class TestKmeansAlpha:
         cfg = _cfg(q=q, t_sgd=t_sgd, delta=delta)
         assert epsilon_for_delta(cfg) == pytest.approx(want, rel=1e-12)
 
-    def test_array_call_equals_one_call_per_order(self):
-        orders = np.array([1, 2, 3, 7.5, 32])
+    def test_one_call_per_order(self):
+        # each value is a float, the same whether the order is an int, a
+        # float or a numpy scalar
+        orders = [1, 2, 3, 7.5, 32]
         for cfg in (_cfg(), _cfg(t_kmeans=0)):
             for alpha in (lambda lam: alpha_kmeans(lam, cfg),
                           lambda lam: alpha_gaussian(lam, cfg.sigma_k)):
-                batch = alpha(orders)
                 singles = [alpha(lam) for lam in orders]
                 assert all(type(value) is float for value in singles)
-                assert batch.shape == orders.shape and batch.tolist() == singles
-                assert alpha(orders.reshape(1, -1)).ravel().tolist() == singles
-                assert alpha(tuple(orders)).tolist() == singles
+                assert [alpha(float(lam)) for lam in orders] == singles
+                assert [alpha(np.float64(lam)) for lam in orders] == singles
 
 
 class TestSgdAlpha:
@@ -480,8 +476,7 @@ class TestEpsilonSearch:
             assert a_step == sgd_step_alpha(lam, cfg)
 
     def test_profile_finite_nonnegative_monotone(self):
-        _, kmeans, sgd_step = alpha_terms(_cfg())
-        vals = kmeans + 500 * sgd_step
+        vals = total_alpha(alpha_terms(_cfg()), 500)
         assert all(np.isfinite(v) and v >= 0 for v in vals)
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -553,8 +548,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(os, "fork", refuse)
         got = alpha_terms(_PLAN_CFG)
-        assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+        assert repr(got) == repr(want)  # repr names every float exactly
 
     def test_failure_names_the_same_order_on_every_run(self, monkeypatch, capsys):
         monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
@@ -568,6 +562,48 @@ class TestWorkerProcesses:
     def test_zero_workers_rejected(self, capsys):
         assert main(_accountant_args(_PLAN_CFG, 1) + ["--workers", "0"]) == 2
         assert capsys.readouterr().err == "usage error: unrecognized arguments: --workers 0\n"
+
+
+# What the numpy series printed before the accountant moved to math: every
+# epoch of criterion 2's schedule (``dpmix accountant --q 0.0017 --sigma-c 4
+# --sigma-k 40 --sigma-g 1 --t-kmeans 20 --epochs 20 --delta 1e-5``) and the
+# final row of each plan-lattice command, which varies q and sigma_g.
+_CRITERION_2_SCHEDULE = (
+    1.2471205096624403, 1.2741984728278575, 1.3012764359932747, 1.3283543991586921,
+    1.3554323623241094, 1.3825103254895266, 1.409588288654944, 1.4366662518203612,
+    1.4637442149857784, 1.4908221781511959, 1.517900141316613, 1.5449781044820303,
+    1.5720560676474478, 1.599134030812865, 1.6262119939782824, 1.6532899571436996,
+    1.6803679203091169, 1.7074458834745343, 1.7345238466399515, 1.7616018098053687,
+)
+_PLAN_FINAL_ROWS = {
+    (0.001, 1.0): (1.4749712860090058, 11), (0.001, 2.0): (0.7692971796144978, 30),
+    (0.001, 4.0): (0.6510658987151587, 32), (0.0017, 1.0): (1.7616018098053687, 10),
+    (0.0017, 2.0): (0.8967562598887506, 26), (0.0017, 4.0): (0.7112125324934393, 32),
+    (0.003, 1.0): (2.193166418090119, 8), (0.003, 2.0): (1.097381545857647, 21),
+    (0.003, 4.0): (0.8181372366570283, 28),
+}
+
+
+def _printed_rows(capsys, q, sigma_g):
+    """(epsilon, lambda) of each row that ``dpmix accountant`` prints for 20 epochs."""
+    assert main(_accountant_args(_cfg(q=q, sigma_g=sigma_g, t_sgd=0), 20)) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return [(float(eps), int(lam)) for _, _, eps, lam in (line.split(",") for line in lines)]
+
+
+class TestPinnedToTheNumpySeries:
+    """The printed epsilons stay within 1e-12 of the numpy series', at the same orders."""
+
+    def test_criterion_2_schedule_at_every_epoch(self, capsys):
+        rows = _printed_rows(capsys, 0.0017, 1.0)
+        assert [lam for _, lam in rows] == [10] * 20
+        for (eps, _), want in zip(rows, _CRITERION_2_SCHEDULE, strict=True):
+            assert eps == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_final_row_of_each_plan_lattice_command(self, capsys):
+        for (q, sigma_g), (want, want_lam) in _PLAN_FINAL_ROWS.items():
+            eps, lam = _printed_rows(capsys, q, sigma_g)[-1]
+            assert lam == want_lam and eps == pytest.approx(want, rel=1e-12, abs=0.0), (q, sigma_g)
 
 
 def _release_at(sigma):

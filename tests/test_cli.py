@@ -818,24 +818,28 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
-# the clustering, training and evaluation stacks
-_NOT_FOR_ACCOUNTANT = ["dpmix.dpnorm", "dpmix.dpsgd", "dpmix.evaluation", "dpmix.kmeans",
-                       "dpmix.mixture", "dpmix.rbm", "dpmix.rff"]
+# numpy, and the data, clustering, training and evaluation stacks
+_NOT_FOR_ACCOUNTANT = ["numpy", "dpmix.data", "dpmix.dpnorm", "dpmix.dpsgd",
+                       "dpmix.evaluation", "dpmix.kmeans", "dpmix.mixture", "dpmix.rbm",
+                       "dpmix.rff"]
 
 
-def test_accountant_command_loads_no_training_stack():
-    code = (
-        "import sys, dpmix.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m in sys.argv[1:])\n"
-        "print(loaded())\n"
-        "dpmix.cli.main(" + repr(ACCT_ARGS + ["--epochs", "2"]) + ")\n"
-        "print(loaded())\n"
-    )
-    run = _python(code, *_NOT_FOR_ACCOUNTANT)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    assert lines[0] == "[]" and lines[-1] == "[]"
-    assert lines[1] == "epoch,t_sgd,epsilon,lambda" and len(lines) == 5
+def test_accountant_command_loads_no_training_stack(tmp_path):
+    # once printing the schedule, once also writing the report through atomic_write
+    for extra in ([], ["--output", str(tmp_path / "report.json")]):
+        code = (
+            "import sys, dpmix.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m in sys.argv[1:])\n"
+            "print(loaded())\n"
+            "assert dpmix.cli.main(" + repr(ACCT_ARGS + ["--epochs", "2", *extra]) + ") == 0\n"
+            "print(loaded())\n"
+        )
+        run = _python(code, *_NOT_FOR_ACCOUNTANT)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "[]"
+        assert lines[1] == "epoch,t_sgd,epsilon,lambda" and len(lines) == 5
+    assert json.loads((tmp_path / "report.json").read_text())["schedule"][-1]["epoch"] == 2
 
 
 def test_commands_run_quietly(tmp_path):

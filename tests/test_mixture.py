@@ -412,8 +412,8 @@ def test_failed_save_leaves_no_partial_model(tmp_path, monkeypatch):
         fh.write = write_until_full
         return fh
 
-    # save_model writes through data.atomic_write
-    monkeypatch.setattr("dpmix.data.open", open_then_fail, raising=False)
+    # save_model writes through config.atomic_write
+    monkeypatch.setattr("dpmix.config.open", open_then_fail, raising=False)
     path = tmp_path / "model.json"
     with pytest.raises(OSError, match="No space"):
         save_model(result.mixture, path)
