@@ -391,7 +391,8 @@ class TestSeries:
 
     def test_log_erfc_is_continuous_where_the_asymptotic_series_takes_over(self):
         edge = accountant._ERFC_ASYMPTOTIC_FROM
-        below, above = accountant._log_erfc(edge), accountant._log_erfc(math.nextafter(edge, math.inf))
+        below = accountant._log_erfc(edge)
+        above = accountant._log_erfc(math.nextafter(edge, math.inf))
         assert abs(above - below) <= 1e-12 * abs(below)
         assert [accountant._log_erfc(0.0), accountant._log_erfc(-30.0)] == [0.0, math.log(2.0)]
 
