@@ -275,13 +275,13 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         raise ConfigError("pass one of --delta and --data-size (for delta = 1/size)")
     delta = opts["delta"] if opts["delta"] is not None else 1.0 / opts["data_size"]
     cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
-    terms = alpha_terms(cfg)  # the schedule and the report's alpha profile share them
-    schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1), terms)
+    schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
     print("epoch,t_sgd,epsilon,lambda")
     for row in schedule:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
     final = schedule[-1]
     if opts["output"]:
+        terms = alpha_terms(cfg)  # the schedule's orders, each already computed
         report = {
             "config_echo": {**opts, "delta": delta},
             "schedule": [

@@ -1,11 +1,13 @@
 """Shared fixtures: synthetic block-structured Bernoulli mixture corpora,
 the one-call clip of embedded records, dense references for the factored
-RBM gradients, DP-SGD step helpers and a zero-noise stream for noise-free
-oracles."""
+RBM gradients, DP-SGD step helpers, a zero-noise stream for noise-free
+oracles and an empty memo of accountant series values."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from dpmix import accountant
 from dpmix.accountant import PrivacyConfig, epsilon_for_delta
 from dpmix.config import TrainConfig
 from dpmix.data import make_dataset
@@ -112,6 +114,19 @@ def privacy_claim() -> dict:
                             t_sgd=4, delta=0.01)
     epsilon, argmin_lambda = epsilon_for_delta(privacy)
     return {"privacy": privacy, "epsilon": epsilon, "argmin_lambda": argmin_lambda}
+
+
+@pytest.fixture
+def fresh_series():
+    """accountant._log_e2, its memo cleared before and after the test.
+
+    A test that patches the series' internals then runs the series, and
+    leaves no value computed under the patch behind; a test that compares
+    a recomputation clears it again between the compared passes.
+    """
+    accountant._log_e2.cache_clear()
+    yield accountant._log_e2
+    accountant._log_e2.cache_clear()
 
 
 class ZeroNoise:

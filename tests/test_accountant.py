@@ -356,15 +356,18 @@ class TestBinomialOracle:
 
 
 class TestSeries:
-    def test_one_call_per_order(self):
+    def test_one_call_per_order(self, fresh_series):
         # each value is a float that depends on its own order alone: not on
-        # the orders asked before it, nor on the order's numeric type
+        # the orders asked before it, nor on the order's numeric type; the
+        # memo is cleared between passes so that each pass computes its values
         orders = sorted({lam for lam, _, _ in _split_orders(0.005, 1.0)})
         for sigma in (1.0, 4.0):
             singles = [alpha_subsampled_gaussian(lam, sigma, 0.005) for lam in orders]
             assert all(type(value) is float for value in singles)
+            fresh_series.cache_clear()
             backwards = [alpha_subsampled_gaussian(lam, sigma, 0.005) for lam in orders[::-1]]
             assert backwards == singles[::-1]
+            fresh_series.cache_clear()
             scalars = [alpha_subsampled_gaussian(np.float64(lam), sigma, 0.005) for lam in orders]
             assert scalars == singles
 
@@ -379,12 +382,12 @@ class TestSeries:
         left_out = abs(math.expm1(log_ref - log_sum))
         assert 1e-9 < left_out <= math.exp(log_tail - log_sum)
 
-    def test_term_cap_that_cannot_meet_the_bound_raises(self, monkeypatch):
+    def test_term_cap_that_cannot_meet_the_bound_raises(self, monkeypatch, fresh_series):
         monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
         with pytest.raises(NumericsError, match="did not converge for lam=3.5, .* within 2 terms"):
             alpha_subsampled_gaussian(3.5, 1.0, 0.05)
 
-    def test_sum_that_is_not_finite_raises(self, monkeypatch):
+    def test_sum_that_is_not_finite_raises(self, monkeypatch, fresh_series):
         monkeypatch.setattr(accountant, "_log_erfc", lambda x: math.nan)
         with pytest.raises(NumericsError, match="not finite and positive for lam=8.0"):
             alpha_subsampled_gaussian(8.0, 1.0, 0.05)
@@ -529,10 +532,11 @@ class TestWorkerProcesses:
     """The accountant runs in one process and takes no --workers."""
 
     @pytest.mark.parametrize("cfg", [_PLAN_CFG, _CRITERION_9_CFG], ids=["plan", "criterion-9"])
-    def test_repeated_runs_are_bitwise_equal(self, cfg, capsys):
+    def test_repeated_runs_are_bitwise_equal(self, cfg, capsys, fresh_series):
         epochs = cfg.t_sgd // epoch_iterations(cfg.q) if cfg.t_sgd else 20
         outputs = []
         for _ in range(3):
+            fresh_series.cache_clear()  # each run computes its own values
             assert main(_accountant_args(cfg, epochs)) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
@@ -541,8 +545,9 @@ class TestWorkerProcesses:
             assert outputs[0].splitlines()[-1] == f"{epochs},{cfg.t_sgd},{eps!r},{lam}"
             assert (round(eps, 6), lam) == (1.980524, 8)
 
-    def test_refused_fork_computes_in_process(self, monkeypatch):
+    def test_refused_fork_computes_in_process(self, monkeypatch, fresh_series):
         want = alpha_terms(_PLAN_CFG)
+        fresh_series.cache_clear()
 
         def refuse():
             raise AssertionError("the accountant forked")
@@ -551,7 +556,7 @@ class TestWorkerProcesses:
         got = alpha_terms(_PLAN_CFG)
         assert repr(got) == repr(want)  # repr names every float exactly
 
-    def test_failure_names_the_same_order_on_every_run(self, monkeypatch, capsys):
+    def test_failure_names_the_same_order_on_every_run(self, monkeypatch, fresh_series, capsys):
         monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
         errors = []
         for _ in range(3):

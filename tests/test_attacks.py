@@ -1,10 +1,12 @@
-"""Attacks on a released model file, each run against the file alone.
+"""Attacks on a released model file, each run against the file alone, and
+a neighbour-replay check of the releases' charged sensitivities.
 
-Each test asserts that its attack fails.  While the gap it exploits is
-open, the test is marked ``xfail(strict=True, raises=AssertionError)``
-with the ROADMAP item that tracks the gap, so the run lists it as an
-expected failure only while the attack runs and succeeds, and the change
-that closes the gap must drop the marker: an unexpected pass fails.
+Each test asserts that its attack fails or its check passes.  While the
+gap it exploits is open, the test is marked
+``xfail(strict=True, raises=AssertionError)`` with the ROADMAP item that
+tracks the gap, so the run lists it as an expected failure only while
+the attack runs and succeeds, and the change that closes the gap must
+drop the marker: an unexpected pass fails.
 """
 import base64
 import json
@@ -13,10 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import mixture_corpus
+from dpmix import kmeans
 from dpmix.accountant import gaussian_release
 from dpmix.config import TrainConfig
-from dpmix.kmeans import CLIP_BOUND
+from dpmix.data import make_dataset
+from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
 from dpmix.mixture import save_model, train
+from dpmix.rff import feature_map_from_seed
 from dpmix.streams import child_rng
 
 # The public options of the attacked run: the attacker knows these, and
@@ -66,3 +71,44 @@ def test_no_small_seed_replays_the_noise_of_the_weights(released):
         if np.abs(counts - np.round(counts)).max() < 1e-6:
             found.append(seed)
     assert found == []
+
+
+def _kmeans_releases(monkeypatch, data, fmap, replayed=None):
+    """Each release of a dp_kernel_kmeans run on ``data``: (sigma, sensitivity,
+    pre-noise value, output).
+
+    Given the releases of another run as ``replayed``, release i returns
+    that run's output i, so every later step conditions on the same
+    transcript, as the adaptive composition behind the accountant does.
+    """
+    releases = []
+
+    def release(value, sigma, sensitivity, rng):
+        value = np.asarray(value, dtype=np.float64)
+        if replayed is None:
+            out = gaussian_release(value, sigma, sensitivity, rng)
+        else:
+            out = replayed[len(releases)][3]
+        releases.append((sigma, sensitivity, value, out))
+        return out
+
+    monkeypatch.setattr(kmeans, "gaussian_release", release)
+    dp_kernel_kmeans(data, fmap, 4, 10, 40.0, np.random.default_rng(11),
+                     init_rng=np.random.default_rng(12))
+    return releases
+
+
+def test_kmeans_neighbours_move_each_release_by_at_most_its_sensitivity(monkeypatch):
+    # ten records each removed from D, and ten more each appended to it
+    records = mixture_corpus(2010, 30, 4, np.random.default_rng(9)).records
+    data, extra = records[:2000], records[2000:]
+    fmap = feature_map_from_seed(30, 64, 1.0, 13)
+    base = _kmeans_releases(monkeypatch, make_dataset(data), fmap)
+    removed = [np.delete(data, r, axis=0) for r in range(0, 2000, 200)]
+    appended = [np.vstack([data, row]) for row in extra]
+    for neighbour in removed + appended:
+        replay = _kmeans_releases(monkeypatch, make_dataset(neighbour), fmap, base)
+        assert len(replay) == len(base)
+        for (sigma, sens, value, _), (sigma2, sens2, value2, _) in zip(base, replay):
+            assert (sigma2, sens2) == (sigma, sens)
+            assert np.linalg.norm(value2 - value) <= sens * (1 + 1e-9)

@@ -14,8 +14,9 @@ import pytest
 
 import dpmix
 from conftest import labelled_mixture_corpus, mixture_corpus, privacy_claim
-from dpmix import accountant, cli, mixture, rbm
+from dpmix import accountant, mixture, rbm
 from dpmix.__main__ import BLAS_THREAD_VARIABLES
+from dpmix.accountant import DEFAULT_LAMBDA_MAX, J1_GRID
 from dpmix.cli import build_parser, main, resolve_options
 from dpmix.data import load_records, write_records
 from dpmix.mixture import GENERATION_CHUNK_ROWS, MixtureModel, TrainConfig, load_model, save_model
@@ -110,18 +111,15 @@ def test_accountant_rejects_zero_sigma(capsys):
     assert "no finite epsilon" in capsys.readouterr().err
 
 
-def test_accountant_report_computes_the_alpha_terms_once(tmp_path, capsys, monkeypatch):
-    calls, real = [], accountant.alpha_terms
-
-    def counted(cfg):
-        calls.append(cfg)
-        return real(cfg)
-
-    monkeypatch.setattr(cli, "alpha_terms", counted)
-    monkeypatch.setattr(accountant, "alpha_terms", counted)
+def test_accountant_report_computes_each_order_once(tmp_path, capsys, fresh_series):
+    # the split search's distinct (order, sigma) pairs at ACCT_ARGS's sigma_c 4 and
+    # sigma_g 2; the report's alpha profile asks for each of them again
+    orders = {(lam / j1, 4.0) for lam in range(1, DEFAULT_LAMBDA_MAX + 1) for j1 in J1_GRID}
+    orders |= {(lam / (1.0 - j1), 2.0)
+               for lam in range(1, DEFAULT_LAMBDA_MAX + 1) for j1 in J1_GRID}
     out = tmp_path / "report.json"
     assert main(ACCT_ARGS + ["--epochs", "3", "--output", str(out)]) == 0
-    assert len(calls) == 1
+    assert fresh_series.cache_info().misses == len(orders)
     rows = _csv_rows(capsys.readouterr().out)
     report = json.loads(out.read_text())
     assert [float(r[2]) for r in rows] == [row["epsilon"] for row in report["schedule"]]
@@ -141,8 +139,8 @@ def test_accountant_rejects_out_of_range_values(capsys, args, message):
 
 
 @pytest.mark.parametrize("command", ["accountant", "train"])
-def test_quadrature_failure_exits_4_without_artifact(tmp_path, capsys, monkeypatch, corpus_files,
-                                                    command):
+def test_series_failure_exits_4_without_artifact(tmp_path, capsys, monkeypatch, fresh_series,
+                                                corpus_files, command):
     # Two terms cannot meet the series' tail bound at the split search's
     # fractional orders, so it raises NumericsError.
     monkeypatch.setattr(accountant, "_SERIES_TERMS", (2,))
