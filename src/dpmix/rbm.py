@@ -19,26 +19,31 @@ so a DP-SGD step costs O(B (n + m)) memory instead of the O(B P) of the
 materialized (B, P) gradient matrix, with P = n m + m + n.
 
 Block Gibbs sampling (persistent-chain advances and ``sample_batch``)
-runs in float32: parameters are cast once per call, conditionals and
-uniform draws are float32, and states are 0/1 throughout, so only the
-probabilities carry float32 rounding.  Training statistics stay float64.
-The logistic is numpy's 1/(1 + exp(-x)), evaluated in place.
+runs in float32: parameters are cast once per call, conditionals are
+float32, and states are 0/1 throughout, so only the probabilities carry
+float32 rounding.  Training statistics stay float64.  The logistic is
+numpy's 1/(1 + exp(-x)), evaluated in place.
 
 A sweep holds two state buffers, v and h.  Each product writes into the
-other buffer, and the bias, the logistic and the ``u < p`` threshold run
-in place, so a chain of B rows needs B (m + n) float32 values beside
-the parameters.  The uniforms are drawn and compared in blocks of
-UNIFORM_BLOCK values, so no buffer of a draw's full size exists.
+other buffer, and the bias, the logistic and the comparison run in
+place, so a chain of B rows needs B (m + n) float32 values beside the
+parameters.  One kernel samples both chain advances and generation.
 
-The float32 uniforms are made from raw 64-bit words of the stream's bit
-generator (PCG64 throughout dpmix), as ``Generator.random(dtype=np.float32)``
-makes them: the top 24 bits of each 32-bit half-word, low half first.
-The blocks have an even size and take their words in stream order, so a
-draw gives the values of one call for all of its elements.  When every
-draw has an even number of elements the states are those of
-``Generator.random``, bit for bit.  An odd count drops the last high
-half-word, which ``Generator.random`` would keep for its next draw, so
-later draws come from a shifted stream with the same distribution.
+Each unit's uniform is a 16-bit integer k from the raw 64-bit words of
+the stream's bit generator (PCG64 throughout dpmix): four per word,
+lowest quarter first, in stream order.  The unit is 1 iff k < 2**16 p,
+where p is the float32 logistic.  The sweep computes 2**16 p as
+2**16 / (1 + exp(t)) from the negated activation t; scaling by a power
+of two is exact, and where p is subnormal both values lie in (0, 1), so
+the same k fire.  So P(1) = ceil(2**16 p) / 2**16: p is rounded up to a
+multiple of 2**-16, and a unit with 0 < p < 2**-16 fires at 2**-16.
+
+A draw of s units takes ceil(s / 4) words and drops the quarters it
+does not use.  The words are drawn and compared in blocks of
+UNIFORM_BLOCK values, a multiple of 4, so no buffer of a draw's full
+size exists and a blocked draw gives the values of one whole draw.
+When every draw has a multiple of 4 units, the uniforms are those of
+``Generator.integers(0, 2**16, dtype=np.uint16)``, bit for bit.
 """
 from __future__ import annotations
 
@@ -48,9 +53,11 @@ import numpy as np
 
 from .errors import NumericsError
 
-# Uniforms drawn and thresholded per block of a Gibbs half-sweep; even,
-# so each block takes whole 64-bit words.
+# 16-bit uniforms drawn and compared per block of a Gibbs half-sweep; a
+# multiple of 4, so each block takes whole 64-bit words.
 UNIFORM_BLOCK = 1 << 16
+# 2**16 in float32: a sweep compares each 16-bit uniform with 2**16 p.
+_SCALE = np.float32(1 << 16)
 
 
 @dataclass
@@ -106,21 +113,26 @@ def init_model(
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in place, in x's dtype."""
-    return _logistic_of_negated(np.negative(x, out=x))
+    """1 / (1 + exp(-x)) in place, in x's dtype.
 
-
-def _logistic_of_negated(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(t)), the logistic of -t, in place, in t's dtype.
-
-    exp overflows to inf for large t, which gives exactly 0; the overflow
+    exp overflows to inf for large -x, which gives exactly 0; the overflow
     is expected and not warned about.
     """
     with np.errstate(over="ignore"):
-        np.exp(t, out=t)
-        t += 1
-        np.reciprocal(t, out=t)
-    return t
+        return _scaled_logistic_of_negated(np.negative(x, out=x), 1)
+
+
+def _scaled_logistic_of_negated(t: np.ndarray, scale) -> np.ndarray:
+    """scale / (1 + exp(t)), ``scale`` times the logistic of -t, in place, in t's dtype.
+
+    For a power-of-two ``scale`` this is ``scale`` times the rounded
+    logistic, bit for bit, wherever that logistic is a normal number.
+    exp overflows to inf for large t, which gives exactly 0; the caller
+    silences that overflow.
+    """
+    np.exp(t, out=t)
+    t += 1
+    return np.divide(scale, t, out=t)
 
 
 def conditional_hidden(model: RbmModel, v: np.ndarray) -> np.ndarray:
@@ -209,21 +221,18 @@ class PersistentChains:
         return int(self.states.shape[0])
 
 
-def _sample_below(rng: np.random.Generator, p: np.ndarray, u: np.ndarray) -> None:
-    """Replace the probabilities ``p`` by the 0/1 outcomes ``u < p``, in place.
+def _sample_below(rng: np.random.Generator, x: np.ndarray) -> None:
+    """Replace ``x`` = 2**16 p by the 0/1 outcomes ``k < x``, in place.
 
-    The float32 uniforms come from raw 64-bit words, one block of
-    ``u.size`` (even) values at a time.
+    Each k is a 16-bit quarter of the stream's raw 64-bit words, in
+    stream order, lowest quarter first, so P(1) = ceil(2**16 p) / 2**16.
+    The words are drawn UNIFORM_BLOCK values at a time.
     """
-    flat = p.reshape(-1)
-    for start in range(0, flat.size, u.size):
-        part = flat[start : start + u.size]
-        words = rng.bit_generator.random_raw((part.size + 1) // 2).view(np.uint32)
-        np.right_shift(words, 8, out=words)
-        block = u[: part.size]
-        np.copyto(block, words[: part.size], casting="unsafe")
-        block *= np.float32(2.0**-24)
-        np.less(block, part, out=part)
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, UNIFORM_BLOCK):
+        part = flat[start : start + UNIFORM_BLOCK]
+        words = rng.bit_generator.random_raw((part.size + 3) // 4).view(np.uint16)
+        np.less(words[: part.size], part, out=part)
 
 
 def _gibbs_sweeps(
@@ -233,7 +242,8 @@ def _gibbs_sweeps(
 
     ``v`` is a (B, m) float32 array of 0/1 states, updated in place and
     returned.  The parameters are negated once, so each product gives
-    the negated activation and the logistic needs no negation pass.
+    the negated activation t, and 2**16 p is 2**16 / (1 + exp(t)) with
+    no negation or scaling pass.
     NumericsError where an activation could overflow float32 and the
     chains would run on NaN: a hidden activation is at most
     sum_j |W_ij| + |c_i| in size and a visible one sum_i |W_ij| + |b_j|,
@@ -254,14 +264,15 @@ def _gibbs_sweeps(
     neg_b = np.negative(model.visible_bias, dtype=np.float32)
     neg_c = np.negative(model.hidden_bias, dtype=np.float32)
     h = np.empty((v.shape[0], neg_c.size), dtype=np.float32)
-    u = np.empty(min(UNIFORM_BLOCK, max(v.size, h.size)), dtype=np.float32)
-    for _ in range(sweeps):
-        np.matmul(v, neg_w.T, out=h)
-        h += neg_c
-        _sample_below(rng, _logistic_of_negated(h), u)
-        np.matmul(h, neg_w, out=v)
-        v += neg_b
-        _sample_below(rng, _logistic_of_negated(v), u)
+    # exp overflows to inf for a large negated activation, which gives p = 0
+    with np.errstate(over="ignore"):
+        for _ in range(sweeps):
+            np.matmul(v, neg_w.T, out=h)
+            h += neg_c
+            _sample_below(rng, _scaled_logistic_of_negated(h, _SCALE))
+            np.matmul(h, neg_w, out=v)
+            v += neg_b
+            _sample_below(rng, _scaled_logistic_of_negated(v, _SCALE))
     return v
 
 

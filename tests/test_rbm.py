@@ -1,7 +1,9 @@
 """Bernoulli RBM energies, conditionals, and persistent-chain gradients."""
 import copy
 import itertools
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,12 +13,15 @@ from scipy.special import expit, logsumexp
 from conftest import conditional_visible, dense_positive_statistics
 from dpmix.errors import NumericsError
 from dpmix.rbm import (
+    _SCALE,
     UNIFORM_BLOCK,
     FactoredGradients,
     PersistentChains,
     RbmModel,
     _gibbs_sweeps,
     _logistic,
+    _sample_below,
+    _scaled_logistic_of_negated,
     advance_chains,
     conditional_hidden,
     init_model,
@@ -122,37 +127,53 @@ def test_logistic_matches_expit_and_saturates_silently(dtype, limit, rtol):
     assert_allclose(got, expit(x), rtol=rtol, atol=0.0)
 
 
-def _reference_gibbs_sweeps(model, states, sweeps, rng):
-    """Float32 block Gibbs with uniforms from Generator.random, one call per draw."""
+def _reference_gibbs_sweeps(model, states, sweeps, uniforms):
+    """Float32 block Gibbs by the 16-bit rule: a unit is 1 iff k < 2**16 p.
+
+    ``uniforms(shape)`` gives one draw's 16-bit integers k.
+    """
+
+    def sample(p):
+        return (uniforms(p.shape) < 2.0**16 * p.astype(np.float64)).astype(np.float32)
+
     w = model.weights.astype(np.float32)
     b = model.visible_bias.astype(np.float32)
     c = model.hidden_bias.astype(np.float32)
     v = states.astype(np.float32)
-    h = np.empty((v.shape[0], c.size), dtype=np.float32)
-    p_h, u_h = np.empty_like(h), np.empty_like(h)
-    p_v, u_v = np.empty_like(v), np.empty_like(v)
     for _ in range(sweeps):
-        np.matmul(v, w.T, out=p_h)
-        p_h += c
-        _logistic(p_h)
-        rng.random(out=u_h, dtype=np.float32)
-        np.less(u_h, p_h, out=h)
-        np.matmul(h, w, out=p_v)
-        p_v += b
-        _logistic(p_v)
-        rng.random(out=u_v, dtype=np.float32)
-        np.less(u_v, p_v, out=v)
+        h = sample(_logistic(v @ w.T + c))
+        v = sample(_logistic(h @ w + b))
     return v.astype(np.uint8)
 
 
-@pytest.mark.parametrize("count,m,n", [(1024, 50, 32), (6, 5, 3), (3, 4, 2), (100, 784, 20)])
+def _integers(rng):
+    """numpy's own 16-bit uniforms, one Generator.integers call per draw."""
+    return lambda shape: rng.integers(0, 1 << 16, size=shape, dtype=np.uint16)
+
+
+def _whole_draws(rng):
+    """Each draw of s uniforms from one ``random_raw`` call of ceil(s / 4) words.
+
+    The quarters that the draw does not use are dropped.
+    """
+
+    def uniforms(shape):
+        size = math.prod(shape)
+        words = rng.bit_generator.random_raw((size + 3) // 4).view(np.uint16)
+        return words[:size].reshape(shape)
+
+    return uniforms
+
+
+@pytest.mark.parametrize("count,m,n", [(1024, 50, 32), (8, 5, 3), (4, 4, 2), (100, 784, 20)])
 def test_gibbs_sweeps_equal_reference_on_even_draws(count, m, n):
-    # every draw has count * m or count * n elements, all even here
+    # every draw has count * m or count * n elements, all multiples of 4, so
+    # each draw takes whole 64-bit words, as Generator.integers does
     model = _random_model(m, n, seed=count + m, scale=1.0)
     states = (np.random.default_rng(1).random((count, m)) < 0.5).astype(np.uint8)
     rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
     got = _gibbs_sweeps(model, states.astype(np.float32), 4, rng).astype(np.uint8)
-    want = _reference_gibbs_sweeps(model, states, 4, ref_rng)
+    want = _reference_gibbs_sweeps(model, states, 4, _integers(ref_rng))
     assert got.dtype == want.dtype == np.uint8
     assert np.array_equal(got, want)
     # the same words were consumed, so the streams continue alike
@@ -160,33 +181,15 @@ def test_gibbs_sweeps_equal_reference_on_even_draws(count, m, n):
     assert np.array_equal(rng.random(5), ref_rng.random(5))
 
 
-def _whole_draw_reference_gibbs_sweeps(model, states, sweeps, rng):
-    """Float32 block Gibbs with each draw's uniforms from one ``random_raw`` call."""
-
-    def uniforms(like):
-        words = rng.bit_generator.random_raw((like.size + 1) // 2).view(np.uint32)
-        top = (words[: like.size] >> 8).astype(np.float32)
-        return (top * np.float32(2.0**-24)).reshape(like.shape)
-
-    w = model.weights.astype(np.float32)
-    b = model.visible_bias.astype(np.float32)
-    c = model.hidden_bias.astype(np.float32)
-    v = states.astype(np.float32)
-    for _ in range(sweeps):
-        p_h = _logistic(v @ w.T + c)
-        h = (uniforms(p_h) < p_h).astype(np.float32)
-        p_v = _logistic(h @ w + b)
-        v = (uniforms(p_v) < p_v).astype(np.float32)
-    return v.astype(np.uint8)
-
-
 @pytest.mark.parametrize(
     "count,m,n",
     [
-        (2, UNIFORM_BLOCK // 2 + 1, 3),  # visible draws of UNIFORM_BLOCK + 2, even
-        (1, 2, UNIFORM_BLOCK + 2),  # hidden draws of UNIFORM_BLOCK + 2, even
-        (3, UNIFORM_BLOCK // 3 + 2, 3),  # visible draws of UNIFORM_BLOCK + 5, odd
-        (1, 3, UNIFORM_BLOCK + 3),  # hidden draws odd and over one block
+        (4, UNIFORM_BLOCK // 4 + 1, 3),  # visible draws of UNIFORM_BLOCK + 4, 0 mod 4
+        (1, 4, UNIFORM_BLOCK + 4),  # hidden draws of UNIFORM_BLOCK + 4, 0 mod 4
+        (2, UNIFORM_BLOCK // 2 + 1, 3),  # visible draws of UNIFORM_BLOCK + 2, 2 mod 4
+        (1, 2, UNIFORM_BLOCK + 2),  # hidden draws of UNIFORM_BLOCK + 2, 2 mod 4
+        (3, UNIFORM_BLOCK // 3 + 2, 3),  # visible draws of UNIFORM_BLOCK + 5, 1 mod 4
+        (1, 3, UNIFORM_BLOCK + 3),  # hidden draws of UNIFORM_BLOCK + 3, 3 mod 4
     ],
 )
 def test_blocked_uniforms_equal_one_whole_draw(count, m, n):
@@ -195,10 +198,69 @@ def test_blocked_uniforms_equal_one_whole_draw(count, m, n):
     states = (np.random.default_rng(2).random((count, m)) < 0.5).astype(np.uint8)
     rng, ref_rng = np.random.default_rng(78), np.random.default_rng(78)
     got = _gibbs_sweeps(model, states.astype(np.float32), 3, rng).astype(np.uint8)
-    want = _whole_draw_reference_gibbs_sweeps(model, states, 3, ref_rng)
+    want = _reference_gibbs_sweeps(model, states, 3, _whole_draws(ref_rng))
     assert max(count * m, count * n) > UNIFORM_BLOCK
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _EveryWord:
+    """Raw words that hold each 16-bit value once, for one draw of 2**16 uniforms."""
+
+    def random_raw(self, size):
+        assert size == 1 << 14
+        return np.arange(1 << 16, dtype=np.uint16).view(np.uint64)
+
+
+_STEP = np.float32(2.0**-16)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        np.float32(0.0),
+        np.float32(1.0),
+        np.finfo(np.float32).smallest_subnormal,
+        np.float32(1e-10),
+        np.float32(2.0**-17),
+        np.nextafter(np.float32(1.0), np.float32(0.0)),
+        *(
+            near
+            for j in (1, 2, 3, 1000, 1 << 15, (1 << 16) - 1)
+            for near in (
+                np.nextafter(j * _STEP, np.float32(0.0)),
+                j * _STEP,
+                np.nextafter(j * _STEP, np.float32(1.0)),
+            )
+        ),
+    ],
+    ids=repr,
+)
+def test_sampled_rate_is_p_rounded_up_to_a_multiple_of_2_to_the_minus_16(p):
+    # over every 16-bit word once, k < 2**16 p fires for exactly ceil(2**16 p)
+    # of them, so P(1) = ceil(2**16 p) / 2**16
+    x = np.full(1 << 16, p * _SCALE, dtype=np.float32)
+    _sample_below(SimpleNamespace(bit_generator=_EveryWord()), x)
+    assert set(np.unique(x)) <= {0.0, 1.0}
+    assert np.count_nonzero(x) == math.ceil(2.0**16 * float(p))
+
+
+def test_scaled_logistic_is_2_to_the_16_times_the_logistic():
+    # scaling by a power of two is exact: bit for bit wherever the logistic
+    # is a normal float32, and in (0, 1) where it is subnormal, so the same
+    # words fire; an activation that overflows exp gives exactly 0
+    x = np.concatenate([
+        np.linspace(-120.0, 120.0, 200_001, dtype=np.float32),
+        np.random.default_rng(4).normal(0.0, 10.0, 200_000).astype(np.float32),
+    ])
+    p = _logistic(x.copy())
+    with np.errstate(over="ignore"):
+        scaled = _scaled_logistic_of_negated(-x, _SCALE)
+    normal = p >= np.finfo(np.float32).tiny
+    assert np.array_equal(scaled[normal], _SCALE * p[normal])
+    assert np.all((scaled[~normal] == 0) == (p[~normal] == 0))
+    assert np.all(scaled[~normal] < 1)
+    assert (~normal).sum() > 0 and (p == 0).sum() > 0
 
 
 def test_gibbs_sweeps_reject_32_bit_streams():
@@ -490,14 +552,16 @@ def test_sampling_argument_validation():
 def test_persistent_gradient_ascent_learns_two_modes():
     # non-private sanity run: full-batch likelihood ascent (descent on the
     # loss gradients) on a two-mode corpus; the trained sampler should emit
-    # mostly pure modes, a fair-coin model would manage about 3 percent
+    # mostly pure modes, a fair-coin model would manage about 3 percent;
+    # 300 chains keep the negative statistic's noise from tipping the
+    # learned balance of the two modes
     rng = np.random.default_rng(101)
     mode_a = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
     mode_b = np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8)
     batch = np.vstack([np.tile(mode_a, (20, 1)), np.tile(mode_b, (20, 1))])
 
     model = init_model(6, 4, rng)
-    chains = PersistentChains.initialize(30, 6, seed=7)
+    chains = PersistentChains.initialize(300, 6, seed=7)
     eta = 0.05
     for _ in range(1500):
         grads = pcd_per_example_gradients(model, batch, chains)
