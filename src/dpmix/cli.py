@@ -68,8 +68,6 @@ _OPTIONS = {
     "labels": Option(str, None, "true labels, one integer per line (cluster: its acc is "
                      "computed from raw data and is not private)"),
     "q": Option(float, REQUIRED, "batch inclusion probability per iteration"),
-    "data_size": Option(int, None, "derive delta = 1/size instead of passing --delta",
-                        least=1),
     "output": Option(str, None, "write the report or summary here"),
     "assignments_out": Option(str, None, "write one cluster id per record here (computed "
                               "from raw data: not private)"),
@@ -111,7 +109,7 @@ _DATA = ("data", "format", "threshold")
 # Each command's options, in the order the config echo lists them.
 _COMMAND_OPTIONS = {
     "accountant": ("q", "sigma_c", "sigma_k", "sigma_g", "t_kmeans",
-                   "epochs", "delta", "data_size", "lambda_max", "output"),
+                   "epochs", "delta", "lambda_max", "output"),
     "cluster": ("seed", *_DATA, "labels", "k", "d", "gamma", "t_kmeans", "sigma_c",
                 "sigma_k", "init_centers", "output", "assignments_out"),
     "train": ("seed", *_DATA, *(f.name for f in fields(TrainConfig)), "init_centers", "model",
@@ -128,6 +126,7 @@ _COMMAND_VARIANTS = {
     ("cluster", "sigma_c"): Option(float, None, "ignored: clustering votes on no clip bound"),
     ("generate", "output"): Option(str, REQUIRED, "write the synthetic records here"),
     ("accountant", "epochs"): replace(_OPTIONS["epochs"], least=1),
+    ("accountant", "delta"): Option(float, REQUIRED, "target delta"),
 }
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -271,10 +270,7 @@ def _json_dumps(payload: dict) -> str:
 
 
 def cmd_accountant(opts: dict, out: _Outputs) -> int:
-    if (opts["delta"] is None) == (opts["data_size"] is None):
-        raise ConfigError("pass one of --delta and --data-size (for delta = 1/size)")
-    delta = opts["delta"] if opts["delta"] is not None else 1.0 / opts["data_size"]
-    cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0, "delta": delta})
+    cfg = PrivacyConfig(**{**_fields_from(PrivacyConfig, opts), "t_sgd": 0})
     schedule = epsilon_schedule(cfg, range(1, opts["epochs"] + 1))
     print("epoch,t_sgd,epsilon,lambda")
     for row in schedule:
@@ -283,7 +279,7 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
     if opts["output"]:
         terms = alpha_terms(cfg)  # the schedule's orders, each already computed
         report = {
-            "config_echo": {**opts, "delta": delta},
+            "config_echo": opts,
             "schedule": [
                 {
                     "epoch": r.epoch,

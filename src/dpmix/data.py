@@ -44,8 +44,9 @@ _RECORD_TEXT[[ord(" "), ord("\t"), ord("\r"), ord("\n")]] = True
 class BinaryDataset:
     """m-dimensional binary records, one row per individual.
 
-    ``records`` has shape (n, m), entries in {0, 1}, and gives n and m.
-    Construct through :func:`make_dataset` or a loader so the invariants are checked.
+    ``records`` has shape (n, m), uint8 entries in {0, 1}, is read-only
+    and gives n and m.  The loaders and ``mixture.generate`` build it from
+    arrays they filled with 0/1 themselves, without a check or a copy.
     """
 
     records: np.ndarray
@@ -56,29 +57,6 @@ class BinaryDataset:
 
     def __len__(self) -> int:
         return int(self.records.shape[0])
-
-
-def make_dataset(records: np.ndarray, *, allow_empty: bool = False) -> BinaryDataset:
-    """Validate and freeze a (n, m) 0/1 array into a BinaryDataset.
-
-    ``allow_empty`` admits all-zero rows; loaders keep it off, while
-    sampled synthetic data may legitimately contain the zero vector.
-    """
-    arr = np.asarray(records)
-    if arr.ndim != 2:
-        raise DataError(f"records must be 2-D, got shape {arr.shape}")
-    if arr.shape[1] < 1:
-        raise DataError("records must have at least one column")
-    # unsigned entries cannot be negative, so the maximum decides without temporaries
-    unsigned = arr.dtype.kind in "bu"
-    if not (arr.max(initial=0) <= 1 if unsigned else ((arr == 0) | (arr == 1)).all()):
-        raise DataError("records must contain only 0/1 entries")
-    arr = arr.astype(np.uint8, copy=True)
-    if not allow_empty and not arr.any(axis=1).all():
-        first = int(np.flatnonzero(~arr.any(axis=1))[0])
-        raise DataError(f"record {first} is empty (all zeros)")
-    arr.flags.writeable = False
-    return BinaryDataset(records=arr)
 
 
 def load_records(
@@ -129,8 +107,7 @@ def _parse_sparse(raw: bytes, allow_empty: bool) -> BinaryDataset:
             stop = raw.find(b"\n", start) + 1 or len(raw)
         row += _parse_block(raw[start:stop], records, row, allow_empty)
         start = stop
-    # every entry was written as 0 or 1 and every line was checked, so
-    # the array needs neither make_dataset's checks nor its copy
+    # every entry was written as 0 or 1 and every line was checked
     records.flags.writeable = False
     return BinaryDataset(records=records)
 
@@ -201,10 +178,14 @@ def _parse_dense(lines: list[str], threshold: int, allow_empty: bool) -> BinaryD
         # written so that NaN fails too: it compares false both ways
         if not ((vals >= 0) & (vals <= 255)).all():
             raise DataError(f"line {lineno}: cell value outside [0, 255]")
-        rows.append((vals > threshold).astype(np.uint8))
+        rows.append(vals > threshold)
+        if not (allow_empty or rows[-1].any()):
+            raise DataError(f"line {lineno}: empty record (no cell above {threshold})")
     if not rows:
         raise DataError("dataset contains no records")
-    return make_dataset(np.stack(rows), allow_empty=allow_empty)
+    records = np.stack(rows).view(np.uint8)  # a bool is one byte, 0 or 1
+    records.flags.writeable = False
+    return BinaryDataset(records=records)
 
 
 def write_records(dataset: BinaryDataset, path) -> None:

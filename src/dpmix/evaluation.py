@@ -2,20 +2,20 @@
 
 Clustering accuracy matches cluster ids to class labels through the
 best one-to-one mapping (Hungarian assignment on the contingency table)
-and reports the matched fraction.  Counting-query workloads are split
-into five subsets of increasing maximum query length; errors are
-relative to the true count with a small-count floor so near-zero counts
-do not blow up the ratio.  As a reference point the evaluator also
-reports an independent-marginals baseline: counts predicted from the
-real per-item frequencies under an item-independence assumption.  That
-baseline is not differentially private; it only calibrates how much of
-the workload a correlation-blind model could already answer.
+and reports the matched fraction.  A counting-query workload is a few
+flat arrays, which counting, the baseline and the scoring each read in
+whole-workload numpy calls.  Its queries fall in five subsets of
+increasing maximum length; errors are relative to the true count with a
+small-count floor so near-zero counts do not blow up the ratio.  The
+independent-marginals baseline predicts counts from the real per-item
+frequencies as if items were independent.  It is not differentially
+private; it only calibrates how much of the workload a
+correlation-blind model could already answer.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -30,14 +30,19 @@ _BIT_COUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 @dataclass(frozen=True)
 class QueryWorkload:
-    """Item-subset counting queries, tagged with their length-subset id (1..5)."""
+    """Counting queries as flat arrays: query j is ``items[starts[j]:starts[j + 1]]``.
 
-    queries: tuple[tuple[int, ...], ...]
+    ``items`` is int64 and sorted within each query; ``subset_ids[j]`` is
+    query j's length subset (1..5); all queries share one ``semantics``.
+    """
+
+    items: np.ndarray
+    starts: np.ndarray
     subset_ids: np.ndarray
     semantics: str
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self.starts) - 1
 
 
 @dataclass(frozen=True)
@@ -156,41 +161,38 @@ def generate_workload(
     if max_l1 < N_SUBSETS:
         raise ValueError(f"max_l1 must be >= {N_SUBSETS}, got {max_l1}")
     queries = []
-    subset_ids = []
     per_subset = total // N_SUBSETS
     for i in range(1, N_SUBSETS + 1):
         hi = min(math.ceil(i * max_l1 / N_SUBSETS), m)
         for _ in range(per_subset):
             length = int(rng.integers(1, hi + 1))
-            items = rng.choice(m, size=length, replace=False)
-            queries.append(tuple(sorted(int(v) for v in items)))
-            subset_ids.append(i)
+            queries.append(np.sort(rng.choice(m, size=length, replace=False)))
     return QueryWorkload(
-        queries=tuple(queries),
-        subset_ids=np.array(subset_ids),
+        items=np.concatenate(queries, dtype=np.int64),
+        starts=np.cumsum([0, *map(len, queries)]),
+        subset_ids=np.repeat(np.arange(1, N_SUBSETS + 1), per_subset),
         semantics=semantics,
     )
 
 
-def counting_query(dataset: BinaryDataset, queries, semantics: str = ANY) -> np.ndarray:
-    """Answer a batch of counting queries in one call.
+def counting_query(dataset: BinaryDataset, workload: QueryWorkload) -> np.ndarray:
+    """Answer every query of ``workload`` on ``dataset``.
 
-    ``queries`` is a sequence of item collections.  Entry j of the
-    returned int64 array is the number of records holding any (or all)
-    of the items of query j; an item repeated within a query counts
-    once.  Each item's column is packed once into a bitmap over the
-    records.  A query ORs (any) or ANDs (all) the bitmaps of its items
-    and counts the set bits with a byte table.  Queries go in blocks
-    whose gathered bitmaps take about QUERY_BLOCK_BYTES; the table
-    lookup's index copy, 8 bytes per byte of a block's combined
-    bitmaps, is the largest temporary, so they stay under about 5 MB.
+    Entry j of the returned int64 array is the number of records holding
+    any (or all, by ``workload.semantics``) of the items of query j; an
+    item repeated within a query counts once.  Each item's column is
+    packed once into a bitmap over the records.  A query ORs (any) or
+    ANDs (all) the bitmaps of its items and counts the set bits with a
+    byte table.  Queries go in blocks whose gathered bitmaps take about
+    QUERY_BLOCK_BYTES; the table lookup's index copy, 8 bytes per byte
+    of a block's combined bitmaps, is the largest temporary, so they
+    stay under about 5 MB.
     """
+    items, starts, semantics = workload.items, workload.starts, workload.semantics
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
-    sizes = [len(query) for query in queries]
-    if 0 in sizes:
+    if (np.diff(starts) < 1).any():
         raise ValueError("query must contain at least one item")
-    items = np.fromiter(chain.from_iterable(queries), dtype=np.int64, count=sum(sizes))
     if (items < 0).any() or (items >= dataset.m).any():
         raise ValueError(f"query items must lie in [0, {dataset.m})")
     n_words = -(-len(dataset) // 64)
@@ -199,11 +201,10 @@ def counting_query(dataset: BinaryDataset, queries, semantics: str = ANY) -> np.
     bitmaps[:, : len(packed)] = packed.T
     bitmaps = bitmaps.view(np.uint64)  # row i: the records that hold item i
     combine = np.bitwise_or if semantics == ANY else np.bitwise_and
-    starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
     block_rows = max(1, QUERY_BLOCK_BYTES // max(1, 8 * n_words))
-    counts = np.empty(len(sizes), dtype=np.int64)
+    counts = np.empty(len(workload), dtype=np.int64)
     first = 0
-    while first < len(sizes):  # queries first..last-1, at least one
+    while first < len(workload):  # queries first..last-1, at least one
         last = int(np.searchsorted(starts, starts[first] + block_rows, side="right")) - 1
         last = max(last, first + 1)
         lo, hi = starts[first], starts[last]
@@ -213,20 +214,19 @@ def counting_query(dataset: BinaryDataset, queries, semantics: str = ANY) -> np.
     return counts
 
 
-def independent_estimate(
-    marginals: np.ndarray, query, semantics: str, size: int
-) -> float:
-    """Expected count if items occurred independently with the given marginals."""
-    p = np.asarray(marginals, dtype=np.float64)[list(query)]
-    if semantics == ANY:
-        return float(size * (1.0 - np.prod(1.0 - p)))
-    return float(size * np.prod(p))
+def independent_estimate(marginals, workload: QueryWorkload, size: int) -> np.ndarray:
+    """Each query's expected count if items occurred independently with the
+    given marginals: size * (1 - prod(1 - p)) for any, size * prod(p) for all."""
+    p = np.asarray(marginals, dtype=np.float64)[workload.items]
+    if workload.semantics == ANY:
+        return size * (1.0 - np.multiply.reduceat(1.0 - p, workload.starts[:-1]))
+    return size * np.multiply.reduceat(p, workload.starts[:-1])
 
 
-def relative_error(true_count: float, synth_count: float, dataset_size: int) -> float:
-    """|synth - true| / max(true, s) with the small-count floor s = 0.001 * |D|."""
+def relative_error(true_counts, synth_counts, dataset_size: int) -> np.ndarray:
+    """|synth - true| / max(true, s) per query, with the small-count floor s = 0.001 * |D|."""
     floor = 0.001 * dataset_size
-    return abs(synth_count - true_count) / max(true_count, floor)
+    return np.abs(synth_counts - true_counts) / np.maximum(true_counts, floor)
 
 
 def evaluate_workload(
@@ -237,26 +237,21 @@ def evaluate_workload(
 ) -> EvalReport:
     """Mean relative error per length subset, for the synthetic data (its
     counts scaled by |real| / |synth|) and for the independent-marginals
-    baseline computed from the real data."""
+    baseline computed from the real data; ``np.bincount`` sums each
+    subset's errors in query order."""
     if real.m != synth.m:
         raise ValueError(f"dimension mismatch: real m={real.m}, synthetic m={synth.m}")
-    marginals = real.records.mean(axis=0)
     n = len(real)
     scale = n / max(len(synth), 1)  # an empty synthetic set counts 0 at any scale
-    synth_errors = np.zeros(N_SUBSETS)
-    base_errors = np.zeros(N_SUBSETS)
-    counts = np.zeros(N_SUBSETS, dtype=np.int64)
-    true_counts = counting_query(real, workload.queries, workload.semantics).tolist()
-    synth_counts = counting_query(synth, workload.queries, workload.semantics).tolist()
-    for query, sid, true, got in zip(
-        workload.queries, workload.subset_ids, true_counts, synth_counts
-    ):
-        est = independent_estimate(marginals, query, workload.semantics, n)
-        synth_errors[sid - 1] += relative_error(true, got * scale, n)
-        base_errors[sid - 1] += relative_error(true, est, n)
-        counts[sid - 1] += 1
-    if (counts == 0).any():
+    true_counts = counting_query(real, workload)
+    synth_counts = counting_query(synth, workload) * scale
+    subset = workload.subset_ids - 1
+    counts = np.bincount(subset, minlength=N_SUBSETS)
+    if len(counts) != N_SUBSETS or (counts == 0).any():
         raise ValueError("workload must cover all five subsets")
+    est = independent_estimate(real.records.mean(axis=0), workload, n)
+    synth_errors = np.bincount(subset, relative_error(true_counts, synth_counts, n))
+    base_errors = np.bincount(subset, relative_error(true_counts, est, n))
     return EvalReport(
         subset_mean_errors=tuple(float(v) for v in synth_errors / counts),
         baseline_mean_errors=tuple(float(v) for v in base_errors / counts),

@@ -31,7 +31,7 @@ import numpy as np
 from . import rbm
 from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig, atomic_write
-from .data import BinaryDataset, make_dataset, sample_batch
+from .data import BinaryDataset, sample_batch
 from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError
 from .kmeans import Clustering, clustering_stage
@@ -243,7 +243,9 @@ def generate(
         thread.join()
     if errors:
         raise errors[0]
-    return make_dataset(out, allow_empty=True)
+    # every entry was sampled as 0 or 1
+    out.flags.writeable = False
+    return BinaryDataset(records=out)
 
 
 def save_model(mix: MixtureModel, path) -> None:

@@ -1,7 +1,8 @@
-"""Shared fixtures: synthetic block-structured Bernoulli mixture corpora,
-the one-call clip of embedded records, dense references for the factored
-RBM gradients, DP-SGD step helpers, a zero-noise stream for noise-free
-oracles and an empty memo of accountant series values."""
+"""Shared fixtures: the checked dataset constructor, synthetic
+block-structured Bernoulli mixture corpora, the one-call clip of embedded
+records, dense references for the factored RBM gradients, DP-SGD step
+helpers, a zero-noise stream for noise-free oracles and an empty memo of
+accountant series values."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,10 +11,33 @@ import pytest
 from dpmix import accountant
 from dpmix.accountant import PrivacyConfig, epsilon_for_delta
 from dpmix.config import TrainConfig
-from dpmix.data import make_dataset
+from dpmix.data import BinaryDataset
 from dpmix.dpnorm import clip_scales
+from dpmix.errors import DataError
 from dpmix.kmeans import CLIP_BOUND, CLIP_TARGET
 from dpmix.rbm import RbmModel, _logistic, conditional_hidden
+
+
+def make_dataset(records: np.ndarray, *, allow_empty: bool = False) -> BinaryDataset:
+    """Validate, copy and freeze a (n, m) 0/1 array into a BinaryDataset.
+
+    ``allow_empty`` admits all-zero rows, as the loaders' option does.
+    """
+    arr = np.asarray(records)
+    if arr.ndim != 2:
+        raise DataError(f"records must be 2-D, got shape {arr.shape}")
+    if arr.shape[1] < 1:
+        raise DataError("records must have at least one column")
+    # unsigned entries cannot be negative, so the maximum decides without temporaries
+    unsigned = arr.dtype.kind in "bu"
+    if not (arr.max(initial=0) <= 1 if unsigned else ((arr == 0) | (arr == 1)).all()):
+        raise DataError("records must contain only 0/1 entries")
+    arr = arr.astype(np.uint8, copy=True)
+    if not allow_empty and not arr.any(axis=1).all():
+        first = int(np.flatnonzero(~arr.any(axis=1))[0])
+        raise DataError(f"record {first} is empty (all zeros)")
+    arr.flags.writeable = False
+    return BinaryDataset(records=arr)
 
 
 def labelled_mixture_corpus(

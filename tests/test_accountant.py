@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
-from conftest import DenseGradients, step_config
+from conftest import DenseGradients, make_dataset, step_config
 from dpmix import accountant
 from dpmix.accountant import (
     DEFAULT_LAMBDA_MAX,
@@ -27,7 +27,6 @@ from dpmix.accountant import (
     total_alpha,
 )
 from dpmix.cli import main
-from dpmix.data import make_dataset
 from dpmix.dpnorm import dp_norm
 from dpmix.dpsgd import dp_sgd_step
 from dpmix.errors import NumericsError

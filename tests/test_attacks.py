@@ -14,11 +14,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import mixture_corpus
+from conftest import make_dataset, mixture_corpus
 from dpmix import kmeans
 from dpmix.accountant import gaussian_release
 from dpmix.config import TrainConfig
-from dpmix.data import make_dataset
 from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
 from dpmix.mixture import save_model, train
 from dpmix.rff import feature_map_from_seed

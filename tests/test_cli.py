@@ -59,9 +59,12 @@ def test_missing_required_option(capsys):
 
 def test_command_variants_of_shared_options(capsys):
     # generate requires --output, which the other commands take optionally;
-    # accountant needs at least one epoch, where train allows none
+    # accountant requires --delta, which train defaults to 1/|dataset|, and
+    # needs at least one epoch, where train allows none
     assert main(["generate", "--model", "m.json", "--count", "1"]) == 2
     assert capsys.readouterr().err == "usage error: missing required option --output\n"
+    assert main(ACCT_ARGS[:-2] + ["--epochs", "1"]) == 2
+    assert capsys.readouterr().err == "usage error: missing required option --delta\n"
     assert main(["generate", "--help"]) == 0
     assert "write the synthetic records here (required)" in capsys.readouterr().out
     assert main(ACCT_ARGS + ["--epochs", "0"]) == 2
@@ -90,12 +93,13 @@ def test_accountant_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     args = [
         "accountant", "--q", "0.01", "--sigma-c", "4", "--sigma-k", "40",
-        "--sigma-g", "2", "--data-size", "50000", "--epochs", "2",
+        "--sigma-g", "2", "--delta", "2e-05", "--epochs", "2",
         "--output", str(out),
     ]
     assert main(args) == 0
     report = json.loads(out.read_text())
-    assert report["config_echo"]["delta"] == pytest.approx(1 / 50000)
+    assert report["config_echo"]["delta"] == 2e-05
+    assert "data_size" not in report["config_echo"]
     assert len(report["schedule"]) == 2
     assert report["epsilon"] == report["schedule"][-1]["epsilon"]
     profile = report["alpha_profile"]
@@ -129,8 +133,8 @@ def test_accountant_report_computes_each_order_once(tmp_path, capsys, fresh_seri
     (ACCT_ARGS + ["--q", "2"], "q must be in [0, 1]"),
     (ACCT_ARGS + ["--q", "0"], "q must be in (0, 1]"),  # no epoch length
     (ACCT_ARGS + ["--lambda-max", "0"], "lambda_max must be >= 1"),
-    (ACCT_ARGS[:-2] + ["--data-size", "0"], "--data-size must be >= 1"),  # no --delta
-], ids=["q", "q-zero", "lambda_max", "data_size"])
+    (ACCT_ARGS + ["--delta", "1"], "delta must be in (0, 1)"),
+], ids=["q", "q-zero", "lambda_max", "delta"])
 def test_accountant_rejects_out_of_range_values(capsys, args, message):
     assert main(args + ["--epochs", "1"]) == 2
     err = capsys.readouterr().err
@@ -209,14 +213,16 @@ def test_removed_options_are_refused(tmp_path, capsys, command):
     ("generate", ["--workers", "1"]),
     ("cluster", ["--c-max", "2"]),
     ("cluster", ["--bins", "5"]),
+    ("accountant", ["--data-size", "100"]),
 ], ids=["accountant-seed", "accountant-unsafe", "generate-unsafe", "evaluate-unsafe",
         "cluster-unsafe", "train-unsafe", "accountant-workers", "train-workers",
         "cluster-workers", "evaluate-workers", "generate-workers", "cluster-c_max",
-        "cluster-bins"])
+        "cluster-bins", "accountant-data_size"])
 def test_flags_no_code_reads_are_refused(tmp_path, capsys, command, flag):
-    # the accountant draws nothing at random; every model carries a privacy
-    # claim, so no command runs without noise; generate works out its own
-    # thread count; only DP-SGD votes on a clip bound
+    # the accountant draws nothing at random and takes delta only from
+    # --delta; every model carries a privacy claim, so no command runs
+    # without noise; generate works out its own thread count; only DP-SGD
+    # votes on a clip bound
     key = flag[0][2:].replace("-", "_")
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: True if len(flag) == 1 else 1}))
@@ -235,13 +241,10 @@ _EVALUATE = ["evaluate", "--data", "records.txt", "--synthetic", "synth.txt"]
 @pytest.mark.parametrize("argv,message", [
     (_EVALUATE + ["--labels", "labels.txt"], "pass --labels and --assignments together"),
     (_EVALUATE + ["--assignments", "ids.txt"], "pass --labels and --assignments together"),
-    (ACCT_ARGS + ["--epochs", "1", "--data-size", "100"],
-     "pass one of --delta and --data-size (for delta = 1/size)"),
-    (ACCT_ARGS[:-2] + ["--epochs", "1"], "pass one of --delta and --data-size (for delta = 1/size)"),
-], ids=["labels-only", "assignments-only", "delta-and-data-size", "neither-delta-nor-size"])
+], ids=["labels-only", "assignments-only"])
 def test_options_read_as_a_pair_are_never_dropped(capsys, argv, message):
-    # evaluate scores accuracy only from both files; the accountant takes
-    # delta from exactly one source, so neither option is silently ignored
+    # evaluate scores accuracy only from both files, so neither option is
+    # silently ignored
     assert main(argv) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from conftest import make_dataset
 from dpmix import data
 from dpmix.data import (
     DENSE_CSV,
     SPARSE_ITEMS,
     load_labels,
     load_records,
-    make_dataset,
     sample_batch,
     write_records,
 )
@@ -303,8 +303,11 @@ class TestDenseFormat:
 
     def test_all_zero_row_rejected(self, tmp_path):
         path = _write(tmp_path, "d.csv", "200,200\n1,2\n")
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(DataError, match="^line 2: empty record"):
             load_records(path, DENSE_CSV)
+        ds = load_records(path, DENSE_CSV, allow_empty=True)
+        assert ds.records.dtype == np.uint8 and not ds.records.flags.writeable
+        np.testing.assert_array_equal(ds.records, [[1, 1], [0, 0]])
 
     def test_undecodable_cell(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,12 +1,13 @@
 """Cluster-label matching accuracy and counting-query workloads."""
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from conftest import make_dataset
 from dpmix import evaluation
-from dpmix.data import make_dataset
 from dpmix.evaluation import (
     ALL,
     ANY,
@@ -123,13 +124,60 @@ def test_accuracy_input_validation():
         clustering_accuracy(np.array([]), np.array([]))
 
 
+def _workload(queries, semantics=ANY, subset_ids=None):
+    """A QueryWorkload of item tuples, each stored sorted (repeats kept)."""
+    queries = [sorted(int(i) for i in query) for query in queries]
+    return QueryWorkload(
+        items=np.array([i for query in queries for i in query], dtype=np.int64),
+        starts=np.cumsum([0] + [len(query) for query in queries]),
+        subset_ids=np.ones(len(queries), dtype=np.int64) if subset_ids is None
+        else np.asarray(subset_ids),
+        semantics=semantics,
+    )
+
+
+def _queries(workload):
+    """The workload's queries as tuples of ints."""
+    bounds = workload.starts.tolist()
+    return [tuple(workload.items[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
+def _reference_workload(m, max_l1, total, rng):
+    """The tuple-per-query generator that the array form replaced."""
+    queries, subset_ids = [], []
+    for i in range(1, 6):
+        hi = min(math.ceil(i * max_l1 / 5), m)
+        for _ in range(total // 5):
+            length = int(rng.integers(1, hi + 1))
+            items = rng.choice(m, size=length, replace=False)
+            queries.append(tuple(sorted(int(v) for v in items)))
+            subset_ids.append(i)
+    return queries, subset_ids
+
+
+def _reference_estimate(marginals, query, semantics, size):
+    """One query's expected count if items occurred independently."""
+    p = np.asarray(marginals, dtype=np.float64)[list(query)]
+    if semantics == ANY:
+        return float(size * (1.0 - np.prod(1.0 - p)))
+    return float(size * np.prod(p))
+
+
+def _reference_error(true_count, synth_count, dataset_size):
+    """One query's |synth - true| / max(true, 0.001 * |D|)."""
+    floor = 0.001 * dataset_size
+    return abs(synth_count - true_count) / max(true_count, floor)
+
+
 def test_workload_shape_and_length_caps():
     rng = np.random.default_rng(12)
     wl = generate_workload(m=30, max_l1=20, total=1000, rng=rng)
     assert len(wl) == 1000
     assert wl.semantics == ANY
+    assert wl.items.dtype == np.int64 and wl.starts.dtype == np.int64
+    assert wl.starts[0] == 0 and wl.starts[-1] == len(wl.items)
     caps = {1: 4, 2: 8, 3: 12, 4: 16, 5: 20}
-    for query, sid in zip(wl.queries, wl.subset_ids):
+    for query, sid in zip(_queries(wl), wl.subset_ids):
         assert 1 <= len(query) <= caps[sid]
         assert len(set(query)) == len(query)
         assert list(query) == sorted(query)
@@ -139,7 +187,18 @@ def test_workload_shape_and_length_caps():
 
 def test_workload_lengths_capped_at_dimension():
     wl = generate_workload(m=6, max_l1=40, total=50, rng=np.random.default_rng(0))
-    assert max(len(q) for q in wl.queries) <= 6
+    assert np.diff(wl.starts).max() <= 6
+
+
+@pytest.mark.parametrize("m,max_l1", [(30, 20), (6, 40), (1, 5), (50, 7), (784, 300)])
+@pytest.mark.parametrize("semantics", [ANY, ALL])
+def test_workload_draws_the_tuple_generators_queries(m, max_l1, semantics):
+    # the same rng calls in the same order: the queries do not change
+    wl = generate_workload(m, max_l1, 100, np.random.default_rng(m), semantics=semantics)
+    queries, subset_ids = _reference_workload(m, max_l1, 100, np.random.default_rng(m))
+    assert _queries(wl) == queries
+    assert wl.subset_ids.tolist() == subset_ids
+    assert wl.semantics == semantics
 
 
 def test_workload_validation():
@@ -161,19 +220,29 @@ def _reference_count(dataset, query, semantics):
 
 def test_counting_query_examples():
     data = make_dataset(np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8))
-    counts = counting_query(data, [(0,), (0, 1), (2,), (0, 0, 1)])
+    counts = counting_query(data, _workload([(0,), (0, 1), (2,), (0, 0, 1)]))
     assert counts.dtype == np.int64
     assert counts.tolist() == [2, 2, 1, 2]
-    assert counting_query(data, [(0, 1), (1, 2)], semantics=ALL).tolist() == [1, 0]
-    assert counting_query(data, []).tolist() == []
-    with pytest.raises(ValueError, match="at least one item"):
-        counting_query(data, [(0,), ()])
-    with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
-        counting_query(data, [(0,), (3,)])
-    with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
-        counting_query(data, [(-1,)])
+    assert counting_query(data, _workload([(0, 1), (1, 2)], ALL)).tolist() == [1, 0]
+    assert counting_query(data, _workload([])).tolist() == []
     with pytest.raises(ValueError, match="semantics must be one of"):
-        counting_query(data, [(0,)], semantics="most")
+        counting_query(data, _workload([(0,)], "most"))
+
+
+@pytest.mark.parametrize("items,starts,message", [
+    ([0, 1], [0, 2, 2], "at least one item"),
+    ([0], [0, 0, 1], "at least one item"),
+    ([0, 3], [0, 1, 2], r"must lie in \[0, 3\)"),
+    ([-1], [0, 1], r"must lie in \[0, 3\)"),
+], ids=["empty-last", "empty-first", "item-too-large", "item-negative"])
+def test_counting_query_refuses_a_bad_hand_built_workload(items, starts, message):
+    data = make_dataset(np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8))
+    wl = QueryWorkload(
+        items=np.array(items, dtype=np.int64), starts=np.array(starts),
+        subset_ids=np.ones(len(starts) - 1, dtype=np.int64), semantics=ANY,
+    )
+    with pytest.raises(ValueError, match=message):
+        counting_query(data, wl)
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
@@ -186,7 +255,7 @@ def test_counting_query_matches_per_query_loop(m, semantics):
     edges = [i for i in (0, 62, 63, 64, 65, 127, 128, m - 1) if i < m]
     queries += [(i,) for i in edges] + [tuple(edges), tuple(edges) * 2, (m - 1, 0, m - 1)]
     want = [_reference_count(data, q, semantics) for q in queries]
-    assert counting_query(data, queries, semantics).tolist() == want
+    assert counting_query(data, _workload(queries, semantics)).tolist() == want
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
@@ -201,22 +270,33 @@ def test_counting_query_in_blocks_matches_per_query_loop(monkeypatch, n, semanti
     queries = [tuple(rng.integers(0, 7, size=rng.integers(1, 5))) for _ in range(60)]
     queries += [(6,), tuple(range(7)), (3, 3), (0,)]
     want = [_reference_count(data, q, semantics) for q in queries]
-    assert counting_query(data, queries, semantics).tolist() == want
+    assert counting_query(data, _workload(queries, semantics)).tolist() == want
 
 
 def test_independent_estimate_examples():
     marg = np.array([0.5, 0.5, 0.2])
-    assert independent_estimate(marg, (0, 1), ANY, 100) == pytest.approx(75.0)
-    assert independent_estimate(marg, (0, 1), ALL, 100) == pytest.approx(25.0)
-    assert independent_estimate(marg, (2,), ANY, 100) == pytest.approx(20.0)
+    queries = [(0, 1), (2,)]
+    assert independent_estimate(marg, _workload(queries, ANY), 100) == pytest.approx([75, 20])
+    assert independent_estimate(marg, _workload(queries, ALL), 100) == pytest.approx([25, 20])
+
+
+@pytest.mark.parametrize("semantics", [ANY, ALL])
+def test_independent_estimate_is_the_per_query_product(semantics):
+    # reduceat multiplies each query's factors in the order np.prod does
+    rng = np.random.default_rng(8)
+    marginals = rng.random(90)
+    wl = generate_workload(m=90, max_l1=60, total=300, rng=rng, semantics=semantics)
+    want = [_reference_estimate(marginals, q, semantics, 777) for q in _queries(wl)]
+    assert independent_estimate(marginals, wl, 777).tolist() == want
 
 
 def test_relative_error_examples():
-    assert relative_error(50, 50, 1000) == 0.0
-    assert relative_error(50, 55, 1000) == pytest.approx(0.1)
-    # small-count floor: denominators never drop below 0.001 * |D|
-    assert relative_error(0, 1, 10_000) == pytest.approx(0.1)
-    assert relative_error(5, 10, 10_000) == pytest.approx(0.5)
+    true = np.array([50, 50, 0, 5])
+    synth = np.array([50.0, 55.0, 1.0, 10.0])
+    got = relative_error(true, synth, 10_000)
+    # small-count floor: denominators never drop below 0.001 * |D| = 10
+    assert got == pytest.approx([0.0, 0.1, 0.1, 0.5])
+    assert got.tolist() == [_reference_error(t, s, 10_000) for t, s in zip(true, synth)]
 
 
 def test_evaluate_workload_perfect_copy_scores_zero():
@@ -251,10 +331,8 @@ def test_evaluate_workload_flags_dimension_mismatch():
 
 def test_evaluate_workload_requires_all_subsets():
     real = make_dataset(np.array([[1, 0], [0, 1]], dtype=np.uint8))
-    wl = QueryWorkload(
-        queries=((0,), (1,)), subset_ids=np.array([1, 2]), semantics=ANY
-    )
-    with pytest.raises(ValueError):
+    wl = _workload([(0,), (1,)], subset_ids=[1, 2])
+    with pytest.raises(ValueError, match="all five subsets"):
         evaluate_workload(real, real, wl)
 
 
@@ -267,14 +345,16 @@ def test_baseline_detects_correlation_structure():
     records = np.stack([bit, bit, np.ones(n, dtype=np.uint8)], axis=1)
     real = make_dataset(records)
     marginals = real.records.mean(axis=0)
-    (true,) = counting_query(real, [(0, 1)], ANY)
-    est = independent_estimate(marginals, (0, 1), ANY, n)
-    assert relative_error(true, est, n) > 0.2
+    wl = _workload([(0, 1)], ANY)
+    true = counting_query(real, wl)
+    est = independent_estimate(marginals, wl, n)
+    assert relative_error(true, est, n)[0] > 0.2
 
 
 def test_evaluate_workload_matches_per_query_loop():
-    # the batched counts feed the same sums, in the same order, as one
-    # counting call per query did, synthetic counts scaled to |real|
+    # the array form gives the sums of one counting call, one estimate and
+    # two errors per query, added per subset in query order, synthetic
+    # counts scaled to |real|
     rng = np.random.default_rng(11)
     real = make_dataset((rng.random((500, 70)) < 0.2).astype(np.uint8), allow_empty=True)
     synth = make_dataset((rng.random((400, 70)) < 0.25).astype(np.uint8), allow_empty=True)
@@ -282,12 +362,12 @@ def test_evaluate_workload_matches_per_query_loop():
         wl = generate_workload(m=70, max_l1=12, total=200, rng=rng, semantics=semantics)
         marginals = real.records.mean(axis=0)
         synth_sums, base_sums = np.zeros(5), np.zeros(5)
-        for query, sid in zip(wl.queries, wl.subset_ids):
+        for query, sid in zip(_queries(wl), wl.subset_ids):
             true = _reference_count(real, query, semantics)
             got = _reference_count(synth, query, semantics) * (len(real) / len(synth))
-            est = independent_estimate(marginals, query, semantics, len(real))
-            synth_sums[sid - 1] += relative_error(true, got, len(real))
-            base_sums[sid - 1] += relative_error(true, est, len(real))
+            est = _reference_estimate(marginals, query, semantics, len(real))
+            synth_sums[sid - 1] += _reference_error(true, got, len(real))
+            base_sums[sid - 1] += _reference_error(true, est, len(real))
         report = evaluate_workload(real, synth, wl)
         assert report.subset_mean_errors == tuple((synth_sums / 40).tolist())
         assert report.baseline_mean_errors == tuple((base_sums / 40).tolist())
@@ -307,7 +387,6 @@ def test_synthetic_counts_are_scaled_to_the_real_size(copies):
         if copies:
             assert errors == (0.0,) * 5
         else:
-            true_counts = counting_query(real, wl.queries, semantics)
-            want = np.array([relative_error(true, 0, len(real)) for true in true_counts])
-            ids = np.array(wl.subset_ids)
+            want = relative_error(counting_query(real, wl), np.zeros(len(wl)), len(real))
+            ids = wl.subset_ids
             assert errors == pytest.approx([want[ids == s].mean() for s in range(1, 6)])

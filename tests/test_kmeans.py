@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import ZeroNoise, mixture_corpus, one_call_clip
+from conftest import ZeroNoise, make_dataset, mixture_corpus, one_call_clip
 from dpmix import kmeans
-from dpmix.data import make_dataset
 from dpmix.kmeans import (
     BLOCK_ROWS,
     CLIP_BOUND,

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mixture_corpus, privacy_claim
+from conftest import make_dataset, mixture_corpus, privacy_claim
 from dpmix import accountant, mixture, rbm, rff
 from dpmix.accountant import epsilon_for_delta
-from dpmix.data import BinaryDataset, make_dataset, sample_batch
+from dpmix.data import BinaryDataset, sample_batch
 from dpmix.dpsgd import StepInfo, dp_sgd_step
 from dpmix.errors import ConfigError, DataError
 from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
@@ -338,6 +338,17 @@ def test_generate_replays_from_chunk_streams():
         stream_rng = np.random.default_rng(stream)
         expected[rows] = rbm.sample_batch(mix.models[i], rows.size, 2, stream_rng)
     assert np.array_equal(out.records, expected)
+
+
+def test_generate_keeps_one_copy_of_its_output(monkeypatch):
+    # the sampled array is the dataset's, frozen as it is: a second copy of
+    # the 5 MB output would take the peak past twice its size.  Each thread
+    # holds one chunk's temporaries, so the thread count is fixed.
+    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 2)
+    mix = _random_mixture([1.0, 2.0], m=100, n_hidden=8)
+    out, peak = _traced_peak(generate, mix, 50_000, np.random.default_rng(0), 2)
+    assert peak < 2 * out.records.nbytes
+    assert not out.records.flags.writeable
 
 
 def test_generate_threads_share_chunks_without_losing_one(monkeypatch):
