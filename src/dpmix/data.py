@@ -34,12 +34,6 @@ PARSE_BLOCK_BYTES = 1 << 16
 # Records are formatted this many rows at a time when written.
 WRITE_BLOCK_ROWS = 256
 
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[ord("0") : ord("9") + 1] = True
-_RECORD_TEXT = _DIGIT.copy()  # bytes a sparse record line may hold
-_RECORD_TEXT[[ord(" "), ord("\t"), ord("\r"), ord("\n")]] = True
-
-
 @dataclass(frozen=True)
 class BinaryDataset:
     """m-dimensional binary records, one row per individual.
@@ -120,15 +114,22 @@ def _parse_block(block: bytes, records: np.ndarray, row0: int, allow_empty: bool
     """
     m = records.shape[1]
     buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline)
     if not block.endswith(b"\n"):
         ends = np.append(ends, buf.size)
-    digit = _DIGIT[buf]
-    starts = np.flatnonzero(np.diff(digit.view(np.int8), prepend=0) == 1)
-    line = np.searchsorted(ends, starts)
-    bad = ~_RECORD_TEXT[buf]
-    cr = np.flatnonzero(buf == ord("\r"))  # allowed only right before a newline
-    bad[cr[buf[np.minimum(cr + 1, buf.size - 1)] != ord("\n")]] = True
+    digit = (buf - np.uint8(ord("0"))) < 10  # below "0" wraps around to 208 and up
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    if digit[:1].any():
+        starts = np.insert(starts, 0, 0)
+    # tokens per line from the tokens before each line's end: one search per
+    # line, where a search per token, or a newline count per byte, costs more
+    per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
+    line = np.repeat(np.arange(ends.size), per_line)
+    cr = buf == ord("\r")
+    bad = ~(digit | newline | cr | (buf == ord(" ")) | (buf == ord("\t")))
+    bad[:-1] |= cr[:-1] & ~newline[1:]  # a carriage return only right before a newline
+    bad[-1:] |= cr[-1:]
     malformed = np.zeros(ends.size, dtype=bool)
     malformed[np.searchsorted(ends, np.flatnonzero(bad))] = True
     if malformed.any():  # blank the bad bytes so the other lines still parse
@@ -137,7 +138,7 @@ def _parse_block(block: bytes, records: np.ndarray, row0: int, allow_empty: bool
     # an index too long for int64 reads as the int64 maximum, which is out of range too
     out_of_range = values >= m
     descending = (line[1:] == line[:-1]) & (values[1:] <= values[:-1])
-    empty = ~malformed & (np.bincount(line, minlength=ends.size) == 0) & (not allow_empty)
+    empty = ~malformed & (per_line == 0) & (not allow_empty)
     if malformed.any() or empty.any() or out_of_range.any() or descending.any():
         bad_lines = np.concatenate([
             np.flatnonzero(malformed), np.flatnonzero(empty),

@@ -18,12 +18,11 @@ mechanism the accountant charges" tracks the fix.
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
-import os
+import re
 import sys
-import threading
-from collections import deque
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -36,6 +35,7 @@ from .dpsgd import StepInfo, dp_sgd_step
 from .errors import ConfigError, DataError
 from .kmeans import Clustering, clustering_stage
 from .streams import child_rng, child_seed
+from .threads import _run_tasks
 
 MODEL_FORMAT_VERSION = 3
 # Rows per independently seeded sampling chunk.  Fixed, so the output
@@ -44,6 +44,8 @@ GENERATION_CHUNK_ROWS = 1024
 # Array bytes base64-encoded per write when a model is saved; a multiple
 # of 3, so no block but the last is padded.
 BASE64_BLOCK_BYTES = 3 << 18
+# How a file that save_model wrote as format version 1 or 2 begins.
+_OLD_VERSION_HEAD = re.compile(rb'\{\s*"version": ([12]),')
 
 
 @dataclass
@@ -174,13 +176,6 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int,
     return TrainResult(mixture=mixture, clustering=clustering, steps=steps)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def generate(
     mixture: MixtureModel,
     count: int,
@@ -192,9 +187,10 @@ def generate(
     Each component's rows are split into chunks of GENERATION_CHUNK_ROWS.
     Every chunk samples from its own child stream, spawned in chunk order
     from one seed drawn from ``rng`` after the component assignment, so
-    the output is the same for any thread count.  ``min(_usable_cpus(),
-    chunks)`` threads sample the chunks: the calling thread and the
-    helpers, each writing its chunks straight into the output rows.
+    the output is the same for any thread count.  One thread per usable
+    CPU, at most one per chunk, samples the chunks, largest first
+    (``threads._run_tasks``), each writing its chunks straight into the
+    output rows.
     Generated records may be all-zero; consumers must tolerate that.
     """
     if count < 1:
@@ -212,37 +208,16 @@ def generate(
         rows = np.flatnonzero(assignment == i)
         chunks += [(i, rows[start : start + step]) for start in range(0, rows.size, step)]
     streams = np.random.SeedSequence(int(rng.integers(2**63))).spawn(len(chunks))
-    # Largest chunks first, so the threads finish close together; popleft
-    # is atomic, so the threads share the queue without a lock.
-    pending = deque(sorted(zip(chunks, streams), key=lambda task: -task[0][1].size))
     out = np.zeros((count, mixture.m), dtype=np.uint8)
-    errors = []
 
-    def sample_chunks():
-        try:
-            while True:
-                try:
-                    (i, rows), stream = pending.popleft()
-                except IndexError:
-                    return
-                out[rows] = rbm.sample_batch(
-                    mixture.models[i], rows.size, gibbs_steps, np.random.default_rng(stream)
-                )
-        except BaseException as exc:
-            pending.clear()  # the other threads stop after their current chunk
-            errors.append(exc)
+    def sample_chunk(task):
+        (i, rows), stream = task
+        out[rows] = rbm.sample_batch(
+            mixture.models[i], rows.size, gibbs_steps, np.random.default_rng(stream)
+        )
 
-    # The calling thread samples too: only its malloc arena can reuse the
-    # memory that loading the model freed.
-    threads = min(_usable_cpus(), len(chunks))
-    helpers = [threading.Thread(target=sample_chunks) for _ in range(threads - 1)]
-    for thread in helpers:
-        thread.start()
-    sample_chunks()
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
+    # largest first, so the threads finish close together
+    _run_tasks(sample_chunk, sorted(zip(chunks, streams), key=lambda task: -task[0][1].size))
     # every entry was sampled as 0 or 1
     out.flags.writeable = False
     return BinaryDataset(records=out)
@@ -383,11 +358,12 @@ def load_model(path) -> MixtureModel:
     """Read a model written by save_model; format version 3 is the only one read.
 
     Versions 1 and 2 are refused: their files name the seed of their
-    noise.  DataError for any malformed file: not JSON, a missing key,
-    or a value of the wrong type or outside its domain (the version, an
-    array that is malformed, not finite or of the wrong shape, a
-    negative mixture weight, m, k, a privacy-block field, epsilon or
-    argmin_lambda).  The epsilon is recomputed from the privacy block:
+    noise, and a file that begins as save_model wrote them is refused
+    before the rest is read.  DataError for any malformed file: not JSON,
+    a missing key, or a value of the wrong type or outside its domain
+    (the version, an array that is malformed, not finite or of the wrong
+    shape, a negative mixture weight, m, k, a privacy-block field,
+    epsilon or argmin_lambda).  The epsilon is recomputed from the privacy block:
     DataError if the stored one is lower by more than 1e-9 relative,
     NumericsError if the block gives no finite epsilon.
 
@@ -400,8 +376,12 @@ def load_model(path) -> MixtureModel:
     ``params`` is the one copy of its parameters that outlives the call.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, object_hook=_decode_base64)
+        with open(path, "rb") as fh:
+            old = _OLD_VERSION_HEAD.match(fh.read(32))
+            if old:  # refused before the rest is read
+                raise _old_version(int(old[1]))
+            fh.seek(0)
+            payload = json.load(io.TextIOWrapper(fh, encoding="utf-8"), object_hook=_decode_base64)
         mix = _model_from_payload(payload)
     except KeyError as exc:
         raise DataError(f"malformed model: missing key {exc.args[0]!r}") from None
@@ -436,13 +416,17 @@ def _decode_rbm(what: str, entry, m: int) -> rbm.RbmModel:
     return rbm.RbmModel(weights=w, visible_bias=b, hidden_bias=c)
 
 
+def _old_version(version: int) -> DataError:
+    return DataError(f"model format version {version} is no longer read: its file names the "
+                     f"seed of its noise; train again to write version {MODEL_FORMAT_VERSION}")
+
+
 def _model_from_payload(payload) -> MixtureModel:
     if not isinstance(payload, dict):
         raise DataError("malformed model: the file does not hold a JSON object")
     version = payload.get("version")
     if type(version) is int and version in (1, 2):
-        raise DataError(f"model format version {version} is no longer read: its file names the "
-                        f"seed of its noise; train again to write version {MODEL_FORMAT_VERSION}")
+        raise _old_version(version)
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     m, k = (_positive_int(payload, name) for name in ("m", "k"))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .threads import _run_tasks
+
 EMBED_BLOCK_ROWS = 512
 
 
@@ -62,8 +64,11 @@ def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Embed one record (1-D) or a stack of records (2-D, one per row).
 
     The result is float32, and so is the arithmetic: W and b are cast
-    once per call, and records are cast EMBED_BLOCK_ROWS at a time into
-    one reused buffer, so the only full-size array is the (n, d) result.
+    once per call, and records are cast EMBED_BLOCK_ROWS at a time, so
+    the only full-size array is the (n, d) result.  The blocks are
+    independent, so one thread per usable CPU embeds them
+    (``threads._run_tasks``), each block by the same calls whichever
+    thread takes it.
     """
     x = np.asarray(x)
     if x.shape[-1] != fmap.m:
@@ -72,15 +77,15 @@ def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     w = fmap.w.astype(np.float32)
     b = fmap.b.astype(np.float32)
     out = np.empty((records.shape[0], fmap.d), dtype=np.float32)
-    cast = np.empty((min(EMBED_BLOCK_ROWS, records.shape[0]), fmap.m), dtype=np.float32)
     scale = np.float32(np.sqrt(2.0 / fmap.d))
-    for start in range(0, records.shape[0], EMBED_BLOCK_ROWS):
+
+    def embed_block(start):
         rows = slice(start, start + EMBED_BLOCK_ROWS)
         block = out[rows]
-        floats = cast[:len(block)]
-        floats[...] = records[rows]
-        np.matmul(floats, w.T, out=block)
+        np.matmul(records[rows].astype(np.float32), w.T, out=block)
         block += b
         np.cos(block, out=block)
         block *= scale
+
+    _run_tasks(embed_block, range(0, records.shape[0], EMBED_BLOCK_ROWS))
     return out.reshape(*x.shape[:-1], fmap.d)

@@ -14,7 +14,7 @@ import pytest
 
 import dpmix
 from conftest import labelled_mixture_corpus, mixture_corpus, privacy_claim
-from dpmix import accountant, mixture, rbm
+from dpmix import accountant, mixture, rbm, threads
 from dpmix.__main__ import BLAS_THREAD_VARIABLES
 from dpmix.accountant import DEFAULT_LAMBDA_MAX, J1_GRID
 from dpmix.cli import build_parser, main, resolve_options
@@ -747,7 +747,7 @@ def test_generate_output_does_not_depend_on_workers(tmp_path, capsys, monkeypatc
     outs = []
     for cpus in ("default", 1, 2, 3, 8):
         if cpus != "default":
-            monkeypatch.setattr(mixture, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(threads, "_usable_cpus", lambda n=cpus: n)
         path = tmp_path / f"synth-{cpus}.txt"
         assert main([
             "generate", "--model", str(model_path), "--count", str(count), "--gibbs-steps", "3",

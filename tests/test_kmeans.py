@@ -1,4 +1,6 @@
 """Noisy Lloyd clustering over clipped feature embeddings."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,18 +8,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import ZeroNoise, make_dataset, mixture_corpus, one_call_clip
-from dpmix import kmeans
+from dpmix import kmeans, threads
 from dpmix.kmeans import (
+    ASSIGN_ROWS,
     BLOCK_ROWS,
     CLIP_BOUND,
     CLIP_TARGET,
+    AssignmentBuffers,
     _cluster_sums,
     assign_to_centers,
     clip_embedding,
+    clustering_stage,
     default_initial_centers,
     dp_kernel_kmeans,
 )
-from dpmix.rff import embed, feature_map_from_seed
+from dpmix.rff import EMBED_BLOCK_ROWS, embed, feature_map_from_seed
 
 
 def _direct_assign(features, centers):
@@ -184,15 +189,18 @@ def test_assignment_exact_ties_match_direct_form():
     assert not np.isin(got, [4, 5]).any()
 
 
-def test_assignment_near_ties_match_direct_form():
+@pytest.mark.parametrize("n,cpus,spread", [(400, 2, 0.1), (3 * ASSIGN_ROWS + 5, 3, 0.05)])
+def test_assignment_near_ties_match_direct_form(monkeypatch, n, cpus, spread):
+    # every row is a near tie, in one row range or in each of three
+    monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(6)
     k, d = 5, 30
     centers = _unit_rows(rng, k, d).astype(np.float64)
     a, b = centers[0], centers[3]
     normal = (a - b) / np.linalg.norm(a - b)
-    along = rng.normal(size=(400, d))
+    along = rng.normal(size=(n, d))
     along -= np.outer(along @ normal, normal)  # stay on the bisector plane
-    features = (0.5 * (a + b) + 0.1 * along).astype(np.float32)
+    features = (0.5 * (a + b) + spread * along).astype(np.float32)
     # move one coordinate of each point by one float32 ulp, toward either side
     cols = rng.integers(d, size=len(features))
     rows = np.arange(len(features))
@@ -201,9 +209,11 @@ def test_assignment_near_ties_match_direct_form():
     got = assign_to_centers(features, centers)
     assert np.array_equal(got, _direct_assign(features, centers))
     assert set(got) <= {0, 3}
+    # the squared norms a caller passes in, and buffers used for a second call
     wide = features.astype(np.float64)
-    f_sq = np.einsum("ij,ij->i", wide, wide)
-    assert np.array_equal(assign_to_centers(features, centers, f_sq), got)
+    buffers = AssignmentBuffers.for_rows(features, k, np.einsum("ij,ij->i", wide, wide))
+    assert np.array_equal(assign_to_centers(features, centers[::-1], buffers), 4 - got)
+    assert np.array_equal(assign_to_centers(features, centers, buffers), got)
 
 
 def _assign_with_peak(features, centers):
@@ -469,3 +479,44 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         dp_kernel_kmeans(data, fmap, k=2, iterations=1, sigma_k=1.0, init=np.zeros((2, 3)),
                          **fixed)
+
+
+def test_clustering_does_not_depend_on_the_thread_count(monkeypatch):
+    # n is a multiple of no block size, so every split has a short last
+    # block; the threads switch as often as the interpreter can
+    n = 3 * ASSIGN_ROWS + 37
+    assert all(n % size for size in (EMBED_BLOCK_ROWS, BLOCK_ROWS, ASSIGN_ROWS))
+    data = mixture_corpus(n, 30, 4, np.random.default_rng(12))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(threads, "_usable_cpus", lambda n=cpus: n)
+            out = clustering_stage(data, 77, k=4, d=40, gamma=0.2, t_kmeans=3, sigma_k=5.0)
+            runs.append([out.assignments.tobytes(), out.noisy_centers.tobytes(),
+                         out.size_history.tobytes()])
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(run == runs[0] for run in runs)
+
+
+def test_clustering_raises_a_helper_threads_error(monkeypatch):
+    # the third search for a cluster's rows, or an assignment's near ties,
+    # fails on whichever thread runs it
+    data = mixture_corpus(2 * ASSIGN_ROWS, 12, 4, np.random.default_rng(13))
+    nonzero, calls, lock = np.flatnonzero, [0], threading.Lock()
+
+    def fail_on_third_call(*args):
+        with lock:
+            calls[0] += 1
+            if calls[0] == 3:
+                raise RuntimeError("task failed")
+        return nonzero(*args)
+
+    monkeypatch.setattr(threads, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(np, "flatnonzero", fail_on_third_call)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="task failed"):
+        clustering_stage(data, 3, k=4, d=16, gamma=0.2, t_kmeans=2, sigma_k=5.0)
+    assert threading.active_count() == before  # every helper was joined

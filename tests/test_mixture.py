@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_dataset, mixture_corpus, privacy_claim
-from dpmix import accountant, mixture, rbm, rff
+from dpmix import accountant, mixture, rbm, rff, threads
 from dpmix.accountant import epsilon_for_delta
 from dpmix.data import BinaryDataset, sample_batch
 from dpmix.dpsgd import StepInfo, dp_sgd_step
@@ -344,7 +344,7 @@ def test_generate_keeps_one_copy_of_its_output(monkeypatch):
     # the sampled array is the dataset's, frozen as it is: a second copy of
     # the 5 MB output would take the peak past twice its size.  Each thread
     # holds one chunk's temporaries, so the thread count is fixed.
-    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads, "_usable_cpus", lambda: 2)
     mix = _random_mixture([1.0, 2.0], m=100, n_hidden=8)
     out, peak = _traced_peak(generate, mix, 50_000, np.random.default_rng(0), 2)
     assert peak < 2 * out.records.nbytes
@@ -356,9 +356,9 @@ def test_generate_threads_share_chunks_without_losing_one(monkeypatch):
     # a chunk taken twice or never would change rows of the output
     mix = _random_mixture([1.0, 2.0, 1.0], m=4, n_hidden=2)
     count = 16 * GENERATION_CHUNK_ROWS + 5
-    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threads, "_usable_cpus", lambda: 1)
     want = generate(mix, count, np.random.default_rng(8), gibbs_steps=1)
-    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(threads, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -380,7 +380,7 @@ def test_generate_raises_a_helper_threads_error(monkeypatch):
         return sample(*args)
 
     monkeypatch.setattr(rbm, "sample_batch", fail_on_third_chunk)
-    monkeypatch.setattr(mixture, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(threads, "_usable_cpus", lambda: 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk failed"):
         generate(mix, 8 * GENERATION_CHUNK_ROWS, np.random.default_rng(1), gibbs_steps=1)
@@ -664,6 +664,16 @@ def test_load_rechecks_the_stored_epsilon(tmp_path, factor, accepted):
         with pytest.raises(DataError, match=f"privacy.epsilon is {claimed!r}, expected at least "
                                             f"{mix.epsilon!r}"):
             load_model(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_refuses_an_old_version_by_its_head(tmp_path, version):
+    # save_model's head of a version-1 or version-2 file is enough: the
+    # rest is not parsed, so junk after it does not change the message
+    path = tmp_path / "old.json"
+    path.write_bytes(b'{\n "version": %d,\n "m": ' % version + b"\xff junk" * 1000)
+    with pytest.raises(DataError, match=f"^model format version {version} is no longer read"):
+        load_model(path)
 
 
 def test_load_rejects_unknown_version(tmp_path):
