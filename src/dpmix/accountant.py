@@ -61,9 +61,9 @@ configuration asked for again costs under a millisecond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, NumericsError
 
@@ -259,20 +259,35 @@ def _log_erfc(x: float) -> float:
             - x * x - math.log(x * math.sqrt(math.pi)))
 
 
-def alpha_kmeans(lam: float, cfg: PrivacyConfig) -> float:
-    """Total clustering log-MGF after t_kmeans noisy iterations, at the order lam.
+class Charge(NamedTuple):  # not a dataclass, which would add 1 ms to each cold start
+    """``count`` runs of one mechanism, each of log-MGF ``alpha(lam)``: with one noise scale,
+    a gaussian_release of every record; with (sigma_c, sigma_g), a DP-SGD step at ``rate``."""
 
-    Each iteration releases the k noisy cluster sizes (gaussian_release
-    at sigma_k, sensitivity 1) and the k noisy feature sums (sigma_k,
-    sensitivity C_s).  One record moves one size by 1 and one sum by at
-    most C_s, so each of the two sets is one release, charged
-    alpha_gaussian(lam, sigma_k).  C_s is a public constant, so nothing
-    else is charged.
+    name: str
+    sigmas: tuple[float, ...]
+    rate: float
+    count: int
+
+    def alpha(self, lam: float) -> float:
+        if len(self.sigmas) == 1:
+            return alpha_gaussian(lam, *self.sigmas)
+        return sgd_step_alpha(lam, *self.sigmas, self.rate)
+
+
+def charges(cfg: PrivacyConfig) -> list[Charge]:
+    """The run's mechanisms in the order they run; its log-MGF is the sum of count * alpha.
+
+    One record moves one of a k-means iteration's k noisy sizes by 1 and one
+    of its k noisy sums by at most the public C_s, so each set is one release.
     """
-    return cfg.t_kmeans * (2.0 * alpha_gaussian(lam, cfg.sigma_k))
+    return [
+        Charge("kmeans-sizes", (cfg.sigma_k,), 1.0, cfg.t_kmeans),
+        Charge("kmeans-sums", (cfg.sigma_k,), 1.0, cfg.t_kmeans),
+        Charge("sgd-step", (cfg.sigma_c, cfg.sigma_g), cfg.q, cfg.t_sgd),
+    ]
 
 
-def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
+def sgd_step_alpha(lam: float, sigma_c: float, sigma_g: float, q: float) -> float:
     """Per-iteration SGD log-MGF at the order lam, minimised over budget splits.
 
     One iteration runs two subsampled mechanisms on the same batch:
@@ -283,49 +298,39 @@ def sgd_step_alpha(lam: float, cfg: PrivacyConfig) -> float:
     for the tightest.
     """
     return min(
-        j1 * alpha_subsampled_gaussian(lam / j1, cfg.sigma_c, cfg.q)
-        + (1.0 - j1) * alpha_subsampled_gaussian(lam / (1.0 - j1), cfg.sigma_g, cfg.q)
+        j1 * alpha_subsampled_gaussian(lam / j1, sigma_c, q)
+        + (1.0 - j1) * alpha_subsampled_gaussian(lam / (1.0 - j1), sigma_g, q)
         for j1 in J1_GRID
     )
 
 
-def alpha_terms(cfg: PrivacyConfig) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """The integer orders 1..lambda_max, the k-means alpha and the per-step SGD alpha at each.
-
-    The total log-MGF after t SGD steps is ``kmeans + t * sgd_step`` at
-    each order; epsilon_for_delta, epsilon_schedule and the accountant
-    report all read it from these two tuples.  cfg.t_sgd is not used.
-    """
-    lams = tuple(range(1, cfg.lambda_max + 1))
-    return (lams, tuple(alpha_kmeans(lam, cfg) for lam in lams),
-            tuple(sgd_step_alpha(lam, cfg) for lam in lams))
+def _charge_alphas(cfg: PrivacyConfig) -> list[list[float]]:
+    """Each entry of charges(cfg)'s alpha at the orders 1..lambda_max."""
+    return [[entry.alpha(lam) for lam in range(1, cfg.lambda_max + 1)] for entry in charges(cfg)]
 
 
-def total_alpha(terms, t_sgd: int) -> list[float]:
-    """The total log-MGF at each order of ``terms`` (alpha_terms) after t_sgd SGD steps."""
-    _, kmeans, sgd_step = terms
-    return [a_kmeans + t_sgd * a_step for a_kmeans, a_step in zip(kmeans, sgd_step)]
+def _total_alpha(cfg: PrivacyConfig, alphas: list[list[float]]) -> tuple[float, ...]:
+    """The sum over charges(cfg) of count * alpha at each order, in list order."""
+    total = [0.0] * cfg.lambda_max
+    for entry, alpha in zip(charges(cfg), alphas):
+        total = [t + entry.count * a for t, a in zip(total, alpha)]
+    return tuple(total)
 
 
-def _minimise_epsilon(
-    lambdas: Sequence[int], alphas: Sequence[float], delta: float
-) -> tuple[float, int]:
-    """The least (alpha - log delta) / lam and its order; the first minimiser wins.
-
-    NumericsError if that epsilon is not finite.
-    """
+def _minimise_epsilon(alphas: Sequence[float], delta: float) -> tuple[float, int]:
+    """The least (alpha - log delta) / lam at the orders lam = 1, 2, ..., and its order;
+    the first minimiser wins.  NumericsError if that epsilon is not finite."""
     log_delta = math.log(delta)
-    eps = [(alpha - log_delta) / lam for lam, alpha in zip(lambdas, alphas)]
+    eps = [(alpha - log_delta) / lam for lam, alpha in enumerate(alphas, 1)]
     best = min(range(len(eps)), key=eps.__getitem__)
     if not math.isfinite(eps[best]):
         raise NumericsError("epsilon is not finite for this configuration")
-    return float(eps[best]), int(lambdas[best])
+    return float(eps[best]), best + 1
 
 
 def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
     """Tightest (epsilon, argmin lambda) for the configured run."""
-    terms = alpha_terms(cfg)
-    return _minimise_epsilon(terms[0], total_alpha(terms, cfg.t_sgd), cfg.delta)
+    return _minimise_epsilon(_total_alpha(cfg, _charge_alphas(cfg)), cfg.delta)
 
 
 def epoch_iterations(q: float) -> int:
@@ -343,21 +348,22 @@ class EpochEpsilon:
     t_sgd: int
     epsilon: float
     argmin_lambda: int
+    alpha_profile: tuple[float, ...]  # the total alpha at the orders 1..lambda_max
 
 
 def epsilon_schedule(cfg: PrivacyConfig, epochs: Iterable[int]) -> list[EpochEpsilon]:
-    """Epsilon after each epoch count; cfg.t_sgd is ignored.
+    """Epsilon and total alpha profile after each epoch count; cfg.t_sgd is ignored.
 
-    The per-iteration SGD alpha does not depend on the iteration count,
-    so the whole schedule costs one alpha_terms call.
+    Each entry of charges(cfg) has its alpha computed once per order, and a row,
+    at t_sgd = epoch * epoch_iterations(q), equals epsilon_for_delta at that t_sgd.
     """
-    terms = alpha_terms(cfg)
+    alphas = _charge_alphas(cfg)
     per_epoch = epoch_iterations(cfg.q)
     out = []
     for e in epochs:
         if e < 0:
             raise ValueError("epoch counts must be non-negative")
         t_sgd = e * per_epoch
-        eps, lam = _minimise_epsilon(terms[0], total_alpha(terms, t_sgd), cfg.delta)
-        out.append(EpochEpsilon(epoch=e, t_sgd=t_sgd, epsilon=eps, argmin_lambda=lam))
+        profile = _total_alpha(replace(cfg, t_sgd=t_sgd), alphas)
+        out.append(EpochEpsilon(e, t_sgd, *_minimise_epsilon(profile, cfg.delta), profile))
     return out

@@ -25,8 +25,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .accountant import (PrivacyConfig, alpha_terms, check_noise_scale, epsilon_schedule,
-                         total_alpha)
+from .accountant import PrivacyConfig, check_noise_scale, epsilon_schedule
 from .config import (ANY, DEFAULT_BINARIZE_THRESHOLD, DEFAULT_GENERATION_SWEEPS, FORMATS,
                      N_SUBSETS, SEMANTICS, SPARSE_ITEMS, TrainConfig, atomic_write)
 from .errors import ConfigError, DataError
@@ -277,7 +276,6 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
         print(f"{row.epoch},{row.t_sgd},{row.epsilon!r},{row.argmin_lambda}")
     final = schedule[-1]
     if opts["output"]:
-        terms = alpha_terms(cfg)  # the schedule's orders, each already computed
         report = {
             "config_echo": opts,
             "schedule": [
@@ -292,8 +290,8 @@ def cmd_accountant(opts: dict, out: _Outputs) -> int:
             "epsilon": final.epsilon,
             "argmin_lambda": final.argmin_lambda,
             "alpha_profile": {
-                "lambda": list(terms[0]),
-                "alpha": total_alpha(terms, final.t_sgd),
+                "lambda": list(range(1, cfg.lambda_max + 1)),
+                "alpha": final.alpha_profile,
             },
         }
         out.write_text(opts["output"], _json_dumps(report))

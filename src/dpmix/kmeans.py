@@ -87,7 +87,7 @@ def clip_embedding(features: np.ndarray) -> np.ndarray:
     One pass, BLOCK_ROWS rows at a time, in float64: a row within the
     bound is left as it is, a row beyond it is scaled to CLIP_TARGET and
     rounded to float32, so its float64 norm is at most CLIP_BOUND, the
-    sensitivity that ``alpha_kmeans`` charges.  The squares are float64
+    sensitivity that the "kmeans-sums" charge assumes.  The squares are float64
     sums over the stored float32 rows.  Each row's reductions depend on
     that row alone, so rows and squares are bit for bit the one-call
     forms', whichever thread clips a block.
@@ -274,7 +274,7 @@ def dp_kernel_kmeans(
     from ``init_rng``.
 
     Each iteration releases the k counts as one vector and the k sums as
-    one matrix, the two mechanisms ``alpha_kmeans`` charges, so ``rng``
+    one matrix, the "kmeans-sizes" and "kmeans-sums" charges, so ``rng``
     draws k normals, then k * d; an empty cluster's sum is zero.  The
     next centers come from those released values only: a cluster whose
     noisy count is below 1 keeps its previous center and is never divided

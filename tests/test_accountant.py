@@ -1,4 +1,5 @@
 """Moments accountant: closed forms, the series against oracles, composition, epsilon search."""
+import json
 import math
 import os
 import re
@@ -15,16 +16,15 @@ from dpmix import accountant
 from dpmix.accountant import (
     DEFAULT_LAMBDA_MAX,
     J1_GRID,
+    Charge,
     PrivacyConfig,
     alpha_gaussian,
-    alpha_kmeans,
     alpha_subsampled_gaussian,
-    alpha_terms,
+    charges,
     epoch_iterations,
     epsilon_for_delta,
     epsilon_schedule,
     sgd_step_alpha,
-    total_alpha,
 )
 from dpmix.cli import main
 from dpmix.dpnorm import dp_norm
@@ -399,37 +399,68 @@ class TestSeries:
         assert [accountant._log_erfc(0.0), accountant._log_erfc(-30.0)] == [0.0, math.log(2.0)]
 
 
-class TestKmeansAlpha:
+def _profile(cfg):
+    """The sum of count * alpha over charges(cfg) at each order 1..lambda_max, in list order."""
+    profile = []
+    for lam in range(1, cfg.lambda_max + 1):
+        total = 0.0
+        for entry in charges(cfg):
+            total += entry.count * entry.alpha(lam)
+        profile.append(total)
+    return tuple(profile)
+
+
+class TestCharges:
+    def test_the_run_in_the_order_it_runs(self):
+        cfg = _cfg()
+        assert charges(cfg) == [
+            Charge("kmeans-sizes", (40.0,), 1.0, 20),
+            Charge("kmeans-sums", (40.0,), 1.0, 20),
+            Charge("sgd-step", (4.0, 1.0), 0.0017, 100),
+        ]
+
+    def test_each_entry_is_charged_its_mechanism(self):
+        # a one-sigma entry is a gaussian_release of every record; the step
+        # is the split search over the vote and the gradient
+        sizes, sums, step = charges(_cfg())
+        for lam in (1, 2, 7.5, 32):
+            assert sizes.alpha(lam) == sums.alpha(lam) == alpha_gaussian(lam, 40.0)
+            assert step.alpha(lam) == sgd_step_alpha(lam, 4.0, 1.0, 0.0017)
+
     def test_zero_iterations(self):
-        assert alpha_kmeans(3, _cfg(t_kmeans=0)) == 0.0
+        cfg = _cfg(t_kmeans=0, t_sgd=0)
+        assert [entry.count for entry in charges(cfg)] == [0, 0, 0]
+        assert epsilon_schedule(cfg, (0,))[0].alpha_profile == (0.0,) * 32
 
     def test_clustering_charges_counts_and_sums_only(self):
         # the clip bound is public, so sigma_c is never charged
         cfg = _cfg(t_kmeans=20, sigma_k=40.0)
-        assert alpha_kmeans(2, cfg) == pytest.approx(20 * 6 / 3200)
-        assert alpha_kmeans(2, replace(cfg, sigma_c=1e-3)) == alpha_kmeans(2, cfg)
+        kmeans = [entry for entry in charges(cfg) if entry.name.startswith("kmeans-")]
+        assert [entry.alpha(2) * entry.count for entry in kmeans] == pytest.approx(
+            [20 * 3 / 3200] * 2)
+        assert charges(replace(cfg, sigma_c=1e-3))[:2] == kmeans
 
-    def test_composition_is_exactly_linear(self):
-        # each iteration adds the same charge
-        one = alpha_kmeans(5, _cfg(t_kmeans=1))
-        many = alpha_kmeans(5, _cfg(t_kmeans=17))
-        assert many == pytest.approx(17 * one, rel=1e-15)
+    def test_two_kmeans_entries_add_to_one_doubled_charge(self):
+        # doubling a float is exact, so the two entries' sum is t_kmeans * (2 alpha)
+        for t_kmeans in (1, 17, 20):
+            cfg = _cfg(t_kmeans=t_kmeans, t_sgd=0)
+            assert _profile(cfg) == tuple(
+                t_kmeans * (2.0 * alpha_gaussian(lam, 40.0)) for lam in range(1, 33))
 
     @pytest.mark.parametrize("q,t_sgd,delta,want", [
-        (0.0017, 20 * 589, 1e-5, (1.7616018098053687, 10)),
+        (0.0017, 20 * 589, 1e-5, (1.761601809805137, 10)),
         (0.005, 2000, 1 / 20_000, (1.980523809022984, 8)),
     ], ids=["criterion-2", "criterion-9"])
     def test_acceptance_configurations(self, q, t_sgd, delta, want):
         cfg = _cfg(q=q, t_sgd=t_sgd, delta=delta)
-        assert epsilon_for_delta(cfg) == pytest.approx(want, rel=1e-12)
+        assert epsilon_for_delta(cfg) == want
 
     def test_one_call_per_order(self):
         # each value is a float, the same whether the order is an int, a
         # float or a numpy scalar
         orders = [1, 2, 3, 7.5, 32]
         for cfg in (_cfg(), _cfg(t_kmeans=0)):
-            for alpha in (lambda lam: alpha_kmeans(lam, cfg),
-                          lambda lam: alpha_gaussian(lam, cfg.sigma_k)):
+            for alpha in (charges(cfg)[0].alpha, lambda lam: alpha_gaussian(lam, cfg.sigma_k)):
                 singles = [alpha(lam) for lam in orders]
                 assert all(type(value) is float for value in singles)
                 assert [alpha(float(lam)) for lam in orders] == singles
@@ -439,18 +470,19 @@ class TestKmeansAlpha:
 class TestSgdAlpha:
     def test_zero_iterations(self):
         cfg = _cfg(t_sgd=0)
-        lams, kmeans, _ = alpha_terms(cfg)
-        eps = min((a - math.log(cfg.delta)) / lam for lam, a in zip(lams, kmeans))
+        sizes, sums, _ = charges(cfg)
+        kmeans = [sizes.count * sizes.alpha(lam) + sums.count * sums.alpha(lam)
+                  for lam in range(1, 33)]
+        eps = min((a - math.log(cfg.delta)) / lam for lam, a in enumerate(kmeans, 1))
         assert epsilon_for_delta(cfg)[0] == eps
 
     def test_zero_q(self):
-        assert sgd_step_alpha(3, _cfg(q=0.0, t_sgd=50)) == 0.0
+        assert sgd_step_alpha(3, 4.0, 1.0, 0.0) == 0.0
 
     def test_first_minimiser_wins(self):
-        # log(1) = 0, so epsilon is alpha / lam
-        lams = (1, 2, 3)
-        assert accountant._minimise_epsilon(lams, np.array([2.0, 4.0, 6.0]), 1.0) == (2.0, 1)
-        assert accountant._minimise_epsilon(lams, np.array([3.0, 4.0, 6.0]), 1.0) == (2.0, 2)
+        # log(1) = 0, so epsilon is alpha / lam at the orders 1, 2, 3
+        assert accountant._minimise_epsilon([2.0, 4.0, 6.0], 1.0) == (2.0, 1)
+        assert accountant._minimise_epsilon([3.0, 4.0, 6.0], 1.0) == (2.0, 2)
 
     def test_grid_minimum_never_above_any_member(self):
         cfg = _cfg(t_sgd=1)
@@ -459,7 +491,7 @@ class TestSgdAlpha:
             + (1.0 - j1) * alpha_subsampled_gaussian(8 / (1.0 - j1), cfg.sigma_g, cfg.q)
             for j1 in J1_GRID
         ]
-        assert sgd_step_alpha(8, cfg) == min(members)
+        assert sgd_step_alpha(8, cfg.sigma_c, cfg.sigma_g, cfg.q) == min(members)
 
 
 class TestEpsilonSearch:
@@ -470,16 +502,8 @@ class TestEpsilonSearch:
         assert eps == pytest.approx(10 / 32)
         assert lam == 32
 
-    def test_profile_matches_component_sums(self):
-        cfg = _cfg(t_sgd=25)
-        lams, kmeans, sgd_step = alpha_terms(cfg)
-        assert lams == tuple(range(1, 33))
-        for lam, a_kmeans, a_step in zip(lams, kmeans, sgd_step):
-            assert a_kmeans == alpha_kmeans(lam, cfg)
-            assert a_step == sgd_step_alpha(lam, cfg)
-
     def test_profile_finite_nonnegative_monotone(self):
-        vals = total_alpha(alpha_terms(_cfg()), 500)
+        vals = _profile(_cfg(t_sgd=500))
         assert all(np.isfinite(v) and v >= 0 for v in vals)
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -488,15 +512,26 @@ class TestEpsilonSearch:
         eps_large, _ = epsilon_for_delta(_cfg(t_sgd=2000))
         assert eps_small < eps_large
 
-    def test_schedule_matches_pointwise_evaluation(self):
-        cfg = _cfg(t_sgd=0)
-        rows = epsilon_schedule(cfg, (1, 3))
-        per_epoch = epoch_iterations(cfg.q)
+    @pytest.mark.parametrize("q", [0.001, 0.0017, 0.003])
+    @pytest.mark.parametrize("sigma_g", [1.0, 2.0, 4.0])
+    def test_both_epsilon_paths_read_one_list(self, q, sigma_g, tmp_path, capsys):
+        # on the plan lattice, each schedule row is epsilon_for_delta at its
+        # t_sgd, both are the sum over charges(), and the report's alpha
+        # profile is the last row's
+        cfg = _cfg(q=q, sigma_g=sigma_g, t_sgd=0)
+        rows = epsilon_schedule(cfg, range(21))
         for row in rows:
-            assert row.t_sgd == row.epoch * per_epoch
-            direct, lam = epsilon_for_delta(_cfg(t_sgd=row.t_sgd))
-            assert row.epsilon == pytest.approx(direct, rel=1e-12)
-            assert row.argmin_lambda == lam
+            assert row.t_sgd == row.epoch * epoch_iterations(q)
+            at_row = replace(cfg, t_sgd=row.t_sgd)
+            assert (row.epsilon, row.argmin_lambda) == epsilon_for_delta(at_row)
+            assert row.alpha_profile == _profile(at_row)
+        out = tmp_path / "report.json"
+        assert main(_accountant_args(cfg, 20) + ["--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["alpha_profile"] == {"lambda": list(range(1, 33)),
+                                           "alpha": list(rows[-1].alpha_profile)}
+        assert (report["epsilon"], report["argmin_lambda"]) == (rows[-1].epsilon,
+                                                                 rows[-1].argmin_lambda)
 
     @pytest.mark.filterwarnings("error")  # and no numpy RuntimeWarning on the way
     def test_no_finite_epsilon_raises(self):
@@ -545,14 +580,14 @@ class TestWorkerProcesses:
             assert (round(eps, 6), lam) == (1.980524, 8)
 
     def test_refused_fork_computes_in_process(self, monkeypatch, fresh_series):
-        want = alpha_terms(_PLAN_CFG)
+        want = epsilon_schedule(_PLAN_CFG, range(21))
         fresh_series.cache_clear()
 
         def refuse():
             raise AssertionError("the accountant forked")
 
         monkeypatch.setattr(os, "fork", refuse)
-        got = alpha_terms(_PLAN_CFG)
+        got = epsilon_schedule(_PLAN_CFG, range(21))
         assert repr(got) == repr(want)  # repr names every float exactly
 
     def test_failure_names_the_same_order_on_every_run(self, monkeypatch, fresh_series, capsys):

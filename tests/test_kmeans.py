@@ -407,7 +407,7 @@ def test_released_noisy_sums_move_by_at_most_the_clip_bound():
     # previous center lies far outside the clip ball.  Wherever both noisy
     # counts are at least 1, the released noisy sums (center times noisy
     # count) may differ by at most C_s = 1, the sensitivity that
-    # alpha_kmeans charges.
+    # the "kmeans-sums" charge assumes.
     fmap = feature_map_from_seed(m=8, d=16, gamma=0.5, seed=13)
     a = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
     canary = 1 - a

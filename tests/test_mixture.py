@@ -90,16 +90,23 @@ def test_every_release_is_a_charged_gaussian(monkeypatch):
     cfg = _tiny_config(k=2, t_kmeans=3, batch_size=1)
     result = train(data, cfg, master_seed=7)
 
-    # per k-means iteration, the k counts then the (k, d) sums: the two
-    # Gaussians alpha_kmeans charges; per step, the (bins,) vote then the
-    # (P,) gradient
+    # the sigmas and counts are those of charges(): per k-means iteration,
+    # the k counts ("kmeans-sizes") then the (k, d) sums ("kmeans-sums");
+    # per step ("sgd-step"), the (bins,) vote then the (P,) gradient
     k, d, n_params = cfg.k, cfg.d, result.mixture.models[0].n_params
-    want = [(cfg.sigma_k, 1.0, (k,)), (cfg.sigma_k, CLIP_BOUND, (k, d))] * cfg.t_kmeans
-    for step in result.steps:  # an empty batch votes and releases like any other
-        want += [(cfg.sigma_c, 1.0, (cfg.bins,)), (cfg.sigma_g, step.info.clip_bound, (n_params,))]
+    sizes, sums, step = accountant.charges(result.mixture.privacy)
+    assert (sizes.name, sums.name, step.name) == ("kmeans-sizes", "kmeans-sums", "sgd-step")
+    assert sizes.count == sums.count
+    want = [(*sizes.sigmas, 1.0, (k,)), (*sums.sigmas, CLIP_BOUND, (k, d))] * sizes.count
+    sigma_c, sigma_g = step.sigmas
+    # an empty batch votes and releases like any other
+    clip_bounds = [logged.info.clip_bound for logged in result.steps]
+    assert len(clip_bounds) == step.count
+    for clip_bound in clip_bounds:
+        want += [(sigma_c, 1.0, (cfg.bins,)), (sigma_g, clip_bound, (n_params,))]
     assert released == want
-    sizes = [step.info.batch_size for step in result.steps]
-    assert len(sizes) == result.mixture.privacy.t_sgd and 0 in sizes and max(sizes) > 0
+    batch_sizes = [logged.info.batch_size for logged in result.steps]
+    assert 0 in batch_sizes and max(batch_sizes) > 0
 
 
 def test_training_replays_from_named_streams():
