@@ -334,7 +334,10 @@ def epsilon_for_delta(cfg: PrivacyConfig) -> tuple[float, int]:
 
 
 def epoch_iterations(q: float) -> int:
-    """Iterations per epoch: ceil(1/q), so one epoch touches each record once in expectation."""
+    """Iterations per epoch: ceil(1/q), so one epoch touches each record once in expectation.
+
+    Never below the ceil(n / L) steps of a training epoch at q = L / n.
+    """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
     if 1.0 / q == math.inf:

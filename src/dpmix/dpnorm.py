@@ -18,10 +18,14 @@ from .accountant import gaussian_release
 
 
 def clip_scales(norms, c_s: float) -> np.ndarray:
-    """Factors 1 / max(1, ||v|| / c_s) that move each vector onto the c_s ball."""
+    """Factors 1 / max(1, ||v|| / c_s) that move each vector onto the c_s ball.
+
+    Where ||v|| / c_s overflows, at a subnormal c_s, the factor is 0.
+    """
     if c_s <= 0:
         raise ValueError(f"clip bound must be positive, got {c_s}")
-    return 1.0 / np.maximum(1.0, np.asarray(norms, dtype=np.float64) / c_s)
+    with np.errstate(over="ignore"):
+        return 1.0 / np.maximum(1.0, np.asarray(norms, dtype=np.float64) / c_s)
 
 
 def norm_histogram(norms, c_max: float, bins: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import rbm
-from .accountant import PrivacyConfig, epoch_iterations, epsilon_for_delta
+from .accountant import PrivacyConfig, epsilon_for_delta
 from .config import DEFAULT_GENERATION_SWEEPS, TrainConfig, atomic_write
 from .data import BinaryDataset, sample_batch
 from .dpsgd import StepInfo, dp_sgd_step
@@ -123,7 +123,9 @@ def train(dataset: BinaryDataset, cfg: TrainConfig, master_seed: int,
     if cfg.k > n:
         raise ConfigError(f"k {cfg.k} exceeds dataset size {n}")
     q = cfg.batch_size / n
-    t_sgd = cfg.epochs * epoch_iterations(q)
+    # ceil(n / L) steps per epoch, in integers: ceil(1 / q) exceeds it where
+    # 1 / fl(L / n) rounds above n / L
+    t_sgd = cfg.epochs * -(-n // cfg.batch_size)
     delta = cfg.delta if cfg.delta is not None else 1.0 / n
 
     shared = {f.name: getattr(cfg, f.name) for f in fields(PrivacyConfig) if hasattr(cfg, f.name)}

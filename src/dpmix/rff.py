@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
 from .threads import _run_tasks
 
 EMBED_BLOCK_ROWS = 512
@@ -69,10 +70,18 @@ def embed(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     independent, so one thread per usable CPU embeds them
     (``threads._run_tasks``), each block by the same calls whichever
     thread takes it.
+    NumericsError where an argument of the cosine could overflow float32
+    and the embedding would hold NaN: for a 0/1 record, row i of
+    ``W x + b`` is at most sum_j |W_ij| + |b_i| in size, and each of these
+    must fit in float32, whatever the records.
     """
     x = np.asarray(x)
     if x.shape[-1] != fmap.m:
         raise ValueError(f"record dimension {x.shape[-1]} does not match map m={fmap.m}")
+    bound = np.abs(fmap.w).sum(axis=1) + np.abs(fmap.b)
+    if not bound.max() <= np.finfo(np.float32).max:  # NaN fails too
+        raise NumericsError("a feature-map argument can lie outside float32's range, where "
+                            "the embedding runs")
     records = x.reshape(-1, fmap.m)
     w = fmap.w.astype(np.float32)
     b = fmap.b.astype(np.float32)

@@ -49,7 +49,7 @@ MUTANTS = (
     Mutant("vote-noise-halved", "src/dpmix/dpnorm.py",
            "gaussian_release(counts, sigma_c, 1.0, rng)",
            "gaussian_release(counts, sigma_c / 2, 1.0, rng)",
-           ("tests/test_mixture.py",)),
+           ("tests/test_dpnorm.py",)),
     Mutant("kmeans-sums-sensitivity-0.9", "src/dpmix/kmeans.py",
            "sigma_k, CLIP_BOUND, rng)",
            "sigma_k, 0.9 * CLIP_BOUND, rng)",

@@ -1,5 +1,6 @@
-"""Attacks on a released model file, each run against the file alone, and
-a neighbour-replay check of the releases' charged sensitivities.
+"""Attacks on a released model file, each run against the file alone, a
+neighbour-replay check of the releases' charged sensitivities, and a check
+of DP-SGD's sampling rate against the charged one.
 
 Each test asserts that its attack fails or its check passes.  While the
 gap it exploits is open, the test is marked
@@ -10,14 +11,16 @@ drop the marker: an unexpected pass fails.
 """
 import base64
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset, mixture_corpus
-from dpmix import dpnorm, dpsgd, kmeans
+from dpmix import dpnorm, dpsgd, kmeans, mixture
 from dpmix.accountant import gaussian_release
 from dpmix.config import TrainConfig
+from dpmix.data import sample_batch
 from dpmix.kmeans import CLIP_BOUND, dp_kernel_kmeans
 from dpmix.mixture import save_model, train
 from dpmix.rff import feature_map_from_seed
@@ -149,3 +152,30 @@ def test_train_neighbours_move_each_release_by_at_most_its_sensitivity(monkeypat
     for neighbour in (data[:-1], records):
         replay = _train_releases(monkeypatch, neighbour, base)
         _assert_each_release_moves_at_most_its_sensitivity(base, replay)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+def test_a_record_is_in_its_models_batches_at_the_charged_rate(monkeypatch):
+    # Over the steps that update a record's model, the accountant's
+    # subsampled Gaussian holds the record in the batch at rate q = L / n.
+    # Each step picks one model s and samples its members at L / |C_s|, so
+    # a record of a cluster holding a third of the data is in about three
+    # times as many of those batches.  Summed over records: the sampled
+    # records of all steps, against the members of each step's model.
+    batches = []
+
+    def recorded(members, rate, rng):
+        batches.append(sample_batch(members, rate, rng))
+        return batches[-1]
+
+    monkeypatch.setattr(mixture, "sample_batch", recorded)
+    cfg = TrainConfig(k=3, epochs=1, batch_size=30, sigma_c=4.0, sigma_k=2.0, sigma_g=1.0,
+                      t_kmeans=3, d=16, gamma=0.5, n_hidden=4, chain_count=6)
+    result = train(mixture_corpus(600, 20, 3, np.random.default_rng(21)), cfg, master_seed=41)
+    q = result.mixture.privacy.q
+    sizes = np.bincount(result.clustering.assignments, minlength=cfg.k)
+    exposed = sum(int(sizes[step.cluster]) for step in result.steps)
+    included = sum(len(batch) for batch in batches)
+    assert len(batches) == len(result.steps) > 0
+    # four standard deviations above the charged binomial mean
+    assert included <= q * exposed + 4 * math.sqrt(q * (1 - q) * exposed)

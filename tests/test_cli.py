@@ -854,6 +854,8 @@ def test_commands_run_quietly(tmp_path):
         ["cluster", "--data", "records.txt", "--labels", "labels.txt", "--k", "2", "--d", "12",
          "--t-kmeans", "2", "--sigma-k", "10", "--assignments-out", "assign.txt"],
         _train_args("records.txt", "model.json"),
+        # every gradient norm over the subnormal clip bound overflows: factor 0
+        _train_args("records.txt", "tiny-clip-model.json", c_max=1e-320),
         ["generate", "--model", "model.json", "--count", "50", "--gibbs-steps", "5",
          "--output", "synth.txt"],
         ["evaluate", "--data", "records.txt", "--synthetic", "synth.txt", "--queries", "10",
@@ -922,9 +924,60 @@ def test_entry_point_pins_blas_unless_the_user_set_a_variable(env, expected):
     assert run.stdout.splitlines()[-1] == repr(expected)
 
 
-def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """``python -m dpmix train`` writes the same model file whether or not
-    the user pins BLAS to one thread.
+# train, cluster and generate on a 784-wide corpus; the config echoes hold
+# the paths, so every run gives the same relative ones
+_WIDE_RUN = [
+    ["train", "--data", "../wide.txt", "--k", "3", "--d", "64", "--n-hidden", "32",
+     "--batch-size", "40", "--epochs", "1", "--sigma-c", "4", "--sigma-k", "40",
+     "--sigma-g", "1", "--seed", "5", "--model", "model.json"],
+    ["cluster", "--data", "../wide.txt", "--k", "3", "--d", "64", "--sigma-k", "40",
+     "--seed", "5", "--output", "summary.json"],
+    ["generate", "--model", "model.json", "--count", "2500", "--gibbs-steps", "5",
+     "--output", "synth.txt", "--seed", "5"],
+]
+
+
+def _wide_run(run_dir, cpus=(), **env):
+    """The files of _WIDE_RUN, its commands run in ``run_dir`` by the entry
+    point's ``main`` in one fresh interpreter, with no BLAS thread variable
+    but those in ``env``, on the CPUs ``cpus`` where given."""
+    run_dir.mkdir()
+    code = (
+        "import json, os, sys\n"
+        "from dpmix.__main__ import main\n"
+        "cpus, runs = json.loads(sys.argv[1])\n"
+        "if cpus:\n"
+        "    os.sched_setaffinity(0, cpus)\n"
+        "for argv in runs:\n"
+        "    sys.argv[1:] = argv\n"
+        "    assert main() == 0\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, json.dumps([list(cpus), _WIDE_RUN])],
+                         cwd=run_dir, capture_output=True, text=True,
+                         env=_env_without_blas_pins(**env))
+    assert run.returncode == 0, run.stderr
+    return {name: (run_dir / name).read_bytes()
+            for name in ("model.json", "summary.json", "synth.txt")}
+
+
+@pytest.fixture(scope="module")
+def unpinned_wide_run(tmp_path_factory):
+    """The directory of the corpus, and the files of _WIDE_RUN on every
+    usable CPU with BLAS left to the entry point."""
+    root = tmp_path_factory.mktemp("wide")
+    data, _ = labelled_mixture_corpus(400, 784, 3, np.random.default_rng(5))
+    write_records(data, root / "wide.txt")
+    return root, _wide_run(root / "unpinned")
+
+
+def _differing(outputs, want):
+    return [name for name in want if outputs[name] != want[name]]
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(unpinned_wide_run):
+    """The entry point of ``python -m dpmix`` writes the same model,
+    clustering summary and samples whether or not the user pins BLAS to one
+    thread.
 
     At m = 784 the float32 products of the embedding and the float64
     products of the RBM statistics round differently on one OpenBLAS
@@ -933,24 +986,25 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     On a host with one usable CPU BLAS runs one thread either way, and
     the test passes vacuously.
     """
-    data, _ = labelled_mixture_corpus(400, 784, 3, np.random.default_rng(5))
-    data_path = tmp_path / "records.txt"
-    write_records(data, data_path)
-    models = []
-    for name, env in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
-        run_dir = tmp_path / name
-        run_dir.mkdir()
-        # the config echo holds the --model path, so both runs give the same relative one
-        run = subprocess.run(
-            [sys.executable, "-m", "dpmix", "train", "--data", str(data_path), "--k", "3",
-             "--d", "64", "--n-hidden", "32", "--batch-size", "40", "--epochs", "1",
-             "--sigma-c", "4", "--sigma-k", "40", "--sigma-g", "1", "--seed", "5",
-             "--model", "model.json"],
-            cwd=run_dir, capture_output=True, text=True, env=_env_without_blas_pins(**env),
-        )
-        assert run.returncode == 0, run.stderr
-        models.append((run_dir / "model.json").read_bytes())
-    assert models[0] == models[1]
+    root, unpinned = unpinned_wide_run
+    pinned = _wide_run(root / "blas-pinned", OPENBLAS_NUM_THREADS="1")
+    assert _differing(pinned, unpinned) == []
+
+
+def test_outputs_do_not_depend_on_the_usable_cpus(unpinned_wide_run):
+    """A child pinned to one CPU writes the bytes of a child on every usable
+    CPU: embedding, clustering and sampling run one thread per usable CPU,
+    and each task makes the same calls on whichever thread takes it."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(usable) < 2:
+        pytest.skip("fewer than two usable CPUs")
+    try:
+        os.sched_setaffinity(0, usable)
+    except OSError as exc:
+        pytest.skip(f"the CPU affinity cannot be set: {exc}")
+    root, unpinned = unpinned_wide_run
+    pinned = _wide_run(root / "one-cpu", cpus=[min(usable)])
+    assert _differing(pinned, unpinned) == []
 
 
 # A meta-path hook that makes every scipy import fail, as if scipy were absent.
@@ -1019,11 +1073,14 @@ _ONE_RECORD_TRAIN = ["train", "--data", "ONE", "--k", "1", "--epochs", "1", "--b
      "numerical error: sigma_k = 1e+200 is too large: its square overflows\n"),
     (ACCT_ARGS + ["--epochs", "1", "--q", "2"], {"DPMIX_LOG": "foo"}, 2,
      "usage error: q must be in [0, 1], got 2.0"),
+    (["cluster", "--data", "ONE", "--k", "1", "--d", "4", "--sigma-k", "40", "--gamma", "1e308",
+      "--output", "MODEL"], {}, 4,
+     "numerical error: a feature-map argument can lie outside float32's range"),
 ], ids=["accountant-sigma-k-huge", "accountant-sigma-c-huge", "accountant-sigma-g-huge",
         "accountant-q-subnormal", "accountant-sigma-k-tiny",
         "accountant-sigma-g-tiny", "accountant-sigma-c-tiny", "config-not-utf8",
         "train-one-record-default-delta", "train-sigma-k-huge", "train-sigma-k-tiny",
-        "cluster-sigma-k-huge", "unread-DPMIX_LOG"])
+        "cluster-sigma-k-huge", "unread-DPMIX_LOG", "cluster-gamma-huge"])
 def test_every_failure_is_one_line_with_its_exit_code(tmp_path, argv, env, code, message):
     # numpy warnings on stderr would add lines; a traceback would exit 1
     files = {"CONFIG": tmp_path / "cfg.json", "ONE": tmp_path / "one.txt",

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from conftest import make_dataset
 from dpmix import data
@@ -388,6 +387,7 @@ class TestSampleBatch:
     def test_inclusion_frequency_chi2(self):
         # Inclusion of one fixed record is Bernoulli(q); chi-square
         # goodness of fit at the 1% level over 10,000 trials.
+        chi2 = pytest.importorskip("scipy.stats").chi2
         trials, q = 10_000, 0.3
         members = np.arange(100, 140)
         rng = np.random.default_rng(7)

@@ -4,6 +4,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import ZeroNoise
+from dpmix import dpnorm
+from dpmix.accountant import gaussian_release
 from dpmix.dpnorm import clip_scales, dp_norm, norm_histogram
 
 
@@ -80,6 +82,28 @@ def test_noisy_output_is_always_an_edge():
         out = dp_norm(norms, 4.0, c_max=10.0, bins=100, rng=rng)
         assert out == pytest.approx(round(out * 10) / 10)
         assert 0.1 <= out <= 10.0
+
+
+def test_the_vote_is_one_release_of_the_counts_at_sigma_c(monkeypatch):
+    # the counts have L2 sensitivity 1, so the vote is one gaussian_release
+    # at sigma_c and sensitivity 1, the charge the accountant makes, and the
+    # bound is the upper edge of the noisiest count
+    releases = []
+
+    def release(value, sigma, sensitivity, rng):
+        out = gaussian_release(value, sigma, sensitivity, rng)
+        releases.append((value, sigma, sensitivity, out))
+        return out
+
+    monkeypatch.setattr(dpnorm, "gaussian_release", release)
+    norms = np.linalg.norm(np.random.default_rng(5).uniform(0, 2, size=(40, 3)), axis=1)
+    for sigma_c in (0.5, 4.0):
+        got = dp_norm(norms, sigma_c, c_max=10.0, bins=20, rng=np.random.default_rng(6))
+        value, sigma, sensitivity, out = releases[-1]
+        assert np.array_equal(value, norm_histogram(norms, 10.0, 20))
+        assert (sigma, sensitivity) == (sigma_c, 1.0)
+        assert got == (np.argmax(out) + 1) * 10.0 / 20
+    assert len(releases) == 2
 
 
 def test_noise_shifts_choice():

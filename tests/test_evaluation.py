@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from conftest import make_dataset
 from dpmix import evaluation
@@ -70,7 +69,8 @@ def test_accuracy_matches_brute_force_on_random_tables():
 
 def _scipy_total(table):
     # scipy is the oracle here only; dpmix itself does not import it
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    optimize = pytest.importorskip("scipy.optimize")
+    rows, cols = optimize.linear_sum_assignment(table, maximize=True)
     return int(table[rows, cols].sum())
 
 

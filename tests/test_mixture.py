@@ -208,6 +208,38 @@ def test_epsilon_matches_recomputation_from_stored_privacy():
     assert mix.privacy.delta == pytest.approx(1 / 120)
 
 
+def test_an_epoch_of_49_records_at_batch_size_1_is_49_steps():
+    # 1 / fl(1 / 49) is just above 49, so ceil(1 / q) would run a 50th step
+    data = mixture_corpus(49, 8, 1, np.random.default_rng(5))
+    result = train(data, _tiny_config(batch_size=1, chain_count=2), master_seed=3)
+    assert result.mixture.privacy.t_sgd == len(result.steps) == 49
+
+
+class _Claimed(Exception):
+    """Raised in place of the accountant, once train has counted its steps."""
+
+
+def test_stored_steps_are_epochs_times_ceil_n_over_l(monkeypatch):
+    # every (n, L) with L <= n <= 5000 and L <= 200 at which ceil(1 / q)
+    # exceeds ceil(n / L); train stops at its privacy claim, before any stage
+    claimed = []
+
+    def claim(privacy):
+        claimed.append(privacy)
+        raise _Claimed
+
+    monkeypatch.setattr(mixture, "epsilon_for_delta", claim)
+    sizes, batches = np.arange(1, 5001)[:, None], np.arange(1, 201)[None, :]
+    off_by_one = (batches <= sizes) & (np.ceil(1.0 / (batches / sizes)) != -(-sizes // batches))
+    pairs = np.argwhere(off_by_one) + 1
+    assert len(pairs) == 1153
+    ones = np.ones((5000, 1), dtype=np.uint8)
+    for n, batch in pairs.tolist():
+        with pytest.raises(_Claimed):
+            train(make_dataset(ones[:n]), _tiny_config(epochs=3, batch_size=batch), master_seed=0)
+        assert claimed[-1].t_sgd == 3 * math.ceil(n / batch), (n, batch)
+
+
 def test_step_selection_tracks_true_cluster_sizes():
     data = mixture_corpus(300, 8, 3, np.random.default_rng(23))
     cfg = _tiny_config(

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import expit, logsumexp
 
 from conftest import conditional_visible, dense_positive_statistics
 from dpmix.errors import NumericsError
@@ -59,6 +58,7 @@ def _all_states(bits):
 
 def _exact_log_prob(model, v):
     """log p(v) by full enumeration of hidden and visible states."""
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
     vs = _all_states(model.m)
     hs = _all_states(model.n_hidden)
     log_joint = np.array([[-energy(model, vv, hh) for hh in hs] for vv in vs])
@@ -87,6 +87,7 @@ def test_energy_worked_examples():
 def test_hidden_marginalization_identity():
     # summing exp(-E) over h must equal the closed-form product
     # exp(b'v) * prod_i (1 + exp(c_i + W_i v))
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
     model = _random_model(4, 3, seed=13)
     hs = _all_states(3)
     for v in _all_states(4)[[0, 5, 9, 15]]:
@@ -113,6 +114,7 @@ def test_conditionals_at_zero_and_saturation():
 @pytest.mark.parametrize("dtype,limit,rtol", [(np.float32, 80.0, 1e-6), (np.float64, 700.0, 1e-15)])
 def test_logistic_matches_expit_and_saturates_silently(dtype, limit, rtol):
     # scipy's expit is the oracle here only; dpmix itself does not import it
+    expit = pytest.importorskip("scipy.special").expit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ends = _logistic(np.array([-1000.0, 1000.0], dtype=dtype))
@@ -314,6 +316,7 @@ def _marginal_distance(count):
     4 visible x 3 hidden: p(v) ~ exp(b'v) prod_i (1 + exp(c_i + W_i v)) over
     all 16 visible states, against ``count`` independent chains.
     """
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
     model = _random_model(4, 3, seed=21, scale=1.0)
     vs = _all_states(4)
     log_p = vs @ model.visible_bias + np.logaddexp(
@@ -346,6 +349,7 @@ def test_conditionals_batch_agree_with_rows():
 def test_params_is_the_one_vector_behind_weights_and_biases():
     # W row-major, then b, then c; construction copies its arrays, and a
     # write through params shows in the views and in the conditionals
+    expit = pytest.importorskip("scipy.special").expit
     w = np.arange(6.0).reshape(2, 3) / 10
     b, c = np.array([0.1, 0.2, 0.3]), np.array([-0.1, -0.2])
     model = RbmModel(weights=w, visible_bias=b, hidden_bias=c)
@@ -378,6 +382,7 @@ def test_init_model_shapes():
 
 
 def test_joint_distribution_normalizes():
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
     model = _random_model(3, 2, seed=21)
     vs = _all_states(3)
     hs = _all_states(2)

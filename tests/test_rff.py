@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import kernel_rbf
+from dpmix.errors import NumericsError
 from dpmix.rff import embed, feature_map_from_seed, sample_feature_map
 
 
@@ -77,6 +78,22 @@ def test_embed_casts_in_row_blocks():
     # the float32 products of 5 and of 512 rows add in different orders, so
     # the cosines' arguments (up to 16.5 here) differ by a few float32 ulps
     assert_allclose(out[:5], direct, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [1e74, 1e308])
+def test_embed_refuses_a_map_beyond_float32_whatever_the_records(gamma):
+    # at m = 784 and gamma = 1e74 a row of W sums to about 1e40 in size,
+    # beyond float32's 3.4e38; at 1e308 W itself is not finite
+    fmap = feature_map_from_seed(784, 50, gamma, 3)
+    with pytest.raises(NumericsError, match="outside float32's range"):
+        embed(fmap, np.zeros((2, 784)))
+
+
+def test_embed_keeps_a_map_within_float32():
+    # at m = 10 the same gamma leaves each row's sum of |W| near 1e38
+    fmap = feature_map_from_seed(10, 50, 1e74, 3)
+    assert (np.abs(fmap.w).sum(axis=1) + fmap.b).max() <= np.finfo(np.float32).max
+    assert np.isfinite(embed(fmap, np.ones((2, 10)))).all()
 
 
 def test_kernel_values():
